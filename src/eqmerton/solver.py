@@ -7,11 +7,19 @@ Three routes are provided:
   linear terminal-value ODE it solves.
 * ``picard_solve`` -- damped fixed-point iteration on the full nonlinear
   integral equation, discretized with composite trapezoid quadrature.
+  A sweep costs O(n log n) time and O(n) memory: the kernel h(s-t) e^{K(s-t)}
+  is Toeplitz on the uniform grid, so the quadrature sum is a correlation
+  evaluated with blocked FFTs (the fast Volterra convolution of Hairer,
+  Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985). Blocks are rescaled
+  by the log-size of the summand, so terms spanning hundreds of orders of
+  magnitude keep full relative accuracy.
 * ``mixture_ode_solve`` -- backward RK4 on the component ODE system available
   when the discount function is a finite exponential mixture.
 
 Diagnostics: a priori bounds any solution must respect, and residuals of the
-integral equation and of its differential form.
+integral equation and of its differential form. The residuals use the same
+kernel sum as the sweep; the test suite keeps a dense O(n^2) evaluator as the
+independent reference.
 """
 
 from __future__ import annotations
@@ -98,6 +106,8 @@ class ValueCurve:
         n = self.grid.n_steps + 1
         if self.values.shape != (n,) or self.derivative.shape != (n,):
             raise ParameterError("value/derivative arrays must match the grid")
+        if not (np.all(np.isfinite(self.values)) and np.all(np.isfinite(self.derivative))):
+            raise ParameterError("value curve and its derivative must be finite")
         if np.any(self.values <= 0):
             raise ParameterError("value curve must be strictly positive")
         if abs(self.values[-1] - 1.0) > 1e-14:
@@ -148,34 +158,107 @@ def _cumulative_trapezoid(y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _kernel_and_weights(m, u, d, g):
-    """Upper-triangular kernel H[i,j] = h(t_j - t_i) e^{K (t_j - t_i)} and
-    row-wise trapezoid weights over [t_i, T]."""
-    t = g.nodes
-    n = g.n_steps
-    K = growth_constant(m, u)
-    tau = np.maximum(t[None, :] - t[:, None], 0.0)
-    H = d.h(tau) * np.exp(K * tau)
-    mask = np.triu(np.ones((n + 1, n + 1)))
-    W = np.full((n + 1, n + 1), g.dt) * mask
-    idx = np.arange(n + 1)
-    W[idx, idx] = g.dt / 2.0
-    W[:, n] = g.dt / 2.0
-    W[n, n] = 0.0
-    return H, W, mask
+# e-folds the summand's log-size may move inside one block of the kernel sum;
+# within a block the FFT rounding error is amplified by at most e^_BLOCK_SPREAD
+_BLOCK_SPREAD = 2.0
+# transform points per batched FFT call (at least one block offset per call),
+# which bounds the working memory
+_FFT_BATCH = 1 << 16
 
 
-def _integral_equation_rhs(values, m, u, d, g, kernel=None):
-    """Right-hand side of the fixed-point map at every grid node."""
-    H, W, mask = kernel if kernel is not None else _kernel_and_weights(m, u, d, g)
-    n = g.n_steps
+def _max_block_spread(F: np.ndarray, length: int) -> float:
+    """Largest max - min of F over the aligned blocks of the given length."""
+    starts = np.arange(0, len(F), length)
+    return float(np.max(np.maximum.reduceat(F, starts) - np.minimum.reduceat(F, starts)))
+
+
+def _block_length(F: np.ndarray) -> int:
+    """Longest block length (by bisection) over whose aligned blocks F moves by
+    at most _BLOCK_SPREAD; length 1 always qualifies."""
+    lo, hi = 1, len(F)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _max_block_spread(F, mid) <= _BLOCK_SPREAD:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _kernel_sum(kernel: np.ndarray, log_f: np.ndarray, C: np.ndarray, dt: float) -> np.ndarray:
+    """S_i = sum_{j>=i} w_ij kernel[j-i] f_j e^{C_i - C_j} at every node of a
+    uniform grid, with the trapezoid weights w_ij over [t_i, T] (so S_n = 0).
+
+    ``kernel`` holds the Toeplitz kernel at the lags 0, dt, ..., T and
+    ``log_f`` is log f. The sum is a correlation, evaluated with ``numpy.fft``.
+    One FFT over e^{C_i} e^{-C_j} would mix terms of wildly different sizes,
+    and the large ones would swamp the small ones. So the grid is cut into
+    blocks of one length L, derived from the data, inside which the summand's
+    log-size F_j = log f_j - C_j moves by at most _BLOCK_SPREAD. Block J enters
+    the FFTs as e^{F_j - m_J}, m_J = max F over J, and each block pair (I, J)
+    carries the scalar e^{m_J} back, applied with e^{C_i} per output node.
+    The pairs at one block offset J - I share a kernel window, so they form
+    one batched FFT product. Cost: O(B n log L) time and O(n) memory for
+    B = (n+1)/L blocks, B ~ (spread of F) / _BLOCK_SPREAD.
+    """
+    n1 = len(C)
+    F = log_f - C
+    if not np.all(np.isfinite(F)):
+        return np.full(n1, np.nan)  # an overflow upstream; callers' checks fail on it
+    L = _block_length(F)
+    B = -(-n1 // L)
+    pad = B * L - n1
+    Fb = np.pad(F, (0, pad), constant_values=-np.inf).reshape(B, L)
+    m = Fb.max(axis=1)
+    x = np.exp(Fb - m[:, None]) * dt
+    x.flat[n1 - 1] *= 0.5  # trapezoid end weight at t_n
+    # offset d, window entry s holds the lag (d-1) L + 1 + s; lag 0 (the
+    # diagonal) and lags past T are zero here
+    kpad = np.zeros((B + 1) * L)
+    kpad[L:L + n1 - 1] = kernel[1:]
+    windows = kpad[(np.arange(B) * L)[:, None] + np.arange(2 * L - 1)[None, :]]
+    nfft = 1 << (2 * L - 2).bit_length()
+    xf = np.fft.rfft(x[:, ::-1], nfft)
+    kf = np.fft.rfft(windows, nfft)
+    Cb = np.pad(C, (0, pad)).reshape(B, L)
+    out = np.zeros((B, L))
+    step = max(1, _FFT_BATCH // (nfft * B))  # block offsets per batched call
+    for d0 in range(0, B, step):
+        offsets = np.arange(d0, min(d0 + step, B))
+        sizes = B - offsets
+        D = np.repeat(offsets, sizes)
+        I = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        J = I + D
+        z = np.fft.irfft(xf[J] * kf[D], nfft)[:, L - 1:2 * L - 1][:, ::-1]
+        np.add.at(out, I, np.exp(Cb[I] + m[J, None]) * z)
+    S = out.ravel()[:n1]
+    S += 0.5 * dt * kernel[0] * np.exp(log_f)  # diagonal, w_ii = dt/2
+    S[-1] = 0.0
+    return S
+
+
+def _summand_logs(values, m, u, g):
+    """log lam^q and the exponent C(t) - K t of the integral equation's summand.
+
+    C(t) = int_0^t p lam^(1/(p-1)). Folding e^{K (t_j - t_i)} into the exponent
+    leaves h (or -h') as the Toeplitz kernel, so the growth e^{K tau} is
+    rescaled with the summand instead of entering the FFTs unscaled."""
     p = u.p
-    q = p / (p - 1.0)
     cons = values ** (1.0 / (p - 1.0))
-    C = _cumulative_trapezoid(p * cons, g.dt)
-    E = np.exp(C[:, None] - C[None, :])
-    M = H * (values**q)[None, :] * E * mask
-    return np.sum(M * W, axis=1) + H[:, n] * E[:, n]
+    C = _cumulative_trapezoid(p * cons, g.dt) - growth_constant(m, u) * g.nodes
+    return p / (p - 1.0) * np.log(values), C
+
+
+def _integral_equation_rhs(values, m, u, d, g):
+    """Right-hand side of the fixed-point map at every grid node:
+
+        int_t^T h(s-t) e^{K (s-t)} lam(s)^q e^{-int_t^s p c} ds
+        + h(T-t) e^{K (T-t)} e^{-int_t^T p c},
+
+    with the integral on the trapezoid rule."""
+    log_f, C = _summand_logs(values, m, u, g)
+    tau = g.horizon - g.nodes
+    return _kernel_sum(d.h(g.nodes), log_f, C, g.dt) + d.h(tau) * np.exp(C - C[-1])
 
 
 def solve_no_consumption(
@@ -245,12 +328,11 @@ def picard_solve(
     if tol <= 0 or max_iter < 1 or not (0 < damping <= 1):
         raise ParameterError("need tol > 0, max_iter >= 1, damping in (0, 1]")
     bounds = a_priori_bounds(m, u, d, g)
-    kernel = _kernel_and_weights(m, u, d, g)
     lam = np.ones(g.n_steps + 1) if initial is None else np.asarray(initial, float).copy()
     lam = np.clip(lam, bounds.lower, bounds.upper)
     delta = np.inf
     for _ in range(max_iter):
-        new = _integral_equation_rhs(lam, m, u, d, g, kernel=kernel)
+        new = _integral_equation_rhs(lam, m, u, d, g)
         delta = float(np.max(np.abs(new - lam)))
         lam = (1.0 - damping) * lam + damping * new
         np.clip(lam, bounds.lower, bounds.upper, out=lam)
@@ -400,10 +482,12 @@ def a_priori_bounds(
     tau = g.horizon - t
     rate_T = d.h_prime(tau) / d.h(tau)
     term1 = float(np.max(np.abs(rate_T + K)))
-    # d/dt log(h(s-t)/h(T-t)) = -h'(s-t)/h(s-t) + h'(T-t)/h(T-t), for s >= t
-    diff = np.maximum(t[None, :] - t[:, None], 0.0)
-    rate_st = d.h_prime(diff) / d.h(diff)
-    term2 = float(np.max(np.abs(-rate_st + rate_T[:, None])))
+    # d/dt log(h(s-t)/h(T-t)) = -h'(s-t)/h(s-t) + h'(T-t)/h(T-t), for s >= t;
+    # its sup at t_i runs over the lags 0..T-t_i, i.e. prefix max/min of h'/h
+    rate_lag = d.h_prime(t) / d.h(t)
+    hi = np.maximum.accumulate(rate_lag)[::-1]
+    lo = np.minimum.accumulate(rate_lag)[::-1]
+    term2 = float(max(np.max(hi - rate_T), np.max(rate_T - lo)))
     A = max(term1 + term2, 1e-8)
     lower = float(np.exp(-A * g.horizon))
     # Gronwall comparison for theta = lam^{1/(1-p)}: theta' >= -(A/(1-p)) theta - 1
@@ -435,26 +519,15 @@ def differential_form_rhs(
     The kernel -h'(s-t) + h(s-t) h'(T-t)/h(T-t) vanishes identically for
     exponential discounting, leaving the autonomous local ODE.
     """
-    t = g.nodes
-    n = g.n_steps
     K = growth_constant(m, u)
     p = u.p
-    q = p / (p - 1.0)
-    tau = g.horizon - t
+    tau = g.horizon - g.nodes
     rate_T = d.h_prime(tau) / d.h(tau)
-    local = -(rate_T + K) * values + (p - 1.0) * values**q
-    diff = np.maximum(t[None, :] - t[:, None], 0.0)
-    kern = (-d.h_prime(diff) + d.h(diff) * rate_T[:, None]) * np.exp(K * diff)
-    cons = values ** (1.0 / (p - 1.0))
-    C = _cumulative_trapezoid(p * cons, g.dt)
-    E = np.exp(C[:, None] - C[None, :])
-    mask = np.triu(np.ones((n + 1, n + 1)))
-    W = np.full((n + 1, n + 1), g.dt) * mask
-    idx = np.arange(n + 1)
-    W[idx, idx] = g.dt / 2.0
-    W[:, n] = g.dt / 2.0
-    W[n, n] = 0.0
-    integral = np.sum(kern * (values**q)[None, :] * E * mask * W, axis=1)
+    local = -(rate_T + K) * values + (p - 1.0) * values ** (p / (p - 1.0))
+    log_f, C = _summand_logs(values, m, u, g)
+    integral = _kernel_sum(-d.h_prime(g.nodes), log_f, C, g.dt) + rate_T * _kernel_sum(
+        d.h(g.nodes), log_f, C, g.dt
+    )
     return local + integral
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -15,7 +17,9 @@ from eqmerton.solver import (
     FitTooCoarseError,
     NonConvergenceError,
     ValueCurve,
+    _integral_equation_rhs,
     a_priori_bounds,
+    differential_form_rhs,
     fit_exponential_mixture,
     growth_constant,
     mixture_ode_solve,
@@ -41,6 +45,101 @@ def rk4_oracle_autonomous(m, u, rho, g):
     sol = solve_ivp(rhs, (g.horizon, 0.0), [1.0], t_eval=g.nodes[::-1],
                     rtol=1e-12, atol=1e-14, method="RK45")
     return sol.y[0][::-1]
+
+
+def dense_rhs_oracle(values, m, u, d, g):
+    """Independent O(n^2) reference for the trapezoid-discretized equation:
+    dense (n+1)^2 kernel, weight and exponential matrices.
+
+    Returns the integral-equation right-hand side, the differential-form
+    right-hand side, and per node the sum of the absolute values of the
+    differential form's terms (its kernel is a difference, so agreement is
+    measured relative to that scale)."""
+    t = g.nodes
+    n = g.n_steps
+    K = growth_constant(m, u)
+    p = u.p
+    q = p / (p - 1.0)
+    tau = np.maximum(t[None, :] - t[:, None], 0.0)
+    mask = np.triu(np.ones((n + 1, n + 1)))
+    W = np.full((n + 1, n + 1), g.dt) * mask
+    idx = np.arange(n + 1)
+    W[idx, idx] = g.dt / 2.0
+    W[:, n] = g.dt / 2.0
+    W[n, n] = 0.0
+    pc = p * values ** (1.0 / (p - 1.0))
+    C = np.zeros(n + 1)
+    C[1:] = np.cumsum(0.5 * (pc[1:] + pc[:-1]) * g.dt)
+    E = np.exp(C[:, None] - C[None, :])
+    summand = (values**q)[None, :] * E * mask * W
+    growth = np.exp(K * tau)
+    H = d.h(tau) * growth
+    rhs = np.sum(H * summand, axis=1) + H[:, n] * E[:, n]
+    rate_T = d.h_prime(g.horizon - t) / d.h(g.horizon - t)
+    local = -(rate_T + K) * values + (p - 1.0) * values**q
+    kern = (-d.h_prime(tau) + d.h(tau) * rate_T[:, None]) * growth
+    dfr = local + np.sum(kern * summand, axis=1)
+    scale = (np.abs(local) + np.sum(np.abs(d.h_prime(tau)) * growth * summand, axis=1)
+             + np.abs(rate_T) * np.sum(H * summand, axis=1))
+    return rhs, dfr, scale
+
+
+def theta_curve(u, g, a=0.1):
+    """Positive test curve of equilibrium shape, lam = theta^(1-p) with
+    theta(tau) = e^{-a tau} + (1 - e^{-a tau}) / a and tau = T - t."""
+    tau = g.horizon - g.nodes
+    return (np.exp(-a * tau) - np.expm1(-a * tau) / a) ** (1.0 - u.p)
+
+
+FAST_MIXTURE = ExponentialMixtureDiscount(betas=(0.5, 0.5), rhos=(0.05, 5.0))
+ORACLE_CASES = [
+    (label, p, horizon)
+    for label in ("exponential", "mixture", "hyperbolic")
+    for p in (0.5, -2.0, 0.95)
+    for horizon in (1.0, 50.0, 200.0)
+] + [("fast_mixture", p, 50.0) for p in (0.5, -2.0, 0.95)]
+
+
+def assert_matches_oracle(values, m, u, d, g, rel=1e-13):
+    rhs, dfr, scale = dense_rhs_oracle(values, m, u, d, g)
+    got_rhs = _integral_equation_rhs(values, m, u, d, g)
+    got_dfr = differential_form_rhs(values, m, u, d, g)
+    assert np.max(np.abs(got_rhs - rhs) / np.abs(rhs)) <= rel
+    assert np.max(np.abs(got_dfr - dfr) / scale) <= rel
+
+
+class TestKernelSumAgainstDenseOracle:
+    @pytest.mark.parametrize("label,p,horizon", ORACLE_CASES)
+    def test_theta_curve(self, market, all_discounts, label, p, horizon):
+        d = FAST_MIXTURE if label == "fast_mixture" else all_discounts[label]
+        u = CrraUtility(p=p)
+        g = TimeGrid(horizon=horizon, n_steps=400)
+        assert_matches_oracle(theta_curve(u, g), market, u, d, g)
+
+    def test_bequest_curve_with_wide_summand(self, market, hyp_discount):
+        # bequest-only coefficient at p = 0.95, T = 20: lam^q spans about
+        # 1e-175..1 while C stays flat
+        u = CrraUtility(p=0.95)
+        g = TimeGrid(horizon=20.0, n_steps=400)
+        tau = g.horizon - g.nodes
+        lam = hyp_discount.h(tau) * np.exp(growth_constant(market, u) * tau)
+        assert_matches_oracle(lam, market, u, hyp_discount, g)
+
+    def test_steep_summand_with_flat_exponent(self, market, hyp_discount):
+        # theta grows like e^{tau}: lam^q falls by about e^100 over [0, T]
+        # while C - K t moves by less than 10
+        u = CrraUtility(p=-2.0)
+        g = TimeGrid(horizon=50.0, n_steps=400)
+        assert_matches_oracle(theta_curve(u, g, a=-1.0), market, u, hyp_discount, g)
+
+    @pytest.mark.parametrize("label", ["hyperbolic", "fast_mixture"])
+    def test_long_horizon_solution(self, market, utility, all_discounts, label):
+        # converged T = 50 solutions: the summand's log-size spans about 19
+        # e-folds (hyperbolic) and 4 (fast mixture)
+        d = FAST_MIXTURE if label == "fast_mixture" else all_discounts[label]
+        g = TimeGrid(horizon=50.0, n_steps=400)
+        lam = picard_solve(market, utility, d, g).values
+        assert_matches_oracle(lam, market, utility, d, g)
 
 
 class TestGrowthConstant:
@@ -131,6 +230,17 @@ class TestPicard:
             picard_solve(market, utility, hyp_discount, coarse_grid, tol=0.0)
         with pytest.raises(ParameterError):
             picard_solve(market, utility, hyp_discount, coarse_grid, damping=1.5)
+
+    def test_peak_memory_linear_in_grid(self, market, utility, hyp_discount):
+        # dense (n+1)^2 matrices would need several GB at n = 10^4
+        g = TimeGrid(horizon=1.0, n_steps=10_000)
+        tracemalloc.start()
+        try:
+            picard_solve(market, utility, hyp_discount, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     def test_uniqueness_across_starts(self, market, utility, hyp_discount):
         # Gronwall-style uniqueness proxy: distinct starts inside the bounds
@@ -274,6 +384,20 @@ class TestResiduals:
         sol = picard_solve(market, utility, exp_discount, grid, tol=1e-12)
         assert residual_differential_form(sol, market, utility, exp_discount) <= 1e-6
 
+    def test_overflowing_consumption_gives_nan(self, market, coarse_grid,
+                                               hyp_discount):
+        # lam^(1/(p-1)) = (1e-20)^(-20) overflows, so the residual cannot be
+        # evaluated and must not come back as a number
+        n = coarse_grid.n_steps + 1
+        vals = np.ones(n)
+        vals[10:20] = 1e-20
+        curve = ValueCurve(grid=coarse_grid, values=vals, derivative=np.zeros(n),
+                           provenance="tiny")
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = residual_integral_equation(curve, market, CrraUtility(p=0.95),
+                                             hyp_discount)
+        assert np.isnan(res)
+
     def test_constant_curve_negative_control(self, market, utility, coarse_grid,
                                              hyp_discount):
         n = coarse_grid.n_steps + 1
@@ -289,6 +413,22 @@ class TestValueCurveValidation:
         vals[3] = -0.5
         with pytest.raises(ParameterError):
             ValueCurve(grid=coarse_grid, values=vals, derivative=np.zeros(n),
+                       provenance="bad")
+
+    def test_rejects_interior_nan(self, coarse_grid):
+        n = coarse_grid.n_steps + 1
+        vals = np.ones(n)
+        vals[5] = np.nan
+        with pytest.raises(ParameterError):
+            ValueCurve(grid=coarse_grid, values=vals, derivative=np.zeros(n),
+                       provenance="bad")
+
+    def test_rejects_infinite_derivative(self, coarse_grid):
+        n = coarse_grid.n_steps + 1
+        deriv = np.zeros(n)
+        deriv[7] = np.inf
+        with pytest.raises(ParameterError):
+            ValueCurve(grid=coarse_grid, values=np.ones(n), derivative=deriv,
                        provenance="bad")
 
     def test_rejects_wrong_terminal(self, coarse_grid):
