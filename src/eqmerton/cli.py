@@ -5,8 +5,8 @@ writes CSV outputs plus a manifest with the fully resolved parameters into the
 output directory, and uses deterministic formatting so identical configs give
 byte-identical files.
 
-Exit codes: 0 success, 2 config error, 3 solver non-convergence,
-4 verification failure.
+Exit codes: 0 success, 2 config error, 3 solver failure (non-convergence
+or a failed integration step), 4 verification failure.
 
 Config sections and keys (INI):
 
@@ -332,6 +332,9 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (solver.NonConvergenceError, solver.StepFailureError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
 
 
 if __name__ == "__main__":

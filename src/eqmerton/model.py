@@ -21,10 +21,6 @@ __all__ = [
     "HyperbolicDiscount",
     "DiscountSpec",
     "TimeGrid",
-    "u_eval",
-    "inverse_marginal",
-    "legendre_dual",
-    "discount_eval",
 ]
 
 
@@ -214,32 +210,3 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
-
-# --- functional surface over the types above ---
-
-
-def u_eval(u: CrraUtility, x):
-    """Utility value U(x) = x^p / p for x > 0."""
-    return u.u(x)
-
-
-def inverse_marginal(u: CrraUtility, y):
-    """Inverse marginal utility I(y) = y^(1/(p-1)), so that U'(I(y)) = y."""
-    return u.inverse_marginal(y)
-
-
-def legendre_dual(u: CrraUtility, y):
-    """Convex conjugate of the utility, sup_x [U(x) - x y]."""
-    return u.dual(y)
-
-
-def discount_eval(d: DiscountSpec, t):
-    """Return (h(t), h'(t)) with analytic derivative; requires t >= 0."""
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise DomainError(f"discount function evaluated at negative time {t!r}")
-    h = d.h(arr)
-    hp = d.h_prime(arr)
-    if h.ndim == 0:
-        return float(h), float(hp)
-    return h, hp

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-__all__ = ["fmt", "write_csv", "write_manifest", "read_manifest"]
+__all__ = ["fmt", "write_csv", "write_manifest"]
 
 
 def fmt(value) -> str:
@@ -35,6 +35,3 @@ def write_manifest(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", newline="\n")
 
-
-def read_manifest(path: Path) -> dict:
-    return json.loads(Path(path).read_text())

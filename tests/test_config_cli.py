@@ -37,6 +37,13 @@ def write_ini(tmp_path, body=BASE_INI, extra="", name="run.ini"):
     return str(path)
 
 
+def assert_solver_failure(capsys, argv):
+    """The command exits 3 with a single `error:` line on stderr."""
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 class TestConfigParsing:
     def test_loads_base_config(self, tmp_path):
         cfg = load_config(write_ini(tmp_path))
@@ -147,6 +154,16 @@ class TestCliSolve:
         assert manifest["error"] == "non_convergence"
         assert manifest["iterations"] == 1
 
+    def test_mixture_step_failure_exit_code(self, tmp_path, capsys):
+        # a 60/yr component rate is unstable for RK4 at a 0.1 step
+        body = BASE_INI.replace("n_steps = 200", "n_steps = 10").replace(
+            "kind = hyperbolic\nk = 1.0\ngamma = 1.0",
+            "kind = mixture\nbetas = 0.5, 0.5\nrhos = 0.05, 60")
+        ini = write_ini(tmp_path, body=body, extra="\n[solver]\nmethod = mixture\n")
+        out = tmp_path / "out"
+        assert_solver_failure(capsys, ["solve", "--config", ini, "--out", str(out)])
+        assert (out / "bounds.csv").exists()
+
 
 class TestCliVerify:
     def test_empty_check_list(self, tmp_path):
@@ -179,6 +196,11 @@ class TestCliVerify:
         ini = write_ini(tmp_path)
         assert cli.main(["verify", "--config", ini, "--out", str(tmp_path / "o"),
                          "--checks", "bogus"]) == 2
+
+    def test_nonconvergence_exit_code(self, tmp_path, capsys):
+        ini = write_ini(tmp_path, extra="\n[solver]\nmax_iter = 1\n")
+        assert_solver_failure(
+            capsys, ["verify", "--config", ini, "--out", str(tmp_path / "o")])
 
 
 class TestCliCompare:
@@ -267,3 +289,8 @@ class TestCliSimulate:
         assert outs[0]["j_estimate"] != outs[1]["j_estimate"]
         assert outs[0]["config"]["sim"]["seed"] == 7
         assert outs[1]["config"]["sim"]["seed"] == 8
+
+    def test_nonconvergence_exit_code(self, tmp_path, capsys):
+        ini = write_ini(tmp_path, extra="\n[solver]\nmax_iter = 1\n")
+        assert_solver_failure(
+            capsys, ["simulate", "--config", ini, "--out", str(tmp_path / "o")])

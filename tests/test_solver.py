@@ -185,6 +185,17 @@ class TestSolveNoConsumption:
             sol = solve_no_consumption(market, utility, d, grid)
             assert pde_residual_no_consumption(sol, market, utility, d) <= 1e-8
 
+    def test_coarse_grid_returns_closed_form(self, market, utility):
+        # ten steps resolve h(tau) = (1 + 20 tau)^-3 too coarsely for any
+        # integrator; the closed form is exact on every grid
+        d = HyperbolicDiscount(k=20.0, gamma=3.0)
+        g = TimeGrid(horizon=1.0, n_steps=10)
+        sol = solve_no_consumption(market, utility, d, g)
+        tau = g.horizon - g.nodes
+        K = growth_constant(market, utility)
+        np.testing.assert_allclose(sol.values, d.h(tau) * np.exp(K * tau),
+                                   rtol=1e-15)
+
 
 class TestThetaClosedForm:
     def test_matches_independent_ode(self, market, utility, grid):
