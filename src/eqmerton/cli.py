@@ -6,7 +6,8 @@ output directory, and uses deterministic formatting so identical configs give
 byte-identical files.
 
 Exit codes: 0 success, 2 config error, 3 solver failure (non-convergence
-or a failed integration step), 4 verification failure.
+or a failed integration step), 4 verification failure (a failed verdict, or
+the dual spot check disagreeing).
 
 Config sections and keys (INI):
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,13 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
         }))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except solver.StepFailureError as exc:
+        write_manifest(out / "manifest.json", _manifest_payload(cfg, "solve", {
+            "error": "step_failure",
+            "message": str(exc),
+        }))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     write_csv(out / "lambda.csv", ["t", "lambda", "lambda_prime", "consumption_rate"],
               _lambda_rows(curve, cfg.utility))
     res_ie = solver.residual_integral_equation(curve, cfg.market, cfg.utility, cfg.discount)
@@ -135,25 +143,31 @@ def cmd_verify(cfg: RunConfig, out: Path, perturb_lambda: float = 0.0,
                           f"choose from {list(ALL_CHECKS)}")
     curve, _ = _solve_curve(cfg)
     pol = policy.equilibrium_policy(curve, m, u)
-    sim_cfg = SimConfig(n_paths=cfg.sim.n_paths, seed=cfg.sim.seed, grid=g,
-                        x0=cfg.sim.x0, n_workers=cfg.sim.n_workers,
-                        block_size=cfg.sim.block_size)
-    rows = []
-
-    if "value_identity" in checks:
-        vv = simulate.verify_value_identity(
-            curve, sim_cfg, m, u, d, t=0.0, x=cfg.sim.x0, policy=pol,
-            target_scale=1.0 + perturb_lambda)
-        rows.append(vv)
-
     nc_curve = solver.solve_no_consumption(m, u, d, g)
+    sim_cfg = SimConfig(grid=g, **asdict(cfg.sim))
+    leg = simulate.equilibrium_leg(pol, sim_cfg, m, u, d)
+
+    # the Monte Carlo checks share one pass over the random stream from t = 0
+    plan = []  # (estimator, verdicts of its result)
+    if "value_identity" in checks:
+        est = simulate.value_identity_estimator(curve, u, 0.0, sim_cfg.x0,
+                                                1.0 + perturb_lambda)
+        plan.append((est, lambda v: [v]))
     if "martingale" in checks:
-        flat, decreasing = simulate.martingale_check(nc_curve, sim_cfg, m, u, d)
-        rows.extend([flat, decreasing])
-
+        plan.append((simulate.martingale_estimator(nc_curve, sim_cfg, m, u, d), list))
     if "perturbation" in checks:
-        rows.extend(_perturbation_verdicts(pol, sim_cfg, m, u, d, g))
-
+        def spike(width, shift):
+            return simulate.perturbation_estimator(
+                leg, width * g.horizon, Spike(zeta=pol.stock_fraction + shift))
+        # a gross spike must lose utility; a small one must not move J at first order
+        plan += [
+            (spike(0.25, 1.0), lambda r: [_spike_verdict(
+                "perturbation_gross_spike", r, r.z > STAT_THRESHOLD)]),
+            (spike(0.1, 0.01), lambda r: [_spike_verdict(
+                "perturbation_first_order_stationarity", r, abs(r.z) <= STAT_THRESHOLD)]),
+        ]
+    results = simulate.run_estimators(sim_cfg, [est for est, _ in plan], leg)
+    rows = [v for (_, verdicts), result in zip(plan, results) for v in verdicts(result)]
     if "duality" in checks:
         rows.extend(_duality_verdicts(nc_curve, u, m, d, g))
 
@@ -172,27 +186,9 @@ def cmd_verify(cfg: RunConfig, out: Path, perturb_lambda: float = 0.0,
     return EXIT_OK
 
 
-def _perturbation_verdicts(pol, sim_cfg, m, u, d, g) -> list:
-    gross = simulate.perturbation_test(
-        pol, sim_cfg, m, u, d, t=0.0, epsilons=[0.25 * g.horizon],
-        spike=Spike(zeta=pol.stock_fraction + 1.0),
-    )[0]
-    small = simulate.perturbation_test(
-        pol, sim_cfg, m, u, d, t=0.0, epsilons=[0.1 * g.horizon],
-        spike=Spike(zeta=pol.stock_fraction + 0.01),
-    )[0]
-    return [
-        simulate.Verdict(
-            name="perturbation_gross_spike", statistic=gross.z,
-            threshold=STAT_THRESHOLD, passed=bool(gross.z > STAT_THRESHOLD),
-            details=f"D={gross.d_estimate:.4g} se={gross.std_error:.3g}",
-        ),
-        simulate.Verdict(
-            name="perturbation_first_order_stationarity", statistic=small.z,
-            threshold=STAT_THRESHOLD, passed=bool(abs(small.z) <= STAT_THRESHOLD),
-            details=f"D={small.d_estimate:.4g} se={small.std_error:.3g}",
-        ),
-    ]
+def _spike_verdict(name: str, row, passed) -> simulate.Verdict:
+    return simulate.Verdict(name, row.z, STAT_THRESHOLD, bool(passed),
+                            f"D={row.d_estimate:.4g} se={row.std_error:.3g}")
 
 
 def _duality_verdicts(nc_curve, u, m, d, g) -> list:
@@ -260,11 +256,8 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     m, u, d, g = cfg.market, cfg.utility, cfg.discount, cfg.grid
     curve, _ = _solve_curve(cfg)
     pol = policy.equilibrium_policy(curve, m, u, verify=False)
-    sim_cfg = SimConfig(n_paths=cfg.sim.n_paths, seed=cfg.sim.seed, grid=g,
-                        x0=cfg.sim.x0, n_workers=cfg.sim.n_workers,
-                        block_size=cfg.sim.block_size)
-    batch = simulate.simulate_equilibrium(pol, sim_cfg, m, u, d,
-                                          moment_orders=(u.p, 2 * u.p))
+    batch = simulate.simulate_equilibrium(pol, SimConfig(grid=g, **asdict(cfg.sim)),
+                                          m, u, d, moment_orders=(u.p, 2 * u.p))
     t = g.nodes
     write_csv(out / "simulation.csv", ["t", "mean_wealth", "mean_value_over_h"],
               [(t[i], batch.mean_wealth[i], batch.mean_value_over_h[i])
@@ -335,6 +328,9 @@ def main(argv=None) -> int:
     except (solver.NonConvergenceError, solver.StepFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except duality.DualityCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from .solver import ValueCurve
 
 __all__ = [
     "DualValue",
+    "DualityCheckError",
     "dual_from_primal",
     "dual_pde_residual",
     "primal_dual_roundtrip",
@@ -35,6 +36,11 @@ __all__ = [
 ]
 
 _Y_LO, _Y_HI = 1e-6, 1e6  # marginal utility spans orders of magnitude
+_WIDEN, _MAX_WIDEN = 1e6, 40  # grid-sup bracket growth per step, and step limit
+
+
+class DualityCheckError(Exception):
+    """The closed-family dual disagrees with the independent grid transform."""
 
 
 @dataclass(frozen=True)
@@ -72,10 +78,20 @@ class DualValue:
 
 def grid_legendre_sup(lam: float, u: CrraUtility, y: float, n_grid: int = 20000) -> float:
     """Independent oracle: maximize lam x^p / p - x y over a log-spaced wealth
-    grid with golden-section refinement around the best node."""
-    x = np.geomspace(_Y_LO, _Y_HI, n_grid)
-    vals = lam * x**u.p / u.p - x * y
-    i = int(np.argmax(vals))
+    grid with golden-section refinement around the best node. The grid starts
+    at [1e-6, 1e6] and grows past whichever end holds the best node until
+    that node is interior (the maximiser moves with lam / y)."""
+    x_lo, x_hi = _Y_LO, _Y_HI
+    for _ in range(_MAX_WIDEN):
+        x = np.geomspace(x_lo, x_hi, n_grid)
+        vals = lam * x**u.p / u.p - x * y
+        i = int(np.argmax(vals))
+        if i == 0:
+            x_lo /= _WIDEN
+        elif i == n_grid - 1:
+            x_hi *= _WIDEN
+        else:
+            break
     lo, hi = max(i - 1, 0), min(i + 1, n_grid - 1)
     a, b = np.log(x[lo]), np.log(x[hi])
     gr = (np.sqrt(5.0) - 1.0) / 2.0
@@ -98,7 +114,8 @@ def grid_legendre_sup(lam: float, u: CrraUtility, y: float, n_grid: int = 20000)
 
 def dual_from_primal(sol: ValueCurve, u: CrraUtility, verify: bool = True) -> DualValue:
     """Closed-family dual of v = lam(t) x^p / p, spot-checked at random
-    (t, y) points against a grid-based sup to 1e-6 relative."""
+    (t, y) points against a grid-based sup to 1e-6 relative; a disagreement
+    raises ``DualityCheckError``."""
     dv = DualValue(curve=sol, p=u.p)
     if verify:
         rng = np.random.default_rng(99)
@@ -108,7 +125,7 @@ def dual_from_primal(sol: ValueCurve, u: CrraUtility, verify: bool = True) -> Du
             closed = float(dv.value(idx, y))
             brute = grid_legendre_sup(float(sol.values[idx]), u, y)
             if abs(closed - brute) > 1e-6 * max(abs(closed), 1e-12):
-                raise AssertionError(
+                raise DualityCheckError(
                     f"closed-family dual {closed!r} disagrees with grid sup {brute!r}"
                 )
     return dv

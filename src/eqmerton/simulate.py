@@ -11,18 +11,27 @@ blocks and block b draws from ``Philox(key=[seed, b])``, so path i, step k is
 a deterministic function of (seed, i, k) regardless of how many workers
 process the blocks. Block partials are combined by pairwise summation in
 block order, making results bit-identical across worker counts.
+
+Every check is an estimator: a block function from one block of draws to a
+dict of sums, and a finisher from the sums over all paths to the result.
+``run_estimators`` feeds any list of estimators from one pass over the
+stream: each block draws its normals once and steps the equilibrium policy
+once, so the checks share common random numbers and repeat no work. Each
+public check below is that runner applied to one estimator.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .model import CrraUtility, DiscountSpec, MarketParams, ParameterError, TimeGrid
-from .policy import EquilibriumPolicy
+from .policy import EquilibriumPolicy, equilibrium_policy, stock_fraction
 from .solver import ValueCurve
 
 __all__ = [
@@ -31,6 +40,12 @@ __all__ = [
     "Spike",
     "Verdict",
     "PerturbationRow",
+    "PolicyLeg",
+    "run_estimators",
+    "equilibrium_leg",
+    "value_identity_estimator",
+    "martingale_estimator",
+    "perturbation_estimator",
     "simulate_equilibrium",
     "verify_value_identity",
     "martingale_check",
@@ -146,23 +161,101 @@ def _wealth_paths(Z, x0, m, zeta_steps, c_steps, dt):
     return x0 * np.exp(log_x)
 
 
-def _j_per_path(X, c_nodes, h_nodes, u: CrraUtility, dt: float) -> np.ndarray:
-    """h-weighted utility functional per path: trapezoid quadrature of
-    h(s - t) U(c X) plus the discounted bequest term."""
-    bequest = h_nodes[-1] * X[:, -1] ** u.p / u.p
-    if np.all(c_nodes == 0.0):
-        return bequest
-    util = h_nodes[None, :] * (c_nodes[None, :] * X) ** u.p / u.p
-    w = np.full(X.shape[1], dt)
-    w[0] = w[-1] = dt / 2.0
-    return util @ w + bequest
-
-
 def _node_index(g: TimeGrid, t: float) -> int:
     idx = int(round(t / g.dt))
     if not (0 <= idx <= g.n_steps) or abs(g.nodes[idx] - t) > 1e-9 * max(1.0, g.horizon):
         raise ParameterError(f"time {t} is not a node of the simulation grid")
     return idx
+
+
+def _checkpoints(g: TimeGrid, count: int) -> np.ndarray:
+    """Indices of ``count`` evenly spaced grid nodes from 0 to T, deduplicated."""
+    return np.unique(np.linspace(0, g.n_steps, count).round().astype(int))
+
+
+def _z(diff, se) -> float:
+    """z-score diff / se; with se = 0 it is 0 for an exact zero and otherwise
+    an infinity with the sign of diff."""
+    if se > 0:
+        return float(diff / se)
+    return 0.0 if diff == 0 else math.copysign(math.inf, diff)
+
+
+def _sums(key: str, v) -> dict:
+    """Sum and sum of squares of v over its paths (axis 0)."""
+    return {key: v.sum(axis=0), f"{key}_sq": (v**2).sum(axis=0)}
+
+
+def _mean_se(sums: dict, key: str, n: int):
+    """Sample mean and its standard error from ``_sums`` over n paths."""
+    mean = sums[key] / n
+    return mean, np.sqrt(np.maximum(sums[f"{key}_sq"] / n - mean**2, 0.0) / n)
+
+
+def _verdict(name: str, z: float, passed, details: str) -> Verdict:
+    return Verdict(name, z, STAT_THRESHOLD, bool(passed), details)
+
+
+@dataclass(frozen=True)
+class PolicyLeg:
+    """A policy linear in wealth, stepped from x0: the stock fraction per
+    step, and the consumption ratio and discount h(s - t) per node."""
+
+    x0: float
+    m: MarketParams
+    u: CrraUtility
+    dt: float
+    zeta: np.ndarray
+    c_nodes: np.ndarray
+    h_nodes: np.ndarray
+
+    def paths(self, Z):
+        """Wealth paths X driven by the normals Z, and the utility functional
+        J per path: trapezoid quadrature of h(s - t) U(c X) plus the
+        discounted bequest term."""
+        p, c, h, dt = self.u.p, self.c_nodes, self.h_nodes, self.dt
+        X = _wealth_paths(Z, self.x0, self.m, self.zeta, c[:-1], dt)
+        J = h[-1] * X[:, -1] ** p / p
+        if np.any(c != 0.0):
+            w = np.full(X.shape[1], dt)
+            w[0] = w[-1] = dt / 2.0
+            J = (h[None, :] * (c[None, :] * X) ** p / p) @ w + J
+        return X, J
+
+
+def equilibrium_leg(pol: EquilibriumPolicy, cfg: SimConfig, m: MarketParams,
+                    u: CrraUtility, d: DiscountSpec, start_time: float = 0.0) -> PolicyLeg:
+    """The equilibrium policy stepped from (start_time, cfg.x0) to the horizon."""
+    g = cfg.grid
+    nodes = g.nodes[_node_index(g, start_time):]
+    if len(nodes) < 2:
+        raise ParameterError("simulation must span at least one step")
+    return PolicyLeg(cfg.x0, m, u, g.dt, np.full(len(nodes) - 1, pol.stock_fraction),
+                     pol.consumption_at(nodes), d.h(nodes - nodes[0]))
+
+
+def run_estimators(cfg: SimConfig, estimators: list, leg: Optional[PolicyLeg] = None) -> list:
+    """Results of the estimators, in order, from one pass over the random stream.
+
+    An estimator is a pair (block, finish). ``block(Z, paths)`` maps one
+    block of normals Z (paths x steps) to a dict of sums; ``paths()`` returns
+    the leg's wealth paths X and utility functional J driven by Z, computed
+    once per block for all estimators. ``finish(sums, n_paths)`` turns the
+    sums over all blocks into the result. Z spans the leg's steps, or the
+    whole grid without a leg.
+    """
+    if not estimators:
+        return []
+
+    def block(Z):
+        paths = cache(lambda: leg.paths(Z))
+        return {(i, key): value for i, (block_fn, _) in enumerate(estimators)
+                for key, value in block_fn(Z, paths).items()}
+
+    n_sub = cfg.grid.n_steps if leg is None else len(leg.zeta)
+    sums = _accumulate_blocks(cfg, n_sub, block)
+    return [finish({key: value for (j, key), value in sums.items() if j == i}, cfg.n_paths)
+            for i, (_, finish) in enumerate(estimators)]
 
 
 def simulate_equilibrium(
@@ -177,49 +270,48 @@ def simulate_equilibrium(
     """Simulate the equilibrium wealth SDE from (start_time, x0) and estimate
     the expected-utility functional together with per-node summaries."""
     g = cfg.grid
-    i0 = _node_index(g, start_time)
-    nodes = g.nodes[i0:]
-    n_sub = len(nodes) - 1
-    if n_sub < 1:
-        raise ParameterError("simulation must span at least one step")
-    c_nodes = pol.consumption_at(nodes)
-    zeta_steps = np.full(n_sub, pol.stock_fraction)
-    h_nodes = d.h(nodes - nodes[0])
+    leg = equilibrium_leg(pol, cfg, m, u, d, start_time)
+    nodes = g.nodes[_node_index(g, start_time):]
     lam_nodes = np.interp(nodes, pol.grid.nodes, pol.curve.values)
     h_rem = d.h(g.horizon - nodes)
 
-    def block(Z):
-        X = _wealth_paths(Z, cfg.x0, m, zeta_steps, c_nodes[:-1], g.dt)
-        J = _j_per_path(X, c_nodes, h_nodes, u, g.dt)
-        out = {
-            "j_sum": J.sum(),
-            "j_sq": (J**2).sum(),
-            "wealth": X.sum(axis=0),
-            "voh": (lam_nodes[None, :] * X**u.p / u.p / h_rem[None, :]).sum(axis=0),
-        }
+    def block(Z, paths):
+        X, J = paths()
+        out = {**_sums("j", J), "wealth": X.sum(axis=0),
+               "voh": (lam_nodes[None, :] * X**u.p / u.p / h_rem[None, :]).sum(axis=0)}
         for q in moment_orders:
-            xq = X[:, -1] ** q
-            out[f"m{q}_sum"] = xq.sum()
-            out[f"m{q}_sq"] = (xq**2).sum()
+            out.update(_sums(f"m{q}", X[:, -1] ** q))
         return out
 
-    acc = _accumulate_blocks(cfg, n_sub, block)
-    n = cfg.n_paths
-    j_mean = acc["j_sum"] / n
-    j_var = max(acc["j_sq"] / n - j_mean**2, 0.0)
-    moments = {}
-    for q in moment_orders:
-        mq = acc[f"m{q}_sum"] / n
-        vq = max(acc[f"m{q}_sq"] / n - mq**2, 0.0)
-        moments[q] = (mq, np.sqrt(vq / n))
-    return SimBatch(
-        j_estimate=float(j_mean),
-        j_std_error=float(np.sqrt(j_var / n)),
-        terminal_moments=moments,
-        mean_wealth=acc["wealth"] / n,
-        mean_value_over_h=acc["voh"] / n,
-        n_paths=n,
-    )
+    def finish(s, n):
+        j, j_se = _mean_se(s, "j", n)
+        return SimBatch(
+            j_estimate=float(j),
+            j_std_error=float(j_se),
+            terminal_moments={q: _mean_se(s, f"m{q}", n) for q in moment_orders},
+            mean_wealth=s["wealth"] / n,
+            mean_value_over_h=s["voh"] / n,
+            n_paths=n,
+        )
+
+    return run_estimators(cfg, [(block, finish)], leg)[0]
+
+
+def value_identity_estimator(sol: ValueCurve, u: CrraUtility, t: float, x: float,
+                             target_scale: float = 1.0):
+    """The ``verify_value_identity`` verdict; the leg must start at (t, x)."""
+    target = target_scale * float(np.interp(t, sol.grid.nodes, sol.values)) * x**u.p / u.p
+
+    def block(Z, paths):
+        return _sums("j", paths()[1])
+
+    def finish(s, n):
+        j, se = _mean_se(s, "j", n)
+        z = _z(j - target, se)
+        return _verdict("value_identity", z, abs(z) <= STAT_THRESHOLD,
+                        f"J={j:.6g} se={se:.3g} target={target:.6g}")
+
+    return block, finish
 
 
 def verify_value_identity(
@@ -240,59 +332,59 @@ def verify_value_identity(
     other than 1 give a deliberate mismatch used as a statistical-power
     control (the check must then fail).
     """
-    from .policy import equilibrium_policy
-
+    if _node_index(cfg.grid, t) == cfg.grid.n_steps:
+        # terminal time: the functional is the bequest utility, zero variance
+        return _verdict("value_identity", 0.0, True, "t=T, exact identity J = U(x)")
     if policy is None:
         policy = equilibrium_policy(sol, m, u, verify=False)
+    cfg = replace(cfg, x0=x)
+    leg = equilibrium_leg(policy, cfg, m, u, d, t)
+    return run_estimators(cfg, [value_identity_estimator(sol, u, t, x, target_scale)], leg)[0]
+
+
+def martingale_estimator(sol: ValueCurve, cfg: SimConfig, m: MarketParams, u: CrraUtility,
+                         d: DiscountSpec, n_checkpoints: int = 5,
+                         suboptimal_zeta: float = 0.0):
+    """The two ``martingale_check`` verdicts; Z must span the whole grid."""
     g = cfg.grid
-    i0 = _node_index(g, t)
-    target = (
-        target_scale * float(np.interp(t, sol.grid.nodes, sol.values)) * x**u.p / u.p
-    )
-    if i0 == g.n_steps:
-        # terminal time: the functional is the bequest utility, zero variance
-        return Verdict(
-            name="value_identity", statistic=0.0, threshold=STAT_THRESHOLD,
-            passed=True, details=f"t=T, exact identity J = U(x) = {target:.6g}",
-        )
-    cfg_t = SimConfig(
-        n_paths=cfg.n_paths, seed=cfg.seed, grid=g, x0=x,
-        n_workers=cfg.n_workers, block_size=cfg.block_size,
-    )
-    batch = simulate_equilibrium(policy, cfg_t, m, u, d, start_time=t)
-    se = batch.j_std_error
-    z = (batch.j_estimate - target) / se if se > 0 else np.inf * np.sign(
-        batch.j_estimate - target
-    )
-    if batch.j_estimate == target:
-        z = 0.0
-    return Verdict(
-        name="value_identity",
-        statistic=float(z),
-        threshold=STAT_THRESHOLD,
-        passed=bool(abs(z) <= STAT_THRESHOLD),
-        details=f"J={batch.j_estimate:.6g} se={se:.3g} target={target:.6g}",
-    )
-
-
-def _checkpoint_stats(cfg, m, u, zeta, lam_at, h_rem_at, checkpoints, nodes):
-    """Per-checkpoint sums and cross sums of v(s, X(s)) / h(T - s) under a
-    constant-fraction, zero-consumption policy."""
-    n_sub = len(nodes) - 1
-    zeta_steps = np.full(n_sub, zeta)
-    c_steps = np.zeros(n_sub)
+    checkpoints = _checkpoints(g, max(n_checkpoints, 1))
     k = len(checkpoints)
+    lam_at = np.interp(g.nodes[checkpoints], sol.grid.nodes, sol.values)
+    h_rem_at = d.h(g.horizon - g.nodes[checkpoints])
+    zetas = {"eq": stock_fraction(m, u), "sub": suboptimal_zeta}
+    c_steps = np.zeros(g.n_steps)
 
-    def block(Z):
-        X = _wealth_paths(Z, cfg.x0, m, zeta_steps, c_steps, cfg.grid.dt)
-        Y = lam_at[None, :] * X[:, checkpoints] ** u.p / u.p / h_rem_at[None, :]
-        return {"s": Y.sum(axis=0), "cross": Y.T @ Y}
+    def block(Z, paths):
+        out = {}
+        for key, zeta in zetas.items():
+            X_at = _wealth_paths(Z, cfg.x0, m, np.full(g.n_steps, zeta), c_steps,
+                                 g.dt)[:, checkpoints]
+            Y = lam_at[None, :] * X_at ** u.p / u.p / h_rem_at[None, :]
+            out[key], out[f"{key}_cross"] = Y.sum(axis=0), Y.T @ Y
+        return out
 
-    acc = _accumulate_blocks(cfg, n_sub, block)
-    n = cfg.n_paths
-    mean = acc["s"] / n
-    cov = acc["cross"] / n - np.outer(mean, mean)
-    return mean, cov, n
+    def pair_z(s, key, n, i, j):
+        """z of mean[i] - mean[j] with the standard error of the paired difference."""
+        mean = s[key] / n
+        cov = s[f"{key}_cross"] / n - np.outer(mean, mean)
+        se = np.sqrt(max(cov[i, i] + cov[j, j] - 2 * cov[i, j], 0.0) / n)
+        return _z(mean[i] - mean[j], se)
+
+    def finish(s, n):
+        # a single checkpoint passes both vacuously
+        worst = max((abs(pair_z(s, "eq", n, i, j)) for i in range(k)
+                     for j in range(i + 1, k)), default=0.0)
+        # a consecutive drop is positive when the means decrease
+        weakest = min((pair_z(s, "sub", n, i, i + 1) for i in range(k - 1)),
+                      default=math.inf)
+        return (
+            _verdict("martingale_flat", worst, worst <= STAT_THRESHOLD,
+                     f"max pairwise |z| over {k} checkpoints"),
+            _verdict("submartingale_decreasing", weakest, weakest >= STAT_THRESHOLD,
+                     f"min consecutive drop z under zeta={suboptimal_zeta}"),
+        )
+
+    return block, finish
 
 
 def martingale_check(
@@ -311,57 +403,8 @@ def martingale_check(
     deliberately suboptimal constant fraction the means must be decreasing
     beyond noise (the perturbed process has nonpositive drift).
     """
-    from .policy import stock_fraction
-
-    g = cfg.grid
-    nodes = g.nodes
-    checkpoints = np.unique(
-        np.linspace(0, g.n_steps, max(n_checkpoints, 1)).round().astype(int)
-    )
-    lam_at = np.interp(nodes[checkpoints], sol.grid.nodes, sol.values)
-    h_rem_at = d.h(g.horizon - nodes[checkpoints])
-    if len(checkpoints) < 2:
-        vac = Verdict("martingale_flat", 0.0, STAT_THRESHOLD, True, "single checkpoint")
-        return vac, Verdict(
-            "submartingale_decreasing", 0.0, STAT_THRESHOLD, True, "single checkpoint"
-        )
-
-    zeta_eq = stock_fraction(m, u)
-    mean, cov, n = _checkpoint_stats(cfg, m, u, zeta_eq, lam_at, h_rem_at, checkpoints, nodes)
-    worst = 0.0
-    for i in range(len(checkpoints)):
-        for j in range(i + 1, len(checkpoints)):
-            var_d = max(cov[i, i] + cov[j, j] - 2 * cov[i, j], 0.0)
-            se = np.sqrt(var_d / n)
-            diff = mean[i] - mean[j]
-            z = abs(diff) / se if se > 0 else (0.0 if diff == 0 else np.inf)
-            worst = max(worst, z)
-    flat = Verdict(
-        name="martingale_flat",
-        statistic=float(worst),
-        threshold=STAT_THRESHOLD,
-        passed=bool(worst <= STAT_THRESHOLD),
-        details=f"max pairwise |z| over {len(checkpoints)} checkpoints",
-    )
-
-    mean_s, cov_s, _ = _checkpoint_stats(
-        cfg, m, u, suboptimal_zeta, lam_at, h_rem_at, checkpoints, nodes
-    )
-    weakest = np.inf
-    for i in range(len(checkpoints) - 1):
-        var_d = max(cov_s[i, i] + cov_s[i + 1, i + 1] - 2 * cov_s[i, i + 1], 0.0)
-        se = np.sqrt(var_d / n)
-        diff = mean_s[i] - mean_s[i + 1]  # positive when decreasing
-        z = diff / se if se > 0 else (np.inf if diff > 0 else -np.inf)
-        weakest = min(weakest, z)
-    decreasing = Verdict(
-        name="submartingale_decreasing",
-        statistic=float(weakest) if np.isfinite(weakest) else weakest,
-        threshold=STAT_THRESHOLD,
-        passed=bool(weakest >= STAT_THRESHOLD),
-        details=f"min consecutive drop z under zeta={suboptimal_zeta}",
-    )
-    return flat, decreasing
+    est = martingale_estimator(sol, cfg, m, u, d, n_checkpoints, suboptimal_zeta)
+    return run_estimators(cfg, [est])[0]
 
 
 def moment_check(
@@ -374,40 +417,49 @@ def moment_check(
 ) -> list[Verdict]:
     """Compare sample E[X(s)^q] under the no-consumption equilibrium fraction
     with x0^q e^{growth_rate * s} at evenly spaced checkpoints."""
-    from .policy import stock_fraction
-
     g = cfg.grid
-    checkpoints = np.unique(
-        np.linspace(0, g.n_steps, max(n_checkpoints + 1, 2)).round().astype(int)
-    )
-    checkpoints = checkpoints[checkpoints > 0]
+    checkpoints = _checkpoints(g, max(n_checkpoints + 1, 2))[1:]
     zeta_steps = np.full(g.n_steps, stock_fraction(m, u))
     c_steps = np.zeros(g.n_steps)
 
-    def block(Z):
+    def block(Z, paths):
         X = _wealth_paths(Z, cfg.x0, m, zeta_steps, c_steps, g.dt)
-        Y = X[:, checkpoints] ** exponent_q
-        return {"s": Y.sum(axis=0), "sq": (Y**2).sum(axis=0)}
+        return _sums("y", X[:, checkpoints] ** exponent_q)
 
-    acc = _accumulate_blocks(cfg, g.n_steps, block)
-    n = cfg.n_paths
-    out = []
-    for idx, cp in enumerate(checkpoints):
-        s = g.nodes[cp]
-        mean = acc["s"][idx] / n
-        se = np.sqrt(max(acc["sq"][idx] / n - mean**2, 0.0) / n)
-        target = cfg.x0**exponent_q * np.exp(growth_rate * s)
-        z = (mean - target) / se if se > 0 else (0.0 if mean == target else np.inf)
-        out.append(
-            Verdict(
-                name=f"moment_q{exponent_q}_s{s:g}",
-                statistic=float(z),
-                threshold=STAT_THRESHOLD,
-                passed=bool(abs(z) <= STAT_THRESHOLD),
-                details=f"sample={mean:.6g} target={target:.6g}",
-            )
-        )
-    return out
+    def finish(sums, n):
+        out = []
+        for s, mean, se in zip(g.nodes[checkpoints], *_mean_se(sums, "y", n)):
+            target = cfg.x0**exponent_q * np.exp(growth_rate * s)
+            z = _z(mean - target, se)
+            out.append(_verdict(f"moment_q{exponent_q}_s{s:g}", z, abs(z) <= STAT_THRESHOLD,
+                                f"sample={mean:.6g} target={target:.6g}"))
+        return out
+
+    return run_estimators(cfg, [(block, finish)])[0]
+
+
+def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
+    """One ``perturbation_test`` row: the spike replaces the given components
+    of the leg on its first eps (whole grid steps, at least one)."""
+    if eps <= 0:
+        raise ParameterError("epsilons must be positive")
+    width = min(max(1, int(round(eps / leg.dt))), len(leg.zeta))
+    zeta, c_nodes = leg.zeta.copy(), leg.c_nodes.copy()
+    if spike.zeta is not None:
+        zeta[:width] = spike.zeta
+    if spike.consumption is not None:
+        c_nodes[:width] = spike.consumption
+    spiked = replace(leg, zeta=zeta, c_nodes=c_nodes)
+
+    def block(Z, paths):
+        return _sums("d", (paths()[1] - spiked.paths(Z)[1]) / eps)
+
+    def finish(s, n):
+        d, se = _mean_se(s, "d", n)
+        return PerturbationRow(epsilon=float(eps), d_estimate=float(d),
+                               std_error=float(se), z=_z(d, se))
+
+    return block, finish
 
 
 def perturbation_test(
@@ -428,46 +480,6 @@ def perturbation_test(
     one). A None component follows the equilibrium path, which is how
     first-order stationarity in the fraction alone is probed.
     """
-    g = cfg.grid
-    i0 = _node_index(g, t)
-    nodes = g.nodes[i0:]
-    n_sub = len(nodes) - 1
-    if n_sub < 1:
-        raise ParameterError("perturbation window must precede the horizon")
-    c_nodes = pol.consumption_at(nodes)
-    h_nodes = d.h(nodes - nodes[0])
-    zeta_base = np.full(n_sub, pol.stock_fraction)
-    rows = []
-    for eps in epsilons:
-        if eps <= 0:
-            raise ParameterError("epsilons must be positive")
-        width = max(1, int(round(eps / g.dt)))
-        width = min(width, n_sub)
-        zeta_s = zeta_base.copy()
-        c_steps = c_nodes[:-1].copy()
-        if spike.zeta is not None:
-            zeta_s[:width] = spike.zeta
-        if spike.consumption is not None:
-            c_steps[:width] = spike.consumption
-
-        def block(Z, zeta_s=zeta_s, c_steps=c_steps, eps=eps):
-            X_eq = _wealth_paths(Z, cfg.x0, m, zeta_base, c_nodes[:-1], g.dt)
-            J_eq = _j_per_path(X_eq, c_nodes, h_nodes, u, g.dt)
-            X_sp = _wealth_paths(Z, cfg.x0, m, zeta_s, c_steps, g.dt)
-            c_sp_nodes = np.concatenate([c_steps, c_nodes[-1:]])
-            J_sp = _j_per_path(X_sp, c_sp_nodes, h_nodes, u, g.dt)
-            D = (J_eq - J_sp) / eps
-            return {"d": D.sum(), "d2": (D**2).sum()}
-
-        acc = _accumulate_blocks(cfg, n_sub, block)
-        n = cfg.n_paths
-        d_mean = acc["d"] / n
-        se = np.sqrt(max(acc["d2"] / n - d_mean**2, 0.0) / n)
-        z = d_mean / se if se > 0 else (0.0 if d_mean == 0 else np.inf)
-        rows.append(
-            PerturbationRow(
-                epsilon=float(eps), d_estimate=float(d_mean),
-                std_error=float(se), z=float(z),
-            )
-        )
-    return rows
+    leg = equilibrium_leg(pol, cfg, m, u, d, t)
+    return run_estimators(cfg, [perturbation_estimator(leg, eps, spike)
+                                for eps in epsilons], leg)

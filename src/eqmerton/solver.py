@@ -476,9 +476,11 @@ def a_priori_bounds(
     # Gronwall comparison for theta = lam^{1/(1-p)}: theta' >= -(A/(1-p)) theta - 1
     # with theta(T) = 1 integrates to theta(t) <= (c+1) e^{A (T-t)/(1-p)} - c,
     # c = (1-p)/A, hence the upper envelope below (which degenerates to 1 as
-    # T -> 0, as it must since lam(T) = 1).
+    # T -> 0, as it must since lam(T) = 1). It is taken in log space,
+    # e^{A T} (c + 1 - c e^{-A T/(1-p)})^{1-p}, so e^{A T/(1-p)} never forms.
     c = (1.0 - p) / A
-    upper = float(((c + 1.0) * np.exp(A * g.horizon / (1.0 - p)) - c) ** (1.0 - p))
+    upper = float(np.exp(A * g.horizon + (1.0 - p) * np.log1p(
+        -c * np.expm1(-A * g.horizon / (1.0 - p)))))
     return BoundsCertificate(A=A, lower=lower, upper=upper)
 
 

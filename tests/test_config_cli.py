@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from eqmerton import cli
+from eqmerton import cli, duality, simulate
 from eqmerton.config import ConfigError, RunConfig, load_config
 from eqmerton.model import ExponentialDiscount, HyperbolicDiscount
 
@@ -163,6 +163,9 @@ class TestCliSolve:
         out = tmp_path / "out"
         assert_solver_failure(capsys, ["solve", "--config", ini, "--out", str(out)])
         assert (out / "bounds.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == "step_failure" and manifest["message"]
+        assert manifest["config"]["discount"]["rhos"] == [0.05, 60.0]
 
 
 class TestCliVerify:
@@ -201,6 +204,42 @@ class TestCliVerify:
         ini = write_ini(tmp_path, extra="\n[solver]\nmax_iter = 1\n")
         assert_solver_failure(
             capsys, ["verify", "--config", ini, "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("checks, passes", [(None, 1), ("duality", 0)])
+    def test_monte_carlo_checks_share_one_pass(self, tmp_path, monkeypatch,
+                                               checks, passes):
+        calls = []
+        accumulate = simulate._accumulate_blocks
+        monkeypatch.setattr(simulate, "_accumulate_blocks",
+                            lambda *a: calls.append(a) or accumulate(*a))
+        argv = ["verify", "--config", write_ini(tmp_path), "--out", str(tmp_path / "o")]
+        cli.main(argv + (["--checks", checks] if checks else []))
+        assert len(calls) == passes
+
+    def test_worker_count_does_not_change_bytes(self, tmp_path):
+        outs = []
+        for workers in (1, 4):
+            ini = write_ini(tmp_path, extra=f"n_workers = {workers}\n",
+                            name=f"w{workers}.ini")
+            outs.append(tmp_path / f"w{workers}")
+            cli.main(["verify", "--config", ini, "--out", str(outs[-1])])
+        first, second = ((out / "verification.csv").read_bytes() for out in outs)
+        assert first == second and first.count(b"\n") == 8
+
+    def test_duality_oracle_finds_a_far_maximiser(self, tmp_path):
+        # lam ~ 1e-4 puts the maximiser of lam x^p / p - x y below 1e-6
+        body = BASE_INI.replace("n_steps = 200", "n_steps = 10").replace(
+            "k = 1.0\ngamma = 1.0", "k = 20.0\ngamma = 3.0")
+        ini = write_ini(tmp_path, body=body)
+        assert cli.main(["verify", "--config", ini, "--out", str(tmp_path / "o"),
+                         "--checks", "duality"]) == 0
+
+    def test_duality_disagreement_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(duality, "grid_legendre_sup", lambda lam, u, y: 1.0)
+        rc = cli.main(["verify", "--config", write_ini(tmp_path),
+                       "--out", str(tmp_path / "o"), "--checks", "duality"])
+        err = capsys.readouterr().err.strip().split("\n")
+        assert rc == 4 and len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestCliCompare:

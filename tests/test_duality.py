@@ -71,7 +71,10 @@ class TestDualFromPrimal:
             dual_from_primal(curve, utility, verify=True)
 
     def test_grid_sup_oracle_agrees(self, utility):
-        for lam, y, expected in [(1.0, 1.0, 1.0), (2.0, 1.0, 4.0)]:
+        # sup = lam^2 / y at p = 1/2, attained at x = (lam / y)^2; the last two
+        # maximisers lie outside the starting bracket [1e-6, 1e6]
+        for lam, y, expected in [(1.0, 1.0, 1.0), (2.0, 1.0, 4.0),
+                                 (1e-3, 20.0, 5e-8), (1e3, 1e-3, 1e9)]:
             assert grid_legendre_sup(lam, utility, y) == pytest.approx(
                 expected, rel=1e-8
             )

@@ -7,10 +7,15 @@ from eqmerton.simulate import (
     SimConfig,
     Spike,
     _pairwise_combine,
+    equilibrium_leg,
     martingale_check,
+    martingale_estimator,
     moment_check,
+    perturbation_estimator,
     perturbation_test,
+    run_estimators,
     simulate_equilibrium,
+    value_identity_estimator,
     verify_value_identity,
 )
 from eqmerton.solver import growth_constant, picard_solve, solve_no_consumption
@@ -200,3 +205,48 @@ class TestPerturbation:
             perturbation_test(pol, sim_cfg(sim_grid, n_paths=200), market,
                               utility, hyp_discount, t=0.0, epsilons=[-0.1],
                               spike=Spike(zeta=0.0))
+
+    def test_zero_std_error_keeps_the_sign_of_d(self, market, utility,
+                                                hyp_discount, sim_grid, hyp_policy):
+        # one path has se = 0; this spike raises J on it (D < 0), which must
+        # read as -inf, not as a detected loss
+        _, pol = hyp_policy
+        row = perturbation_test(pol, sim_cfg(sim_grid, n_paths=1, seed=5), market,
+                                utility, hyp_discount, t=0.0, epsilons=[0.25],
+                                spike=Spike(zeta=pol.stock_fraction + 1.0))[0]
+        assert row.std_error == 0.0 and row.d_estimate < 0
+        assert row.z == -np.inf
+
+    def test_epsilon_ladder_matches_single_widths(self, market, utility,
+                                                  hyp_discount, sim_grid, hyp_policy):
+        _, pol = hyp_policy
+        cfg = sim_cfg(sim_grid, n_paths=3000, block_size=1024)
+        spike = Spike(zeta=pol.stock_fraction + 0.5)
+        ladder = perturbation_test(pol, cfg, market, utility, hyp_discount, t=0.0,
+                                   epsilons=[0.1, 0.25], spike=spike)
+        single = [perturbation_test(pol, cfg, market, utility, hyp_discount, t=0.0,
+                                    epsilons=[eps], spike=spike)[0]
+                  for eps in (0.1, 0.25)]
+        assert ladder == single
+
+
+class TestOnePass:
+    def test_fused_pass_matches_separate_checks(self, market, utility, hyp_discount,
+                                                sim_grid, hyp_policy):
+        sol, pol = hyp_policy
+        cfg = sim_cfg(sim_grid, n_paths=5000, block_size=1024)
+        nc = solve_no_consumption(market, utility, hyp_discount, sim_grid)
+        spike = Spike(zeta=pol.stock_fraction + 1.0)
+        leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
+        fused = run_estimators(cfg, [
+            value_identity_estimator(sol, utility, 0.0, cfg.x0),
+            martingale_estimator(nc, cfg, market, utility, hyp_discount),
+            perturbation_estimator(leg, 0.25, spike),
+        ], leg)
+        assert fused == [
+            verify_value_identity(sol, cfg, market, utility, hyp_discount, t=0.0,
+                                  x=cfg.x0, policy=pol),
+            martingale_check(nc, cfg, market, utility, hyp_discount),
+            perturbation_test(pol, cfg, market, utility, hyp_discount, t=0.0,
+                              epsilons=[0.25], spike=spike)[0],
+        ]

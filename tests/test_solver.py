@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -357,6 +358,24 @@ class TestBounds:
             sol = picard_solve(market, utility, d, grid)
             box = a_priori_bounds(market, utility, d, grid)
             assert box.contains(sol.values)
+
+    def test_upper_bound_finite_where_its_exponent_overflows(self, market,
+                                                             hyp_discount):
+        # e^{A T/(1-p)} alone exceeds the float range here (A T/(1-p) ~ 846)
+        g = TimeGrid(horizon=20.0, n_steps=400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            box = a_priori_bounds(market, CrraUtility(p=0.95), hyp_discount, g)
+        assert np.isfinite(box.upper) and box.upper > 1.0
+
+    def test_upper_bound_matches_the_gronwall_envelope(self, market, grid,
+                                                       all_discounts):
+        for p in (0.5, -2.0):
+            for d in all_discounts.values():
+                box = a_priori_bounds(market, CrraUtility(p=p), d, grid)
+                c = (1.0 - p) / box.A
+                direct = ((c + 1.0) * np.exp(box.A * grid.horizon / (1.0 - p)) - c) ** (1.0 - p)
+                assert box.upper == pytest.approx(direct, rel=1e-13)
 
 
 class TestResiduals:
