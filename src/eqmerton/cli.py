@@ -46,13 +46,17 @@ EXIT_NONCONVERGENCE = 3
 EXIT_VERIFICATION = 4
 
 
+def _discount(cfg: RunConfig):
+    if cfg.discount is None:
+        raise ConfigError("no [discount] section configured")
+    return cfg.discount
+
+
 def _solve_curve(cfg: RunConfig, d=None):
     """Solve the value coefficient with the configured method.
 
     Returns (curve, fit_report_or_None)."""
-    d = d if d is not None else cfg.discount
-    if d is None:
-        raise ConfigError("no [discount] section configured")
+    d = d if d is not None else _discount(cfg)
     s = cfg.solver
     if s.method == "picard":
         return (
@@ -93,7 +97,7 @@ def _manifest_payload(cfg: RunConfig, command: str, extra: dict | None = None) -
 
 
 def cmd_solve(cfg: RunConfig, out: Path) -> int:
-    bounds = solver.a_priori_bounds(cfg.market, cfg.utility, cfg.discount, cfg.grid)
+    bounds = solver.a_priori_bounds(cfg.market, cfg.utility, _discount(cfg), cfg.grid)
     write_csv(out / "bounds.csv", ["A", "lower", "upper"],
               [(bounds.A, bounds.lower, bounds.upper)])
     try:

@@ -1,10 +1,10 @@
 """Monte Carlo simulation of the equilibrium wealth dynamics and statistical
 verification of the identities that define the equilibrium.
 
-Because the CRRA policies are linear in wealth, each time step is an exact
-log-normal update; discretization error is confined to the time quadrature of
-the utility integral and to treating the consumption ratio as constant per
-step (left endpoint).
+Because the CRRA policies are linear in wealth, wealth is exactly log-normal
+on the grid; discretization error is confined to the time quadrature of the
+utility integral and to treating the consumption ratio as constant per step
+(left endpoint).
 
 Randomness is counter-based and splittable: paths are processed in fixed-size
 blocks and block b draws from ``Philox(key=[seed, b])``, so path i, step k is
@@ -12,20 +12,38 @@ a deterministic function of (seed, i, k) regardless of how many workers
 process the blocks. Block partials are combined by pairwise summation in
 block order, making results bit-identical across worker counts.
 
-Every check is an estimator: a block function from one block of draws to a
-dict of sums, and a finisher from the sums over all paths to the result.
+Every policy simulated here holds a constant stock fraction zeta over the
+steps it covers, so with W[:, k] = Z[:, 0] + ... + Z[:, k-1], the running sum
+of a path's normals, its log-wealth at node k is the affine map
+
+    log X(t_k) = log x0 + drift[k] + sigma sqrt(dt) zeta W[:, k].
+
+A block therefore forms W once, and every check reads its wealth from it:
+the equilibrium leg raises wealth to the power p once per block, as
+Y = exp(p sigma sqrt(dt) zeta W), with the deterministic factor
+(x0 e^{drift})^p folded into the per-node weights, so its utility
+functional is the single product J = Y @ weights; the martingale and moment
+checks read W only at their checkpoints. A spiked leg equals the
+equilibrium leg shifted by a constant log-wealth gap after its window of w
+steps, so its utility loss is a sum over the window plus
+expm1(p gap_w) times the equilibrium tail beyond it, computed without
+stepping a second leg and without cancelling J_eq - J_spiked. The normals,
+W and Y live in buffers each worker thread reuses across its blocks.
+
+Every check is an estimator: a block function from one ``Block`` to a dict
+of sums, and a finisher from the sums over all paths to the result.
 ``run_estimators`` feeds any list of estimators from one pass over the
-stream: each block draws its normals once and steps the equilibrium policy
-once, so the checks share common random numbers and repeat no work. Each
+stream, so the checks share common random numbers and repeat no work. Each
 public check below is that runner applied to one estimator.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,10 +59,13 @@ __all__ = [
     "Verdict",
     "PerturbationRow",
     "PolicyLeg",
+    "Block",
     "run_estimators",
     "equilibrium_leg",
+    "simulation_estimator",
     "value_identity_estimator",
     "martingale_estimator",
+    "moment_estimator",
     "perturbation_estimator",
     "simulate_equilibrium",
     "verify_value_identity",
@@ -132,15 +153,43 @@ def _pairwise_combine(items: list[dict]) -> dict:
     return _pairwise_combine(paired)
 
 
+class _Buffers:
+    """Named float buffers one thread reuses across its blocks; a request
+    returns a C-contiguous view of the buffer's leading elements."""
+
+    def __init__(self):
+        self._flat = {}
+
+    def get(self, name: str, shape: tuple, reserve: int = 0) -> np.ndarray:
+        """The view, from a buffer of at least max(size, reserve) elements."""
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(max(size, reserve))
+        return flat[:size].reshape(shape)
+
+
 def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> dict:
-    """Run block_fn(block_paths, Z) over all path blocks and combine sums."""
+    """Run block_fn(W, buffers) over all path blocks and combine the sums.
+
+    W (block paths x (n_sub_steps + 1)) holds the running sums of the block's
+    normals, with W[:, 0] = 0; the normals were drawn into buffer "z", which
+    has room for W's shape and which the block may overwrite.
+    """
     n_blocks = (cfg.n_paths + cfg.block_size - 1) // cfg.block_size
+    local = threading.local()
 
     def run(b: int) -> dict:
+        if not hasattr(local, "buffers"):
+            local.buffers = _Buffers()
+        buffers = local.buffers
         m_b = min(cfg.block_size, cfg.n_paths - b * cfg.block_size)
         rng = np.random.Generator(np.random.Philox(key=[int(cfg.seed), b]))
-        Z = rng.standard_normal((m_b, n_sub_steps))
-        return block_fn(Z)
+        W = buffers.get("w", (m_b, n_sub_steps + 1))
+        Z = rng.standard_normal(out=buffers.get("z", (m_b, n_sub_steps), reserve=W.size))
+        W[:, 0] = 0.0
+        np.cumsum(Z, axis=1, out=W[:, 1:])
+        return block_fn(W, buffers)
 
     if cfg.n_workers == 1:
         partials = [run(b) for b in range(n_blocks)]
@@ -150,15 +199,24 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> 
     return _pairwise_combine(partials)
 
 
-def _wealth_paths(Z, x0, m, zeta_steps, c_steps, dt):
-    """Exact log-normal stepping for policies linear in wealth."""
-    drift = (m.r + m.mu * zeta_steps - c_steps - 0.5 * m.sigma**2 * zeta_steps**2) * dt
-    vol = m.sigma * zeta_steps * np.sqrt(dt)
-    incr = drift[None, :] + vol[None, :] * Z
-    log_x = np.concatenate(
-        [np.zeros((Z.shape[0], 1)), np.cumsum(incr, axis=1)], axis=1
-    )
-    return x0 * np.exp(log_x)
+def _log_drift(m: MarketParams, zeta: float, c_steps: np.ndarray, dt: float) -> np.ndarray:
+    """Deterministic part of log(X(t_k) / x0) per node, for a constant stock
+    fraction zeta and a consumption ratio per step."""
+    out = np.zeros(len(c_steps) + 1)
+    np.cumsum((m.r + m.mu * zeta - c_steps - 0.5 * m.sigma**2 * zeta**2) * dt, out=out[1:])
+    return out
+
+
+def _utility_weights(h: np.ndarray, c: np.ndarray, dt: float, p: float) -> np.ndarray:
+    """v with J = sum_k v_k X(t_k)^p: trapezoid quadrature of h(s - t) U(c X)
+    over the nodes, plus the discounted bequest h(T - t) U(X(T))."""
+    v = np.zeros(len(c))
+    if np.any(c != 0.0):
+        w = np.full(len(c), dt)
+        w[0] = w[-1] = dt / 2.0
+        v = h * c**p * w / p
+    v[-1] += h[-1] / p
+    return v
 
 
 def _node_index(g: TimeGrid, t: float) -> int:
@@ -198,89 +256,119 @@ def _verdict(name: str, z: float, passed, details: str) -> Verdict:
 
 @dataclass(frozen=True)
 class PolicyLeg:
-    """A policy linear in wealth, stepped from x0: the stock fraction per
-    step, and the consumption ratio and discount h(s - t) per node."""
+    """A policy linear in wealth, run from x0 over the last len(c_nodes) grid
+    nodes: a constant stock fraction, and the consumption ratio and discount
+    h(s - t) per node.
+
+    Its log-wealth at node k is log x0 + drift[k] + vol W[:, k], so
+    X(t_k)^p = scale[k] exp(p vol W[:, k]) with scale = (x0 e^{drift})^p.
+    """
 
     x0: float
     m: MarketParams
     u: CrraUtility
     dt: float
-    zeta: np.ndarray
+    zeta: float
     c_nodes: np.ndarray
     h_nodes: np.ndarray
 
-    def paths(self, Z):
-        """Wealth paths X driven by the normals Z, and the utility functional
-        J per path: trapezoid quadrature of h(s - t) U(c X) plus the
-        discounted bequest term."""
-        p, c, h, dt = self.u.p, self.c_nodes, self.h_nodes, self.dt
-        X = _wealth_paths(Z, self.x0, self.m, self.zeta, c[:-1], dt)
-        J = h[-1] * X[:, -1] ** p / p
-        if np.any(c != 0.0):
-            w = np.full(X.shape[1], dt)
-            w[0] = w[-1] = dt / 2.0
-            J = (h[None, :] * (c[None, :] * X) ** p / p) @ w + J
-        return X, J
+    @property
+    def n_steps(self) -> int:
+        return len(self.c_nodes) - 1
+
+    @property
+    def vol(self) -> float:
+        return self.m.sigma * math.sqrt(self.dt) * self.zeta
+
+    @cached_property
+    def drift(self) -> np.ndarray:
+        return _log_drift(self.m, self.zeta, self.c_nodes[:-1], self.dt)
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        return np.exp(self.u.p * (math.log(self.x0) + self.drift))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """scale * v: J = exp(p vol W) @ weights."""
+        return self.scale * _utility_weights(self.h_nodes, self.c_nodes, self.dt, self.u.p)
+
+
+class Block:
+    """One block of paths, seen through the running sums W of its normals
+    (paths x (steps + 1), W[:, 0] = 0)."""
+
+    def __init__(self, W: np.ndarray, buffers: _Buffers, leg: Optional[PolicyLeg]):
+        self.W = W
+        self._buffers = buffers
+        self._leg = leg
+
+    @cached_property
+    def powers(self):
+        """(Y, J) of the leg: Y = exp(p vol W), so X^p = leg.scale * Y, and
+        the utility functional J = Y @ leg.weights per path."""
+        Y = np.multiply(self.W, self._leg.u.p * self._leg.vol,
+                        out=self._buffers.get("y", self.W.shape))
+        np.exp(Y, out=Y)
+        return Y, Y @ self._leg.weights
+
+    def scratch(self) -> np.ndarray:
+        """A buffer of W's shape that the block may overwrite (it held the
+        normals, which W has replaced)."""
+        return self._buffers.get("z", self.W.shape)
 
 
 def equilibrium_leg(pol: EquilibriumPolicy, cfg: SimConfig, m: MarketParams,
                     u: CrraUtility, d: DiscountSpec, start_time: float = 0.0) -> PolicyLeg:
-    """The equilibrium policy stepped from (start_time, cfg.x0) to the horizon."""
+    """The equilibrium policy run from (start_time, cfg.x0) to the horizon."""
     g = cfg.grid
     nodes = g.nodes[_node_index(g, start_time):]
     if len(nodes) < 2:
         raise ParameterError("simulation must span at least one step")
-    return PolicyLeg(cfg.x0, m, u, g.dt, np.full(len(nodes) - 1, pol.stock_fraction),
+    return PolicyLeg(cfg.x0, m, u, g.dt, pol.stock_fraction,
                      pol.consumption_at(nodes), d.h(nodes - nodes[0]))
 
 
 def run_estimators(cfg: SimConfig, estimators: list, leg: Optional[PolicyLeg] = None) -> list:
     """Results of the estimators, in order, from one pass over the random stream.
 
-    An estimator is a pair (block, finish). ``block(Z, paths)`` maps one
-    block of normals Z (paths x steps) to a dict of sums; ``paths()`` returns
-    the leg's wealth paths X and utility functional J driven by Z, computed
-    once per block for all estimators. ``finish(sums, n_paths)`` turns the
-    sums over all blocks into the result. Z spans the leg's steps, or the
-    whole grid without a leg.
+    An estimator is a pair (block, finish). ``block(blk)`` maps one ``Block``
+    to a dict of sums; ``blk.powers`` gives the leg's X^p factor and utility
+    functional, formed once per block for all estimators. ``finish(sums,
+    n_paths)`` turns the sums over all blocks into the result. W spans the
+    leg's steps, or the whole grid without a leg.
     """
     if not estimators:
         return []
 
-    def block(Z):
-        paths = cache(lambda: leg.paths(Z))
+    def block(W, buffers):
+        blk = Block(W, buffers, leg)
         return {(i, key): value for i, (block_fn, _) in enumerate(estimators)
-                for key, value in block_fn(Z, paths).items()}
+                for key, value in block_fn(blk).items()}
 
-    n_sub = cfg.grid.n_steps if leg is None else len(leg.zeta)
+    n_sub = cfg.grid.n_steps if leg is None else leg.n_steps
     sums = _accumulate_blocks(cfg, n_sub, block)
     return [finish({key: value for (j, key), value in sums.items() if j == i}, cfg.n_paths)
             for i, (_, finish) in enumerate(estimators)]
 
 
-def simulate_equilibrium(
-    pol: EquilibriumPolicy,
-    cfg: SimConfig,
-    m: MarketParams,
-    u: CrraUtility,
-    d: DiscountSpec,
-    moment_orders: tuple = (),
-    start_time: float = 0.0,
-) -> SimBatch:
-    """Simulate the equilibrium wealth SDE from (start_time, x0) and estimate
-    the expected-utility functional together with per-node summaries."""
-    g = cfg.grid
-    leg = equilibrium_leg(pol, cfg, m, u, d, start_time)
-    nodes = g.nodes[_node_index(g, start_time):]
+def simulation_estimator(pol: EquilibriumPolicy, g: TimeGrid, leg: PolicyLeg,
+                         d: DiscountSpec, moment_orders: tuple = ()):
+    """The ``simulate_equilibrium`` summary of the leg's paths on grid g."""
+    nodes = g.nodes[g.n_steps - leg.n_steps:]
     lam_nodes = np.interp(nodes, pol.grid.nodes, pol.curve.values)
-    h_rem = d.h(g.horizon - nodes)
+    voh_scale = lam_nodes * leg.scale / leg.u.p / d.h(g.horizon - nodes)
+    wealth_scale = leg.x0 * np.exp(leg.drift)
+    log_x_T = math.log(leg.x0) + leg.drift[-1]
 
-    def block(Z, paths):
-        X, J = paths()
-        out = {**_sums("j", J), "wealth": X.sum(axis=0),
-               "voh": (lam_nodes[None, :] * X**u.p / u.p / h_rem[None, :]).sum(axis=0)}
+    def block(blk):
+        Y, J = blk.powers
+        X = np.multiply(blk.W, leg.vol, out=blk.scratch())
+        np.exp(X, out=X)
+        out = {**_sums("j", J), "wealth": X.sum(axis=0) * wealth_scale,
+               "voh": Y.sum(axis=0) * voh_scale}
         for q in moment_orders:
-            out.update(_sums(f"m{q}", X[:, -1] ** q))
+            out.update(_sums(f"m{q}", np.exp(q * (log_x_T + leg.vol * blk.W[:, -1]))))
         return out
 
     def finish(s, n):
@@ -294,7 +382,23 @@ def simulate_equilibrium(
             n_paths=n,
         )
 
-    return run_estimators(cfg, [(block, finish)], leg)[0]
+    return block, finish
+
+
+def simulate_equilibrium(
+    pol: EquilibriumPolicy,
+    cfg: SimConfig,
+    m: MarketParams,
+    u: CrraUtility,
+    d: DiscountSpec,
+    moment_orders: tuple = (),
+    start_time: float = 0.0,
+) -> SimBatch:
+    """Simulate the equilibrium wealth SDE from (start_time, x0) and estimate
+    the expected-utility functional together with per-node summaries."""
+    leg = equilibrium_leg(pol, cfg, m, u, d, start_time)
+    est = simulation_estimator(pol, cfg.grid, leg, d, moment_orders)
+    return run_estimators(cfg, [est], leg)[0]
 
 
 def value_identity_estimator(sol: ValueCurve, u: CrraUtility, t: float, x: float,
@@ -302,8 +406,8 @@ def value_identity_estimator(sol: ValueCurve, u: CrraUtility, t: float, x: float
     """The ``verify_value_identity`` verdict; the leg must start at (t, x)."""
     target = target_scale * float(np.interp(t, sol.grid.nodes, sol.values)) * x**u.p / u.p
 
-    def block(Z, paths):
-        return _sums("j", paths()[1])
+    def block(blk):
+        return _sums("j", blk.powers[1])
 
     def finish(s, n):
         j, se = _mean_se(s, "j", n)
@@ -342,24 +446,32 @@ def verify_value_identity(
     return run_estimators(cfg, [value_identity_estimator(sol, u, t, x, target_scale)], leg)[0]
 
 
+def _no_consumption_log_wealth(cfg: SimConfig, m: MarketParams, zeta: float,
+                               checkpoints: np.ndarray):
+    """Log-wealth at the checkpoints under a constant fraction and no
+    consumption, as a function of a block."""
+    g = cfg.grid
+    base = math.log(cfg.x0) + _log_drift(m, zeta, np.zeros(g.n_steps), g.dt)[checkpoints]
+    vol = m.sigma * math.sqrt(g.dt) * zeta
+    return lambda blk: base + vol * blk.W[:, checkpoints]
+
+
 def martingale_estimator(sol: ValueCurve, cfg: SimConfig, m: MarketParams, u: CrraUtility,
                          d: DiscountSpec, n_checkpoints: int = 5,
                          suboptimal_zeta: float = 0.0):
-    """The two ``martingale_check`` verdicts; Z must span the whole grid."""
+    """The two ``martingale_check`` verdicts; W must span the whole grid."""
     g = cfg.grid
     checkpoints = _checkpoints(g, max(n_checkpoints, 1))
     k = len(checkpoints)
-    lam_at = np.interp(g.nodes[checkpoints], sol.grid.nodes, sol.values)
-    h_rem_at = d.h(g.horizon - g.nodes[checkpoints])
-    zetas = {"eq": stock_fraction(m, u), "sub": suboptimal_zeta}
-    c_steps = np.zeros(g.n_steps)
+    scale = (np.interp(g.nodes[checkpoints], sol.grid.nodes, sol.values) / u.p
+             / d.h(g.horizon - g.nodes[checkpoints]))
+    log_wealth = {key: _no_consumption_log_wealth(cfg, m, zeta, checkpoints)
+                  for key, zeta in (("eq", stock_fraction(m, u)), ("sub", suboptimal_zeta))}
 
-    def block(Z, paths):
+    def block(blk):
         out = {}
-        for key, zeta in zetas.items():
-            X_at = _wealth_paths(Z, cfg.x0, m, np.full(g.n_steps, zeta), c_steps,
-                                 g.dt)[:, checkpoints]
-            Y = lam_at[None, :] * X_at ** u.p / u.p / h_rem_at[None, :]
+        for key, log_x in log_wealth.items():
+            Y = scale * np.exp(u.p * log_x(blk))
             out[key], out[f"{key}_cross"] = Y.sum(axis=0), Y.T @ Y
         return out
 
@@ -407,24 +519,15 @@ def martingale_check(
     return run_estimators(cfg, [est])[0]
 
 
-def moment_check(
-    cfg: SimConfig,
-    m: MarketParams,
-    u: CrraUtility,
-    exponent_q: float,
-    growth_rate: float,
-    n_checkpoints: int = 5,
-) -> list[Verdict]:
-    """Compare sample E[X(s)^q] under the no-consumption equilibrium fraction
-    with x0^q e^{growth_rate * s} at evenly spaced checkpoints."""
+def moment_estimator(cfg: SimConfig, m: MarketParams, u: CrraUtility, exponent_q: float,
+                     growth_rate: float, n_checkpoints: int = 5):
+    """The ``moment_check`` verdicts; W must span the whole grid."""
     g = cfg.grid
     checkpoints = _checkpoints(g, max(n_checkpoints + 1, 2))[1:]
-    zeta_steps = np.full(g.n_steps, stock_fraction(m, u))
-    c_steps = np.zeros(g.n_steps)
+    log_x = _no_consumption_log_wealth(cfg, m, stock_fraction(m, u), checkpoints)
 
-    def block(Z, paths):
-        X = _wealth_paths(Z, cfg.x0, m, zeta_steps, c_steps, g.dt)
-        return _sums("y", X[:, checkpoints] ** exponent_q)
+    def block(blk):
+        return _sums("y", np.exp(exponent_q * log_x(blk)))
 
     def finish(sums, n):
         out = []
@@ -435,24 +538,61 @@ def moment_check(
                                 f"sample={mean:.6g} target={target:.6g}"))
         return out
 
-    return run_estimators(cfg, [(block, finish)])[0]
+    return block, finish
+
+
+def moment_check(
+    cfg: SimConfig,
+    m: MarketParams,
+    u: CrraUtility,
+    exponent_q: float,
+    growth_rate: float,
+    n_checkpoints: int = 5,
+) -> list[Verdict]:
+    """Compare sample E[X(s)^q] under the no-consumption equilibrium fraction
+    with x0^q e^{growth_rate * s} at evenly spaced checkpoints."""
+    est = moment_estimator(cfg, m, u, exponent_q, growth_rate, n_checkpoints)
+    return run_estimators(cfg, [est])[0]
 
 
 def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
     """One ``perturbation_test`` row: the spike replaces the given components
-    of the leg on its first eps (whole grid steps, at least one)."""
+    of the leg on its first w steps (eps in whole grid steps, at least one).
+
+    On nodes k <= w the spiked log-wealth is the leg's plus a gap G_k that
+    is affine in W; after the window the gap stays at G_w. With a and a' the
+    equilibrium and spiked weights (``PolicyLeg.weights``), per path
+
+        J_eq - J_spiked = sum_{k <= w} Y_k (a_k - a'_k - a'_k expm1(p G_k))
+                          - expm1(p G_w) sum_{k > w} Y_k a_k,
+
+    which costs O(paths w) beyond the leg's J and is exactly 0 for an
+    identical spike.
+    """
     if eps <= 0:
         raise ParameterError("epsilons must be positive")
-    width = min(max(1, int(round(eps / leg.dt))), len(leg.zeta))
-    zeta, c_nodes = leg.zeta.copy(), leg.c_nodes.copy()
-    if spike.zeta is not None:
-        zeta[:width] = spike.zeta
+    m, p, dt = leg.m, leg.u.p, leg.dt
+    w = min(max(1, int(round(eps / dt))), leg.n_steps)
+    zeta = leg.zeta if spike.zeta is None else spike.zeta
+    c_spiked = leg.c_nodes.copy()
     if spike.consumption is not None:
-        c_nodes[:width] = spike.consumption
-    spiked = replace(leg, zeta=zeta, c_nodes=c_nodes)
+        c_spiked[:w] = spike.consumption
+    # the log-wealth gap, spiked minus equilibrium, is gap_drift + gap_vol W on
+    # nodes 0..w
+    gap_step = (m.mu * (zeta - leg.zeta) - (c_spiked[:w] - leg.c_nodes[:w])
+                - 0.5 * m.sigma**2 * (zeta**2 - leg.zeta**2)) * dt
+    gap_drift = p * np.concatenate([[0.0], np.cumsum(gap_step)])
+    gap_vol = p * m.sigma * math.sqrt(dt) * (zeta - leg.zeta)
+    v_spiked = leg.scale * _utility_weights(leg.h_nodes, c_spiked, dt, p)
+    head_eq = (leg.weights - v_spiked)[:w + 1]
+    head_spiked = v_spiked[:w + 1]
 
-    def block(Z, paths):
-        return _sums("d", (paths()[1] - spiked.paths(Z)[1]) / eps)
+    def block(blk):
+        Y = blk.powers[0]
+        growth = np.expm1(gap_drift + gap_vol * blk.W[:, :w + 1])
+        loss = (Y[:, :w + 1] @ head_eq - (Y[:, :w + 1] * growth) @ head_spiked
+                - growth[:, w] * (Y[:, w + 1:] @ leg.weights[w + 1:]))
+        return _sums("d", loss / eps)
 
     def finish(s, n):
         d, se = _mean_se(s, "d", n)

@@ -23,6 +23,7 @@ independent reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -128,7 +129,9 @@ class BoundsCertificate:
     upper: float
 
     def __post_init__(self):
-        if not (0 < self.lower < 1 < self.upper):
+        # a side can be vacuous (0 or inf) where its exponential leaves the
+        # float range
+        if not (0 <= self.lower < 1 < self.upper <= math.inf):
             raise ParameterError(
                 f"bounds must bracket the terminal value 1: [{self.lower}, {self.upper}]"
             )
@@ -472,16 +475,21 @@ def a_priori_bounds(
     lo = np.minimum.accumulate(rate_lag)[::-1]
     term2 = float(max(np.max(hi - rate_T), np.max(rate_T - lo)))
     A = max(term1 + term2, 1e-8)
-    lower = float(np.exp(-A * g.horizon))
+    AT = A * g.horizon
     # Gronwall comparison for theta = lam^{1/(1-p)}: theta' >= -(A/(1-p)) theta - 1
     # with theta(T) = 1 integrates to theta(t) <= (c+1) e^{A (T-t)/(1-p)} - c,
     # c = (1-p)/A, hence the upper envelope below (which degenerates to 1 as
-    # T -> 0, as it must since lam(T) = 1). It is taken in log space,
-    # e^{A T} (c + 1 - c e^{-A T/(1-p)})^{1-p}, so e^{A T/(1-p)} never forms.
+    # T -> 0, as it must since lam(T) = 1). Both ends are formed in log space:
+    # log upper = A T + (1-p) log(c + 1 - c e^{-A T/(1-p)}), so e^{A T/(1-p)}
+    # never forms; past the float range the lower end underflows to 0 and the
+    # upper end is taken as inf, leaving that side of the box vacuous.
     c = (1.0 - p) / A
-    upper = float(np.exp(A * g.horizon + (1.0 - p) * np.log1p(
-        -c * np.expm1(-A * g.horizon / (1.0 - p)))))
-    return BoundsCertificate(A=A, lower=lower, upper=upper)
+    log_upper = AT + (1.0 - p) * math.log1p(-c * math.expm1(-AT / (1.0 - p)))
+    try:
+        upper = math.exp(log_upper)
+    except OverflowError:
+        upper = math.inf
+    return BoundsCertificate(A=A, lower=math.exp(-AT), upper=upper)
 
 
 def residual_integral_equation(

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,30 @@ class TestCliSolve:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"] == "step_failure" and manifest["message"]
         assert manifest["config"]["discount"]["rhos"] == [0.05, 60.0]
+
+
+    def test_solve_without_discount_section_is_config_error(self, tmp_path, capsys):
+        # a compare-only config carries [discount.<label>] sections only
+        ini = TestCliCompare().compare_ini(
+            tmp_path, "expo", "[discount.expo]\nkind = exponential\nrho = 0.1\n")
+        assert cli.main(["solve", "--config", ini, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("horizon, n_steps", [(400.0, 1000), (600.0, 1500)])
+    def test_solve_past_the_float_range_of_the_bounds(self, tmp_path, horizon, n_steps):
+        # A T ~ 760 and ~ 1150: e^{-A T} underflows and the upper envelope
+        # overflows, so the bounds box is [0, inf] and must not stop the solve
+        body = BASE_INI.replace("horizon = 1.0", f"horizon = {horizon}").replace(
+            "n_steps = 200", f"n_steps = {n_steps}")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve", "--config", write_ini(tmp_path, body=body),
+                             "--out", str(out)]) == 0
+        residuals = dict(line.split(",") for line in
+                         (out / "residuals.csv").read_text().strip().split("\n")[1:])
+        assert float(residuals["integral_equation"]) <= 1e-9
+        assert (out / "bounds.csv").read_text().strip().endswith(",0,inf")
 
 
 class TestCliVerify:

@@ -7,14 +7,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_inconsistency_demo_runs():
+def script_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_inconsistency_demo_runs():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "inconsistency_demo.py"),
          "--n-steps", "200"],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=script_env(), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     # one block per discount: a label line, a header line, then one row per probe
@@ -23,3 +27,19 @@ def test_inconsistency_demo_runs():
     for block in blocks:
         rows = [ln for ln in block if re.match(r"\s*\d+\.\d+\s", ln)]
         assert len(rows) == 5, block
+
+
+def test_mc_block_stages_runs():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "mc_block_stages.py"),
+         "--paths", "256", "--steps", "10", "20", "--repeats", "1"],
+        capture_output=True, text=True, env=script_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.strip().split("\n")
+    assert header.split()[-2:] == ["256x10", "256x20"]
+    stages = {row.rsplit(None, 2)[0].strip(): [float(v) for v in row.split()[-2:]]
+              for row in rows}
+    assert set(stages) == {"rng", "running sum", "X^p", "wealth", "reductions",
+                           "simulate block", "verify block", "peak MB"}
+    assert all(v >= 0 for values in stages.values() for v in values)

@@ -1,20 +1,25 @@
+import sys
+
 import numpy as np
 import pytest
 
-from eqmerton.model import MarketParams, ParameterError, TimeGrid
-from eqmerton.policy import EquilibriumPolicy, equilibrium_policy
+from eqmerton.model import CrraUtility, MarketParams, ParameterError, TimeGrid
+from eqmerton.policy import EquilibriumPolicy, equilibrium_policy, stock_fraction
 from eqmerton.simulate import (
     SimConfig,
     Spike,
+    _checkpoints,
     _pairwise_combine,
     equilibrium_leg,
     martingale_check,
     martingale_estimator,
     moment_check,
+    moment_estimator,
     perturbation_estimator,
     perturbation_test,
     run_estimators,
     simulate_equilibrium,
+    simulation_estimator,
     value_identity_estimator,
     verify_value_identity,
 )
@@ -49,6 +54,26 @@ class TestDeterminism:
         assert one.j_estimate == four.j_estimate
         assert one.j_std_error == four.j_std_error
         np.testing.assert_array_equal(one.mean_wealth, four.mean_wealth)
+
+    def test_workers_never_share_block_buffers(self, market, utility, hyp_discount,
+                                               sim_grid, hyp_policy):
+        # each worker thread writes its blocks into its own reused buffers; with
+        # more workers than cores and a short switch interval, a buffer shared
+        # between threads would be overwritten mid-block and change the sums
+        _, pol = hyp_policy
+        kw = dict(n_paths=6000, seed=9, block_size=256)
+        one = simulate_equilibrium(pol, sim_cfg(sim_grid, n_workers=1, **kw),
+                                   market, utility, hyp_discount)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = simulate_equilibrium(pol, sim_cfg(sim_grid, n_workers=8, **kw),
+                                        market, utility, hyp_discount)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (one.j_estimate, one.j_std_error) == (many.j_estimate, many.j_std_error)
+        np.testing.assert_array_equal(one.mean_wealth, many.mean_wealth)
+        np.testing.assert_array_equal(one.mean_value_over_h, many.mean_value_over_h)
 
     def test_bit_identical_across_runs(self, market, utility, hyp_discount,
                                        sim_grid, hyp_policy):
@@ -250,3 +275,132 @@ class TestOnePass:
             perturbation_test(pol, cfg, market, utility, hyp_discount, t=0.0,
                               epsilons=[0.25], spike=spike)[0],
         ]
+
+
+# ---------------------------------------------------------------------------
+# Test-owned oracle: every leg stepped on its own, as a cumulative sum of its
+# log increments, exponentiated, with J as the trapezoid quadrature of
+# h (c X)^p / p plus the bequest. The library instead reads every leg off one
+# running sum of the normals; the block sums must agree to rounding.
+
+def oracle_wealth(Z, x0, m, zeta_steps, c_steps, dt):
+    drift = (m.r + m.mu * zeta_steps - c_steps - 0.5 * m.sigma**2 * zeta_steps**2) * dt
+    incr = drift[None, :] + (m.sigma * zeta_steps * np.sqrt(dt))[None, :] * Z
+    log_x = np.concatenate([np.zeros((Z.shape[0], 1)), np.cumsum(incr, axis=1)], axis=1)
+    return x0 * np.exp(log_x)
+
+
+def oracle_j(X, c, h, dt, p):
+    J = h[-1] * X[:, -1] ** p / p
+    if np.any(c != 0.0):
+        w = np.full(X.shape[1], dt)
+        w[0] = w[-1] = dt / 2.0
+        J = (h[None, :] * (c[None, :] * X) ** p / p) @ w + J
+    return J
+
+
+def oracle_sums(cfg, n_sub, block_fn):
+    """Sums of block_fn(Z) over the stream's blocks, drawn as the library draws them."""
+    total = {}
+    for b in range(-(-cfg.n_paths // cfg.block_size)):
+        m_b = min(cfg.block_size, cfg.n_paths - b * cfg.block_size)
+        Z = np.random.Generator(np.random.Philox(key=[cfg.seed, b])).standard_normal(
+            (m_b, n_sub))
+        for key, value in block_fn(Z).items():
+            total[key] = total.get(key, 0.0) + value
+    return total
+
+
+def sums_of(est):
+    """The estimator with its finisher replaced by one returning the raw sums."""
+    return est[0], lambda sums, n: sums
+
+
+def oracle_leg_sums(pol, cfg, m, u, d, t0, spike, eps):
+    """Sums of the simulation summary, value identity and perturbation
+    estimators on the equilibrium leg from (t0, x0)."""
+    g, p, dt = cfg.grid, u.p, cfg.grid.dt
+    nodes = g.nodes[int(round(t0 / dt)):]
+    n_sub = len(nodes) - 1
+    c, h = pol.consumption_at(nodes), d.h(nodes - nodes[0])
+    voh_scale = np.interp(nodes, pol.grid.nodes, pol.curve.values) / d.h(g.horizon - nodes)
+    zeta = np.full(n_sub, pol.stock_fraction)
+    w = int(round(eps / dt))
+    zeta_spk, c_spk = zeta.copy(), c.copy()
+    zeta_spk[:w], c_spk[:w] = spike.zeta, spike.consumption
+
+    def block(Z):
+        X = oracle_wealth(Z, cfg.x0, m, zeta, c[:-1], dt)
+        J = oracle_j(X, c, h, dt, p)
+        X_spk = oracle_wealth(Z, cfg.x0, m, zeta_spk, c_spk[:-1], dt)
+        D = (J - oracle_j(X_spk, c_spk, h, dt, p)) / eps
+        out = {"j": J.sum(), "j_sq": (J**2).sum(), "d": D.sum(), "d_sq": (D**2).sum(),
+               "wealth": X.sum(axis=0), "voh": (voh_scale * X**p / p).sum(axis=0)}
+        for q in (p, 2 * p):
+            out[f"m{q}"], out[f"m{q}_sq"] = (X[:, -1] ** q).sum(), (X[:, -1] ** (2 * q)).sum()
+        return out
+
+    return oracle_sums(cfg, n_sub, block)
+
+
+def oracle_grid_sums(nc, cfg, m, u, d):
+    """Sums of the martingale (fractions eq and 0) and moment (q = p)
+    estimators, which span the whole grid."""
+    g, p = cfg.grid, u.p
+    ck_mart, ck_mom = _checkpoints(g, 5), _checkpoints(g, 6)[1:]
+    scale = (np.interp(g.nodes[ck_mart], nc.grid.nodes, nc.values) / p
+             / d.h(g.horizon - g.nodes[ck_mart]))
+    no_c = np.zeros(g.n_steps)
+
+    def block(Z):
+        out = {}
+        for key, zeta in (("eq", stock_fraction(m, u)), ("sub", 0.0)):
+            X = oracle_wealth(Z, cfg.x0, m, np.full(g.n_steps, zeta), no_c, g.dt)
+            Y = scale * X[:, ck_mart] ** p
+            out[key], out[f"{key}_cross"] = Y.sum(axis=0), Y.T @ Y
+            if key == "eq":
+                y = X[:, ck_mom] ** p
+                out["y"], out["y_sq"] = y.sum(axis=0), (y**2).sum(axis=0)
+        return out
+
+    return oracle_sums(cfg, g.n_steps, block)
+
+
+class TestAgainstSteppedOracle:
+    @pytest.fixture(scope="class", params=[0.5, -2.0], ids=["p0.5", "p-2"])
+    def solved(self, request, market, hyp_discount, mix_discount, sim_grid):
+        u = CrraUtility(p=request.param)
+        out = {}
+        for name, d in (("hyperbolic", hyp_discount), ("mixture", mix_discount)):
+            sol = picard_solve(market, u, d, sim_grid)
+            out[name] = (d, sol, equilibrium_policy(sol, market, u, verify=False),
+                         solve_no_consumption(market, u, d, sim_grid))
+        return u, out
+
+    @pytest.mark.parametrize("discount", ["hyperbolic", "mixture"])
+    @pytest.mark.parametrize("t0", [0.0, 0.5])
+    def test_block_sums_match_stepped_legs(self, market, sim_grid, solved, discount, t0):
+        u, by_discount = solved
+        d, sol, pol, nc = by_discount[discount]
+        cfg = sim_cfg(sim_grid, n_paths=3000, seed=11, block_size=1024)
+        spike = Spike(zeta=pol.stock_fraction + 0.5, consumption=0.3)
+        leg = equilibrium_leg(pol, cfg, market, u, d, t0)
+        estimators = {
+            "simulate": simulation_estimator(pol, sim_grid, leg, d, (u.p, 2 * u.p)),
+            "value_identity": value_identity_estimator(sol, u, t0, cfg.x0),
+            "perturbation": perturbation_estimator(leg, 0.1, spike),
+        }
+        expected = oracle_leg_sums(pol, cfg, market, u, d, t0, spike, 0.1)
+        if t0 == 0.0:  # the whole-grid checks share the pass from t = 0
+            estimators["martingale"] = martingale_estimator(nc, cfg, market, u, d)
+            estimators["moment"] = moment_estimator(cfg, market, u, u.p,
+                                                    growth_constant(market, u))
+            expected.update(oracle_grid_sums(nc, cfg, market, u, d))
+        results = run_estimators(cfg, [sums_of(e) for e in estimators.values()], leg)
+        checked = set()
+        for name, sums in zip(estimators, results):
+            for key, value in sums.items():
+                np.testing.assert_allclose(value, expected[key], rtol=1e-12,
+                                           err_msg=f"{name} {key}")
+                checked.add(key)
+        assert checked == set(expected)
