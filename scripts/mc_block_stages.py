@@ -60,7 +60,7 @@ def stages(n_paths: int, n_steps: int, repeats: int) -> dict:
     d = HyperbolicDiscount(k=1.0, gamma=1.0)
     g = TimeGrid(horizon=1.0, n_steps=n_steps)
     sol = picard_solve(m, u, d, g)
-    pol = equilibrium_policy(sol, m, u, verify=False)
+    pol = equilibrium_policy(sol, m, u)
     cfg = SimConfig(n_paths=n_paths, seed=42, grid=g, x0=1.0, block_size=n_paths)
     leg = equilibrium_leg(pol, cfg, m, u, d)
 

@@ -9,20 +9,7 @@ Exit codes: 0 success, 2 config error, 3 solver failure (non-convergence
 or a failed integration step), 4 verification failure (a failed verdict, or
 the dual spot check disagreeing).
 
-Config sections and keys (INI):
-
-    [market]    r, sigma, and exactly one of alpha | mu
-    [utility]   p
-    [discount]  kind = exponential | mixture | hyperbolic;
-                rho (exponential); betas, rhos (mixture, comma lists);
-                k, gamma (hyperbolic)
-    [grid]      horizon, n_steps
-    [solver]    method = picard | mixture | closed_form, tol, max_iter,
-                damping, mixture_terms, rho_min, rho_max, rho_count
-    [sim]       n_paths, seed, x0, n_workers, block_size
-    [output]    dir
-    [compare]   labels (comma list), probe_times (comma list); one
-                [discount.<label>] section per label
+The config sections and keys are listed in the README's "Config reference".
 """
 
 from __future__ import annotations
@@ -52,6 +39,12 @@ def _discount(cfg: RunConfig):
     return cfg.discount
 
 
+# method mixture on a discount that is not a mixture: fit this many terms from
+# this pool of candidate rates
+_MIXTURE_TERMS = 8
+_MIXTURE_RATES = np.geomspace(0.01, 20.0, 24)
+
+
 def _solve_curve(cfg: RunConfig, d=None):
     """Solve the value coefficient with the configured method.
 
@@ -61,25 +54,21 @@ def _solve_curve(cfg: RunConfig, d=None):
     if s.method == "picard":
         return (
             solver.picard_solve(cfg.market, cfg.utility, d, cfg.grid,
-                                tol=s.tol, max_iter=s.max_iter, damping=s.damping),
+                                tol=s.tol, max_iter=s.max_iter),
             None,
         )
     if s.method == "mixture":
         if isinstance(d, ExponentialMixtureDiscount):
             return solver.mixture_ode_solve(cfg.market, cfg.utility, d, cfg.grid), None
-        rho_grid = np.geomspace(s.rho_min, s.rho_max, s.rho_count)
-        fit = solver.fit_exponential_mixture(d, s.mixture_terms, rho_grid, cfg.grid)
+        fit = solver.fit_exponential_mixture(d, _MIXTURE_TERMS, _MIXTURE_RATES, cfg.grid)
         return (
             solver.mixture_ode_solve(cfg.market, cfg.utility, fit.mixture, cfg.grid),
             fit,
         )
-    if s.method == "closed_form":
-        if not isinstance(d, ExponentialDiscount):
-            raise ConfigError(
-                "method closed_form applies only to exponential discounting"
-            )
-        return solver.theta_closed_form(cfg.market, cfg.utility, d.rho, cfg.grid), None
-    raise ConfigError(f"unknown solver method {s.method!r}")
+    # closed_form, the last of the methods SolverSettings admits
+    if not isinstance(d, ExponentialDiscount):
+        raise ConfigError("method closed_form applies only to exponential discounting")
+    return solver.theta_closed_form(cfg.market, cfg.utility, d.rho, cfg.grid), None
 
 
 def _lambda_rows(curve, u):
@@ -158,7 +147,10 @@ def cmd_verify(cfg: RunConfig, out: Path, perturb_lambda: float = 0.0,
                                                 1.0 + perturb_lambda)
         plan.append((est, lambda v: [v]))
     if "martingale" in checks:
-        plan.append((simulate.martingale_estimator(nc_curve, sim_cfg, m, u, d), list))
+        # halving the Merton fraction must make the means decrease; the full
+        # fraction keeps them flat (the decrease check's negative control)
+        plan.append((simulate.martingale_estimator(
+            nc_curve, sim_cfg, m, u, d, suboptimal_zeta=pol.stock_fraction / 2), list))
     if "perturbation" in checks:
         def spike(width, shift):
             return simulate.perturbation_estimator(
@@ -237,8 +229,7 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
         )
         report = policy.inconsistency_report(
             cfg.market, cfg.utility, d, cfg.grid, probes,
-            equilibrium=policy.equilibrium_policy(curve, cfg.market, cfg.utility,
-                                                  verify=False),
+            equilibrium=policy.equilibrium_policy(curve, cfg.market, cfg.utility),
         )
         write_csv(
             out / f"inconsistency_{label}.csv",
@@ -259,7 +250,7 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     m, u, d, g = cfg.market, cfg.utility, cfg.discount, cfg.grid
     curve, _ = _solve_curve(cfg)
-    pol = policy.equilibrium_policy(curve, m, u, verify=False)
+    pol = policy.equilibrium_policy(curve, m, u)
     batch = simulate.simulate_equilibrium(pol, SimConfig(grid=g, **asdict(cfg.sim)),
                                           m, u, d, moment_orders=(u.p, 2 * u.p))
     t = g.nodes

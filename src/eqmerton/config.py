@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -33,16 +33,21 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
+# The settings dataclasses are the schema of their sections: the field names
+# are the allowed keys, the defaults are the defaults, and each default's type
+# is the value type (see _settings).
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     method: str = "picard"
     tol: float = 1e-10
     max_iter: int = 200
-    damping: float = 0.5
-    mixture_terms: int = 8
-    rho_min: float = 0.01
-    rho_max: float = 20.0
-    rho_count: int = 24
+
+    def __post_init__(self):
+        if self.method not in _METHODS:
+            raise ConfigError(
+                f"solver method must be one of {sorted(_METHODS)}, got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -89,8 +94,8 @@ class RunConfig:
             utility = CrraUtility(**data["utility"])
             grid = TimeGrid(**data["grid"])
             discount = _discount_from_dict(data["discount"]) if data.get("discount") else None
-            solver = SolverSettings(**data.get("solver", {}))
-            sim = SimSettings(**data.get("sim", {}))
+            solver = _settings(SolverSettings, "solver", data.get("solver", {}))
+            sim = _settings(SimSettings, "sim", data.get("sim", {}))
             compare = {
                 label: _discount_from_dict(d)
                 for label, d in data.get("compare_discounts", {}).items()
@@ -133,9 +138,8 @@ _SECTION_KEYS = {
     "utility": {"p"},
     "grid": {"horizon", "n_steps"},
     "discount": {"kind", "rho", "betas", "rhos", "k", "gamma"},
-    "solver": {"method", "tol", "max_iter", "damping", "mixture_terms",
-               "rho_min", "rho_max", "rho_count"},
-    "sim": {"n_paths", "seed", "x0", "n_workers", "block_size"},
+    "solver": {f.name for f in fields(SolverSettings)},
+    "sim": {f.name for f in fields(SimSettings)},
     "output": {"dir"},
     "compare": {"labels", "probe_times"},
 }
@@ -149,26 +153,35 @@ def _check_keys(section: str, items: dict, allowed: set) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in section [{section}]")
 
 
-def _get_float(items, section, key, default=None) -> float:
-    if key not in items:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing key '{key}' in section [{section}]")
-    try:
-        return float(items[key])
-    except ValueError as exc:
-        raise ConfigError(f"key '{key}' in [{section}] is not a number") from exc
+def _typed(kind: type, raw):
+    """raw as a value of the given type: INI strings are parsed, JSON values
+    must already have it (an int also serves as a float)."""
+    if isinstance(raw, str):
+        return kind(raw)
+    allowed = (int, float) if kind is float else kind
+    if isinstance(raw, bool) or not isinstance(raw, allowed):
+        raise TypeError
+    return kind(raw)
 
 
-def _get_int(items, section, key, default=None) -> int:
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string"}
+
+
+def _get(items, section, key, kind: type = float):
     if key not in items:
-        if default is not None:
-            return default
         raise ConfigError(f"missing key '{key}' in section [{section}]")
     try:
-        return int(items[key])
-    except ValueError as exc:
-        raise ConfigError(f"key '{key}' in [{section}] is not an integer") from exc
+        return _typed(kind, items[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"key '{key}' in [{section}] is not {_KIND_NAMES[kind]}") from exc
+
+
+def _settings(cls, section: str, items: dict):
+    """One settings dataclass from the raw values of its section (INI strings
+    or JSON scalars); absent keys keep the field defaults."""
+    kinds = {f.name: type(f.default) for f in fields(cls)}
+    _check_keys(section, items, set(kinds))
+    return cls(**{key: _get(items, section, key, kinds[key]) for key in items})
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -180,15 +193,15 @@ def _float_list(raw: str) -> tuple[float, ...]:
 
 def _parse_market(items: dict) -> MarketParams:
     _check_keys("market", items, _SECTION_KEYS["market"])
-    r = _get_float(items, "market", "r")
-    sigma = _get_float(items, "market", "sigma")
+    r = _get(items, "market", "r")
+    sigma = _get(items, "market", "sigma")
     has_alpha, has_mu = "alpha" in items, "mu" in items
     if has_alpha == has_mu:
         raise ConfigError("section [market] needs exactly one of 'alpha' or 'mu'")
     try:
         if has_alpha:
-            return MarketParams(r=r, alpha=_get_float(items, "market", "alpha"), sigma=sigma)
-        return MarketParams.from_excess_return(r=r, mu=_get_float(items, "market", "mu"),
+            return MarketParams(r=r, alpha=_get(items, "market", "alpha"), sigma=sigma)
+        return MarketParams.from_excess_return(r=r, mu=_get(items, "market", "mu"),
                                                sigma=sigma)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
@@ -199,7 +212,7 @@ def _parse_discount(section: str, items: dict) -> DiscountSpec:
     kind = items.get("kind")
     try:
         if kind == "exponential":
-            return ExponentialDiscount(rho=_get_float(items, section, "rho"))
+            return ExponentialDiscount(rho=_get(items, section, "rho"))
         if kind == "mixture":
             if "betas" not in items or "rhos" not in items:
                 raise ConfigError(f"mixture discount in [{section}] needs betas and rhos")
@@ -208,8 +221,8 @@ def _parse_discount(section: str, items: dict) -> DiscountSpec:
             )
         if kind == "hyperbolic":
             return HyperbolicDiscount(
-                k=_get_float(items, section, "k"),
-                gamma=_get_float(items, section, "gamma"),
+                k=_get(items, section, "k"),
+                gamma=_get(items, section, "gamma"),
             )
     except ParameterError as exc:
         raise ConfigError(f"[{section}]: {exc}") from exc
@@ -259,51 +272,23 @@ def load_config(path) -> RunConfig:
     util_items = sections["utility"]
     _check_keys("utility", util_items, _SECTION_KEYS["utility"])
     try:
-        utility = CrraUtility(p=_get_float(util_items, "utility", "p"))
+        utility = CrraUtility(p=_get(util_items, "utility", "p"))
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
     grid_items = sections["grid"]
     _check_keys("grid", grid_items, _SECTION_KEYS["grid"])
     try:
         grid = TimeGrid(
-            horizon=_get_float(grid_items, "grid", "horizon"),
-            n_steps=_get_int(grid_items, "grid", "n_steps"),
+            horizon=_get(grid_items, "grid", "horizon"),
+            n_steps=_get(grid_items, "grid", "n_steps", int),
         )
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
     discount = _parse_discount("discount", sections["discount"]) if "discount" in sections else None
 
-    solver = SolverSettings()
-    if "solver" in sections:
-        items = sections["solver"]
-        _check_keys("solver", items, _SECTION_KEYS["solver"])
-        method = items.get("method", "picard")
-        if method not in _METHODS:
-            raise ConfigError(f"solver method must be one of {sorted(_METHODS)}, got {method!r}")
-        solver = SolverSettings(
-            method=method,
-            tol=_get_float(items, "solver", "tol", SolverSettings.tol),
-            max_iter=_get_int(items, "solver", "max_iter", SolverSettings.max_iter),
-            damping=_get_float(items, "solver", "damping", SolverSettings.damping),
-            mixture_terms=_get_int(items, "solver", "mixture_terms",
-                                   SolverSettings.mixture_terms),
-            rho_min=_get_float(items, "solver", "rho_min", SolverSettings.rho_min),
-            rho_max=_get_float(items, "solver", "rho_max", SolverSettings.rho_max),
-            rho_count=_get_int(items, "solver", "rho_count", SolverSettings.rho_count),
-        )
-
-    sim = SimSettings()
-    if "sim" in sections:
-        items = sections["sim"]
-        _check_keys("sim", items, _SECTION_KEYS["sim"])
-        sim = SimSettings(
-            n_paths=_get_int(items, "sim", "n_paths", SimSettings.n_paths),
-            seed=_get_int(items, "sim", "seed", SimSettings.seed),
-            x0=_get_float(items, "sim", "x0", SimSettings.x0),
-            n_workers=_get_int(items, "sim", "n_workers", SimSettings.n_workers),
-            block_size=_get_int(items, "sim", "block_size", SimSettings.block_size),
-        )
+    solver = _settings(SolverSettings, "solver", sections.get("solver", {}))
+    sim = _settings(SimSettings, "sim", sections.get("sim", {}))
 
     output_dir = "out"
     if "output" in sections:

@@ -35,8 +35,13 @@ __all__ = [
     "grid_legendre_sup",
 ]
 
-_Y_LO, _Y_HI = 1e-6, 1e6  # marginal utility spans orders of magnitude
-_WIDEN, _MAX_WIDEN = 1e6, 40  # grid-sup bracket growth per step, and step limit
+# the log-argument search starts on [1e-6, 1e6] (marginal utility spans orders
+# of magnitude) and grows the bracket by a factor 1e6 per step, at most
+# _MAX_WIDEN steps
+_LOG_LO, _LOG_HI = np.log(1e-6), np.log(1e6)
+_LOG_WIDEN, _MAX_WIDEN = np.log(1e6), 40
+_N_GRID = 20000  # nodes of the bracketing grid
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class DualityCheckError(Exception):
@@ -76,58 +81,60 @@ class DualValue:
         )
 
 
-def grid_legendre_sup(lam: float, u: CrraUtility, y: float, n_grid: int = 20000) -> float:
-    """Independent oracle: maximize lam x^p / p - x y over a log-spaced wealth
-    grid with golden-section refinement around the best node. The grid starts
-    at [1e-6, 1e6] and grows past whichever end holds the best node until
-    that node is interior (the maximiser moves with lam / y)."""
-    x_lo, x_hi = _Y_LO, _Y_HI
+def _log_argmax(f) -> float:
+    """Maximiser s of a unimodal f(s), f vectorised over the log-argument s.
+
+    A uniform grid in s grows past whichever end holds its best node until
+    that node is interior (the maximiser's scale is not known in advance);
+    golden section then refines between the node's neighbours."""
+    lo, hi = _LOG_LO, _LOG_HI
     for _ in range(_MAX_WIDEN):
-        x = np.geomspace(x_lo, x_hi, n_grid)
-        vals = lam * x**u.p / u.p - x * y
-        i = int(np.argmax(vals))
+        s = np.linspace(lo, hi, _N_GRID)
+        i = int(np.argmax(f(s)))
         if i == 0:
-            x_lo /= _WIDEN
-        elif i == n_grid - 1:
-            x_hi *= _WIDEN
+            lo -= _LOG_WIDEN
+        elif i == _N_GRID - 1:
+            hi += _LOG_WIDEN
         else:
             break
-    lo, hi = max(i - 1, 0), min(i + 1, n_grid - 1)
-    a, b = np.log(x[lo]), np.log(x[hi])
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-
-    def f(logx):
-        xx = np.exp(logx)
-        return lam * xx**u.p / u.p - xx * y
-
-    c, dd = b - gr * (b - a), a + gr * (b - a)
+    a, b = s[max(i - 1, 0)], s[min(i + 1, _N_GRID - 1)]
     for _ in range(200):
-        if f(c) > f(dd):
-            b = dd
+        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        if f(c) > f(d):
+            b = d
         else:
             a = c
-        c, dd = b - gr * (b - a), a + gr * (b - a)
         if b - a < 1e-14:
             break
-    return f(0.5 * (a + b))
+    return 0.5 * (a + b)
 
 
-def dual_from_primal(sol: ValueCurve, u: CrraUtility, verify: bool = True) -> DualValue:
+def grid_legendre_sup(lam: float, u: CrraUtility, y: float) -> float:
+    """Independent oracle: maximize lam x^p / p - x y over log-spaced wealth
+    with golden-section refinement (see _log_argmax)."""
+
+    def f(logx):
+        x = np.exp(logx)
+        return lam * x**u.p / u.p - x * y
+
+    return float(f(_log_argmax(f)))
+
+
+def dual_from_primal(sol: ValueCurve, u: CrraUtility) -> DualValue:
     """Closed-family dual of v = lam(t) x^p / p, spot-checked at random
     (t, y) points against a grid-based sup to 1e-6 relative; a disagreement
     raises ``DualityCheckError``."""
     dv = DualValue(curve=sol, p=u.p)
-    if verify:
-        rng = np.random.default_rng(99)
-        for _ in range(20):
-            idx = int(rng.integers(0, len(sol.values)))
-            y = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
-            closed = float(dv.value(idx, y))
-            brute = grid_legendre_sup(float(sol.values[idx]), u, y)
-            if abs(closed - brute) > 1e-6 * max(abs(closed), 1e-12):
-                raise DualityCheckError(
-                    f"closed-family dual {closed!r} disagrees with grid sup {brute!r}"
-                )
+    rng = np.random.default_rng(99)
+    for _ in range(20):
+        idx = int(rng.integers(0, len(sol.values)))
+        y = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+        closed = float(dv.value(idx, y))
+        brute = grid_legendre_sup(float(sol.values[idx]), u, y)
+        if abs(closed - brute) > 1e-6 * max(abs(closed), 1e-12):
+            raise DualityCheckError(
+                f"closed-family dual {closed!r} disagrees with grid sup {brute!r}"
+            )
     return dv
 
 
@@ -170,11 +177,10 @@ def dual_pde_residual(dv: DualValue, m: MarketParams, d: DiscountSpec) -> float:
 def primal_dual_roundtrip(
     dv: DualValue, u: CrraUtility, points: list[tuple[int, float]]
 ) -> float:
-    """Recover v(t, x) = inf_y [x y + tilde_v(t, y)] by golden section on
-    log y and compare with lam(t) x^p / p; also checks the conjugate
-    first-order relation and the reciprocal second-derivative identity at
-    the minimizer. Returns the max relative error over all checks."""
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    """Recover v(t, x) = inf_y [x y + tilde_v(t, y)] by the search over log y
+    of ``grid_legendre_sup`` and compare with lam(t) x^p / p; also checks the
+    conjugate first-order relation and the reciprocal second-derivative
+    identity at the minimizer. Returns the max relative error over all checks."""
     p = u.p
     worst = 0.0
     for idx, x in points:
@@ -184,24 +190,10 @@ def primal_dual_roundtrip(
 
         def f(logy):
             y = np.exp(logy)
-            return x * y + float(dv.value(idx, y))
+            return x * y + dv.value(idx, y)
 
-        a, b = np.log(_Y_LO), np.log(_Y_HI)
-        c, dd = b - gr * (b - a), a + gr * (b - a)
-        fc, fd = f(c), f(dd)
-        for _ in range(200):
-            if fc < fd:
-                b, dd, fd = dd, c, fc
-                c = b - gr * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, dd, fd
-                dd = a + gr * (b - a)
-                fd = f(dd)
-            if b - a < 1e-13:
-                break
-        y_star = float(np.exp(0.5 * (a + b)))
-        recovered = f(np.log(y_star))
+        s_star = _log_argmax(lambda logy: -f(logy))
+        y_star, recovered = float(np.exp(s_star)), float(f(s_star))
         target = lam * x**p / p
         worst = max(worst, abs(recovered - target) / max(abs(target), 1e-300))
         # conjugate pairing: tilde_v_y(y*) = -x and v_x(x) = y*

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .model import CrraUtility, DiscountSpec, MarketParams, ParameterError, TimeGrid
 from .solver import ValueCurve, growth_constant
@@ -64,34 +63,16 @@ class PrecommitmentPolicy:
 
 
 def equilibrium_policy(
-    sol: ValueCurve, m: MarketParams, u: CrraUtility, verify: bool = True
+    sol: ValueCurve, m: MarketParams, u: CrraUtility
 ) -> EquilibriumPolicy:
     """Read the feedback maps off the value coefficient.
 
     For v = lam(t) x^p / p the amount in stock -mu v_x / (sigma^2 v_xx)
     equals mu x / (sigma^2 (1-p)) and the consumption I(v_x) equals
-    lam(t)^(1/(p-1)) x; both identities are spot-checked numerically at
-    random (t, x) points to 1e-10 relative.
+    lam(t)^(1/(p-1)) x (both identities are checked in the test suite).
     """
-    frac = stock_fraction(m, u)
-    cons = sol.consumption_rate(u)
-    if verify:
-        rng = np.random.default_rng(2024)
-        nodes = sol.grid.nodes
-        p = u.p
-        for _ in range(10):
-            i = rng.integers(0, len(nodes))
-            x = float(rng.uniform(0.2, 5.0))
-            lam = sol.values[i]
-            v_x = lam * x ** (p - 1.0)
-            v_xx = lam * (p - 1.0) * x ** (p - 2.0)
-            f1 = -m.mu * v_x / (m.sigma**2 * v_xx)
-            f2 = u.inverse_marginal(v_x)
-            if abs(f1 - frac * x) > 1e-10 * abs(frac * x):
-                raise AssertionError("stock feedback identity violated")
-            if abs(f2 - cons[i] * x) > 1e-10 * abs(cons[i] * x):
-                raise AssertionError("consumption feedback identity violated")
-    return EquilibriumPolicy(stock_fraction=frac, consumption_rate=cons, curve=sol)
+    return EquilibriumPolicy(stock_fraction=stock_fraction(m, u),
+                             consumption_rate=sol.consumption_rate(u), curve=sol)
 
 
 # 3-point Gauss-Legendre rule on [-1, 1]
@@ -171,6 +152,8 @@ def hjb_residual(
     residual certifies that the ODE's drift matches the numerically computed
     sup: this is the non-circular check of the symbolic substitution.
     """
+    from scipy.optimize import minimize_scalar  # scipy.optimize costs ~0.5 s to import
+
     p = u.p
     lam = float(np.interp(s, pol.s_nodes, pol.lambda_values))
     K = growth_constant(m, u)

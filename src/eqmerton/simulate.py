@@ -440,7 +440,7 @@ def verify_value_identity(
         # terminal time: the functional is the bequest utility, zero variance
         return _verdict("value_identity", 0.0, True, "t=T, exact identity J = U(x)")
     if policy is None:
-        policy = equilibrium_policy(sol, m, u, verify=False)
+        policy = equilibrium_policy(sol, m, u)
     cfg = replace(cfg, x0=x)
     leg = equilibrium_leg(policy, cfg, m, u, d, t)
     return run_estimators(cfg, [value_identity_estimator(sol, u, t, x, target_scale)], leg)[0]

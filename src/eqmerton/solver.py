@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .model import (
     CrraUtility,
@@ -295,6 +294,9 @@ def _rk4_backward(rhs, t: np.ndarray, terminal) -> np.ndarray:
     return out
 
 
+_DAMPING = 0.5
+
+
 def picard_solve(
     m: MarketParams,
     u: CrraUtility,
@@ -302,17 +304,17 @@ def picard_solve(
     g: TimeGrid,
     tol: float = 1e-10,
     max_iter: int = 200,
-    damping: float = 0.5,
     initial: Optional[np.ndarray] = None,
 ) -> ValueCurve:
-    """Damped Picard iteration on the discretized integral equation.
+    """Damped Picard iteration on the discretized integral equation: each
+    sweep moves halfway (_DAMPING) towards the map's image.
 
     Iterates are clipped into the a priori bounds box, which stabilizes the
     raw map (the underlying theory proves existence and uniqueness, not
     contraction). Raises NonConvergenceError when max_iter is exhausted.
     """
-    if tol <= 0 or max_iter < 1 or not (0 < damping <= 1):
-        raise ParameterError("need tol > 0, max_iter >= 1, damping in (0, 1]")
+    if tol <= 0 or max_iter < 1:
+        raise ParameterError("need tol > 0 and max_iter >= 1")
     bounds = a_priori_bounds(m, u, d, g)
     lam = np.ones(g.n_steps + 1) if initial is None else np.asarray(initial, float).copy()
     lam = np.clip(lam, bounds.lower, bounds.upper)
@@ -320,7 +322,7 @@ def picard_solve(
     for _ in range(max_iter):
         new = _integral_equation_rhs(lam, m, u, d, g)
         delta = float(np.max(np.abs(new - lam)))
-        lam = (1.0 - damping) * lam + damping * new
+        lam = (1.0 - _DAMPING) * lam + _DAMPING * new
         np.clip(lam, bounds.lower, bounds.upper, out=lam)
         if delta <= tol:
             break
@@ -430,6 +432,8 @@ def fit_exponential_mixture(
         A = np.vstack([eh, ehp, sum_weight * np.ones((1, len(rates)))])
         b = np.concatenate([hv, hpv, [sum_weight]])
         return A, b, eh, ehp
+
+    from scipy.optimize import nnls  # scipy.optimize costs ~0.5 s to import
 
     A, b, _, _ = design(rho_grid)
     beta, _ = nnls(A, b)

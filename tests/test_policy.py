@@ -47,9 +47,19 @@ class TestEquilibriumPolicy:
         assert pol.consumption_rate[-1] == pytest.approx(1.0)
 
     def test_feedback_identities_verified(self, market, utility, hyp_solution):
+        # for v = lam x^p / p the Merton feedback -mu v_x / (sigma^2 v_xx) and
+        # the consumption I(v_x) are the policy's fraction and ratio times x
         _, sol = hyp_solution
-        # verify=True runs the random-point feedback-map spot checks internally
-        equilibrium_policy(sol, market, utility, verify=True)
+        pol = equilibrium_policy(sol, market, utility)
+        x = np.broadcast_to(np.geomspace(0.2, 5.0, 7), (len(sol.values), 7))
+        lam = sol.values[:, None]
+        p = utility.p
+        v_x = lam * x ** (p - 1.0)
+        v_xx = lam * (p - 1.0) * x ** (p - 2.0)
+        np.testing.assert_allclose(-market.mu * v_x / (market.sigma**2 * v_xx),
+                                   pol.stock_fraction * x, rtol=1e-12)
+        np.testing.assert_allclose(utility.inverse_marginal(v_x),
+                                   pol.consumption_rate[:, None] * x, rtol=1e-12)
 
     def test_exponential_consumption_closed_form(self, market, utility, grid,
                                                  exp_discount):

@@ -34,7 +34,7 @@ def sim_grid():
 @pytest.fixture(scope="module")
 def hyp_policy(market, utility, hyp_discount, sim_grid):
     sol = picard_solve(market, utility, hyp_discount, sim_grid)
-    return sol, equilibrium_policy(sol, market, utility, verify=False)
+    return sol, equilibrium_policy(sol, market, utility)
 
 
 def sim_cfg(sim_grid, n_paths=20000, seed=7, **kw):
@@ -172,6 +172,21 @@ class TestMartingale:
                                             utility, hyp_discount)
         assert flat.passed, flat.details
         assert decreasing.passed, decreasing.details
+
+    def test_decrease_check_has_power_and_a_negative_control(
+            self, market, utility, hyp_discount, sim_grid):
+        # half the Merton fraction has a lower expected utility growth, so the
+        # checkpoint means fall beyond noise; at the full fraction they are
+        # flat and the check must fail. With no stock (zeta = 0) every path is
+        # deterministic and z would only measure rounding.
+        nc = solve_no_consumption(market, utility, hyp_discount, sim_grid)
+        frac = stock_fraction(market, utility)
+        _, half = martingale_check(nc, sim_cfg(sim_grid), market, utility,
+                                   hyp_discount, suboptimal_zeta=frac / 2)
+        _, full = martingale_check(nc, sim_cfg(sim_grid), market, utility,
+                                   hyp_discount, suboptimal_zeta=frac)
+        assert half.passed and half.statistic < 100, half.statistic
+        assert not full.passed, full.statistic
 
     def test_single_checkpoint_vacuous(self, market, utility, hyp_discount,
                                        sim_grid):
@@ -373,7 +388,7 @@ class TestAgainstSteppedOracle:
         out = {}
         for name, d in (("hyperbolic", hyp_discount), ("mixture", mix_discount)):
             sol = picard_solve(market, u, d, sim_grid)
-            out[name] = (d, sol, equilibrium_policy(sol, market, u, verify=False),
+            out[name] = (d, sol, equilibrium_policy(sol, market, u),
                          solve_no_consumption(market, u, d, sim_grid))
         return u, out
 

@@ -240,8 +240,6 @@ class TestPicard:
                                        hyp_discount):
         with pytest.raises(ParameterError):
             picard_solve(market, utility, hyp_discount, coarse_grid, tol=0.0)
-        with pytest.raises(ParameterError):
-            picard_solve(market, utility, hyp_discount, coarse_grid, damping=1.5)
 
     def test_peak_memory_linear_in_grid(self, market, utility, hyp_discount):
         # dense (n+1)^2 matrices would need several GB at n = 10^4
