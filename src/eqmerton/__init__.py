@@ -40,7 +40,6 @@ from .policy import (
     InconsistencyRow,
     PrecommitmentPolicy,
     equilibrium_policy,
-    hjb_residual,
     inconsistency_report,
     naive_consumption,
     solve_precommitment,
@@ -82,7 +81,7 @@ __all__ = [
     # policy
     "EquilibriumPolicy", "PrecommitmentPolicy", "InconsistencyRow",
     "stock_fraction", "equilibrium_policy", "solve_precommitment",
-    "naive_consumption", "inconsistency_report", "hjb_residual",
+    "naive_consumption", "inconsistency_report",
     # simulate
     "SimConfig", "SimBatch", "Spike", "Verdict",
     "simulate_equilibrium", "verify_value_identity", "martingale_check",

@@ -147,10 +147,7 @@ def cmd_verify(cfg: RunConfig, out: Path, perturb_lambda: float = 0.0,
                                                 1.0 + perturb_lambda)
         plan.append((est, lambda v: [v]))
     if "martingale" in checks:
-        # halving the Merton fraction must make the means decrease; the full
-        # fraction keeps them flat (the decrease check's negative control)
-        plan.append((simulate.martingale_estimator(
-            nc_curve, sim_cfg, m, u, d, suboptimal_zeta=pol.stock_fraction / 2), list))
+        plan.append((simulate.martingale_estimator(nc_curve, sim_cfg, m, u, d), list))
     if "perturbation" in checks:
         def spike(width, shift):
             return simulate.perturbation_estimator(
@@ -215,7 +212,7 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
     )
     rows = []
     failures = {}
-    for label in specs:
+    for label in sorted(specs):
         d = specs[label]
         try:
             curve, _ = _solve_curve(cfg, d=d)

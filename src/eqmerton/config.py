@@ -1,19 +1,32 @@
 """Strict configuration parsing for the command-line pipelines.
 
-Configs are INI files with sections [market], [utility], [discount], [grid]
-and optional [solver], [sim], [output], [compare] plus per-label
-[discount.<label>] sections for comparisons. Unknown sections or keys are
-rejected. A previously written run manifest (JSON) can be passed instead of
-an INI file and reproduces the run exactly.
+A config is an INI file with sections [market], [utility], [discount], [grid]
+and optional [solver], [sim], [output], [compare], plus one
+[discount.<label>] section per compare label. The JSON manifest of an earlier
+run can be passed instead and reproduces that run: its ``config`` object
+(``RunConfig.to_dict``) stands for the same sections, with ``output_dir`` as
+[output] dir and ``compare_discounts`` as the [compare] labels and their
+[discount.<label>] sections.
+
+Both are read into one ``{section: {key: value}}`` mapping, and one builder
+validates it. A section's keys and value types are the constructor
+parameters of the class it builds: ``MarketParams`` (or, with ``mu`` in place
+of ``alpha``, ``MarketParams.from_excess_return``), ``CrraUtility``,
+``TimeGrid``, the discount class its ``kind`` names, ``SolverSettings`` and
+``SimSettings``. Unknown sections or keys are rejected. INI values are text,
+parsed as the key's type; JSON values must already have it (an integer also
+serves as a number, a list as a comma-separated list).
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
+import inspect
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_origin, get_type_hints
 
 from .model import (
     CrraUtility,
@@ -31,11 +44,6 @@ __all__ = ["ConfigError", "SolverSettings", "SimSettings", "RunConfig", "load_co
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
-
-
-# The settings dataclasses are the schema of their sections: the field names
-# are the allowed keys, the defaults are the defaults, and each default's type
-# is the value type (see _settings).
 
 
 @dataclass(frozen=True)
@@ -89,74 +97,66 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        try:
-            market = MarketParams(**data["market"])
-            utility = CrraUtility(**data["utility"])
-            grid = TimeGrid(**data["grid"])
-            discount = _discount_from_dict(data["discount"]) if data.get("discount") else None
-            solver = _settings(SolverSettings, "solver", data.get("solver", {}))
-            sim = _settings(SimSettings, "sim", data.get("sim", {}))
-            compare = {
-                label: _discount_from_dict(d)
-                for label, d in data.get("compare_discounts", {}).items()
-            }
-        except (ParameterError, TypeError, KeyError) as exc:
-            raise ConfigError(f"invalid resolved config: {exc}") from exc
-        return cls(
-            market=market, utility=utility, grid=grid, discount=discount,
-            solver=solver, sim=sim, output_dir=data.get("output_dir", "out"),
-            compare_discounts=compare, probe_times=tuple(data.get("probe_times", ())),
-        )
+        """The RunConfig of a manifest's config object (see ``to_dict``)."""
+        return _build(_manifest_sections(data))
+
+
+@dataclass(frozen=True)
+class _Output:
+    dir: str = "out"
+
+
+@dataclass(frozen=True)
+class _Compare:
+    labels: tuple[str, ...]
+    probe_times: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if not self.labels:
+            raise ConfigError("section [compare] needs a nonempty 'labels' list")
+
+
+_METHODS = {"picard", "mixture", "closed_form"}
+_DISCOUNTS = {"exponential": ExponentialDiscount, "mixture": ExponentialMixtureDiscount,
+              "hyperbolic": HyperbolicDiscount}
+
+# section -> the constructors its keys are read from ([discount] also takes `kind`)
+_SECTIONS = {
+    "market": (MarketParams, MarketParams.from_excess_return),
+    "utility": (CrraUtility,),
+    "grid": (TimeGrid,),
+    "discount": tuple(_DISCOUNTS.values()),
+    "solver": (SolverSettings,),
+    "sim": (SimSettings,),
+    "output": (_Output,),
+    "compare": (_Compare,),
+}
 
 
 def _discount_to_dict(d: DiscountSpec) -> dict:
-    if isinstance(d, ExponentialDiscount):
-        return {"kind": "exponential", "rho": d.rho}
-    if isinstance(d, ExponentialMixtureDiscount):
-        return {"kind": "mixture", "betas": list(d.betas), "rhos": list(d.rhos)}
-    if isinstance(d, HyperbolicDiscount):
-        return {"kind": "hyperbolic", "k": d.k, "gamma": d.gamma}
-    raise ConfigError(f"unknown discount type {type(d).__name__}")
+    kind = next(kind for kind, cls in _DISCOUNTS.items() if type(d) is cls)
+    return {"kind": kind, **{key: list(value) if isinstance(value, tuple) else value
+                             for key, value in vars(d).items()}}
 
 
-def _discount_from_dict(data: dict) -> DiscountSpec:
-    kind = data.get("kind")
-    if kind == "exponential":
-        return ExponentialDiscount(rho=float(data["rho"]))
-    if kind == "mixture":
-        return ExponentialMixtureDiscount(
-            betas=tuple(float(b) for b in data["betas"]),
-            rhos=tuple(float(r) for r in data["rhos"]),
-        )
-    if kind == "hyperbolic":
-        return HyperbolicDiscount(k=float(data["k"]), gamma=float(data["gamma"]))
-    raise ConfigError(f"unknown discount kind {kind!r}")
+class _Text(str):
+    """An INI value: text, parsed as its key's type."""
 
 
-_SECTION_KEYS = {
-    "market": {"r", "alpha", "mu", "sigma"},
-    "utility": {"p"},
-    "grid": {"horizon", "n_steps"},
-    "discount": {"kind", "rho", "betas", "rhos", "k", "gamma"},
-    "solver": {f.name for f in fields(SolverSettings)},
-    "sim": {f.name for f in fields(SimSettings)},
-    "output": {"dir"},
-    "compare": {"labels", "probe_times"},
-}
-
-_METHODS = {"picard", "mixture", "closed_form"}
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string",
+               tuple[float, ...]: "a list of numbers", tuple[str, ...]: "a list of names"}
 
 
-def _check_keys(section: str, items: dict, allowed: set) -> None:
-    unknown = set(items) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in section [{section}]")
-
-
-def _typed(kind: type, raw):
-    """raw as a value of the given type: INI strings are parsed, JSON values
-    must already have it (an int also serves as a float)."""
-    if isinstance(raw, str):
+def _typed(kind, raw):
+    """raw as a value of the given type: INI text is parsed, JSON values must
+    already have it (an int also serves as a float, a list as a tuple)."""
+    if get_origin(kind) is tuple:
+        if isinstance(raw, _Text):
+            raw = [_Text(tok.strip()) for tok in raw.split(",") if tok.strip()]
+        elif not isinstance(raw, (list, tuple)):
+            raise TypeError
+        return tuple(_typed(get_args(kind)[0], item) for item in raw)
+    if isinstance(raw, _Text):
         return kind(raw)
     allowed = (int, float) if kind is float else kind
     if isinstance(raw, bool) or not isinstance(raw, allowed):
@@ -164,71 +164,105 @@ def _typed(kind: type, raw):
     return kind(raw)
 
 
-_KIND_NAMES = {float: "a number", int: "an integer", str: "a string"}
+def _check_keys(where: str, items: dict, allowed) -> None:
+    unknown = set(items) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def _get(items, section, key, kind: type = float):
-    if key not in items:
-        raise ConfigError(f"missing key '{key}' in section [{section}]")
+@functools.cache
+def _schema(factory) -> tuple[dict, list]:
+    """The value type of each of factory's parameters, and the parameters
+    without a default."""
+    params = inspect.signature(factory).parameters
+    hints = get_type_hints(factory)
+    return ({name: hints[name] for name in params},
+            [name for name, param in params.items() if param.default is param.empty])
+
+
+def _make(factory, section: str, items: dict):
+    """factory(**items), with the keys, value types and required keys read
+    from factory's parameters; absent keys keep their defaults."""
+    kinds, required = _schema(factory)
+    _check_keys(f"section [{section}]", items, kinds)
+    if not set(required) <= set(items):
+        raise ConfigError(f"section [{section}] needs {' and '.join(required)}")
+    values = {}
+    for key, raw in items.items():
+        try:
+            values[key] = _typed(kinds[key], raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"key '{key}' in [{section}] is not {_TYPE_NAMES[kinds[key]]}") from exc
     try:
-        return _typed(kind, items[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"key '{key}' in [{section}] is not {_KIND_NAMES[kind]}") from exc
-
-
-def _settings(cls, section: str, items: dict):
-    """One settings dataclass from the raw values of its section (INI strings
-    or JSON scalars); absent keys keep the field defaults."""
-    kinds = {f.name: type(f.default) for f in fields(cls)}
-    _check_keys(section, items, set(kinds))
-    return cls(**{key: _get(items, section, key, kinds[key]) for key in items})
-
-
-def _float_list(raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok.strip()) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated list of numbers: {raw!r}") from exc
-
-
-def _parse_market(items: dict) -> MarketParams:
-    _check_keys("market", items, _SECTION_KEYS["market"])
-    r = _get(items, "market", "r")
-    sigma = _get(items, "market", "sigma")
-    has_alpha, has_mu = "alpha" in items, "mu" in items
-    if has_alpha == has_mu:
-        raise ConfigError("section [market] needs exactly one of 'alpha' or 'mu'")
-    try:
-        if has_alpha:
-            return MarketParams(r=r, alpha=_get(items, "market", "alpha"), sigma=sigma)
-        return MarketParams.from_excess_return(r=r, mu=_get(items, "market", "mu"),
-                                               sigma=sigma)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _parse_discount(section: str, items: dict) -> DiscountSpec:
-    _check_keys(section, items, _SECTION_KEYS["discount"])
-    kind = items.get("kind")
-    try:
-        if kind == "exponential":
-            return ExponentialDiscount(rho=_get(items, section, "rho"))
-        if kind == "mixture":
-            if "betas" not in items or "rhos" not in items:
-                raise ConfigError(f"mixture discount in [{section}] needs betas and rhos")
-            return ExponentialMixtureDiscount(
-                betas=_float_list(items["betas"]), rhos=_float_list(items["rhos"])
-            )
-        if kind == "hyperbolic":
-            return HyperbolicDiscount(
-                k=_get(items, section, "k"),
-                gamma=_get(items, section, "gamma"),
-            )
+        return factory(**values)
     except ParameterError as exc:
         raise ConfigError(f"[{section}]: {exc}") from exc
-    raise ConfigError(
-        f"section [{section}] needs kind = exponential | mixture | hyperbolic, got {kind!r}"
+
+
+def _market(items: dict) -> MarketParams:
+    if ("alpha" in items) == ("mu" in items):
+        raise ConfigError("section [market] needs exactly one of 'alpha' or 'mu'")
+    factory = MarketParams.from_excess_return if "mu" in items else MarketParams
+    return _make(factory, "market", items)
+
+
+def _discount(section: str, items: dict) -> DiscountSpec:
+    kind = items.get("kind")
+    if not (isinstance(kind, str) and kind in _DISCOUNTS):
+        raise ConfigError(f"section [{section}] needs kind = "
+                          f"{' | '.join(_DISCOUNTS)}, got {kind!r}")
+    return _make(_DISCOUNTS[kind], section, {k: v for k, v in items.items() if k != "kind"})
+
+
+def _build(sections: dict) -> RunConfig:
+    """The RunConfig of a {section: {key: value}} mapping, read from an INI
+    file or a manifest alike."""
+    compare = _make(_Compare, "compare", sections["compare"]) if "compare" in sections else None
+    labels = compare.labels if compare else ()
+    label_sections = [f"discount.{label}" for label in labels]
+    for name in sections:
+        if name not in _SECTIONS and name not in label_sections:
+            raise ConfigError(f"unknown section [{name}]")
+    for name in ("market", "utility", "grid", *label_sections):
+        if name not in sections:
+            raise ConfigError(f"missing required section [{name}]")
+    if "discount" not in sections and not labels:
+        raise ConfigError("missing required section [discount]")
+    return RunConfig(
+        market=_market(sections["market"]),
+        utility=_make(CrraUtility, "utility", sections["utility"]),
+        grid=_make(TimeGrid, "grid", sections["grid"]),
+        discount=_discount("discount", sections["discount"]) if "discount" in sections else None,
+        solver=_make(SolverSettings, "solver", sections.get("solver", {})),
+        sim=_make(SimSettings, "sim", sections.get("sim", {})),
+        output_dir=_make(_Output, "output", sections.get("output", {})).dir,
+        compare_discounts={label: _discount(name, sections[name])
+                           for label, name in zip(labels, label_sections)},
+        probe_times=compare.probe_times if compare else (),
     )
+
+
+def _manifest_sections(data) -> dict:
+    """The sections a manifest's config object (``RunConfig.to_dict``) stands for."""
+    if not isinstance(data, dict):
+        raise ConfigError("a manifest's config must be a JSON object")
+    _check_keys("a manifest's config", data, {f.name for f in fields(RunConfig)})
+    sections = {name: data[name] for name in ("market", "utility", "grid", "discount",
+                                               "solver", "sim") if data.get(name) is not None}
+    if "output_dir" in data:
+        sections["output"] = {"dir": data["output_dir"]}
+    compare = data.get("compare_discounts") or {}
+    if not isinstance(compare, dict):
+        raise ConfigError("compare_discounts in a manifest must be a JSON object")
+    if compare or data.get("probe_times"):
+        sections["compare"] = {"labels": list(compare),
+                               "probe_times": data.get("probe_times", [])}
+    sections.update((f"discount.{label}", spec) for label, spec in compare.items())
+    for name, items in sections.items():
+        if not isinstance(items, dict):
+            raise ConfigError(f"section [{name}] in a manifest must be a JSON object")
+    return sections
 
 
 def load_config(path) -> RunConfig:
@@ -236,78 +270,14 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    if path.suffix == ".json":
-        data = json.loads(path.read_text())
-        return RunConfig.from_dict(data.get("config", data))
-
-    parser = configparser.ConfigParser(interpolation=None)
     try:
+        if path.suffix == ".json":
+            data = json.loads(path.read_text())
+            return RunConfig.from_dict(data.get("config", data) if isinstance(data, dict)
+                                       else data)
+        parser = configparser.ConfigParser(interpolation=None)
         parser.read_string(path.read_text())
-    except configparser.Error as exc:
+    except (json.JSONDecodeError, configparser.Error) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-
-    known = set(_SECTION_KEYS)
-    compare_labels: tuple[str, ...] = ()
-    sections = {name: dict(parser.items(name)) for name in parser.sections()}
-
-    if "compare" in sections:
-        _check_keys("compare", sections["compare"], _SECTION_KEYS["compare"])
-        compare_labels = tuple(
-            tok.strip() for tok in sections["compare"].get("labels", "").split(",")
-            if tok.strip()
-        )
-        if not compare_labels:
-            raise ConfigError("section [compare] needs a nonempty 'labels' list")
-    label_sections = {f"discount.{label}" for label in compare_labels}
-    for name in sections:
-        if name not in known and name not in label_sections:
-            raise ConfigError(f"unknown section [{name}]")
-    for required in ("market", "utility", "grid"):
-        if required not in sections:
-            raise ConfigError(f"missing required section [{required}]")
-    if "discount" not in sections and not compare_labels:
-        raise ConfigError("missing required section [discount]")
-
-    market = _parse_market(sections["market"])
-    util_items = sections["utility"]
-    _check_keys("utility", util_items, _SECTION_KEYS["utility"])
-    try:
-        utility = CrraUtility(p=_get(util_items, "utility", "p"))
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-    grid_items = sections["grid"]
-    _check_keys("grid", grid_items, _SECTION_KEYS["grid"])
-    try:
-        grid = TimeGrid(
-            horizon=_get(grid_items, "grid", "horizon"),
-            n_steps=_get(grid_items, "grid", "n_steps", int),
-        )
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    discount = _parse_discount("discount", sections["discount"]) if "discount" in sections else None
-
-    solver = _settings(SolverSettings, "solver", sections.get("solver", {}))
-    sim = _settings(SimSettings, "sim", sections.get("sim", {}))
-
-    output_dir = "out"
-    if "output" in sections:
-        _check_keys("output", sections["output"], _SECTION_KEYS["output"])
-        output_dir = sections["output"].get("dir", "out")
-
-    compare = {}
-    for label in compare_labels:
-        name = f"discount.{label}"
-        if name not in sections:
-            raise ConfigError(f"label {label!r} listed in [compare] but [{name}] is missing")
-        compare[label] = _parse_discount(name, sections[name])
-
-    probe_times: tuple = ()
-    if "compare" in sections and "probe_times" in sections["compare"]:
-        probe_times = _float_list(sections["compare"]["probe_times"])
-
-    return RunConfig(
-        market=market, utility=utility, grid=grid, discount=discount,
-        solver=solver, sim=sim, output_dir=output_dir,
-        compare_discounts=compare, probe_times=probe_times,
-    )
+    return _build({name: {key: _Text(value) for key, value in parser.items(name)}
+                   for name in parser.sections()})

@@ -59,39 +59,37 @@ class DualValue:
     def grid(self) -> TimeGrid:
         return self.curve.grid
 
+    def _power(self, idx: int, y, exponent: float):
+        """lam^(1/(1-p)) y^exponent, formed in log space: lam^(1/(1-p)) alone
+        leaves the float range as p -> 1 (lam^100 at p = 0.99)."""
+        log_y = np.log(np.asarray(y, dtype=float))
+        return np.exp(np.log(self.curve.values[idx]) / (1.0 - self.p) + exponent * log_y)
+
     def value(self, idx: int, y):
-        lam = self.curve.values[idx]
-        y = np.asarray(y, dtype=float)
-        return (1.0 - self.p) / self.p * lam ** (1.0 / (1.0 - self.p)) * y ** (
-            self.p / (self.p - 1.0)
-        )
+        return (1.0 - self.p) / self.p * self._power(idx, y, self.p / (self.p - 1.0))
 
     def dy(self, idx: int, y):
-        lam = self.curve.values[idx]
-        y = np.asarray(y, dtype=float)
-        return -(lam ** (1.0 / (1.0 - self.p))) * y ** (1.0 / (self.p - 1.0))
+        return -self._power(idx, y, 1.0 / (self.p - 1.0))
 
     def dyy(self, idx: int, y):
-        lam = self.curve.values[idx]
-        y = np.asarray(y, dtype=float)
-        return (
-            lam ** (1.0 / (1.0 - self.p))
-            / (1.0 - self.p)
-            * y ** ((2.0 - self.p) / (self.p - 1.0))
-        )
+        return self._power(idx, y, (2.0 - self.p) / (self.p - 1.0)) / (1.0 - self.p)
 
 
 def _log_argmax(f) -> float:
     """Maximiser s of a unimodal f(s), f vectorised over the log-argument s.
 
     A uniform grid in s grows past whichever end holds its best node until
-    that node is interior (the maximiser's scale is not known in advance);
-    golden section then refines between the node's neighbours."""
+    that node is interior (the maximiser's scale is not known in advance),
+    and past both ends while f is -inf on the whole grid; golden section then
+    refines between the node's neighbours."""
     lo, hi = _LOG_LO, _LOG_HI
     for _ in range(_MAX_WIDEN):
         s = np.linspace(lo, hi, _N_GRID)
-        i = int(np.argmax(f(s)))
-        if i == 0:
+        values = f(s)
+        i = int(np.argmax(values))
+        if values[i] == -np.inf:
+            lo, hi = lo - _LOG_WIDEN, hi + _LOG_WIDEN
+        elif i == 0:
             lo -= _LOG_WIDEN
         elif i == _N_GRID - 1:
             hi += _LOG_WIDEN
@@ -120,15 +118,23 @@ def grid_legendre_sup(lam: float, u: CrraUtility, y: float) -> float:
     return float(f(_log_argmax(f)))
 
 
+def _marginal_values(lam: float, p: float, x):
+    """y = v_x(t, x) = lam x^(p-1): the dual points conjugate to wealth x,
+    where the dual value (1-p)/p lam x^p is as representable as the primal."""
+    return lam * np.asarray(x, dtype=float) ** (p - 1.0)
+
+
 def dual_from_primal(sol: ValueCurve, u: CrraUtility) -> DualValue:
-    """Closed-family dual of v = lam(t) x^p / p, spot-checked at random
-    (t, y) points against a grid-based sup to 1e-6 relative; a disagreement
-    raises ``DualityCheckError``."""
+    """Closed-family dual of v = lam(t) x^p / p, spot-checked against a
+    grid-based sup to 1e-6 relative at random nodes t and at y = v_x(t, x)
+    for log-uniform wealth x in [0.05, 20]; a disagreement raises
+    ``DualityCheckError``."""
     dv = DualValue(curve=sol, p=u.p)
     rng = np.random.default_rng(99)
     for _ in range(20):
         idx = int(rng.integers(0, len(sol.values)))
-        y = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+        x = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+        y = float(_marginal_values(sol.values[idx], u.p, x))
         closed = float(dv.value(idx, y))
         brute = grid_legendre_sup(float(sol.values[idx]), u, y)
         if abs(closed - brute) > 1e-6 * max(abs(closed), 1e-12):
@@ -139,8 +145,9 @@ def dual_from_primal(sol: ValueCurve, u: CrraUtility) -> DualValue:
 
 
 def dual_pde_residual(dv: DualValue, m: MarketParams, d: DiscountSpec) -> float:
-    """Sup over interior nodes and log-spaced y of the dual PDE residual,
-    normalized by the magnitude of its largest term.
+    """Sup over interior nodes t and y = v_x(t, x) at log-spaced wealth x in
+    [0.05, 20] of the dual PDE residual, normalized by the magnitude of its
+    largest term.
 
     y-derivatives are analytic within the closed family; the time derivative
     of lam is the one stored on the curve (analytic for the closed-form
@@ -150,16 +157,16 @@ def dual_pde_residual(dv: DualValue, m: MarketParams, d: DiscountSpec) -> float:
     t = g.nodes
     lam = dv.curve.values
     p = dv.p
-    lam_t = dv.curve.derivative[1:-1]
-    ys = np.geomspace(0.05, 20.0, 10)
+    lam_t = dv.curve.derivative
+    xs = np.geomspace(0.05, 20.0, 10)
     tau = g.horizon - t
     rate = d.h_prime(tau) / d.h(tau)
     worst = 0.0
-    for pos, idx in enumerate(range(1, g.n_steps)):
-        psi = lam[idx] ** (1.0 / (1.0 - p))
-        psi_t = psi / ((1.0 - p) * lam[idx]) * lam_t[pos]
-        v_t = (1.0 - p) / p * psi_t * ys ** (p / (p - 1.0))
+    for idx in range(1, g.n_steps):
+        ys = _marginal_values(lam[idx], p, xs)
         val = dv.value(idx, ys)
+        # tilde_v is proportional to lam^(1/(1-p)) at fixed y
+        v_t = val * lam_t[idx] / ((1.0 - p) * lam[idx])
         ydy = ys * dv.dy(idx, ys)
         ydyy = ys**2 * dv.dyy(idx, ys)
         terms = [
@@ -192,7 +199,10 @@ def primal_dual_roundtrip(
             y = np.exp(logy)
             return x * y + dv.value(idx, y)
 
-        s_star = _log_argmax(lambda logy: -f(logy))
+        # far from the minimiser the dual value can pass the float range;
+        # inf there only marks a worse node
+        with np.errstate(over="ignore"):
+            s_star = _log_argmax(lambda logy: -f(logy))
         y_star, recovered = float(np.exp(s_star)), float(f(s_star))
         target = lam * x**p / p
         worst = max(worst, abs(recovered - target) / max(abs(target), 1e-300))

@@ -23,7 +23,6 @@ __all__ = [
     "solve_precommitment",
     "naive_consumption",
     "inconsistency_report",
-    "hjb_residual",
 ]
 
 
@@ -105,7 +104,7 @@ def solve_precommitment(
     backward, all in log space, so w spanning hundreds of orders of
     magnitude neither overflows nor loses relative accuracy. The ODE drift
     is validated in the test suite against a numerically maximized
-    Hamiltonian (see hjb_residual).
+    Hamiltonian.
     """
     if not (0.0 <= t0 < g.horizon):
         raise ParameterError(f"anchor time must lie in [0, T), got {t0}")
@@ -135,54 +134,6 @@ def solve_precommitment(
         consumption_rate=np.exp(-log_theta),
         stock_fraction=stock_fraction(m, u),
     )
-
-
-def hjb_residual(
-    pol: PrecommitmentPolicy,
-    m: MarketParams,
-    u: CrraUtility,
-    d: DiscountSpec,
-    s: float,
-    x: float,
-) -> float:
-    """Residual of the full anchored HJB at (s, x), with the Hamiltonian
-    maximized numerically over the stock fraction and the consumption ratio.
-
-    The time derivative comes from the ODE the solver integrates, so a small
-    residual certifies that the ODE's drift matches the numerically computed
-    sup: this is the non-circular check of the symbolic substitution.
-    """
-    from scipy.optimize import minimize_scalar  # scipy.optimize costs ~0.5 s to import
-
-    p = u.p
-    lam = float(np.interp(s, pol.s_nodes, pol.lambda_values))
-    K = growth_constant(m, u)
-    tau = s - pol.anchor_time
-    rate = d.h_prime(tau) / d.h(tau)
-    lam_s = -(rate + K) * lam + (p - 1.0) * lam ** (p / (p - 1.0))
-    v = lam * x**p / p
-    v_s = lam_s * x**p / p
-    v_x = lam * x ** (p - 1.0)
-    v_xx = lam * (p - 1.0) * x ** (p - 2.0)
-
-    def neg_ham_zeta(zeta):
-        return -(m.mu * zeta * x * v_x + 0.5 * m.sigma**2 * zeta**2 * x**2 * v_xx)
-
-    def neg_ham_cons(c):
-        return -(-c * x * v_x + u.u(c * x))
-
-    frac = stock_fraction(m, u)
-    res_z = minimize_scalar(
-        neg_ham_zeta, bounds=(frac - 2.0, frac + 2.0), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    c_star = lam ** (1.0 / (p - 1.0))
-    res_c = minimize_scalar(
-        neg_ham_cons, bounds=(c_star / 4.0, 4.0 * c_star), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    sup_part = -(res_z.fun + res_c.fun)
-    return float(v_s + m.r * x * v_x + sup_part + rate * v)
 
 
 def naive_consumption(

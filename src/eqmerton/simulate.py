@@ -458,8 +458,10 @@ def _no_consumption_log_wealth(cfg: SimConfig, m: MarketParams, zeta: float,
 
 def martingale_estimator(sol: ValueCurve, cfg: SimConfig, m: MarketParams, u: CrraUtility,
                          d: DiscountSpec, n_checkpoints: int = 5,
-                         suboptimal_zeta: float = 0.0):
+                         suboptimal_zeta: Optional[float] = None):
     """The two ``martingale_check`` verdicts; W must span the whole grid."""
+    if suboptimal_zeta is None:
+        suboptimal_zeta = stock_fraction(m, u) / 2
     g = cfg.grid
     checkpoints = _checkpoints(g, max(n_checkpoints, 1))
     k = len(checkpoints)
@@ -506,14 +508,17 @@ def martingale_check(
     u: CrraUtility,
     d: DiscountSpec,
     n_checkpoints: int = 5,
-    suboptimal_zeta: float = 0.0,
+    suboptimal_zeta: Optional[float] = None,
 ) -> tuple[Verdict, Verdict]:
     """No-consumption martingale test of v(s, X(s)) / h(T - s).
 
     Under the equilibrium fraction the checkpoint means must be flat within
     three pooled standard errors of the paired differences; under a
-    deliberately suboptimal constant fraction the means must be decreasing
-    beyond noise (the perturbed process has nonpositive drift).
+    deliberately suboptimal constant fraction (default: half the Merton
+    fraction) the means must be decreasing beyond noise (the perturbed
+    process has nonpositive drift). The full Merton fraction is the decrease
+    check's negative control; a fraction of 0 makes every path deterministic,
+    so its z would only measure rounding.
     """
     est = martingale_estimator(sol, cfg, m, u, d, n_checkpoints, suboptimal_zeta)
     return run_estimators(cfg, [est])[0]

@@ -54,7 +54,6 @@ __all__ = [
     "residual_integral_equation",
     "residual_differential_form",
     "differential_form_rhs",
-    "pde_residual_no_consumption",
     "theta_closed_form",
 ]
 
@@ -540,22 +539,3 @@ def residual_differential_form(
     rhs = differential_form_rhs(lam, m, u, d, g)
     dlam = (lam[2:] - lam[:-2]) / (2.0 * g.dt)
     return float(np.max(np.abs(dlam - rhs[1:-1])))
-
-
-def pde_residual_no_consumption(
-    sol: ValueCurve, m: MarketParams, u: CrraUtility, d: DiscountSpec, x=1.0
-) -> float:
-    """Residual of the bequest-only value PDE under v = lam U_p.
-
-    v_t + (h'(T-t)/h(T-t)) v + r x v_x - (mu^2 / 2 sigma^2) v_x^2 / v_xx = 0
-    collapses to (lam' + [h'(T-t)/h(T-t) + K] lam) x^p / p; uses the stored
-    derivative.
-    """
-    g = sol.grid
-    tau = g.horizon - g.nodes
-    rate = d.h_prime(tau) / d.h(tau)
-    K = growth_constant(m, u)
-    core = sol.derivative + (rate + K) * sol.values
-    x = np.asarray(x, dtype=float)
-    scale = np.max(np.abs(x**u.p / u.p))
-    return float(np.max(np.abs(core)) * scale)

@@ -37,12 +37,13 @@ from eqmerton.solver import (
     fit_exponential_mixture,
     growth_constant,
     mixture_ode_solve,
-    pde_residual_no_consumption,
     picard_solve,
     residual_differential_form,
     solve_no_consumption,
     theta_closed_form,
 )
+
+from oracles import pde_residual_no_consumption
 
 M = MarketParams.from_excess_return(r=0.05, mu=0.07, sigma=0.2)
 U = CrraUtility(p=0.5)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -8,10 +9,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eqmerton import cli, config, duality, simulate
 from eqmerton.config import ConfigError, RunConfig, SimSettings, SolverSettings, load_config
-from eqmerton.model import ExponentialDiscount, HyperbolicDiscount
+from eqmerton.model import (
+    CrraUtility,
+    ExponentialDiscount,
+    ExponentialMixtureDiscount,
+    HyperbolicDiscount,
+    MarketParams,
+    TimeGrid,
+)
+from eqmerton.output import write_manifest
 
 BASE_INI = """\
 [market]
@@ -134,6 +145,146 @@ class TestRemovedSolverKeys:
         assert f"'{key}'" in capsys.readouterr().err
 
 
+def manifest_of(tmp_path, edit, body=BASE_INI):
+    """A manifest of the config in body, changed by edit(config dict)."""
+    data = load_config(write_ini(tmp_path, body=body)).to_dict()
+    edit(data)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"command": "solve", "config": data}))
+    return str(path)
+
+
+def set_key(section, key, value):
+    def edit(data):
+        data[section][key] = value
+    return edit
+
+
+class TestEverySectionIsChecked:
+    """Keys and value types are checked in every section of an INI file and
+    of a manifest alike; each case is a config error naming the key."""
+
+    @pytest.mark.parametrize("line", ["rho = 0.3", "betas = 0.4, 0.6"])
+    def test_ini_key_of_another_discount_kind(self, tmp_path, capsys, line):
+        body = BASE_INI.replace("gamma = 1.0", f"gamma = 1.0\n{line}")
+        ini = write_ini(tmp_path, body=body)
+        assert cli.main(["solve", "--config", ini, "--out", str(tmp_path / "o")]) == 2
+        assert f"'{line.split()[0]}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda data: data.update(solvr={"tol": 1e-8}), "solvr"),
+        (set_key("discount", "gama", 1.0), "gama"),
+        (set_key("discount", "k", "1.5"), "k"),
+        (set_key("grid", "n_steps", 200.0), "n_steps"),
+        (set_key("market", "sigma", True), "sigma"),
+        (lambda data: data.update(output_dir=["out"]), "dir"),
+    ], ids=["top-level", "discount-key", "string-number", "float-integer",
+            "bool-number", "list-dir"])
+    def test_manifest_key_or_type(self, tmp_path, capsys, edit, key):
+        manifest = manifest_of(tmp_path, edit)
+        assert cli.main(["solve", "--config", manifest, "--out", str(tmp_path / "o")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_manifest_probe_times_must_be_a_list(self, tmp_path, capsys):
+        body = (BASE_INI.split("[discount]")[0]
+                + "[compare]\nlabels = expo\nprobe_times = 0.5\n\n"
+                + "[discount.expo]\nkind = exponential\nrho = 0.1\n")
+        manifest = manifest_of(tmp_path, lambda data: data.update(probe_times="0.5"),
+                               body=body)
+        assert cli.main(["compare", "--config", manifest,
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "'probe_times' in [compare] is not a list of numbers" in \
+            capsys.readouterr().err
+
+    def test_manifest_that_is_not_json_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text("{")
+        assert cli.main(["solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot parse")
+
+
+# Random valid configs, each written as INI text by the test itself: the
+# discount kinds, alpha or mu, compare labels with and without probe times.
+
+def _num(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def discounts(draw):
+    kind = draw(st.sampled_from(["exponential", "mixture", "hyperbolic"]))
+    if kind == "exponential":
+        rho = draw(_num(0.0, 2.0))
+        return ExponentialDiscount(rho=rho), f"kind = exponential\nrho = {rho!r}\n"
+    if kind == "hyperbolic":
+        k, gamma = draw(_num(0.01, 10.0)), draw(_num(0.01, 5.0))
+        return (HyperbolicDiscount(k=k, gamma=gamma),
+                f"kind = hyperbolic\nk = {k!r}\ngamma = {gamma!r}\n")
+    weights = draw(st.lists(_num(0.1, 1.0), min_size=1, max_size=4))
+    betas = tuple(w / sum(weights) for w in weights)
+    rhos = tuple(draw(st.lists(_num(0.0, 5.0), min_size=len(betas), max_size=len(betas))))
+    return (ExponentialMixtureDiscount(betas=betas, rhos=rhos),
+            f"kind = mixture\nbetas = {', '.join(map(repr, betas))}\n"
+            f"rhos = {', '.join(map(repr, rhos))}\n")
+
+
+@st.composite
+def configs(draw):
+    """(RunConfig, its INI text)."""
+    r, sigma, mu = draw(_num(0.001, 0.2)), draw(_num(0.05, 1.0)), draw(_num(0.001, 0.3))
+    if draw(st.booleans()):
+        market, market_line = MarketParams.from_excess_return(r, mu, sigma), f"mu = {mu!r}"
+    else:
+        market, market_line = MarketParams(r, r + mu, sigma), f"alpha = {r + mu!r}"
+    p = draw(st.one_of(_num(-5.0, -0.01), _num(0.01, 0.95)))
+    horizon, n_steps = draw(_num(0.1, 100.0)), draw(st.integers(2, 5000))
+    solver = SolverSettings(method=draw(st.sampled_from(["picard", "mixture", "closed_form"])),
+                            tol=draw(_num(1e-14, 1e-2)), max_iter=draw(st.integers(1, 1000)))
+    sim = SimSettings(n_paths=draw(st.integers(1, 10**6)), seed=draw(st.integers(0, 2**31)),
+                      x0=draw(_num(0.1, 10.0)), n_workers=draw(st.integers(1, 8)),
+                      block_size=draw(st.integers(1, 8192)))
+    out_dir = draw(st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_/.-]{0,15}", fullmatch=True))
+    labels = draw(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True),
+                           max_size=3, unique=True))
+    compare = {label: draw(discounts()) for label in labels}
+    probes = tuple(draw(st.lists(_num(0.0, horizon), max_size=4))) if labels else ()
+    discount = draw(discounts()) if not labels or draw(st.booleans()) else None
+    text = (f"[market]\nr = {r!r}\n{market_line}\nsigma = {sigma!r}\n\n"
+            f"[utility]\np = {p!r}\n\n[grid]\nhorizon = {horizon!r}\nn_steps = {n_steps}\n\n"
+            f"[solver]\nmethod = {solver.method}\ntol = {solver.tol!r}\n"
+            f"max_iter = {solver.max_iter}\n\n[sim]\n"
+            + "".join(f"{key} = {value!r}\n" for key, value in vars(sim).items())
+            + f"\n[output]\ndir = {out_dir}\n\n")
+    if discount:
+        text += f"[discount]\n{discount[1]}\n"
+    if labels:
+        text += f"[compare]\nlabels = {', '.join(labels)}\n"
+        if probes:
+            text += f"probe_times = {', '.join(map(repr, probes))}\n"
+        text += "".join(f"\n[discount.{label}]\n{d[1]}" for label, d in compare.items())
+    cfg = RunConfig(market=market, utility=CrraUtility(p=p),
+                    grid=TimeGrid(horizon=horizon, n_steps=n_steps),
+                    discount=discount[0] if discount else None, solver=solver, sim=sim,
+                    output_dir=out_dir,
+                    compare_discounts={label: d[0] for label, d in compare.items()},
+                    probe_times=probes)
+    return cfg, text
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(configs())
+def test_config_round_trips_through_ini_and_manifest(tmp_path, case):
+    cfg, text = case
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    from_ini = load_config(ini)
+    assert from_ini == cfg
+    manifest = tmp_path / "manifest.json"
+    write_manifest(manifest, {"command": "solve", "config": from_ini.to_dict()})
+    assert load_config(manifest) == from_ini
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -153,7 +304,12 @@ def readme_config_reference() -> dict:
 
 
 def test_readme_config_reference_lists_the_accepted_keys():
-    assert readme_config_reference() == config._SECTION_KEYS
+    # the keys a section accepts are the parameters of its constructors
+    accepted = {section: {key for factory in factories
+                          for key in inspect.signature(factory).parameters}
+                for section, factories in config._SECTIONS.items()}
+    accepted["discount"].add("kind")
+    assert readme_config_reference() == accepted
 
 
 def test_readme_solver_and_sim_values_are_the_defaults(tmp_path):
@@ -348,6 +504,18 @@ class TestCliVerify:
         assert cli.main(["verify", "--config", ini, "--out", str(tmp_path / "o"),
                          "--checks", "duality"]) == 0
 
+    def test_duality_near_p_one(self, tmp_path):
+        # p = 0.99: lam^(1/(1-p)) = lam^100 is far past the float range, but
+        # the dual value at y = v_x(t, x) is (1-p)/p lam x^p
+        body = BASE_INI.replace("p = 0.5", "p = 0.99").replace(
+            "horizon = 1.0", "horizon = 2.0").replace("n_steps = 200", "n_steps = 1000")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["verify", "--config", write_ini(tmp_path, body=body),
+                             "--out", str(out), "--checks", "duality"]) == 0
+        assert "false" not in (out / "verification.csv").read_text()
+
     def test_duality_disagreement_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(duality, "grid_legendre_sup", lambda lam, u, y: 1.0)
         rc = cli.main(["verify", "--config", write_ini(tmp_path),
@@ -396,6 +564,24 @@ class TestCliCompare:
         one = [ln.split(",", 1)[1] for ln in lines if ln.startswith("one,")]
         two = [ln.split(",", 1)[1] for ln in lines if ln.startswith("two,")]
         assert one == two
+
+    def test_manifest_rerun_is_byte_identical(self, tmp_path):
+        # labels listed unsorted: the manifest keeps its compare discounts
+        # under sorted keys, and the rows come in sorted-label order in both
+        ini = self.compare_ini(
+            tmp_path, "mixture, exponential",
+            "[discount.mixture]\nkind = mixture\nbetas = 0.4, 0.6\nrhos = 0.05, 0.5\n\n"
+            "[discount.exponential]\nkind = exponential\nrho = 0.1\n",
+        )
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert cli.main(["compare", "--config", ini, "--out", str(first)]) == 0
+        assert cli.main(["compare", "--config", str(first / "manifest.json"),
+                         "--out", str(again)]) == 0
+        rows = (first / "compare.csv").read_text().split("\n")
+        assert rows[1].startswith("exponential,") and rows[-2].startswith("mixture,")
+        for name in ("compare.csv", "inconsistency_exponential.csv",
+                     "inconsistency_mixture.csv"):
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
     def test_single_spec_degenerate(self, tmp_path):
         ini = self.compare_ini(

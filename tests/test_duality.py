@@ -159,10 +159,13 @@ class TestRoundtrip:
             dv = DualValue(curve=curve, p=utility.p)
             assert primal_dual_roundtrip(dv, utility, points) <= 1e-6
 
-    @pytest.mark.parametrize("p, horizon", [(0.95, 20.0), (-3.0, 50.0), (-10.0, 100.0)])
+    @pytest.mark.parametrize("p, horizon", [(0.95, 20.0), (-3.0, 50.0), (-10.0, 100.0),
+                                            (0.98, 20.0)])
     def test_minimiser_outside_the_first_bracket(self, market, hyp_discount, p, horizon):
         # lam(0) ~ 1.5e9 at p = 0.95 and ~ 7e-27 at p = -10, so the minimising
-        # y = lam x^(p-1) lies far outside [1e-6, 1e6]; the search must follow it
+        # y = lam x^(p-1) lies far outside [1e-6, 1e6]; the search must follow it.
+        # At p = 0.98 (lam(0) ~ 1.5e25) the dual value lam^50 y^-49 overflows
+        # on the whole first bracket
         u = CrraUtility(p=p)
         g = TimeGrid(horizon=horizon, n_steps=1000)
         dv = dual_from_primal(solve_no_consumption(market, u, hyp_discount, g), u)

@@ -12,13 +12,14 @@ from eqmerton.model import (
 )
 from eqmerton.policy import (
     equilibrium_policy,
-    hjb_residual,
     inconsistency_report,
     naive_consumption,
     solve_precommitment,
     stock_fraction,
 )
 from eqmerton.solver import growth_constant, picard_solve, theta_closed_form
+
+from oracles import hjb_residual
 
 
 @pytest.fixture(scope="module")

@@ -171,7 +171,9 @@ class TestMartingale:
         flat, decreasing = martingale_check(nc, sim_cfg(sim_grid), market,
                                             utility, hyp_discount)
         assert flat.passed, flat.details
-        assert decreasing.passed, decreasing.details
+        # the default suboptimal fraction holds stock, so z measures a real
+        # decrease, not the rounding of deterministic paths
+        assert decreasing.passed and decreasing.statistic < 100, decreasing.details
 
     def test_decrease_check_has_power_and_a_negative_control(
             self, market, utility, hyp_discount, sim_grid):
@@ -359,8 +361,8 @@ def oracle_leg_sums(pol, cfg, m, u, d, t0, spike, eps):
 
 
 def oracle_grid_sums(nc, cfg, m, u, d):
-    """Sums of the martingale (fractions eq and 0) and moment (q = p)
-    estimators, which span the whole grid."""
+    """Sums of the martingale (fractions eq and its default suboptimal eq / 2)
+    and moment (q = p) estimators, which span the whole grid."""
     g, p = cfg.grid, u.p
     ck_mart, ck_mom = _checkpoints(g, 5), _checkpoints(g, 6)[1:]
     scale = (np.interp(g.nodes[ck_mart], nc.grid.nodes, nc.values) / p
@@ -369,7 +371,7 @@ def oracle_grid_sums(nc, cfg, m, u, d):
 
     def block(Z):
         out = {}
-        for key, zeta in (("eq", stock_fraction(m, u)), ("sub", 0.0)):
+        for key, zeta in (("eq", stock_fraction(m, u)), ("sub", stock_fraction(m, u) / 2)):
             X = oracle_wealth(Z, cfg.x0, m, np.full(g.n_steps, zeta), no_c, g.dt)
             Y = scale * X[:, ck_mart] ** p
             out[key], out[f"{key}_cross"] = Y.sum(axis=0), Y.T @ Y

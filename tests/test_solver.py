@@ -24,13 +24,14 @@ from eqmerton.solver import (
     fit_exponential_mixture,
     growth_constant,
     mixture_ode_solve,
-    pde_residual_no_consumption,
     picard_solve,
     residual_differential_form,
     residual_integral_equation,
     solve_no_consumption,
     theta_closed_form,
 )
+
+from oracles import pde_residual_no_consumption
 
 
 def rk4_oracle_autonomous(m, u, rho, g):
