@@ -185,9 +185,10 @@ def primal_dual_roundtrip(
     dv: DualValue, u: CrraUtility, points: list[tuple[int, float]]
 ) -> float:
     """Recover v(t, x) = inf_y [x y + tilde_v(t, y)] by the search over log y
-    of ``grid_legendre_sup`` and compare with lam(t) x^p / p; also checks the
-    conjugate first-order relation and the reciprocal second-derivative
-    identity at the minimizer. Returns the max relative error over all checks."""
+    of ``grid_legendre_sup``, polished by Newton steps, and compare with
+    lam(t) x^p / p; also checks the conjugate first-order relation (which the
+    Newton steps solve), v_x = y* and the reciprocal second-derivative identity
+    at the minimizer. Returns the max relative error over all checks."""
     p = u.p
     worst = 0.0
     for idx, x in points:
@@ -203,6 +204,11 @@ def primal_dual_roundtrip(
         # inf there only marks a worse node
         with np.errstate(over="ignore"):
             s_star = _log_argmax(lambda logy: -f(logy))
+        # golden section leaves s* ~1e-8 off, which the slope and curvature checks
+        # amplify by |1/(p-1)|; Newton steps on tilde_v_y(e^s) + x = 0 remove it
+        for _ in range(3):
+            y = np.exp(s_star)
+            s_star -= float((dv.dy(idx, y) + x) / (y * dv.dyy(idx, y)))
         y_star, recovered = float(np.exp(s_star)), float(f(s_star))
         target = lam * x**p / p
         worst = max(worst, abs(recovered - target) / max(abs(target), 1e-300))

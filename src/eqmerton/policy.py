@@ -79,6 +79,21 @@ _GL_NODES = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
 _GL_LOG_WEIGHTS = np.log([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
+def _log_w(tau, m: MarketParams, u: CrraUtility, d: DiscountSpec):
+    """log of the integrating factor w = h^(1/(1-p)) e^{K tau/(1-p)} at the lag tau."""
+    return (np.log(d.h(tau)) + growth_constant(m, u) * tau) / (1.0 - u.p)
+
+
+def _log_int_w(lo, hi, t0: float, m: MarketParams, u: CrraUtility,
+               d: DiscountSpec) -> np.ndarray:
+    """log int_lo^hi w(s - t0) ds per segment by 3-point Gauss-Legendre in log
+    space."""
+    half = 0.5 * (hi - lo)
+    s = 0.5 * (hi + lo)[:, None] + half[:, None] * _GL_NODES
+    return np.logaddexp.reduce(
+        _log_w(s - t0, m, u, d) + _GL_LOG_WEIGHTS + np.log(half)[:, None], axis=1)
+
+
 def solve_precommitment(
     t0: float, m: MarketParams, u: CrraUtility, d: DiscountSpec, g: TimeGrid
 ) -> PrecommitmentPolicy:
@@ -100,37 +115,24 @@ def solve_precommitment(
         theta(s) = [w(T) + int_s^T w] / w(s),
 
     and the consumption ratio c = lam^(1/(p-1)) = 1/theta. The integral is
-    taken per grid segment by 3-point Gauss-Legendre and summed from T
-    backward, all in log space, so w spanning hundreds of orders of
-    magnitude neither overflows nor loses relative accuracy. The ODE drift
-    is validated in the test suite against a numerically maximized
-    Hamiltonian.
+    taken per grid segment by 3-point Gauss-Legendre (``_log_int_w``, shared
+    with ``naive_consumption``) and summed from T backward, all in log space,
+    so w spanning hundreds of orders of magnitude neither overflows nor loses
+    relative accuracy. The ODE drift is validated in the test suite against a
+    numerically maximized Hamiltonian.
     """
     if not (0.0 <= t0 < g.horizon):
         raise ParameterError(f"anchor time must lie in [0, T), got {t0}")
-    K = growth_constant(m, u)
-    p = u.p
     n_sub = max(2, int(round((g.horizon - t0) / g.dt)))
     s = np.linspace(t0, g.horizon, n_sub + 1)
-
-    def log_w(si):
-        tau = si - t0
-        return (np.log(d.h(tau)) + K * tau) / (1.0 - p)
-
-    half = 0.5 * np.diff(s)
-    mid = 0.5 * (s[1:] + s[:-1])
-    seg = np.logaddexp.reduce(
-        log_w(mid[:, None] + half[:, None] * _GL_NODES)
-        + _GL_LOG_WEIGHTS + np.log(half)[:, None],
-        axis=1,
-    )
+    seg = _log_int_w(s[:-1], s[1:], t0, m, u, d)
     tail = np.append(np.logaddexp.accumulate(seg[::-1])[::-1], -np.inf)
-    lw = log_w(s)
+    lw = _log_w(s - t0, m, u, d)
     log_theta = np.logaddexp(lw[-1], tail) - lw
     return PrecommitmentPolicy(
         anchor_time=t0,
         s_nodes=s,
-        lambda_values=np.exp((1.0 - p) * log_theta),
+        lambda_values=np.exp((1.0 - u.p) * log_theta),
         consumption_rate=np.exp(-log_theta),
         stock_fraction=stock_fraction(m, u),
     )
@@ -140,12 +142,21 @@ def naive_consumption(
     m: MarketParams, u: CrraUtility, d: DiscountSpec, g: TimeGrid, times
 ) -> np.ndarray:
     """Consumption ratio of the continually re-optimizing agent: at each time
-    t the agent applies the time-t anchored policy's instantaneous action."""
-    out = []
-    for t in np.atleast_1d(np.asarray(times, dtype=float)):
-        pol = solve_precommitment(float(t), m, u, d, g)
-        out.append(float(pol.consumption_rate[0]))
-    return np.array(out)
+    t the agent applies the time-t anchored policy's instantaneous action.
+
+    w depends on s - t only and w(0) = 1, so that action is
+    c(t) = 1/[w(T-t) + int_0^{T-t} w]: one pass of the precommitment quadrature
+    over the lags 0, dt, ..., T, plus a last partial segment per lag.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if np.any(times < 0) or np.any(times >= g.horizon):
+        raise ParameterError("probe times must lie in [0, T)")
+    lags, nodes = g.horizon - times, g.nodes
+    head = np.logaddexp.accumulate(
+        np.append(-np.inf, _log_int_w(nodes[:-1], nodes[1:], 0.0, m, u, d)))
+    below = np.searchsorted(nodes, lags) - 1  # nodes[below] < lag <= nodes[below + 1]
+    log_int = np.logaddexp(head[below], _log_int_w(nodes[below], lags, 0.0, m, u, d))
+    return np.exp(-np.logaddexp(_log_w(lags, m, u, d), log_int))
 
 
 @dataclass(frozen=True)
@@ -165,7 +176,6 @@ def inconsistency_report(
     g: TimeGrid,
     probe_times,
     equilibrium: EquilibriumPolicy | None = None,
-    tol: float = 1e-10,
 ) -> list[InconsistencyRow]:
     """Tabulate, per probe time t', the time-0 committed consumption
     c0(t'), the re-optimized (naive) consumption ct'(t'), and the
@@ -177,26 +187,12 @@ def inconsistency_report(
     probe_times = np.atleast_1d(np.asarray(probe_times, dtype=float))
     if probe_times.size == 0:
         return []
-    if np.any(probe_times < 0) or np.any(probe_times >= g.horizon):
-        raise ParameterError("probe times must lie in [0, T)")
+    ct = naive_consumption(m, u, d, g, probe_times)  # checks probe_times in [0, T)
     if equilibrium is None:
         from .solver import picard_solve
 
-        equilibrium = equilibrium_policy(picard_solve(m, u, d, g, tol=tol), m, u)
-    pol0 = solve_precommitment(0.0, m, u, d, g)
-    naive = naive_consumption(m, u, d, g, probe_times).tolist()
-    rows = []
-    for t, ct in zip(probe_times, naive):
-        c0 = float(pol0.consumption_at(t))
-        ceq = float(equilibrium.consumption_at(t))
-        rows.append(
-            InconsistencyRow(
-                t_probe=float(t),
-                c_precommit_0=c0,
-                c_precommit_t=ct,
-                c_equilibrium=ceq,
-                gap_naive=ct - c0,
-                gap_equilibrium=ceq - ct,
-            )
-        )
-    return rows
+        equilibrium = equilibrium_policy(picard_solve(m, u, d, g), m, u)
+    c0 = solve_precommitment(0.0, m, u, d, g).consumption_at(probe_times)
+    ceq = equilibrium.consumption_at(probe_times)
+    return [InconsistencyRow(*map(float, (t, pre, naive, eq, naive - pre, eq - naive)))
+            for t, pre, naive, eq in zip(probe_times, c0, ct, ceq)]

@@ -376,25 +376,30 @@ def mixture_ode_solve(
     )
 
 
+def _log_theta(a: float, tau):
+    """log theta for theta' = -a theta - 1, theta(T) = 1, at a constant rate a
+    and tau = T - t: theta = e^{-a tau} + (1 - e^{-a tau})/a. With x = a tau,
+    log theta = max(-x, 0) + log(e^{-max(x, 0)} + (1 - e^{-|a| tau})/|a|), where
+    no exponential grows and no term is negative, for either sign of a."""
+    x = a * tau
+    span = tau if a == 0 else -np.expm1(-abs(a) * tau) / abs(a)  # its limit at a = 0
+    return np.maximum(-x, 0.0) + np.log(np.exp(-np.maximum(x, 0.0)) + span)
+
+
 def theta_closed_form(
     m: MarketParams, u: CrraUtility, rho: float, g: TimeGrid
 ) -> ValueCurve:
     """Closed form for a single-exponential discount in the full problem.
 
-    With a = (rho - K)/(1-p) the autonomous ODE lam' = (rho-K) lam +
-    (p-1) lam^(p/(p-1)) has the solution lam = theta^(1-p),
-    theta(t) = e^{-a (T-t)} + (1 - e^{-a (T-t)})/a, which reduces to
-    theta = 1 + (T-t) as a -> 0.
+    For theta = lam^(1/(1-p)) the autonomous ODE lam' = (rho-K) lam +
+    (p-1) lam^(p/(p-1)) is theta' = -a theta - 1 at the constant rate
+    a = (rho - K)/(1-p). lam is formed from log theta (``_log_theta``, shared
+    with ``a_priori_bounds``), so it is finite wherever it is representable.
     """
     K = growth_constant(m, u)
     p = u.p
-    a = (rho - K) / (1.0 - p)
-    tau = g.horizon - g.nodes
-    if abs(a) < 1e-14:
-        theta = 1.0 + tau
-    else:
-        theta = np.exp(-a * tau) + (-np.expm1(-a * tau)) / a
-    lam = theta ** (1.0 - p)
+    log_lam = (1.0 - p) * _log_theta((rho - K) / (1.0 - p), g.horizon - g.nodes)
+    lam = np.exp(log_lam)
     lam[-1] = 1.0
     deriv = (rho - K) * lam + (p - 1.0) * lam ** (p / (p - 1.0))
     return ValueCurve(grid=g, values=lam, derivative=deriv, provenance="closed_form")
@@ -478,21 +483,14 @@ def a_priori_bounds(
     lo = np.minimum.accumulate(rate_lag)[::-1]
     term2 = float(max(np.max(hi - rate_T), np.max(rate_T - lo)))
     A = max(term1 + term2, 1e-8)
-    AT = A * g.horizon
     # Gronwall comparison for theta = lam^{1/(1-p)}: theta' >= -(A/(1-p)) theta - 1
-    # with theta(T) = 1 integrates to theta(t) <= (c+1) e^{A (T-t)/(1-p)} - c,
-    # c = (1-p)/A, hence the upper envelope below (which degenerates to 1 as
-    # T -> 0, as it must since lam(T) = 1). Both ends are formed in log space:
-    # log upper = A T + (1-p) log(c + 1 - c e^{-A T/(1-p)}), so e^{A T/(1-p)}
-    # never forms; past the float range the lower end underflows to 0 and the
+    # with theta(T) = 1 keeps theta below the constant-rate solution at
+    # a = -A/(1-p). Past the float range the lower end underflows to 0 and the
     # upper end is taken as inf, leaving that side of the box vacuous.
-    c = (1.0 - p) / A
-    log_upper = AT + (1.0 - p) * math.log1p(-c * math.expm1(-AT / (1.0 - p)))
-    try:
-        upper = math.exp(log_upper)
-    except OverflowError:
-        upper = math.inf
-    return BoundsCertificate(A=A, lower=math.exp(-AT), upper=upper)
+    log_upper = (1.0 - p) * _log_theta(-A / (1.0 - p), g.horizon)
+    with np.errstate(over="ignore"):
+        upper = float(np.exp(log_upper))
+    return BoundsCertificate(A=A, lower=math.exp(-A * g.horizon), upper=upper)
 
 
 def residual_integral_equation(

@@ -263,8 +263,7 @@ def test_10_convex_duality_closed_family():
 def test_11_time_inconsistency_magnitude(hyp_policy):
     tol = 1e-10
     probes = [0.25, 0.5, 0.75]
-    rows = inconsistency_report(M, U, HYP, G, probes, equilibrium=hyp_policy,
-                                tol=tol)
+    rows = inconsistency_report(M, U, HYP, G, probes, equilibrium=hyp_policy)
     gaps = [abs(r.gap_naive) for r in rows]
     # the equilibrium consumption curve is a single function of t -- identical
     # no matter which probe reads it -- while the committed plan is abandoned

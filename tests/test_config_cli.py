@@ -387,6 +387,36 @@ class TestCliSolve:
                        "--method", "closed_form"])
         assert rc == 2
 
+    @staticmethod
+    def exponential_ini(tmp_path, p, horizon):
+        body = BASE_INI.replace("p = 0.5", f"p = {p}").replace(
+            "horizon = 1.0", f"horizon = {horizon}").replace(
+            "n_steps = 200", "n_steps = 1000").replace(
+            "kind = hyperbolic\nk = 1.0\ngamma = 1.0", "kind = exponential\nrho = 0.1")
+        return write_ini(tmp_path, body=body)
+
+    @pytest.mark.parametrize("p, horizon", [(0.95, 100.0), (0.99, 20.0)])
+    def test_closed_form_where_e_to_the_rate_overflows(self, tmp_path, p, horizon):
+        # lam(0) is 1.8e48 and 1.7e52: representable, though e^{-a T} is not
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve", "--config", self.exponential_ini(tmp_path, p, horizon),
+                             "--out", str(out), "--method", "closed_form"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["bounds_contain"] is True
+
+    def test_closed_form_inside_its_tight_bound(self, tmp_path):
+        # K > rho makes the bound tight: its upper end is lam(0) itself
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve", "--config", self.exponential_ini(tmp_path, 0.9, 20.0),
+                             "--out", str(out), "--method", "closed_form"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["bounds_contain"] is True
+        lam0 = (out / "lambda.csv").read_text().split("\n")[1].split(",")[1]
+        upper = (out / "bounds.csv").read_text().strip().split(",")[-1]
+        assert lam0 == upper
+
     def test_missing_config_exit_code(self, tmp_path):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.ini")]) == 2
 
@@ -514,6 +544,18 @@ class TestCliVerify:
             warnings.simplefilter("error")
             assert cli.main(["verify", "--config", write_ini(tmp_path, body=body),
                              "--out", str(out), "--checks", "duality"]) == 0
+        assert "false" not in (out / "verification.csv").read_text()
+
+    def test_duality_near_p_one_with_the_closed_form(self, tmp_path):
+        # at p = 0.99, T = 20 the closed form is representable (lam(0) = 1.7e52),
+        # and the roundtrip's slope and curvature checks amplify the error of
+        # its minimiser in log y by |1/(p-1)| = 100
+        ini = TestCliSolve.exponential_ini(tmp_path, 0.99, 20.0)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["verify", "--config", ini, "--out", str(out),
+                             "--checks", "duality", "--method", "closed_form"]) == 0
         assert "false" not in (out / "verification.csv").read_text()
 
     def test_duality_disagreement_exit_code(self, tmp_path, monkeypatch, capsys):

@@ -8,7 +8,7 @@ from eqmerton.duality import (
     grid_legendre_sup,
     primal_dual_roundtrip,
 )
-from eqmerton.model import CrraUtility, TimeGrid
+from eqmerton.model import CrraUtility, ExponentialDiscount, HyperbolicDiscount, TimeGrid
 from eqmerton.solver import ValueCurve, solve_no_consumption
 
 
@@ -169,6 +169,19 @@ class TestRoundtrip:
         u = CrraUtility(p=p)
         g = TimeGrid(horizon=horizon, n_steps=1000)
         dv = dual_from_primal(solve_no_consumption(market, u, hyp_discount, g), u)
+        points = [(i, x) for i in (0, g.n_steps // 2, g.n_steps) for x in (0.5, 1.0, 2.0)]
+        assert primal_dual_roundtrip(dv, u, points) <= 1e-6
+
+    @pytest.mark.parametrize("d", [ExponentialDiscount(rho=0.1),
+                                   HyperbolicDiscount(k=1.0, gamma=1.0)],
+                             ids=["exponential", "hyperbolic_1_1"])
+    def test_near_p_one(self, market, d):
+        # at p = 0.99 the slope and curvature checks amplify any error of the
+        # minimiser in log y by |1/(p-1)| = 100; golden section alone reads
+        # 2.2e-6 (exponential) and 1.55e-6 (hyperbolic) here
+        u = CrraUtility(p=0.99)
+        g = TimeGrid(horizon=20.0, n_steps=1000)
+        dv = dual_from_primal(solve_no_consumption(market, u, d, g), u)
         points = [(i, x) for i in (0, g.n_steps // 2, g.n_steps) for x in (0.5, 1.0, 2.0)]
         assert primal_dual_roundtrip(dv, u, points) <= 1e-6
 

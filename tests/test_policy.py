@@ -10,6 +10,7 @@ from eqmerton.model import (
     ParameterError,
     TimeGrid,
 )
+from eqmerton import policy
 from eqmerton.policy import (
     equilibrium_policy,
     inconsistency_report,
@@ -154,11 +155,35 @@ class TestNaiveAndReport:
     def test_naive_matches_reanchored_precommitment(self, market, utility,
                                                     hyp_discount):
         g = TimeGrid(horizon=1.0, n_steps=500)
-        probes = [0.25, 0.5]
+        # 0.2537 and T - 0.3 dt are off the grid: their lags end on a partial
+        # segment
+        probes = [0.25, 0.5, 0.2537, g.horizon - 0.3 * g.dt]
         naive = naive_consumption(market, utility, hyp_discount, g, probes)
         for t, c in zip(probes, naive):
             pre = solve_precommitment(t, market, utility, hyp_discount, g)
             assert c == pytest.approx(float(pre.consumption_rate[0]))
+
+    def test_naive_probe_does_not_depend_on_the_others(self, market, utility):
+        d = HyperbolicDiscount(k=20.0, gamma=3.0)
+        g = TimeGrid(horizon=50.0, n_steps=1000)
+        probes = [12.5, 12.685, 49.985, 0.0]
+        together = naive_consumption(market, utility, d, g, probes)
+        alone = [naive_consumption(market, utility, d, g, [t])[0] for t in probes]
+        assert together.tolist() == alone
+
+    def test_report_solves_one_precommitment(self, market, utility, hyp_discount,
+                                             hyp_solution, monkeypatch):
+        # the naive probes come from one quadrature pass, not one
+        # re-anchored solve each
+        g, sol = hyp_solution
+        calls = []
+        solve = policy.solve_precommitment
+        monkeypatch.setattr(policy, "solve_precommitment",
+                            lambda *a: calls.append(a) or solve(*a))
+        rows = inconsistency_report(market, utility, hyp_discount, g,
+                                    np.linspace(0.0, 0.9, 10),
+                                    equilibrium=equilibrium_policy(sol, market, utility))
+        assert len(rows) == 10 and len(calls) == 1
 
     def test_exponential_all_gaps_small(self, market, utility, grid, exp_discount):
         rows = inconsistency_report(market, utility, exp_discount, grid,

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -210,6 +211,35 @@ class TestThetaClosedForm:
         exact = theta_closed_form(market, utility, K, grid)  # a = 0 branch
         nearby = theta_closed_form(market, utility, K + 1e-10, grid)
         assert np.max(np.abs(exact.values - nearby.values)) <= 1e-8
+
+    @pytest.mark.parametrize("p, horizon", [(0.5, 1.0), (-2.0, 50.0), (0.9, 20.0),
+                                            (0.95, 10.0), (0.95, 100.0), (0.99, 20.0)])
+    def test_log_lambda_matches_a_math_reference(self, market, p, horizon):
+        # theta = e^{-a tau} (1 + (e^{a tau} - 1)/a), taken with math's log1p and
+        # expm1; at p = 0.95, T = 100 and p = 0.99, T = 20 e^{-a tau} alone
+        # leaves the float range
+        u = CrraUtility(p=p)
+        g = TimeGrid(horizon=horizon, n_steps=1000)
+        a = (0.1 - growth_constant(market, u)) / (1.0 - p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cf = theta_closed_form(market, u, 0.1, g)
+        ref = [(1.0 - p) * (-a * tau + math.log1p(math.expm1(a * tau) / a))
+               for tau in g.horizon - g.nodes]
+        assert np.max(np.abs(np.log(cf.values) - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("p, horizon", [(0.9, 20.0), (0.95, 10.0), (0.95, 20.0),
+                                            (0.95, 100.0), (0.99, 20.0)])
+    def test_tight_bound_is_the_closed_form(self, market, p, horizon):
+        # K > rho: A = K - rho, and the upper envelope is the exponential
+        # solution's lam(0); both come from one log-theta expression
+        u = CrraUtility(p=p)
+        g = TimeGrid(horizon=horizon, n_steps=1000)
+        box = a_priori_bounds(market, u, ExponentialDiscount(rho=0.1), g)
+        assert box.A == growth_constant(market, u) - 0.1
+        cf = theta_closed_form(market, u, 0.1, g)
+        assert cf.values[0] == box.upper
+        assert box.contains(cf.values)
 
 
 class TestPicard:
