@@ -112,7 +112,8 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     res_df = solver.residual_differential_form(curve, cfg.market, cfg.utility, cfg.discount)
     write_csv(out / "residuals.csv", ["check", "value"],
               [("integral_equation", res_ie), ("differential_form", res_df)])
-    extra = {"provenance": curve.provenance, "bounds_contain": bounds.contains(curve.values)}
+    extra = {"provenance": curve.provenance, "sweeps": curve.sweeps,
+             "bounds_contain": bounds.contains(curve.values)}
     if fit is not None:
         extra["mixture_fit"] = {
             "betas": list(fit.mixture.betas),

@@ -84,14 +84,33 @@ def _log_w(tau, m: MarketParams, u: CrraUtility, d: DiscountSpec):
     return (np.log(d.h(tau)) + growth_constant(m, u) * tau) / (1.0 - u.p)
 
 
+# a segment across which log w moves by more than one e-fold is cut into
+# pieces across which it moves by about _PIECE_EFOLDS, at most _MAX_PIECES of
+# them (w underflowing at an end makes the e-fold count unbounded)
+_PIECE_EFOLDS = 0.25
+_MAX_PIECES = 4096
+
+
 def _log_int_w(lo, hi, t0: float, m: MarketParams, u: CrraUtility,
                d: DiscountSpec) -> np.ndarray:
     """log int_lo^hi w(s - t0) ds per segment by 3-point Gauss-Legendre in log
-    space."""
-    half = 0.5 * (hi - lo)
-    s = 0.5 * (hi + lo)[:, None] + half[:, None] * _GL_NODES
-    return np.logaddexp.reduce(
+    space. Only segments across which log w moves by more than one e-fold are
+    cut into equal pieces, one rule each; those resolve a w that falls by many
+    e-folds inside one grid step near the anchor."""
+    moved = np.nan_to_num(np.abs(_log_w(hi - t0, m, u, d) - _log_w(lo - t0, m, u, d)))
+    pieces = np.where(moved > 1.0, np.ceil(np.minimum(moved / _PIECE_EFOLDS, _MAX_PIECES)),
+                      1).astype(int)
+    first = np.cumsum(pieces) - pieces
+    seg = np.repeat(np.arange(len(pieces)), pieces)
+    j, k = np.arange(pieces.sum()) - first[seg], pieces[seg]
+    width = (hi - lo)[seg]
+    a = lo[seg] + width * (j / k)
+    b = np.where(j + 1 == k, hi[seg], lo[seg] + width * ((j + 1) / k))
+    half = 0.5 * (b - a)
+    s = 0.5 * (b + a)[:, None] + half[:, None] * _GL_NODES
+    log_piece = np.logaddexp.reduce(
         _log_w(s - t0, m, u, d) + _GL_LOG_WEIGHTS + np.log(half)[:, None], axis=1)
+    return np.logaddexp.reduceat(log_piece, first)
 
 
 def solve_precommitment(
@@ -115,8 +134,9 @@ def solve_precommitment(
         theta(s) = [w(T) + int_s^T w] / w(s),
 
     and the consumption ratio c = lam^(1/(p-1)) = 1/theta. The integral is
-    taken per grid segment by 3-point Gauss-Legendre (``_log_int_w``, shared
-    with ``naive_consumption``) and summed from T backward, all in log space,
+    taken per grid segment by 3-point Gauss-Legendre, on equal pieces where
+    log w moves by more than one e-fold across the segment (``_log_int_w``,
+    shared with ``naive_consumption``), and summed from T backward, all in log space,
     so w spanning hundreds of orders of magnitude neither overflows nor loses
     relative accuracy. The ODE drift is validated in the test suite against a
     numerically maximized Hamiltonian.

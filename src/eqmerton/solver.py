@@ -4,8 +4,10 @@ Three routes are provided:
 
 * ``solve_no_consumption`` -- closed form lam(t) = h(T-t) e^{K (T-t)} for the
   bequest-only problem.
-* ``picard_solve`` -- damped fixed-point iteration on the full nonlinear
-  integral equation, discretized with composite trapezoid quadrature.
+* ``picard_solve`` -- fixed-point iteration in log lam on the full nonlinear
+  integral equation, discretized with composite trapezoid quadrature, with a
+  relaxation chosen each sweep by a secant step on the residuals and a stop on
+  the largest change in log lam.
   A sweep costs O(n log n) time and O(n) memory: the kernel h(s-t) e^{K(s-t)}
   is Toeplitz on the uniform grid, so the quadrature sum is a correlation
   evaluated with blocked FFTs (the fast Volterra convolution of Hairer,
@@ -59,14 +61,15 @@ __all__ = [
 
 
 class NonConvergenceError(RuntimeError):
-    """Picard iteration exhausted max_iter without meeting the tolerance."""
+    """Picard iteration stopped without meeting the tolerance: max_iter was
+    exhausted, or a sweep's image left the float range (``reason``)."""
 
-    def __init__(self, iterations: int, last_delta: float):
+    def __init__(self, iterations: int, last_delta: Optional[float], reason: str = ""):
         self.iterations = iterations
         self.last_delta = last_delta
+        cause = reason or f"last max |change in log lam| {last_delta:.3e}"
         super().__init__(
-            f"fixed-point iteration did not converge after {iterations} sweeps "
-            f"(last sup-norm change {last_delta:.3e})"
+            f"fixed-point iteration did not converge after {iterations} sweeps ({cause})"
         )
 
 
@@ -91,7 +94,8 @@ class ValueCurve:
 
     ``derivative`` is lam'(t) reconstructed from the differential form of the
     defining equation (analytic where a closed form exists). ``components``
-    holds the per-rate component curves when produced by the mixture route.
+    holds the per-rate component curves when produced by the mixture route,
+    ``sweeps`` the number of integral-equation sweeps of the Picard route.
     """
 
     grid: TimeGrid
@@ -99,6 +103,7 @@ class ValueCurve:
     derivative: np.ndarray
     provenance: str
     components: Optional[np.ndarray] = None
+    sweeps: Optional[int] = None
 
     def __post_init__(self):
         n = self.grid.n_steps + 1
@@ -293,7 +298,8 @@ def _rk4_backward(rhs, t: np.ndarray, terminal) -> np.ndarray:
     return out
 
 
-_DAMPING = 0.5
+# smallest relaxation factor the secant step may choose (the largest is 1)
+_MIN_RELAXATION = 1.0 / 50.0
 
 
 def picard_solve(
@@ -305,31 +311,53 @@ def picard_solve(
     max_iter: int = 200,
     initial: Optional[np.ndarray] = None,
 ) -> ValueCurve:
-    """Damped Picard iteration on the discretized integral equation: each
-    sweep moves halfway (_DAMPING) towards the map's image.
+    """Relaxed Picard iteration on the discretized integral equation lam = G(lam),
+    in x = log lam.
 
-    Iterates are clipped into the a priori bounds box, which stabilizes the
-    raw map (the underlying theory proves existence and uniqueness, not
-    contraction). Raises NonConvergenceError when max_iter is exhausted.
+    Sweep k forms the residual r_k = log G(lam_k) - x_k and stops once
+    max |r_k| <= tol, returning the image G(lam_k); tol thus bounds the
+    relative change per sweep, whatever the scale of lam. Otherwise it steps
+    x_{k+1} = x_k + omega_k r_k. The first step takes omega = 1; later ones take
+    the one-dimensional secant update of Irons & Tuck (IJNME 1, 1969), which is
+    Anderson acceleration with memory 1 (Walker & Ni, SINUM 49, 2011):
+    omega_k = omega_{k-1} / (1 - rho_k), rho_k = <r_k, r_{k-1}> / |r_{k-1}|^2,
+    clipped into [1/50, 1], and omega_k = 1 when rho_k >= 1. So an oscillating
+    map (rho < 0) is damped and a monotone one runs at full step.
+
+    Iterates are clipped into the log of the a priori bounds box, which
+    stabilizes the raw map (the underlying theory proves existence and
+    uniqueness, not contraction). Raises NonConvergenceError when max_iter is
+    exhausted, or at once when a sweep's image is not finite and positive
+    (an overflow in the kernel sum).
     """
     if tol <= 0 or max_iter < 1:
         raise ParameterError("need tol > 0 and max_iter >= 1")
     bounds = a_priori_bounds(m, u, d, g)
-    lam = np.ones(g.n_steps + 1) if initial is None else np.asarray(initial, float).copy()
-    lam = np.clip(lam, bounds.lower, bounds.upper)
-    delta = np.inf
-    for _ in range(max_iter):
-        new = _integral_equation_rhs(lam, m, u, d, g)
-        delta = float(np.max(np.abs(new - lam)))
-        lam = (1.0 - _DAMPING) * lam + _DAMPING * new
-        np.clip(lam, bounds.lower, bounds.upper, out=lam)
+    lam = np.ones(g.n_steps + 1) if initial is None else np.asarray(initial, float)
+    with np.errstate(divide="ignore"):  # a vacuous lower side is 0
+        x_lo, x_hi = np.log(bounds.lower), np.log(bounds.upper)
+        x = np.log(np.clip(lam, bounds.lower, bounds.upper))
+    omega, r_prev, delta = 1.0, None, np.inf
+    for sweep in range(1, max_iter + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            image = _integral_equation_rhs(np.exp(x), m, u, d, g)
+        if not np.all(np.isfinite(image) & (image > 0)):
+            raise NonConvergenceError(sweep, None, "the sweep's image left the float range")
+        r = np.log(image) - x
+        delta = float(np.max(np.abs(r)))
         if delta <= tol:
             break
+        if r_prev is not None:
+            rho = float(r @ r_prev) / float(r_prev @ r_prev)
+            omega = 1.0 if rho >= 1.0 else min(max(omega / (1.0 - rho), _MIN_RELAXATION), 1.0)
+        x = np.clip(x + omega * r, x_lo, x_hi)
+        r_prev = r
     else:
         raise NonConvergenceError(max_iter, delta)
-    lam[-1] = 1.0
-    deriv = differential_form_rhs(lam, m, u, d, g)
-    return ValueCurve(grid=g, values=lam, derivative=deriv, provenance="picard")
+    image[-1] = 1.0
+    deriv = differential_form_rhs(image, m, u, d, g)
+    return ValueCurve(grid=g, values=image, derivative=deriv, provenance="picard",
+                      sweeps=sweep)
 
 
 def mixture_ode_solve(

@@ -430,6 +430,30 @@ class TestCliSolve:
         assert manifest["error"] == "non_convergence"
         assert manifest["iterations"] == 1
 
+    def test_overflowing_sweep_exit_code(self, tmp_path, capsys):
+        # p = -10, T = 100: the first sweep's image overflows; the solve stops
+        # there with no RuntimeWarning
+        body = BASE_INI.replace("p = 0.5", "p = -10").replace(
+            "horizon = 1.0", "horizon = 100.0").replace("n_steps = 200", "n_steps = 1000")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_solver_failure(capsys, ["solve", "--config", write_ini(tmp_path, body=body),
+                                           "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == "non_convergence"
+        assert manifest["iterations"] == 1 and manifest["last_delta"] is None
+
+    def test_manifest_records_sweeps(self, tmp_path):
+        ini = write_ini(tmp_path)
+        sweeps = {}
+        for method in ("picard", "mixture"):
+            out = tmp_path / method
+            assert cli.main(["solve", "--config", ini, "--out", str(out),
+                             "--method", method]) == 0
+            sweeps[method] = json.loads((out / "manifest.json").read_text())["sweeps"]
+        assert sweeps["picard"] >= 1 and sweeps["mixture"] is None
+
     def test_mixture_step_failure_exit_code(self, tmp_path, capsys):
         # a 60/yr component rate is unstable for RK4 at a 0.1 step
         body = BASE_INI.replace("n_steps = 200", "n_steps = 10").replace(

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from eqmerton.model import (
     CrraUtility,
@@ -170,6 +172,26 @@ class TestNaiveAndReport:
         together = naive_consumption(market, utility, d, g, probes)
         alone = [naive_consumption(market, utility, d, g, [t])[0] for t in probes]
         assert together.tolist() == alone
+
+    @pytest.mark.parametrize("p, t", [(0.5, 12.5), (0.95, 49.0)])
+    def test_naive_resolves_a_steep_first_step(self, market, p, t):
+        # log w falls 4.2 (p = 0.5) and 42 (p = 0.95) e-folds across the
+        # first grid step; scipy's adaptive quadrature is the reference
+        d = HyperbolicDiscount(k=20.0, gamma=3.0)
+        g = TimeGrid(horizon=50.0, n_steps=1000)
+        u = CrraUtility(p=p)
+        K, lag = growth_constant(market, u), g.horizon - t
+
+        def log_w(s):
+            return (math.log(d.h(s)) + K * s) / (1.0 - p)
+
+        shift = max(log_w(0.0), log_w(lag))
+        scaled, _ = quad(lambda s: math.exp(log_w(s) - shift), 0.0, lag,
+                         points=[g.dt, 10 * g.dt, 1.0], limit=500, epsabs=0.0,
+                         epsrel=1e-13)
+        reference = 1.0 / (math.exp(log_w(lag)) + scaled * math.exp(shift))
+        c = naive_consumption(market, u, d, g, [t])[0]
+        assert c == pytest.approx(reference, rel=1e-7)
 
     def test_report_solves_one_precommitment(self, market, utility, hyp_discount,
                                              hyp_solution, monkeypatch):

@@ -43,3 +43,16 @@ def test_mc_block_stages_runs():
     assert set(stages) == {"rng", "running sum", "X^p", "wealth", "reductions",
                            "simulate block", "verify block", "peak MB"}
     assert all(v >= 0 for values in stages.values() for v in values)
+
+
+def test_picard_scaling_runs():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "picard_scaling.py"),
+         "--sizes", "100", "200"],
+        capture_output=True, text=True, env=script_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.strip().split("\n")
+    assert header.split() == ["n", "sweeps", "time", "s", "peak", "MB", "lam(0)"]
+    assert [int(row.split()[0]) for row in rows] == [100, 200]
+    assert all(int(row.split()[1]) >= 1 for row in rows)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from eqmerton.model import (
     ParameterError,
     TimeGrid,
 )
+from eqmerton.config import load_config
 from eqmerton.solver import (
     FitTooCoarseError,
     NonConvergenceError,
@@ -304,6 +306,51 @@ class TestPicard:
         ]
         for other in sols[1:]:
             assert np.max(np.abs(other - sols[0])) <= 10 * tol
+
+    @pytest.mark.parametrize("p, horizon", [(0.95, 20.0), (-3.0, 50.0), (-3.0, 100.0),
+                                            (-10.0, 50.0)])
+    def test_converges_where_an_absolute_stop_stalls(self, market, hyp_discount, p,
+                                                     horizon):
+        # lam(0) is 1.6e9, 2.6e4, 4.3e4 and 1.8e13: an absolute change of
+        # 1e-10 is below one ulp of lam at the first, and the damped iteration
+        # ran out of sweeps or diverged on all four
+        u, g, tol = CrraUtility(p=p), TimeGrid(horizon=horizon, n_steps=1000), 1e-10
+        sol = picard_solve(market, u, hyp_discount, g, tol=tol)
+        lam = sol.values
+        assert np.all(np.isfinite(lam)) and np.all(lam > 0) and lam[-1] == 1.0
+        res = residual_integral_equation(sol, market, u, hyp_discount)
+        assert res <= 10 * tol * max(1.0, float(lam.max()))
+
+    def test_steep_discount_does_not_oscillate(self, market, utility):
+        # undamped sweeps still move lam by 0.07 after 200 sweeps here; the
+        # secant relaxation damps them
+        d = HyperbolicDiscount(k=20.0, gamma=3.0)
+        g, tol = TimeGrid(horizon=100.0, n_steps=500), 1e-10
+        sol = picard_solve(market, utility, d, g, tol=tol)
+        res = residual_integral_equation(sol, market, utility, d)
+        assert res <= 10 * tol * max(1.0, float(sol.values.max()))
+
+    def test_shipped_hyperbolic_config_in_few_sweeps(self):
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "hyperbolic.ini")
+        sol = picard_solve(cfg.market, cfg.utility, cfg.discount, cfg.grid,
+                           tol=cfg.solver.tol, max_iter=cfg.solver.max_iter)
+        assert sol.sweeps <= 10
+
+    def test_overflowing_sweep_raises_at_once(self, market, hyp_discount):
+        # from lam = 1 the first image at p = -10, T = 100 leaves the float range
+        g = TimeGrid(horizon=100.0, n_steps=1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError) as exc:
+                picard_solve(market, CrraUtility(p=-10.0), hyp_discount, g)
+        assert exc.value.iterations == 1 and exc.value.last_delta is None
+
+    def test_sweep_count_only_on_picard(self, market, utility, coarse_grid,
+                                        hyp_discount, mix_discount, exp_discount):
+        assert picard_solve(market, utility, hyp_discount, coarse_grid).sweeps >= 1
+        assert mixture_ode_solve(market, utility, mix_discount, coarse_grid).sweeps is None
+        assert theta_closed_form(market, utility, exp_discount.rho,
+                                 coarse_grid).sweeps is None
 
 
 class TestMixtureOde:
