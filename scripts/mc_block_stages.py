@@ -3,12 +3,18 @@
 
 Runs the stages of one block of the equilibrium simulation (hyperbolic
 discount, T = 1) on buffers that are already allocated, as every block after
-a worker's first one sees them, and tabulates the best-of-k time of each:
+a worker's first one sees them, and tabulates the best-of-k time of each. A
+block of --paths paths is --paths / 2 antithetic pairs:
 
-* rng           Philox normals drawn into the reused buffer;
-* running sum   W = cumsum(Z), the running sum every log-wealth is affine in;
-* X^p           exp(p vol W) once per block, which is X^p up to per-node factors;
-* wealth        exp(vol W), formed only for ``simulate``'s mean wealth;
+* rng           Philox normals for the first path of each pair, drawn into
+                the reused buffer;
+* running sum   W = cumsum(Z) on those paths, the running sum every
+                log-wealth is affine in;
+* mirror        -W written into the other half, the partner of each path;
+* X^p           exp(p vol W) once per block, which is X^p up to per-node factors
+                (the mirrored half as the reciprocal of its partners' half);
+* wealth        exp(vol W) the same way, formed only for ``simulate``'s mean
+                wealth;
 * reductions    the utility functional J = Y @ weights and the per-node sums.
 
 The last rows time the whole ``simulate`` and ``verify`` block functions on
@@ -36,6 +42,7 @@ from eqmerton.simulate import (
     SimConfig,
     Spike,
     _Buffers,
+    _exp_pairs,
     equilibrium_leg,
     martingale_estimator,
     perturbation_estimator,
@@ -65,35 +72,39 @@ def stages(n_paths: int, n_steps: int, repeats: int) -> dict:
     leg = equilibrium_leg(pol, cfg, m, u, d)
 
     buffers = _Buffers()
-    W = buffers.get("w", (n_paths, n_steps + 1))
-    Z = buffers.get("z", (n_paths, n_steps), reserve=W.size)
+    half = cfg.block_pairs
+    W = buffers.get("w", (2 * half, n_steps + 1))
+    Z = buffers.get("z", (half, n_steps), reserve=W.size)
     Y = buffers.get("y", W.shape)
-    W[:, 0] = 0.0
+    W[:half, 0] = 0.0
 
     def rng():
         np.random.Generator(np.random.Philox(key=[42, 0])).standard_normal(out=Z)
 
     def running_sum():
-        np.cumsum(Z, axis=1, out=W[:, 1:])
+        np.cumsum(Z, axis=1, out=W[:half, 1:])
+
+    def mirror():
+        np.negative(W[:half], out=W[half:])
 
     def powers():
-        np.exp(np.multiply(W, u.p * leg.vol, out=Y), out=Y)
+        _exp_pairs(W, u.p * leg.vol, Y)
 
     def wealth():
-        X = np.multiply(W, leg.vol, out=buffers.get("z", W.shape))
-        np.exp(X, out=X)
+        _exp_pairs(W, leg.vol, buffers.get("z", W.shape))
 
     def reductions():
         J = Y @ leg.weights
         return (J.sum(), (J**2).sum(), Y.sum(axis=0))
 
     row = {}
-    for name, fn in (("rng", rng), ("running sum", running_sum), ("X^p", powers),
-                     ("wealth", wealth), ("reductions", reductions)):
+    for name, fn in (("rng", rng), ("running sum", running_sum), ("mirror", mirror),
+                     ("X^p", powers), ("wealth", wealth), ("reductions", reductions)):
         row[name] = best_ms(fn, repeats)
 
     rng()
     running_sum()
+    mirror()
     nc = solve_no_consumption(m, u, d, g)
     sim_block = simulation_estimator(pol, g, leg, d, (u.p, 2 * u.p))[0]
     verify_blocks = [

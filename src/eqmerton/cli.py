@@ -110,8 +110,13 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
               _lambda_rows(curve, cfg.utility))
     res_ie = solver.residual_integral_equation(curve, cfg.market, cfg.utility, cfg.discount)
     res_df = solver.residual_differential_form(curve, cfg.market, cfg.utility, cfg.discount)
+    # relative rows: the sup-norm residuals over max(1, sup lam), which do not
+    # grow with the scale of lam
+    scale = max(1.0, float(np.max(curve.values)))
     write_csv(out / "residuals.csv", ["check", "value"],
-              [("integral_equation", res_ie), ("differential_form", res_df)])
+              [("integral_equation", res_ie), ("differential_form", res_df),
+               ("integral_equation_relative", res_ie / scale),
+               ("differential_form_relative", res_df / scale)])
     extra = {"provenance": curve.provenance, "sweeps": curve.sweeps,
              "bounds_contain": bounds.contains(curve.values)}
     if fit is not None:
@@ -171,6 +176,9 @@ def cmd_verify(cfg: RunConfig, out: Path, perturb_lambda: float = 0.0,
         "perturb_lambda": perturb_lambda,
         "checks": list(checks),
         "all_passed": all(v.passed for v in rows),
+        # the sample behind each Monte Carlo z: antithetic pairs and standard error
+        "monte_carlo": {v.name: {"n_pairs": v.n_pairs, "std_error": v.std_error}
+                        for v in rows if v.n_pairs is not None},
     }))
     if not all(v.passed for v in rows):
         for v in rows:
@@ -182,7 +190,8 @@ def cmd_verify(cfg: RunConfig, out: Path, perturb_lambda: float = 0.0,
 
 def _spike_verdict(name: str, row, passed) -> simulate.Verdict:
     return simulate.Verdict(name, row.z, STAT_THRESHOLD, bool(passed),
-                            f"D={row.d_estimate:.4g} se={row.std_error:.3g}")
+                            f"D={row.d_estimate:.4g} se={row.std_error:.3g}",
+                            row.n_pairs, row.std_error)
 
 
 def _duality_verdicts(nc_curve, u, m, d, g) -> list:
@@ -258,6 +267,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     write_manifest(out / "manifest.json", _manifest_payload(cfg, "simulate", {
         "j_estimate": batch.j_estimate,
         "j_std_error": batch.j_std_error,
+        "n_pairs": batch.n_pairs,
         "terminal_moments": {
             str(q): {"mean": mq, "std_error": sq}
             for q, (mq, sq) in batch.terminal_moments.items()

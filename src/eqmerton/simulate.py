@@ -2,19 +2,32 @@
 verification of the identities that define the equilibrium.
 
 Because the CRRA policies are linear in wealth, wealth is exactly log-normal
-on the grid; discretization error is confined to the time quadrature of the
-utility integral and to treating the consumption ratio as constant per step
-(left endpoint).
+on the grid. Each step's drift takes the trapezoid average (c_k + c_{k+1})/2
+of the consumption ratio, the quadrature the integral equation applies to
+p c, and the utility integral is the trapezoid sum over the nodes; so the
+expectation of the discrete utility functional equals lam(t) x^p / p of the
+discrete solution, and the checks below sample no time-discretization bias.
 
 Randomness is counter-based and splittable: paths are processed in fixed-size
-blocks and block b draws from ``Philox(key=[seed, b])``, so path i, step k is
-a deterministic function of (seed, i, k) regardless of how many workers
-process the blocks. Block partials are combined by pairwise summation in
-block order, making results bit-identical across worker counts.
+blocks and block b draws from ``Philox(key=[seed, b])``, so every path is a
+deterministic function of (seed, its block, its row) regardless of how many
+workers process the blocks. Block partials are combined by pairwise summation
+in block order, making results bit-identical across worker counts.
+
+Paths come in antithetic pairs (Glasserman, Monte Carlo Methods in Financial
+Engineering, 2004, section 4.2): a block of m pairs draws m rows of normals,
+forms their running sums W, and mirrors them, so rows i and m + i carry W and
+-W. Every log-wealth is affine in W, so the mirrored path costs no draws and
+is strongly anti-correlated with its partner. The sample unit is the pair:
+every standard error is taken over the pair averages (f(W) + f(-W)) / 2, and
+a pure mean (mean wealth, mean value) averages all paths. The ensemble holds
+ceil(n_paths / 2) pairs and a block ceil(block_size / 2), so an odd n_paths
+or block_size runs one path more (n_paths = 1 runs one pair).
 
 Every policy simulated here holds a constant stock fraction zeta over the
 steps it covers, so with W[:, k] = Z[:, 0] + ... + Z[:, k-1], the running sum
-of a path's normals, its log-wealth at node k is the affine map
+of a path's normals (negated on the mirrored half of a block), its
+log-wealth at node k is the affine map
 
     log X(t_k) = log x0 + drift[k] + sigma sqrt(dt) zeta W[:, k].
 
@@ -79,7 +92,10 @@ STAT_THRESHOLD = 3.0  # all statistical verdicts use three standard errors
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Ensemble size, RNG seed, simulation grid, and initial wealth."""
+    """Ensemble size, RNG seed, simulation grid, and initial wealth.
+
+    n_paths and block_size count paths, rounded up to whole antithetic pairs
+    (``n_pairs``, ``block_pairs``)."""
 
     n_paths: int
     seed: int
@@ -98,29 +114,41 @@ class SimConfig:
         if not (0 <= int(self.seed) < 2**64):
             raise ParameterError("seed must fit in 64 bits")
 
+    @property
+    def n_pairs(self) -> int:
+        return (self.n_paths + 1) // 2
+
+    @property
+    def block_pairs(self) -> int:
+        return (self.block_size + 1) // 2
+
 
 @dataclass(frozen=True)
 class SimBatch:
-    """Summary of one simulated ensemble."""
+    """Summary of one simulated ensemble; the standard errors are over its
+    n_pairs antithetic pairs."""
 
     j_estimate: float
     j_std_error: float
     terminal_moments: dict
     mean_wealth: np.ndarray
     mean_value_over_h: np.ndarray
-    n_paths: int
+    n_pairs: int
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a statistical check; statistic is a z-score against the
-    three-standard-error threshold."""
+    """Outcome of a check. For a Monte Carlo check the statistic is a z-score
+    against the three-standard-error threshold, taken with ``std_error`` over
+    ``n_pairs`` antithetic pairs; a deterministic check leaves both None."""
 
     name: str
     statistic: float
     threshold: float
     passed: bool
     details: str = ""
+    n_pairs: Optional[int] = None
+    std_error: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -134,10 +162,13 @@ class Spike:
 
 @dataclass(frozen=True)
 class PerturbationRow:
+    """D(eps), its standard error over n_pairs antithetic pairs, and its z."""
+
     epsilon: float
     d_estimate: float
     std_error: float
     z: float
+    n_pairs: int
 
 
 def _pairwise_combine(items: list[dict]) -> dict:
@@ -172,23 +203,26 @@ class _Buffers:
 def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> dict:
     """Run block_fn(W, buffers) over all path blocks and combine the sums.
 
-    W (block paths x (n_sub_steps + 1)) holds the running sums of the block's
-    normals, with W[:, 0] = 0; the normals were drawn into buffer "z", which
-    has room for W's shape and which the block may overwrite.
+    Block b holds m antithetic pairs: W (2m x (n_sub_steps + 1)) holds the
+    running sums of m rows of normals from ``Philox(key=[seed, b])`` in W[:m],
+    with W[:, 0] = 0, and their mirror -W[:m] in W[m:]. The normals were
+    drawn into buffer "z", which has room for W's shape and which the block
+    may overwrite.
     """
-    n_blocks = (cfg.n_paths + cfg.block_size - 1) // cfg.block_size
+    n_blocks = -(-cfg.n_pairs // cfg.block_pairs)
     local = threading.local()
 
     def run(b: int) -> dict:
         if not hasattr(local, "buffers"):
             local.buffers = _Buffers()
         buffers = local.buffers
-        m_b = min(cfg.block_size, cfg.n_paths - b * cfg.block_size)
+        m_b = min(cfg.block_pairs, cfg.n_pairs - b * cfg.block_pairs)
         rng = np.random.Generator(np.random.Philox(key=[int(cfg.seed), b]))
-        W = buffers.get("w", (m_b, n_sub_steps + 1))
+        W = buffers.get("w", (2 * m_b, n_sub_steps + 1))
         Z = rng.standard_normal(out=buffers.get("z", (m_b, n_sub_steps), reserve=W.size))
-        W[:, 0] = 0.0
-        np.cumsum(Z, axis=1, out=W[:, 1:])
+        W[:m_b, 0] = 0.0
+        np.cumsum(Z, axis=1, out=W[:m_b, 1:])
+        np.negative(W[:m_b], out=W[m_b:])
         return block_fn(W, buffers)
 
     if cfg.n_workers == 1:
@@ -239,19 +273,43 @@ def _z(diff, se) -> float:
     return 0.0 if diff == 0 else math.copysign(math.inf, diff)
 
 
+def _pair_means(v: np.ndarray) -> np.ndarray:
+    """The pair averages (f(W) + f(-W)) / 2 of per-path values v of a block
+    (axis 0), whose rows i and m + i are antithetic partners."""
+    m = len(v) // 2
+    return 0.5 * (v[:m] + v[m:])
+
+
+def _exp_pairs(W: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """exp(scale W) of a block into out; the mirrored half is the reciprocal
+    of its partners' half, exp(-scale W) = 1 / exp(scale W), which costs less
+    than an exp."""
+    m = len(W) // 2
+    top = np.multiply(W[:m], scale, out=out[:m])
+    np.exp(top, out=top)
+    np.divide(1.0, top, out=out[m:])
+    return out
+
+
 def _sums(key: str, v) -> dict:
-    """Sum and sum of squares of v over its paths (axis 0)."""
-    return {key: v.sum(axis=0), f"{key}_sq": (v**2).sum(axis=0)}
+    """Sum and sum of squares of the pair averages of v over a block's pairs."""
+    a = _pair_means(v)
+    return {key: a.sum(axis=0), f"{key}_sq": (a**2).sum(axis=0)}
 
 
 def _mean_se(sums: dict, key: str, n: int):
-    """Sample mean and its standard error from ``_sums`` over n paths."""
+    """Sample mean and its standard error from ``_sums`` over n pairs."""
     mean = sums[key] / n
     return mean, np.sqrt(np.maximum(sums[f"{key}_sq"] / n - mean**2, 0.0) / n)
 
 
-def _verdict(name: str, z: float, passed, details: str) -> Verdict:
-    return Verdict(name, z, STAT_THRESHOLD, bool(passed), details)
+def _verdict(name: str, z: float, passed, details: str, n_pairs: int, se) -> Verdict:
+    return Verdict(name, z, STAT_THRESHOLD, bool(passed), details, n_pairs, float(se))
+
+
+def _step_means(c: np.ndarray) -> np.ndarray:
+    """Trapezoid average (c_k + c_{k+1}) / 2 of node values over each step."""
+    return 0.5 * (c[:-1] + c[1:])
 
 
 @dataclass(frozen=True)
@@ -282,7 +340,7 @@ class PolicyLeg:
 
     @cached_property
     def drift(self) -> np.ndarray:
-        return _log_drift(self.m, self.zeta, self.c_nodes[:-1], self.dt)
+        return _log_drift(self.m, self.zeta, _step_means(self.c_nodes), self.dt)
 
     @cached_property
     def scale(self) -> np.ndarray:
@@ -307,9 +365,8 @@ class Block:
     def powers(self):
         """(Y, J) of the leg: Y = exp(p vol W), so X^p = leg.scale * Y, and
         the utility functional J = Y @ leg.weights per path."""
-        Y = np.multiply(self.W, self._leg.u.p * self._leg.vol,
-                        out=self._buffers.get("y", self.W.shape))
-        np.exp(Y, out=Y)
+        Y = _exp_pairs(self.W, self._leg.u.p * self._leg.vol,
+                       self._buffers.get("y", self.W.shape))
         return Y, Y @ self._leg.weights
 
     def scratch(self) -> np.ndarray:
@@ -335,8 +392,9 @@ def run_estimators(cfg: SimConfig, estimators: list, leg: Optional[PolicyLeg] = 
     An estimator is a pair (block, finish). ``block(blk)`` maps one ``Block``
     to a dict of sums; ``blk.powers`` gives the leg's X^p factor and utility
     functional, formed once per block for all estimators. ``finish(sums,
-    n_paths)`` turns the sums over all blocks into the result. W spans the
-    leg's steps, or the whole grid without a leg.
+    n_pairs)`` turns the sums over all blocks into the result, with n_pairs
+    the number of antithetic pairs (``SimConfig.n_pairs``). W spans the leg's
+    steps, or the whole grid without a leg.
     """
     if not estimators:
         return []
@@ -348,7 +406,7 @@ def run_estimators(cfg: SimConfig, estimators: list, leg: Optional[PolicyLeg] = 
 
     n_sub = cfg.grid.n_steps if leg is None else leg.n_steps
     sums = _accumulate_blocks(cfg, n_sub, block)
-    return [finish({key: value for (j, key), value in sums.items() if j == i}, cfg.n_paths)
+    return [finish({key: value for (j, key), value in sums.items() if j == i}, cfg.n_pairs)
             for i, (_, finish) in enumerate(estimators)]
 
 
@@ -363,8 +421,7 @@ def simulation_estimator(pol: EquilibriumPolicy, g: TimeGrid, leg: PolicyLeg,
 
     def block(blk):
         Y, J = blk.powers
-        X = np.multiply(blk.W, leg.vol, out=blk.scratch())
-        np.exp(X, out=X)
+        X = _exp_pairs(blk.W, leg.vol, blk.scratch())
         out = {**_sums("j", J), "wealth": X.sum(axis=0) * wealth_scale,
                "voh": Y.sum(axis=0) * voh_scale}
         for q in moment_orders:
@@ -377,9 +434,9 @@ def simulation_estimator(pol: EquilibriumPolicy, g: TimeGrid, leg: PolicyLeg,
             j_estimate=float(j),
             j_std_error=float(j_se),
             terminal_moments={q: _mean_se(s, f"m{q}", n) for q in moment_orders},
-            mean_wealth=s["wealth"] / n,
-            mean_value_over_h=s["voh"] / n,
-            n_paths=n,
+            mean_wealth=s["wealth"] / (2 * n),
+            mean_value_over_h=s["voh"] / (2 * n),
+            n_pairs=n,
         )
 
     return block, finish
@@ -413,7 +470,7 @@ def value_identity_estimator(sol: ValueCurve, u: CrraUtility, t: float, x: float
         j, se = _mean_se(s, "j", n)
         z = _z(j - target, se)
         return _verdict("value_identity", z, abs(z) <= STAT_THRESHOLD,
-                        f"J={j:.6g} se={se:.3g} target={target:.6g}")
+                        f"J={j:.6g} se={se:.3g} target={target:.6g}", n, se)
 
     return block, finish
 
@@ -438,7 +495,8 @@ def verify_value_identity(
     """
     if _node_index(cfg.grid, t) == cfg.grid.n_steps:
         # terminal time: the functional is the bequest utility, zero variance
-        return _verdict("value_identity", 0.0, True, "t=T, exact identity J = U(x)")
+        return _verdict("value_identity", 0.0, True, "t=T, exact identity J = U(x)",
+                        cfg.n_pairs, 0.0)
     if policy is None:
         policy = equilibrium_policy(sol, m, u)
     cfg = replace(cfg, x0=x)
@@ -473,29 +531,30 @@ def martingale_estimator(sol: ValueCurve, cfg: SimConfig, m: MarketParams, u: Cr
     def block(blk):
         out = {}
         for key, log_x in log_wealth.items():
-            Y = scale * np.exp(u.p * log_x(blk))
-            out[key], out[f"{key}_cross"] = Y.sum(axis=0), Y.T @ Y
+            A = _pair_means(scale * np.exp(u.p * log_x(blk)))
+            out[key], out[f"{key}_cross"] = A.sum(axis=0), A.T @ A
         return out
 
     def pair_z(s, key, n, i, j):
-        """z of mean[i] - mean[j] with the standard error of the paired difference."""
+        """(z, se) of mean[i] - mean[j], with the standard error of the paired
+        difference."""
         mean = s[key] / n
         cov = s[f"{key}_cross"] / n - np.outer(mean, mean)
         se = np.sqrt(max(cov[i, i] + cov[j, j] - 2 * cov[i, j], 0.0) / n)
-        return _z(mean[i] - mean[j], se)
+        return _z(mean[i] - mean[j], se), se
 
     def finish(s, n):
         # a single checkpoint passes both vacuously
-        worst = max((abs(pair_z(s, "eq", n, i, j)) for i in range(k)
-                     for j in range(i + 1, k)), default=0.0)
+        flat = [pair_z(s, "eq", n, i, j) for i in range(k) for j in range(i + 1, k)]
+        worst, worst_se = max(((abs(z), se) for z, se in flat), default=(0.0, 0.0))
         # a consecutive drop is positive when the means decrease
-        weakest = min((pair_z(s, "sub", n, i, i + 1) for i in range(k - 1)),
-                      default=math.inf)
+        weakest, weakest_se = min((pair_z(s, "sub", n, i, i + 1) for i in range(k - 1)),
+                                  default=(math.inf, 0.0))
         return (
             _verdict("martingale_flat", worst, worst <= STAT_THRESHOLD,
-                     f"max pairwise |z| over {k} checkpoints"),
+                     f"max pairwise |z| over {k} checkpoints", n, worst_se),
             _verdict("submartingale_decreasing", weakest, weakest >= STAT_THRESHOLD,
-                     f"min consecutive drop z under zeta={suboptimal_zeta}"),
+                     f"min consecutive drop z under zeta={suboptimal_zeta}", n, weakest_se),
         )
 
     return block, finish
@@ -540,7 +599,7 @@ def moment_estimator(cfg: SimConfig, m: MarketParams, u: CrraUtility, exponent_q
             target = cfg.x0**exponent_q * np.exp(growth_rate * s)
             z = _z(mean - target, se)
             out.append(_verdict(f"moment_q{exponent_q}_s{s:g}", z, abs(z) <= STAT_THRESHOLD,
-                                f"sample={mean:.6g} target={target:.6g}"))
+                                f"sample={mean:.6g} target={target:.6g}", n, se))
         return out
 
     return block, finish
@@ -583,8 +642,8 @@ def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
     if spike.consumption is not None:
         c_spiked[:w] = spike.consumption
     # the log-wealth gap, spiked minus equilibrium, is gap_drift + gap_vol W on
-    # nodes 0..w
-    gap_step = (m.mu * (zeta - leg.zeta) - (c_spiked[:w] - leg.c_nodes[:w])
+    # nodes 0..w; both legs' drifts take the trapezoid average of c per step
+    gap_step = (m.mu * (zeta - leg.zeta) - _step_means(c_spiked - leg.c_nodes)[:w]
                 - 0.5 * m.sigma**2 * (zeta**2 - leg.zeta**2)) * dt
     gap_drift = p * np.concatenate([[0.0], np.cumsum(gap_step)])
     gap_vol = p * m.sigma * math.sqrt(dt) * (zeta - leg.zeta)
@@ -602,7 +661,7 @@ def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
     def finish(s, n):
         d, se = _mean_se(s, "d", n)
         return PerturbationRow(epsilon=float(eps), d_estimate=float(d),
-                               std_error=float(se), z=_z(d, se))
+                               std_error=float(se), z=_z(d, se), n_pairs=n)
 
     return block, finish
 

@@ -326,9 +326,16 @@ def picard_solve(
 
     Iterates are clipped into the log of the a priori bounds box, which
     stabilizes the raw map (the underlying theory proves existence and
-    uniqueness, not contraction). Raises NonConvergenceError when max_iter is
-    exhausted, or at once when a sweep's image is not finite and positive
-    (an overflow in the kernel sum).
+    uniqueness, not contraction). The box bounds the continuous solution, and
+    for an exponential discount with K > rho its upper end is that solution's
+    lam(0) exactly, while the trapezoid fixed point lies above it by the
+    quadrature error. So the upper end gets the trapezoid rule's excess on the
+    box's own envelope: the composite rule overstates the integral of e^{b s}
+    by exactly the factor (b dt/2) coth(b dt/2), here at b = A/(1-p), which is
+    (1-p) log of that factor in log lam.
+
+    Raises NonConvergenceError when max_iter is exhausted, or at once when a
+    sweep's image is not finite and positive (an overflow in the kernel sum).
     """
     if tol <= 0 or max_iter < 1:
         raise ParameterError("need tol > 0 and max_iter >= 1")
@@ -337,6 +344,8 @@ def picard_solve(
     with np.errstate(divide="ignore"):  # a vacuous lower side is 0
         x_lo, x_hi = np.log(bounds.lower), np.log(bounds.upper)
         x = np.log(np.clip(lam, bounds.lower, bounds.upper))
+    half_step = 0.5 * bounds.A * g.dt / (1.0 - u.p)
+    x_hi += (1.0 - u.p) * math.log(half_step / math.tanh(half_step))
     omega, r_prev, delta = 1.0, None, np.inf
     for sweep in range(1, max_iter + 1):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -444,6 +444,25 @@ class TestCliSolve:
         assert manifest["error"] == "non_convergence"
         assert manifest["iterations"] == 1 and manifest["last_delta"] is None
 
+    def test_picard_above_the_tight_bound(self, tmp_path):
+        # exponential p = 0.99, T = 5: lam(0) = 1.1e13 sits above the continuous
+        # upper bound by the quadrature error; the solve converges, the manifest
+        # says the box does not contain it, and the relative residuals read on
+        # the scale of tol where the absolute ones are scaled by lam
+        out = tmp_path / "out"
+        ini = self.exponential_ini(tmp_path, 0.99, 5.0)
+        assert cli.main(["solve", "--config", ini, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["bounds_contain"] is False
+        residuals = {row.split(",")[0]: float(row.split(",")[1]) for row in
+                     (out / "residuals.csv").read_text().strip().split("\n")[1:]}
+        assert list(residuals) == ["integral_equation", "differential_form",
+                                   "integral_equation_relative",
+                                   "differential_form_relative"]
+        lam_max = float((out / "lambda.csv").read_text().split("\n")[1].split(",")[1])
+        for name in ("integral_equation", "differential_form"):
+            assert residuals[f"{name}_relative"] == residuals[name] / lam_max
+        assert residuals["integral_equation_relative"] <= 1e-9
+
     def test_manifest_records_sweeps(self, tmp_path):
         ini = write_ini(tmp_path)
         sweeps = {}
@@ -508,6 +527,18 @@ class TestCliVerify:
                          "--checks", "duality"]) == 0
         body = (out / "verification.csv").read_text()
         assert "dual_pde_residual" in body and "false" not in body
+
+    def test_manifest_lists_the_monte_carlo_samples(self, tmp_path):
+        # n_paths = 5001: 2501 antithetic pairs behind every Monte Carlo z (the
+        # verdicts themselves are not under test at this sample size)
+        ini = write_ini(tmp_path, body=BASE_INI.replace("n_paths = 5000", "n_paths = 5001"))
+        out = tmp_path / "out"
+        cli.main(["verify", "--config", ini, "--out", str(out)])
+        samples = json.loads((out / "manifest.json").read_text())["monte_carlo"]
+        assert set(samples) == {"value_identity", "martingale_flat",
+                                "submartingale_decreasing", "perturbation_gross_spike",
+                                "perturbation_first_order_stationarity"}
+        assert all(s["n_pairs"] == 2501 and s["std_error"] > 0 for s in samples.values())
 
     def test_perturbed_lambda_fails_verification(self, tmp_path):
         ini = write_ini(tmp_path)
@@ -668,6 +699,7 @@ class TestCliSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         j, se = manifest["j_estimate"], manifest["j_std_error"]
         assert abs(j - manifest["value_at_start"]) <= 3 * se
+        assert manifest["n_pairs"] == 2500
         body = (out / "simulation.csv").read_text().strip().split("\n")
         assert body[0] == "t,mean_wealth,mean_value_over_h"
         assert len(body) == 202  # header + 201 nodes

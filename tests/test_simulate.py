@@ -3,6 +3,8 @@ import sys
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from eqmerton.model import CrraUtility, MarketParams, ParameterError, TimeGrid
 from eqmerton.policy import EquilibriumPolicy, equilibrium_policy, stock_fraction
 from eqmerton.simulate import (
@@ -37,8 +39,8 @@ def hyp_policy(market, utility, hyp_discount, sim_grid):
     return sol, equilibrium_policy(sol, market, utility)
 
 
-def sim_cfg(sim_grid, n_paths=20000, seed=7, **kw):
-    return SimConfig(n_paths=n_paths, seed=seed, grid=sim_grid, x0=1.0, **kw)
+def sim_cfg(sim_grid, n_paths=20000, seed=7, x0=1.0, **kw):
+    return SimConfig(n_paths=n_paths, seed=seed, grid=sim_grid, x0=x0, **kw)
 
 
 class TestDeterminism:
@@ -250,10 +252,10 @@ class TestPerturbation:
 
     def test_zero_std_error_keeps_the_sign_of_d(self, market, utility,
                                                 hyp_discount, sim_grid, hyp_policy):
-        # one path has se = 0; this spike raises J on it (D < 0), which must
-        # read as -inf, not as a detected loss
+        # one antithetic pair has se = 0; this spike raises the pair's average
+        # J (D < 0), which must read as -inf, not as a detected loss
         _, pol = hyp_policy
-        row = perturbation_test(pol, sim_cfg(sim_grid, n_paths=1, seed=5), market,
+        row = perturbation_test(pol, sim_cfg(sim_grid, n_paths=1, seed=0), market,
                                 utility, hyp_discount, t=0.0, epsilons=[0.25],
                                 spike=Spike(zeta=pol.stock_fraction + 1.0))[0]
         assert row.std_error == 0.0 and row.d_estimate < 0
@@ -270,6 +272,25 @@ class TestPerturbation:
                                     epsilons=[eps], spike=spike)[0]
                   for eps in (0.1, 0.25)]
         assert ladder == single
+
+
+class TestDiscreteFunctional:
+    @pytest.mark.parametrize("discount", ["hyperbolic", "exponential", "mixture"])
+    @pytest.mark.parametrize("p", [0.5, -2.0])
+    @pytest.mark.parametrize("t0", [0.0, 0.5])
+    def test_expected_functional_is_the_value(self, market, all_discounts, sim_grid,
+                                              discount, p, t0):
+        # every leg is lognormal, E[exp(p vol W_k)] = exp((p vol)^2 k / 2), so the
+        # expected discrete functional is exact without sampling; with the
+        # trapezoid drift it is the quantity the integral equation discretizes
+        u, d = CrraUtility(p=p), all_discounts[discount]
+        sol = picard_solve(market, u, d, sim_grid)
+        cfg = sim_cfg(sim_grid, x0=1.7)
+        leg = equilibrium_leg(equilibrium_policy(sol, market, u), cfg, market, u, d, t0)
+        k = np.arange(leg.n_steps + 1)
+        expected_j = leg.weights @ np.exp((p * leg.vol) ** 2 * k / 2)
+        target = np.interp(t0, sim_grid.nodes, sol.values) * cfg.x0**p / p
+        assert abs(expected_j / target - 1) <= 1e-9
 
 
 class TestOnePass:
@@ -297,10 +318,15 @@ class TestOnePass:
 # ---------------------------------------------------------------------------
 # Test-owned oracle: every leg stepped on its own, as a cumulative sum of its
 # log increments, exponentiated, with J as the trapezoid quadrature of
-# h (c X)^p / p plus the bequest. The library instead reads every leg off one
-# running sum of the normals; the block sums must agree to rounding.
+# h (c X)^p / p plus the bequest. A step's drift takes the trapezoid average
+# of the consumption ratio at its two nodes. Each block draws half its paths'
+# normals and steps the other half on the negated normals; every sample
+# statistic is taken over the pair averages. The library instead reads every
+# leg off one running sum of the normals; the block sums must agree to
+# rounding.
 
-def oracle_wealth(Z, x0, m, zeta_steps, c_steps, dt):
+def oracle_wealth(Z, x0, m, zeta_steps, c_nodes, dt):
+    c_steps = (c_nodes[:-1] + c_nodes[1:]) / 2
     drift = (m.r + m.mu * zeta_steps - c_steps - 0.5 * m.sigma**2 * zeta_steps**2) * dt
     incr = drift[None, :] + (m.sigma * zeta_steps * np.sqrt(dt))[None, :] * Z
     log_x = np.concatenate([np.zeros((Z.shape[0], 1)), np.cumsum(incr, axis=1)], axis=1)
@@ -316,13 +342,27 @@ def oracle_j(X, c, h, dt, p):
     return J
 
 
+def oracle_normals(cfg, n_sub):
+    """The stream's blocks of normals: ceil(block_size / 2) pairs per block, up
+    to ceil(n_paths / 2) pairs; block b draws the first row of each pair from
+    Philox(key=[seed, b]), and the second row is its negation."""
+    pairs, per_block = -(-cfg.n_paths // 2), -(-cfg.block_size // 2)
+    for b in range(-(-pairs // per_block)):
+        m_b = min(per_block, pairs - b * per_block)
+        Z = np.random.Generator(np.random.Philox(key=[cfg.seed, b])).standard_normal(
+            (m_b, n_sub))
+        yield np.concatenate([Z, -Z])
+
+
+def pair_average(v):
+    """Average of the two paths of each pair: rows i and m + i of a block."""
+    return v.reshape(2, -1, *v.shape[1:]).mean(axis=0)
+
+
 def oracle_sums(cfg, n_sub, block_fn):
     """Sums of block_fn(Z) over the stream's blocks, drawn as the library draws them."""
     total = {}
-    for b in range(-(-cfg.n_paths // cfg.block_size)):
-        m_b = min(cfg.block_size, cfg.n_paths - b * cfg.block_size)
-        Z = np.random.Generator(np.random.Philox(key=[cfg.seed, b])).standard_normal(
-            (m_b, n_sub))
+    for Z in oracle_normals(cfg, n_sub):
         for key, value in block_fn(Z).items():
             total[key] = total.get(key, 0.0) + value
     return total
@@ -347,14 +387,15 @@ def oracle_leg_sums(pol, cfg, m, u, d, t0, spike, eps):
     zeta_spk[:w], c_spk[:w] = spike.zeta, spike.consumption
 
     def block(Z):
-        X = oracle_wealth(Z, cfg.x0, m, zeta, c[:-1], dt)
+        X = oracle_wealth(Z, cfg.x0, m, zeta, c, dt)
         J = oracle_j(X, c, h, dt, p)
-        X_spk = oracle_wealth(Z, cfg.x0, m, zeta_spk, c_spk[:-1], dt)
+        X_spk = oracle_wealth(Z, cfg.x0, m, zeta_spk, c_spk, dt)
         D = (J - oracle_j(X_spk, c_spk, h, dt, p)) / eps
-        out = {"j": J.sum(), "j_sq": (J**2).sum(), "d": D.sum(), "d_sq": (D**2).sum(),
-               "wealth": X.sum(axis=0), "voh": (voh_scale * X**p / p).sum(axis=0)}
-        for q in (p, 2 * p):
-            out[f"m{q}"], out[f"m{q}_sq"] = (X[:, -1] ** q).sum(), (X[:, -1] ** (2 * q)).sum()
+        out = {"wealth": X.sum(axis=0), "voh": (voh_scale * X**p / p).sum(axis=0)}
+        pairs = {"j": J, "d": D, **{f"m{q}": X[:, -1] ** q for q in (p, 2 * p)}}
+        for key, v in pairs.items():
+            a = pair_average(v)
+            out[key], out[f"{key}_sq"] = a.sum(), (a**2).sum()
         return out
 
     return oracle_sums(cfg, n_sub, block)
@@ -367,16 +408,16 @@ def oracle_grid_sums(nc, cfg, m, u, d):
     ck_mart, ck_mom = _checkpoints(g, 5), _checkpoints(g, 6)[1:]
     scale = (np.interp(g.nodes[ck_mart], nc.grid.nodes, nc.values) / p
              / d.h(g.horizon - g.nodes[ck_mart]))
-    no_c = np.zeros(g.n_steps)
+    no_c = np.zeros(g.n_steps + 1)
 
     def block(Z):
         out = {}
         for key, zeta in (("eq", stock_fraction(m, u)), ("sub", stock_fraction(m, u) / 2)):
             X = oracle_wealth(Z, cfg.x0, m, np.full(g.n_steps, zeta), no_c, g.dt)
-            Y = scale * X[:, ck_mart] ** p
+            Y = pair_average(scale * X[:, ck_mart] ** p)
             out[key], out[f"{key}_cross"] = Y.sum(axis=0), Y.T @ Y
             if key == "eq":
-                y = X[:, ck_mom] ** p
+                y = pair_average(X[:, ck_mom] ** p)
                 out["y"], out["y_sq"] = y.sum(axis=0), (y**2).sum(axis=0)
         return out
 
@@ -421,3 +462,93 @@ class TestAgainstSteppedOracle:
                                            err_msg=f"{name} {key}")
                 checked.add(key)
         assert checked == set(expected)
+
+
+def pair_stats(a):
+    """Mean and standard error of the pair averages a (axis 0 over pairs)."""
+    return a.mean(axis=0), a.std(axis=0) / np.sqrt(len(a))
+
+
+class TestAntitheticPairs:
+    def test_standard_errors_are_taken_over_pairs(self, market, utility, hyp_discount,
+                                                  sim_grid, hyp_policy):
+        # odd n_paths and block_size: 1501 pairs in blocks of 512, 512 and 477
+        sol, pol = hyp_policy
+        cfg = sim_cfg(sim_grid, n_paths=3001, seed=13, block_size=1023)
+        g, p, dt = sim_grid, utility.p, sim_grid.dt
+        nc = solve_no_consumption(market, utility, hyp_discount, g)
+        frac = stock_fraction(market, utility)
+        K = growth_constant(market, utility)
+        spike = Spike(zeta=pol.stock_fraction + 1.0)
+        batch = simulate_equilibrium(pol, cfg, market, utility, hyp_discount,
+                                     moment_orders=(p,))
+        row = perturbation_test(pol, cfg, market, utility, hyp_discount, t=0.0,
+                                epsilons=[0.25], spike=spike)[0]
+        flat, decreasing = martingale_check(nc, cfg, market, utility, hyp_discount)
+        moments = moment_check(cfg, market, utility, exponent_q=p, growth_rate=K)
+
+        # brute force: step every path of the stream, then average each pair
+        c, h = pol.consumption_at(g.nodes), hyp_discount.h(g.nodes)
+        zeta = np.full(g.n_steps, pol.stock_fraction)
+        zeta_spk = zeta.copy()
+        zeta_spk[:int(round(0.25 / dt))] = spike.zeta
+        ck_mart, ck_mom = _checkpoints(g, 5), _checkpoints(g, 6)[1:]
+        lam_ck = np.interp(g.nodes[ck_mart], nc.grid.nodes, nc.values)
+        mart_scale = lam_ck / p / hyp_discount.h(g.horizon - g.nodes[ck_mart])
+        per_pair = {key: [] for key in ("j", "d", "m", "eq", "sub", "y")}
+        for Z in oracle_normals(cfg, g.n_steps):
+            X = oracle_wealth(Z, cfg.x0, market, zeta, c, dt)
+            J = oracle_j(X, c, h, dt, p)
+            J_spk = oracle_j(oracle_wealth(Z, cfg.x0, market, zeta_spk, c, dt), c, h, dt, p)
+            per_path = {"j": J, "d": (J - J_spk) / 0.25, "m": X[:, -1] ** p}
+            for key, f in (("eq", frac), ("sub", frac / 2)):
+                X_nc = oracle_wealth(Z, cfg.x0, market, np.full(g.n_steps, f),
+                                     np.zeros(g.n_steps + 1), dt)
+                per_path[key] = mart_scale * X_nc[:, ck_mart] ** p
+                if key == "eq":
+                    per_path["y"] = X_nc[:, ck_mom] ** p
+            for key, v in per_path.items():
+                per_pair[key].append(pair_average(v))
+        a = {key: np.concatenate(v) for key, v in per_pair.items()}
+        assert len(a["j"]) == cfg.n_pairs == 1501
+
+        for key, (mean, se) in (("j", (batch.j_estimate, batch.j_std_error)),
+                                ("d", (row.d_estimate, row.std_error)),
+                                ("m", batch.terminal_moments[p])):
+            np.testing.assert_allclose((mean, se), pair_stats(a[key]), rtol=1e-9,
+                                       err_msg=key)
+        assert batch.n_pairs == row.n_pairs == 1501
+        np.testing.assert_allclose([v.std_error for v in moments],
+                                   pair_stats(a["y"])[1], rtol=1e-9)
+
+        # the martingale z's are paired differences of checkpoint means
+        def diff_z(key, i, j):
+            mean, se = pair_stats(a[key][:, i] - a[key][:, j])
+            return mean / se, se
+
+        k = len(ck_mart)
+        worst = max((abs(z), se) for z, se in (diff_z("eq", i, j)
+                                               for i in range(k) for j in range(i + 1, k)))
+        weakest = min(diff_z("sub", i, i + 1) for i in range(k - 1))
+        np.testing.assert_allclose([flat.statistic, flat.std_error], worst, rtol=1e-6)
+        np.testing.assert_allclose([decreasing.statistic, decreasing.std_error], weakest,
+                                   rtol=1e-6)
+        assert {v.n_pairs for v in (flat, decreasing, *moments)} == {1501}
+
+    def test_odd_counts_round_up_to_whole_pairs(self, market, utility, hyp_discount,
+                                                sim_grid, hyp_policy):
+        # n_paths and block_size count paths; an odd count runs one path more
+        _, pol = hyp_policy
+
+        def run(n_paths, block_size):
+            cfg = sim_cfg(sim_grid, n_paths=n_paths, block_size=block_size)
+            return simulate_equilibrium(pol, cfg, market, utility, hyp_discount)
+
+        even = run(3000, 1024)
+        for odd in (run(2999, 1024), run(3000, 1023), run(2999, 1023)):
+            assert (odd.j_estimate, odd.j_std_error, odd.n_pairs) == \
+                (even.j_estimate, even.j_std_error, 1500)
+            np.testing.assert_array_equal(odd.mean_wealth, even.mean_wealth)
+        one = run(1, 4096)
+        assert one.n_pairs == 1 and one.j_std_error == 0.0
+        assert SimConfig(n_paths=1, seed=0, grid=sim_grid, x0=1.0).n_pairs == 1

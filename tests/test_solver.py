@@ -321,6 +321,21 @@ class TestPicard:
         res = residual_integral_equation(sol, market, u, hyp_discount)
         assert res <= 10 * tol * max(1.0, float(lam.max()))
 
+    @pytest.mark.parametrize("rho, horizon", [(0.1, 1.0), (2.0, 1.0), (0.1, 5.0)])
+    def test_converges_above_the_tight_upper_bound(self, market, rho, horizon):
+        # with K > rho the box's upper end is the continuous lam(0), and the
+        # trapezoid fixed point lies above it by the quadrature error (1.5e-6
+        # in log lam at rho = 0.1, T = 1); clipped to the bound, every sweep
+        # stalled at that distance until max_iter
+        u, d = CrraUtility(p=0.99), ExponentialDiscount(rho=rho)
+        g, tol = TimeGrid(horizon=horizon, n_steps=500), 1e-10
+        sol = picard_solve(market, u, d, g, tol=tol)
+        res = residual_integral_equation(sol, market, u, d)
+        assert res <= 10 * tol * max(1.0, float(sol.values.max()))
+        exact = theta_closed_form(market, u, rho, g).values
+        assert np.max(np.abs(np.log(sol.values / exact))) <= 1e-4
+        assert not a_priori_bounds(market, u, d, g).contains(sol.values)
+
     def test_steep_discount_does_not_oscillate(self, market, utility):
         # undamped sweeps still move lam by 0.07 after 200 sweeps here; the
         # secant relaxation damps them
