@@ -52,11 +52,7 @@ def _solve_curve(cfg: RunConfig, d=None):
     d = d if d is not None else _discount(cfg)
     s = cfg.solver
     if s.method == "picard":
-        return (
-            solver.picard_solve(cfg.market, cfg.utility, d, cfg.grid,
-                                tol=s.tol, max_iter=s.max_iter),
-            None,
-        )
+        return solver.picard_solve(cfg.market, cfg.utility, d, cfg.grid, tol=s.tol), None
     if s.method == "mixture":
         if isinstance(d, ExponentialMixtureDiscount):
             return solver.mixture_ode_solve(cfg.market, cfg.utility, d, cfg.grid), None
@@ -140,33 +136,10 @@ def cmd_verify(cfg: RunConfig, out: Path, perturb_lambda: float = 0.0,
     if unknown:
         raise ConfigError(f"unknown check(s) {sorted(unknown)}; "
                           f"choose from {list(ALL_CHECKS)}")
-    curve, _ = _solve_curve(cfg)
-    pol = policy.equilibrium_policy(curve, m, u)
     nc_curve = solver.solve_no_consumption(m, u, d, g)
-    sim_cfg = SimConfig(grid=g, **asdict(cfg.sim))
-    leg = simulate.equilibrium_leg(pol, sim_cfg, m, u, d)
-
-    # the Monte Carlo checks share one pass over the random stream from t = 0
-    plan = []  # (estimator, verdicts of its result)
-    if "value_identity" in checks:
-        est = simulate.value_identity_estimator(curve, u, 0.0, sim_cfg.x0,
-                                                1.0 + perturb_lambda)
-        plan.append((est, lambda v: [v]))
-    if "martingale" in checks:
-        plan.append((simulate.martingale_estimator(nc_curve, sim_cfg, m, u, d), list))
-    if "perturbation" in checks:
-        def spike(width, shift):
-            return simulate.perturbation_estimator(
-                leg, width * g.horizon, Spike(zeta=pol.stock_fraction + shift))
-        # a gross spike must lose utility; a small one must not move J at first order
-        plan += [
-            (spike(0.25, 1.0), lambda r: [_spike_verdict(
-                "perturbation_gross_spike", r, r.z > STAT_THRESHOLD)]),
-            (spike(0.1, 0.01), lambda r: [_spike_verdict(
-                "perturbation_first_order_stationarity", r, abs(r.z) <= STAT_THRESHOLD)]),
-        ]
-    results = simulate.run_estimators(sim_cfg, [est for est, _ in plan], leg)
-    rows = [v for (_, verdicts), result in zip(plan, results) for v in verdicts(result)]
+    rows = []
+    if set(checks) - {"duality"}:
+        rows = _monte_carlo_verdicts(cfg, checks, nc_curve, perturb_lambda)
     if "duality" in checks:
         rows.extend(_duality_verdicts(nc_curve, u, m, d, g))
 
@@ -186,6 +159,37 @@ def cmd_verify(cfg: RunConfig, out: Path, perturb_lambda: float = 0.0,
                 print(f"FAILED: {v.name} statistic={v.statistic:.4g}", file=sys.stderr)
         return EXIT_VERIFICATION
     return EXIT_OK
+
+
+def _monte_carlo_verdicts(cfg: RunConfig, checks: tuple, nc_curve,
+                          perturb_lambda: float) -> list:
+    """Verdicts of the requested Monte Carlo checks, which share one pass over
+    the random stream from t = 0 along the equilibrium policy."""
+    m, u, d, g = cfg.market, cfg.utility, cfg.discount, cfg.grid
+    curve, _ = _solve_curve(cfg)
+    pol = policy.equilibrium_policy(curve, m, u)
+    sim_cfg = SimConfig(grid=g, **asdict(cfg.sim))
+    leg = simulate.equilibrium_leg(pol, sim_cfg, m, u, d)
+    plan = []  # (estimator, verdicts of its result)
+    if "value_identity" in checks:
+        est = simulate.value_identity_estimator(curve, u, 0.0, sim_cfg.x0,
+                                                1.0 + perturb_lambda)
+        plan.append((est, lambda v: [v]))
+    if "martingale" in checks:
+        plan.append((simulate.martingale_estimator(nc_curve, sim_cfg, m, u, d), list))
+    if "perturbation" in checks:
+        def spike(width, shift):
+            return simulate.perturbation_estimator(
+                leg, width * g.horizon, Spike(zeta=pol.stock_fraction + shift))
+        # a gross spike must lose utility; a small one must not move J at first order
+        plan += [
+            (spike(0.25, 1.0), lambda r: [_spike_verdict(
+                "perturbation_gross_spike", r, r.z > STAT_THRESHOLD)]),
+            (spike(0.1, 0.01), lambda r: [_spike_verdict(
+                "perturbation_first_order_stationarity", r, abs(r.z) <= STAT_THRESHOLD)]),
+        ]
+    results = simulate.run_estimators(sim_cfg, [est for est, _ in plan], leg)
+    return [v for (_, verdicts), result in zip(plan, results) for v in verdicts(result)]
 
 
 def _spike_verdict(name: str, row, passed) -> simulate.Verdict:

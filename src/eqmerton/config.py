@@ -50,7 +50,6 @@ class ConfigError(ValueError):
 class SolverSettings:
     method: str = "picard"
     tol: float = 1e-10
-    max_iter: int = 200
 
     def __post_init__(self):
         if self.method not in _METHODS:

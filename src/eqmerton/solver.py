@@ -4,10 +4,9 @@ Three routes are provided:
 
 * ``solve_no_consumption`` -- closed form lam(t) = h(T-t) e^{K (T-t)} for the
   bequest-only problem.
-* ``picard_solve`` -- fixed-point iteration in log lam on the full nonlinear
-  integral equation, discretized with composite trapezoid quadrature, with a
-  relaxation chosen each sweep by a secant step on the residuals and a stop on
-  the largest change in log lam.
+* ``picard_solve`` -- Newton sweeps in log lam on the full nonlinear integral
+  equation, discretized with composite trapezoid quadrature, over windows of
+  nodes marched back from T, with a stop on the largest change in log lam.
   A sweep costs O(n log n) time and O(n) memory: the kernel h(s-t) e^{K(s-t)}
   is Toeplitz on the uniform grid, so the quadrature sum is a correlation
   evaluated with blocked FFTs (the fast Volterra convolution of Hairer,
@@ -61,15 +60,15 @@ __all__ = [
 
 
 class NonConvergenceError(RuntimeError):
-    """Picard iteration stopped without meeting the tolerance: max_iter was
-    exhausted, or a sweep's image left the float range (``reason``)."""
+    """``picard_solve`` stopped without meeting the tolerance: a one-node
+    window's Newton steps stopped shrinking, or its image left the float range
+    (``reason``; ``last_delta`` is then None)."""
 
-    def __init__(self, iterations: int, last_delta: Optional[float], reason: str = ""):
+    def __init__(self, iterations: int, last_delta: Optional[float], reason: str):
         self.iterations = iterations
         self.last_delta = last_delta
-        cause = reason or f"last max |change in log lam| {last_delta:.3e}"
         super().__init__(
-            f"fixed-point iteration did not converge after {iterations} sweeps ({cause})"
+            f"fixed-point iteration did not converge after {iterations} sweeps ({reason})"
         )
 
 
@@ -157,12 +156,6 @@ def growth_constant(m: MarketParams, u: CrraUtility) -> float:
     return u.p * (m.r + m.mu**2 / (2.0 * (1.0 - u.p) * m.sigma**2))
 
 
-def _cumulative_trapezoid(y: np.ndarray, dt: float) -> np.ndarray:
-    out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * dt)
-    return out
-
-
 # e-folds the summand's log-size may move inside one block of the kernel sum;
 # within a block the FFT rounding error is amplified by at most e^_BLOCK_SPREAD
 _BLOCK_SPREAD = 2.0
@@ -171,19 +164,15 @@ _BLOCK_SPREAD = 2.0
 _FFT_BATCH = 1 << 16
 
 
-def _max_block_spread(F: np.ndarray, length: int) -> float:
-    """Largest max - min of F over the aligned blocks of the given length."""
-    starts = np.arange(0, len(F), length)
-    return float(np.max(np.maximum.reduceat(F, starts) - np.minimum.reduceat(F, starts)))
-
-
 def _block_length(F: np.ndarray) -> int:
     """Longest block length (by bisection) over whose aligned blocks F moves by
     at most _BLOCK_SPREAD; length 1 always qualifies."""
     lo, hi = 1, len(F)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _max_block_spread(F, mid) <= _BLOCK_SPREAD:
+        starts = np.arange(0, len(F), mid)
+        spread = np.maximum.reduceat(F, starts) - np.minimum.reduceat(F, starts)
+        if np.max(spread) <= _BLOCK_SPREAD:
             lo = mid
         else:
             hi = mid - 1
@@ -242,28 +231,30 @@ def _kernel_sum(kernel: np.ndarray, log_f: np.ndarray, C: np.ndarray, dt: float)
     return S
 
 
-def _summand_logs(values, m, u, g):
-    """log lam^q and the exponent C(t) - K t of the integral equation's summand.
+def _summand_logs(values, m, u, g, start=0):
+    """log lam^q and the exponent C(t) - K t of the integral equation's summand
+    from t_start on, with C(t) = int_{t_start}^t p lam^(1/(p-1)) (trapezoid).
 
-    C(t) = int_0^t p lam^(1/(p-1)). Folding e^{K (t_j - t_i)} into the exponent
-    leaves h (or -h') as the Toeplitz kernel, so the growth e^{K tau} is
-    rescaled with the summand instead of entering the FFTs unscaled."""
-    p = u.p
-    cons = values ** (1.0 / (p - 1.0))
-    C = _cumulative_trapezoid(p * cons, g.dt) - growth_constant(m, u) * g.nodes
-    return p / (p - 1.0) * np.log(values), C
+    Folding e^{K (t_j - t_i)} into the exponent leaves h (or -h') as the
+    Toeplitz kernel, so the growth e^{K tau} is rescaled with the summand
+    instead of entering the FFTs unscaled."""
+    lam, p = values[start:], u.p
+    pc = p * lam ** (1.0 / (p - 1.0))
+    C = np.concatenate(([0.0], np.cumsum(0.5 * (pc[1:] + pc[:-1]) * g.dt)))
+    return p / (p - 1.0) * np.log(lam), C - growth_constant(m, u) * g.nodes[start:]
 
 
-def _integral_equation_rhs(values, m, u, d, g):
-    """Right-hand side of the fixed-point map at every grid node:
+def _integral_equation_rhs(values, m, u, d, g, start=0):
+    """Right-hand side of the fixed-point map at the grid nodes from t_start on:
 
         int_t^T h(s-t) e^{K (s-t)} lam(s)^q e^{-int_t^s p c} ds
         + h(T-t) e^{K (T-t)} e^{-int_t^T p c},
 
-    with the integral on the trapezoid rule."""
-    log_f, C = _summand_logs(values, m, u, g)
-    tau = g.horizon - g.nodes
-    return _kernel_sum(d.h(g.nodes), log_f, C, g.dt) + d.h(tau) * np.exp(C - C[-1])
+    with the integral on the trapezoid rule; it reads lam from t_start on only."""
+    log_f, C = _summand_logs(values, m, u, g, start)
+    t = g.nodes
+    return (_kernel_sum(d.h(t[:len(t) - start]), log_f, C, g.dt)
+            + d.h(g.horizon - t[start:]) * np.exp(C - C[-1]))
 
 
 def solve_no_consumption(
@@ -298,75 +289,83 @@ def _rk4_backward(rhs, t: np.ndarray, terminal) -> np.ndarray:
     return out
 
 
-# smallest relaxation factor the secant step may choose (the largest is 1)
-_MIN_RELAXATION = 1.0 / 50.0
-
-
 def picard_solve(
     m: MarketParams,
     u: CrraUtility,
     d: DiscountSpec,
     g: TimeGrid,
     tol: float = 1e-10,
-    max_iter: int = 200,
-    initial: Optional[np.ndarray] = None,
 ) -> ValueCurve:
-    """Relaxed Picard iteration on the discretized integral equation lam = G(lam),
-    in x = log lam.
+    """Newton sweeps in x = log lam on the discretized integral equation
+    lam = G(lam), over windows of nodes marched back from T (step-by-step
+    marching for Volterra equations, Linz, SIAM 1985, a window at a time).
 
-    Sweep k forms the residual r_k = log G(lam_k) - x_k and stops once
-    max |r_k| <= tol, returning the image G(lam_k); tol thus bounds the
-    relative change per sweep, whatever the scale of lam. Otherwise it steps
-    x_{k+1} = x_k + omega_k r_k. The first step takes omega = 1; later ones take
-    the one-dimensional secant update of Irons & Tuck (IJNME 1, 1969), which is
-    Anderson acceleration with memory 1 (Walker & Ni, SINUM 49, 2011):
-    omega_k = omega_{k-1} / (1 - rho_k), rho_k = <r_k, r_{k-1}> / |r_{k-1}|^2,
-    clipped into [1/50, 1], and omega_k = 1 when rho_k >= 1. So an oscillating
-    map (rho < 0) is damped and a monotone one runs at full step.
+    G at t_i reads lam on [t_i, T] only. A sweep over the window [a, b)
+    evaluates G once on [t_a, T], holding the nodes from b on, and forms
+    r = log G(lam) - x. Once max |r| <= tol (a relative change, at any scale of
+    lam) the window keeps the image G(lam) and is frozen. Otherwise each node
+    takes a Newton step on its own residual. lam_i enters G_i through
+    A_i = (dt/2) h(0) lam_i^q and through e^{-beta c_i} on every other term
+    (q = p/(p-1), beta = p dt/2, c = lam^(1/(p-1))), so
+    r_i' = (q A_i + beta c_i/(1-p) (G_i - A_i)) / G_i - 1; where r_i' >= 0 the
+    node steps one e-fold by sign(r_i), as a Picard step would. Iterates are
+    clipped into the log of the a priori bounds box, the trust region, whose
+    upper end is raised by (1-p) log((b dt/2) coth(b dt/2)), b = A/(1-p): the
+    trapezoid rule's exact excess on the box's envelope e^{b s}, by which the
+    discrete solution may exceed the continuous bound.
 
-    Iterates are clipped into the log of the a priori bounds box, which
-    stabilizes the raw map (the underlying theory proves existence and
-    uniqueness, not contraction). The box bounds the continuous solution, and
-    for an exponential discount with K > rho its upper end is that solution's
-    lam(0) exactly, while the trapezoid fixed point lies above it by the
-    quadrature error. So the upper end gets the trapezoid rule's excess on the
-    box's own envelope: the composite rule overstates the integral of e^{b s}
-    by exactly the factor (b dt/2) coth(b dt/2), here at b = A/(1-p), which is
-    (1-p) log of that factor in log lam.
-
-    Raises NonConvergenceError when max_iter is exhausted, or at once when a
-    sweep's image is not finite and positive (an overflow in the kernel sum).
+    The first window is every node before T, from lam = 1. A window fails when
+    its Newton correction max |step| stops shrinking (a step from the flat side
+    of a node's convex residual may overshoot, raising |r| once) or its image
+    leaves the float range. It is then halved to its later half, restarted from
+    lam at its first frozen node; a converged window doubles the next.
+    ``ValueCurve.sweeps`` counts all sweeps. A failed one-node window raises
+    NonConvergenceError.
     """
-    if tol <= 0 or max_iter < 1:
-        raise ParameterError("need tol > 0 and max_iter >= 1")
+    if tol <= 0:
+        raise ParameterError("need tol > 0")
     bounds = a_priori_bounds(m, u, d, g)
-    lam = np.ones(g.n_steps + 1) if initial is None else np.asarray(initial, float)
+    p = u.p
+    half_step = 0.5 * bounds.A * g.dt / (1.0 - p)
     with np.errstate(divide="ignore"):  # a vacuous lower side is 0
-        x_lo, x_hi = np.log(bounds.lower), np.log(bounds.upper)
-        x = np.log(np.clip(lam, bounds.lower, bounds.upper))
-    half_step = 0.5 * bounds.A * g.dt / (1.0 - u.p)
-    x_hi += (1.0 - u.p) * math.log(half_step / math.tanh(half_step))
-    omega, r_prev, delta = 1.0, None, np.inf
-    for sweep in range(1, max_iter + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            image = _integral_equation_rhs(np.exp(x), m, u, d, g)
-        if not np.all(np.isfinite(image) & (image > 0)):
-            raise NonConvergenceError(sweep, None, "the sweep's image left the float range")
-        r = np.log(image) - x
-        delta = float(np.max(np.abs(r)))
+        x_lo = np.log(bounds.lower)
+        x_hi = np.log(bounds.upper) + (1.0 - p) * math.log(half_step / math.tanh(half_step))
+    q, beta, diag = p / (p - 1.0), 0.5 * p * g.dt, 0.5 * g.dt * float(d.h(0.0))
+    lam, b, size, sweeps = np.ones(g.n_steps + 1), g.n_steps, g.n_steps, 0
+    while b > 0:  # the window [a, b); lam from t_b on is final, lam(T) = 1
+        a, last = max(b - size, 0), math.inf
+        x = np.full(b - a, math.log(lam[b]))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while True:
+                sweeps += 1
+                lam[a:b] = np.exp(x)
+                image = _integral_equation_rhs(lam, m, u, d, g, a)[:b - a]
+                r = np.log(image) - x
+                delta = float(np.max(np.abs(r)))  # nan or inf off the float range
+                if not tol < delta < math.inf:
+                    break
+                A = diag * lam[a:b] ** q
+                slope = (q * A + beta / (1.0 - p) * lam[a:b] ** (1.0 / (p - 1.0))
+                         * (image - A)) / image - 1.0
+                step = np.where(slope < 0, -r / slope, np.sign(r))
+                correction = float(np.max(np.abs(step)))
+                if correction >= last:
+                    break
+                last = correction
+                x = np.clip(x + step, x_lo, x_hi)
         if delta <= tol:
-            break
-        if r_prev is not None:
-            rho = float(r @ r_prev) / float(r_prev @ r_prev)
-            omega = 1.0 if rho >= 1.0 else min(max(omega / (1.0 - rho), _MIN_RELAXATION), 1.0)
-        x = np.clip(x + omega * r, x_lo, x_hi)
-        r_prev = r
-    else:
-        raise NonConvergenceError(max_iter, delta)
-    image[-1] = 1.0
-    deriv = differential_form_rhs(image, m, u, d, g)
-    return ValueCurve(grid=g, values=image, derivative=deriv, provenance="picard",
-                      sweeps=sweep)
+            lam[a:b], b, size = image, a, 2 * (b - a)
+        elif b - a > 1:
+            size = (b - a) // 2
+        elif math.isfinite(delta):
+            raise NonConvergenceError(sweeps, delta, f"node {a} alone: its Newton step "
+                                      f"stopped shrinking at {correction:.3e}")
+        else:
+            raise NonConvergenceError(sweeps, None, f"node {a} alone: its image left "
+                                      "the float range")
+    deriv = differential_form_rhs(lam, m, u, d, g)
+    return ValueCurve(grid=g, values=lam, derivative=deriv, provenance="picard",
+                      sweeps=sweeps)
 
 
 def mixture_ode_solve(

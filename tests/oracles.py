@@ -1,8 +1,12 @@
-"""Test-owned oracles: residuals of the value PDEs that only the test suite
-evaluates, kept out of the library so that it needs no optimizer."""
+"""Test-owned oracles: residuals of the value PDEs and a node-by-node solve of
+the discretized integral equation, which only the test suite evaluates, kept
+out of the library so that it needs no optimizer."""
+
+import math
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.special import logsumexp
 
 from eqmerton.policy import stock_fraction
 from eqmerton.solver import growth_constant
@@ -63,3 +67,69 @@ def pde_residual_no_consumption(sol, m, u, d, x=1.0) -> float:
     x = np.asarray(x, dtype=float)
     scale = np.max(np.abs(x**u.p / u.p))
     return float(np.max(np.abs(core)) * scale)
+
+
+def sequential_solve(m, u, d, g, tol=1e-14):
+    """log lam of the trapezoid-discretized integral equation, solved one node
+    at a time from T back to 0.
+
+    With C_j = int_0^{t_j} p c - K t_j on the trapezoid rule, node i's equation
+
+        lam_i = (dt/2) h(0) lam_i^q + e^{-(p dt/2) (c_i + c_{i+1}) + K dt} H_i,
+        H_i = sum_{j>i} w_ij h(t_j - t_i) lam_j^q e^{C_{i+1} - C_j}
+              + h(T - t_i) e^{C_{i+1} - C_n},
+
+    has lam_i as its only unknown once the nodes after i are solved. The
+    history H_i is a dense sum over j > i taken in log space (O(n^2) in all,
+    no FFT). Each node is a scalar Newton solve in x = log lam_i started from
+    x_{i+1}, kept inside the bracket its residuals' signs have shown so far
+    (bisection, or a unit step outward, where a step would leave it), so it
+    takes the root next to lam_{i+1}.
+    """
+    p, dt, n = u.p, g.dt, g.n_steps
+    q, beta, K = p / (p - 1.0), 0.5 * p * dt, growth_constant(m, u)
+    log_h = np.log(d.h(g.nodes))  # h at the lags 0, dt, ..., T
+    log_w = np.log(np.r_[np.full(n, dt), dt / 2.0])  # w_ij by j; w_in = dt/2
+    x = np.zeros(n + 1)
+    D = np.zeros(n + 1)  # C_j - C_n
+    for i in range(n - 1, -1, -1):
+        j = np.arange(i + 1, n + 1)
+        log_H = np.logaddexp(
+            logsumexp(log_w[j] + log_h[j - i] + q * x[j] + D[i + 1] - D[j]),
+            log_h[n - i] + D[i + 1])
+        c_next = math.exp(x[i + 1] / (p - 1.0))
+
+        def residual(xi):
+            log_a = math.log(0.5 * dt) + log_h[0] + q * xi
+            c = math.exp(xi / (p - 1.0))
+            log_e = -beta * (c + c_next) + K * dt + log_H
+            log_g = np.logaddexp(log_a, log_e)
+            slope = (q * math.exp(log_a - log_g)
+                     + beta * c / (1.0 - p) * math.exp(log_e - log_g) - 1.0)
+            return log_g - xi, slope
+
+        x[i] = _bracketed_newton(residual, x[i + 1], tol)
+        D[i] = D[i + 1] - beta * (math.exp(x[i] / (p - 1.0)) + c_next) + K * dt
+    return x
+
+
+def _bracketed_newton(residual, x, tol, max_steps=200):
+    """Root of a residual that falls through zero, from x: Newton steps inside
+    the bracket [lo, hi] (r(lo) > 0 > r(hi)) seen so far."""
+    lo, hi = -math.inf, math.inf
+    for _ in range(max_steps):
+        r, slope = residual(x)
+        if abs(r) <= tol * max(1.0, abs(x)):
+            return x
+        if r > 0:
+            lo = x
+        else:
+            hi = x
+        nxt = x - r / slope if slope < 0 else math.nan
+        if not lo < nxt < hi:
+            if math.isinf(lo) or math.isinf(hi):
+                nxt = x + (1.0 if r > 0 else -1.0)
+            else:
+                nxt = 0.5 * (lo + hi)
+        x = nxt
+    raise RuntimeError(f"node solve did not converge: residual {r:.3e} at x = {x}")

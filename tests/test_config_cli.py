@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eqmerton import cli, config, duality, simulate
+from eqmerton import cli, config, duality, simulate, solver
 from eqmerton.config import ConfigError, RunConfig, SimSettings, SolverSettings, load_config
 from eqmerton.model import (
     CrraUtility,
@@ -59,6 +59,13 @@ def assert_solver_failure(capsys, argv):
     assert cli.main(argv) == 3
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def fail_picard(monkeypatch):
+    """Every Picard solve raises NonConvergenceError after 7 sweeps at 2.5e-3."""
+    def fail(*_args, **_kwargs):
+        raise solver.NonConvergenceError(7, 2.5e-3, "forced")
+    monkeypatch.setattr(solver, "picard_solve", fail)
 
 
 class TestConfigParsing:
@@ -111,20 +118,21 @@ class TestConfigParsing:
             load_config(write_ini(tmp_path, body=body))
 
     def test_settings_values_are_typed(self, tmp_path):
-        cfg = load_config(write_ini(tmp_path, extra="x0 = 2\n\n[solver]\nmax_iter = 50\n"))
+        cfg = load_config(write_ini(tmp_path, extra="x0 = 2\n\n[solver]\ntol = 1e-8\n"))
         assert cfg.sim.x0 == 2.0 and isinstance(cfg.sim.x0, float)
-        assert cfg.solver == SolverSettings(max_iter=50)
+        assert cfg.solver == SolverSettings(tol=1e-8)
         with pytest.raises(ConfigError, match="'n_paths' in \\[sim\\] is not an integer"):
             load_config(write_ini(tmp_path, body=BASE_INI.replace("5000", "5e3")))
 
     def test_manifest_values_must_have_the_field_type(self, tmp_path):
         data = load_config(write_ini(tmp_path)).to_dict()
-        data["solver"]["max_iter"] = 2.5
-        with pytest.raises(ConfigError, match="'max_iter' in \\[solver\\] is not an integer"):
+        data["solver"]["tol"] = "1e-8"
+        with pytest.raises(ConfigError, match="'tol' in \\[solver\\] is not a number"):
             RunConfig.from_dict(data)
 
 
-REMOVED_SOLVER_KEYS = ("damping", "mixture_terms", "rho_min", "rho_max", "rho_count")
+REMOVED_SOLVER_KEYS = ("damping", "mixture_terms", "rho_min", "rho_max", "rho_count",
+                       "max_iter")
 
 
 class TestRemovedSolverKeys:
@@ -239,7 +247,7 @@ def configs(draw):
     p = draw(st.one_of(_num(-5.0, -0.01), _num(0.01, 0.95)))
     horizon, n_steps = draw(_num(0.1, 100.0)), draw(st.integers(2, 5000))
     solver = SolverSettings(method=draw(st.sampled_from(["picard", "mixture", "closed_form"])),
-                            tol=draw(_num(1e-14, 1e-2)), max_iter=draw(st.integers(1, 1000)))
+                            tol=draw(_num(1e-14, 1e-2)))
     sim = SimSettings(n_paths=draw(st.integers(1, 10**6)), seed=draw(st.integers(0, 2**31)),
                       x0=draw(_num(0.1, 10.0)), n_workers=draw(st.integers(1, 8)),
                       block_size=draw(st.integers(1, 8192)))
@@ -251,8 +259,7 @@ def configs(draw):
     discount = draw(discounts()) if not labels or draw(st.booleans()) else None
     text = (f"[market]\nr = {r!r}\n{market_line}\nsigma = {sigma!r}\n\n"
             f"[utility]\np = {p!r}\n\n[grid]\nhorizon = {horizon!r}\nn_steps = {n_steps}\n\n"
-            f"[solver]\nmethod = {solver.method}\ntol = {solver.tol!r}\n"
-            f"max_iter = {solver.max_iter}\n\n[sim]\n"
+            f"[solver]\nmethod = {solver.method}\ntol = {solver.tol!r}\n\n[sim]\n"
             + "".join(f"{key} = {value!r}\n" for key, value in vars(sim).items())
             + f"\n[output]\ndir = {out_dir}\n\n")
     if discount:
@@ -420,29 +427,28 @@ class TestCliSolve:
     def test_missing_config_exit_code(self, tmp_path):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.ini")]) == 2
 
-    def test_nonconvergence_exit_code_with_partial_outputs(self, tmp_path):
-        ini = write_ini(tmp_path, extra="\n[solver]\nmax_iter = 1\n")
+    def test_nonconvergence_exit_code_with_partial_outputs(self, tmp_path, monkeypatch):
+        fail_picard(monkeypatch)
         out = tmp_path / "out"
-        assert cli.main(["solve", "--config", ini, "--out", str(out)]) == 3
+        assert cli.main(["solve", "--config", write_ini(tmp_path), "--out", str(out)]) == 3
         # diagnostics still written
         assert (out / "bounds.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"] == "non_convergence"
-        assert manifest["iterations"] == 1
+        assert manifest["iterations"] == 7 and manifest["last_delta"] == 2.5e-3
 
-    def test_overflowing_sweep_exit_code(self, tmp_path, capsys):
-        # p = -10, T = 100: the first sweep's image overflows; the solve stops
-        # there with no RuntimeWarning
+    def test_overflowing_sweep_exit_code(self, tmp_path):
+        # p = -10, T = 100: the whole-grid image from lam = 1 overflows; shorter
+        # windows marched back from T solve it, with no RuntimeWarning
         body = BASE_INI.replace("p = 0.5", "p = -10").replace(
             "horizon = 1.0", "horizon = 100.0").replace("n_steps = 200", "n_steps = 1000")
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert_solver_failure(capsys, ["solve", "--config", write_ini(tmp_path, body=body),
-                                           "--out", str(out)])
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["error"] == "non_convergence"
-        assert manifest["iterations"] == 1 and manifest["last_delta"] is None
+            assert cli.main(["solve", "--config", write_ini(tmp_path, body=body),
+                             "--out", str(out)]) == 0
+        lam0 = float((out / "lambda.csv").read_text().split("\n")[1].split(",")[1])
+        assert np.isfinite(lam0) and lam0 > 1e13
 
     def test_picard_above_the_tight_bound(self, tmp_path):
         # exponential p = 0.99, T = 5: lam(0) = 1.1e13 sits above the continuous
@@ -555,10 +561,18 @@ class TestCliVerify:
         assert cli.main(["verify", "--config", ini, "--out", str(tmp_path / "o"),
                          "--checks", "bogus"]) == 2
 
-    def test_nonconvergence_exit_code(self, tmp_path, capsys):
-        ini = write_ini(tmp_path, extra="\n[solver]\nmax_iter = 1\n")
+    def test_nonconvergence_exit_code(self, tmp_path, capsys, monkeypatch):
+        fail_picard(monkeypatch)
         assert_solver_failure(
-            capsys, ["verify", "--config", ini, "--out", str(tmp_path / "o")])
+            capsys, ["verify", "--config", write_ini(tmp_path), "--out", str(tmp_path / "o")])
+
+    def test_duality_alone_needs_no_equilibrium_solve(self, tmp_path, monkeypatch):
+        # the duality checks read only the bequest-only curve
+        fail_picard(monkeypatch)
+        out = tmp_path / "o"
+        assert cli.main(["verify", "--config", write_ini(tmp_path), "--out", str(out),
+                         "--checks", "duality"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["all_passed"] is True
 
     @pytest.mark.parametrize("checks, passes", [(None, 1), ("duality", 0)])
     def test_monte_carlo_checks_share_one_pass(self, tmp_path, monkeypatch,
@@ -727,7 +741,7 @@ class TestCliSimulate:
         assert outs[0]["config"]["sim"]["seed"] == 7
         assert outs[1]["config"]["sim"]["seed"] == 8
 
-    def test_nonconvergence_exit_code(self, tmp_path, capsys):
-        ini = write_ini(tmp_path, extra="\n[solver]\nmax_iter = 1\n")
+    def test_nonconvergence_exit_code(self, tmp_path, capsys, monkeypatch):
+        fail_picard(monkeypatch)
         assert_solver_failure(
-            capsys, ["simulate", "--config", ini, "--out", str(tmp_path / "o")])
+            capsys, ["simulate", "--config", write_ini(tmp_path), "--out", str(tmp_path / "o")])

@@ -56,3 +56,18 @@ def test_picard_scaling_runs():
     assert header.split() == ["n", "sweeps", "time", "s", "peak", "MB", "lam(0)"]
     assert [int(row.split()[0]) for row in rows] == [100, 200]
     assert all(int(row.split()[1]) >= 1 for row in rows)
+
+
+def test_domain_sweep_runs():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "domain_sweep.py"),
+         "--n", "100", "--limit", "2"],
+        capture_output=True, text=True, env=script_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows, total = proc.stdout.strip().split("\n")
+    assert header.split() == ["discount", "p", "T", "exit", "lam(0)", "sweeps"]
+    assert [row.split()[:4] for row in rows] == [["hyp(1,1)", "-10", "1", "ok"],
+                                                 ["hyp(1,1)", "-10", "5", "ok"]]
+    assert all(float(row.split()[4]) > 1 and int(row.split()[5]) >= 1 for row in rows)
+    assert total == "2 of 2 cases exit 0"

@@ -16,6 +16,7 @@ from eqmerton.model import (
     ParameterError,
     TimeGrid,
 )
+from eqmerton import solver as solver_module
 from eqmerton.config import load_config
 from eqmerton.solver import (
     FitTooCoarseError,
@@ -34,7 +35,7 @@ from eqmerton.solver import (
     theta_closed_form,
 )
 
-from oracles import pde_residual_no_consumption
+from oracles import pde_residual_no_consumption, sequential_solve
 
 
 def rk4_oracle_autonomous(m, u, rho, g):
@@ -262,12 +263,25 @@ class TestPicard:
         sol = picard_solve(market, utility, hyp_discount, grid, tol=tol)
         assert residual_integral_equation(sol, market, utility, hyp_discount) <= 10 * tol
 
-    def test_nonconvergence_raises_with_diagnostics(self, market, utility,
-                                                    coarse_grid, hyp_discount):
-        with pytest.raises(NonConvergenceError) as exc:
-            picard_solve(market, utility, hyp_discount, coarse_grid, max_iter=1)
-        assert exc.value.iterations == 1
+    def test_nonconvergence_raises_with_diagnostics(self, market):
+        # mixture (0.5, 0.5; 0.01, 20), p = 0.99, T = 20, n = 500: near T the
+        # grid is far too coarse for its fast rate, and node 497 alone takes
+        # Newton steps that stop shrinking
+        d = ExponentialMixtureDiscount(betas=(0.5, 0.5), rhos=(0.01, 20.0))
+        with pytest.raises(NonConvergenceError, match="node 497 alone") as exc:
+            picard_solve(market, CrraUtility(p=0.99), d, TimeGrid(horizon=20.0, n_steps=500))
+        assert exc.value.iterations > 1
         assert exc.value.last_delta > 0
+
+    def test_float_range_failure_has_no_delta(self, market, utility, coarse_grid,
+                                              hyp_discount, monkeypatch):
+        # every window's image overflows: the window halves down to the node
+        # before T, whose failure raises; 201 nodes take 8 windows
+        monkeypatch.setattr(solver_module, "_integral_equation_rhs",
+                            lambda values, *a: np.full(len(values) - a[-1], np.inf))
+        with pytest.raises(NonConvergenceError, match="float range") as exc:
+            picard_solve(market, utility, hyp_discount, coarse_grid)
+        assert exc.value.iterations == 8 and exc.value.last_delta is None
 
     def test_invalid_controls_rejected(self, market, utility, coarse_grid,
                                        hyp_discount):
@@ -284,28 +298,6 @@ class TestPicard:
         finally:
             tracemalloc.stop()
         assert peak <= 16e6
-
-    def test_uniqueness_across_starts(self, market, utility, hyp_discount):
-        # Gronwall-style uniqueness proxy: distinct starts inside the bounds
-        # box converge to the same fixed point
-        g = TimeGrid(horizon=1.0, n_steps=300)
-        tol = 1e-10
-        box = a_priori_bounds(market, utility, hyp_discount, g)
-        rng = np.random.default_rng(5)
-        n = g.n_steps + 1
-        starts = [
-            np.full(n, box.lower + 0.01),
-            np.full(n, 1.0),
-            np.full(n, min(box.upper, 3.0)),
-            rng.uniform(box.lower + 0.01, min(box.upper, 2.0), n),
-            np.linspace(box.lower + 0.01, min(box.upper, 2.0), n),
-        ]
-        sols = [
-            picard_solve(market, utility, hyp_discount, g, tol=tol, initial=s0).values
-            for s0 in starts
-        ]
-        for other in sols[1:]:
-            assert np.max(np.abs(other - sols[0])) <= 10 * tol
 
     @pytest.mark.parametrize("p, horizon", [(0.95, 20.0), (-3.0, 50.0), (-3.0, 100.0),
                                             (-10.0, 50.0)])
@@ -325,8 +317,8 @@ class TestPicard:
     def test_converges_above_the_tight_upper_bound(self, market, rho, horizon):
         # with K > rho the box's upper end is the continuous lam(0), and the
         # trapezoid fixed point lies above it by the quadrature error (1.5e-6
-        # in log lam at rho = 0.1, T = 1); clipped to the bound, every sweep
-        # stalled at that distance until max_iter
+        # in log lam at rho = 0.1, T = 1); clipped to the bound, the iterates
+        # would stall at that distance
         u, d = CrraUtility(p=0.99), ExponentialDiscount(rho=rho)
         g, tol = TimeGrid(horizon=horizon, n_steps=500), 1e-10
         sol = picard_solve(market, u, d, g, tol=tol)
@@ -337,8 +329,7 @@ class TestPicard:
         assert not a_priori_bounds(market, u, d, g).contains(sol.values)
 
     def test_steep_discount_does_not_oscillate(self, market, utility):
-        # undamped sweeps still move lam by 0.07 after 200 sweeps here; the
-        # secant relaxation damps them
+        # undamped Picard sweeps still move lam by 0.07 after 200 sweeps here
         d = HyperbolicDiscount(k=20.0, gamma=3.0)
         g, tol = TimeGrid(horizon=100.0, n_steps=500), 1e-10
         sol = picard_solve(market, utility, d, g, tol=tol)
@@ -348,17 +339,19 @@ class TestPicard:
     def test_shipped_hyperbolic_config_in_few_sweeps(self):
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "hyperbolic.ini")
         sol = picard_solve(cfg.market, cfg.utility, cfg.discount, cfg.grid,
-                           tol=cfg.solver.tol, max_iter=cfg.solver.max_iter)
+                           tol=cfg.solver.tol)
         assert sol.sweeps <= 10
 
-    def test_overflowing_sweep_raises_at_once(self, market, hyp_discount):
-        # from lam = 1 the first image at p = -10, T = 100 leaves the float range
-        g = TimeGrid(horizon=100.0, n_steps=1000)
+    def test_overflowing_first_sweep_is_halved_away(self, market, hyp_discount):
+        # from lam = 1 the whole-grid image at p = -10, T = 100 leaves the float
+        # range; shorter windows marched back from T solve it
+        g, u = TimeGrid(horizon=100.0, n_steps=1000), CrraUtility(p=-10.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonConvergenceError) as exc:
-                picard_solve(market, CrraUtility(p=-10.0), hyp_discount, g)
-        assert exc.value.iterations == 1 and exc.value.last_delta is None
+            sol = picard_solve(market, u, hyp_discount, g)
+        assert np.all(np.isfinite(sol.values)) and sol.values[0] > 1e13
+        res = residual_integral_equation(sol, market, u, hyp_discount)
+        assert res <= 1e-9 * float(sol.values.max())
 
     def test_sweep_count_only_on_picard(self, market, utility, coarse_grid,
                                         hyp_discount, mix_discount, exp_discount):
@@ -366,6 +359,23 @@ class TestPicard:
         assert mixture_ode_solve(market, utility, mix_discount, coarse_grid).sweeps is None
         assert theta_closed_form(market, utility, exp_discount.rho,
                                  coarse_grid).sweeps is None
+
+
+class TestSequentialOracle:
+    # each fails at the parent of the marching solver: the first overflows on
+    # its first sweep, the other two run out of Picard sweeps
+    @pytest.mark.parametrize("p, d, horizon, lam0", [
+        (-10.0, HyperbolicDiscount(k=1.0, gamma=1.0), 100.0, 4.79465e13),
+        (0.99, HyperbolicDiscount(k=20.0, gamma=3.0), 1.0, 0.939898),
+        (0.99, ExponentialMixtureDiscount(betas=(0.5, 0.5), rhos=(0.01, 20.0)), 5.0,
+         0.960387),
+    ], ids=["hyp(1,1)-p-10-T100", "hyp(20,3)-p0.99-T1", "mix(0.01,20)-p0.99-T5"])
+    def test_picard_matches_the_node_by_node_solve(self, market, p, d, horizon, lam0):
+        u, g = CrraUtility(p=p), TimeGrid(horizon=horizon, n_steps=500)
+        ref = sequential_solve(market, u, d, g)
+        assert math.exp(ref[0]) == pytest.approx(lam0, rel=1e-5)
+        got = np.log(picard_solve(market, u, d, g).values)
+        assert np.max(np.abs(got - ref)) <= 1e-10
 
 
 class TestMixtureOde:
