@@ -4,27 +4,32 @@
 Runs the stages of one block of the equilibrium simulation (hyperbolic
 discount, T = 1) on buffers that are already allocated, as every block after
 a worker's first one sees them, and tabulates the best-of-k time of each. A
-block of --paths paths is --paths / 2 antithetic pairs:
+block of --paths paths is --paths / 2 antithetic pairs, of which it stores
+only the drawn paths; each partner runs on -W:
 
-* rng           Philox normals for the first path of each pair, drawn into
+* rng           Philox normals for the drawn path of each pair, drawn into
                 the reused buffer;
 * running sum   W = cumsum(Z) on those paths, the running sum every
                 log-wealth is affine in;
-* mirror        -W written into the other half, the partner of each path;
-* X^p           exp(p vol W) once per block, which is X^p up to per-node factors
-                (the mirrored half as the reciprocal of its partners' half);
-* wealth        exp(vol W) the same way, formed only for ``simulate``'s mean
-                wealth;
-* reductions    the utility functional J = Y @ weights and the per-node sums.
+* X^p           exp(p vol W), which is X^p up to per-node factors, into the
+                normals' buffer, then its reciprocal, the partners' X^p;
+* reductions    the utility functional Y @ weights and the per-node sums of
+                Y, once for each half of the pairs;
+* wealth cosh   cosh(vol W), each pair's average wealth up to per-node
+                factors, formed only for ``simulate``'s mean wealth;
+* checkpoints   W and -W at the martingale check's five checkpoint columns.
 
-The last rows time the whole ``simulate`` and ``verify`` block functions on
-the same draws, and the tracemalloc peak of one single-block
-``simulate_equilibrium`` call, buffers included.
+Then come the whole ``simulate`` and ``verify`` block functions on the same
+draws; a whole ``simulate_equilibrium`` pass over --pass-blocks such blocks
+on one worker thread and on the default count (``[sim] n_workers = 0``: one
+per CPU the process may run on); and the tracemalloc peak of one
+single-block ``simulate_equilibrium`` call, buffers included.
 """
 
 import argparse
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,7 +47,8 @@ from eqmerton.simulate import (
     SimConfig,
     Spike,
     _Buffers,
-    _exp_pairs,
+    _checkpoints,
+    _cosh,
     equilibrium_leg,
     martingale_estimator,
     perturbation_estimator,
@@ -61,7 +67,7 @@ def best_ms(fn, repeats: int) -> float:
     return 1e3 * min(times)
 
 
-def stages(n_paths: int, n_steps: int, repeats: int) -> dict:
+def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
     m = MarketParams.from_excess_return(r=0.05, mu=0.07, sigma=0.2)
     u = CrraUtility(p=0.5)
     d = HyperbolicDiscount(k=1.0, gamma=1.0)
@@ -72,39 +78,40 @@ def stages(n_paths: int, n_steps: int, repeats: int) -> dict:
     leg = equilibrium_leg(pol, cfg, m, u, d)
 
     buffers = _Buffers()
-    half = cfg.block_pairs
-    W = buffers.get("w", (2 * half, n_steps + 1))
-    Z = buffers.get("z", (half, n_steps), reserve=W.size)
-    Y = buffers.get("y", W.shape)
-    W[:half, 0] = 0.0
+    W = buffers.get("w", (cfg.block_pairs, n_steps + 1))
+    Z = buffers.get("z", (cfg.block_pairs, n_steps), reserve=W.size)
+    W[:, 0] = 0.0
+    checkpoints = _checkpoints(g, 5)
 
     def rng():
         np.random.Generator(np.random.Philox(key=[42, 0])).standard_normal(out=Z)
 
     def running_sum():
-        np.cumsum(Z, axis=1, out=W[:half, 1:])
-
-    def mirror():
-        np.negative(W[:half], out=W[half:])
+        np.cumsum(Z, axis=1, out=W[:, 1:])
 
     def powers():
-        _exp_pairs(W, u.p * leg.vol, Y)
-
-    def wealth():
-        _exp_pairs(W, leg.vol, buffers.get("z", W.shape))
+        Y = np.multiply(W, u.p * leg.vol, out=buffers.get("z", W.shape))
+        np.exp(Y, out=Y)
+        np.reciprocal(Y, out=Y)
 
     def reductions():
-        J = Y @ leg.weights
-        return (J.sum(), (J**2).sum(), Y.sum(axis=0))
+        Y = buffers.get("z", W.shape)
+        return [(Y @ leg.weights, Y.sum(axis=0)) for _ in range(2)]
+
+    def wealth():
+        _cosh(W, leg.vol, buffers.get("z", W.shape))
+
+    def checkpoint_columns():
+        Block(W, buffers, leg).all_paths(checkpoints)
 
     row = {}
-    for name, fn in (("rng", rng), ("running sum", running_sum), ("mirror", mirror),
-                     ("X^p", powers), ("wealth", wealth), ("reductions", reductions)):
+    for name, fn in (("rng", rng), ("running sum", running_sum), ("X^p", powers),
+                     ("reductions", reductions), ("wealth cosh", wealth),
+                     ("checkpoints", checkpoint_columns)):
         row[name] = best_ms(fn, repeats)
 
     rng()
     running_sum()
-    mirror()
     nc = solve_no_consumption(m, u, d, g)
     sim_block = simulation_estimator(pol, g, leg, d, (u.p, 2 * u.p))[0]
     verify_blocks = [
@@ -118,6 +125,10 @@ def stages(n_paths: int, n_steps: int, repeats: int) -> dict:
     row["verify block"] = best_ms(
         lambda: [fn(blk) for blk in [Block(W, buffers, leg)] for fn in verify_blocks],
         repeats)
+    for name, workers in (("pass 1 worker", 1), ("pass default", 0)):
+        pass_cfg = replace(cfg, n_paths=pass_blocks * n_paths, n_workers=workers)
+        row[name] = best_ms(lambda: simulate_equilibrium(
+            pol, pass_cfg, m, u, d, moment_orders=(u.p, 2 * u.p)), repeats)
 
     tracemalloc.start()
     try:
@@ -135,9 +146,11 @@ def main() -> None:
     ap.add_argument("--paths", type=int, default=4096)
     ap.add_argument("--steps", type=int, nargs="+", default=[100, 1000])
     ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--pass-blocks", type=int, default=10,
+                    help="blocks in the whole-pass rows")
     args = ap.parse_args()
 
-    rows = {n: stages(args.paths, n, args.repeats) for n in args.steps}
+    rows = {n: stages(args.paths, n, args.repeats, args.pass_blocks) for n in args.steps}
     names = list(next(iter(rows.values())))
     print(f"{'stage (ms)':>16}" + "".join(f"{f'{args.paths}x{n}':>14}" for n in rows))
     for name in names:

@@ -13,7 +13,8 @@ validates it. A section's keys and value types are the constructor
 parameters of the class it builds: ``MarketParams`` (or, with ``mu`` in place
 of ``alpha``, ``MarketParams.from_excess_return``), ``CrraUtility``,
 ``TimeGrid``, the discount class its ``kind`` names, ``SolverSettings`` and
-``SimSettings``. Unknown sections or keys are rejected. INI values are text,
+``SimSettings`` (defined in ``eqmerton.simulate``, whose ``SimConfig`` adds
+the grid to it). Unknown sections or keys are rejected. INI values are text,
 parsed as the key's type; JSON values must already have it (an integer also
 serves as a number, a list as a comma-separated list).
 """
@@ -38,6 +39,7 @@ from .model import (
     ParameterError,
     TimeGrid,
 )
+from .simulate import SimSettings
 
 __all__ = ["ConfigError", "SolverSettings", "SimSettings", "RunConfig", "load_config"]
 
@@ -55,15 +57,6 @@ class SolverSettings:
         if self.method not in _METHODS:
             raise ConfigError(
                 f"solver method must be one of {sorted(_METHODS)}, got {self.method!r}")
-
-
-@dataclass(frozen=True)
-class SimSettings:
-    n_paths: int = 100_000
-    seed: int = 42
-    x0: float = 1.0
-    n_workers: int = 1
-    block_size: int = 4096
 
 
 @dataclass(frozen=True)

@@ -15,33 +15,39 @@ workers process the blocks. Block partials are combined by pairwise summation
 in block order, making results bit-identical across worker counts.
 
 Paths come in antithetic pairs (Glasserman, Monte Carlo Methods in Financial
-Engineering, 2004, section 4.2): a block of m pairs draws m rows of normals,
-forms their running sums W, and mirrors them, so rows i and m + i carry W and
--W. Every log-wealth is affine in W, so the mirrored path costs no draws and
-is strongly anti-correlated with its partner. The sample unit is the pair:
-every standard error is taken over the pair averages (f(W) + f(-W)) / 2, and
-a pure mean (mean wealth, mean value) averages all paths. The ensemble holds
-ceil(n_paths / 2) pairs and a block ceil(block_size / 2), so an odd n_paths
-or block_size runs one path more (n_paths = 1 runs one pair).
+Engineering, 2004, section 4.2): a block of m pairs draws m rows of normals
+and forms their running sums W; the partner of each drawn path runs on -W,
+which is never stored. Every log-wealth is affine in W, so the mirrored path
+costs no draws and is strongly anti-correlated with its partner. The sample
+unit is the pair: every standard error is taken over the pair averages
+(f(W) + f(-W)) / 2, and a pure mean (mean wealth, mean value) averages all
+paths. The ensemble holds ceil(n_paths / 2) pairs and a block
+ceil(block_size / 2), so an odd n_paths or block_size runs one path more
+(n_paths = 1 runs one pair).
 
 Every policy simulated here holds a constant stock fraction zeta over the
 steps it covers, so with W[:, k] = Z[:, 0] + ... + Z[:, k-1], the running sum
-of a path's normals (negated on the mirrored half of a block), its
-log-wealth at node k is the affine map
+of a path's normals (negated for the partner), its log-wealth at node k is
+the affine map
 
     log X(t_k) = log x0 + drift[k] + sigma sqrt(dt) zeta W[:, k].
 
-A block therefore forms W once, and every check reads its wealth from it:
-the equilibrium leg raises wealth to the power p once per block, as
-Y = exp(p sigma sqrt(dt) zeta W), with the deterministic factor
-(x0 e^{drift})^p folded into the per-node weights, so its utility
-functional is the single product J = Y @ weights; the martingale and moment
-checks read W only at their checkpoints. A spiked leg equals the
-equilibrium leg shifted by a constant log-wealth gap after its window of w
-steps, so its utility loss is a sum over the window plus
-expm1(p gap_w) times the equilibrium tail beyond it, computed without
-stepping a second leg and without cancelling J_eq - J_spiked. The normals,
-W and Y live in buffers each worker thread reuses across its blocks.
+A block therefore forms W once, and every check reads its wealth from it.
+The equilibrium leg has X^p = (x0 e^{drift})^p Y with Y = exp(a W),
+a = p sigma sqrt(dt) zeta, on a drawn path and 1 / Y on its partner, so
+with the deterministic factor folded into the per-node weights its utility
+functional is the single product J = Y @ weights, formed once per block for
+each half of the pairs. Mean wealth, a pure mean, takes one cosh per
+element: the pair average of exp(b W) and exp(-b W) is cosh(b W). The
+martingale and moment checks negate W only at their checkpoints. A
+spiked leg equals the equilibrium leg shifted by a constant log-wealth gap
+after its window of w steps, so its utility loss is a sum over the window
+plus expm1(p gap_w) times the equilibrium tail beyond it, computed without
+stepping a second leg and without cancelling J_eq - J_spiked; it forms Y
+for each half of the pairs in turn and sums each path's tail directly. W
+and the normals live in two W-sized buffers each worker thread reuses
+across its blocks; once W is formed the normals' buffer is the block's
+scratch.
 
 Every check is an estimator: a block function from one ``Block`` to a dict
 of sums, and a finisher from the sums over all paths to the result.
@@ -53,6 +59,7 @@ public check below is that runner applied to one estimator.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -66,6 +73,7 @@ from .policy import EquilibriumPolicy, equilibrium_policy, stock_fraction
 from .solver import ValueCurve
 
 __all__ = [
+    "SimSettings",
     "SimConfig",
     "SimBatch",
     "Spike",
@@ -91,17 +99,18 @@ STAT_THRESHOLD = 3.0  # all statistical verdicts use three standard errors
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Ensemble size, RNG seed, simulation grid, and initial wealth.
+class SimSettings:
+    """Ensemble size, RNG seed, initial wealth, worker threads and block size:
+    the config's [sim] section, with its defaults.
 
     n_paths and block_size count paths, rounded up to whole antithetic pairs
-    (``n_pairs``, ``block_pairs``)."""
+    (``n_pairs``, ``block_pairs``). n_workers = 0 runs one worker thread per
+    CPU the process may run on (``worker_count``)."""
 
-    n_paths: int
-    seed: int
-    grid: TimeGrid
-    x0: float
-    n_workers: int = 1
+    n_paths: int = 100_000
+    seed: int = 42
+    x0: float = 1.0
+    n_workers: int = 0
     block_size: int = 4096
 
     def __post_init__(self):
@@ -109,8 +118,10 @@ class SimConfig:
             raise ParameterError(f"n_paths must be >= 1, got {self.n_paths}")
         if not (self.x0 > 0):
             raise ParameterError(f"initial wealth must be > 0, got {self.x0}")
-        if self.n_workers < 1 or self.block_size < 1:
-            raise ParameterError("n_workers and block_size must be >= 1")
+        if self.n_workers < 0:
+            raise ParameterError(f"n_workers must be >= 0, got {self.n_workers}")
+        if self.block_size < 1:
+            raise ParameterError(f"block_size must be >= 1, got {self.block_size}")
         if not (0 <= int(self.seed) < 2**64):
             raise ParameterError("seed must fit in 64 bits")
 
@@ -121,6 +132,29 @@ class SimConfig:
     @property
     def block_pairs(self) -> int:
         return (self.block_size + 1) // 2
+
+    @property
+    def n_blocks(self) -> int:
+        return -(-self.n_pairs // self.block_pairs)
+
+    def worker_count(self) -> int:
+        """Worker threads of a pass: n_workers, or for 0 the number of CPUs
+        this process may run on, and never more than the blocks."""
+        n = self.n_workers
+        if n == 0:
+            try:
+                n = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity call on this platform
+                n = os.cpu_count() or 1
+        return min(n, self.n_blocks)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SimConfig(SimSettings):
+    """``SimSettings`` with the grid the paths are simulated on (a
+    keyword-only field)."""
+
+    grid: TimeGrid
 
 
 @dataclass(frozen=True)
@@ -203,13 +237,13 @@ class _Buffers:
 def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> dict:
     """Run block_fn(W, buffers) over all path blocks and combine the sums.
 
-    Block b holds m antithetic pairs: W (2m x (n_sub_steps + 1)) holds the
-    running sums of m rows of normals from ``Philox(key=[seed, b])`` in W[:m],
-    with W[:, 0] = 0, and their mirror -W[:m] in W[m:]. The normals were
-    drawn into buffer "z", which has room for W's shape and which the block
-    may overwrite.
+    Block b holds m antithetic pairs and stores only their drawn paths:
+    W (m x (n_sub_steps + 1)) holds the running sums of m rows of normals
+    from ``Philox(key=[seed, b])``, with W[:, 0] = 0, and the partner of row
+    i runs on -W[i]. The normals were drawn into buffer "z", which has room
+    for W's shape and which the block may overwrite. The blocks run on
+    ``cfg.worker_count()`` threads, each with its own two buffers.
     """
-    n_blocks = -(-cfg.n_pairs // cfg.block_pairs)
     local = threading.local()
 
     def run(b: int) -> dict:
@@ -218,18 +252,18 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> 
         buffers = local.buffers
         m_b = min(cfg.block_pairs, cfg.n_pairs - b * cfg.block_pairs)
         rng = np.random.Generator(np.random.Philox(key=[int(cfg.seed), b]))
-        W = buffers.get("w", (2 * m_b, n_sub_steps + 1))
+        W = buffers.get("w", (m_b, n_sub_steps + 1))
         Z = rng.standard_normal(out=buffers.get("z", (m_b, n_sub_steps), reserve=W.size))
-        W[:m_b, 0] = 0.0
-        np.cumsum(Z, axis=1, out=W[:m_b, 1:])
-        np.negative(W[:m_b], out=W[m_b:])
+        W[:, 0] = 0.0
+        np.cumsum(Z, axis=1, out=W[:, 1:])
         return block_fn(W, buffers)
 
-    if cfg.n_workers == 1:
-        partials = [run(b) for b in range(n_blocks)]
+    workers = cfg.worker_count()
+    if workers == 1:
+        partials = [run(b) for b in range(cfg.n_blocks)]
     else:
-        with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
-            partials = list(pool.map(run, range(n_blocks)))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(run, range(cfg.n_blocks)))
     return _pairwise_combine(partials)
 
 
@@ -280,20 +314,15 @@ def _pair_means(v: np.ndarray) -> np.ndarray:
     return 0.5 * (v[:m] + v[m:])
 
 
-def _exp_pairs(W: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
-    """exp(scale W) of a block into out; the mirrored half is the reciprocal
-    of its partners' half, exp(-scale W) = 1 / exp(scale W), which costs less
-    than an exp."""
-    m = len(W) // 2
-    top = np.multiply(W[:m], scale, out=out[:m])
-    np.exp(top, out=top)
-    np.divide(1.0, top, out=out[m:])
-    return out
+def _cosh(W: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """cosh(scale W) into out: the pair average of exp(scale W) and
+    exp(-scale W)."""
+    np.multiply(W, scale, out=out)
+    return np.cosh(out, out=out)
 
 
-def _sums(key: str, v) -> dict:
-    """Sum and sum of squares of the pair averages of v over a block's pairs."""
-    a = _pair_means(v)
+def _sums(key: str, a) -> dict:
+    """Sum and sum of squares of a block's pair averages a (axis 0)."""
     return {key: a.sum(axis=0), f"{key}_sq": (a**2).sum(axis=0)}
 
 
@@ -353,26 +382,39 @@ class PolicyLeg:
 
 
 class Block:
-    """One block of paths, seen through the running sums W of its normals
-    (paths x (steps + 1), W[:, 0] = 0)."""
+    """One block of m antithetic pairs, seen through the running sums W of
+    the normals of its drawn paths (m x (steps + 1), W[:, 0] = 0); the
+    partner of row i runs on -W[i], which no buffer holds."""
 
     def __init__(self, W: np.ndarray, buffers: _Buffers, leg: Optional[PolicyLeg]):
         self.W = W
         self._buffers = buffers
         self._leg = leg
 
+    def all_paths(self, cols) -> np.ndarray:
+        """W[:, cols] of every path of the block: the drawn rows, then their
+        partners', so that rows i and m + i are a pair."""
+        drawn = self.W[:, cols]
+        return np.concatenate([drawn, -drawn])
+
     @cached_property
     def powers(self):
-        """(Y, J) of the leg: Y = exp(p vol W), so X^p = leg.scale * Y, and
-        the utility functional J = Y @ leg.weights per path."""
-        Y = _exp_pairs(self.W, self._leg.u.p * self._leg.vol,
-                       self._buffers.get("y", self.W.shape))
-        return Y, Y @ self._leg.weights
+        """(J, Y_sum) of the leg, where Y = exp(p vol W) on a drawn path and
+        exp(-p vol W) = 1 / Y on its partner, so X^p = leg.scale * Y: J is
+        each pair's average utility functional Y @ leg.weights, and Y_sum
+        the per-node sum of Y over the block's paths. Y is formed in the
+        scratch buffer, drawn paths first, which is free again afterwards."""
+        weights = self._leg.weights
+        Y = np.multiply(self.W, self._leg.u.p * self._leg.vol, out=self.scratch(self.W.shape))
+        np.exp(Y, out=Y)
+        J, Y_sum = Y @ weights, Y.sum(axis=0)
+        np.reciprocal(Y, out=Y)
+        return 0.5 * (J + Y @ weights), Y_sum + Y.sum(axis=0)
 
-    def scratch(self) -> np.ndarray:
-        """A buffer of W's shape that the block may overwrite (it held the
-        normals, which W has replaced)."""
-        return self._buffers.get("z", self.W.shape)
+    def scratch(self, shape: tuple) -> np.ndarray:
+        """A buffer of the given shape, at most W's size, that the block may
+        overwrite (it held the normals, which W has replaced)."""
+        return self._buffers.get("z", shape)
 
 
 def equilibrium_leg(pol: EquilibriumPolicy, cfg: SimConfig, m: MarketParams,
@@ -390,11 +432,12 @@ def run_estimators(cfg: SimConfig, estimators: list, leg: Optional[PolicyLeg] = 
     """Results of the estimators, in order, from one pass over the random stream.
 
     An estimator is a pair (block, finish). ``block(blk)`` maps one ``Block``
-    to a dict of sums; ``blk.powers`` gives the leg's X^p factor and utility
-    functional, formed once per block for all estimators. ``finish(sums,
-    n_pairs)`` turns the sums over all blocks into the result, with n_pairs
-    the number of antithetic pairs (``SimConfig.n_pairs``). W spans the leg's
-    steps, or the whole grid without a leg.
+    to a dict of sums; ``blk.powers`` gives the leg's pair-averaged utility
+    functional and per-node X^p sums, formed once per block for all
+    estimators. ``finish(sums, n_pairs)`` turns the sums over all blocks
+    into the result, with n_pairs the number of antithetic pairs
+    (``SimConfig.n_pairs``). W spans the leg's steps, or the whole grid
+    without a leg.
     """
     if not estimators:
         return []
@@ -420,12 +463,13 @@ def simulation_estimator(pol: EquilibriumPolicy, g: TimeGrid, leg: PolicyLeg,
     log_x_T = math.log(leg.x0) + leg.drift[-1]
 
     def block(blk):
-        Y, J = blk.powers
-        X = _exp_pairs(blk.W, leg.vol, blk.scratch())
-        out = {**_sums("j", J), "wealth": X.sum(axis=0) * wealth_scale,
-               "voh": Y.sum(axis=0) * voh_scale}
+        J, Y_sum = blk.powers
+        X_pairs = _cosh(blk.W, leg.vol, blk.scratch(blk.W.shape))
+        out = {**_sums("j", J), "wealth": X_pairs.sum(axis=0) * (2.0 * wealth_scale),
+               "voh": Y_sum * voh_scale}
+        W_T = blk.all_paths(-1)
         for q in moment_orders:
-            out.update(_sums(f"m{q}", np.exp(q * (log_x_T + leg.vol * blk.W[:, -1]))))
+            out.update(_sums(f"m{q}", _pair_means(np.exp(q * (log_x_T + leg.vol * W_T)))))
         return out
 
     def finish(s, n):
@@ -464,7 +508,7 @@ def value_identity_estimator(sol: ValueCurve, u: CrraUtility, t: float, x: float
     target = target_scale * float(np.interp(t, sol.grid.nodes, sol.values)) * x**u.p / u.p
 
     def block(blk):
-        return _sums("j", blk.powers[1])
+        return _sums("j", blk.powers[0])
 
     def finish(s, n):
         j, se = _mean_se(s, "j", n)
@@ -511,7 +555,7 @@ def _no_consumption_log_wealth(cfg: SimConfig, m: MarketParams, zeta: float,
     g = cfg.grid
     base = math.log(cfg.x0) + _log_drift(m, zeta, np.zeros(g.n_steps), g.dt)[checkpoints]
     vol = m.sigma * math.sqrt(g.dt) * zeta
-    return lambda blk: base + vol * blk.W[:, checkpoints]
+    return lambda blk: base + vol * blk.all_paths(checkpoints)
 
 
 def martingale_estimator(sol: ValueCurve, cfg: SimConfig, m: MarketParams, u: CrraUtility,
@@ -591,7 +635,7 @@ def moment_estimator(cfg: SimConfig, m: MarketParams, u: CrraUtility, exponent_q
     log_x = _no_consumption_log_wealth(cfg, m, stock_fraction(m, u), checkpoints)
 
     def block(blk):
-        return _sums("y", np.exp(exponent_q * log_x(blk)))
+        return _sums("y", _pair_means(np.exp(exponent_q * log_x(blk))))
 
     def finish(sums, n):
         out = []
@@ -630,8 +674,10 @@ def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
         J_eq - J_spiked = sum_{k <= w} Y_k (a_k - a'_k - a'_k expm1(p G_k))
                           - expm1(p G_w) sum_{k > w} Y_k a_k,
 
-    which costs O(paths w) beyond the leg's J and is exactly 0 for an
-    identical spike.
+    which is exactly 0 for an identical spike. Y is formed on the window and,
+    in the scratch buffer, on the tail, first for the drawn paths, then as
+    its reciprocal for their partners; each path's tail sum is taken
+    directly, never as J minus the window, which could cancel.
     """
     if eps <= 0:
         raise ParameterError("epsilons must be positive")
@@ -650,13 +696,24 @@ def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
     v_spiked = leg.scale * _utility_weights(leg.h_nodes, c_spiked, dt, p)
     head_eq = (leg.weights - v_spiked)[:w + 1]
     head_spiked = v_spiked[:w + 1]
+    tail_weights = leg.weights[w + 1:]
+
+    def loss(W_head, Y_head, Y_tail, sign):
+        growth = np.expm1(gap_drift + (sign * gap_vol) * W_head)
+        return (Y_head @ head_eq - (Y_head * growth) @ head_spiked
+                - growth[:, w] * (Y_tail @ tail_weights))
 
     def block(blk):
-        Y = blk.powers[0]
-        growth = np.expm1(gap_drift + gap_vol * blk.W[:, :w + 1])
-        loss = (Y[:, :w + 1] @ head_eq - (Y[:, :w + 1] * growth) @ head_spiked
-                - growth[:, w] * (Y[:, w + 1:] @ leg.weights[w + 1:]))
-        return _sums("d", loss / eps)
+        # Y on the drawn paths; a partner's is its reciprocal, exp(-x) = 1 / exp(x)
+        W_head = blk.W[:, :w + 1]
+        Y_head = np.exp(p * leg.vol * W_head)
+        Y_tail = np.multiply(blk.W[:, w + 1:], p * leg.vol,
+                             out=blk.scratch((len(blk.W), leg.n_steps - w)))
+        np.exp(Y_tail, out=Y_tail)
+        drawn = loss(W_head, Y_head, Y_tail, 1.0)
+        partner = loss(W_head, np.reciprocal(Y_head, out=Y_head),
+                       np.reciprocal(Y_tail, out=Y_tail), -1.0)
+        return _sums("d", 0.5 * (drawn + partner) / eps)
 
     def finish(s, n):
         d, se = _mean_se(s, "d", n)

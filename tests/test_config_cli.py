@@ -23,6 +23,7 @@ from eqmerton.model import (
     TimeGrid,
 )
 from eqmerton.output import write_manifest
+from eqmerton.simulate import SimConfig
 
 BASE_INI = """\
 [market]
@@ -249,7 +250,7 @@ def configs(draw):
     solver = SolverSettings(method=draw(st.sampled_from(["picard", "mixture", "closed_form"])),
                             tol=draw(_num(1e-14, 1e-2)))
     sim = SimSettings(n_paths=draw(st.integers(1, 10**6)), seed=draw(st.integers(0, 2**31)),
-                      x0=draw(_num(0.1, 10.0)), n_workers=draw(st.integers(1, 8)),
+                      x0=draw(_num(0.1, 10.0)), n_workers=draw(st.integers(0, 8)),
                       block_size=draw(st.integers(1, 8192)))
     out_dir = draw(st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_/.-]{0,15}", fullmatch=True))
     labels = draw(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True),
@@ -703,6 +704,40 @@ class TestCliCompare:
         assert cli.main(["compare", "--config", ini, "--out", str(out)]) == 0
         lines = (out / "compare.csv").read_text().strip().split("\n")[1:]
         assert all(ln.startswith("solo,") for ln in lines)
+
+
+class TestDefaultWorkerCount:
+    """[sim] n_workers = 0, the default, runs one worker thread per CPU the
+    process may run on; the outputs are those of a single worker."""
+
+    @pytest.mark.parametrize("command, table", [("simulate", "simulation.csv"),
+                                                ("verify", "verification.csv")])
+    def test_outputs_are_the_bytes_of_one_worker(self, tmp_path, monkeypatch,
+                                                 command, table):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        cfg = load_config(write_ini(tmp_path))
+        # 2500 pairs in blocks of 2048: two blocks, so two threads
+        assert cfg.sim.n_workers == 0
+        assert SimConfig(grid=cfg.grid, **vars(cfg.sim)).worker_count() == 2
+        out, runs = tmp_path / "out", {}
+        for label, extra in (("default", ""), ("one", "n_workers = 1\n")):
+            ini = write_ini(tmp_path, extra=extra, name=f"{label}.ini")
+            code = cli.main([command, "--config", ini, "--out", str(out)])
+            runs[label] = (code, (out / table).read_bytes(),
+                           (out / "manifest.json").read_text())
+        (code, table_bytes, manifest), one = runs["default"], runs["one"]
+        assert (code, table_bytes) == one[:2]
+        # the manifest records the configured count, not the resolved one
+        assert '"n_workers": 0' in manifest
+        assert manifest.replace('"n_workers": 0', '"n_workers": 1') == one[2]
+
+    def test_negative_count_is_config_error(self, tmp_path, capsys):
+        ini = write_ini(tmp_path, extra="n_workers = -1\n")
+        with pytest.raises(ConfigError, match="n_workers must be >= 0"):
+            load_config(ini)
+        assert cli.main(["solve", "--config", ini, "--out", str(tmp_path / "o")]) == 2
+        assert "n_workers" in capsys.readouterr().err
 
 
 class TestCliSimulate:

@@ -1,3 +1,4 @@
+import os
 import sys
 
 import numpy as np
@@ -87,6 +88,29 @@ class TestDeterminism:
         assert a.j_estimate == b.j_estimate
         np.testing.assert_array_equal(a.mean_value_over_h, b.mean_value_over_h)
 
+    def test_default_worker_count_follows_the_cpus(self, sim_grid, monkeypatch):
+        def cpus(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                                raising=False)
+
+        cpus(1)
+        assert sim_cfg(sim_grid, n_paths=100_000).worker_count() == 1
+        cpus(8)
+        three_blocks = sim_cfg(sim_grid, n_paths=5000, block_size=2048)
+        assert three_blocks.n_blocks == 3 and three_blocks.worker_count() == 3
+        assert sim_cfg(sim_grid, n_paths=100_000).worker_count() == 8
+        # without an affinity call the CPU count stands in
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert sim_cfg(sim_grid, n_paths=100_000).worker_count() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sim_cfg(sim_grid, n_paths=100_000).worker_count() == 1
+
+    def test_explicit_worker_count_is_kept(self, sim_grid, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert sim_cfg(sim_grid, n_paths=100_000, n_workers=3).worker_count() == 3
+        assert sim_cfg(sim_grid, n_paths=100, n_workers=3).worker_count() == 1
+
     def test_pairwise_combine_matches_direct_sum(self):
         rng = np.random.default_rng(0)
         parts = [{"s": rng.normal(size=3)} for _ in range(7)]
@@ -129,7 +153,11 @@ class TestWealthDynamics:
         with pytest.raises(ParameterError):
             SimConfig(n_paths=10, seed=1, grid=sim_grid, x0=0.0)
         with pytest.raises(ParameterError):
-            SimConfig(n_paths=10, seed=1, grid=sim_grid, x0=1.0, n_workers=0)
+            SimConfig(n_paths=10, seed=1, grid=sim_grid, x0=1.0, n_workers=-1)
+        with pytest.raises(ParameterError):
+            SimConfig(n_paths=10, seed=1, grid=sim_grid, x0=1.0, block_size=0)
+        # 0 workers stands for one per available CPU
+        assert SimConfig(n_paths=10, seed=1, grid=sim_grid, x0=1.0, n_workers=0).n_workers == 0
 
 
 class TestValueIdentity:
@@ -454,14 +482,40 @@ class TestAgainstSteppedOracle:
             estimators["moment"] = moment_estimator(cfg, market, u, u.p,
                                                     growth_constant(market, u))
             expected.update(oracle_grid_sums(nc, cfg, market, u, d))
-        results = run_estimators(cfg, [sums_of(e) for e in estimators.values()], leg)
-        checked = set()
-        for name, sums in zip(estimators, results):
-            for key, value in sums.items():
-                np.testing.assert_allclose(value, expected[key], rtol=1e-12,
-                                           err_msg=f"{name} {key}")
-                checked.add(key)
-        assert checked == set(expected)
+        assert_sums_match(cfg, estimators, leg, expected)
+
+    @pytest.mark.parametrize("at_end", [False, True], ids=["window-is-the-leg",
+                                                           "one-step-leg"])
+    def test_block_sums_with_an_empty_tail(self, market, sim_grid, solved, at_end):
+        # the spike's window covers the whole leg, so nothing lies beyond it:
+        # from t = 0 with w = n_steps, and on a leg started at T - dt
+        u, by_discount = solved
+        d, sol, pol, _ = by_discount["hyperbolic"]
+        t0 = sim_grid.horizon - sim_grid.dt if at_end else 0.0
+        eps = sim_grid.horizon - t0
+        cfg = sim_cfg(sim_grid, n_paths=3000, seed=11, block_size=1024)
+        spike = Spike(zeta=pol.stock_fraction + 0.5, consumption=0.3)
+        leg = equilibrium_leg(pol, cfg, market, u, d, t0)
+        assert leg.n_steps == (1 if at_end else sim_grid.n_steps)
+        estimators = {
+            "simulate": simulation_estimator(pol, sim_grid, leg, d, (u.p, 2 * u.p)),
+            "value_identity": value_identity_estimator(sol, u, t0, cfg.x0),
+            "perturbation": perturbation_estimator(leg, eps, spike),
+        }
+        expected = oracle_leg_sums(pol, cfg, market, u, d, t0, spike, eps)
+        assert_sums_match(cfg, estimators, leg, expected)
+
+
+def assert_sums_match(cfg, estimators, leg, expected):
+    """Every sum of the estimators' one pass agrees with the oracle's to 1e-12."""
+    results = run_estimators(cfg, [sums_of(e) for e in estimators.values()], leg)
+    checked = set()
+    for name, sums in zip(estimators, results):
+        for key, value in sums.items():
+            np.testing.assert_allclose(value, expected[key], rtol=1e-12,
+                                       err_msg=f"{name} {key}")
+            checked.add(key)
+    assert checked == set(expected)
 
 
 def pair_stats(a):
