@@ -67,13 +67,6 @@ def _solve_curve(cfg: RunConfig, d=None):
     return solver.theta_closed_form(cfg.market, cfg.utility, d.rho, cfg.grid), None
 
 
-def _lambda_rows(curve, u):
-    cons = curve.consumption_rate(u)
-    t = curve.grid.nodes
-    for i in range(len(t)):
-        yield (t[i], curve.values[i], curve.derivative[i], cons[i])
-
-
 def _manifest_payload(cfg: RunConfig, command: str, extra: dict | None = None) -> dict:
     payload = {"command": command, "config": cfg.to_dict()}
     if extra:
@@ -83,8 +76,8 @@ def _manifest_payload(cfg: RunConfig, command: str, extra: dict | None = None) -
 
 def cmd_solve(cfg: RunConfig, out: Path) -> int:
     bounds = solver.a_priori_bounds(cfg.market, cfg.utility, _discount(cfg), cfg.grid)
-    write_csv(out / "bounds.csv", ["A", "lower", "upper"],
-              [(bounds.A, bounds.lower, bounds.upper)])
+    write_csv(out / "bounds.csv",
+              {"A": [bounds.A], "lower": [bounds.lower], "upper": [bounds.upper]})
     try:
         curve, fit = _solve_curve(cfg)
     except solver.NonConvergenceError as exc:
@@ -102,17 +95,19 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
         }))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    write_csv(out / "lambda.csv", ["t", "lambda", "lambda_prime", "consumption_rate"],
-              _lambda_rows(curve, cfg.utility))
+    write_csv(out / "lambda.csv", {
+        "t": curve.grid.nodes, "lambda": curve.values, "lambda_prime": curve.derivative,
+        "consumption_rate": curve.consumption_rate(cfg.utility)})
     res_ie = solver.residual_integral_equation(curve, cfg.market, cfg.utility, cfg.discount)
     res_df = solver.residual_differential_form(curve, cfg.market, cfg.utility, cfg.discount)
     # relative rows: the sup-norm residuals over max(1, sup lam), which do not
     # grow with the scale of lam
     scale = max(1.0, float(np.max(curve.values)))
-    write_csv(out / "residuals.csv", ["check", "value"],
-              [("integral_equation", res_ie), ("differential_form", res_df),
-               ("integral_equation_relative", res_ie / scale),
-               ("differential_form_relative", res_df / scale)])
+    residuals = {"integral_equation": res_ie, "differential_form": res_df,
+                 "integral_equation_relative": res_ie / scale,
+                 "differential_form_relative": res_df / scale}
+    write_csv(out / "residuals.csv",
+              {"check": list(residuals), "value": list(residuals.values())})
     extra = {"provenance": curve.provenance, "sweeps": curve.sweeps,
              "bounds_contain": bounds.contains(curve.values)}
     if fit is not None:
@@ -131,7 +126,7 @@ ALL_CHECKS = ("value_identity", "martingale", "perturbation", "duality")
 
 def cmd_verify(cfg: RunConfig, out: Path, perturb_lambda: float = 0.0,
                checks: tuple = ALL_CHECKS) -> int:
-    m, u, d, g = cfg.market, cfg.utility, cfg.discount, cfg.grid
+    m, u, d, g = cfg.market, cfg.utility, _discount(cfg), cfg.grid
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:
         raise ConfigError(f"unknown check(s) {sorted(unknown)}; "
@@ -143,8 +138,9 @@ def cmd_verify(cfg: RunConfig, out: Path, perturb_lambda: float = 0.0,
     if "duality" in checks:
         rows.extend(_duality_verdicts(nc_curve, u, m, d, g))
 
-    write_csv(out / "verification.csv", ["check", "statistic", "threshold", "pass"],
-              [(v.name, v.statistic, v.threshold, v.passed) for v in rows])
+    write_csv(out / "verification.csv", {
+        "check": [v.name for v in rows], "statistic": [v.statistic for v in rows],
+        "threshold": [v.threshold for v in rows], "pass": [v.passed for v in rows]})
     write_manifest(out / "manifest.json", _manifest_payload(cfg, "verify", {
         "perturb_lambda": perturb_lambda,
         "checks": list(checks),
@@ -224,7 +220,7 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
     probes = cfg.probe_times or tuple(
         cfg.grid.horizon * f for f in (0.25, 0.5, 0.75)
     )
-    rows = []
+    table = {"spec_label": [], "t": [], "consumption_rate": [], "lambda": []}
     failures = {}
     for label in sorted(specs):
         d = specs[label]
@@ -233,23 +229,21 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
         except (solver.NonConvergenceError, solver.StepFailureError) as exc:
             failures[label] = str(exc)
             continue
-        cons = curve.consumption_rate(cfg.utility)
         t = curve.grid.nodes
-        rows.extend(
-            (label, t[i], cons[i], curve.values[i]) for i in range(len(t))
-        )
+        for name, column in (("spec_label", [label] * len(t)), ("t", t),
+                             ("consumption_rate", curve.consumption_rate(cfg.utility)),
+                             ("lambda", curve.values)):
+            table[name].extend(column)
         report = policy.inconsistency_report(
             cfg.market, cfg.utility, d, cfg.grid, probes,
             equilibrium=policy.equilibrium_policy(curve, cfg.market, cfg.utility),
         )
-        write_csv(
-            out / f"inconsistency_{label}.csv",
-            ["t_probe", "c_precommit_0", "c_precommit_t", "c_equilibrium",
-             "gap_naive", "gap_equilibrium"],
-            [(r.t_probe, r.c_precommit_0, r.c_precommit_t, r.c_equilibrium,
-              r.gap_naive, r.gap_equilibrium) for r in report],
-        )
-    write_csv(out / "compare.csv", ["spec_label", "t", "consumption_rate", "lambda"], rows)
+        write_csv(out / f"inconsistency_{label}.csv", {
+            name: [getattr(r, name) for r in report]
+            for name in ("t_probe", "c_precommit_0", "c_precommit_t", "c_equilibrium",
+                         "gap_naive", "gap_equilibrium")
+        })
+    write_csv(out / "compare.csv", table)
     write_manifest(out / "manifest.json", _manifest_payload(cfg, "compare", {
         "labels": sorted(specs),
         "probe_times": list(probes),
@@ -264,10 +258,8 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     pol = policy.equilibrium_policy(curve, m, u)
     batch = simulate.simulate_equilibrium(pol, SimConfig(grid=g, **asdict(cfg.sim)),
                                           m, u, d, moment_orders=(u.p, 2 * u.p))
-    t = g.nodes
-    write_csv(out / "simulation.csv", ["t", "mean_wealth", "mean_value_over_h"],
-              [(t[i], batch.mean_wealth[i], batch.mean_value_over_h[i])
-               for i in range(len(t))])
+    write_csv(out / "simulation.csv", {"t": g.nodes, "mean_wealth": batch.mean_wealth,
+                                       "mean_value_over_h": batch.mean_value_over_h})
     write_manifest(out / "manifest.json", _manifest_payload(cfg, "simulate", {
         "j_estimate": batch.j_estimate,
         "j_std_error": batch.j_std_error,

@@ -565,7 +565,8 @@ def residual_differential_form(
     sol: ValueCurve, m: MarketParams, u: CrraUtility, d: DiscountSpec
 ) -> float:
     """Sup-norm, over interior nodes, of lam' (central differences) minus the
-    differential-form right-hand side."""
+    differential-form right-hand side. Its floor is the grid error of the
+    trapezoid-discrete integral equation, not that of the difference quotient."""
     g = sol.grid
     if g.n_steps < 3:
         raise ParameterError("need at least 4 grid nodes for the residual")

@@ -562,6 +562,15 @@ class TestCliVerify:
         assert cli.main(["verify", "--config", ini, "--out", str(tmp_path / "o"),
                          "--checks", "bogus"]) == 2
 
+    @pytest.mark.parametrize("checks", [[], ["--checks", "duality"]])
+    def test_verify_without_discount_section_is_config_error(self, tmp_path, capsys,
+                                                             checks):
+        # the shipped compare config carries [discount.<label>] sections only
+        ini = str(ROOT / "configs" / "compare.ini")
+        assert cli.main(["verify", "--config", ini, "--out", str(tmp_path / "o"),
+                         *checks]) == 2
+        assert capsys.readouterr().err == "config error: no [discount] section configured\n"
+
     def test_nonconvergence_exit_code(self, tmp_path, capsys, monkeypatch):
         fail_picard(monkeypatch)
         assert_solver_failure(

@@ -72,3 +72,31 @@ def test_domain_sweep_runs():
                                                  ["hyp(1,1)", "-10", "5", "ok"]]
     assert all(float(row.split()[4]) > 1 and int(row.split()[5]) >= 1 for row in rows)
     assert total == "2 of 2 cases exit 0"
+
+
+def test_bounds_sweep_runs():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bounds_sweep.py"), "--n-steps", "100"],
+        capture_output=True, text=True, env=script_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.strip().split("\n")
+    assert header.split()[-1] == "inside"
+    # one row per exponent x discount, each solution inside its bounds box
+    assert len(rows) == 5 * 4
+    assert all(row.split()[-1] == "True" for row in rows)
+
+
+def test_mixture_convergence_runs():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "mixture_convergence.py"),
+         "--n-steps", "100", "--sizes", "2", "4"],
+        capture_output=True, text=True, env=script_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.strip().split("\n")
+    assert header.split()[0] == "N"
+    assert [int(row.split()[0]) for row in rows] == [2, 4]
+    # the larger fit lands closer to the Picard reference
+    gaps = [float(row.split()[-1]) for row in rows]
+    assert gaps[1] < gaps[0]
