@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Time spent in each stage of one Monte Carlo block.
+"""Time spent in each stage of one Monte Carlo block, and the memory of a pass.
 
 Runs the stages of one block of the equilibrium simulation (hyperbolic
 discount, T = 1) on buffers that are already allocated, as every block after
 a worker's first one sees them, and tabulates the best-of-k time of each. A
 block of --paths paths is --paths / 2 antithetic pairs, of which it stores
-only the drawn paths; each partner runs on -W:
+only the drawn paths; each partner runs on -W. The stage rows hold the whole
+block at once, so their times compare across grids and block sizes; a pass
+runs each block in tiles of at most ``simulate._TILE_ELEMENTS`` elements per
+buffer, one after the other:
 
 * rng           Philox normals for the drawn path of each pair, drawn into
                 the reused buffer;
@@ -20,10 +23,12 @@ only the drawn paths; each partner runs on -W:
 * checkpoints   W and -W at the martingale check's five checkpoint columns.
 
 Then come the whole ``simulate`` and ``verify`` block functions on the same
-draws; a whole ``simulate_equilibrium`` pass over --pass-blocks such blocks
-on one worker thread and on the default count (``[sim] n_workers = 0``: one
-per CPU the process may run on); and the tracemalloc peak of one
-single-block ``simulate_equilibrium`` call, buffers included.
+draws (the perturbation rows read their tails from the shared X^p); a whole
+``simulate_equilibrium`` pass over --pass-blocks such blocks on one worker
+thread and on the default count (``[sim] n_workers = 0``: one per CPU the
+process may run on), with the tracemalloc peak of each pass; and the
+tracemalloc peak of one single-block ``simulate_equilibrium`` call, buffers
+included.
 """
 
 import argparse
@@ -49,6 +54,7 @@ from eqmerton.simulate import (
     _Buffers,
     _checkpoints,
     _cosh,
+    _fused_block,
     equilibrium_leg,
     martingale_estimator,
     perturbation_estimator,
@@ -65,6 +71,16 @@ def best_ms(fn, repeats: int) -> float:
         fn()
         times.append(time.perf_counter() - start)
     return 1e3 * min(times)
+
+
+def traced_peak_mb(fn) -> float:
+    """The tracemalloc peak of one call of fn, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
@@ -113,30 +129,27 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
     rng()
     running_sum()
     nc = solve_no_consumption(m, u, d, g)
-    sim_block = simulation_estimator(pol, g, leg, d, (u.p, 2 * u.p))[0]
-    verify_blocks = [
-        value_identity_estimator(sol, u, 0.0, cfg.x0)[0],
-        martingale_estimator(nc, cfg, m, u, d)[0],
-        perturbation_estimator(leg, 0.25, Spike(zeta=pol.stock_fraction + 1.0))[0],
-        perturbation_estimator(leg, 0.1, Spike(zeta=pol.stock_fraction + 0.01))[0],
-    ]
-    # a fresh Block per call, as each block of a pass gets its own
-    row["simulate block"] = best_ms(lambda: sim_block(Block(W, buffers, leg)), repeats)
-    row["verify block"] = best_ms(
-        lambda: [fn(blk) for blk in [Block(W, buffers, leg)] for fn in verify_blocks],
-        repeats)
-    for name, workers in (("pass 1 worker", 1), ("pass default", 0)):
-        pass_cfg = replace(cfg, n_paths=pass_blocks * n_paths, n_workers=workers)
-        row[name] = best_ms(lambda: simulate_equilibrium(
-            pol, pass_cfg, m, u, d, moment_orders=(u.p, 2 * u.p)), repeats)
-
-    tracemalloc.start()
-    try:
-        simulate_equilibrium(pol, cfg, m, u, d, moment_orders=(u.p, 2 * u.p))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    row["peak MB"] = peak / 1e6
+    moments = (u.p, 2 * u.p)
+    sim_block = _fused_block([simulation_estimator(pol, g, leg, d, moments)], leg)
+    verify_block = _fused_block([
+        value_identity_estimator(sol, u, 0.0, cfg.x0),
+        martingale_estimator(nc, cfg, m, u, d),
+        perturbation_estimator(leg, 0.25, Spike(zeta=pol.stock_fraction + 1.0)),
+        perturbation_estimator(leg, 0.1, Spike(zeta=pol.stock_fraction + 0.01)),
+    ], leg)
+    # each call builds a fresh Block, as each block of a pass gets its own
+    row["simulate block"] = best_ms(lambda: sim_block(W, buffers), repeats)
+    row["verify block"] = best_ms(lambda: verify_block(W, buffers), repeats)
+    passes = {label: replace(cfg, n_paths=pass_blocks * n_paths, n_workers=workers)
+              for label, workers in (("1 worker", 1), ("default", 0))}
+    for label, pass_cfg in passes.items():
+        row[f"pass {label}"] = best_ms(lambda: simulate_equilibrium(
+            pol, pass_cfg, m, u, d, moment_orders=moments), repeats)
+    for label, pass_cfg in passes.items():
+        row[f"pass {label} MB"] = traced_peak_mb(lambda: simulate_equilibrium(
+            pol, pass_cfg, m, u, d, moment_orders=moments))
+    row["peak MB"] = traced_peak_mb(lambda: simulate_equilibrium(
+        pol, cfg, m, u, d, moment_orders=moments))
     return row
 
 

@@ -14,6 +14,14 @@ deterministic function of (seed, its block, its row) regardless of how many
 workers process the blocks. Block partials are combined by pairwise summation
 in block order, making results bit-identical across worker counts.
 
+A block is drawn and processed in tiles of consecutive rows, each at most
+``_TILE_ELEMENTS`` float64 elements: each tile continues the block's stream
+where the previous one left off, so the draws are those of the whole block,
+and every estimator's sums add over rows, so a block's sums are its tiles'
+added in row order. The block size fixes only the partition of the stream and
+the grain of the parallel work; a worker thread holds two tile-sized buffers,
+whatever the grid and the block size.
+
 Paths come in antithetic pairs (Glasserman, Monte Carlo Methods in Financial
 Engineering, 2004, section 4.2): a block of m pairs draws m rows of normals
 and forms their running sums W; the partner of each drawn path runs on -W,
@@ -32,25 +40,24 @@ the affine map
 
     log X(t_k) = log x0 + drift[k] + sigma sqrt(dt) zeta W[:, k].
 
-A block therefore forms W once, and every check reads its wealth from it.
+A tile therefore forms W once, and every check reads its wealth from it.
 The equilibrium leg has X^p = (x0 e^{drift})^p Y with Y = exp(a W),
 a = p sigma sqrt(dt) zeta, on a drawn path and 1 / Y on its partner, so
 with the deterministic factor folded into the per-node weights its utility
-functional is the single product J = Y @ weights, formed once per block for
+functional is the single product J = Y @ weights, formed once per tile for
 each half of the pairs. Mean wealth, a pure mean, takes one cosh per
 element: the pair average of exp(b W) and exp(-b W) is cosh(b W). The
 martingale and moment checks negate W only at their checkpoints. A
 spiked leg equals the equilibrium leg shifted by a constant log-wealth gap
 after its window of w steps, so its utility loss is a sum over the window
 plus expm1(p gap_w) times the equilibrium tail beyond it, computed without
-stepping a second leg and without cancelling J_eq - J_spiked; it forms Y
-for each half of the pairs in turn and sums each path's tail directly. W
-and the normals live in two W-sized buffers each worker thread reuses
-across its blocks; once W is formed the normals' buffer is the block's
-scratch.
+stepping a second leg and without cancelling J_eq - J_spiked; each path's
+tail is summed directly from the Y that all checks share. W and the normals
+live in the two tile buffers; once W is formed the normals' buffer is the
+tile's scratch.
 
-Every check is an estimator: a block function from one ``Block`` to a dict
-of sums, and a finisher from the sums over all paths to the result.
+Every check is an estimator: a block function from one ``Block`` (a tile) to
+a dict of sums, and a finisher from the sums over all paths to the result.
 ``run_estimators`` feeds any list of estimators from one pass over the
 stream, so the checks share common random numbers and repeat no work. Each
 public check below is that runner applied to one estimator.
@@ -96,6 +103,9 @@ __all__ = [
 ]
 
 STAT_THRESHOLD = 3.0  # all statistical verdicts use three standard errors
+# float64 elements in a tile of a block's rows, 2 MiB per buffer: a pass holds
+# two such buffers per worker thread, whatever the grid and the block size
+_TILE_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -104,8 +114,10 @@ class SimSettings:
     the config's [sim] section, with its defaults.
 
     n_paths and block_size count paths, rounded up to whole antithetic pairs
-    (``n_pairs``, ``block_pairs``). n_workers = 0 runs one worker thread per
-    CPU the process may run on (``worker_count``)."""
+    (``n_pairs``, ``block_pairs``). block_size fixes the partition of the
+    random stream and the grain of the parallel work, not the memory, which
+    is two tile buffers per worker thread. n_workers = 0 runs one worker
+    thread per CPU the process may run on (``worker_count``)."""
 
     n_paths: int = 100_000
     seed: int = 42
@@ -235,16 +247,22 @@ class _Buffers:
 
 
 def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> dict:
-    """Run block_fn(W, buffers) over all path blocks and combine the sums.
+    """Run block_fn(W, buffers) over all path blocks, tile by tile, and
+    combine the sums.
 
-    Block b holds m antithetic pairs and stores only their drawn paths:
-    W (m x (n_sub_steps + 1)) holds the running sums of m rows of normals
-    from ``Philox(key=[seed, b])``, with W[:, 0] = 0, and the partner of row
-    i runs on -W[i]. The normals were drawn into buffer "z", which has room
-    for W's shape and which the block may overwrite. The blocks run on
-    ``cfg.worker_count()`` threads, each with its own two buffers.
+    Block b holds m antithetic pairs and stores only their drawn paths, at
+    most ``_TILE_ELEMENTS // (n_sub_steps + 1)`` of them (at least one) at a
+    time: for each tile of rows in turn, W (rows x (n_sub_steps + 1)) holds
+    the running sums of the tile's normals, drawn from the block's
+    ``Philox(key=[seed, b])`` where the previous tile's left off, with
+    W[:, 0] = 0, and the partner of row i runs on -W[i]. The normals were
+    drawn into buffer "z", which has room for W's shape and which block_fn
+    may overwrite. A block's sums are its tiles' added in row order. The
+    blocks run on ``cfg.worker_count()`` threads, each with its own two
+    tile-sized buffers.
     """
     local = threading.local()
+    tile_rows = max(1, _TILE_ELEMENTS // (n_sub_steps + 1))
 
     def run(b: int) -> dict:
         if not hasattr(local, "buffers"):
@@ -252,11 +270,16 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> 
         buffers = local.buffers
         m_b = min(cfg.block_pairs, cfg.n_pairs - b * cfg.block_pairs)
         rng = np.random.Generator(np.random.Philox(key=[int(cfg.seed), b]))
-        W = buffers.get("w", (m_b, n_sub_steps + 1))
-        Z = rng.standard_normal(out=buffers.get("z", (m_b, n_sub_steps), reserve=W.size))
-        W[:, 0] = 0.0
-        np.cumsum(Z, axis=1, out=W[:, 1:])
-        return block_fn(W, buffers)
+        total = None
+        for start in range(0, m_b, tile_rows):
+            W = buffers.get("w", (min(tile_rows, m_b - start), n_sub_steps + 1))
+            Z = rng.standard_normal(out=buffers.get("z", (len(W), n_sub_steps),
+                                                    reserve=W.size))
+            W[:, 0] = 0.0
+            np.cumsum(Z, axis=1, out=W[:, 1:])
+            sums = block_fn(W, buffers)
+            total = sums if total is None else {k: total[k] + v for k, v in sums.items()}
+        return total
 
     workers = cfg.worker_count()
     if workers == 1:
@@ -382,34 +405,42 @@ class PolicyLeg:
 
 
 class Block:
-    """One block of m antithetic pairs, seen through the running sums W of
-    the normals of its drawn paths (m x (steps + 1), W[:, 0] = 0); the
-    partner of row i runs on -W[i], which no buffer holds."""
+    """One tile of a block's antithetic pairs, seen through the running sums W
+    of the normals of its m drawn paths (m x (steps + 1), W[:, 0] = 0); the
+    partner of row i runs on -W[i], which no buffer holds. ``tails`` are the
+    nodes s whose tail sums ``powers`` takes."""
 
-    def __init__(self, W: np.ndarray, buffers: _Buffers, leg: Optional[PolicyLeg]):
+    def __init__(self, W: np.ndarray, buffers: _Buffers, leg: Optional[PolicyLeg],
+                 tails: tuple = ()):
         self.W = W
         self._buffers = buffers
         self._leg = leg
+        self._tails = tails
 
     def all_paths(self, cols) -> np.ndarray:
-        """W[:, cols] of every path of the block: the drawn rows, then their
+        """W[:, cols] of every path of the tile: the drawn rows, then their
         partners', so that rows i and m + i are a pair."""
         drawn = self.W[:, cols]
         return np.concatenate([drawn, -drawn])
 
     @cached_property
     def powers(self):
-        """(J, Y_sum) of the leg, where Y = exp(p vol W) on a drawn path and
-        exp(-p vol W) = 1 / Y on its partner, so X^p = leg.scale * Y: J is
-        each pair's average utility functional Y @ leg.weights, and Y_sum
-        the per-node sum of Y over the block's paths. Y is formed in the
-        scratch buffer, drawn paths first, which is free again afterwards."""
+        """(J, Y_sum, tails) of the leg, where Y = exp(p vol W) on a drawn path
+        and exp(-p vol W) = 1 / Y on its partner, so X^p = leg.scale * Y: J
+        is each pair's average utility functional Y @ leg.weights, Y_sum the
+        per-node sum of Y over the tile's paths, and tails[s] each path's
+        sum_{k >= s} Y_k leg.weights[k], drawn paths then partners (as
+        ``all_paths``), taken directly from Y. Y is formed in the scratch
+        buffer, drawn paths first, which is free again afterwards."""
         weights = self._leg.weights
         Y = np.multiply(self.W, self._leg.u.p * self._leg.vol, out=self.scratch(self.W.shape))
         np.exp(Y, out=Y)
         J, Y_sum = Y @ weights, Y.sum(axis=0)
+        drawn = [Y[:, s:] @ weights[s:] for s in self._tails]
         np.reciprocal(Y, out=Y)
-        return 0.5 * (J + Y @ weights), Y_sum + Y.sum(axis=0)
+        tails = {s: np.concatenate([tail, Y[:, s:] @ weights[s:]])
+                 for s, tail in zip(self._tails, drawn)}
+        return 0.5 * (J + Y @ weights), Y_sum + Y.sum(axis=0), tails
 
     def scratch(self, shape: tuple) -> np.ndarray:
         """A buffer of the given shape, at most W's size, that the block may
@@ -428,27 +459,35 @@ def equilibrium_leg(pol: EquilibriumPolicy, cfg: SimConfig, m: MarketParams,
                      pol.consumption_at(nodes), d.h(nodes - nodes[0]))
 
 
+def _fused_block(estimators: list, leg: Optional[PolicyLeg]) -> Callable:
+    """block(W, buffers): every estimator's sums on one ``Block``, keyed by
+    (estimator index, key), with the tails the estimators declare."""
+    tails = tuple(sorted({fn.tail for fn, _ in estimators if hasattr(fn, "tail")}))
+
+    def block(W, buffers):
+        blk = Block(W, buffers, leg, tails)
+        return {(i, key): value for i, (block_fn, _) in enumerate(estimators)
+                for key, value in block_fn(blk).items()}
+
+    return block
+
+
 def run_estimators(cfg: SimConfig, estimators: list, leg: Optional[PolicyLeg] = None) -> list:
     """Results of the estimators, in order, from one pass over the random stream.
 
     An estimator is a pair (block, finish). ``block(blk)`` maps one ``Block``
     to a dict of sums; ``blk.powers`` gives the leg's pair-averaged utility
-    functional and per-node X^p sums, formed once per block for all
-    estimators. ``finish(sums, n_pairs)`` turns the sums over all blocks
-    into the result, with n_pairs the number of antithetic pairs
-    (``SimConfig.n_pairs``). W spans the leg's steps, or the whole grid
-    without a leg.
+    functional and per-node X^p sums, formed once per tile for all
+    estimators, and the per-path tail sums from node ``block.tail`` on of
+    every block function that has that attribute. ``finish(sums, n_pairs)``
+    turns the sums over all blocks into the result, with n_pairs the number
+    of antithetic pairs (``SimConfig.n_pairs``). W spans the leg's steps, or
+    the whole grid without a leg.
     """
     if not estimators:
         return []
-
-    def block(W, buffers):
-        blk = Block(W, buffers, leg)
-        return {(i, key): value for i, (block_fn, _) in enumerate(estimators)
-                for key, value in block_fn(blk).items()}
-
     n_sub = cfg.grid.n_steps if leg is None else leg.n_steps
-    sums = _accumulate_blocks(cfg, n_sub, block)
+    sums = _accumulate_blocks(cfg, n_sub, _fused_block(estimators, leg))
     return [finish({key: value for (j, key), value in sums.items() if j == i}, cfg.n_pairs)
             for i, (_, finish) in enumerate(estimators)]
 
@@ -463,7 +502,7 @@ def simulation_estimator(pol: EquilibriumPolicy, g: TimeGrid, leg: PolicyLeg,
     log_x_T = math.log(leg.x0) + leg.drift[-1]
 
     def block(blk):
-        J, Y_sum = blk.powers
+        J, Y_sum, _ = blk.powers
         X_pairs = _cosh(blk.W, leg.vol, blk.scratch(blk.W.shape))
         out = {**_sums("j", J), "wealth": X_pairs.sum(axis=0) * (2.0 * wealth_scale),
                "voh": Y_sum * voh_scale}
@@ -674,9 +713,9 @@ def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
         J_eq - J_spiked = sum_{k <= w} Y_k (a_k - a'_k - a'_k expm1(p G_k))
                           - expm1(p G_w) sum_{k > w} Y_k a_k,
 
-    which is exactly 0 for an identical spike. Y is formed on the window and,
-    in the scratch buffer, on the tail, first for the drawn paths, then as
-    its reciprocal for their partners; each path's tail sum is taken
+    which is exactly 0 for an identical spike. Y is formed on the window,
+    first for the drawn paths, then as its reciprocal for their partners;
+    each path's tail sum comes from ``Block.powers``, which takes it
     directly, never as J minus the window, which could cancel.
     """
     if eps <= 0:
@@ -696,24 +735,21 @@ def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
     v_spiked = leg.scale * _utility_weights(leg.h_nodes, c_spiked, dt, p)
     head_eq = (leg.weights - v_spiked)[:w + 1]
     head_spiked = v_spiked[:w + 1]
-    tail_weights = leg.weights[w + 1:]
 
-    def loss(W_head, Y_head, Y_tail, sign):
+    def loss(W_head, Y_head, tail, sign):
         growth = np.expm1(gap_drift + (sign * gap_vol) * W_head)
-        return (Y_head @ head_eq - (Y_head * growth) @ head_spiked
-                - growth[:, w] * (Y_tail @ tail_weights))
+        return Y_head @ head_eq - (Y_head * growth) @ head_spiked - growth[:, w] * tail
 
     def block(blk):
         # Y on the drawn paths; a partner's is its reciprocal, exp(-x) = 1 / exp(x)
         W_head = blk.W[:, :w + 1]
         Y_head = np.exp(p * leg.vol * W_head)
-        Y_tail = np.multiply(blk.W[:, w + 1:], p * leg.vol,
-                             out=blk.scratch((len(blk.W), leg.n_steps - w)))
-        np.exp(Y_tail, out=Y_tail)
-        drawn = loss(W_head, Y_head, Y_tail, 1.0)
-        partner = loss(W_head, np.reciprocal(Y_head, out=Y_head),
-                       np.reciprocal(Y_tail, out=Y_tail), -1.0)
+        tail = blk.powers[2][w + 1]
+        drawn = loss(W_head, Y_head, tail[:len(W_head)], 1.0)
+        partner = loss(W_head, np.reciprocal(Y_head, out=Y_head), tail[len(W_head):], -1.0)
         return _sums("d", 0.5 * (drawn + partner) / eps)
+
+    block.tail = w + 1
 
     def finish(s, n):
         d, se = _mean_se(s, "d", n)

@@ -749,6 +749,24 @@ class TestDefaultWorkerCount:
         assert "n_workers" in capsys.readouterr().err
 
 
+def test_worker_count_does_not_change_bytes_in_ragged_tiles(tmp_path, monkeypatch):
+    # three rows per tile on the 200-step grid; 2500 pairs in eight blocks of
+    # 301 pairs and one of 92, each ending in a ragged tile
+    monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * 201)
+    for command in ("simulate", "verify"):
+        outs, codes = [], set()
+        for workers in (1, 8):
+            ini = write_ini(tmp_path, extra=f"n_workers = {workers}\nblock_size = 602\n",
+                            name=f"{command}{workers}.ini")
+            outs.append(tmp_path / f"{command}{workers}")
+            codes.add(cli.main([command, "--config", ini, "--out", str(outs[-1])]))
+        assert codes == {0}
+        names = sorted(path.name for path in outs[0].glob("*.csv"))
+        assert names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 class TestCliSimulate:
     def test_simulate_outputs_and_value_match(self, tmp_path):
         ini = write_ini(tmp_path)

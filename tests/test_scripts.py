@@ -42,7 +42,8 @@ def test_mc_block_stages_runs():
               for row in rows}
     assert set(stages) == {"rng", "running sum", "X^p", "reductions", "wealth cosh",
                            "checkpoints", "simulate block", "verify block",
-                           "pass 1 worker", "pass default", "peak MB"}
+                           "pass 1 worker", "pass default", "pass 1 worker MB",
+                           "pass default MB", "peak MB"}
     assert all(v >= 0 for values in stages.values() for v in values)
 
 

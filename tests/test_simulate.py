@@ -1,11 +1,13 @@
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dataclasses import replace
 
+from eqmerton import simulate
 from eqmerton.model import CrraUtility, MarketParams, ParameterError, TimeGrid
 from eqmerton.policy import EquilibriumPolicy, equilibrium_policy, stock_fraction
 from eqmerton.simulate import (
@@ -466,23 +468,16 @@ class TestAgainstSteppedOracle:
     @pytest.mark.parametrize("discount", ["hyperbolic", "mixture"])
     @pytest.mark.parametrize("t0", [0.0, 0.5])
     def test_block_sums_match_stepped_legs(self, market, sim_grid, solved, discount, t0):
-        u, by_discount = solved
-        d, sol, pol, nc = by_discount[discount]
-        cfg = sim_cfg(sim_grid, n_paths=3000, seed=11, block_size=1024)
-        spike = Spike(zeta=pol.stock_fraction + 0.5, consumption=0.3)
-        leg = equilibrium_leg(pol, cfg, market, u, d, t0)
-        estimators = {
-            "simulate": simulation_estimator(pol, sim_grid, leg, d, (u.p, 2 * u.p)),
-            "value_identity": value_identity_estimator(sol, u, t0, cfg.x0),
-            "perturbation": perturbation_estimator(leg, 0.1, spike),
-        }
-        expected = oracle_leg_sums(pol, cfg, market, u, d, t0, spike, 0.1)
-        if t0 == 0.0:  # the whole-grid checks share the pass from t = 0
-            estimators["martingale"] = martingale_estimator(nc, cfg, market, u, d)
-            estimators["moment"] = moment_estimator(cfg, market, u, u.p,
-                                                    growth_constant(market, u))
-            expected.update(oracle_grid_sums(nc, cfg, market, u, d))
-        assert_sums_match(cfg, estimators, leg, expected)
+        assert_leg_sums_match(market, sim_grid, solved, discount, t0)
+
+    @pytest.mark.parametrize("discount", ["hyperbolic", "mixture"])
+    @pytest.mark.parametrize("t0", [0.0, 0.5])
+    def test_block_sums_match_in_ragged_tiles(self, market, sim_grid, solved, discount,
+                                              t0, monkeypatch):
+        # three rows per tile: blocks of 512 and 476 pairs end in a tile of two
+        n_sub = sim_grid.n_steps - int(round(t0 / sim_grid.dt))
+        monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * (n_sub + 1))
+        assert_leg_sums_match(market, sim_grid, solved, discount, t0)
 
     @pytest.mark.parametrize("at_end", [False, True], ids=["window-is-the-leg",
                                                            "one-step-leg"])
@@ -506,6 +501,28 @@ class TestAgainstSteppedOracle:
         assert_sums_match(cfg, estimators, leg, expected)
 
 
+def assert_leg_sums_match(market, sim_grid, solved, discount, t0):
+    """Every estimator's sums on the leg from (t0, x0), and from t = 0 the
+    whole-grid checks', agree with the stepped oracle's."""
+    u, by_discount = solved
+    d, sol, pol, nc = by_discount[discount]
+    cfg = sim_cfg(sim_grid, n_paths=3000, seed=11, block_size=1024)
+    spike = Spike(zeta=pol.stock_fraction + 0.5, consumption=0.3)
+    leg = equilibrium_leg(pol, cfg, market, u, d, t0)
+    estimators = {
+        "simulate": simulation_estimator(pol, sim_grid, leg, d, (u.p, 2 * u.p)),
+        "value_identity": value_identity_estimator(sol, u, t0, cfg.x0),
+        "perturbation": perturbation_estimator(leg, 0.1, spike),
+    }
+    expected = oracle_leg_sums(pol, cfg, market, u, d, t0, spike, 0.1)
+    if t0 == 0.0:  # the whole-grid checks share the pass from t = 0
+        estimators["martingale"] = martingale_estimator(nc, cfg, market, u, d)
+        estimators["moment"] = moment_estimator(cfg, market, u, u.p,
+                                                growth_constant(market, u))
+        expected.update(oracle_grid_sums(nc, cfg, market, u, d))
+    assert_sums_match(cfg, estimators, leg, expected)
+
+
 def assert_sums_match(cfg, estimators, leg, expected):
     """Every sum of the estimators' one pass agrees with the oracle's to 1e-12."""
     results = run_estimators(cfg, [sums_of(e) for e in estimators.values()], leg)
@@ -516,6 +533,61 @@ def assert_sums_match(cfg, estimators, leg, expected):
                                        err_msg=f"{name} {key}")
             checked.add(key)
     assert checked == set(expected)
+
+
+class TestTiles:
+    def test_tiled_draws_equal_whole_block_draws(self):
+        # consecutive draws into a tile-sized buffer continue the generator's
+        # stream, so the tiles, the last one ragged, are the whole draw's rows
+        n_sub, rows, tile = 7, 11, 3
+        whole = np.random.Generator(np.random.Philox(key=[5, 2])).standard_normal(
+            (rows, n_sub))
+        rng = np.random.Generator(np.random.Philox(key=[5, 2]))
+        buffer = np.empty(tile * n_sub)
+        tiles = [rng.standard_normal(out=buffer[:k * n_sub].reshape(k, n_sub)).copy()
+                 for k in (3, 3, 3, 2)]
+        np.testing.assert_array_equal(np.concatenate(tiles), whole)
+
+    def test_pass_tiles_are_the_rows_of_whole_block_draws(self, sim_grid, monkeypatch):
+        # 15 pairs in blocks of 7, 7 and 1; a tile holds whole rows only, three
+        n_sub = sim_grid.n_steps
+        monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * (n_sub + 1) + 2)
+        cfg = sim_cfg(sim_grid, n_paths=30, seed=4, block_size=14, n_workers=1)
+        seen = []
+
+        def block(W, _buffers):
+            seen.append(W.copy())
+            return {"rows": len(W)}
+
+        assert simulate._accumulate_blocks(cfg, n_sub, block) == {"rows": 15}
+        assert [len(W) for W in seen] == [3, 3, 1, 3, 3, 1, 1]
+        drawn = [Z[:len(Z) // 2] for Z in oracle_normals(cfg, n_sub)]
+        W = np.concatenate(seen)
+        assert np.all(W[:, 0] == 0.0)
+        np.testing.assert_array_equal(W[:, 1:], np.cumsum(np.concatenate(drawn), axis=1))
+
+    def test_pass_memory_is_a_few_tiles_whatever_the_block_size(
+            self, market, utility, hyp_discount):
+        g = TimeGrid(horizon=1.0, n_steps=1000)
+        pol = equilibrium_policy(picard_solve(market, utility, hyp_discount, g),
+                                 market, utility)
+        # a first pass makes the process's one-time allocations, untraced
+        simulate_equilibrium(pol, SimConfig(n_paths=2, seed=1, grid=g), market, utility,
+                             hyp_discount, moment_orders=(utility.p,))
+        peaks = {}
+        for block_size in (4096, 65536):
+            cfg = SimConfig(n_paths=65536, seed=1, grid=g, block_size=block_size,
+                            n_workers=1)
+            tracemalloc.start()
+            try:
+                simulate_equilibrium(pol, cfg, market, utility, hyp_discount,
+                                     moment_orders=(utility.p,))
+                peaks[block_size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the normals' and W's tile buffers, and a few columns of temporaries
+        assert max(peaks.values()) < 3 * 8 * simulate._TILE_ELEMENTS, peaks
+        assert peaks[65536] <= 1.05 * peaks[4096], peaks
 
 
 def pair_stats(a):
