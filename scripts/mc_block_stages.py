@@ -10,7 +10,8 @@ block at once, so their times compare across grids and block sizes; a pass
 runs each block in tiles of at most ``simulate._TILE_ELEMENTS`` elements per
 buffer, one after the other:
 
-* rng           Philox normals for the drawn path of each pair, drawn into
+* rng           normals for the drawn path of each pair from the pass's
+                own block generator (``simulate._block_rng``), drawn into
                 the reused buffer;
 * running sum   W = cumsum(Z) on those paths, the running sum every
                 log-wealth is affine in;
@@ -52,6 +53,7 @@ from eqmerton.simulate import (
     SimConfig,
     Spike,
     _Buffers,
+    _block_rng,
     _checkpoints,
     _cosh,
     _fused_block,
@@ -100,7 +102,7 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
     checkpoints = _checkpoints(g, 5)
 
     def rng():
-        np.random.Generator(np.random.Philox(key=[42, 0])).standard_normal(out=Z)
+        _block_rng(42, 0).standard_normal(out=Z)
 
     def running_sum():
         np.cumsum(Z, axis=1, out=W[:, 1:])

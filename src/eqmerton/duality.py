@@ -154,31 +154,30 @@ def dual_pde_residual(dv: DualValue, m: MarketParams, d: DiscountSpec) -> float:
     routes, equation-implied for the fixed-point route).
     """
     g = dv.grid
-    t = g.nodes
-    lam = dv.curve.values
     p = dv.p
-    lam_t = dv.curve.derivative
-    xs = np.geomspace(0.05, 20.0, 10)
-    tau = g.horizon - t
+    tau = g.horizon - g.nodes
     rate = d.h_prime(tau) / d.h(tau)
-    worst = 0.0
-    for idx in range(1, g.n_steps):
-        ys = _marginal_values(lam[idx], p, xs)
-        val = dv.value(idx, ys)
-        # tilde_v is proportional to lam^(1/(1-p)) at fixed y
-        v_t = val * lam_t[idx] / ((1.0 - p) * lam[idx])
-        ydy = ys * dv.dy(idx, ys)
-        ydyy = ys**2 * dv.dyy(idx, ys)
-        terms = [
-            v_t,
-            rate[idx] * (val - ydy),
-            -m.r * ydy,
-            m.mu**2 / (2.0 * m.sigma**2) * ydyy,
-        ]
-        resid = np.abs(sum(terms))
-        scale = np.max(np.abs(np.array(terms)), axis=0)
-        worst = max(worst, float(np.max(resid / np.maximum(scale, 1e-300))))
-    return worst
+    # interior nodes down the rows, wealth across the columns
+    idx = np.arange(1, g.n_steps)[:, None]
+    lam, lam_t = dv.curve.values[idx], dv.curve.derivative[idx]
+    ys = _marginal_values(lam, p, np.geomspace(0.05, 20.0, 10))
+    val = dv.value(idx, ys)
+    # tilde_v is proportional to lam^(1/(1-p)) at fixed y
+    v_t = val * lam_t / ((1.0 - p) * lam)
+    ydy = ys * dv.dy(idx, ys)
+    ydyy = ys**2 * dv.dyy(idx, ys)
+    terms = [
+        v_t,
+        rate[idx] * (val - ydy),
+        -m.r * ydy,
+        m.mu**2 / (2.0 * m.sigma**2) * ydyy,
+    ]
+    resid = np.abs(sum(terms))
+    scale = np.max(np.abs(np.array(terms)), axis=0)
+    # a node whose row holds a nan (a term left the float range) is passed
+    # over: the statistic is the largest of the other nodes' rows
+    node_worst = np.max(resid / np.maximum(scale, 1e-300), axis=1)
+    return float(np.fmax.reduce(node_worst, initial=0.0))
 
 
 def primal_dual_roundtrip(

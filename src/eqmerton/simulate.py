@@ -8,11 +8,12 @@ p c, and the utility integral is the trapezoid sum over the nodes; so the
 expectation of the discrete utility functional equals lam(t) x^p / p of the
 discrete solution, and the checks below sample no time-discretization bias.
 
-Randomness is counter-based and splittable: paths are processed in fixed-size
-blocks and block b draws from ``Philox(key=[seed, b])``, so every path is a
-deterministic function of (seed, its block, its row) regardless of how many
-workers process the blocks. Block partials are combined by pairwise summation
-in block order, making results bit-identical across worker counts.
+Randomness is keyed per block: paths are processed in fixed-size blocks and
+block b draws from its own generator, ``SFC64(SeedSequence(seed,
+spawn_key=(b,)))`` (``_block_rng``), so every path is a deterministic function
+of (seed, its block, its row) regardless of how many workers process the
+blocks. Block partials are combined by pairwise summation in block order,
+making results bit-identical across worker counts.
 
 A block is drawn and processed in tiles of consecutive rows, each at most
 ``_TILE_ELEMENTS`` float64 elements: each tile continues the block's stream
@@ -217,17 +218,36 @@ class PerturbationRow:
     n_pairs: int
 
 
-def _pairwise_combine(items: list[dict]) -> dict:
-    """Pairwise tree sum of per-block partials, in block order."""
-    if len(items) == 1:
-        return items[0]
-    paired = []
-    for i in range(0, len(items) - 1, 2):
-        merged = {k: items[i][k] + items[i + 1][k] for k in items[i]}
-        paired.append(merged)
-    if len(items) % 2:
-        paired.append(items[-1])
-    return _pairwise_combine(paired)
+def _block_rng(seed: int, b: int) -> np.random.Generator:
+    """The generator of block b's normals: SFC64 seeded from the seed sequence
+    of (seed, b), so each block's stream is keyed by its index alone."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
+
+
+def _add(a: dict, b: dict) -> dict:
+    return {k: a[k] + b[k] for k in a}
+
+
+def _combine_in_order(partials) -> dict:
+    """Pairwise tree sum of per-block partials, consumed in block order.
+
+    A binary counter holds at most one partial per level, the sum of 2^level
+    consecutive blocks; a new block merges with each full level below it,
+    and at the end the levels fold from the right. That is the tree of
+    pairing the whole list level by level, (0, 1), (2, 3), ... with an odd
+    one out carried up, so every sum rounds alike, while memory holds
+    O(log n_blocks) partials."""
+    counter = []  # (level, partial), levels strictly decreasing
+    for item in partials:
+        level = 0
+        while counter and counter[-1][0] == level:
+            item = _add(counter.pop()[1], item)
+            level += 1
+        counter.append((level, item))
+    total = counter.pop()[1]
+    while counter:
+        total = _add(counter.pop()[1], total)
+    return total
 
 
 class _Buffers:
@@ -254,12 +274,13 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> 
     most ``_TILE_ELEMENTS // (n_sub_steps + 1)`` of them (at least one) at a
     time: for each tile of rows in turn, W (rows x (n_sub_steps + 1)) holds
     the running sums of the tile's normals, drawn from the block's
-    ``Philox(key=[seed, b])`` where the previous tile's left off, with
+    ``_block_rng(seed, b)`` where the previous tile's left off, with
     W[:, 0] = 0, and the partner of row i runs on -W[i]. The normals were
     drawn into buffer "z", which has room for W's shape and which block_fn
-    may overwrite. A block's sums are its tiles' added in row order. The
-    blocks run on ``cfg.worker_count()`` threads, each with its own two
-    tile-sized buffers.
+    may overwrite. A block's sums are its tiles' added in row order, and the
+    blocks' are combined pairwise in block order as they arrive. The blocks
+    run on ``cfg.worker_count()`` threads, each with its own two tile-sized
+    buffers.
     """
     local = threading.local()
     tile_rows = max(1, _TILE_ELEMENTS // (n_sub_steps + 1))
@@ -269,7 +290,7 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> 
             local.buffers = _Buffers()
         buffers = local.buffers
         m_b = min(cfg.block_pairs, cfg.n_pairs - b * cfg.block_pairs)
-        rng = np.random.Generator(np.random.Philox(key=[int(cfg.seed), b]))
+        rng = _block_rng(int(cfg.seed), b)
         total = None
         for start in range(0, m_b, tile_rows):
             W = buffers.get("w", (min(tile_rows, m_b - start), n_sub_steps + 1))
@@ -283,11 +304,9 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> 
 
     workers = cfg.worker_count()
     if workers == 1:
-        partials = [run(b) for b in range(cfg.n_blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run, range(cfg.n_blocks)))
-    return _pairwise_combine(partials)
+        return _combine_in_order(map(run, range(cfg.n_blocks)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return _combine_in_order(pool.map(run, range(cfg.n_blocks)))
 
 
 def _log_drift(m: MarketParams, zeta: float, c_steps: np.ndarray, dt: float) -> np.ndarray:

@@ -272,23 +272,6 @@ def solve_no_consumption(
     return ValueCurve(grid=g, values=lam, derivative=lam_prime, provenance="closed_form")
 
 
-def _rk4_backward(rhs, t: np.ndarray, terminal) -> np.ndarray:
-    """Classical RK4 from t[-1] down to t[0]; rhs(t, y) -> dy/dt."""
-    y = np.asarray(terminal, dtype=float)
-    out = np.empty((len(t),) + y.shape)
-    out[-1] = y
-    for i in range(len(t) - 1, 0, -1):
-        hstep = t[i - 1] - t[i]
-        ti = t[i]
-        k1 = rhs(ti, y)
-        k2 = rhs(ti + hstep / 2.0, y + hstep / 2.0 * k1)
-        k3 = rhs(ti + hstep / 2.0, y + hstep / 2.0 * k2)
-        k4 = rhs(ti + hstep, y + hstep * k3)
-        y = y + hstep / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i - 1] = y
-    return out
-
-
 def picard_solve(
     m: MarketParams,
     u: CrraUtility,
@@ -368,6 +351,47 @@ def picard_solve(
                       sweeps=sweeps)
 
 
+def _rk4_mixture(betas: np.ndarray, rates: list, p: float, t: list) -> np.ndarray:
+    """Classical RK4 on the component system from t[-1] down to t[0], with
+    every component lam_n(T) = 1 and rates[n] = rho_n - K; the components
+    (n_terms x n_nodes).
+
+    The components step as Python floats: with two to a few dozen of them a
+    numpy array costs more per operation than the arithmetic. lam alone is
+    numpy's dot product, which may fuse its multiply-adds, so that it rounds
+    as the array stepper's did. Every stage checks that lam and each
+    component are positive."""
+    e, q = 1.0 / (p - 1.0), p / (p - 1.0)
+
+    def rhs(y):
+        lam = float(np.dot(betas, y))
+        if lam <= 0 or any(c <= 0 for c in y):
+            raise StepFailureError(
+                "component curve became nonpositive during integration; refine the grid"
+            )
+        try:
+            a, f = p * lam**e, lam**q
+        except OverflowError:  # a float power raises where numpy returned inf
+            raise StepFailureError(
+                "component curve left the float range during integration; refine the grid"
+            ) from None
+        return [(r + a) * c - f for r, c in zip(rates, y)]
+
+    y = [1.0] * len(betas)
+    path = [y]
+    for i in range(len(t) - 1, 0, -1):
+        hstep = t[i - 1] - t[i]
+        half, sixth = hstep / 2.0, hstep / 6.0
+        k1 = rhs(y)
+        k2 = rhs([c + half * k for c, k in zip(y, k1)])
+        k3 = rhs([c + half * k for c, k in zip(y, k2)])
+        k4 = rhs([c + hstep * k for c, k in zip(y, k3)])
+        y = [c + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+             for c, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)]
+        path.append(y)
+    return np.array(path[::-1]).T
+
+
 def mixture_ode_solve(
     m: MarketParams, u: CrraUtility, d: ExponentialMixtureDiscount, g: TimeGrid
 ) -> ValueCurve:
@@ -389,17 +413,7 @@ def mixture_ode_solve(
     q = p / (p - 1.0)
     betas = np.array(d.betas)
     rhos = np.array(d.rhos)
-
-    def rhs(_t, y):
-        lam = betas @ y
-        if lam <= 0 or np.any(y <= 0):
-            raise StepFailureError(
-                "component curve became nonpositive during integration; refine the grid"
-            )
-        return (rhos - K + p * lam ** (1.0 / (p - 1.0))) * y - lam**q
-
-    comps = _rk4_backward(rhs, g.nodes, np.ones(len(betas)))
-    comps = comps.T  # (n_terms, n_nodes)
+    comps = _rk4_mixture(betas, (rhos - K).tolist(), p, g.nodes.tolist())
     lam = betas @ comps
     if np.any(lam <= 0) or np.any(comps <= 0):
         raise StepFailureError("mixture solve produced nonpositive values")

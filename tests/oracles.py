@@ -1,6 +1,7 @@
-"""Test-owned oracles: residuals of the value PDEs and a node-by-node solve of
-the discretized integral equation, which only the test suite evaluates, kept
-out of the library so that it needs no optimizer."""
+"""Test-owned oracles: residuals of the value PDEs, a node-by-node solve of
+the discretized integral equation and a numpy-array RK4 of the mixture
+system, which only the test suite evaluates, kept out of the library so that
+it needs no optimizer."""
 
 import math
 
@@ -9,7 +10,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
 from eqmerton.policy import stock_fraction
-from eqmerton.solver import growth_constant
+from eqmerton.solver import StepFailureError, growth_constant
 
 
 def hjb_residual(pol, m, u, d, s: float, x: float) -> float:
@@ -133,3 +134,57 @@ def _bracketed_newton(residual, x, tol, max_steps=200):
                 nxt = 0.5 * (lo + hi)
         x = nxt
     raise RuntimeError(f"node solve did not converge: residual {r:.3e} at x = {x}")
+
+
+def numpy_mixture_components(m, u, d, g):
+    """Components (n_terms x n_nodes) of the exponential-mixture system by
+    classical RK4 from T back to 0, stepping numpy arrays, as the library
+    stepped them before it took Python floats; nonpositive values raise
+    StepFailureError."""
+    K = growth_constant(m, u)
+    p = u.p
+    q = p / (p - 1.0)
+    betas, rhos = np.array(d.betas), np.array(d.rhos)
+
+    def rhs(y):
+        lam = betas @ y
+        if lam <= 0 or np.any(y <= 0):
+            raise StepFailureError("component curve became nonpositive")
+        return (rhos - K + p * lam ** (1.0 / (p - 1.0))) * y - lam**q
+
+    t = g.nodes
+    y = np.ones(len(betas))
+    out = np.empty((len(t), len(betas)))
+    out[-1] = y
+    for i in range(len(t) - 1, 0, -1):
+        hstep = t[i - 1] - t[i]
+        k1 = rhs(y)
+        k2 = rhs(y + hstep / 2.0 * k1)
+        k3 = rhs(y + hstep / 2.0 * k2)
+        k4 = rhs(y + hstep * k3)
+        y = y + hstep / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i - 1] = y
+    return out.T
+
+
+def loop_dual_pde_residual(dv, m, d) -> float:
+    """``duality.dual_pde_residual`` one interior node at a time: the largest
+    normalized residual of the dual PDE over the nodes whose rows hold no nan."""
+    g, lam, lam_t, p = dv.grid, dv.curve.values, dv.curve.derivative, dv.p
+    xs = np.geomspace(0.05, 20.0, 10)
+    tau = g.horizon - g.nodes
+    rate = d.h_prime(tau) / d.h(tau)
+    worst = 0.0
+    for idx in range(1, g.n_steps):
+        ys = lam[idx] * xs ** (p - 1.0)
+        val = dv.value(idx, ys)
+        v_t = val * lam_t[idx] / ((1.0 - p) * lam[idx])
+        ydy = ys * dv.dy(idx, ys)
+        ydyy = ys**2 * dv.dyy(idx, ys)
+        terms = [v_t, rate[idx] * (val - ydy), -m.r * ydy,
+                 m.mu**2 / (2.0 * m.sigma**2) * ydyy]
+        resid = np.abs(sum(terms))
+        scale = np.max(np.abs(np.array(terms)), axis=0)
+        # max() keeps worst against a nan, so a row with a nan is passed over
+        worst = max(worst, float(np.max(resid / np.maximum(scale, 1e-300))))
+    return worst

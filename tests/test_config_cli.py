@@ -493,6 +493,17 @@ class TestCliSolve:
         assert manifest["error"] == "step_failure" and manifest["message"]
         assert manifest["config"]["discount"]["rhos"] == [0.05, 60.0]
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_stiff_mixture_step_failure_exits_3(self, tmp_path, capsys, command):
+        # a 50/yr component rate takes RK4 at a 0.1 step below zero; the
+        # commands that solve before they simulate exit as solve does
+        body = BASE_INI.replace("n_steps = 200", "n_steps = 10").replace(
+            "kind = hyperbolic\nk = 1.0\ngamma = 1.0",
+            "kind = mixture\nbetas = 0.5, 0.5\nrhos = 0.05, 50")
+        ini = write_ini(tmp_path, body=body, extra="\n[solver]\nmethod = mixture\n")
+        assert_solver_failure(capsys, [command, "--config", ini,
+                                       "--out", str(tmp_path / "out")])
+
 
     def test_solve_without_discount_section_is_config_error(self, tmp_path, capsys):
         # a compare-only config carries [discount.<label>] sections only

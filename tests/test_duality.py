@@ -9,7 +9,9 @@ from eqmerton.duality import (
     primal_dual_roundtrip,
 )
 from eqmerton.model import CrraUtility, ExponentialDiscount, HyperbolicDiscount, TimeGrid
-from eqmerton.solver import ValueCurve, solve_no_consumption
+from eqmerton.solver import ValueCurve, picard_solve, solve_no_consumption
+
+from oracles import loop_dual_pde_residual
 
 
 def constant_curve(level: float, g: TimeGrid) -> ValueCurve:
@@ -87,6 +89,24 @@ class TestDualPde:
         for name, curve in curves.items():
             dv = DualValue(curve=curve, p=utility.p)
             assert dual_pde_residual(dv, market, all_discounts[name]) <= 1e-6
+
+    @pytest.mark.parametrize("p, horizon, n_steps", [
+        (0.5, 1.0, 2), (0.5, 1.0, 200), (-2.0, 20.0, 300), (0.95, 20.0, 100),
+        (0.99, 100.0, 100),  # the dual value leaves the float range on early nodes
+    ])
+    def test_vectorised_residual_equals_the_node_loop(self, market, all_discounts, p,
+                                                      horizon, n_steps):
+        u, g = CrraUtility(p=p), TimeGrid(horizon=horizon, n_steps=n_steps)
+        for name, d in all_discounts.items():
+            curves = [solve_no_consumption(market, u, d, g)]
+            if p != 0.99:  # where Picard converges
+                curves.append(picard_solve(market, u, d, g))
+            for curve in curves:
+                dv = DualValue(curve=curve, p=p)
+                with np.errstate(all="ignore"):
+                    expected = loop_dual_pde_residual(dv, market, d)
+                    got = dual_pde_residual(dv, market, d)
+                assert got == expected, (name, curve.provenance)
 
     def test_perturbation_increases_residual(self, market, utility, hyp_discount,
                                              nc_curves):

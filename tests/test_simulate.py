@@ -13,8 +13,9 @@ from eqmerton.policy import EquilibriumPolicy, equilibrium_policy, stock_fractio
 from eqmerton.simulate import (
     SimConfig,
     Spike,
+    _block_rng,
     _checkpoints,
-    _pairwise_combine,
+    _combine_in_order,
     equilibrium_leg,
     martingale_check,
     martingale_estimator,
@@ -116,9 +117,41 @@ class TestDeterminism:
     def test_pairwise_combine_matches_direct_sum(self):
         rng = np.random.default_rng(0)
         parts = [{"s": rng.normal(size=3)} for _ in range(7)]
-        combined = _pairwise_combine(parts)
+        combined = _combine_in_order(iter(parts))
         direct = sum(p["s"] for p in parts)
         np.testing.assert_allclose(combined["s"], direct, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_blocks", range(1, 34))
+    def test_running_combine_is_the_pairwise_tree(self, n_blocks):
+        # partials of wildly different sizes, so that any other tree of
+        # additions rounds differently
+        rng = np.random.default_rng(n_blocks)
+        parts = [{"s": rng.normal(size=4) * 10.0 ** rng.integers(-8, 9, size=4),
+                  "t": rng.normal(size=2)} for _ in range(n_blocks)]
+        combined = _combine_in_order(iter(parts))
+        expected = pairwise_combine(parts)
+        for key in expected:
+            np.testing.assert_array_equal(combined[key], expected[key])
+
+    def test_blocks_and_seeds_draw_different_normals(self):
+        def draw(seed, b):
+            return _block_rng(seed, b).standard_normal(64)
+
+        assert not np.array_equal(draw(7, 0), draw(7, 1))
+        assert not np.array_equal(draw(7, 0), draw(8, 0))
+        np.testing.assert_array_equal(draw(7, 1), draw(7, 1))
+
+
+def pairwise_combine(items: list) -> dict:
+    """Pairwise tree sum of per-block partials in block order, level by level:
+    (0, 1), (2, 3), ... with an odd last item carried up to the next level."""
+    if len(items) == 1:
+        return items[0]
+    paired = [{k: items[i][k] + items[i + 1][k] for k in items[i]}
+              for i in range(0, len(items) - 1, 2)]
+    if len(items) % 2:
+        paired.append(items[-1])
+    return pairwise_combine(paired)
 
 
 class TestWealthDynamics:
@@ -372,15 +405,21 @@ def oracle_j(X, c, h, dt, p):
     return J
 
 
+def stream(seed, b):
+    """The documented generator of block b, spelled out independently of the
+    library's helper."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
+
+
 def oracle_normals(cfg, n_sub):
     """The stream's blocks of normals: ceil(block_size / 2) pairs per block, up
     to ceil(n_paths / 2) pairs; block b draws the first row of each pair from
-    Philox(key=[seed, b]), and the second row is its negation."""
+    SFC64(SeedSequence(seed, spawn_key=(b,))), and the second row is its
+    negation."""
     pairs, per_block = -(-cfg.n_paths // 2), -(-cfg.block_size // 2)
     for b in range(-(-pairs // per_block)):
         m_b = min(per_block, pairs - b * per_block)
-        Z = np.random.Generator(np.random.Philox(key=[cfg.seed, b])).standard_normal(
-            (m_b, n_sub))
+        Z = stream(cfg.seed, b).standard_normal((m_b, n_sub))
         yield np.concatenate([Z, -Z])
 
 
@@ -540,9 +579,8 @@ class TestTiles:
         # consecutive draws into a tile-sized buffer continue the generator's
         # stream, so the tiles, the last one ragged, are the whole draw's rows
         n_sub, rows, tile = 7, 11, 3
-        whole = np.random.Generator(np.random.Philox(key=[5, 2])).standard_normal(
-            (rows, n_sub))
-        rng = np.random.Generator(np.random.Philox(key=[5, 2]))
+        whole = stream(5, 2).standard_normal((rows, n_sub))
+        rng = stream(5, 2)
         buffer = np.empty(tile * n_sub)
         tiles = [rng.standard_normal(out=buffer[:k * n_sub].reshape(k, n_sub)).copy()
                  for k in (3, 3, 3, 2)]
@@ -588,6 +626,25 @@ class TestTiles:
         # the normals' and W's tile buffers, and a few columns of temporaries
         assert max(peaks.values()) < 3 * 8 * simulate._TILE_ELEMENTS, peaks
         assert peaks[65536] <= 1.05 * peaks[4096], peaks
+
+    def test_pass_memory_does_not_grow_with_the_block_count(
+            self, market, utility, hyp_discount):
+        # 512 blocks: their partials are combined as they arrive, so a pass
+        # holds a few of them, not one per block (18 MB if all were kept)
+        g = TimeGrid(horizon=1.0, n_steps=1000)
+        pol = equilibrium_policy(picard_solve(market, utility, hyp_discount, g),
+                                 market, utility)
+        simulate_equilibrium(pol, SimConfig(n_paths=2, seed=1, grid=g), market, utility,
+                             hyp_discount)
+        cfg = SimConfig(n_paths=65536, seed=1, grid=g, block_size=128, n_workers=1)
+        assert cfg.n_blocks == 512
+        tracemalloc.start()
+        try:
+            simulate_equilibrium(pol, cfg, market, utility, hyp_discount)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * simulate._TILE_ELEMENTS, peak
 
 
 def pair_stats(a):

@@ -21,8 +21,10 @@ from eqmerton.config import load_config
 from eqmerton.solver import (
     FitTooCoarseError,
     NonConvergenceError,
+    StepFailureError,
     ValueCurve,
     _integral_equation_rhs,
+    _rk4_mixture,
     a_priori_bounds,
     differential_form_rhs,
     fit_exponential_mixture,
@@ -35,7 +37,7 @@ from eqmerton.solver import (
     theta_closed_form,
 )
 
-from oracles import pde_residual_no_consumption, sequential_solve
+from oracles import numpy_mixture_components, pde_residual_no_consumption, sequential_solve
 
 
 def rk4_oracle_autonomous(m, u, rho, g):
@@ -400,6 +402,36 @@ class TestMixtureOde:
     def test_requires_mixture(self, market, utility, grid, hyp_discount):
         with pytest.raises(ParameterError):
             mixture_ode_solve(market, utility, hyp_discount, grid)
+
+    def test_stiff_coarse_grid_is_a_step_failure(self, market, utility):
+        # a 50/yr component rate takes RK4 at a 0.1 step below zero
+        d = ExponentialMixtureDiscount(betas=(0.5, 0.5), rhos=(0.05, 50.0))
+        with pytest.raises(StepFailureError):
+            mixture_ode_solve(market, utility, d, TimeGrid(horizon=1.0, n_steps=10))
+
+    def test_power_out_of_the_float_range_is_a_step_failure(self):
+        # lam = 1e-300 at p = 0.99: lam^(1/(p-1)) = 1e30000, where a float
+        # power raises instead of returning inf
+        with pytest.raises(StepFailureError, match="float range"):
+            _rk4_mixture([1e-300], [0.0], 0.99, [0.0, 1.0])
+
+    @pytest.mark.parametrize("p", [0.5, -2.0, 0.9])
+    @pytest.mark.parametrize("fitted", [False, True], ids=["two-term", "hyperbolic-fit"])
+    def test_float_steps_match_the_numpy_stepper(self, market, grid, mix_discount,
+                                                 hyp_discount, p, fitted):
+        # the components step as Python floats in the order the numpy stepper
+        # took, and lam is the same dot product, so every value rounds alike
+        d = mix_discount
+        if fitted:  # the fit that method = mixture makes of a hyperbolic discount
+            d = fit_exponential_mixture(hyp_discount, 8, np.geomspace(0.01, 20.0, 24),
+                                        grid).mixture
+        u = CrraUtility(p=p)
+        sol = mixture_ode_solve(market, u, d, grid)
+        ref = numpy_mixture_components(market, u, d, grid)
+        assert ref.shape == (len(d.betas), grid.n_steps + 1)
+        np.testing.assert_array_equal(sol.components, ref)
+        lam = np.array(d.betas) @ ref
+        np.testing.assert_array_equal(sol.values[:-1], lam[:-1])
 
 
 class TestMixtureFit:
