@@ -42,10 +42,10 @@ def main() -> None:
         print(f"\n{label}")
         print(f"{'t':>6} {'committed':>12} {'naive':>12} {'equilibrium':>12} "
               f"{'gap naive':>12} {'gap equil':>12}")
-        for row in inconsistency_report(m, u, d, g, probes):
-            print(f"{row.t_probe:>6.2f} {row.c_precommit_0:>12.6f} "
-                  f"{row.c_precommit_t:>12.6f} {row.c_equilibrium:>12.6f} "
-                  f"{row.gap_naive:>12.3e} {row.gap_equilibrium:>12.3e}")
+        report = inconsistency_report(m, u, d, g, probes)
+        for t, pre, naive, eq, gap_naive, gap_eq in zip(*report.values()):
+            print(f"{t:>6.2f} {pre:>12.6f} {naive:>12.6f} {eq:>12.6f} "
+                  f"{gap_naive:>12.3e} {gap_eq:>12.3e}")
 
 
 if __name__ == "__main__":

@@ -4,11 +4,12 @@
 Runs the stages of one block of the equilibrium simulation (hyperbolic
 discount, T = 1) on buffers that are already allocated, as every block after
 a worker's first one sees them, and tabulates the best-of-k time of each. A
-block of --paths paths is --paths / 2 antithetic pairs, of which it stores
-only the drawn paths; each partner runs on -W. The stage rows hold the whole
-block at once, so their times compare across grids and block sizes; a pass
-runs each block in tiles of at most ``simulate._TILE_ELEMENTS`` elements per
-buffer, one after the other:
+block of --paths paths (by default a pass's block, ``simulate._BLOCK_PAIRS``
+antithetic pairs) is --paths / 2 pairs, of which it stores only the drawn
+paths; each partner runs on -W. The stage rows hold the whole block at once,
+so their times compare across grids and block sizes; a pass runs each block
+in tiles of at most ``simulate._TILE_ELEMENTS`` elements per buffer, one
+after the other:
 
 * rng           normals for the drawn path of each pair from the pass's
                 own block generator (``simulate._block_rng``), drawn into
@@ -25,11 +26,11 @@ buffer, one after the other:
 
 Then come the whole ``simulate`` and ``verify`` block functions on the same
 draws (the perturbation rows read their tails from the shared X^p); a whole
-``simulate_equilibrium`` pass over --pass-blocks such blocks on one worker
-thread and on the default count (``[sim] n_workers = 0``: one per CPU the
+``simulate_equilibrium`` pass over --pass-blocks blocks of the library's
+size on one worker thread and on the default count (``[sim] n_workers = 0``: one per CPU the
 process may run on), with the tracemalloc peak of each pass; and the
-tracemalloc peak of one single-block ``simulate_equilibrium`` call, buffers
-included.
+tracemalloc peak of one ``simulate_equilibrium`` call of --paths paths,
+buffers included.
 """
 
 import argparse
@@ -52,6 +53,7 @@ from eqmerton.simulate import (
     Block,
     SimConfig,
     Spike,
+    _BLOCK_PAIRS,
     _Buffers,
     _block_rng,
     _checkpoints,
@@ -92,12 +94,12 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
     g = TimeGrid(horizon=1.0, n_steps=n_steps)
     sol = picard_solve(m, u, d, g)
     pol = equilibrium_policy(sol, m, u)
-    cfg = SimConfig(n_paths=n_paths, seed=42, grid=g, x0=1.0, block_size=n_paths)
+    cfg = SimConfig(n_paths=n_paths, seed=42, grid=g, x0=1.0)
     leg = equilibrium_leg(pol, cfg, m, u, d)
 
     buffers = _Buffers()
-    W = buffers.get("w", (cfg.block_pairs, n_steps + 1))
-    Z = buffers.get("z", (cfg.block_pairs, n_steps), reserve=W.size)
+    W = buffers.get("w", (cfg.n_pairs, n_steps + 1))
+    Z = buffers.get("z", (cfg.n_pairs, n_steps), reserve=W.size)
     W[:, 0] = 0.0
     checkpoints = _checkpoints(g, 5)
 
@@ -142,7 +144,7 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
     # each call builds a fresh Block, as each block of a pass gets its own
     row["simulate block"] = best_ms(lambda: sim_block(W, buffers), repeats)
     row["verify block"] = best_ms(lambda: verify_block(W, buffers), repeats)
-    passes = {label: replace(cfg, n_paths=pass_blocks * n_paths, n_workers=workers)
+    passes = {label: replace(cfg, n_paths=pass_blocks * 2 * _BLOCK_PAIRS, n_workers=workers)
               for label, workers in (("1 worker", 1), ("default", 0))}
     for label, pass_cfg in passes.items():
         row[f"pass {label}"] = best_ms(lambda: simulate_equilibrium(
@@ -158,7 +160,7 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--paths", type=int, default=4096)
+    ap.add_argument("--paths", type=int, default=2 * _BLOCK_PAIRS)
     ap.add_argument("--steps", type=int, nargs="+", default=[100, 1000])
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--pass-blocks", type=int, default=10,

@@ -37,7 +37,6 @@ from .solver import (
 )
 from .policy import (
     EquilibriumPolicy,
-    InconsistencyRow,
     PrecommitmentPolicy,
     equilibrium_policy,
     inconsistency_report,
@@ -79,7 +78,7 @@ __all__ = [
     "mixture_ode_solve", "theta_closed_form", "fit_exponential_mixture",
     "a_priori_bounds", "residual_integral_equation", "residual_differential_form",
     # policy
-    "EquilibriumPolicy", "PrecommitmentPolicy", "InconsistencyRow",
+    "EquilibriumPolicy", "PrecommitmentPolicy",
     "stock_fraction", "equilibrium_policy", "solve_precommitment",
     "naive_consumption", "inconsistency_report",
     # simulate

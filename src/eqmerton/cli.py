@@ -23,7 +23,7 @@ import numpy as np
 
 from . import duality, policy, simulate, solver
 from .config import ConfigError, RunConfig, load_config
-from .model import ExponentialDiscount, ExponentialMixtureDiscount, ParameterError
+from .model import ParameterError
 from .output import write_csv, write_manifest
 from .simulate import STAT_THRESHOLD, SimConfig, Spike
 
@@ -39,32 +39,16 @@ def _discount(cfg: RunConfig):
     return cfg.discount
 
 
-# method mixture on a discount that is not a mixture: fit this many terms from
-# this pool of candidate rates
-_MIXTURE_TERMS = 8
-_MIXTURE_RATES = np.geomspace(0.01, 20.0, 24)
-
-
 def _solve_curve(cfg: RunConfig, d=None):
-    """Solve the value coefficient with the configured method.
-
-    Returns (curve, fit_report_or_None)."""
+    """Solve the value coefficient with the configured method, which
+    ``RunConfig`` has checked applies to the discount."""
     d = d if d is not None else _discount(cfg)
-    s = cfg.solver
-    if s.method == "picard":
-        return solver.picard_solve(cfg.market, cfg.utility, d, cfg.grid, tol=s.tol), None
-    if s.method == "mixture":
-        if isinstance(d, ExponentialMixtureDiscount):
-            return solver.mixture_ode_solve(cfg.market, cfg.utility, d, cfg.grid), None
-        fit = solver.fit_exponential_mixture(d, _MIXTURE_TERMS, _MIXTURE_RATES, cfg.grid)
-        return (
-            solver.mixture_ode_solve(cfg.market, cfg.utility, fit.mixture, cfg.grid),
-            fit,
-        )
-    # closed_form, the last of the methods SolverSettings admits
-    if not isinstance(d, ExponentialDiscount):
-        raise ConfigError("method closed_form applies only to exponential discounting")
-    return solver.theta_closed_form(cfg.market, cfg.utility, d.rho, cfg.grid), None
+    m, u, g = cfg.market, cfg.utility, cfg.grid
+    if cfg.solver.method == "picard":
+        return solver.picard_solve(m, u, d, g, tol=cfg.solver.tol)
+    if cfg.solver.method == "mixture":
+        return solver.mixture_ode_solve(m, u, d, g)
+    return solver.theta_closed_form(m, u, d.rho, g)
 
 
 def _manifest_payload(cfg: RunConfig, command: str, extra: dict | None = None) -> dict:
@@ -79,7 +63,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     write_csv(out / "bounds.csv",
               {"A": [bounds.A], "lower": [bounds.lower], "upper": [bounds.upper]})
     try:
-        curve, fit = _solve_curve(cfg)
+        curve = _solve_curve(cfg)
     except solver.NonConvergenceError as exc:
         write_manifest(out / "manifest.json", _manifest_payload(cfg, "solve", {
             "error": "non_convergence",
@@ -108,16 +92,9 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
                  "differential_form_relative": res_df / scale}
     write_csv(out / "residuals.csv",
               {"check": list(residuals), "value": list(residuals.values())})
-    extra = {"provenance": curve.provenance, "sweeps": curve.sweeps,
-             "bounds_contain": bounds.contains(curve.values)}
-    if fit is not None:
-        extra["mixture_fit"] = {
-            "betas": list(fit.mixture.betas),
-            "rhos": list(fit.mixture.rhos),
-            "sup_error_h": fit.sup_error_h,
-            "sup_error_h_prime": fit.sup_error_h_prime,
-        }
-    write_manifest(out / "manifest.json", _manifest_payload(cfg, "solve", extra))
+    write_manifest(out / "manifest.json", _manifest_payload(cfg, "solve", {
+        "provenance": curve.provenance, "sweeps": curve.sweeps,
+        "bounds_contain": bounds.contains(curve.values)}))
     return EXIT_OK
 
 
@@ -162,7 +139,7 @@ def _monte_carlo_verdicts(cfg: RunConfig, checks: tuple, nc_curve,
     """Verdicts of the requested Monte Carlo checks, which share one pass over
     the random stream from t = 0 along the equilibrium policy."""
     m, u, d, g = cfg.market, cfg.utility, cfg.discount, cfg.grid
-    curve, _ = _solve_curve(cfg)
+    curve = _solve_curve(cfg)
     pol = policy.equilibrium_policy(curve, m, u)
     sim_cfg = SimConfig(grid=g, **asdict(cfg.sim))
     leg = simulate.equilibrium_leg(pol, sim_cfg, m, u, d)
@@ -225,7 +202,7 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
     for label in sorted(specs):
         d = specs[label]
         try:
-            curve, _ = _solve_curve(cfg, d=d)
+            curve = _solve_curve(cfg, d=d)
         except (solver.NonConvergenceError, solver.StepFailureError) as exc:
             failures[label] = str(exc)
             continue
@@ -234,15 +211,10 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
                              ("consumption_rate", curve.consumption_rate(cfg.utility)),
                              ("lambda", curve.values)):
             table[name].extend(column)
-        report = policy.inconsistency_report(
+        write_csv(out / f"inconsistency_{label}.csv", policy.inconsistency_report(
             cfg.market, cfg.utility, d, cfg.grid, probes,
             equilibrium=policy.equilibrium_policy(curve, cfg.market, cfg.utility),
-        )
-        write_csv(out / f"inconsistency_{label}.csv", {
-            name: [getattr(r, name) for r in report]
-            for name in ("t_probe", "c_precommit_0", "c_precommit_t", "c_equilibrium",
-                         "gap_naive", "gap_equilibrium")
-        })
+        ))
     write_csv(out / "compare.csv", table)
     write_manifest(out / "manifest.json", _manifest_payload(cfg, "compare", {
         "labels": sorted(specs),
@@ -254,7 +226,7 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     m, u, d, g = cfg.market, cfg.utility, cfg.discount, cfg.grid
-    curve, _ = _solve_curve(cfg)
+    curve = _solve_curve(cfg)
     pol = policy.equilibrium_policy(curve, m, u)
     batch = simulate.simulate_equilibrium(pol, SimConfig(grid=g, **asdict(cfg.sim)),
                                           m, u, d, moment_orders=(u.p, 2 * u.p))

@@ -16,7 +16,9 @@ of ``alpha``, ``MarketParams.from_excess_return``), ``CrraUtility``,
 ``SimSettings`` (defined in ``eqmerton.simulate``, whose ``SimConfig`` adds
 the grid to it). Unknown sections or keys are rejected. INI values are text,
 parsed as the key's type; JSON values must already have it (an integer also
-serves as a number, a list as a comma-separated list).
+serves as a number, a list as a comma-separated list). The solver method must
+apply to every discount of the config: ``picard`` to every kind, ``mixture``
+to kind = mixture only, ``closed_form`` to kind = exponential only.
 """
 
 from __future__ import annotations
@@ -54,9 +56,9 @@ class SolverSettings:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.method not in _METHODS:
+        if self.method not in _METHOD_KINDS:
             raise ConfigError(
-                f"solver method must be one of {sorted(_METHODS)}, got {self.method!r}")
+                f"solver method must be one of {sorted(_METHOD_KINDS)}, got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,16 @@ class RunConfig:
     output_dir: str = "out"
     compare_discounts: dict = field(default_factory=dict)
     probe_times: tuple = ()
+
+    def __post_init__(self):
+        method, kinds = self.solver.method, _METHOD_KINDS[self.solver.method]
+        sections = {"discount": self.discount,
+                    **{f"discount.{label}": d for label, d in self.compare_discounts.items()}}
+        for section, d in sections.items():
+            if d is not None and _kind(d) not in kinds:
+                raise ConfigError(f"solver method {method} does not apply to kind = "
+                                  f"{_kind(d)} in [{section}]; it applies to kind = "
+                                  f"{' | '.join(kinds)}")
 
     def to_dict(self) -> dict:
         return {
@@ -108,9 +120,12 @@ class _Compare:
             raise ConfigError("section [compare] needs a nonempty 'labels' list")
 
 
-_METHODS = {"picard", "mixture", "closed_form"}
 _DISCOUNTS = {"exponential": ExponentialDiscount, "mixture": ExponentialMixtureDiscount,
               "hyperbolic": HyperbolicDiscount}
+# solver method -> the discount kinds it solves: the component ODE is exact
+# for exponential mixtures only, the closed form for one exponential
+_METHOD_KINDS = {"picard": tuple(_DISCOUNTS), "mixture": ("mixture",),
+                 "closed_form": ("exponential",)}
 
 # section -> the constructors its keys are read from ([discount] also takes `kind`)
 _SECTIONS = {
@@ -125,9 +140,12 @@ _SECTIONS = {
 }
 
 
+def _kind(d: DiscountSpec) -> str:
+    return next(kind for kind, cls in _DISCOUNTS.items() if type(d) is cls)
+
+
 def _discount_to_dict(d: DiscountSpec) -> dict:
-    kind = next(kind for kind, cls in _DISCOUNTS.items() if type(d) is cls)
-    return {"kind": kind, **{key: list(value) if isinstance(value, tuple) else value
+    return {"kind": _kind(d), **{key: list(value) if isinstance(value, tuple) else value
                              for key, value in vars(d).items()}}
 
 

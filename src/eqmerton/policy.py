@@ -17,7 +17,6 @@ from .solver import ValueCurve, growth_constant
 __all__ = [
     "EquilibriumPolicy",
     "PrecommitmentPolicy",
-    "InconsistencyRow",
     "stock_fraction",
     "equilibrium_policy",
     "solve_precommitment",
@@ -179,16 +178,6 @@ def naive_consumption(
     return np.exp(-np.logaddexp(_log_w(lags, m, u, d), log_int))
 
 
-@dataclass(frozen=True)
-class InconsistencyRow:
-    t_probe: float
-    c_precommit_0: float
-    c_precommit_t: float
-    c_equilibrium: float
-    gap_naive: float
-    gap_equilibrium: float
-
-
 def inconsistency_report(
     m: MarketParams,
     u: CrraUtility,
@@ -196,17 +185,17 @@ def inconsistency_report(
     g: TimeGrid,
     probe_times,
     equilibrium: EquilibriumPolicy | None = None,
-) -> list[InconsistencyRow]:
+) -> dict:
     """Tabulate, per probe time t', the time-0 committed consumption
     c0(t'), the re-optimized (naive) consumption ct'(t'), and the
     equilibrium consumption, with the pairwise gaps.
 
-    gap_naive = ct'(t') - c0(t'); gap_equilibrium = c_eq(t') - ct'(t').
-    For exponential discounting all three coincide within solver tolerance.
+    Returns the columns t_probe, c_precommit_0, c_precommit_t, c_equilibrium,
+    gap_naive = ct'(t') - c0(t') and gap_equilibrium = c_eq(t') - ct'(t'),
+    one array each, in that order. For exponential discounting all three
+    consumptions coincide within solver tolerance.
     """
     probe_times = np.atleast_1d(np.asarray(probe_times, dtype=float))
-    if probe_times.size == 0:
-        return []
     ct = naive_consumption(m, u, d, g, probe_times)  # checks probe_times in [0, T)
     if equilibrium is None:
         from .solver import picard_solve
@@ -214,5 +203,5 @@ def inconsistency_report(
         equilibrium = equilibrium_policy(picard_solve(m, u, d, g), m, u)
     c0 = solve_precommitment(0.0, m, u, d, g).consumption_at(probe_times)
     ceq = equilibrium.consumption_at(probe_times)
-    return [InconsistencyRow(*map(float, (t, pre, naive, eq, naive - pre, eq - naive)))
-            for t, pre, naive, eq in zip(probe_times, c0, ct, ceq)]
+    return {"t_probe": probe_times, "c_precommit_0": c0, "c_precommit_t": ct,
+            "c_equilibrium": ceq, "gap_naive": ct - c0, "gap_equilibrium": ceq - ct}

@@ -8,11 +8,11 @@ p c, and the utility integral is the trapezoid sum over the nodes; so the
 expectation of the discrete utility functional equals lam(t) x^p / p of the
 discrete solution, and the checks below sample no time-discretization bias.
 
-Randomness is keyed per block: paths are processed in fixed-size blocks and
-block b draws from its own generator, ``SFC64(SeedSequence(seed,
-spawn_key=(b,)))`` (``_block_rng``), so every path is a deterministic function
-of (seed, its block, its row) regardless of how many workers process the
-blocks. Block partials are combined by pairwise summation in block order,
+Randomness is keyed per block: paths are processed in blocks of
+``_BLOCK_PAIRS`` antithetic pairs and block b draws from its own generator,
+``SFC64(SeedSequence(seed, spawn_key=(b,)))`` (``_block_rng``), so every path
+is a deterministic function of (seed, its block, its row) regardless of how
+many workers process the blocks. Block partials are combined by pairwise summation in block order,
 making results bit-identical across worker counts.
 
 A block is drawn and processed in tiles of consecutive rows, each at most
@@ -21,7 +21,7 @@ where the previous one left off, so the draws are those of the whole block,
 and every estimator's sums add over rows, so a block's sums are its tiles'
 added in row order. The block size fixes only the partition of the stream and
 the grain of the parallel work; a worker thread holds two tile-sized buffers,
-whatever the grid and the block size.
+whatever the grid.
 
 Paths come in antithetic pairs (Glasserman, Monte Carlo Methods in Financial
 Engineering, 2004, section 4.2): a block of m pairs draws m rows of normals
@@ -30,9 +30,8 @@ which is never stored. Every log-wealth is affine in W, so the mirrored path
 costs no draws and is strongly anti-correlated with its partner. The sample
 unit is the pair: every standard error is taken over the pair averages
 (f(W) + f(-W)) / 2, and a pure mean (mean wealth, mean value) averages all
-paths. The ensemble holds ceil(n_paths / 2) pairs and a block
-ceil(block_size / 2), so an odd n_paths or block_size runs one path more
-(n_paths = 1 runs one pair).
+paths. The ensemble holds ceil(n_paths / 2) pairs, so an odd n_paths runs
+one path more (n_paths = 1 runs one pair).
 
 Every policy simulated here holds a constant stock fraction zeta over the
 steps it covers, so with W[:, k] = Z[:, 0] + ... + Z[:, k-1], the running sum
@@ -104,27 +103,27 @@ __all__ = [
 ]
 
 STAT_THRESHOLD = 3.0  # all statistical verdicts use three standard errors
+# antithetic pairs in a block: the partition of the random stream and the
+# grain of the parallel work
+_BLOCK_PAIRS = 2048
 # float64 elements in a tile of a block's rows, 2 MiB per buffer: a pass holds
-# two such buffers per worker thread, whatever the grid and the block size
+# two such buffers per worker thread, whatever the grid
 _TILE_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
 class SimSettings:
-    """Ensemble size, RNG seed, initial wealth, worker threads and block size:
-    the config's [sim] section, with its defaults.
+    """Ensemble size, RNG seed, initial wealth and worker threads: the
+    config's [sim] section, with its defaults.
 
-    n_paths and block_size count paths, rounded up to whole antithetic pairs
-    (``n_pairs``, ``block_pairs``). block_size fixes the partition of the
-    random stream and the grain of the parallel work, not the memory, which
-    is two tile buffers per worker thread. n_workers = 0 runs one worker
+    n_paths counts paths, rounded up to whole antithetic pairs (``n_pairs``),
+    which run in blocks of ``_BLOCK_PAIRS``. n_workers = 0 runs one worker
     thread per CPU the process may run on (``worker_count``)."""
 
     n_paths: int = 100_000
     seed: int = 42
     x0: float = 1.0
     n_workers: int = 0
-    block_size: int = 4096
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -133,8 +132,6 @@ class SimSettings:
             raise ParameterError(f"initial wealth must be > 0, got {self.x0}")
         if self.n_workers < 0:
             raise ParameterError(f"n_workers must be >= 0, got {self.n_workers}")
-        if self.block_size < 1:
-            raise ParameterError(f"block_size must be >= 1, got {self.block_size}")
         if not (0 <= int(self.seed) < 2**64):
             raise ParameterError("seed must fit in 64 bits")
 
@@ -143,12 +140,8 @@ class SimSettings:
         return (self.n_paths + 1) // 2
 
     @property
-    def block_pairs(self) -> int:
-        return (self.block_size + 1) // 2
-
-    @property
     def n_blocks(self) -> int:
-        return -(-self.n_pairs // self.block_pairs)
+        return -(-self.n_pairs // _BLOCK_PAIRS)
 
     def worker_count(self) -> int:
         """Worker threads of a pass: n_workers, or for 0 the number of CPUs
@@ -289,7 +282,7 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> 
         if not hasattr(local, "buffers"):
             local.buffers = _Buffers()
         buffers = local.buffers
-        m_b = min(cfg.block_pairs, cfg.n_pairs - b * cfg.block_pairs)
+        m_b = min(_BLOCK_PAIRS, cfg.n_pairs - b * _BLOCK_PAIRS)
         rng = _block_rng(int(cfg.seed), b)
         total = None
         for start in range(0, m_b, tile_rows):

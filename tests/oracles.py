@@ -169,22 +169,17 @@ def numpy_mixture_components(m, u, d, g):
 
 def loop_dual_pde_residual(dv, m, d) -> float:
     """``duality.dual_pde_residual`` one interior node at a time: the largest
-    normalized residual of the dual PDE over the nodes whose rows hold no nan."""
+    normalized residual of the dual PDE's terms over the dual value; a nan
+    at any node is the result."""
     g, lam, lam_t, p = dv.grid, dv.curve.values, dv.curve.derivative, dv.p
-    xs = np.geomspace(0.05, 20.0, 10)
-    tau = g.horizon - g.nodes
+    tau = g.horizon - g.nodes[1:-1]
     rate = d.h_prime(tau) / d.h(tau)
+    e = p / (p - 1.0)
     worst = 0.0
     for idx in range(1, g.n_steps):
-        ys = lam[idx] * xs ** (p - 1.0)
-        val = dv.value(idx, ys)
-        v_t = val * lam_t[idx] / ((1.0 - p) * lam[idx])
-        ydy = ys * dv.dy(idx, ys)
-        ydyy = ys**2 * dv.dyy(idx, ys)
-        terms = [v_t, rate[idx] * (val - ydy), -m.r * ydy,
-                 m.mu**2 / (2.0 * m.sigma**2) * ydyy]
-        resid = np.abs(sum(terms))
-        scale = np.max(np.abs(np.array(terms)), axis=0)
-        # max() keeps worst against a nan, so a row with a nan is passed over
-        worst = max(worst, float(np.max(resid / np.maximum(scale, 1e-300))))
-    return worst
+        terms = [lam_t[idx] / ((1.0 - p) * lam[idx]), rate[idx - 1] * (1.0 - e), -m.r * e,
+                 m.mu**2 / (2.0 * m.sigma**2) * e * (e - 1.0)]
+        node = abs(sum(terms)) / max(max(abs(t) for t in terms), 1e-300)
+        if math.isnan(node) or node > worst:  # a nan, once met, stays
+            worst = node
+    return float(worst)

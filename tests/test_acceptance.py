@@ -127,8 +127,8 @@ def test_02_exponential_solver_consistency():
         float(np.max(np.abs(mix.values - cf.values))),
     )
     pol = equilibrium_policy(pic, M, U)
-    rows = inconsistency_report(M, U, d, G, [0.2, 0.5, 0.8], equilibrium=pol)
-    policy_gap = max(max(abs(r.gap_naive), abs(r.gap_equilibrium)) for r in rows)
+    cols = inconsistency_report(M, U, d, G, [0.2, 0.5, 0.8], equilibrium=pol)
+    policy_gap = float(np.max(np.abs([cols["gap_naive"], cols["gap_equilibrium"]])))
     report("02 exponential consistency (solvers + policies)",
            pairwise <= 1e-5 and policy_gap <= 1e-5,
            f"pairwise solver gap {pairwise:.2e}, policy gap {policy_gap:.2e}")
@@ -253,12 +253,12 @@ def test_10_convex_duality_closed_family():
 def test_11_time_inconsistency_magnitude(hyp_policy):
     tol = 1e-10
     probes = [0.25, 0.5, 0.75]
-    rows = inconsistency_report(M, U, HYP, G, probes, equilibrium=hyp_policy)
-    gaps = [abs(r.gap_naive) for r in rows]
+    cols = inconsistency_report(M, U, HYP, G, probes, equilibrium=hyp_policy)
+    gaps = np.abs(cols["gap_naive"])
     # the equilibrium consumption curve is a single function of t -- identical
     # no matter which probe reads it -- while the committed plan is abandoned
     c_eq = [hyp_policy.consumption_at(t) for t in probes]
-    invariant = np.allclose(c_eq, [r.c_equilibrium for r in rows], rtol=1e-12)
+    invariant = np.allclose(c_eq, cols["c_equilibrium"], rtol=1e-12)
     report("11 hyperbolic discounting breaks precommitment",
            max(gaps) > 10 * tol and invariant,
            "committed-vs-reoptimized gaps "

@@ -132,21 +132,27 @@ class TestConfigParsing:
             RunConfig.from_dict(data)
 
 
-REMOVED_SOLVER_KEYS = ("damping", "mixture_terms", "rho_min", "rho_max", "rho_count",
-                       "max_iter")
+# (section, key) of the keys that are gone; [sim] block_size is now the
+# constant simulate._BLOCK_PAIRS
+REMOVED_KEYS = [pytest.param(section, key, id=key) for section, key in (
+    ("solver", "damping"), ("solver", "mixture_terms"), ("solver", "rho_min"),
+    ("solver", "rho_max"), ("solver", "rho_count"), ("solver", "max_iter"),
+    ("sim", "block_size"))]
 
 
 class TestRemovedSolverKeys:
-    @pytest.mark.parametrize("key", REMOVED_SOLVER_KEYS)
-    def test_ini_key_is_config_error(self, tmp_path, capsys, key):
-        ini = write_ini(tmp_path, extra=f"\n[solver]\n{key} = 1\n")
+    @pytest.mark.parametrize("section, key", REMOVED_KEYS)
+    def test_ini_key_is_config_error(self, tmp_path, capsys, section, key):
+        # BASE_INI ends in its [sim] section
+        extra = f"{key} = 1\n" if section == "sim" else f"\n[{section}]\n{key} = 1\n"
+        ini = write_ini(tmp_path, extra=extra)
         assert cli.main(["solve", "--config", ini, "--out", str(tmp_path / "o")]) == 2
         assert f"'{key}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", REMOVED_SOLVER_KEYS)
-    def test_manifest_key_is_config_error(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("section, key", REMOVED_KEYS)
+    def test_manifest_key_is_config_error(self, tmp_path, capsys, section, key):
         data = load_config(write_ini(tmp_path)).to_dict()
-        data["solver"][key] = 1.0
+        data[section][key] = 1.0
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"command": "solve", "config": data}))
         assert cli.main(["solve", "--config", str(manifest),
@@ -213,15 +219,20 @@ class TestEverySectionIsChecked:
 
 
 # Random valid configs, each written as INI text by the test itself: the
-# discount kinds, alpha or mu, compare labels with and without probe times.
+# solver methods with the discount kinds each applies to, alpha or mu,
+# compare labels with and without probe times.
+
+METHOD_KINDS = {"picard": ("exponential", "mixture", "hyperbolic"),
+                "mixture": ("mixture",), "closed_form": ("exponential",)}
+
 
 def _num(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def discounts(draw):
-    kind = draw(st.sampled_from(["exponential", "mixture", "hyperbolic"]))
+def discounts(draw, kinds):
+    kind = draw(st.sampled_from(kinds))
     if kind == "exponential":
         rho = draw(_num(0.0, 2.0))
         return ExponentialDiscount(rho=rho), f"kind = exponential\nrho = {rho!r}\n"
@@ -247,17 +258,17 @@ def configs(draw):
         market, market_line = MarketParams(r, r + mu, sigma), f"alpha = {r + mu!r}"
     p = draw(st.one_of(_num(-5.0, -0.01), _num(0.01, 0.95)))
     horizon, n_steps = draw(_num(0.1, 100.0)), draw(st.integers(2, 5000))
-    solver = SolverSettings(method=draw(st.sampled_from(["picard", "mixture", "closed_form"])),
+    solver = SolverSettings(method=draw(st.sampled_from(list(METHOD_KINDS))),
                             tol=draw(_num(1e-14, 1e-2)))
+    kinds = METHOD_KINDS[solver.method]
     sim = SimSettings(n_paths=draw(st.integers(1, 10**6)), seed=draw(st.integers(0, 2**31)),
-                      x0=draw(_num(0.1, 10.0)), n_workers=draw(st.integers(0, 8)),
-                      block_size=draw(st.integers(1, 8192)))
+                      x0=draw(_num(0.1, 10.0)), n_workers=draw(st.integers(0, 8)))
     out_dir = draw(st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_/.-]{0,15}", fullmatch=True))
     labels = draw(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True),
                            max_size=3, unique=True))
-    compare = {label: draw(discounts()) for label in labels}
+    compare = {label: draw(discounts(kinds)) for label in labels}
     probes = tuple(draw(st.lists(_num(0.0, horizon), max_size=4))) if labels else ()
-    discount = draw(discounts()) if not labels or draw(st.booleans()) else None
+    discount = draw(discounts(kinds)) if not labels or draw(st.booleans()) else None
     text = (f"[market]\nr = {r!r}\n{market_line}\nsigma = {sigma!r}\n\n"
             f"[utility]\np = {p!r}\n\n[grid]\nhorizon = {horizon!r}\nn_steps = {n_steps}\n\n"
             f"[solver]\nmethod = {solver.method}\ntol = {solver.tol!r}\n\n[sim]\n"
@@ -379,15 +390,22 @@ class TestCliSolve:
                   "--out", str(out2)])
         assert (out1 / "lambda.csv").read_bytes() == (out2 / "lambda.csv").read_bytes()
 
-    def test_mixture_method_on_hyperbolic_records_fit(self, tmp_path):
-        ini = write_ini(tmp_path)
+    @pytest.mark.parametrize("command, config, method, named", [
+        ("solve", "hyperbolic.ini", "closed_form", "kind = hyperbolic in [discount]"),
+        ("solve", "hyperbolic.ini", "mixture", "kind = hyperbolic in [discount]"),
+        ("compare", "compare.ini", "closed_form",
+         "kind = hyperbolic in [discount.hyperbolic]"),
+        ("compare", "compare.ini", "mixture",
+         "kind = exponential in [discount.exponential]"),
+    ], ids=["solve-closed_form", "solve-mixture", "compare-closed_form", "compare-mixture"])
+    def test_method_that_does_not_apply_exits_2_with_no_output(
+            self, tmp_path, capsys, command, config, method, named):
         out = tmp_path / "out"
-        assert cli.main(["solve", "--config", ini, "--out", str(out),
-                         "--method", "mixture"]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        fit = manifest["mixture_fit"]
-        assert fit["sup_error_h"] < 1e-2
-        assert sum(fit["betas"]) == pytest.approx(1.0, abs=1e-9)
+        assert cli.main([command, "--config", str(ROOT / "configs" / config),
+                         "--out", str(out), "--method", method]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: solver method {method} ") and named in err
+        assert not out.exists()
 
     def test_closed_form_requires_exponential(self, tmp_path):
         ini = write_ini(tmp_path)
@@ -471,7 +489,9 @@ class TestCliSolve:
         assert residuals["integral_equation_relative"] <= 1e-9
 
     def test_manifest_records_sweeps(self, tmp_path):
-        ini = write_ini(tmp_path)
+        body = BASE_INI.replace("kind = hyperbolic\nk = 1.0\ngamma = 1.0",
+                                "kind = mixture\nbetas = 0.4, 0.6\nrhos = 0.05, 0.5")
+        ini = write_ini(tmp_path, body=body)
         sweeps = {}
         for method in ("picard", "mixture"):
             out = tmp_path / method
@@ -764,10 +784,11 @@ def test_worker_count_does_not_change_bytes_in_ragged_tiles(tmp_path, monkeypatc
     # three rows per tile on the 200-step grid; 2500 pairs in eight blocks of
     # 301 pairs and one of 92, each ending in a ragged tile
     monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * 201)
+    monkeypatch.setattr(simulate, "_BLOCK_PAIRS", 301)
     for command in ("simulate", "verify"):
         outs, codes = [], set()
         for workers in (1, 8):
-            ini = write_ini(tmp_path, extra=f"n_workers = {workers}\nblock_size = 602\n",
+            ini = write_ini(tmp_path, extra=f"n_workers = {workers}\n",
                             name=f"{command}{workers}.ini")
             outs.append(tmp_path / f"{command}{workers}")
             codes.add(cli.main([command, "--config", ini, "--out", str(outs[-1])]))

@@ -8,7 +8,13 @@ from eqmerton.duality import (
     grid_legendre_sup,
     primal_dual_roundtrip,
 )
-from eqmerton.model import CrraUtility, ExponentialDiscount, HyperbolicDiscount, TimeGrid
+from eqmerton.model import (
+    CrraUtility,
+    ExponentialDiscount,
+    HyperbolicDiscount,
+    MarketParams,
+    TimeGrid,
+)
 from eqmerton.solver import ValueCurve, picard_solve, solve_no_consumption
 
 from oracles import loop_dual_pde_residual
@@ -54,6 +60,17 @@ class TestClosedFamily:
         ys = np.geomspace(0.1, 10, 20)
         np.testing.assert_allclose(dv.value(g.n_steps, ys), utility.dual(ys),
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("p", [0.5, -2.0, 0.99])
+    def test_euler_relations_of_the_closed_family(self, p):
+        # tilde_v is homogeneous of degree e = p/(p-1) in y, the relations
+        # dual_pde_residual forms its terms from
+        g = TimeGrid(horizon=1.0, n_steps=4)
+        dv = DualValue(curve=constant_curve(1.7, g), p=p)
+        ys, e = np.geomspace(0.05, 20.0, 10), p / (p - 1.0)
+        val = dv.value(1, ys)
+        np.testing.assert_allclose(ys * dv.dy(1, ys) / val, e, rtol=1e-13)
+        np.testing.assert_allclose(ys**2 * dv.dyy(1, ys) / val, e * (e - 1.0), rtol=1e-13)
 
     def test_convexity_concavity_pairing(self, utility, nc_curves):
         g, curves = nc_curves
@@ -107,6 +124,31 @@ class TestDualPde:
                     expected = loop_dual_pde_residual(dv, market, d)
                     got = dual_pde_residual(dv, market, d)
                 assert got == expected, (name, curve.provenance)
+
+    @pytest.mark.parametrize("node", [10, 60])
+    def test_every_node_counts_where_the_dual_value_overflows(self, node):
+        # bequest-only lam at p = 0.99, T = 100: lam(0) = 3.1e263, so
+        # lam^(1/(1-p)) is far past the float range on the first 41 nodes,
+        # while the terms over the dual value are not; a 1 % error in lam'
+        # fails on either side of that edge
+        m = MarketParams.from_excess_return(r=0.05, mu=0.07, sigma=0.2)
+        d, g = HyperbolicDiscount(k=1.0, gamma=1.0), TimeGrid(horizon=100.0, n_steps=100)
+        curve = solve_no_consumption(m, CrraUtility(p=0.99), d, g)
+        assert curve.values[0] > 1e263
+        assert dual_pde_residual(DualValue(curve=curve, p=0.99), m, d) <= 1e-14
+        derivative = curve.derivative.copy()
+        derivative[node] *= 1.01
+        bumped = ValueCurve(grid=g, values=curve.values, derivative=derivative,
+                            provenance="perturbed")
+        assert dual_pde_residual(DualValue(curve=bumped, p=0.99), m, d) > 1e-3
+
+    def test_a_nan_term_fails(self, market):
+        # h = e^{-10 tau} underflows past tau = 75, where h'/h is 0/0
+        g = TimeGrid(horizon=100.0, n_steps=100)
+        with np.errstate(invalid="ignore"):
+            res = dual_pde_residual(DualValue(curve=constant_curve(1.0, g), p=0.5), market,
+                                    ExponentialDiscount(rho=10.0))
+        assert np.isnan(res) and not res <= 1e-6
 
     def test_perturbation_increases_residual(self, market, utility, hyp_discount,
                                              nc_curves):

@@ -202,28 +202,30 @@ class TestNaiveAndReport:
         solve = policy.solve_precommitment
         monkeypatch.setattr(policy, "solve_precommitment",
                             lambda *a: calls.append(a) or solve(*a))
-        rows = inconsistency_report(market, utility, hyp_discount, g,
-                                    np.linspace(0.0, 0.9, 10),
-                                    equilibrium=equilibrium_policy(sol, market, utility))
-        assert len(rows) == 10 and len(calls) == 1
+        report = inconsistency_report(market, utility, hyp_discount, g,
+                                      np.linspace(0.0, 0.9, 10),
+                                      equilibrium=equilibrium_policy(sol, market, utility))
+        assert len(report["t_probe"]) == 10 and len(calls) == 1
 
     def test_exponential_all_gaps_small(self, market, utility, grid, exp_discount):
-        rows = inconsistency_report(market, utility, exp_discount, grid,
-                                    [0.25, 0.5, 0.75])
-        for row in rows:
-            assert abs(row.gap_naive) <= 1e-5
-            assert abs(row.gap_equilibrium) <= 1e-5
+        report = inconsistency_report(market, utility, exp_discount, grid,
+                                      [0.25, 0.5, 0.75])
+        assert np.all(np.abs(report["gap_naive"]) <= 1e-5)
+        assert np.all(np.abs(report["gap_equilibrium"]) <= 1e-5)
 
     def test_hyperbolic_gaps_nonzero(self, market, utility, hyp_discount,
                                      hyp_solution):
         g, sol = hyp_solution
         pol = equilibrium_policy(sol, market, utility)
-        rows = inconsistency_report(market, utility, hyp_discount, g,
-                                    [0.25, 0.5, 0.75], equilibrium=pol)
-        assert any(abs(r.gap_naive) > 1e-9 for r in rows)
+        report = inconsistency_report(market, utility, hyp_discount, g,
+                                      [0.25, 0.5, 0.75], equilibrium=pol)
+        assert np.any(np.abs(report["gap_naive"]) > 1e-9)
 
     def test_empty_probes(self, market, utility, hyp_discount, grid):
-        assert inconsistency_report(market, utility, hyp_discount, grid, []) == []
+        report = inconsistency_report(market, utility, hyp_discount, grid, [])
+        assert list(report) == ["t_probe", "c_precommit_0", "c_precommit_t",
+                                "c_equilibrium", "gap_naive", "gap_equilibrium"]
+        assert all(len(column) == 0 for column in report.values())
 
     def test_probe_out_of_range(self, market, utility, hyp_discount, grid):
         with pytest.raises(ParameterError):

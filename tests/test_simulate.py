@@ -47,12 +47,18 @@ def sim_cfg(sim_grid, n_paths=20000, seed=7, x0=1.0, **kw):
     return SimConfig(n_paths=n_paths, seed=seed, grid=sim_grid, x0=x0, **kw)
 
 
+def blocks_of(monkeypatch, pairs):
+    """Run every pass in blocks of the given number of antithetic pairs."""
+    monkeypatch.setattr(simulate, "_BLOCK_PAIRS", pairs)
+
+
 class TestDeterminism:
-    def test_bit_identical_across_worker_counts(self, market, utility,
-                                                hyp_discount, sim_grid, hyp_policy):
+    def test_bit_identical_across_worker_counts(self, market, utility, hyp_discount,
+                                                sim_grid, hyp_policy, monkeypatch):
         _, pol = hyp_policy
-        # n_paths deliberately not a multiple of block_size
-        kw = dict(n_paths=10_001, seed=3, block_size=1024)
+        # n_paths deliberately not a multiple of the block size
+        blocks_of(monkeypatch, 512)
+        kw = dict(n_paths=10_001, seed=3)
         one = simulate_equilibrium(pol, sim_cfg(sim_grid, n_workers=1, **kw),
                                    market, utility, hyp_discount)
         four = simulate_equilibrium(pol, sim_cfg(sim_grid, n_workers=4, **kw),
@@ -62,12 +68,13 @@ class TestDeterminism:
         np.testing.assert_array_equal(one.mean_wealth, four.mean_wealth)
 
     def test_workers_never_share_block_buffers(self, market, utility, hyp_discount,
-                                               sim_grid, hyp_policy):
+                                               sim_grid, hyp_policy, monkeypatch):
         # each worker thread writes its blocks into its own reused buffers; with
         # more workers than cores and a short switch interval, a buffer shared
         # between threads would be overwritten mid-block and change the sums
         _, pol = hyp_policy
-        kw = dict(n_paths=6000, seed=9, block_size=256)
+        blocks_of(monkeypatch, 128)
+        kw = dict(n_paths=6000, seed=9)
         one = simulate_equilibrium(pol, sim_cfg(sim_grid, n_workers=1, **kw),
                                    market, utility, hyp_discount)
         interval = sys.getswitchinterval()
@@ -99,7 +106,7 @@ class TestDeterminism:
         cpus(1)
         assert sim_cfg(sim_grid, n_paths=100_000).worker_count() == 1
         cpus(8)
-        three_blocks = sim_cfg(sim_grid, n_paths=5000, block_size=2048)
+        three_blocks = sim_cfg(sim_grid, n_paths=12_000)
         assert three_blocks.n_blocks == 3 and three_blocks.worker_count() == 3
         assert sim_cfg(sim_grid, n_paths=100_000).worker_count() == 8
         # without an affinity call the CPU count stands in
@@ -189,8 +196,6 @@ class TestWealthDynamics:
             SimConfig(n_paths=10, seed=1, grid=sim_grid, x0=0.0)
         with pytest.raises(ParameterError):
             SimConfig(n_paths=10, seed=1, grid=sim_grid, x0=1.0, n_workers=-1)
-        with pytest.raises(ParameterError):
-            SimConfig(n_paths=10, seed=1, grid=sim_grid, x0=1.0, block_size=0)
         # 0 workers stands for one per available CPU
         assert SimConfig(n_paths=10, seed=1, grid=sim_grid, x0=1.0, n_workers=0).n_workers == 0
 
@@ -324,10 +329,11 @@ class TestPerturbation:
         assert row.std_error == 0.0 and row.d_estimate < 0
         assert row.z == -np.inf
 
-    def test_epsilon_ladder_matches_single_widths(self, market, utility,
-                                                  hyp_discount, sim_grid, hyp_policy):
+    def test_epsilon_ladder_matches_single_widths(self, market, utility, hyp_discount,
+                                                  sim_grid, hyp_policy, monkeypatch):
         _, pol = hyp_policy
-        cfg = sim_cfg(sim_grid, n_paths=3000, block_size=1024)
+        blocks_of(monkeypatch, 512)
+        cfg = sim_cfg(sim_grid, n_paths=3000)
         spike = Spike(zeta=pol.stock_fraction + 0.5)
         ladder = perturbation_test(pol, cfg, market, utility, hyp_discount, t=0.0,
                                    epsilons=[0.1, 0.25], spike=spike)
@@ -358,9 +364,10 @@ class TestDiscreteFunctional:
 
 class TestOnePass:
     def test_fused_pass_matches_separate_checks(self, market, utility, hyp_discount,
-                                                sim_grid, hyp_policy):
+                                                sim_grid, hyp_policy, monkeypatch):
         sol, pol = hyp_policy
-        cfg = sim_cfg(sim_grid, n_paths=5000, block_size=1024)
+        blocks_of(monkeypatch, 512)
+        cfg = sim_cfg(sim_grid, n_paths=5000)
         nc = solve_no_consumption(market, utility, hyp_discount, sim_grid)
         spike = Spike(zeta=pol.stock_fraction + 1.0)
         leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
@@ -412,11 +419,11 @@ def stream(seed, b):
 
 
 def oracle_normals(cfg, n_sub):
-    """The stream's blocks of normals: ceil(block_size / 2) pairs per block, up
-    to ceil(n_paths / 2) pairs; block b draws the first row of each pair from
+    """The stream's blocks of normals: ``simulate._BLOCK_PAIRS`` pairs per
+    block, up to ceil(n_paths / 2) pairs; block b draws the first row of each pair from
     SFC64(SeedSequence(seed, spawn_key=(b,))), and the second row is its
     negation."""
-    pairs, per_block = -(-cfg.n_paths // 2), -(-cfg.block_size // 2)
+    pairs, per_block = -(-cfg.n_paths // 2), simulate._BLOCK_PAIRS
     for b in range(-(-pairs // per_block)):
         m_b = min(per_block, pairs - b * per_block)
         Z = stream(cfg.seed, b).standard_normal((m_b, n_sub))
@@ -494,6 +501,11 @@ def oracle_grid_sums(nc, cfg, m, u, d):
 
 
 class TestAgainstSteppedOracle:
+    @pytest.fixture(autouse=True)
+    def blocks_of_512(self, monkeypatch):
+        # 1500 pairs in blocks of 512, 512 and 476
+        blocks_of(monkeypatch, 512)
+
     @pytest.fixture(scope="class", params=[0.5, -2.0], ids=["p0.5", "p-2"])
     def solved(self, request, market, hyp_discount, mix_discount, sim_grid):
         u = CrraUtility(p=request.param)
@@ -527,7 +539,7 @@ class TestAgainstSteppedOracle:
         d, sol, pol, _ = by_discount["hyperbolic"]
         t0 = sim_grid.horizon - sim_grid.dt if at_end else 0.0
         eps = sim_grid.horizon - t0
-        cfg = sim_cfg(sim_grid, n_paths=3000, seed=11, block_size=1024)
+        cfg = sim_cfg(sim_grid, n_paths=3000, seed=11)
         spike = Spike(zeta=pol.stock_fraction + 0.5, consumption=0.3)
         leg = equilibrium_leg(pol, cfg, market, u, d, t0)
         assert leg.n_steps == (1 if at_end else sim_grid.n_steps)
@@ -545,7 +557,7 @@ def assert_leg_sums_match(market, sim_grid, solved, discount, t0):
     whole-grid checks', agree with the stepped oracle's."""
     u, by_discount = solved
     d, sol, pol, nc = by_discount[discount]
-    cfg = sim_cfg(sim_grid, n_paths=3000, seed=11, block_size=1024)
+    cfg = sim_cfg(sim_grid, n_paths=3000, seed=11)
     spike = Spike(zeta=pol.stock_fraction + 0.5, consumption=0.3)
     leg = equilibrium_leg(pol, cfg, market, u, d, t0)
     estimators = {
@@ -590,7 +602,8 @@ class TestTiles:
         # 15 pairs in blocks of 7, 7 and 1; a tile holds whole rows only, three
         n_sub = sim_grid.n_steps
         monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * (n_sub + 1) + 2)
-        cfg = sim_cfg(sim_grid, n_paths=30, seed=4, block_size=14, n_workers=1)
+        blocks_of(monkeypatch, 7)
+        cfg = sim_cfg(sim_grid, n_paths=30, seed=4, n_workers=1)
         seen = []
 
         def block(W, _buffers):
@@ -605,7 +618,7 @@ class TestTiles:
         np.testing.assert_array_equal(W[:, 1:], np.cumsum(np.concatenate(drawn), axis=1))
 
     def test_pass_memory_is_a_few_tiles_whatever_the_block_size(
-            self, market, utility, hyp_discount):
+            self, market, utility, hyp_discount, monkeypatch):
         g = TimeGrid(horizon=1.0, n_steps=1000)
         pol = equilibrium_policy(picard_solve(market, utility, hyp_discount, g),
                                  market, utility)
@@ -613,22 +626,22 @@ class TestTiles:
         simulate_equilibrium(pol, SimConfig(n_paths=2, seed=1, grid=g), market, utility,
                              hyp_discount, moment_orders=(utility.p,))
         peaks = {}
-        for block_size in (4096, 65536):
-            cfg = SimConfig(n_paths=65536, seed=1, grid=g, block_size=block_size,
-                            n_workers=1)
+        cfg = SimConfig(n_paths=65536, seed=1, grid=g, n_workers=1)
+        for pairs in (2048, 32768):
+            blocks_of(monkeypatch, pairs)
             tracemalloc.start()
             try:
                 simulate_equilibrium(pol, cfg, market, utility, hyp_discount,
                                      moment_orders=(utility.p,))
-                peaks[block_size] = tracemalloc.get_traced_memory()[1]
+                peaks[pairs] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         # the normals' and W's tile buffers, and a few columns of temporaries
         assert max(peaks.values()) < 3 * 8 * simulate._TILE_ELEMENTS, peaks
-        assert peaks[65536] <= 1.05 * peaks[4096], peaks
+        assert peaks[32768] <= 1.05 * peaks[2048], peaks
 
     def test_pass_memory_does_not_grow_with_the_block_count(
-            self, market, utility, hyp_discount):
+            self, market, utility, hyp_discount, monkeypatch):
         # 512 blocks: their partials are combined as they arrive, so a pass
         # holds a few of them, not one per block (18 MB if all were kept)
         g = TimeGrid(horizon=1.0, n_steps=1000)
@@ -636,7 +649,8 @@ class TestTiles:
                                  market, utility)
         simulate_equilibrium(pol, SimConfig(n_paths=2, seed=1, grid=g), market, utility,
                              hyp_discount)
-        cfg = SimConfig(n_paths=65536, seed=1, grid=g, block_size=128, n_workers=1)
+        blocks_of(monkeypatch, 64)
+        cfg = SimConfig(n_paths=65536, seed=1, grid=g, n_workers=1)
         assert cfg.n_blocks == 512
         tracemalloc.start()
         try:
@@ -654,10 +668,11 @@ def pair_stats(a):
 
 class TestAntitheticPairs:
     def test_standard_errors_are_taken_over_pairs(self, market, utility, hyp_discount,
-                                                  sim_grid, hyp_policy):
-        # odd n_paths and block_size: 1501 pairs in blocks of 512, 512 and 477
+                                                  sim_grid, hyp_policy, monkeypatch):
+        # odd n_paths: 1501 pairs in blocks of 512, 512 and 477
         sol, pol = hyp_policy
-        cfg = sim_cfg(sim_grid, n_paths=3001, seed=13, block_size=1023)
+        blocks_of(monkeypatch, 512)
+        cfg = sim_cfg(sim_grid, n_paths=3001, seed=13)
         g, p, dt = sim_grid, utility.p, sim_grid.dt
         nc = solve_no_consumption(market, utility, hyp_discount, g)
         frac = stock_fraction(market, utility)
@@ -719,19 +734,19 @@ class TestAntitheticPairs:
         assert {v.n_pairs for v in (flat, decreasing, *moments)} == {1501}
 
     def test_odd_counts_round_up_to_whole_pairs(self, market, utility, hyp_discount,
-                                                sim_grid, hyp_policy):
-        # n_paths and block_size count paths; an odd count runs one path more
+                                                sim_grid, hyp_policy, monkeypatch):
+        # n_paths counts paths; an odd count runs one path more
         _, pol = hyp_policy
+        blocks_of(monkeypatch, 512)
 
-        def run(n_paths, block_size):
-            cfg = sim_cfg(sim_grid, n_paths=n_paths, block_size=block_size)
+        def run(n_paths):
+            cfg = sim_cfg(sim_grid, n_paths=n_paths)
             return simulate_equilibrium(pol, cfg, market, utility, hyp_discount)
 
-        even = run(3000, 1024)
-        for odd in (run(2999, 1024), run(3000, 1023), run(2999, 1023)):
-            assert (odd.j_estimate, odd.j_std_error, odd.n_pairs) == \
-                (even.j_estimate, even.j_std_error, 1500)
-            np.testing.assert_array_equal(odd.mean_wealth, even.mean_wealth)
-        one = run(1, 4096)
+        even, odd = run(3000), run(2999)
+        assert (odd.j_estimate, odd.j_std_error, odd.n_pairs) == \
+            (even.j_estimate, even.j_std_error, 1500)
+        np.testing.assert_array_equal(odd.mean_wealth, even.mean_wealth)
+        one = run(1)
         assert one.n_pairs == 1 and one.j_std_error == 0.0
         assert SimConfig(n_paths=1, seed=0, grid=sim_grid, x0=1.0).n_pairs == 1
