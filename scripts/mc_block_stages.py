@@ -20,6 +20,9 @@ after the other:
                 normals' buffer, then its reciprocal, the partners' X^p;
 * reductions    the utility functional Y @ weights and the per-node sums of
                 Y, once for each half of the pairs;
+* control       the terminal control of J (``simulate._terminal_control``):
+                two exponentials on W's last column, then the sums of C,
+                C^2 and J C that the finisher regresses on;
 * wealth cosh   cosh(vol W), each pair's average wealth up to per-node
                 factors, formed only for ``simulate``'s mean wealth;
 * checkpoints   W and -W at the martingale check's five checkpoint columns.
@@ -59,6 +62,8 @@ from eqmerton.simulate import (
     _checkpoints,
     _cosh,
     _fused_block,
+    _sums,
+    _terminal_control,
     equilibrium_leg,
     martingale_estimator,
     perturbation_estimator,
@@ -118,6 +123,12 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
         Y = buffers.get("z", W.shape)
         return [(Y @ leg.weights, Y.sum(axis=0)) for _ in range(2)]
 
+    J = np.ones(cfg.n_pairs)  # the pairs' J; its values do not change the time
+
+    def control():
+        C = _terminal_control(W[:, -1], u.p * leg.vol, n_steps)
+        return _sums("c", C), J @ C
+
     def wealth():
         _cosh(W, leg.vol, buffers.get("z", W.shape))
 
@@ -126,8 +137,8 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
 
     row = {}
     for name, fn in (("rng", rng), ("running sum", running_sum), ("X^p", powers),
-                     ("reductions", reductions), ("wealth cosh", wealth),
-                     ("checkpoints", checkpoint_columns)):
+                     ("reductions", reductions), ("control", control),
+                     ("wealth cosh", wealth), ("checkpoints", checkpoint_columns)):
         row[name] = best_ms(fn, repeats)
 
     rng()

@@ -122,9 +122,8 @@ def cmd_verify(cfg: RunConfig, out: Path, perturb_lambda: float = 0.0,
         "perturb_lambda": perturb_lambda,
         "checks": list(checks),
         "all_passed": all(v.passed for v in rows),
-        # the sample behind each Monte Carlo z: antithetic pairs and standard error
-        "monte_carlo": {v.name: {"n_pairs": v.n_pairs, "std_error": v.std_error}
-                        for v in rows if v.n_pairs is not None},
+        "monte_carlo": {v.name: _monte_carlo_sample(v) for v in rows
+                        if v.n_pairs is not None},
     }))
     if not all(v.passed for v in rows):
         for v in rows:
@@ -132,6 +131,17 @@ def cmd_verify(cfg: RunConfig, out: Path, perturb_lambda: float = 0.0,
                 print(f"FAILED: {v.name} statistic={v.statistic:.4g}", file=sys.stderr)
         return EXIT_VERIFICATION
     return EXIT_OK
+
+
+def _monte_carlo_sample(v: simulate.Verdict) -> dict:
+    """The sample behind a Monte Carlo z: antithetic pairs and standard error,
+    and for a controlled check the control's slope and the plain mean's
+    standard error, whose ratio to ``std_error`` is the run's reduction."""
+    sample = {"n_pairs": v.n_pairs, "std_error": v.std_error}
+    if v.control_beta is not None:
+        sample.update(control_beta=v.control_beta,
+                      std_error_uncontrolled=v.std_error_uncontrolled)
+    return sample
 
 
 def _monte_carlo_verdicts(cfg: RunConfig, checks: tuple, nc_curve,
@@ -235,6 +245,8 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     write_manifest(out / "manifest.json", _manifest_payload(cfg, "simulate", {
         "j_estimate": batch.j_estimate,
         "j_std_error": batch.j_std_error,
+        "j_control_beta": batch.j_control_beta,
+        "j_std_error_uncontrolled": batch.j_std_error_uncontrolled,
         "n_pairs": batch.n_pairs,
         "terminal_moments": {
             str(q): {"mean": mq, "std_error": sq}

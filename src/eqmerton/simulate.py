@@ -56,6 +56,37 @@ tail is summed directly from the Y that all checks share. W and the normals
 live in the two tile buffers; once W is formed the normals' buffer is the
 tile's scratch.
 
+The utility functional's two readers, ``simulate``'s E[J] and the value
+identity, subtract a control variate with an exactly known mean (Glasserman
+2004, section 4.1). The control is the pair average of the terminal X^p over
+its exact lognormal mean, less one,
+
+    C = cosh(a W_n) e^{-a^2 n / 2} - 1,    a = p sigma sqrt(dt) zeta,
+
+over the leg's n steps; since W_n ~ N(0, n), E[cosh(a W_n)] = e^{a^2 n / 2}
+and E[C] = 0 exactly. It is formed beside J in ``Block.powers``, from W's
+last column, as the average of the two exponentials e^{+-a W_n - a^2 n / 2}
+less one each (expm1), which overflow only where X^p itself would. The pass
+adds sum C, sum C^2 and sum J C to sum J and sum J^2, and the finisher takes
+the regression slope beta = cov(J, C) / var(C) from those sums (beta = 0
+when var(C) = 0, as on a leg without stock): the estimate is
+mean(J) - beta mean(C), with standard error sqrt(var(J - beta C) / n_pairs),
+the pair still the sample unit. Taking beta from the same pass biases the
+mean by O(1 / n_pairs), which shrinks faster than the standard error.
+
+J is dominated by the bequest and the late nodes, which follow X_T^p
+closely, so the control removes most of J's variance on short horizons and
+less as the horizon grows and the early nodes decorrelate from the terminal
+one: for hyperbolic (1, 1), p = 0.5 and the shipped market, the standard
+error falls 3.8x at T = 1 and 1.3x at T = 5. Only the terminal node is
+used. A quadratic control at every node, sum_k v_k a^2 (W_k^2 - k) / 2,
+removes more variance, but its remainder is a fourth-order Gaussian term
+with a heavy tail: at 500 pairs on 20 steps (3000 seeds) it put |z| above 3
+on 3.8 % of seeds, where the terminal control and the plain mean both read
+0.47 %. The perturbation, martingale and moment estimators stay
+uncontrolled: the first-order stationarity null holds only as eps -> 0, so a
+smaller standard error there would turn its O(eps) bias into false failures.
+
 Every check is an estimator: a block function from one ``Block`` (a tile) to
 a dict of sums, and a finisher from the sums over all paths to the result.
 ``run_estimators`` feeds any list of estimators from one pass over the
@@ -166,10 +197,14 @@ class SimConfig(SimSettings):
 @dataclass(frozen=True)
 class SimBatch:
     """Summary of one simulated ensemble; the standard errors are over its
-    n_pairs antithetic pairs."""
+    n_pairs antithetic pairs. E[J] is estimated with the terminal control
+    (``j_control_beta`` its slope); ``j_std_error_uncontrolled`` is the
+    standard error of the plain mean of J on the same paths."""
 
     j_estimate: float
     j_std_error: float
+    j_control_beta: float
+    j_std_error_uncontrolled: float
     terminal_moments: dict
     mean_wealth: np.ndarray
     mean_value_over_h: np.ndarray
@@ -180,7 +215,9 @@ class SimBatch:
 class Verdict:
     """Outcome of a check. For a Monte Carlo check the statistic is a z-score
     against the three-standard-error threshold, taken with ``std_error`` over
-    ``n_pairs`` antithetic pairs; a deterministic check leaves both None."""
+    ``n_pairs`` antithetic pairs; a deterministic check leaves both None. A
+    check taken with a control variate records its slope ``control_beta``
+    and the plain mean's ``std_error_uncontrolled``; others leave them None."""
 
     name: str
     statistic: float
@@ -189,6 +226,8 @@ class Verdict:
     details: str = ""
     n_pairs: Optional[int] = None
     std_error: Optional[float] = None
+    control_beta: Optional[float] = None
+    std_error_uncontrolled: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -367,6 +406,39 @@ def _mean_se(sums: dict, key: str, n: int):
     return mean, np.sqrt(np.maximum(sums[f"{key}_sq"] / n - mean**2, 0.0) / n)
 
 
+def _terminal_control(W_n: np.ndarray, a: float, n_steps: int) -> np.ndarray:
+    """C = cosh(a W_n) e^{-a^2 n / 2} - 1 for W_n ~ N(0, n): each pair's
+    average of exp(+-a W_n) over its mean, less one, so E[C] = 0 exactly.
+    Formed as the average of expm1(+-a W_n - a^2 n / 2), never through
+    cosh(a W_n), which would overflow first, and without subtracting 1 from
+    a value near 1, which would lose C's digits where a^2 n is small."""
+    half_var = 0.5 * a * a * n_steps
+    aW = a * W_n
+    return 0.5 * (np.expm1(aW - half_var) + np.expm1(-aW - half_var))
+
+
+def _controlled_sums(J: np.ndarray, C: np.ndarray) -> dict:
+    """The sums ``_controlled_mean_se`` takes: those of the pair averages J
+    and of the control C, and sum J C."""
+    return {**_sums("j", J), **_sums("c", C), "jc": J @ C}
+
+
+def _controlled_mean_se(s: dict, n: int):
+    """(mean, standard error, beta, plain standard error) of J over n pairs
+    with the control C regressed out: beta = cov(J, C) / var(C) from the
+    sums, or 0 when var(C) is 0, the mean mean(J) - beta mean(C) and the
+    standard error sqrt(var(J - beta C) / n), where
+    var(J - beta C) = var(J) - beta cov(J, C). With beta = 0 the mean and
+    standard error are the plain ones, bit for bit."""
+    j, plain_se = _mean_se(s, "j", n)
+    c = s["c"] / n
+    var_c = s["c_sq"] / n - c**2
+    cov = s["jc"] / n - j * c
+    beta = cov / var_c if var_c > 0 else 0.0
+    var = (s["j_sq"] / n - j**2) - beta * cov
+    return j - beta * c, np.sqrt(np.maximum(var, 0.0) / n), float(beta), plain_se
+
+
 def _verdict(name: str, z: float, passed, details: str, n_pairs: int, se) -> Verdict:
     return Verdict(name, z, STAT_THRESHOLD, bool(passed), details, n_pairs, float(se))
 
@@ -437,22 +509,24 @@ class Block:
 
     @cached_property
     def powers(self):
-        """(J, Y_sum, tails) of the leg, where Y = exp(p vol W) on a drawn path
-        and exp(-p vol W) = 1 / Y on its partner, so X^p = leg.scale * Y: J
-        is each pair's average utility functional Y @ leg.weights, Y_sum the
-        per-node sum of Y over the tile's paths, and tails[s] each path's
+        """(J, C, Y_sum, tails) of the leg, where Y = exp(p vol W) on a drawn
+        path and exp(-p vol W) = 1 / Y on its partner, so X^p = leg.scale * Y:
+        J is each pair's average utility functional Y @ leg.weights, C each
+        pair's terminal control (``_terminal_control``), Y_sum the per-node
+        sum of Y over the tile's paths, and tails[s] each path's
         sum_{k >= s} Y_k leg.weights[k], drawn paths then partners (as
         ``all_paths``), taken directly from Y. Y is formed in the scratch
         buffer, drawn paths first, which is free again afterwards."""
-        weights = self._leg.weights
-        Y = np.multiply(self.W, self._leg.u.p * self._leg.vol, out=self.scratch(self.W.shape))
+        weights, a = self._leg.weights, self._leg.u.p * self._leg.vol
+        C = _terminal_control(self.W[:, -1], a, self._leg.n_steps)
+        Y = np.multiply(self.W, a, out=self.scratch(self.W.shape))
         np.exp(Y, out=Y)
         J, Y_sum = Y @ weights, Y.sum(axis=0)
         drawn = [Y[:, s:] @ weights[s:] for s in self._tails]
         np.reciprocal(Y, out=Y)
         tails = {s: np.concatenate([tail, Y[:, s:] @ weights[s:]])
                  for s, tail in zip(self._tails, drawn)}
-        return 0.5 * (J + Y @ weights), Y_sum + Y.sum(axis=0), tails
+        return 0.5 * (J + Y @ weights), C, Y_sum + Y.sum(axis=0), tails
 
     def scratch(self, shape: tuple) -> np.ndarray:
         """A buffer of the given shape, at most W's size, that the block may
@@ -489,7 +563,7 @@ def run_estimators(cfg: SimConfig, estimators: list, leg: Optional[PolicyLeg] = 
 
     An estimator is a pair (block, finish). ``block(blk)`` maps one ``Block``
     to a dict of sums; ``blk.powers`` gives the leg's pair-averaged utility
-    functional and per-node X^p sums, formed once per tile for all
+    functional, its terminal control and per-node X^p sums, formed once per tile for all
     estimators, and the per-path tail sums from node ``block.tail`` on of
     every block function that has that attribute. ``finish(sums, n_pairs)``
     turns the sums over all blocks into the result, with n_pairs the number
@@ -514,9 +588,9 @@ def simulation_estimator(pol: EquilibriumPolicy, g: TimeGrid, leg: PolicyLeg,
     log_x_T = math.log(leg.x0) + leg.drift[-1]
 
     def block(blk):
-        J, Y_sum, _ = blk.powers
+        J, C, Y_sum, _ = blk.powers
         X_pairs = _cosh(blk.W, leg.vol, blk.scratch(blk.W.shape))
-        out = {**_sums("j", J), "wealth": X_pairs.sum(axis=0) * (2.0 * wealth_scale),
+        out = {**_controlled_sums(J, C), "wealth": X_pairs.sum(axis=0) * (2.0 * wealth_scale),
                "voh": Y_sum * voh_scale}
         W_T = blk.all_paths(-1)
         for q in moment_orders:
@@ -524,10 +598,12 @@ def simulation_estimator(pol: EquilibriumPolicy, g: TimeGrid, leg: PolicyLeg,
         return out
 
     def finish(s, n):
-        j, j_se = _mean_se(s, "j", n)
+        j, j_se, beta, plain_se = _controlled_mean_se(s, n)
         return SimBatch(
             j_estimate=float(j),
             j_std_error=float(j_se),
+            j_control_beta=beta,
+            j_std_error_uncontrolled=float(plain_se),
             terminal_moments={q: _mean_se(s, f"m{q}", n) for q in moment_orders},
             mean_wealth=s["wealth"] / (2 * n),
             mean_value_over_h=s["voh"] / (2 * n),
@@ -559,13 +635,15 @@ def value_identity_estimator(sol: ValueCurve, u: CrraUtility, t: float, x: float
     target = target_scale * float(np.interp(t, sol.grid.nodes, sol.values)) * x**u.p / u.p
 
     def block(blk):
-        return _sums("j", blk.powers[0])
+        J, C, _, _ = blk.powers
+        return _controlled_sums(J, C)
 
     def finish(s, n):
-        j, se = _mean_se(s, "j", n)
+        j, se, beta, plain_se = _controlled_mean_se(s, n)
         z = _z(j - target, se)
-        return _verdict("value_identity", z, abs(z) <= STAT_THRESHOLD,
-                        f"J={j:.6g} se={se:.3g} target={target:.6g}", n, se)
+        return replace(_verdict("value_identity", z, abs(z) <= STAT_THRESHOLD,
+                                f"J={j:.6g} se={se:.3g} target={target:.6g}", n, se),
+                       control_beta=beta, std_error_uncontrolled=float(plain_se))
 
     return block, finish
 
@@ -756,7 +834,7 @@ def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
         # Y on the drawn paths; a partner's is its reciprocal, exp(-x) = 1 / exp(x)
         W_head = blk.W[:, :w + 1]
         Y_head = np.exp(p * leg.vol * W_head)
-        tail = blk.powers[2][w + 1]
+        tail = blk.powers[3][w + 1]
         drawn = loss(W_head, Y_head, tail[:len(W_head)], 1.0)
         partner = loss(W_head, np.reciprocal(Y_head, out=Y_head), tail[len(W_head):], -1.0)
         return _sums("d", 0.5 * (drawn + partner) / eps)

@@ -1,7 +1,8 @@
 """Test-owned oracles: residuals of the value PDEs, a node-by-node solve of
-the discretized integral equation and a numpy-array RK4 of the mixture
-system, which only the test suite evaluates, kept out of the library so that
-it needs no optimizer."""
+the discretized integral equation, a numpy-array RK4 of the mixture system,
+the node loop of the dual PDE residual and the per-value CSV writer, which
+only the test suite evaluates, kept out of the library so that it needs no
+optimizer."""
 
 import math
 
@@ -183,3 +184,18 @@ def loop_dual_pde_residual(dv, m, d) -> float:
         if math.isnan(node) or node > worst:  # a nan, once met, stays
             worst = node
     return float(worst)
+
+
+def per_value_csv(columns: dict) -> str:
+    """The text ``output.write_csv`` writes, formatted one value at a time
+    and joined row by row, as the writer did before it formatted each table
+    in one call; unequal columns raise ValueError."""
+    def cells(column):
+        values = np.asarray(column)
+        if values.dtype.kind == "b":
+            return ["true" if v else "false" for v in values.tolist()]
+        spec = "%.17g" if values.dtype.kind in "fiu" else "%s"
+        return [spec % v for v in values.tolist()]
+
+    rows = zip(*map(cells, columns.values()), strict=True)
+    return "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"

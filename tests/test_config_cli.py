@@ -577,6 +577,12 @@ class TestCliVerify:
                                 "submartingale_decreasing", "perturbation_gross_spike",
                                 "perturbation_first_order_stationarity"}
         assert all(s["n_pairs"] == 2501 and s["std_error"] > 0 for s in samples.values())
+        # only the value identity is taken with the terminal control, and it
+        # records the control's slope and the plain mean's standard error
+        identity = samples.pop("value_identity")
+        assert identity["control_beta"] > 0
+        assert identity["std_error_uncontrolled"] > 2 * identity["std_error"]
+        assert all(set(s) == {"n_pairs", "std_error"} for s in samples.values())
 
     def test_perturbed_lambda_fails_verification(self, tmp_path):
         ini = write_ini(tmp_path)
@@ -807,6 +813,8 @@ class TestCliSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         j, se = manifest["j_estimate"], manifest["j_std_error"]
         assert abs(j - manifest["value_at_start"]) <= 3 * se
+        assert manifest["j_control_beta"] > 0
+        assert manifest["j_std_error_uncontrolled"] > 2 * se
         assert manifest["n_pairs"] == 2500
         body = (out / "simulation.csv").read_text().strip().split("\n")
         assert body[0] == "t,mean_wealth,mean_value_over_h"

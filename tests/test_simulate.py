@@ -11,11 +11,14 @@ from eqmerton import simulate
 from eqmerton.model import CrraUtility, MarketParams, ParameterError, TimeGrid
 from eqmerton.policy import EquilibriumPolicy, equilibrium_policy, stock_fraction
 from eqmerton.simulate import (
+    STAT_THRESHOLD,
     SimConfig,
     Spike,
     _block_rng,
     _checkpoints,
     _combine_in_order,
+    _mean_se,
+    _terminal_control,
     equilibrium_leg,
     martingale_check,
     martingale_estimator,
@@ -235,6 +238,50 @@ class TestValueIdentity:
         assert 1.6 <= ratio <= 2.4  # 1/sqrt(n) within 20%
 
 
+class TestTerminalControl:
+    @pytest.mark.parametrize("p", [0.5, -3.0, 0.9])
+    def test_mean_is_zero_by_gauss_hermite(self, market, sim_grid, p):
+        # W_n ~ N(0, n), so E[f(W_n)] = sum_i w_i f(sqrt(2 n) x_i) / sqrt(pi) with
+        # the Gauss-Hermite nodes x_i and weights w_i, exact to rounding for
+        # this entire integrand; at p = 0.9 the terminal log X^p has spread 3.2
+        n = sim_grid.n_steps
+        a = p * market.sigma * np.sqrt(sim_grid.dt) * stock_fraction(market, CrraUtility(p=p))
+        x, w = np.polynomial.hermite.hermgauss(120)
+        mean = w @ _terminal_control(np.sqrt(2.0 * n) * x, a, n) / np.sqrt(np.pi)
+        assert abs(mean) <= 1e-13, mean
+
+    def test_a_leg_without_stock_gives_the_plain_estimate(self, market, utility,
+                                                          hyp_discount, sim_grid, hyp_policy):
+        # sigma zeta = 0: the control is 0 on every pair, so beta = 0 and the
+        # controlled mean and standard error are the plain ones, bit for bit
+        sol, pol = hyp_policy
+        cfg = sim_cfg(sim_grid, n_paths=3001, seed=5)
+        leg = replace(equilibrium_leg(pol, cfg, market, utility, hyp_discount), zeta=0.0)
+        sim = simulation_estimator(pol, sim_grid, leg, hyp_discount)
+        sums, batch, verdict = run_estimators(
+            cfg, [sums_of(sim), sim, value_identity_estimator(sol, utility, 0.0, cfg.x0)], leg)
+        assert sums["c"] == sums["c_sq"] == 0.0
+        mean, se = _mean_se(sums, "j", cfg.n_pairs)
+        assert batch.j_control_beta == verdict.control_beta == 0.0
+        assert (batch.j_estimate, batch.j_std_error, batch.j_std_error_uncontrolled) == \
+            (mean, se, se)
+        assert verdict.std_error == verdict.std_error_uncontrolled == se
+
+    def test_three_standard_error_gate_keeps_its_false_alarm_rate(self, market, utility,
+                                                                  hyp_discount):
+        # at the nominal two-sided rate of 0.27 %, more than 5 of 400 seeds
+        # beyond |z| = 3 has probability below 0.1 %. Over 4000 seeds the rate
+        # here is 0.80 %, against 0.70 % for the plain mean: at 256 pairs the
+        # skew of J lifts both above the nominal rate
+        g = TimeGrid(horizon=1.0, n_steps=20)
+        sol = picard_solve(market, utility, hyp_discount, g)
+        pol = equilibrium_policy(sol, market, utility)
+        z = np.array([verify_value_identity(
+            sol, SimConfig(n_paths=512, seed=seed, grid=g, n_workers=1), market, utility,
+            hyp_discount, t=0.0, x=1.0, policy=pol).statistic for seed in range(400)])
+        assert np.sum(np.abs(z) > STAT_THRESHOLD) <= 5
+
+
 class TestMartingale:
     def test_flat_and_decreasing(self, market, utility, hyp_discount, sim_grid):
         nc = solve_no_consumption(market, utility, hyp_discount, sim_grid)
@@ -391,16 +438,35 @@ class TestOnePass:
 # h (c X)^p / p plus the bequest. A step's drift takes the trapezoid average
 # of the consumption ratio at its two nodes. Each block draws half its paths'
 # normals and steps the other half on the negated normals; every sample
-# statistic is taken over the pair averages. The library instead reads every
-# leg off one running sum of the normals; the block sums must agree to
+# statistic is taken over the pair averages. The control of E[J] is each
+# pair's average stepped X_T^p over the leg's lognormal E[X_T^p], less one.
+# The library instead reads every leg off one running sum of the normals,
+# and its control off that sum's last column; the block sums must agree to
 # rounding.
 
-def oracle_wealth(Z, x0, m, zeta_steps, c_nodes, dt):
+def oracle_log_growth(Z, m, zeta_steps, c_nodes, dt):
+    """log(X / x0) at every node: the cumulative sum of the log increments."""
     c_steps = (c_nodes[:-1] + c_nodes[1:]) / 2
     drift = (m.r + m.mu * zeta_steps - c_steps - 0.5 * m.sigma**2 * zeta_steps**2) * dt
     incr = drift[None, :] + (m.sigma * zeta_steps * np.sqrt(dt))[None, :] * Z
-    log_x = np.concatenate([np.zeros((Z.shape[0], 1)), np.cumsum(incr, axis=1)], axis=1)
-    return x0 * np.exp(log_x)
+    return np.concatenate([np.zeros((Z.shape[0], 1)), np.cumsum(incr, axis=1)], axis=1)
+
+
+def oracle_wealth(Z, x0, m, zeta_steps, c_nodes, dt):
+    return x0 * np.exp(oracle_log_growth(Z, m, zeta_steps, c_nodes, dt))
+
+
+def oracle_control(Z, m, zeta_steps, c_nodes, dt, p):
+    """Each pair's average X_T^p over its lognormal mean, less one: the
+    control of J. log(X_T / x0) is normal with mean the steps' drifts and
+    variance the sum of (sigma zeta)^2 dt; each path's ratio less one is
+    expm1 of its log, so that the control keeps its digits where it is
+    small."""
+    c_steps = (c_nodes[:-1] + c_nodes[1:]) / 2
+    drift = np.sum((m.r + m.mu * zeta_steps - c_steps - 0.5 * m.sigma**2 * zeta_steps**2) * dt)
+    log_mean = p * drift + 0.5 * p**2 * np.sum(m.sigma**2 * zeta_steps**2 * dt)
+    log_growth = oracle_log_growth(Z, m, zeta_steps, c_nodes, dt)[:, -1]
+    return pair_average(np.expm1(p * log_growth - log_mean))
 
 
 def oracle_j(X, c, h, dt, p):
@@ -450,8 +516,8 @@ def sums_of(est):
 
 
 def oracle_leg_sums(pol, cfg, m, u, d, t0, spike, eps):
-    """Sums of the simulation summary, value identity and perturbation
-    estimators on the equilibrium leg from (t0, x0)."""
+    """Sums of the simulation summary, value identity (with its control) and
+    perturbation estimators on the equilibrium leg from (t0, x0)."""
     g, p, dt = cfg.grid, u.p, cfg.grid.dt
     nodes = g.nodes[int(round(t0 / dt)):]
     n_sub = len(nodes) - 1
@@ -467,7 +533,9 @@ def oracle_leg_sums(pol, cfg, m, u, d, t0, spike, eps):
         J = oracle_j(X, c, h, dt, p)
         X_spk = oracle_wealth(Z, cfg.x0, m, zeta_spk, c_spk, dt)
         D = (J - oracle_j(X_spk, c_spk, h, dt, p)) / eps
-        out = {"wealth": X.sum(axis=0), "voh": (voh_scale * X**p / p).sum(axis=0)}
+        C = oracle_control(Z, m, zeta, c, dt, p)
+        out = {"wealth": X.sum(axis=0), "voh": (voh_scale * X**p / p).sum(axis=0),
+               "c": C.sum(), "c_sq": (C**2).sum(), "jc": pair_average(J) @ C}
         pairs = {"j": J, "d": D, **{f"m{q}": X[:, -1] ** q for q in (p, 2 * p)}}
         for key, v in pairs.items():
             a = pair_average(v)
@@ -666,6 +734,13 @@ def pair_stats(a):
     return a.mean(axis=0), a.std(axis=0) / np.sqrt(len(a))
 
 
+def controlled_stats(j, c):
+    """Mean and standard error of the pair averages j with the control c
+    regressed out, and the slope beta = cov(j, c) / var(c)."""
+    beta = np.mean((j - j.mean()) * (c - c.mean())) / c.var()
+    return j.mean() - beta * c.mean(), (j - beta * c).std() / np.sqrt(len(j)), beta
+
+
 class TestAntitheticPairs:
     def test_standard_errors_are_taken_over_pairs(self, market, utility, hyp_discount,
                                                   sim_grid, hyp_policy, monkeypatch):
@@ -693,9 +768,10 @@ class TestAntitheticPairs:
         ck_mart, ck_mom = _checkpoints(g, 5), _checkpoints(g, 6)[1:]
         lam_ck = np.interp(g.nodes[ck_mart], nc.grid.nodes, nc.values)
         mart_scale = lam_ck / p / hyp_discount.h(g.horizon - g.nodes[ck_mart])
-        per_pair = {key: [] for key in ("j", "d", "m", "eq", "sub", "y")}
+        per_pair = {key: [] for key in ("j", "c", "d", "m", "eq", "sub", "y")}
         for Z in oracle_normals(cfg, g.n_steps):
             X = oracle_wealth(Z, cfg.x0, market, zeta, c, dt)
+            per_pair["c"].append(oracle_control(Z, market, zeta, c, dt, p))
             J = oracle_j(X, c, h, dt, p)
             J_spk = oracle_j(oracle_wealth(Z, cfg.x0, market, zeta_spk, c, dt), c, h, dt, p)
             per_path = {"j": J, "d": (J - J_spk) / 0.25, "m": X[:, -1] ** p}
@@ -710,8 +786,13 @@ class TestAntitheticPairs:
         a = {key: np.concatenate(v) for key, v in per_pair.items()}
         assert len(a["j"]) == cfg.n_pairs == 1501
 
-        for key, (mean, se) in (("j", (batch.j_estimate, batch.j_std_error)),
-                                ("d", (row.d_estimate, row.std_error)),
+        # E[J] is taken with the terminal control, the other means plainly
+        np.testing.assert_allclose(
+            (batch.j_estimate, batch.j_std_error, batch.j_control_beta),
+            controlled_stats(a["j"], a["c"]), rtol=1e-9)
+        np.testing.assert_allclose(batch.j_std_error_uncontrolled, pair_stats(a["j"])[1],
+                                   rtol=1e-9)
+        for key, (mean, se) in (("d", (row.d_estimate, row.std_error)),
                                 ("m", batch.terminal_moments[p])):
             np.testing.assert_allclose((mean, se), pair_stats(a[key]), rtol=1e-9,
                                        err_msg=key)
