@@ -14,8 +14,18 @@ after the other:
 * rng           normals for the drawn path of each pair from the pass's
                 own block generator (``simulate._block_rng``), drawn into
                 the reused buffer;
-* running sum   W = cumsum(Z) on those paths, the running sum every
-                log-wealth is affine in;
+* coarse points W at the 16 coarse bridge nodes of each pair
+                (``simulate._CoarseRows``): the scramble words of the
+                block's replicates from its generator, each replicate's
+                scrambled Sobol net, Phi^{-1}, then the bridge's levels;
+* segment bridges  each segment's running sum of the normals less its
+                chord, one product per segment into W
+                (``rqmc.BrownianBridge.bridges``): what the running sum of
+                all the normals was before the coarse nodes;
+* bridge overlay  the chords through the coarse values, one product with
+                the hat functions in the normals' buffer, added to W
+                (``rqmc.BrownianBridge.overlay``); W is now the Brownian
+                path every log-wealth is affine in;
 * X^p           exp(p vol W), which is X^p up to per-node factors, into the
                 normals' buffer, then its reciprocal, the partners' X^p;
 * reductions    the utility functional Y @ weights and the per-node sums of
@@ -58,7 +68,9 @@ from eqmerton.simulate import (
     Spike,
     _BLOCK_PAIRS,
     _Buffers,
+    _CoarseRows,
     _block_rng,
+    _bridge,
     _checkpoints,
     _cosh,
     _fused_block,
@@ -111,8 +123,18 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
     def rng():
         _block_rng(42, 0).standard_normal(out=Z)
 
-    def running_sum():
-        np.cumsum(Z, axis=1, out=W[:, 1:])
+    bridge, rep = _bridge(n_steps), cfg.replicate_pairs
+
+    def coarse_points():
+        return _CoarseRows(_block_rng(42, 0), cfg.n_pairs, rep, bridge).rows(0, cfg.n_pairs)
+
+    Wc = coarse_points()
+
+    def segment_bridges():
+        bridge.bridges(Z, W)
+
+    def overlay():
+        bridge.overlay(Wc, W, buffers.get("z", W.shape))
 
     def powers():
         Y = np.multiply(W, u.p * leg.vol, out=buffers.get("z", W.shape))
@@ -136,25 +158,30 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
         Block(W, buffers, leg).all_paths(checkpoints)
 
     row = {}
-    for name, fn in (("rng", rng), ("running sum", running_sum), ("X^p", powers),
+    for name, fn in (("rng", rng), ("coarse points", coarse_points),
+                     ("segment bridges", segment_bridges), ("bridge overlay", overlay),
+                     ("X^p", powers),
                      ("reductions", reductions), ("control", control),
                      ("wealth cosh", wealth), ("checkpoints", checkpoint_columns)):
         row[name] = best_ms(fn, repeats)
 
     rng()
-    running_sum()
+    segment_bridges()
+    overlay()
     nc = solve_no_consumption(m, u, d, g)
     moments = (u.p, 2 * u.p)
-    sim_block = _fused_block([simulation_estimator(pol, g, leg, d, moments)], leg)
+    sim_block = _fused_block([simulation_estimator(pol, g, leg, d, moments)], leg,
+                             cfg.n_replicates)
     verify_block = _fused_block([
         value_identity_estimator(sol, u, 0.0, cfg.x0),
         martingale_estimator(nc, cfg, m, u, d),
         perturbation_estimator(leg, 0.25, Spike(zeta=pol.stock_fraction + 1.0)),
         perturbation_estimator(leg, 0.1, Spike(zeta=pol.stock_fraction + 0.01)),
-    ], leg)
+    ], leg, cfg.n_replicates)
+    replicate = np.arange(cfg.n_pairs) // rep
     # each call builds a fresh Block, as each block of a pass gets its own
-    row["simulate block"] = best_ms(lambda: sim_block(W, buffers), repeats)
-    row["verify block"] = best_ms(lambda: verify_block(W, buffers), repeats)
+    row["simulate block"] = best_ms(lambda: sim_block(W, buffers, replicate), repeats)
+    row["verify block"] = best_ms(lambda: verify_block(W, buffers, replicate), repeats)
     passes = {label: replace(cfg, n_paths=pass_blocks * 2 * _BLOCK_PAIRS, n_workers=workers)
               for label, workers in (("1 worker", 1), ("default", 0))}
     for label, pass_cfg in passes.items():

@@ -83,7 +83,11 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
         "t": curve.grid.nodes, "lambda": curve.values, "lambda_prime": curve.derivative,
         "consumption_rate": curve.consumption_rate(cfg.utility)})
     res_ie = solver.residual_integral_equation(curve, cfg.market, cfg.utility, cfg.discount)
-    res_df = solver.residual_differential_form(curve, cfg.market, cfg.utility, cfg.discount)
+    # the Picard curve's derivative is the differential-form right-hand side
+    # of its values; the other routes' derivatives come from their own ODEs
+    res_df = solver.residual_differential_form(
+        curve, cfg.market, cfg.utility, cfg.discount,
+        rhs=curve.derivative if cfg.solver.method == "picard" else None)
     # relative rows: the sup-norm residuals over max(1, sup lam), which do not
     # grow with the scale of lam
     scale = max(1.0, float(np.max(curve.values)))
@@ -135,11 +139,12 @@ def cmd_verify(cfg: RunConfig, out: Path, perturb_lambda: float = 0.0,
 
 def _monte_carlo_sample(v: simulate.Verdict) -> dict:
     """The sample behind a Monte Carlo z: antithetic pairs and standard error,
-    and for a controlled check the control's slope and the plain mean's
-    standard error, whose ratio to ``std_error`` is the run's reduction."""
+    and for a controlled check the replicates its standard error is taken
+    over, the control's slope and the plain mean's standard error, whose
+    ratio to ``std_error`` is the run's reduction."""
     sample = {"n_pairs": v.n_pairs, "std_error": v.std_error}
     if v.control_beta is not None:
-        sample.update(control_beta=v.control_beta,
+        sample.update(n_replicates=v.n_replicates, control_beta=v.control_beta,
                       std_error_uncontrolled=v.std_error_uncontrolled)
     return sample
 
@@ -248,6 +253,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         "j_control_beta": batch.j_control_beta,
         "j_std_error_uncontrolled": batch.j_std_error_uncontrolled,
         "n_pairs": batch.n_pairs,
+        "n_replicates": batch.n_replicates,
         "terminal_moments": {
             str(q): {"mean": mq, "std_error": sq}
             for q, (mq, sq) in batch.terminal_moments.items()

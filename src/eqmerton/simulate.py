@@ -12,26 +12,59 @@ Randomness is keyed per block: paths are processed in blocks of
 ``_BLOCK_PAIRS`` antithetic pairs and block b draws from its own generator,
 ``SFC64(SeedSequence(seed, spawn_key=(b,)))`` (``_block_rng``), so every path
 is a deterministic function of (seed, its block, its row) regardless of how
-many workers process the blocks. Block partials are combined by pairwise summation in block order,
-making results bit-identical across worker counts.
+many workers process the blocks. Block partials are combined by pairwise
+summation in block order, making results bit-identical across worker counts.
+
+Each drawn path is an exact Brownian path built in two scales (randomized
+quasi-Monte Carlo on a Brownian bridge; Glasserman, Monte Carlo Methods in
+Financial Engineering, 2004, section 5.5; Owen, Ann. Statist. 25, 1997).
+Its values at 16 coarse nodes (every n // 16 steps and the last; all nodes
+on a leg of fewer than 16 steps, ``rqmc.BrownianBridge``) are the bridge
+construction, terminal node first, of 16 normals Phi^{-1}(u) of a point u of
+a scrambled Sobol net, and between the nodes it follows the running sum of
+the block's SFC64 normals less its chord on each segment. A replicate is
+``replicate_pairs`` = 2^k consecutive pairs of a block, the 2^k points of one
+net of Joe and Kuo's Sobol sequence, scrambled by a random linear matrix and
+a digital shift (``rqmc.scramble``) whose words the block's generator draws,
+replicate by replicate, before its normals. 2^k is the largest power of two
+up to ``_REPLICATE_PAIRS`` = 512 that leaves at least ``_MIN_REPLICATES`` =
+32 replicates (and divides ``_BLOCK_PAIRS``), and n_paths rounds up to whole
+replicates: ``SimSettings.n_pairs``. Each point of a scrambled net is
+uniform, so each pair is, on its own, an exact antithetic pair of Brownian
+paths; within a replicate the points are stratified, one in each of the 2^k
+intervals of every coordinate, so a replicate's mean of a smooth functional
+varies far less than 2^k independent pairs' would, and replicates are
+independent of one another.
 
 A block is drawn and processed in tiles of consecutive rows, each at most
 ``_TILE_ELEMENTS`` float64 elements: each tile continues the block's stream
 where the previous one left off, so the draws are those of the whole block,
 and every estimator's sums add over rows, so a block's sums are its tiles'
-added in row order. The block size fixes only the partition of the stream and
-the grain of the parallel work; a worker thread holds two tile-sized buffers,
-whatever the grid.
+added in row order. Tiles need not line up with replicates: a sum by
+replicate is a length-R array, added like any other. The block size fixes
+only the partition of the stream and the grain of the parallel work; a
+worker thread holds two tile-sized buffers, whatever the grid.
 
-Paths come in antithetic pairs (Glasserman, Monte Carlo Methods in Financial
-Engineering, 2004, section 4.2): a block of m pairs draws m rows of normals
-and forms their running sums W; the partner of each drawn path runs on -W,
+Paths come in antithetic pairs (Glasserman 2004, section 4.2): a block of m
+pairs forms m drawn paths W; the partner of each drawn path runs on -W,
 which is never stored. Every log-wealth is affine in W, so the mirrored path
-costs no draws and is strongly anti-correlated with its partner. The sample
-unit is the pair: every standard error is taken over the pair averages
-(f(W) + f(-W)) / 2, and a pure mean (mean wealth, mean value) averages all
-paths. The ensemble holds ceil(n_paths / 2) pairs, so an odd n_paths runs
-one path more (n_paths = 1 runs one pair).
+costs no draws and is strongly anti-correlated with its partner. A pure mean
+(mean wealth, mean value) averages all paths.
+
+Standard errors. The two readers of the utility functional, ``simulate``'s
+E[J] and the value identity, take theirs over the R replicates: the sample
+variance of the replicate means, with R - 1 degrees of freedom, and the
+value identity's gate is the Student-t quantile at R - 1 degrees of freedom
+with the two-sided rate of |z| > 3, 0.27 % (``_t_threshold``: 3.26 at 31,
+3.08 at 97). Every other check takes its standard error over the pairs, as
+if they were independent: each pair is still an exact antithetic pair, and
+for these smooth functionals the stratification within a replicate lowers
+the spread of a sum below what independent pairs would give (the gross
+spike's z at 5000 paths on 200 steps spreads about half as much over seeds
+as with independent pairs), so that standard error is valid and
+conservative. It must be: the first-order stationarity null holds only as
+eps -> 0, and a replicate standard error several times smaller would turn
+its O(eps) bias into false failures.
 
 Every policy simulated here holds a constant stock fraction zeta over the
 steps it covers, so with W[:, k] = Z[:, 0] + ... + Z[:, k-1], the running sum
@@ -67,12 +100,16 @@ over the leg's n steps; since W_n ~ N(0, n), E[cosh(a W_n)] = e^{a^2 n / 2}
 and E[C] = 0 exactly. It is formed beside J in ``Block.powers``, from W's
 last column, as the average of the two exponentials e^{+-a W_n - a^2 n / 2}
 less one each (expm1), which overflow only where X^p itself would. The pass
-adds sum C, sum C^2 and sum J C to sum J and sum J^2, and the finisher takes
-the regression slope beta = cov(J, C) / var(C) from those sums (beta = 0
-when var(C) = 0, as on a leg without stock): the estimate is
-mean(J) - beta mean(C), with standard error sqrt(var(J - beta C) / n_pairs),
-the pair still the sample unit. Taking beta from the same pass biases the
-mean by O(1 / n_pairs), which shrinks faster than the standard error.
+adds sum C, sum C^2 and sum J C to sum J and sum J^2, and sums J and C by
+replicate; the finisher takes the regression slope beta = cov(J, C) / var(C)
+from the pooled pair sums (beta = 0 when var(C) = 0, as on a leg without
+stock): the estimate is mean(J) - beta mean(C), with its standard error over
+the replicate means of J - beta C. Taking beta from the same pass biases the
+mean by O(1 / n_pairs), which shrinks faster than the standard error. The
+control removes most of what the scrambled nets leave: on the benchmark's
+simulate input (1000 steps, 40 replicates of 512 pairs) the replicate
+standard error is about 1e-5 of E[J] with the control and 4e-5 without it,
+against 7.3e-5 for the controlled mean of independent antithetic pairs.
 
 J is dominated by the bequest and the late nodes, which follow X_T^p
 closely, so the control removes most of J's variance on short horizons and
@@ -101,13 +138,14 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .model import CrraUtility, DiscountSpec, MarketParams, ParameterError, TimeGrid
 from .policy import EquilibriumPolicy, equilibrium_policy, stock_fraction
+from .rqmc import BrownianBridge, norm_ppf, scramble, sobol_directions, sobol_points, to_unit
 from .solver import ValueCurve
 
 __all__ = [
@@ -134,9 +172,20 @@ __all__ = [
 ]
 
 STAT_THRESHOLD = 3.0  # all statistical verdicts use three standard errors
+# the two-sided rate at which a normal z exceeds the threshold, 0.27 %
+_FALSE_ALARM_RATE = math.erfc(STAT_THRESHOLD / math.sqrt(2.0))
 # antithetic pairs in a block: the partition of the random stream and the
 # grain of the parallel work
 _BLOCK_PAIRS = 2048
+# a replicate, one scrambled Sobol net of pairs, holds at most this many
+# pairs, and a pass aims for at least _MIN_REPLICATES of them
+_REPLICATE_PAIRS = 512
+_MIN_REPLICATES = 32
+# the bridge of each leg length, built once
+_bridge = lru_cache(maxsize=16)(BrownianBridge)
+# pairs whose coarse values a block forms at a time, whole replicates: 64 kB
+# of values, and about five times that in temporaries
+_COARSE_PAIRS = _REPLICATE_PAIRS
 # float64 elements in a tile of a block's rows, 2 MiB per buffer: a pass holds
 # two such buffers per worker thread, whatever the grid
 _TILE_ELEMENTS = 2**18
@@ -147,9 +196,11 @@ class SimSettings:
     """Ensemble size, RNG seed, initial wealth and worker threads: the
     config's [sim] section, with its defaults.
 
-    n_paths counts paths, rounded up to whole antithetic pairs (``n_pairs``),
-    which run in blocks of ``_BLOCK_PAIRS``. n_workers = 0 runs one worker
-    thread per CPU the process may run on (``worker_count``)."""
+    n_paths counts paths. They run as antithetic pairs, in replicates of
+    ``replicate_pairs`` pairs, and n_paths rounds up to whole replicates
+    (``n_pairs`` pairs in all), which run in blocks of ``_BLOCK_PAIRS``.
+    n_workers = 0 runs one worker thread per CPU the process may run on
+    (``worker_count``)."""
 
     n_paths: int = 100_000
     seed: int = 42
@@ -167,8 +218,21 @@ class SimSettings:
             raise ParameterError("seed must fit in 64 bits")
 
     @property
+    def replicate_pairs(self) -> int:
+        """Pairs in a replicate: the largest power of two that is at most
+        ``_REPLICATE_PAIRS``, at most 1 / ``_MIN_REPLICATES`` of the pairs
+        n_paths asks for (but at least 1), and divides ``_BLOCK_PAIRS``."""
+        cap = min(_REPLICATE_PAIRS, max(1, (self.n_paths + 1) // 2 // _MIN_REPLICATES),
+                  _BLOCK_PAIRS & -_BLOCK_PAIRS)
+        return 1 << (cap.bit_length() - 1)
+
+    @property
+    def n_replicates(self) -> int:
+        return -(-((self.n_paths + 1) // 2) // self.replicate_pairs)
+
+    @property
     def n_pairs(self) -> int:
-        return (self.n_paths + 1) // 2
+        return self.n_replicates * self.replicate_pairs
 
     @property
     def n_blocks(self) -> int:
@@ -196,10 +260,11 @@ class SimConfig(SimSettings):
 
 @dataclass(frozen=True)
 class SimBatch:
-    """Summary of one simulated ensemble; the standard errors are over its
-    n_pairs antithetic pairs. E[J] is estimated with the terminal control
-    (``j_control_beta`` its slope); ``j_std_error_uncontrolled`` is the
-    standard error of the plain mean of J on the same paths."""
+    """Summary of one simulated ensemble of n_pairs antithetic pairs. E[J]
+    is estimated with the terminal control (``j_control_beta`` its slope) and
+    its standard error taken over the n_replicates replicates;
+    ``j_std_error_uncontrolled`` is that of the plain mean of J on the same
+    paths. The terminal moments' standard errors are over the pairs."""
 
     j_estimate: float
     j_std_error: float
@@ -209,6 +274,7 @@ class SimBatch:
     mean_wealth: np.ndarray
     mean_value_over_h: np.ndarray
     n_pairs: int
+    n_replicates: int
 
 
 @dataclass(frozen=True)
@@ -216,8 +282,11 @@ class Verdict:
     """Outcome of a check. For a Monte Carlo check the statistic is a z-score
     against the three-standard-error threshold, taken with ``std_error`` over
     ``n_pairs`` antithetic pairs; a deterministic check leaves both None. A
-    check taken with a control variate records its slope ``control_beta``
-    and the plain mean's ``std_error_uncontrolled``; others leave them None."""
+    check taken with a control variate takes its standard error over
+    ``n_replicates`` replicates instead, and its threshold is the Student-t
+    quantile at n_replicates - 1 degrees of freedom with the same false-alarm
+    rate; it records the control's slope ``control_beta`` and the plain
+    mean's ``std_error_uncontrolled``. Others leave these three None."""
 
     name: str
     statistic: float
@@ -228,6 +297,7 @@ class Verdict:
     std_error: Optional[float] = None
     control_beta: Optional[float] = None
     std_error_uncontrolled: Optional[float] = None
+    n_replicates: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -254,6 +324,52 @@ def _block_rng(seed: int, b: int) -> np.random.Generator:
     """The generator of block b's normals: SFC64 seeded from the seed sequence
     of (seed, b), so each block's stream is keyed by its index alone."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
+
+
+def _replicate_normals(words: np.ndarray, rep: int, dim: int) -> np.ndarray:
+    """The normals (replicates * rep x dim) that place the coarse nodes of
+    replicates of rep = 2^m pairs: each is the net of rep points in dim Sobol
+    coordinates, scrambled with its m + 1 words per coordinate (words:
+    replicates x dim x (m + 1)) and mapped through Phi^{-1}."""
+    V, shift = scramble(sobol_directions(dim, rep.bit_length() - 1), words)
+    X = sobol_points(V, rep)
+    X ^= shift[:, None, :]
+    u = to_unit(X)
+    del X
+    return norm_ppf(u).reshape(-1, dim)
+
+
+class _CoarseRows:
+    """W at the bridge's coarse nodes for the m_b pairs of a block, whose
+    generator rng draws every replicate's scramble words, in replicate
+    order, before the block's normals. Tiles ask for consecutive ranges of
+    rows; the values are formed in whole replicates, ``_COARSE_PAIRS`` pairs
+    at a time, at least as many as a range needs (fewer calls into numpy
+    between the tiles' passes, which leave the cache cold), and those a
+    range has not reached yet are kept for the next."""
+
+    def __init__(self, rng: np.random.Generator, m_b: int, rep: int, bridge: BrownianBridge):
+        self._m_b, self._rep, self._bridge = m_b, rep, bridge
+        per_dim = rep.bit_length()  # m + 1 words: m columns and the shift
+        self._words = rng.bit_generator.random_raw(m_b // rep * bridge.dim * per_dim).reshape(
+            m_b // rep, bridge.dim, per_dim)
+        self._first, self._rows = 0, np.empty((0, bridge.dim))  # rows from pair _first on
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        end = self._first + len(self._rows)
+        if stop > end:
+            rep, kept = self._rep, self._rows[start - self._first:]
+            upto = min(self._m_b, -(-max(stop, end + _COARSE_PAIRS) // rep) * rep)
+            rows = np.empty((len(kept) + upto - end, self._bridge.dim))
+            rows[:len(kept)] = kept
+            # in chunks of whole replicates, which bound the temporaries
+            step = max(_COARSE_PAIRS, rep)
+            for lo in range(end, upto, step):
+                hi = min(lo + step, upto)
+                xi = _replicate_normals(self._words[lo // rep:hi // rep], rep, self._bridge.dim)
+                self._bridge.coarse(xi, out=rows[lo - start:hi - start])
+            self._first, self._rows = start, rows
+        return self._rows[start - self._first:stop - self._first]
 
 
 def _add(a: dict, b: dict) -> dict:
@@ -299,23 +415,29 @@ class _Buffers:
 
 
 def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> dict:
-    """Run block_fn(W, buffers) over all path blocks, tile by tile, and
-    combine the sums.
+    """Run block_fn(W, buffers, replicate) over all path blocks, tile by
+    tile, and combine the sums.
 
-    Block b holds m antithetic pairs and stores only their drawn paths, at
-    most ``_TILE_ELEMENTS // (n_sub_steps + 1)`` of them (at least one) at a
-    time: for each tile of rows in turn, W (rows x (n_sub_steps + 1)) holds
-    the running sums of the tile's normals, drawn from the block's
-    ``_block_rng(seed, b)`` where the previous tile's left off, with
-    W[:, 0] = 0, and the partner of row i runs on -W[i]. The normals were
-    drawn into buffer "z", which has room for W's shape and which block_fn
-    may overwrite. A block's sums are its tiles' added in row order, and the
-    blocks' are combined pairwise in block order as they arrive. The blocks
-    run on ``cfg.worker_count()`` threads, each with its own two tile-sized
-    buffers.
+    Block b holds m antithetic pairs, whole replicates of
+    ``cfg.replicate_pairs``, and stores only their drawn paths, at most
+    ``_TILE_ELEMENTS // (n_sub_steps + 1)`` of them (at least one) at a
+    time. The block's generator ``_block_rng(seed, b)`` first draws the
+    scramble words of the block's replicates (``_CoarseRows``). For each
+    tile of rows in turn, the tile's normals are drawn from it where the
+    previous tile's left off, and W (rows x (n_sub_steps + 1), W[:, 0] = 0)
+    is the Brownian path through the rows' coarse values with those normals
+    bridged in between (``BrownianBridge.bridges`` and ``overlay``); the
+    partner of row i runs on -W[i]. ``replicate`` holds each row's replicate, numbered over the
+    whole pass. The normals were drawn into buffer "z", which has room for
+    W's shape and which block_fn may overwrite. A block's sums are its tiles' added in row
+    order, and the blocks' are combined pairwise in block order as they
+    arrive. The blocks run on ``cfg.worker_count()`` threads, each with its
+    own two tile-sized buffers.
     """
     local = threading.local()
     tile_rows = max(1, _TILE_ELEMENTS // (n_sub_steps + 1))
+    bridge = _bridge(n_sub_steps)
+    rep = cfg.replicate_pairs
 
     def run(b: int) -> dict:
         if not hasattr(local, "buffers"):
@@ -323,14 +445,18 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> 
         buffers = local.buffers
         m_b = min(_BLOCK_PAIRS, cfg.n_pairs - b * _BLOCK_PAIRS)
         rng = _block_rng(int(cfg.seed), b)
+        coarse = _CoarseRows(rng, m_b, rep, bridge)
         total = None
         for start in range(0, m_b, tile_rows):
             W = buffers.get("w", (min(tile_rows, m_b - start), n_sub_steps + 1))
             Z = rng.standard_normal(out=buffers.get("z", (len(W), n_sub_steps),
                                                     reserve=W.size))
-            W[:, 0] = 0.0
-            np.cumsum(Z, axis=1, out=W[:, 1:])
-            sums = block_fn(W, buffers)
+            Wc = coarse.rows(start, start + len(W))
+            bridge.bridges(Z, W)
+            # Z is read: its buffer is the chords' scratch
+            bridge.overlay(Wc, W, buffers.get("z", W.shape))
+            first = b * _BLOCK_PAIRS + start
+            sums = block_fn(W, buffers, np.arange(first, first + len(W)) // rep)
             total = sums if total is None else {k: total[k] + v for k, v in sums.items()}
         return total
 
@@ -417,26 +543,68 @@ def _terminal_control(W_n: np.ndarray, a: float, n_steps: int) -> np.ndarray:
     return 0.5 * (np.expm1(aW - half_var) + np.expm1(-aW - half_var))
 
 
-def _controlled_sums(J: np.ndarray, C: np.ndarray) -> dict:
+def _controlled_sums(blk: "Block", J: np.ndarray, C: np.ndarray) -> dict:
     """The sums ``_controlled_mean_se`` takes: those of the pair averages J
-    and of the control C, and sum J C."""
-    return {**_sums("j", J), **_sums("c", C), "jc": J @ C}
+    and of the control C, sum J C, and the sums of J and of C per replicate."""
+    return {**_sums("j", J), **_sums("c", C), "jc": J @ C,
+            "j_rep": blk.by_replicate(J), "c_rep": blk.by_replicate(C)}
+
+
+def _replicate_se(means: np.ndarray) -> float:
+    """Standard error of the average of R replicate means, from their sample
+    variance with R - 1 degrees of freedom; 0 for a single replicate."""
+    R = len(means)
+    if R < 2:
+        return 0.0
+    dev = means - means.mean()
+    return math.sqrt(float(dev @ dev) / ((R - 1) * R))
 
 
 def _controlled_mean_se(s: dict, n: int):
     """(mean, standard error, beta, plain standard error) of J over n pairs
-    with the control C regressed out: beta = cov(J, C) / var(C) from the
-    sums, or 0 when var(C) is 0, the mean mean(J) - beta mean(C) and the
-    standard error sqrt(var(J - beta C) / n), where
-    var(J - beta C) = var(J) - beta cov(J, C). With beta = 0 the mean and
-    standard error are the plain ones, bit for bit."""
-    j, plain_se = _mean_se(s, "j", n)
+    with the control C regressed out. beta = cov(J, C) / var(C) comes from
+    the pooled pair sums, or is 0 when var(C) is 0, and the mean is
+    mean(J) - beta mean(C). The standard errors are taken over the
+    replicates: those of the replicate means of J - beta C and of J. With
+    beta = 0 the two are the same, bit for bit."""
+    j, _ = _mean_se(s, "j", n)
     c = s["c"] / n
     var_c = s["c_sq"] / n - c**2
     cov = s["jc"] / n - j * c
     beta = cov / var_c if var_c > 0 else 0.0
-    var = (s["j_sq"] / n - j**2) - beta * cov
-    return j - beta * c, np.sqrt(np.maximum(var, 0.0) / n), float(beta), plain_se
+    rep = n // len(s["j_rep"])
+    controlled = (s["j_rep"] - beta * s["c_rep"]) / rep
+    return (j - beta * c, _replicate_se(controlled), float(beta),
+            _replicate_se(s["j_rep"] / rep))
+
+
+@lru_cache(maxsize=None)
+def _t_threshold(dof: int) -> float:
+    """The |t| a Student-t variable with dof degrees of freedom exceeds at the
+    two-sided rate ``_FALSE_ALARM_RATE`` at which |z| exceeds
+    ``STAT_THRESHOLD``; ``STAT_THRESHOLD`` itself without degrees of freedom.
+
+    P(|T| <= sqrt(dof) tan theta) is a finite series in theta (Abramowitz and
+    Stegun 26.7.3 and 26.7.4), bisected in theta."""
+    if dof < 1:
+        return STAT_THRESHOLD
+
+    def tail(theta: float) -> float:
+        c2, sin = math.cos(theta) ** 2, math.sin(theta)
+        if dof == 1:
+            return 1.0 - 2.0 * theta / math.pi
+        if dof % 2:
+            k = np.arange(1, (dof - 1) // 2)
+            series = 1.0 + np.cumprod(c2 * 2 * k / (2 * k + 1)).sum()
+            return 1.0 - 2.0 / math.pi * (theta + sin * math.cos(theta) * series)
+        k = np.arange(1, dof // 2)
+        return 1.0 - sin * (1.0 + np.cumprod(c2 * (2 * k - 1) / (2 * k)).sum())
+
+    lo, hi = 0.0, math.pi / 2
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if tail(mid) > _FALSE_ALARM_RATE else (lo, mid)
+    return math.sqrt(dof) * math.tan(0.5 * (lo + hi))
 
 
 def _verdict(name: str, z: float, passed, details: str, n_pairs: int, se) -> Verdict:
@@ -489,17 +657,26 @@ class PolicyLeg:
 
 
 class Block:
-    """One tile of a block's antithetic pairs, seen through the running sums W
-    of the normals of its m drawn paths (m x (steps + 1), W[:, 0] = 0); the
-    partner of row i runs on -W[i], which no buffer holds. ``tails`` are the
-    nodes s whose tail sums ``powers`` takes."""
+    """One tile of a block's antithetic pairs, seen through the bridged
+    Brownian paths W of its m drawn paths (m x (steps + 1), W[:, 0] = 0); the
+    partner of row i runs on -W[i], which no buffer holds. ``replicate``
+    holds each row's replicate, of ``n_replicates`` in the pass. ``tails``
+    are the nodes s whose tail sums ``powers`` takes."""
 
     def __init__(self, W: np.ndarray, buffers: _Buffers, leg: Optional[PolicyLeg],
-                 tails: tuple = ()):
+                 tails: tuple = (), replicate: Optional[np.ndarray] = None,
+                 n_replicates: int = 1):
         self.W = W
         self._buffers = buffers
         self._leg = leg
         self._tails = tails
+        self.replicate = np.zeros(len(W), dtype=np.intp) if replicate is None else replicate
+        self.n_replicates = n_replicates
+
+    def by_replicate(self, v: np.ndarray) -> np.ndarray:
+        """The sums of the per-pair values v over each replicate's rows
+        (length ``n_replicates``)."""
+        return np.bincount(self.replicate, weights=v, minlength=self.n_replicates)
 
     def all_paths(self, cols) -> np.ndarray:
         """W[:, cols] of every path of the tile: the drawn rows, then their
@@ -545,13 +722,13 @@ def equilibrium_leg(pol: EquilibriumPolicy, cfg: SimConfig, m: MarketParams,
                      pol.consumption_at(nodes), d.h(nodes - nodes[0]))
 
 
-def _fused_block(estimators: list, leg: Optional[PolicyLeg]) -> Callable:
-    """block(W, buffers): every estimator's sums on one ``Block``, keyed by
-    (estimator index, key), with the tails the estimators declare."""
+def _fused_block(estimators: list, leg: Optional[PolicyLeg], n_replicates: int) -> Callable:
+    """block(W, buffers, replicate): every estimator's sums on one ``Block``,
+    keyed by (estimator index, key), with the tails the estimators declare."""
     tails = tuple(sorted({fn.tail for fn, _ in estimators if hasattr(fn, "tail")}))
 
-    def block(W, buffers):
-        blk = Block(W, buffers, leg, tails)
+    def block(W, buffers, replicate):
+        blk = Block(W, buffers, leg, tails, replicate, n_replicates)
         return {(i, key): value for i, (block_fn, _) in enumerate(estimators)
                 for key, value in block_fn(blk).items()}
 
@@ -565,15 +742,16 @@ def run_estimators(cfg: SimConfig, estimators: list, leg: Optional[PolicyLeg] = 
     to a dict of sums; ``blk.powers`` gives the leg's pair-averaged utility
     functional, its terminal control and per-node X^p sums, formed once per tile for all
     estimators, and the per-path tail sums from node ``block.tail`` on of
-    every block function that has that attribute. ``finish(sums, n_pairs)``
-    turns the sums over all blocks into the result, with n_pairs the number
-    of antithetic pairs (``SimConfig.n_pairs``). W spans the leg's steps, or
-    the whole grid without a leg.
+    every block function that has that attribute; ``blk.by_replicate`` sums
+    per-pair values by replicate. ``finish(sums, n_pairs)`` turns the sums
+    over all blocks into the result, with n_pairs the number of antithetic
+    pairs (``SimConfig.n_pairs``). W spans the leg's steps, or the whole grid
+    without a leg.
     """
     if not estimators:
         return []
     n_sub = cfg.grid.n_steps if leg is None else leg.n_steps
-    sums = _accumulate_blocks(cfg, n_sub, _fused_block(estimators, leg))
+    sums = _accumulate_blocks(cfg, n_sub, _fused_block(estimators, leg, cfg.n_replicates))
     return [finish({key: value for (j, key), value in sums.items() if j == i}, cfg.n_pairs)
             for i, (_, finish) in enumerate(estimators)]
 
@@ -590,7 +768,8 @@ def simulation_estimator(pol: EquilibriumPolicy, g: TimeGrid, leg: PolicyLeg,
     def block(blk):
         J, C, Y_sum, _ = blk.powers
         X_pairs = _cosh(blk.W, leg.vol, blk.scratch(blk.W.shape))
-        out = {**_controlled_sums(J, C), "wealth": X_pairs.sum(axis=0) * (2.0 * wealth_scale),
+        out = {**_controlled_sums(blk, J, C),
+               "wealth": X_pairs.sum(axis=0) * (2.0 * wealth_scale),
                "voh": Y_sum * voh_scale}
         W_T = blk.all_paths(-1)
         for q in moment_orders:
@@ -608,6 +787,7 @@ def simulation_estimator(pol: EquilibriumPolicy, g: TimeGrid, leg: PolicyLeg,
             mean_wealth=s["wealth"] / (2 * n),
             mean_value_over_h=s["voh"] / (2 * n),
             n_pairs=n,
+            n_replicates=len(s["j_rep"]),
         )
 
     return block, finish
@@ -636,14 +816,17 @@ def value_identity_estimator(sol: ValueCurve, u: CrraUtility, t: float, x: float
 
     def block(blk):
         J, C, _, _ = blk.powers
-        return _controlled_sums(J, C)
+        return _controlled_sums(blk, J, C)
 
     def finish(s, n):
         j, se, beta, plain_se = _controlled_mean_se(s, n)
         z = _z(j - target, se)
-        return replace(_verdict("value_identity", z, abs(z) <= STAT_THRESHOLD,
-                                f"J={j:.6g} se={se:.3g} target={target:.6g}", n, se),
-                       control_beta=beta, std_error_uncontrolled=float(plain_se))
+        n_rep = len(s["j_rep"])
+        threshold = _t_threshold(n_rep - 1)
+        return Verdict("value_identity", z, threshold, bool(abs(z) <= threshold),
+                       f"J={j:.6g} se={se:.3g} target={target:.6g}", n, float(se),
+                       control_beta=beta, std_error_uncontrolled=plain_se,
+                       n_replicates=n_rep)
 
     return block, finish
 

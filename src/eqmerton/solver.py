@@ -576,15 +576,21 @@ def differential_form_rhs(
 
 
 def residual_differential_form(
-    sol: ValueCurve, m: MarketParams, u: CrraUtility, d: DiscountSpec
+    sol: ValueCurve, m: MarketParams, u: CrraUtility, d: DiscountSpec,
+    rhs: Optional[np.ndarray] = None,
 ) -> float:
     """Sup-norm, over interior nodes, of lam' (central differences) minus the
     differential-form right-hand side. Its floor is the grid error of the
-    trapezoid-discrete integral equation, not that of the difference quotient."""
+    trapezoid-discrete integral equation, not that of the difference quotient.
+
+    rhs is that right-hand side on sol's nodes when the caller already holds
+    it: a curve from ``picard_solve`` with these m, u and d stores it as its
+    derivative. Without it, it is computed here."""
     g = sol.grid
     if g.n_steps < 3:
         raise ParameterError("need at least 4 grid nodes for the residual")
     lam = sol.values
-    rhs = differential_form_rhs(lam, m, u, d, g)
+    if rhs is None:
+        rhs = differential_form_rhs(lam, m, u, d, g)
     dlam = (lam[2:] - lam[:-2]) / (2.0 * g.dt)
     return float(np.max(np.abs(dlam - rhs[1:-1])))

@@ -359,6 +359,26 @@ def test_cli_import_and_config_load_need_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_verify_and_simulate_need_no_scipy(tmp_path):
+    # the stream's Sobol nets, scrambles and normal quantiles are numpy's
+    # own: a tiny verify and simulate (their verdicts not under test at this
+    # size) import no scipy module
+    ini = write_ini(tmp_path, body=BASE_INI.replace("n_steps = 200", "n_steps = 20")
+                    .replace("n_paths = 5000", "n_paths = 256"))
+    code = ("import sys\nfrom eqmerton import cli\n"
+            f"codes = [cli.main([c, '--config', {str(ini)!r}, '--out', {str(tmp_path)!r} + '/' + c])"
+            " for c in ('verify', 'simulate')]\n"
+            "print(codes[1], sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+    assert (tmp_path / "verify" / "verification.csv").is_file()
+
+
 class TestCliSolve:
     def test_solve_success_and_terminal_row(self, tmp_path):
         ini = write_ini(tmp_path)
@@ -567,8 +587,9 @@ class TestCliVerify:
         assert "dual_pde_residual" in body and "false" not in body
 
     def test_manifest_lists_the_monte_carlo_samples(self, tmp_path):
-        # n_paths = 5001: 2501 antithetic pairs behind every Monte Carlo z (the
-        # verdicts themselves are not under test at this sample size)
+        # n_paths = 5001: 2501 antithetic pairs, rounded up to 40 replicates
+        # of 64, 2560 pairs behind every Monte Carlo z (the verdicts
+        # themselves are not under test at this sample size)
         ini = write_ini(tmp_path, body=BASE_INI.replace("n_paths = 5000", "n_paths = 5001"))
         out = tmp_path / "out"
         cli.main(["verify", "--config", ini, "--out", str(out)])
@@ -576,10 +597,12 @@ class TestCliVerify:
         assert set(samples) == {"value_identity", "martingale_flat",
                                 "submartingale_decreasing", "perturbation_gross_spike",
                                 "perturbation_first_order_stationarity"}
-        assert all(s["n_pairs"] == 2501 and s["std_error"] > 0 for s in samples.values())
-        # only the value identity is taken with the terminal control, and it
-        # records the control's slope and the plain mean's standard error
+        assert all(s["n_pairs"] == 2560 and s["std_error"] > 0 for s in samples.values())
+        # only the value identity is taken with the terminal control, over
+        # the replicates, and it records them, the control's slope and the
+        # plain mean's standard error
         identity = samples.pop("value_identity")
+        assert identity["n_replicates"] == 40
         assert identity["control_beta"] > 0
         assert identity["std_error_uncontrolled"] > 2 * identity["std_error"]
         assert all(set(s) == {"n_pairs", "std_error"} for s in samples.values())
@@ -788,17 +811,20 @@ class TestDefaultWorkerCount:
 
 def test_worker_count_does_not_change_bytes_in_ragged_tiles(tmp_path, monkeypatch):
     # three rows per tile on the 200-step grid; 2500 pairs in eight blocks of
-    # 301 pairs and one of 92, each ending in a ragged tile
+    # 301 pairs and one of 92, each ending in a ragged tile (and replicates of
+    # one pair, the only power of two dividing 301). At 5000 paths the gross
+    # spike's z is about 4 +- 1 over seeds, so verify's exit code is a verdict
+    # of either kind; both worker counts must reach the same one
     monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * 201)
     monkeypatch.setattr(simulate, "_BLOCK_PAIRS", 301)
-    for command in ("simulate", "verify"):
+    for command, allowed in (("simulate", {0}), ("verify", {0, 4})):
         outs, codes = [], set()
         for workers in (1, 8):
             ini = write_ini(tmp_path, extra=f"n_workers = {workers}\n",
                             name=f"{command}{workers}.ini")
             outs.append(tmp_path / f"{command}{workers}")
             codes.add(cli.main([command, "--config", ini, "--out", str(outs[-1])]))
-        assert codes == {0}
+        assert len(codes) == 1 and codes <= allowed
         names = sorted(path.name for path in outs[0].glob("*.csv"))
         assert names
         for name in names:
@@ -815,7 +841,7 @@ class TestCliSimulate:
         assert abs(j - manifest["value_at_start"]) <= 3 * se
         assert manifest["j_control_beta"] > 0
         assert manifest["j_std_error_uncontrolled"] > 2 * se
-        assert manifest["n_pairs"] == 2500
+        assert (manifest["n_pairs"], manifest["n_replicates"]) == (2560, 40)
         body = (out / "simulation.csv").read_text().strip().split("\n")
         assert body[0] == "t,mean_wealth,mean_value_over_h"
         assert len(body) == 202  # header + 201 nodes

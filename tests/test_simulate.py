@@ -1,9 +1,11 @@
 import os
+import statistics
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from dataclasses import replace
 
@@ -32,6 +34,8 @@ from eqmerton.simulate import (
     value_identity_estimator,
     verify_value_identity,
 )
+from eqmerton.rqmc import (BrownianBridge, norm_ppf, scramble, sobol_directions, sobol_points,
+                           to_unit)
 from eqmerton.solver import growth_constant, picard_solve, solve_no_consumption
 
 
@@ -227,13 +231,18 @@ class TestValueIdentity:
         assert not v.passed and abs(v.statistic) > 3.0
 
     def test_std_error_scaling(self, market, utility, hyp_discount, sim_grid,
-                               hyp_policy):
+                               hyp_policy, monkeypatch):
+        # replicates are the independent samples: at a fixed replicate size
+        # (8 pairs here), 4x the paths is 4x the replicates and half the
+        # standard error; a larger replicate integrates better still
         _, pol = hyp_policy
+        monkeypatch.setattr(simulate, "_REPLICATE_PAIRS", 8)
         batches = [
             simulate_equilibrium(pol, sim_cfg(sim_grid, n_paths=n),
                                  market, utility, hyp_discount)
             for n in (1000, 4000)
         ]
+        assert [b.n_replicates for b in batches] == [63, 250]
         ratio = batches[0].j_std_error / batches[1].j_std_error
         assert 1.6 <= ratio <= 2.4  # 1/sqrt(n) within 20%
 
@@ -268,18 +277,47 @@ class TestTerminalControl:
         assert verdict.std_error == verdict.std_error_uncontrolled == se
 
     def test_three_standard_error_gate_keeps_its_false_alarm_rate(self, market, utility,
-                                                                  hyp_discount):
-        # at the nominal two-sided rate of 0.27 %, more than 5 of 400 seeds
-        # beyond |z| = 3 has probability below 0.1 %. Over 4000 seeds the rate
-        # here is 0.80 %, against 0.70 % for the plain mean: at 256 pairs the
-        # skew of J lifts both above the nominal rate
+                                                                  hyp_discount, monkeypatch):
+        # the value identity's z is a t statistic over R replicates, gated at
+        # the Student-t quantile with the two-sided rate of |z| > 3, 0.27 %.
+        # With 8 replicates (7 degrees of freedom, quantile 4.53) |z| > 3
+        # would fire on about 2 % of seeds. Over 3000 seeds the nominal rate
+        # gives 8.1 firings, and more than 18 has probability below 0.1 %;
+        # at three times the rate (24.3 expected) 18 or fewer has 13 %.
+        # The statistic's spread is that of t with 7 degrees of freedom,
+        # sqrt(7 / 5) = 1.18, and the reported standard error matches the
+        # seeds' spread of the estimate
+        monkeypatch.setattr(simulate, "_MIN_REPLICATES", 8)
         g = TimeGrid(horizon=1.0, n_steps=20)
         sol = picard_solve(market, utility, hyp_discount, g)
-        pol = equilibrium_policy(sol, market, utility)
-        z = np.array([verify_value_identity(
-            sol, SimConfig(n_paths=512, seed=seed, grid=g, n_workers=1), market, utility,
-            hyp_discount, t=0.0, x=1.0, policy=pol).statistic for seed in range(400)])
-        assert np.sum(np.abs(z) > STAT_THRESHOLD) <= 5
+        cfg = SimConfig(n_paths=1024, seed=0, grid=g, n_workers=1)
+        assert (cfg.replicate_pairs, cfg.n_replicates) == (64, 8)
+        leg = equilibrium_leg(equilibrium_policy(sol, market, utility), cfg, market, utility,
+                              hyp_discount)
+        est = value_identity_estimator(sol, utility, 0.0, 1.0)
+        verdicts = [run_estimators(replace(cfg, seed=seed), [est], leg)[0]
+                    for seed in range(3000)]
+        threshold = verdicts[0].threshold
+        assert threshold == pytest.approx(4.52997, abs=1e-5)
+        z = np.array([v.statistic for v in verdicts])
+        assert np.sum(np.abs(z) > threshold) <= 18
+        assert [v.passed for v in verdicts] == list(np.abs(z) <= threshold)
+        assert abs(z.mean()) < 4 * 1.18 / np.sqrt(len(z))
+        assert 0.9 * 1.18 < z.std() < 1.1 * 1.18
+        target = sol.values[0] / utility.p
+        estimates = target + z * np.array([v.std_error for v in verdicts])
+        rms_se = np.sqrt(np.mean([v.std_error**2 for v in verdicts]))
+        assert 0.9 < rms_se / estimates.std() < 1.1
+
+    def test_gate_is_the_student_t_quantile_at_the_replicates_degrees_of_freedom(self):
+        from scipy import stats
+
+        # the series' rounding grows with its dof / 2 terms: 2.5e-12 at 9999
+        rate = stats.norm.sf(STAT_THRESHOLD) * 2
+        for dof in (1, 2, 3, 7, 31, 39, 97, 1000, 9999):
+            assert simulate._t_threshold(dof) == pytest.approx(
+                stats.t.isf(rate / 2, dof), rel=1e-11), dof
+        assert simulate._t_threshold(0) == STAT_THRESHOLD
 
 
 class TestMartingale:
@@ -367,14 +405,16 @@ class TestPerturbation:
 
     def test_zero_std_error_keeps_the_sign_of_d(self, market, utility,
                                                 hyp_discount, sim_grid, hyp_policy):
-        # one antithetic pair has se = 0; this spike raises the pair's average
-        # J (D < 0), which must read as -inf, not as a detected loss
+        # one antithetic pair has se = 0; where this spike raises the pair's
+        # average J (D < 0) the z must read as -inf, not as a detected loss
         _, pol = hyp_policy
-        row = perturbation_test(pol, sim_cfg(sim_grid, n_paths=1, seed=0), market,
-                                utility, hyp_discount, t=0.0, epsilons=[0.25],
-                                spike=Spike(zeta=pol.stock_fraction + 1.0))[0]
-        assert row.std_error == 0.0 and row.d_estimate < 0
-        assert row.z == -np.inf
+        rows = [perturbation_test(pol, sim_cfg(sim_grid, n_paths=1, seed=seed), market,
+                                  utility, hyp_discount, t=0.0, epsilons=[0.25],
+                                  spike=Spike(zeta=pol.stock_fraction + 1.0))[0]
+                for seed in range(8)]
+        assert all(row.std_error == 0.0 for row in rows)
+        assert all(row.z == np.copysign(np.inf, row.d_estimate) for row in rows)
+        assert {np.sign(row.d_estimate) for row in rows} == {-1.0, 1.0}
 
     def test_epsilon_ladder_matches_single_widths(self, market, utility, hyp_discount,
                                                   sim_grid, hyp_policy, monkeypatch):
@@ -436,13 +476,18 @@ class TestOnePass:
 # Test-owned oracle: every leg stepped on its own, as a cumulative sum of its
 # log increments, exponentiated, with J as the trapezoid quadrature of
 # h (c X)^p / p plus the bequest. A step's drift takes the trapezoid average
-# of the consumption ratio at its two nodes. Each block draws half its paths'
-# normals and steps the other half on the negated normals; every sample
-# statistic is taken over the pair averages. The control of E[J] is each
-# pair's average stepped X_T^p over the leg's lognormal E[X_T^p], less one.
-# The library instead reads every leg off one running sum of the normals,
-# and its control off that sum's last column; the block sums must agree to
-# rounding.
+# of the consumption ratio at its two nodes. Each block's drawn paths are
+# Brownian paths built as documented, spelled out here apart from the
+# library: their values at the coarse nodes come from each replicate's
+# scrambled Sobol net (scipy's unscrambled points, scrambled point by point)
+# through the standard library's AS241 and the bridge recursion, and in
+# between from the block's SFC64 normals, bridged segment by segment. The
+# partner of each path steps on its negated increments; every sample
+# statistic is taken over the pair averages, per replicate where the library
+# keeps replicate sums. The control of E[J] is each pair's average stepped
+# X_T^p over the leg's lognormal E[X_T^p], less one. The library instead
+# reads every leg off one array of bridged paths, and its control off the
+# last column; the block sums must agree to rounding.
 
 def oracle_log_growth(Z, m, zeta_steps, c_nodes, dt):
     """log(X / x0) at every node: the cumulative sum of the log increments."""
@@ -484,16 +529,92 @@ def stream(seed, b):
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
 
 
+def oracle_uniforms(words, rep, dim):
+    """One replicate: scipy's first rep unscrambled Sobol points in dim
+    coordinates, put in index order (scipy's point g is index g ^ (g >> 1)),
+    each coordinate's 52 digits scrambled as L x ^ e, with L's first m
+    columns (digit c, and the top 52 bits of word c below it) and e taken
+    from the replicate's m + 1 words per coordinate (words: dim x (m + 1));
+    then the centre of each point's interval of width 2^-52."""
+    m = rep.bit_length() - 1
+    words = words >> np.uint64(12)
+    g = np.arange(rep)
+    points = np.empty((rep, dim))
+    points[g ^ (g >> 1)] = qmc.Sobol(dim, scramble=False).random(rep)
+    X = (points * 2.0**52).astype(np.uint64)
+    Y = np.broadcast_to(words[:, m], X.shape).copy()
+    for c in range(m):
+        digit = np.uint64(1 << (51 - c))
+        column = digit | (words[:, c] & (digit - np.uint64(1)))
+        Y ^= np.where(X & digit, column, np.uint64(0))
+    return (Y.astype(np.float64) + 0.5) * 2.0**-52
+
+
+def oracle_coarse_nodes(n_sub):
+    """The documented coarse nodes: N = 2^min(4, floor(log2 n_sub)) of them,
+    s = n_sub // N steps apart, the last at n_sub."""
+    N = 2 ** min(4, int(np.log2(n_sub)))
+    s = n_sub // N
+    return [j * s for j in range(N)] + [n_sub]
+
+
+def oracle_bridge_values(xi, nodes):
+    """W at nodes[1:] from normals xi: the terminal node first, then the
+    midpoints level by level, left to right, each drawing the next
+    coordinate."""
+    N = len(nodes) - 1
+    W = {0: np.zeros(len(xi)), N: np.sqrt(nodes[N]) * xi[:, 0]}
+    d, width = 1, N
+    while width > 1:
+        half = width // 2
+        for mid in range(half, N, width):
+            left, right = mid - half, mid + half
+            tl, tm, tr = nodes[left], nodes[mid], nodes[right]
+            W[mid] = (((tr - tm) * W[left] + (tm - tl) * W[right]) / (tr - tl)
+                      + np.sqrt((tm - tl) * (tr - tm) / (tr - tl)) * xi[:, d])
+            d += 1
+        width = half
+    return np.stack([W[j] for j in range(1, N + 1)], axis=1)
+
+
+def oracle_paths(cfg, n_sub):
+    """The stream's blocks: each block's drawn Brownian paths (rows x
+    (n_sub + 1)) and the pass-wide replicate of each. Block b holds
+    ``simulate._BLOCK_PAIRS`` pairs, up to the rounded-up n_pairs, in
+    replicates of ``cfg.replicate_pairs``. Its generator
+    SFC64(SeedSequence(seed, spawn_key=(b,))) draws first the m + 1 scramble
+    words per coordinate of each replicate in turn, then the fine normals,
+    row by row; each segment between coarse nodes a < b is the coarse chord
+    plus the normals' running sum P less its own chord:
+    W_k = Wc_a + (P_k - P_a) - (k - a) / (b - a) (P_b - P_a - (Wc_b - Wc_a))."""
+    per_block, rep = simulate._BLOCK_PAIRS, cfg.replicate_pairs
+    nodes = oracle_coarse_nodes(n_sub)
+    dim = len(nodes) - 1
+    inv_cdf = np.vectorize(statistics.NormalDist().inv_cdf)
+    for b in range(-(-cfg.n_pairs // per_block)):
+        m_b = min(per_block, cfg.n_pairs - b * per_block)
+        rng = stream(cfg.seed, b)
+        words = rng.bit_generator.random_raw(m_b * dim * rep.bit_length() // rep)
+        P = np.concatenate([np.zeros((m_b, 1)),
+                            np.cumsum(rng.standard_normal((m_b, n_sub)), axis=1)], axis=1)
+        u = np.concatenate([oracle_uniforms(w.reshape(dim, -1), rep, dim)
+                            for w in words.reshape(m_b // rep, -1)])
+        Wc = np.concatenate([np.zeros((m_b, 1)), oracle_bridge_values(inv_cdf(u), nodes)], axis=1)
+        W = np.empty_like(P)
+        W[:, 0] = 0.0
+        for j, (a, e) in enumerate(zip(nodes[:-1], nodes[1:])):
+            f = (np.arange(a + 1, e + 1) - a) / (e - a)
+            W[:, a + 1:e + 1] = (Wc[:, [j]] + (P[:, a + 1:e + 1] - P[:, [a]])
+                                 - f * (P[:, [e]] - P[:, [a]] - (Wc[:, [j + 1]] - Wc[:, [j]])))
+        yield W, (b * per_block + np.arange(m_b)) // rep
+
+
 def oracle_normals(cfg, n_sub):
-    """The stream's blocks of normals: ``simulate._BLOCK_PAIRS`` pairs per
-    block, up to ceil(n_paths / 2) pairs; block b draws the first row of each pair from
-    SFC64(SeedSequence(seed, spawn_key=(b,))), and the second row is its
-    negation."""
-    pairs, per_block = -(-cfg.n_paths // 2), simulate._BLOCK_PAIRS
-    for b in range(-(-pairs // per_block)):
-        m_b = min(per_block, pairs - b * per_block)
-        Z = stream(cfg.seed, b).standard_normal((m_b, n_sub))
-        yield np.concatenate([Z, -Z])
+    """The stream's blocks of increments, drawn paths then their partners'
+    (the negation), with each pair's replicate."""
+    for W, replicate in oracle_paths(cfg, n_sub):
+        Z = np.diff(W, axis=1)
+        yield np.concatenate([Z, -Z]), replicate
 
 
 def pair_average(v):
@@ -502,12 +623,17 @@ def pair_average(v):
 
 
 def oracle_sums(cfg, n_sub, block_fn):
-    """Sums of block_fn(Z) over the stream's blocks, drawn as the library draws them."""
+    """Sums of block_fn(Z, replicate) over the stream's blocks, drawn as the
+    library draws them."""
     total = {}
-    for Z in oracle_normals(cfg, n_sub):
-        for key, value in block_fn(Z).items():
+    for Z, replicate in oracle_normals(cfg, n_sub):
+        for key, value in block_fn(Z, replicate).items():
             total[key] = total.get(key, 0.0) + value
     return total
+
+
+def by_replicate(cfg, replicate, v):
+    return np.bincount(replicate, weights=v, minlength=cfg.n_replicates)
 
 
 def sums_of(est):
@@ -528,14 +654,21 @@ def oracle_leg_sums(pol, cfg, m, u, d, t0, spike, eps):
     zeta_spk, c_spk = zeta.copy(), c.copy()
     zeta_spk[:w], c_spk[:w] = spike.zeta, spike.consumption
 
-    def block(Z):
+    def block(Z, replicate):
         X = oracle_wealth(Z, cfg.x0, m, zeta, c, dt)
         J = oracle_j(X, c, h, dt, p)
         X_spk = oracle_wealth(Z, cfg.x0, m, zeta_spk, c_spk, dt)
         D = (J - oracle_j(X_spk, c_spk, h, dt, p)) / eps
         C = oracle_control(Z, m, zeta, c, dt, p)
+        Jp = pair_average(J)
         out = {"wealth": X.sum(axis=0), "voh": (voh_scale * X**p / p).sum(axis=0),
-               "c": C.sum(), "c_sq": (C**2).sum(), "jc": pair_average(J) @ C}
+               "c": C.sum(), "c_sq": (C**2).sum(), "jc": Jp @ C,
+               "j_rep": by_replicate(cfg, replicate, Jp),
+               "c_rep": by_replicate(cfg, replicate, C),
+               # the magnitude of the signed sums' terms (see assert_sums_match)
+               "c|abs": np.abs(C).sum(), "jc|abs": np.abs(Jp) @ np.abs(C),
+               "j_rep|abs": by_replicate(cfg, replicate, np.abs(Jp)),
+               "c_rep|abs": by_replicate(cfg, replicate, np.abs(C))}
         pairs = {"j": J, "d": D, **{f"m{q}": X[:, -1] ** q for q in (p, 2 * p)}}
         for key, v in pairs.items():
             a = pair_average(v)
@@ -554,7 +687,7 @@ def oracle_grid_sums(nc, cfg, m, u, d):
              / d.h(g.horizon - g.nodes[ck_mart]))
     no_c = np.zeros(g.n_steps + 1)
 
-    def block(Z):
+    def block(Z, replicate):
         out = {}
         for key, zeta in (("eq", stock_fraction(m, u)), ("sub", stock_fraction(m, u) / 2)):
             X = oracle_wealth(Z, cfg.x0, m, np.full(g.n_steps, zeta), no_c, g.dt)
@@ -643,15 +776,21 @@ def assert_leg_sums_match(market, sim_grid, solved, discount, t0):
 
 
 def assert_sums_match(cfg, estimators, leg, expected):
-    """Every sum of the estimators' one pass agrees with the oracle's to 1e-12."""
+    """Every sum of the estimators' one pass agrees with the oracle's to 1e-12,
+    relative to the sum of its terms' magnitudes where the oracle gives it
+    (key + "|abs"): rounding bounds a sum's error by that magnitude, and the
+    signed sums of the control can cancel far below it (a scrambled net
+    integrates a replicate's C almost exactly, and J C averages beta var(C)).
+    Elsewhere the terms have one sign and this is the plain relative 1e-12."""
     results = run_estimators(cfg, [sums_of(e) for e in estimators.values()], leg)
     checked = set()
     for name, sums in zip(estimators, results):
         for key, value in sums.items():
-            np.testing.assert_allclose(value, expected[key], rtol=1e-12,
-                                       err_msg=f"{name} {key}")
+            bound = 1e-12 * np.maximum(np.abs(expected[key]), expected.get(f"{key}|abs", 0.0))
+            assert np.all(np.abs(value - expected[key]) <= bound), \
+                (name, key, np.max(np.abs(value - expected[key]) / bound))
             checked.add(key)
-    assert checked == set(expected)
+    assert checked == {key for key in expected if not key.endswith("|abs")}
 
 
 class TestTiles:
@@ -667,23 +806,36 @@ class TestTiles:
         np.testing.assert_array_equal(np.concatenate(tiles), whole)
 
     def test_pass_tiles_are_the_rows_of_whole_block_draws(self, sim_grid, monkeypatch):
-        # 15 pairs in blocks of 7, 7 and 1; a tile holds whole rows only, three
-        n_sub = sim_grid.n_steps
-        monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * (n_sub + 1) + 2)
-        blocks_of(monkeypatch, 7)
-        cfg = sim_cfg(sim_grid, n_paths=30, seed=4, n_workers=1)
+        # 15 pairs, one per replicate, in blocks of 7, 7 and 1; a tile holds
+        # whole rows only, three
+        assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, 7, [3, 3, 1, 3, 3, 1, 1])
+
+    def test_tiles_need_not_line_up_with_replicates(self, sim_grid, monkeypatch):
+        # 16 pairs in two blocks of 8 and replicates of 2 (rows 0-1, 2-3, ...),
+        # which tiles of three rows split
+        assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, 8, [3, 3, 2, 3, 3, 2])
+
+    def test_bridged_paths_take_each_replicates_coarse_values_exactly(self, monkeypatch):
+        # 4 replicates of 8 pairs on a 37-step leg (16 coarse nodes, 2 steps
+        # apart, the last 7): the nodes carry the replicate's net, mapped
+        # through Phi^{-1} and the bridge, bit for bit, whatever the tiles
+        g = TimeGrid(horizon=1.0, n_steps=37)
+        monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 5 * 38)
+        monkeypatch.setattr(simulate, "_MIN_REPLICATES", 4)
+        cfg = SimConfig(n_paths=64, seed=3, grid=g, n_workers=1)
+        assert (cfg.replicate_pairs, cfg.n_replicates) == (8, 4)
+        bridge = BrownianBridge(37)
         seen = []
-
-        def block(W, _buffers):
-            seen.append(W.copy())
-            return {"rows": len(W)}
-
-        assert simulate._accumulate_blocks(cfg, n_sub, block) == {"rows": 15}
-        assert [len(W) for W in seen] == [3, 3, 1, 3, 3, 1, 1]
-        drawn = [Z[:len(Z) // 2] for Z in oracle_normals(cfg, n_sub)]
+        simulate._accumulate_blocks(cfg, 37, lambda W, _b, _r: seen.append(W.copy()) or {})
         W = np.concatenate(seen)
-        assert np.all(W[:, 0] == 0.0)
-        np.testing.assert_array_equal(W[:, 1:], np.cumsum(np.concatenate(drawn), axis=1))
+        # the block's generator draws 4 words per coordinate for each
+        # replicate in turn, before its normals
+        words = stream(3, 0).bit_generator.random_raw(4 * 16 * 4).reshape(4, 16, 4)
+        for j in range(4):
+            V, shift = scramble(sobol_directions(16, 3), words[j])
+            xi = norm_ppf(to_unit(sobol_points(V, 8) ^ shift))
+            np.testing.assert_array_equal(W[8 * j:8 * (j + 1), bridge.nodes[1:]],
+                                          bridge.coarse(xi))
 
     def test_pass_memory_is_a_few_tiles_whatever_the_block_size(
             self, market, utility, hyp_discount, monkeypatch):
@@ -729,22 +881,58 @@ class TestTiles:
         assert peak < 3 * 8 * simulate._TILE_ELEMENTS, peak
 
 
+def assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, pairs, tiles):
+    """30 paths in blocks of the given pairs and tiles of three rows: the
+    pass's tiles are the rows of the oracle's bridged paths, in order, each
+    with its replicate."""
+    n_sub = sim_grid.n_steps
+    monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * (n_sub + 1) + 2)
+    monkeypatch.setattr(simulate, "_MIN_REPLICATES", 5)
+    blocks_of(monkeypatch, pairs)
+    cfg = sim_cfg(sim_grid, n_paths=30, seed=4, n_workers=1)
+    assert (cfg.replicate_pairs, cfg.n_pairs) == ((1, 15) if pairs == 7 else (2, 16))
+    seen, replicates = [], []
+
+    def block(W, _buffers, replicate):
+        seen.append(W.copy())
+        replicates.append(replicate)
+        return {"rows": len(W)}
+
+    assert simulate._accumulate_blocks(cfg, n_sub, block) == {"rows": cfg.n_pairs}
+    assert [len(W) for W in seen] == tiles
+    paths, expected = zip(*oracle_paths(cfg, n_sub))
+    W = np.concatenate(seen)
+    assert np.all(W[:, 0] == 0.0)
+    np.testing.assert_allclose(W, np.concatenate(paths), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(np.concatenate(replicates), np.concatenate(expected))
+
+
 def pair_stats(a):
     """Mean and standard error of the pair averages a (axis 0 over pairs)."""
     return a.mean(axis=0), a.std(axis=0) / np.sqrt(len(a))
 
 
-def controlled_stats(j, c):
-    """Mean and standard error of the pair averages j with the control c
-    regressed out, and the slope beta = cov(j, c) / var(c)."""
+def controlled_stats(j, c, replicate):
+    """Mean of the pair averages j with the control c regressed out, the
+    slope beta = cov(j, c) / var(c) over the pairs, and the standard error of
+    the replicate means of j - beta c, over replicates with R - 1 degrees of
+    freedom."""
     beta = np.mean((j - j.mean()) * (c - c.mean())) / c.var()
-    return j.mean() - beta * c.mean(), (j - beta * c).std() / np.sqrt(len(j)), beta
+    return j.mean() - beta * c.mean(), replicate_stats(j - beta * c, replicate)[1], beta
+
+
+def replicate_stats(a, replicate):
+    """Mean and standard error of the replicate means of the pair values a."""
+    means = np.bincount(replicate, weights=a) / np.bincount(replicate)
+    return means.mean(), means.std(ddof=1) / np.sqrt(len(means))
 
 
 class TestAntitheticPairs:
     def test_standard_errors_are_taken_over_pairs(self, market, utility, hyp_discount,
                                                   sim_grid, hyp_policy, monkeypatch):
-        # odd n_paths: 1501 pairs in blocks of 512, 512 and 477
+        # odd n_paths: 1501 pairs round up to 47 replicates of 32, 1504 pairs
+        # in blocks of 512, 512 and 480. E[J] takes its standard error over
+        # the replicates, every other check over the pairs
         sol, pol = hyp_policy
         blocks_of(monkeypatch, 512)
         cfg = sim_cfg(sim_grid, n_paths=3001, seed=13)
@@ -769,7 +957,9 @@ class TestAntitheticPairs:
         lam_ck = np.interp(g.nodes[ck_mart], nc.grid.nodes, nc.values)
         mart_scale = lam_ck / p / hyp_discount.h(g.horizon - g.nodes[ck_mart])
         per_pair = {key: [] for key in ("j", "c", "d", "m", "eq", "sub", "y")}
-        for Z in oracle_normals(cfg, g.n_steps):
+        replicates = []
+        for Z, replicate in oracle_normals(cfg, g.n_steps):
+            replicates.append(replicate)
             X = oracle_wealth(Z, cfg.x0, market, zeta, c, dt)
             per_pair["c"].append(oracle_control(Z, market, zeta, c, dt, p))
             J = oracle_j(X, c, h, dt, p)
@@ -784,19 +974,20 @@ class TestAntitheticPairs:
             for key, v in per_path.items():
                 per_pair[key].append(pair_average(v))
         a = {key: np.concatenate(v) for key, v in per_pair.items()}
-        assert len(a["j"]) == cfg.n_pairs == 1501
+        replicate = np.concatenate(replicates)
+        assert len(a["j"]) == cfg.n_pairs == 1504 and batch.n_replicates == 47
 
         # E[J] is taken with the terminal control, the other means plainly
         np.testing.assert_allclose(
             (batch.j_estimate, batch.j_std_error, batch.j_control_beta),
-            controlled_stats(a["j"], a["c"]), rtol=1e-9)
-        np.testing.assert_allclose(batch.j_std_error_uncontrolled, pair_stats(a["j"])[1],
-                                   rtol=1e-9)
+            controlled_stats(a["j"], a["c"], replicate), rtol=1e-9)
+        np.testing.assert_allclose(batch.j_std_error_uncontrolled,
+                                   replicate_stats(a["j"], replicate)[1], rtol=1e-9)
         for key, (mean, se) in (("d", (row.d_estimate, row.std_error)),
                                 ("m", batch.terminal_moments[p])):
             np.testing.assert_allclose((mean, se), pair_stats(a[key]), rtol=1e-9,
                                        err_msg=key)
-        assert batch.n_pairs == row.n_pairs == 1501
+        assert batch.n_pairs == row.n_pairs == 1504
         np.testing.assert_allclose([v.std_error for v in moments],
                                    pair_stats(a["y"])[1], rtol=1e-9)
 
@@ -812,11 +1003,13 @@ class TestAntitheticPairs:
         np.testing.assert_allclose([flat.statistic, flat.std_error], worst, rtol=1e-6)
         np.testing.assert_allclose([decreasing.statistic, decreasing.std_error], weakest,
                                    rtol=1e-6)
-        assert {v.n_pairs for v in (flat, decreasing, *moments)} == {1501}
+        assert {v.n_pairs for v in (flat, decreasing, *moments)} == {1504}
 
     def test_odd_counts_round_up_to_whole_pairs(self, market, utility, hyp_discount,
                                                 sim_grid, hyp_policy, monkeypatch):
-        # n_paths counts paths; an odd count runs one path more
+        # n_paths counts paths; an odd count runs one path more, and the pairs
+        # round up to whole replicates: 1500 pairs ask for replicates of 32
+        # (1500 / 32 = 46.9, at most 1 / 32 of the pairs), 47 of them
         _, pol = hyp_policy
         blocks_of(monkeypatch, 512)
 
@@ -824,10 +1017,29 @@ class TestAntitheticPairs:
             cfg = sim_cfg(sim_grid, n_paths=n_paths)
             return simulate_equilibrium(pol, cfg, market, utility, hyp_discount)
 
-        even, odd = run(3000), run(2999)
-        assert (odd.j_estimate, odd.j_std_error, odd.n_pairs) == \
-            (even.j_estimate, even.j_std_error, 1500)
-        np.testing.assert_array_equal(odd.mean_wealth, even.mean_wealth)
+        even, odd, whole = run(3000), run(2999), run(3008)
+        for other in (odd, whole):
+            assert (other.j_estimate, other.j_std_error, other.n_pairs, other.n_replicates) == \
+                (even.j_estimate, even.j_std_error, 1504, 47)
+            np.testing.assert_array_equal(other.mean_wealth, even.mean_wealth)
         one = run(1)
-        assert one.n_pairs == 1 and one.j_std_error == 0.0
+        assert one.n_pairs == one.n_replicates == 1 and one.j_std_error == 0.0
         assert SimConfig(n_paths=1, seed=0, grid=sim_grid, x0=1.0).n_pairs == 1
+
+    @pytest.mark.parametrize("n_paths, rep", [(1, 1), (2, 1), (64, 1), (128, 2), (1000, 8),
+                                              (40960, 512), (100_000, 512), (10**7, 512)])
+    def test_replicate_size_follows_the_paths(self, sim_grid, n_paths, rep):
+        # the largest power of two up to 512 pairs that leaves at least 32
+        # replicates, or 1; whole replicates fill whole blocks
+        cfg = sim_cfg(sim_grid, n_paths=n_paths)
+        pairs = (n_paths + 1) // 2
+        assert cfg.replicate_pairs == rep and simulate._BLOCK_PAIRS % rep == 0
+        assert cfg.n_replicates == -(-pairs // rep) and cfg.n_pairs == cfg.n_replicates * rep
+        assert cfg.n_replicates >= min(32, pairs)
+
+    def test_a_block_size_without_a_power_of_two_leaves_one_pair_replicates(
+            self, sim_grid, monkeypatch):
+        blocks_of(monkeypatch, 301)
+        assert sim_cfg(sim_grid, n_paths=5000).replicate_pairs == 1
+        blocks_of(monkeypatch, 300)
+        assert sim_cfg(sim_grid, n_paths=5000).replicate_pairs == 4

@@ -542,6 +542,19 @@ class TestResiduals:
             res.append(residual_differential_form(sol, market, utility, hyp_discount))
         assert res[0] / res[1] >= 3.5  # second-order: halving dt ~ quarters it
 
+    @pytest.mark.parametrize("horizon, n", [(1.0, 200), (50.0, 100)])
+    def test_picard_derivative_is_the_differential_form_rhs(self, market, utility,
+                                                            hyp_discount, horizon, n):
+        # the residual may take the Picard curve's stored derivative as its
+        # right-hand side: the same function of the same values, bit for bit
+        g = TimeGrid(horizon=horizon, n_steps=n)
+        sol = picard_solve(market, utility, hyp_discount, g)
+        np.testing.assert_array_equal(
+            sol.derivative, differential_form_rhs(sol.values, market, utility, hyp_discount, g))
+        assert residual_differential_form(sol, market, utility, hyp_discount,
+                                          rhs=sol.derivative) == \
+            residual_differential_form(sol, market, utility, hyp_discount)
+
     def test_differential_form_exponential_kernel_vanishes(self, market, utility,
                                                            grid, exp_discount):
         sol = picard_solve(market, utility, exp_discount, grid, tol=1e-12)
