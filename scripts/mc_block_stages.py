@@ -14,18 +14,16 @@ after the other:
 * rng           normals for the drawn path of each pair from the pass's
                 own block generator (``simulate._block_rng``), drawn into
                 the reused buffer;
-* coarse points W at the 16 coarse bridge nodes of each pair
-                (``simulate._CoarseRows``): the scramble words of the
-                block's replicates from its generator, each replicate's
-                scrambled Sobol net, Phi^{-1}, then the bridge's levels;
-* segment bridges  each segment's running sum of the normals less its
-                chord, one product per segment into W
-                (``rqmc.BrownianBridge.bridges``): what the running sum of
-                all the normals was before the coarse nodes;
-* bridge overlay  the chords through the coarse values, one product with
-                the hat functions in the normals' buffer, added to W
-                (``rqmc.BrownianBridge.overlay``); W is now the Brownian
-                path every log-wealth is affine in;
+* coarse points W at the 16 coarse bridge nodes of each pair: the scramble
+                words of the block's replicates from its generator, then
+                (``simulate._coarse_values``) each replicate's scrambled
+                Sobol net, Phi^{-1} and the bridge's levels;
+* running sum   the running sum of the normals into W;
+* bridge overlay  the running sum bridged onto the coarse values: the
+                interpolation of their gaps, one product with the hat
+                functions in the normals' buffer, added to W, and the coarse
+                values written at the nodes (``rqmc.BrownianBridge.overlay``);
+                W is now the Brownian path every log-wealth is affine in;
 * X^p           exp(p vol W), which is X^p up to per-node factors, into the
                 normals' buffer, then its reciprocal, the partners' X^p;
 * reductions    the utility functional Y @ weights and the per-node sums of
@@ -68,7 +66,7 @@ from eqmerton.simulate import (
     Spike,
     _BLOCK_PAIRS,
     _Buffers,
-    _CoarseRows,
+    _coarse_values,
     _block_rng,
     _bridge,
     _checkpoints,
@@ -126,12 +124,15 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
     bridge, rep = _bridge(n_steps), cfg.replicate_pairs
 
     def coarse_points():
-        return _CoarseRows(_block_rng(42, 0), cfg.n_pairs, rep, bridge).rows(0, cfg.n_pairs)
+        per_dim = rep.bit_length()
+        words = _block_rng(42, 0).bit_generator.random_raw(
+            cfg.n_pairs // rep * bridge.dim * per_dim).reshape(-1, bridge.dim, per_dim)
+        return _coarse_values(words, rep, bridge, np.empty((cfg.n_pairs, bridge.dim)))
 
     Wc = coarse_points()
 
-    def segment_bridges():
-        bridge.bridges(Z, W)
+    def running_sum():
+        np.cumsum(Z, axis=1, out=W[:, 1:])
 
     def overlay():
         bridge.overlay(Wc, W, buffers.get("z", W.shape))
@@ -159,14 +160,14 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
 
     row = {}
     for name, fn in (("rng", rng), ("coarse points", coarse_points),
-                     ("segment bridges", segment_bridges), ("bridge overlay", overlay),
+                     ("running sum", running_sum), ("bridge overlay", overlay),
                      ("X^p", powers),
                      ("reductions", reductions), ("control", control),
                      ("wealth cosh", wealth), ("checkpoints", checkpoint_columns)):
         row[name] = best_ms(fn, repeats)
 
     rng()
-    segment_bridges()
+    running_sum()
     overlay()
     nc = solve_no_consumption(m, u, d, g)
     moments = (u.p, 2 * u.p)

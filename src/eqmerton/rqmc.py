@@ -203,15 +203,16 @@ def norm_ppf(u: np.ndarray) -> np.ndarray:
 
 
 # OpenBLAS runs a product of more than 2^18 multiply-adds on its own threads,
-# and called from the pass's worker threads those oversubscribe the CPUs (a
-# 1000-step pass of 10^5 paths ran in 1.4 s against 0.55 s), so the bridge
-# forms its products in row chunks at most this size, each on its caller
+# and called from the pass's worker threads those oversubscribe the CPUs: a
+# tile's product with the hat functions (16 x 2^18 multiply-adds) took
+# 6.8-12 ms that way against 0.3 ms in row chunks on one thread, so the
+# overlay forms it in row chunks at most this size, each on its caller
 _SERIAL_MULTIPLY_ADDS = 2**18
 
 
 def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """a @ b into out, in row chunks of at most ``_SERIAL_MULTIPLY_ADDS``
-    multiply-adds each."""
+    multiply-adds each (one row at least)."""
     step = max(1, _SERIAL_MULTIPLY_ADDS // b.size)
     for r in range(0, len(a), step):
         np.matmul(a[r:r + step], b, out=out[r:r + step])
@@ -227,9 +228,9 @@ class BrownianBridge:
     of them on a path of fewer than 16 steps, where s = 1. ``coarse`` builds
     W at those nodes from N normals, terminal node first and then the
     midpoints level by level, so the leading coordinates carry the path's
-    large-scale moves. The path through those values is each segment's
-    chord (``overlay``) plus the fine normals' bridge on it (``bridges``),
-    which is independent of the chord."""
+    large-scale moves. ``path`` fills in the steps between the nodes with the
+    fine normals' bridge on each segment, which is independent of the
+    coarse values."""
 
     def __init__(self, n_steps: int):
         if n_steps < 1:
@@ -256,13 +257,6 @@ class BrownianBridge:
                 d += 1
             width = half
         self._bridge = M[:, 1:]
-        # each segment's bridge of its normals: the running sum less its
-        # chord, sum_{t < i} Z_t - (i / L) sum_{t < L} Z_t at its steps
-        # i = 1..L, as a product with an L x L matrix (exactly 0 at i = L)
-        self._segments = list(zip(self.nodes[:-1], self.nodes[1:]))
-        lengths = {b - a for a, b in self._segments}
-        self._residual = {L: (np.arange(L)[:, None] < np.arange(1, L + 1)).astype(np.float64)
-                          - np.arange(1, L + 1) / L for L in lengths}
         # hats[j - 1] rises from node j - 1 to node j and falls to node j + 1:
         # the piecewise-linear interpolation of values at nodes 1..N
         steps = np.arange(n_steps + 1)
@@ -276,20 +270,22 @@ class BrownianBridge:
         times the next coordinate."""
         return np.matmul(xi, self._bridge, out=out)
 
-    def bridges(self, Z: np.ndarray, W: np.ndarray) -> None:
-        """W (rows x (n_steps + 1), W_0 = 0): each segment's bridge of the
-        normals Z (rows x n_steps), its running sum less its chord, one
-        product per segment, exactly 0 at every node. As products these
-        release the GIL, where a running sum over a few hundred rows does
-        not, and on short segments they cost less."""
+    def path(self, Z: np.ndarray, Wc: np.ndarray, W: np.ndarray, scratch: np.ndarray) -> None:
+        """W (rows x (n_steps + 1), W_0 = 0) through the coarse values Wc
+        (rows x N, nodes 1..N) with the normals Z (rows x n_steps) bridged in
+        between: the running sum of Z, then ``overlay``. scratch, of W's
+        shape, may share Z's memory."""
         W[:, 0] = 0.0
-        for a, b in self._segments:
-            _matmul_rows(Z[:, a:b], self._residual[b - a], W[:, a + 1:b + 1])
+        np.cumsum(Z, axis=1, out=W[:, 1:])
+        self.overlay(Wc, W, scratch)
 
     def overlay(self, Wc: np.ndarray, W: np.ndarray, scratch: np.ndarray) -> None:
-        """Add to W the chords through the coarse values Wc (rows x N, nodes
-        1..N), the piecewise-linear interpolation between the nodes: one
-        product with the hat functions, formed in scratch (of W's shape). The
-        hats are exactly 1 and 0 at the nodes, so after ``bridges`` W there
-        takes the coarse values exactly."""
-        W += _matmul_rows(Wc, self._hats, scratch)
+        """Bridge the running sum W onto the coarse values Wc: add the
+        piecewise-linear interpolation of Wc - W from the nodes, one product
+        with the hat functions formed in scratch (of W's shape). On each
+        segment W is then the sum's bridge plus the chord of Wc. The sum
+        reaches the coarse values only to rounding, so they are then written
+        at the nodes, which W takes exactly."""
+        nodes = self.nodes[1:]
+        W += _matmul_rows(Wc - W[:, nodes], self._hats, scratch)
+        W[:, nodes] = Wc

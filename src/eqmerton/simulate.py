@@ -9,7 +9,7 @@ expectation of the discrete utility functional equals lam(t) x^p / p of the
 discrete solution, and the checks below sample no time-discretization bias.
 
 Randomness is keyed per block: paths are processed in blocks of
-``_BLOCK_PAIRS`` antithetic pairs and block b draws from its own generator,
+``_BLOCK_PAIRS`` = 2048 antithetic pairs and block b draws from its own generator,
 ``SFC64(SeedSequence(seed, spawn_key=(b,)))`` (``_block_rng``), so every path
 is a deterministic function of (seed, its block, its row) regardless of how
 many workers process the blocks. Block partials are combined by pairwise
@@ -28,8 +28,11 @@ net of Joe and Kuo's Sobol sequence, scrambled by a random linear matrix and
 a digital shift (``rqmc.scramble``) whose words the block's generator draws,
 replicate by replicate, before its normals. 2^k is the largest power of two
 up to ``_REPLICATE_PAIRS`` = 512 that leaves at least ``_MIN_REPLICATES`` =
-32 replicates (and divides ``_BLOCK_PAIRS``), and n_paths rounds up to whole
-replicates: ``SimSettings.n_pairs``. Each point of a scrambled net is
+32 replicates, but at least ``_MIN_REPLICATE_PAIRS`` = 32 (below 64 pairs,
+half the pairs: two replicates); n_paths rounds up to whole replicates
+(``SimSettings.n_pairs``), and a block holds whole replicates, so a block
+size that is not a multiple of 2^k rounds down to one
+(``SimSettings.block_pairs``). Each point of a scrambled net is
 uniform, so each pair is, on its own, an exact antithetic pair of Brownian
 paths; within a replicate the points are stratified, one in each of the 2^k
 intervals of every coordinate, so a replicate's mean of a smooth functional
@@ -40,10 +43,13 @@ A block is drawn and processed in tiles of consecutive rows, each at most
 ``_TILE_ELEMENTS`` float64 elements: each tile continues the block's stream
 where the previous one left off, so the draws are those of the whole block,
 and every estimator's sums add over rows, so a block's sums are its tiles'
-added in row order. Tiles need not line up with replicates: a sum by
-replicate is a length-R array, added like any other. The block size fixes
-only the partition of the stream and the grain of the parallel work; a
-worker thread holds two tile-sized buffers, whatever the grid.
+added in row order. A tile holds whole replicates, or part of one where a
+replicate has more rows than a tile: a sum by replicate is a length-R array,
+added like any other. The block size fixes only the partition of the stream
+and the grain of the parallel work; a worker thread holds two tile-sized
+buffers, whatever the grid, and the coarse values of the replicates its
+current tile runs through (at most 2048 x 16 floats, 256 kB, in a block of
+``_BLOCK_PAIRS``).
 
 Paths come in antithetic pairs (Glasserman 2004, section 4.2): a block of m
 pairs forms m drawn paths W; the partner of each drawn path runs on -W,
@@ -181,11 +187,12 @@ _BLOCK_PAIRS = 2048
 # pairs, and a pass aims for at least _MIN_REPLICATES of them
 _REPLICATE_PAIRS = 512
 _MIN_REPLICATES = 32
+# and at least _MIN_REPLICATE_PAIRS: J is skewed, and in smaller replicates
+# the value identity's gate fired on twice its nominal rate (0.53 % of seeds
+# at 8 pairs)
+_MIN_REPLICATE_PAIRS = 32
 # the bridge of each leg length, built once
 _bridge = lru_cache(maxsize=16)(BrownianBridge)
-# pairs whose coarse values a block forms at a time, whole replicates: 64 kB
-# of values, and about five times that in temporaries
-_COARSE_PAIRS = _REPLICATE_PAIRS
 # float64 elements in a tile of a block's rows, 2 MiB per buffer: a pass holds
 # two such buffers per worker thread, whatever the grid
 _TILE_ELEMENTS = 2**18
@@ -198,7 +205,7 @@ class SimSettings:
 
     n_paths counts paths. They run as antithetic pairs, in replicates of
     ``replicate_pairs`` pairs, and n_paths rounds up to whole replicates
-    (``n_pairs`` pairs in all), which run in blocks of ``_BLOCK_PAIRS``.
+    (``n_pairs`` pairs in all), which run in blocks of ``block_pairs``.
     n_workers = 0 runs one worker thread per CPU the process may run on
     (``worker_count``)."""
 
@@ -220,11 +227,21 @@ class SimSettings:
     @property
     def replicate_pairs(self) -> int:
         """Pairs in a replicate: the largest power of two that is at most
-        ``_REPLICATE_PAIRS``, at most 1 / ``_MIN_REPLICATES`` of the pairs
-        n_paths asks for (but at least 1), and divides ``_BLOCK_PAIRS``."""
-        cap = min(_REPLICATE_PAIRS, max(1, (self.n_paths + 1) // 2 // _MIN_REPLICATES),
-                  _BLOCK_PAIRS & -_BLOCK_PAIRS)
-        return 1 << (cap.bit_length() - 1)
+        ``_BLOCK_PAIRS`` and 1 / ``_MIN_REPLICATES`` of the pairs n_paths asks
+        for, but at least ``_MIN_REPLICATE_PAIRS``; and never more than
+        ``_REPLICATE_PAIRS`` or half those pairs (one at least), so that
+        there are two replicates wherever there are two pairs."""
+        pairs = (self.n_paths + 1) // 2
+        size = max(_MIN_REPLICATE_PAIRS, min(_BLOCK_PAIRS, pairs // _MIN_REPLICATES))
+        size = min(size, _REPLICATE_PAIRS, max(1, pairs // 2))
+        return 1 << (size.bit_length() - 1)
+
+    @property
+    def block_pairs(self) -> int:
+        """Pairs in a full block: ``_BLOCK_PAIRS`` rounded down to whole
+        replicates, one replicate at least."""
+        rep = self.replicate_pairs
+        return max(rep, _BLOCK_PAIRS - _BLOCK_PAIRS % rep)
 
     @property
     def n_replicates(self) -> int:
@@ -236,7 +253,7 @@ class SimSettings:
 
     @property
     def n_blocks(self) -> int:
-        return -(-self.n_pairs // _BLOCK_PAIRS)
+        return -(-self.n_pairs // self.block_pairs)
 
     def worker_count(self) -> int:
         """Worker threads of a pass: n_workers, or for 0 the number of CPUs
@@ -339,37 +356,17 @@ def _replicate_normals(words: np.ndarray, rep: int, dim: int) -> np.ndarray:
     return norm_ppf(u).reshape(-1, dim)
 
 
-class _CoarseRows:
-    """W at the bridge's coarse nodes for the m_b pairs of a block, whose
-    generator rng draws every replicate's scramble words, in replicate
-    order, before the block's normals. Tiles ask for consecutive ranges of
-    rows; the values are formed in whole replicates, ``_COARSE_PAIRS`` pairs
-    at a time, at least as many as a range needs (fewer calls into numpy
-    between the tiles' passes, which leave the cache cold), and those a
-    range has not reached yet are kept for the next."""
-
-    def __init__(self, rng: np.random.Generator, m_b: int, rep: int, bridge: BrownianBridge):
-        self._m_b, self._rep, self._bridge = m_b, rep, bridge
-        per_dim = rep.bit_length()  # m + 1 words: m columns and the shift
-        self._words = rng.bit_generator.random_raw(m_b // rep * bridge.dim * per_dim).reshape(
-            m_b // rep, bridge.dim, per_dim)
-        self._first, self._rows = 0, np.empty((0, bridge.dim))  # rows from pair _first on
-
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        end = self._first + len(self._rows)
-        if stop > end:
-            rep, kept = self._rep, self._rows[start - self._first:]
-            upto = min(self._m_b, -(-max(stop, end + _COARSE_PAIRS) // rep) * rep)
-            rows = np.empty((len(kept) + upto - end, self._bridge.dim))
-            rows[:len(kept)] = kept
-            # in chunks of whole replicates, which bound the temporaries
-            step = max(_COARSE_PAIRS, rep)
-            for lo in range(end, upto, step):
-                hi = min(lo + step, upto)
-                xi = _replicate_normals(self._words[lo // rep:hi // rep], rep, self._bridge.dim)
-                self._bridge.coarse(xi, out=rows[lo - start:hi - start])
-            self._first, self._rows = start, rows
-        return self._rows[start - self._first:stop - self._first]
+def _coarse_values(words: np.ndarray, rep: int, bridge: BrownianBridge,
+                   out: np.ndarray) -> np.ndarray:
+    """W at the bridge's coarse nodes (len(words) * rep x dim) of whole
+    replicates of rep pairs, from each replicate's scramble words, into out;
+    formed ``_REPLICATE_PAIRS`` pairs at a time, which bounds the temporaries
+    and keeps each product with the bridge on its caller's thread."""
+    per_chunk = _REPLICATE_PAIRS // rep
+    for k in range(0, len(words), per_chunk):
+        xi = _replicate_normals(words[k:k + per_chunk], rep, bridge.dim)
+        bridge.coarse(xi, out=out[k * rep:k * rep + len(xi)])
+    return out
 
 
 def _add(a: dict, b: dict) -> dict:
@@ -419,17 +416,21 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> 
     tile, and combine the sums.
 
     Block b holds m antithetic pairs, whole replicates of
-    ``cfg.replicate_pairs``, and stores only their drawn paths, at most
+    ``cfg.replicate_pairs`` (``cfg.block_pairs`` of them but the last), and
+    stores only their drawn paths, at most
     ``_TILE_ELEMENTS // (n_sub_steps + 1)`` of them (at least one) at a
     time. The block's generator ``_block_rng(seed, b)`` first draws the
-    scramble words of the block's replicates (``_CoarseRows``). For each
-    tile of rows in turn, the tile's normals are drawn from it where the
-    previous tile's left off, and W (rows x (n_sub_steps + 1), W[:, 0] = 0)
-    is the Brownian path through the rows' coarse values with those normals
-    bridged in between (``BrownianBridge.bridges`` and ``overlay``); the
-    partner of row i runs on -W[i]. ``replicate`` holds each row's replicate, numbered over the
-    whole pass. The normals were drawn into buffer "z", which has room for
-    W's shape and which block_fn may overwrite. A block's sums are its tiles' added in row
+    scramble words of the block's replicates. Their coarse values are formed
+    (``_coarse_values``) a span of whole replicates at a time, so that their
+    memory does not grow with the block: as many as a tile holds, or one
+    replicate, which tiles of fewer rows split. For each tile of rows in
+    turn, the tile's normals are drawn from it where the previous tile's left
+    off, and W (rows x (n_sub_steps + 1), W[:, 0] = 0) is the Brownian path
+    through the rows' coarse values with those normals bridged in between
+    (``BrownianBridge.path``); the partner of row i runs on -W[i].
+    ``replicate`` holds each row's replicate, numbered over the whole pass.
+    The normals were drawn into buffer "z", which has room for W's shape and
+    which block_fn may overwrite. A block's sums are its tiles' added in row
     order, and the blocks' are combined pairwise in block order as they
     arrive. The blocks run on ``cfg.worker_count()`` threads, each with its
     own two tile-sized buffers.
@@ -437,27 +438,35 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> 
     local = threading.local()
     tile_rows = max(1, _TILE_ELEMENTS // (n_sub_steps + 1))
     bridge = _bridge(n_sub_steps)
-    rep = cfg.replicate_pairs
+    rep, per_block = cfg.replicate_pairs, cfg.block_pairs
+    # pairs whose coarse values are formed at once: the whole replicates a
+    # tile holds, or the one replicate that a tile of fewer rows splits
+    span = max(rep, tile_rows - tile_rows % rep)
 
     def run(b: int) -> dict:
         if not hasattr(local, "buffers"):
             local.buffers = _Buffers()
         buffers = local.buffers
-        m_b = min(_BLOCK_PAIRS, cfg.n_pairs - b * _BLOCK_PAIRS)
+        m_b = min(per_block, cfg.n_pairs - b * per_block)
         rng = _block_rng(int(cfg.seed), b)
-        coarse = _CoarseRows(rng, m_b, rep, bridge)
+        per_dim = rep.bit_length()  # m + 1 words: m columns and the shift
+        words = rng.bit_generator.random_raw(m_b // rep * bridge.dim * per_dim).reshape(
+            m_b // rep, bridge.dim, per_dim)
         total = None
-        for start in range(0, m_b, tile_rows):
-            W = buffers.get("w", (min(tile_rows, m_b - start), n_sub_steps + 1))
-            Z = rng.standard_normal(out=buffers.get("z", (len(W), n_sub_steps),
-                                                    reserve=W.size))
-            Wc = coarse.rows(start, start + len(W))
-            bridge.bridges(Z, W)
-            # Z is read: its buffer is the chords' scratch
-            bridge.overlay(Wc, W, buffers.get("z", W.shape))
-            first = b * _BLOCK_PAIRS + start
-            sums = block_fn(W, buffers, np.arange(first, first + len(W)) // rep)
-            total = sums if total is None else {k: total[k] + v for k, v in sums.items()}
+        for lo in range(0, m_b, span):
+            hi = min(lo + span, m_b)
+            coarse = _coarse_values(words[lo // rep:hi // rep], rep, bridge,
+                                    buffers.get("c", (hi - lo, bridge.dim)))
+            for start in range(lo, hi, tile_rows):
+                W = buffers.get("w", (min(tile_rows, hi - start), n_sub_steps + 1))
+                Z = rng.standard_normal(out=buffers.get("z", (len(W), n_sub_steps),
+                                                        reserve=W.size))
+                # the product's scratch is Z's buffer, read before it is written
+                bridge.path(Z, coarse[start - lo:start - lo + len(W)], W,
+                            buffers.get("z", W.shape))
+                first = b * per_block + start
+                sums = block_fn(W, buffers, np.arange(first, first + len(W)) // rep)
+                total = sums if total is None else {k: total[k] + v for k, v in sums.items()}
         return total
 
     workers = cfg.worker_count()

@@ -127,9 +127,11 @@ class TestBrownianBridge:
         P = np.concatenate([np.zeros((rows, 1)), np.cumsum(Z, axis=1)], axis=1)
         Wc = bridge.coarse(rng.standard_normal((rows, bridge.dim)))
         W = np.full((rows, n_steps + 1), np.nan)
-        bridge.bridges(Z, W)
-        assert np.all(W[:, bridge.nodes] == 0.0)
-        bridge.overlay(Wc, W, np.empty_like(W))
+        # as in a pass, the product's scratch shares the normals' memory
+        buffer = np.full(rows * (n_steps + 1), np.nan)
+        normals = buffer[:Z.size].reshape(Z.shape)
+        normals[:] = Z
+        bridge.path(normals, Wc, W, buffer.reshape(W.shape))
         assert np.array_equal(W[:, bridge.nodes[1:]], Wc) and np.all(W[:, 0] == 0.0)
         # each segment: the coarse chord plus the normals' running sum less
         # its own chord

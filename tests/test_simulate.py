@@ -270,28 +270,30 @@ class TestTerminalControl:
         sums, batch, verdict = run_estimators(
             cfg, [sums_of(sim), sim, value_identity_estimator(sol, utility, 0.0, cfg.x0)], leg)
         assert sums["c"] == sums["c_sq"] == 0.0
-        mean, se = _mean_se(sums, "j", cfg.n_pairs)
+        # the plain mean, and the standard error of the plain replicate means
+        mean = _mean_se(sums, "j", cfg.n_pairs)[0]
+        se = simulate._replicate_se(sums["j_rep"] / cfg.replicate_pairs)
         assert batch.j_control_beta == verdict.control_beta == 0.0
         assert (batch.j_estimate, batch.j_std_error, batch.j_std_error_uncontrolled) == \
             (mean, se, se)
         assert verdict.std_error == verdict.std_error_uncontrolled == se
 
     def test_three_standard_error_gate_keeps_its_false_alarm_rate(self, market, utility,
-                                                                  hyp_discount, monkeypatch):
+                                                                  hyp_discount):
         # the value identity's z is a t statistic over R replicates, gated at
         # the Student-t quantile with the two-sided rate of |z| > 3, 0.27 %.
-        # With 8 replicates (7 degrees of freedom, quantile 4.53) |z| > 3
-        # would fire on about 2 % of seeds. Over 3000 seeds the nominal rate
-        # gives 8.1 firings, and more than 18 has probability below 0.1 %;
-        # at three times the rate (24.3 expected) 18 or fewer has 13 %.
-        # The statistic's spread is that of t with 7 degrees of freedom,
+        # 512 paths take the default sizing, 8 replicates of 32 pairs (7
+        # degrees of freedom, quantile 4.53), where |z| > 3 would fire on
+        # about 2 % of seeds. Over 3000 seeds the nominal rate gives 8.1
+        # firings, and more than 18 has probability below 0.1 %; at three
+        # times the rate (24.3 expected) 18 or fewer has 13 %. The
+        # statistic's spread is that of t with 7 degrees of freedom,
         # sqrt(7 / 5) = 1.18, and the reported standard error matches the
         # seeds' spread of the estimate
-        monkeypatch.setattr(simulate, "_MIN_REPLICATES", 8)
         g = TimeGrid(horizon=1.0, n_steps=20)
         sol = picard_solve(market, utility, hyp_discount, g)
-        cfg = SimConfig(n_paths=1024, seed=0, grid=g, n_workers=1)
-        assert (cfg.replicate_pairs, cfg.n_replicates) == (64, 8)
+        cfg = SimConfig(n_paths=512, seed=0, grid=g, n_workers=1)
+        assert (cfg.replicate_pairs, cfg.n_replicates) == (32, 8)
         leg = equilibrium_leg(equilibrium_policy(sol, market, utility), cfg, market, utility,
                               hyp_discount)
         est = value_identity_estimator(sol, utility, 0.0, 1.0)
@@ -580,14 +582,14 @@ def oracle_bridge_values(xi, nodes):
 def oracle_paths(cfg, n_sub):
     """The stream's blocks: each block's drawn Brownian paths (rows x
     (n_sub + 1)) and the pass-wide replicate of each. Block b holds
-    ``simulate._BLOCK_PAIRS`` pairs, up to the rounded-up n_pairs, in
-    replicates of ``cfg.replicate_pairs``. Its generator
+    ``cfg.block_pairs`` pairs, up to the rounded-up n_pairs, in replicates of
+    ``cfg.replicate_pairs``. Its generator
     SFC64(SeedSequence(seed, spawn_key=(b,))) draws first the m + 1 scramble
     words per coordinate of each replicate in turn, then the fine normals,
     row by row; each segment between coarse nodes a < b is the coarse chord
     plus the normals' running sum P less its own chord:
     W_k = Wc_a + (P_k - P_a) - (k - a) / (b - a) (P_b - P_a - (Wc_b - Wc_a))."""
-    per_block, rep = simulate._BLOCK_PAIRS, cfg.replicate_pairs
+    per_block, rep = cfg.block_pairs, cfg.replicate_pairs
     nodes = oracle_coarse_nodes(n_sub)
     dim = len(nodes) - 1
     inv_cdf = np.vectorize(statistics.NormalDist().inv_cdf)
@@ -808,20 +810,27 @@ class TestTiles:
     def test_pass_tiles_are_the_rows_of_whole_block_draws(self, sim_grid, monkeypatch):
         # 15 pairs, one per replicate, in blocks of 7, 7 and 1; a tile holds
         # whole rows only, three
-        assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, 7, [3, 3, 1, 3, 3, 1, 1])
+        assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, 7, 1, (15, 1),
+                                          [3, 3, 1, 3, 3, 1, 1])
 
-    def test_tiles_need_not_line_up_with_replicates(self, sim_grid, monkeypatch):
-        # 16 pairs in two blocks of 8 and replicates of 2 (rows 0-1, 2-3, ...),
-        # which tiles of three rows split
-        assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, 8, [3, 3, 2, 3, 3, 2])
+    def test_tiles_split_replicates_longer_than_a_tile(self, sim_grid, monkeypatch):
+        # 16 pairs in two blocks of 8 and replicates of 4 (rows 0-3, 4-7, ...),
+        # each split by tiles of three rows into three and one
+        assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, 8, 4, (16, 4), [3, 1] * 4)
+
+    def test_tiles_hold_whole_replicates(self, sim_grid, monkeypatch):
+        # 16 pairs in two blocks of 8 and replicates of 2: a tile of three rows
+        # holds one replicate, two rows
+        assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, 8, 2, (16, 2), [2] * 8)
 
     def test_bridged_paths_take_each_replicates_coarse_values_exactly(self, monkeypatch):
         # 4 replicates of 8 pairs on a 37-step leg (16 coarse nodes, 2 steps
         # apart, the last 7): the nodes carry the replicate's net, mapped
         # through Phi^{-1} and the bridge, bit for bit, whatever the tiles
+        # (here five rows and three of each replicate)
         g = TimeGrid(horizon=1.0, n_steps=37)
         monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 5 * 38)
-        monkeypatch.setattr(simulate, "_MIN_REPLICATES", 4)
+        monkeypatch.setattr(simulate, "_MIN_REPLICATE_PAIRS", 8)
         cfg = SimConfig(n_paths=64, seed=3, grid=g, n_workers=1)
         assert (cfg.replicate_pairs, cfg.n_replicates) == (8, 4)
         bridge = BrownianBridge(37)
@@ -881,16 +890,19 @@ class TestTiles:
         assert peak < 3 * 8 * simulate._TILE_ELEMENTS, peak
 
 
-def assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, pairs, tiles):
-    """30 paths in blocks of the given pairs and tiles of three rows: the
-    pass's tiles are the rows of the oracle's bridged paths, in order, each
-    with its replicate."""
+def assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, pairs, rep, counts, tiles):
+    """30 paths in blocks of the given pairs, replicates of at most rep pairs
+    and tiles of three rows: counts are the pass's (pairs, replicate pairs),
+    tiles the rows of each tile, and the tiles are the rows of the oracle's
+    bridged paths, in order, each with its replicate."""
     n_sub = sim_grid.n_steps
     monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * (n_sub + 1) + 2)
-    monkeypatch.setattr(simulate, "_MIN_REPLICATES", 5)
+    monkeypatch.setattr(simulate, "_MIN_REPLICATE_PAIRS", 1)
+    monkeypatch.setattr(simulate, "_MIN_REPLICATES", 1)
+    monkeypatch.setattr(simulate, "_REPLICATE_PAIRS", rep)
     blocks_of(monkeypatch, pairs)
     cfg = sim_cfg(sim_grid, n_paths=30, seed=4, n_workers=1)
-    assert (cfg.replicate_pairs, cfg.n_pairs) == ((1, 15) if pairs == 7 else (2, 16))
+    assert (cfg.n_pairs, cfg.replicate_pairs) == counts
     seen, replicates = [], []
 
     def block(W, _buffers, replicate):
@@ -1026,20 +1038,26 @@ class TestAntitheticPairs:
         assert one.n_pairs == one.n_replicates == 1 and one.j_std_error == 0.0
         assert SimConfig(n_paths=1, seed=0, grid=sim_grid, x0=1.0).n_pairs == 1
 
-    @pytest.mark.parametrize("n_paths, rep", [(1, 1), (2, 1), (64, 1), (128, 2), (1000, 8),
+    @pytest.mark.parametrize("n_paths, rep", [(1, 1), (2, 1), (4, 1), (32, 8), (63, 16),
+                                              (64, 16), (127, 32), (512, 32), (4096, 64),
                                               (40960, 512), (100_000, 512), (10**7, 512)])
     def test_replicate_size_follows_the_paths(self, sim_grid, n_paths, rep):
         # the largest power of two up to 512 pairs that leaves at least 32
-        # replicates, or 1; whole replicates fill whole blocks
+        # replicates, but at least 32 pairs, and at most half of them: two
+        # replicates or more wherever there are two pairs. Whole replicates
+        # fill whole blocks
         cfg = sim_cfg(sim_grid, n_paths=n_paths)
         pairs = (n_paths + 1) // 2
-        assert cfg.replicate_pairs == rep and simulate._BLOCK_PAIRS % rep == 0
+        assert cfg.replicate_pairs == rep and cfg.block_pairs == simulate._BLOCK_PAIRS
         assert cfg.n_replicates == -(-pairs // rep) and cfg.n_pairs == cfg.n_replicates * rep
-        assert cfg.n_replicates >= min(32, pairs)
+        assert cfg.n_replicates >= min(32, pairs // 32 if pairs >= 64 else 2, pairs)
 
-    def test_a_block_size_without_a_power_of_two_leaves_one_pair_replicates(
-            self, sim_grid, monkeypatch):
-        blocks_of(monkeypatch, 301)
-        assert sim_cfg(sim_grid, n_paths=5000).replicate_pairs == 1
-        blocks_of(monkeypatch, 300)
-        assert sim_cfg(sim_grid, n_paths=5000).replicate_pairs == 4
+    @pytest.mark.parametrize("block, rep, per_block", [(301, 64, 256), (300, 64, 256),
+                                                       (64, 64, 64), (16, 32, 32)])
+    def test_a_block_holds_whole_replicates(self, sim_grid, monkeypatch, block, rep, per_block):
+        # 2500 pairs: replicates of 64, or as many as a block holds, but at
+        # least 32; a block rounds down to whole replicates, one at least
+        blocks_of(monkeypatch, block)
+        cfg = sim_cfg(sim_grid, n_paths=5000)
+        assert (cfg.replicate_pairs, cfg.block_pairs) == (rep, per_block)
+        assert cfg.n_blocks == -(-cfg.n_pairs // per_block)
