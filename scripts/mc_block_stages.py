@@ -14,10 +14,11 @@ after the other:
 * rng           normals for the drawn path of each pair from the pass's
                 own block generator (``simulate._block_rng``), drawn into
                 the reused buffer;
-* coarse points W at the 16 coarse bridge nodes of each pair: the scramble
-                words of the block's replicates from its generator, then
-                (``simulate._coarse_values``) each replicate's scrambled
-                Sobol net, Phi^{-1} and the bridge's levels;
+* coarse points W at the 16 coarse bridge nodes of each pair: the shift
+                words of the block's replicates from its generator, then,
+                as a tile forms them, each row's point of the shared Sobol
+                net, its replicate's digital shift
+                (``rqmc.shifted_points``), Phi^{-1} and the bridge's levels;
 * running sum   the running sum of the normals into W;
 * bridge overlay  the running sum bridged onto the coarse values: the
                 interpolation of their gaps, one product with the hat
@@ -60,13 +61,13 @@ from eqmerton import (
     picard_solve,
     solve_no_consumption,
 )
+from eqmerton.rqmc import norm_ppf, shifted_points, sobol_net
 from eqmerton.simulate import (
     Block,
     SimConfig,
     Spike,
     _BLOCK_PAIRS,
     _Buffers,
-    _coarse_values,
     _block_rng,
     _bridge,
     _checkpoints,
@@ -122,12 +123,11 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
         _block_rng(42, 0).standard_normal(out=Z)
 
     bridge, rep = _bridge(n_steps), cfg.replicate_pairs
+    net, rows = sobol_net(bridge.dim, rep.bit_length() - 1), np.arange(cfg.n_pairs)
 
     def coarse_points():
-        per_dim = rep.bit_length()
-        words = _block_rng(42, 0).bit_generator.random_raw(
-            cfg.n_pairs // rep * bridge.dim * per_dim).reshape(-1, bridge.dim, per_dim)
-        return _coarse_values(words, rep, bridge, np.empty((cfg.n_pairs, bridge.dim)))
+        words = _block_rng(42, 0).bit_generator.random_raw((cfg.n_pairs // rep, bridge.dim))
+        return bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
 
     Wc = coarse_points()
 

@@ -2,13 +2,14 @@
 
 Four pieces, numpy only:
 
-* ``sobol_directions`` and ``sobol_points``: the Sobol sequence of Joe and
-  Kuo (2008, direction numbers new-joe-kuo-6.21201) in up to 16 dimensions,
-  as 52-bit integers;
-* ``scramble``: Matousek's linear matrix scramble plus a digital shift
-  (Owen 1997; Matousek 1998), applied to the direction numbers, so each
-  point of a scrambled net is uniform on [0, 1)^d and a net of 2^m points
-  keeps one point in each of the 2^m equal intervals of every coordinate;
+* ``sobol_directions``, ``sobol_points`` and ``sobol_net``: the Sobol
+  sequence of Joe and Kuo (2008, direction numbers new-joe-kuo-6.21201) in
+  up to 16 dimensions, as 52-bit integers, each net of 2^m points built once;
+* ``shifted_points``: replicates of a net randomized by a random digital
+  shift alone (L'Ecuyer and Lemieux, "Recent advances in randomized
+  quasi-Monte Carlo methods", 2002), so each point is uniform on [0, 1)^d
+  and each replicate keeps one point in each of the 2^m equal intervals of
+  every coordinate; every replicate shares the one unrandomized net;
 * ``norm_ppf``: the normal quantile of Wichura's algorithm AS241 (1988),
   evaluated on arrays, which ``statistics.NormalDist.inv_cdf`` evaluates on
   one number;
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -53,15 +53,9 @@ _JOE_KUO = (
     (6, 16, (1, 3, 1, 13, 27, 49)),
 )
 
-_ONE = np.uint64(1)
 _SHIFT = np.uint64(64 - BITS)  # a random 64-bit word's top BITS bits
-# digit c of a point, counted from the most significant, is bit BITS - 1 - c
-_DIGIT_BITS = np.uint64(BITS - 1) - np.arange(BITS, dtype=np.uint64)
-_DIAGONAL = _ONE << _DIGIT_BITS
-_BELOW = _DIAGONAL - _ONE  # the digits less significant than digit c
 
 
-@lru_cache(maxsize=None)
 def sobol_directions(dim: int, m: int) -> np.ndarray:
     """Direction numbers v_{d,k} = m_{d,k} / 2^k, k = 1..m, of the first dim
     coordinates, as BITS-bit integers (dim x m): all a net of 2^m points
@@ -82,48 +76,45 @@ def sobol_directions(dim: int, m: int) -> np.ndarray:
                         new ^= mk[k - i] << i
                 mk.append(new)
         V[d] = [mk[k] << (BITS - 1 - k) for k in range(m)]
-    V.flags.writeable = False
     return V
 
 
 def sobol_points(V: np.ndarray, n: int) -> np.ndarray:
     """The first n = 2^m points of the net with direction numbers V
-    (... x dim x m), as integers (... x n x dim): point i is the XOR of v_k
-    over the set bits k of i, so points 2^k .. 2^{k+1} - 1 are the first
-    2^k XOR v_k. This is the set of ``scipy.stats.qmc.Sobol``'s first n
-    points, which come in Gray-code order: its point i is point i ^ (i >> 1)
-    here."""
-    X = np.zeros(V.shape[:-2] + (n, V.shape[-2]), dtype=np.uint64)
+    (dim x m), as integers (n x dim): point i is the XOR of v_k over the set
+    bits k of i, so points 2^k .. 2^{k+1} - 1 are the first 2^k XOR v_k.
+    This is the set of ``scipy.stats.qmc.Sobol``'s first n points, which come
+    in Gray-code order: its point i is point i ^ (i >> 1) here."""
+    X = np.zeros((n, len(V)), dtype=np.uint64)
     size = 1
     while size < n:
         k = size.bit_length() - 1
-        np.bitwise_xor(X[..., :size, :], V[..., None, :, k], out=X[..., size:2 * size, :])
+        np.bitwise_xor(X[:size], V[:, k], out=X[size:2 * size])
         size *= 2
     return X
 
 
-def scramble(V: np.ndarray, words: np.ndarray):
-    """Scrambled direction numbers and digital shift (L V, e), from random
-    64-bit words (... x dim x (m + 1)) for direction numbers V
-    (... x dim x m).
+@lru_cache(maxsize=None)
+def sobol_net(dim: int, m: int) -> np.ndarray:
+    """The unrandomized net of 2^m points in dim coordinates (2^m x dim),
+    built once and read-only."""
+    X = sobol_points(sobol_directions(dim, m), 1 << m)
+    X.flags.writeable = False
+    return X
 
-    Each coordinate gets a random lower-triangular binary matrix L with a
-    unit diagonal: digit r of L x is digit r of x plus a random choice of the
-    digits above it, over GF(2). Its column c holds digit c and random
-    digits below. A point's scrambled value is L x ^ e, with e a random
-    shift of all BITS digits. L is linear, so L x is the XOR of L v_k over
-    the bits of x's index, and the scramble acts on V alone; the first m
-    direction numbers have no digits beyond digit m - 1, so only the first m
-    columns of L, drawn from the first m words, ever act. A triangular L with
-    a unit diagonal maps the leading m digits one to one, so a net keeps one
-    point in each of the 2^m intervals of a coordinate, and the shift makes
-    each point uniform."""
-    m = V.shape[-1]
-    columns = ((words[..., :m] >> _SHIFT) & _BELOW[:m]) | _DIAGONAL[:m]
-    # digit c of each v_k (... x dim x c x k) selects column c of L
-    digits = (V[..., None, :] >> _DIGIT_BITS[:m, None]) & _ONE
-    LV = np.bitwise_xor.reduce(digits * columns[..., :, None], axis=-2)
-    return LV, words[..., m] >> _SHIFT
+
+def shifted_points(net: np.ndarray, words: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Points ``rows`` of the net's randomized replicates, as floats in
+    (0, 1) (rows x dim): point i is point i % 2^m of net (2^m x dim) XOR the
+    digital shift of replicate i // 2^m, the top BITS bits of that
+    replicate's random 64-bit words (words: replicates x dim, one per
+    coordinate; L'Ecuyer and Lemieux 2002). The shift permutes the 2^m equal
+    intervals of each coordinate, so a replicate keeps one point in each,
+    and it makes each point uniform."""
+    rep = len(net)
+    X = net[rows % rep]
+    X ^= words[rows // rep] >> _SHIFT
+    return to_unit(X)
 
 
 def to_unit(X: np.ndarray) -> np.ndarray:
@@ -206,7 +197,9 @@ def norm_ppf(u: np.ndarray) -> np.ndarray:
 # and called from the pass's worker threads those oversubscribe the CPUs: a
 # tile's product with the hat functions (16 x 2^18 multiply-adds) took
 # 6.8-12 ms that way against 0.3 ms in row chunks on one thread, so the
-# overlay forms it in row chunks at most this size, each on its caller
+# overlay and the coarse values (16 x 16 multiply-adds per row, up to 2048
+# rows in a tile) form their products in row chunks at most this size, each
+# on its caller
 _SERIAL_MULTIPLY_ADDS = 2**18
 
 
@@ -263,12 +256,12 @@ class BrownianBridge:
         self._hats = np.stack([np.interp(steps, self.nodes, np.eye(N + 1)[j])
                                for j in range(1, N + 1)])
 
-    def coarse(self, xi: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """W at nodes 1..N (rows x N) from normals xi (rows x N), into out if
-        given: W at node N is sqrt(n_steps) xi_0, and each midpoint is its
-        neighbours' linear interpolation plus the bridge's standard deviation
-        times the next coordinate."""
-        return np.matmul(xi, self._bridge, out=out)
+    def coarse(self, xi: np.ndarray) -> np.ndarray:
+        """W at nodes 1..N (rows x N) from normals xi (rows x N): W at node N
+        is sqrt(n_steps) xi_0, and each midpoint is its neighbours' linear
+        interpolation plus the bridge's standard deviation times the next
+        coordinate."""
+        return _matmul_rows(xi, self._bridge, np.empty((len(xi), self.dim)))
 
     def path(self, Z: np.ndarray, Wc: np.ndarray, W: np.ndarray, scratch: np.ndarray) -> None:
         """W (rows x (n_steps + 1), W_0 = 0) through the coarse values Wc

@@ -17,39 +17,44 @@ summation in block order, making results bit-identical across worker counts.
 
 Each drawn path is an exact Brownian path built in two scales (randomized
 quasi-Monte Carlo on a Brownian bridge; Glasserman, Monte Carlo Methods in
-Financial Engineering, 2004, section 5.5; Owen, Ann. Statist. 25, 1997).
+Financial Engineering, 2004, section 5.5; L'Ecuyer and Lemieux, "Recent
+advances in randomized quasi-Monte Carlo methods", 2002).
 Its values at 16 coarse nodes (every n // 16 steps and the last; all nodes
 on a leg of fewer than 16 steps, ``rqmc.BrownianBridge``) are the bridge
 construction, terminal node first, of 16 normals Phi^{-1}(u) of a point u of
-a scrambled Sobol net, and between the nodes it follows the running sum of
+a randomized Sobol net, and between the nodes it follows the running sum of
 the block's SFC64 normals less its chord on each segment. A replicate is
-``replicate_pairs`` = 2^k consecutive pairs of a block, the 2^k points of one
-net of Joe and Kuo's Sobol sequence, scrambled by a random linear matrix and
-a digital shift (``rqmc.scramble``) whose words the block's generator draws,
-replicate by replicate, before its normals. 2^k is the largest power of two
-up to ``_REPLICATE_PAIRS`` = 512 that leaves at least ``_MIN_REPLICATES`` =
-32 replicates, but at least ``_MIN_REPLICATE_PAIRS`` = 32 (below 64 pairs,
-half the pairs: two replicates); n_paths rounds up to whole replicates
-(``SimSettings.n_pairs``), and a block holds whole replicates, so a block
-size that is not a multiple of 2^k rounds down to one
-(``SimSettings.block_pairs``). Each point of a scrambled net is
-uniform, so each pair is, on its own, an exact antithetic pair of Brownian
-paths; within a replicate the points are stratified, one in each of the 2^k
-intervals of every coordinate, so a replicate's mean of a smooth functional
-varies far less than 2^k independent pairs' would, and replicates are
-independent of one another.
+``replicate_pairs`` = 2^k consecutive pairs of a block, the 2^k points of
+the one net of Joe and Kuo's Sobol sequence that every replicate shares
+(``rqmc.sobol_net``), each XOR the replicate's random digital shift
+(``rqmc.shifted_points``): one word per coordinate, which the block's
+generator draws, replicate by replicate, before its normals. 2^k is the
+largest power of two up to ``_REPLICATE_PAIRS`` = 512 that leaves at least
+``_MIN_REPLICATES`` = 32 replicates, but at least ``_MIN_REPLICATE_PAIRS`` =
+32 (below 64 pairs, half the pairs: two replicates); n_paths rounds up to
+whole replicates (``SimSettings.n_pairs``), and a block holds whole
+replicates, so a block size that is not a multiple of 2^k rounds down to one
+(``SimSettings.block_pairs``). Each point of a shifted net is uniform, so
+each pair is, on its own, an exact antithetic pair of Brownian paths; within
+a replicate the points are stratified, one in each of the 2^k intervals of
+every coordinate, so a replicate's mean of a smooth functional varies far
+less than 2^k independent pairs' would, and replicates are independent of
+one another. A random linear matrix scramble on top of the shift (Matousek
+1998) gained nothing here: the relative standard error of E[J] read 3.1e-4
+with it and 2.2e-4 without at 512 paths on 20 steps (T = 1, mean over 4000
+seeds), and 1.15e-5 and 1.18e-5 over 18 runs of the benchmark's simulate
+inputs.
 
 A block is drawn and processed in tiles of consecutive rows, each at most
 ``_TILE_ELEMENTS`` float64 elements: each tile continues the block's stream
 where the previous one left off, so the draws are those of the whole block,
-and every estimator's sums add over rows, so a block's sums are its tiles'
-added in row order. A tile holds whole replicates, or part of one where a
-replicate has more rows than a tile: a sum by replicate is a length-R array,
-added like any other. The block size fixes only the partition of the stream
-and the grain of the parallel work; a worker thread holds two tile-sized
-buffers, whatever the grid, and the coarse values of the replicates its
-current tile runs through (at most 2048 x 16 floats, 256 kB, in a block of
-``_BLOCK_PAIRS``).
+and each tile forms the coarse values of its own rows from their points of
+the net and their replicates' shifts. Every estimator's sums add over rows,
+so a block's sums are its tiles' added in row order; a tile may cut across
+replicates, since a sum by replicate is a length-R array, added like any
+other. The block size fixes only the partition of the stream and the grain
+of the parallel work; a worker thread holds two tile-sized buffers,
+whatever the grid.
 
 Paths come in antithetic pairs (Glasserman 2004, section 4.2): a block of m
 pairs forms m drawn paths W; the partner of each drawn path runs on -W,
@@ -112,10 +117,10 @@ from the pooled pair sums (beta = 0 when var(C) = 0, as on a leg without
 stock): the estimate is mean(J) - beta mean(C), with its standard error over
 the replicate means of J - beta C. Taking beta from the same pass biases the
 mean by O(1 / n_pairs), which shrinks faster than the standard error. The
-control removes most of what the scrambled nets leave: on the benchmark's
+control removes most of what the shifted nets leave: on the benchmark's
 simulate input (1000 steps, 40 replicates of 512 pairs) the replicate
-standard error is about 1e-5 of E[J] with the control and 4e-5 without it,
-against 7.3e-5 for the controlled mean of independent antithetic pairs.
+standard error is about 1.1e-5 of E[J] with the control and 2.6e-5 without
+it, against 7.3e-5 for the controlled mean of independent antithetic pairs.
 
 J is dominated by the bequest and the late nodes, which follow X_T^p
 closely, so the control removes most of J's variance on short horizons and
@@ -151,7 +156,7 @@ import numpy as np
 
 from .model import CrraUtility, DiscountSpec, MarketParams, ParameterError, TimeGrid
 from .policy import EquilibriumPolicy, equilibrium_policy, stock_fraction
-from .rqmc import BrownianBridge, norm_ppf, scramble, sobol_directions, sobol_points, to_unit
+from .rqmc import BrownianBridge, norm_ppf, shifted_points, sobol_net
 from .solver import ValueCurve
 
 __all__ = [
@@ -183,7 +188,7 @@ _FALSE_ALARM_RATE = math.erfc(STAT_THRESHOLD / math.sqrt(2.0))
 # antithetic pairs in a block: the partition of the random stream and the
 # grain of the parallel work
 _BLOCK_PAIRS = 2048
-# a replicate, one scrambled Sobol net of pairs, holds at most this many
+# a replicate, one shifted Sobol net of pairs, holds at most this many
 # pairs, and a pass aims for at least _MIN_REPLICATES of them
 _REPLICATE_PAIRS = 512
 _MIN_REPLICATES = 32
@@ -343,32 +348,6 @@ def _block_rng(seed: int, b: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
 
 
-def _replicate_normals(words: np.ndarray, rep: int, dim: int) -> np.ndarray:
-    """The normals (replicates * rep x dim) that place the coarse nodes of
-    replicates of rep = 2^m pairs: each is the net of rep points in dim Sobol
-    coordinates, scrambled with its m + 1 words per coordinate (words:
-    replicates x dim x (m + 1)) and mapped through Phi^{-1}."""
-    V, shift = scramble(sobol_directions(dim, rep.bit_length() - 1), words)
-    X = sobol_points(V, rep)
-    X ^= shift[:, None, :]
-    u = to_unit(X)
-    del X
-    return norm_ppf(u).reshape(-1, dim)
-
-
-def _coarse_values(words: np.ndarray, rep: int, bridge: BrownianBridge,
-                   out: np.ndarray) -> np.ndarray:
-    """W at the bridge's coarse nodes (len(words) * rep x dim) of whole
-    replicates of rep pairs, from each replicate's scramble words, into out;
-    formed ``_REPLICATE_PAIRS`` pairs at a time, which bounds the temporaries
-    and keeps each product with the bridge on its caller's thread."""
-    per_chunk = _REPLICATE_PAIRS // rep
-    for k in range(0, len(words), per_chunk):
-        xi = _replicate_normals(words[k:k + per_chunk], rep, bridge.dim)
-        bridge.coarse(xi, out=out[k * rep:k * rep + len(xi)])
-    return out
-
-
 def _add(a: dict, b: dict) -> dict:
     return {k: a[k] + b[k] for k in a}
 
@@ -420,13 +399,12 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> 
     stores only their drawn paths, at most
     ``_TILE_ELEMENTS // (n_sub_steps + 1)`` of them (at least one) at a
     time. The block's generator ``_block_rng(seed, b)`` first draws the
-    scramble words of the block's replicates. Their coarse values are formed
-    (``_coarse_values``) a span of whole replicates at a time, so that their
-    memory does not grow with the block: as many as a tile holds, or one
-    replicate, which tiles of fewer rows split. For each tile of rows in
-    turn, the tile's normals are drawn from it where the previous tile's left
-    off, and W (rows x (n_sub_steps + 1), W[:, 0] = 0) is the Brownian path
-    through the rows' coarse values with those normals bridged in between
+    digital shifts of the block's replicates, one word per replicate and
+    coordinate. For each tile of rows in turn, the tile's normals are drawn
+    from it where the previous tile's left off, the rows' coarse values are
+    formed from their points of the shared net (``rqmc.shifted_points``),
+    and W (rows x (n_sub_steps + 1), W[:, 0] = 0) is the Brownian path
+    through them with those normals bridged in between
     (``BrownianBridge.path``); the partner of row i runs on -W[i].
     ``replicate`` holds each row's replicate, numbered over the whole pass.
     The normals were drawn into buffer "z", which has room for W's shape and
@@ -439,9 +417,7 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> 
     tile_rows = max(1, _TILE_ELEMENTS // (n_sub_steps + 1))
     bridge = _bridge(n_sub_steps)
     rep, per_block = cfg.replicate_pairs, cfg.block_pairs
-    # pairs whose coarse values are formed at once: the whole replicates a
-    # tile holds, or the one replicate that a tile of fewer rows splits
-    span = max(rep, tile_rows - tile_rows % rep)
+    net = sobol_net(bridge.dim, rep.bit_length() - 1)
 
     def run(b: int) -> dict:
         if not hasattr(local, "buffers"):
@@ -449,24 +425,18 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> 
         buffers = local.buffers
         m_b = min(per_block, cfg.n_pairs - b * per_block)
         rng = _block_rng(int(cfg.seed), b)
-        per_dim = rep.bit_length()  # m + 1 words: m columns and the shift
-        words = rng.bit_generator.random_raw(m_b // rep * bridge.dim * per_dim).reshape(
-            m_b // rep, bridge.dim, per_dim)
+        words = rng.bit_generator.random_raw((m_b // rep, bridge.dim))
         total = None
-        for lo in range(0, m_b, span):
-            hi = min(lo + span, m_b)
-            coarse = _coarse_values(words[lo // rep:hi // rep], rep, bridge,
-                                    buffers.get("c", (hi - lo, bridge.dim)))
-            for start in range(lo, hi, tile_rows):
-                W = buffers.get("w", (min(tile_rows, hi - start), n_sub_steps + 1))
-                Z = rng.standard_normal(out=buffers.get("z", (len(W), n_sub_steps),
-                                                        reserve=W.size))
-                # the product's scratch is Z's buffer, read before it is written
-                bridge.path(Z, coarse[start - lo:start - lo + len(W)], W,
-                            buffers.get("z", W.shape))
-                first = b * per_block + start
-                sums = block_fn(W, buffers, np.arange(first, first + len(W)) // rep)
-                total = sums if total is None else {k: total[k] + v for k, v in sums.items()}
+        for start in range(0, m_b, tile_rows):
+            W = buffers.get("w", (min(tile_rows, m_b - start), n_sub_steps + 1))
+            Z = rng.standard_normal(out=buffers.get("z", (len(W), n_sub_steps),
+                                                    reserve=W.size))
+            rows = np.arange(start, start + len(W))
+            coarse = bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
+            # the product's scratch is Z's buffer, read before it is written
+            bridge.path(Z, coarse, W, buffers.get("z", W.shape))
+            sums = block_fn(W, buffers, (b * per_block + rows) // rep)
+            total = sums if total is None else {k: total[k] + v for k, v in sums.items()}
         return total
 
     workers = cfg.worker_count()

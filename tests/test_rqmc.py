@@ -8,8 +8,9 @@ from eqmerton.rqmc import (
     BITS,
     BrownianBridge,
     norm_ppf,
-    scramble,
+    shifted_points,
     sobol_directions,
+    sobol_net,
     sobol_points,
     to_unit,
 )
@@ -36,43 +37,31 @@ class TestSobol:
 
     @pytest.mark.parametrize("m", [0, 1, 5, 9])
     def test_every_scrambled_net_puts_one_point_in_each_interval(self, m):
-        V = sobol_directions(16, m)
-        for seed in range(20):
-            Vs, shift = scramble(V, random_words(seed, (16, m + 1)))
-            u = to_unit(sobol_points(Vs, 2**m) ^ shift)
+        # 20 replicates, each the net XOR its own digital shift
+        net = sobol_net(16, m)
+        words = random_words(m, (20, 16))
+        for r in range(20):
+            u = shifted_points(net, words, np.arange(r * 2**m, (r + 1) * 2**m))
             assert np.all((u > 0) & (u < 1))
             cells = np.sort(np.floor(u * 2**m).astype(int), axis=0)
             np.testing.assert_array_equal(cells, np.arange(2**m)[:, None].repeat(16, 1))
 
-    @pytest.mark.parametrize("m", [1, 3, 6])
-    def test_scrambling_the_directions_scrambles_each_point(self, m):
-        # the documented scramble, applied to each point digit by digit:
-        # L's column c holds digit c and the top BITS bits of word c below it
-        dim = 5
-        words = random_words(m, (dim, m + 1))
-        Vs, shift = scramble(sobol_directions(dim, m), words)
-        got = sobol_points(Vs, 2**m) ^ shift
-        points = sobol_points(sobol_directions(dim, m), 2**m)
-        for d in range(dim):
-            columns = []
-            for c in range(BITS):
-                diagonal = 1 << (BITS - 1 - c)
-                random = int(words[d, c]) >> (64 - BITS) if c < m else 0
-                columns.append(diagonal | (random & (diagonal - 1)))
-            for i in range(2**m):
-                x, y = int(points[i, d]), int(words[d, m]) >> (64 - BITS)
-                for c in range(BITS):
-                    if x >> (BITS - 1 - c) & 1:
-                        assert c < m
-                        y ^= columns[c]
-                assert int(got[i, d]) == y
+    def test_shifted_points_are_the_net_xor_each_replicates_word(self):
+        # rows 3..20 of replicates of 8 points: row i is point i % 8 XOR the
+        # top BITS bits of replicate i // 8's word for that coordinate
+        net, words, rows = sobol_net(5, 3), random_words(1, (3, 5)), np.arange(3, 21)
+        points = sobol_points(sobol_directions(5, 3), 8)
+        for i, u in zip(rows, shifted_points(net, words, rows)):
+            shift = [int(w) >> (64 - BITS) for w in words[i // 8]]
+            expected = [(int(x) ^ e) for x, e in zip(points[i % 8], shift)]
+            np.testing.assert_array_equal(u, (np.array(expected, dtype=float) + 0.5) * 2.0**-BITS)
+        assert not net.flags.writeable and sobol_net(5, 3) is net
 
     def test_a_shift_makes_each_point_uniform(self):
-        # the first point of an unscrambled net is 0; over many scrambles its
+        # the first point of an unrandomized net is 0; over many shifts its
         # first coordinate spreads evenly over (0, 1)
-        V = sobol_directions(1, 3)
-        first = [to_unit(sobol_points(Vs, 8) ^ e)[0, 0]
-                 for Vs, e in (scramble(V, random_words(s, (1, 4))) for s in range(4000))]
+        first = shifted_points(sobol_net(1, 3), random_words(0, (4000, 1)),
+                               np.arange(0, 8 * 4000, 8))[:, 0]
         counts = np.histogram(first, bins=10, range=(0, 1))[0]
         assert counts.min() > 330 and counts.max() < 470, counts
 

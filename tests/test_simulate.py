@@ -34,8 +34,7 @@ from eqmerton.simulate import (
     value_identity_estimator,
     verify_value_identity,
 )
-from eqmerton.rqmc import (BrownianBridge, norm_ppf, scramble, sobol_directions, sobol_points,
-                           to_unit)
+from eqmerton.rqmc import BrownianBridge, norm_ppf, sobol_directions, sobol_points, to_unit
 from eqmerton.solver import growth_constant, picard_solve, solve_no_consumption
 
 
@@ -481,7 +480,8 @@ class TestOnePass:
 # of the consumption ratio at its two nodes. Each block's drawn paths are
 # Brownian paths built as documented, spelled out here apart from the
 # library: their values at the coarse nodes come from each replicate's
-# scrambled Sobol net (scipy's unscrambled points, scrambled point by point)
+# digitally shifted Sobol net (scipy's unrandomized points, shifted point by
+# point)
 # through the standard library's AS241 and the bridge recursion, and in
 # between from the block's SFC64 normals, bridged segment by segment. The
 # partner of each path steps on its negated increments; every sample
@@ -532,24 +532,16 @@ def stream(seed, b):
 
 
 def oracle_uniforms(words, rep, dim):
-    """One replicate: scipy's first rep unscrambled Sobol points in dim
+    """One replicate: scipy's first rep unrandomized Sobol points in dim
     coordinates, put in index order (scipy's point g is index g ^ (g >> 1)),
-    each coordinate's 52 digits scrambled as L x ^ e, with L's first m
-    columns (digit c, and the top 52 bits of word c below it) and e taken
-    from the replicate's m + 1 words per coordinate (words: dim x (m + 1));
-    then the centre of each point's interval of width 2^-52."""
-    m = rep.bit_length() - 1
-    words = words >> np.uint64(12)
+    each coordinate's 52 digits XOR the digital shift e, the top 52 bits of
+    the replicate's word for that coordinate (words: dim); then the centre of
+    each point's interval of width 2^-52."""
     g = np.arange(rep)
     points = np.empty((rep, dim))
     points[g ^ (g >> 1)] = qmc.Sobol(dim, scramble=False).random(rep)
     X = (points * 2.0**52).astype(np.uint64)
-    Y = np.broadcast_to(words[:, m], X.shape).copy()
-    for c in range(m):
-        digit = np.uint64(1 << (51 - c))
-        column = digit | (words[:, c] & (digit - np.uint64(1)))
-        Y ^= np.where(X & digit, column, np.uint64(0))
-    return (Y.astype(np.float64) + 0.5) * 2.0**-52
+    return ((X ^ (words >> np.uint64(12))).astype(np.float64) + 0.5) * 2.0**-52
 
 
 def oracle_coarse_nodes(n_sub):
@@ -584,8 +576,8 @@ def oracle_paths(cfg, n_sub):
     (n_sub + 1)) and the pass-wide replicate of each. Block b holds
     ``cfg.block_pairs`` pairs, up to the rounded-up n_pairs, in replicates of
     ``cfg.replicate_pairs``. Its generator
-    SFC64(SeedSequence(seed, spawn_key=(b,))) draws first the m + 1 scramble
-    words per coordinate of each replicate in turn, then the fine normals,
+    SFC64(SeedSequence(seed, spawn_key=(b,))) draws first the shift word of
+    each coordinate of each replicate in turn, then the fine normals,
     row by row; each segment between coarse nodes a < b is the coarse chord
     plus the normals' running sum P less its own chord:
     W_k = Wc_a + (P_k - P_a) - (k - a) / (b - a) (P_b - P_a - (Wc_b - Wc_a))."""
@@ -596,11 +588,11 @@ def oracle_paths(cfg, n_sub):
     for b in range(-(-cfg.n_pairs // per_block)):
         m_b = min(per_block, cfg.n_pairs - b * per_block)
         rng = stream(cfg.seed, b)
-        words = rng.bit_generator.random_raw(m_b * dim * rep.bit_length() // rep)
+        words = rng.bit_generator.random_raw(m_b // rep * dim)
         P = np.concatenate([np.zeros((m_b, 1)),
                             np.cumsum(rng.standard_normal((m_b, n_sub)), axis=1)], axis=1)
-        u = np.concatenate([oracle_uniforms(w.reshape(dim, -1), rep, dim)
-                            for w in words.reshape(m_b // rep, -1)])
+        u = np.concatenate([oracle_uniforms(w, rep, dim)
+                            for w in words.reshape(m_b // rep, dim)])
         Wc = np.concatenate([np.zeros((m_b, 1)), oracle_bridge_values(inv_cdf(u), nodes)], axis=1)
         W = np.empty_like(P)
         W[:, 0] = 0.0
@@ -781,7 +773,7 @@ def assert_sums_match(cfg, estimators, leg, expected):
     """Every sum of the estimators' one pass agrees with the oracle's to 1e-12,
     relative to the sum of its terms' magnitudes where the oracle gives it
     (key + "|abs"): rounding bounds a sum's error by that magnitude, and the
-    signed sums of the control can cancel far below it (a scrambled net
+    signed sums of the control can cancel far below it (a randomized net
     integrates a replicate's C almost exactly, and J C averages beta var(C)).
     Elsewhere the terms have one sign and this is the plain relative 1e-12."""
     results = run_estimators(cfg, [sums_of(e) for e in estimators.values()], leg)
@@ -814,37 +806,28 @@ class TestTiles:
                                           [3, 3, 1, 3, 3, 1, 1])
 
     def test_tiles_split_replicates_longer_than_a_tile(self, sim_grid, monkeypatch):
-        # 16 pairs in two blocks of 8 and replicates of 4 (rows 0-3, 4-7, ...),
-        # each split by tiles of three rows into three and one
-        assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, 8, 4, (16, 4), [3, 1] * 4)
+        # 16 pairs in two blocks of 8 and replicates of 4 (rows 0-3, 4-7, ...):
+        # tiles of three rows, whatever the replicates, split the first
+        # replicate of each block and take the second across two tiles
+        assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, 8, 4, (16, 4), [3, 3, 2] * 2)
 
-    def test_tiles_hold_whole_replicates(self, sim_grid, monkeypatch):
+    def test_tiles_cut_across_replicates(self, sim_grid, monkeypatch):
         # 16 pairs in two blocks of 8 and replicates of 2: a tile of three rows
-        # holds one replicate, two rows
-        assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, 8, 2, (16, 2), [2] * 8)
+        # holds one replicate and half of the next
+        assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, 8, 2, (16, 2), [3, 3, 2] * 2)
 
     def test_bridged_paths_take_each_replicates_coarse_values_exactly(self, monkeypatch):
-        # 4 replicates of 8 pairs on a 37-step leg (16 coarse nodes, 2 steps
-        # apart, the last 7): the nodes carry the replicate's net, mapped
-        # through Phi^{-1} and the bridge, bit for bit, whatever the tiles
-        # (here five rows and three of each replicate)
-        g = TimeGrid(horizon=1.0, n_steps=37)
-        monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 5 * 38)
-        monkeypatch.setattr(simulate, "_MIN_REPLICATE_PAIRS", 8)
-        cfg = SimConfig(n_paths=64, seed=3, grid=g, n_workers=1)
-        assert (cfg.replicate_pairs, cfg.n_replicates) == (8, 4)
-        bridge = BrownianBridge(37)
-        seen = []
-        simulate._accumulate_blocks(cfg, 37, lambda W, _b, _r: seen.append(W.copy()) or {})
-        W = np.concatenate(seen)
-        # the block's generator draws 4 words per coordinate for each
-        # replicate in turn, before its normals
-        words = stream(3, 0).bit_generator.random_raw(4 * 16 * 4).reshape(4, 16, 4)
-        for j in range(4):
-            V, shift = scramble(sobol_directions(16, 3), words[j])
-            xi = norm_ppf(to_unit(sobol_points(V, 8) ^ shift))
-            np.testing.assert_array_equal(W[8 * j:8 * (j + 1), bridge.nodes[1:]],
-                                          bridge.coarse(xi))
+        # 4 replicates of 8 pairs in one block: tiles of five rows split them
+        assert_coarse_values_are_the_shifted_nets(monkeypatch, 8, 2048, [5] * 6 + [2])
+
+    def test_a_tile_spanning_replicates_takes_each_ones_shifted_net(self, monkeypatch):
+        # 16 replicates of 2 pairs in two blocks of 16 pairs: a tile of five
+        # rows runs through three replicates
+        assert_coarse_values_are_the_shifted_nets(monkeypatch, 2, 16, [5, 5, 5, 1] * 2)
+
+    def test_a_tile_splitting_a_replicate_takes_its_shifted_net(self, monkeypatch):
+        # 2 replicates of 16 pairs in two blocks: tiles of five rows split each
+        assert_coarse_values_are_the_shifted_nets(monkeypatch, 16, 16, [5, 5, 5, 1] * 2)
 
     def test_pass_memory_is_a_few_tiles_whatever_the_block_size(
             self, market, utility, hyp_discount, monkeypatch):
@@ -917,6 +900,37 @@ def assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, pairs, rep, counts,
     assert np.all(W[:, 0] == 0.0)
     np.testing.assert_allclose(W, np.concatenate(paths), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(np.concatenate(replicates), np.concatenate(expected))
+
+
+def assert_coarse_values_are_the_shifted_nets(monkeypatch, rep, pairs, tiles):
+    """32 pairs on a 37-step leg (16 coarse nodes, 2 steps apart, the last
+    7), in replicates of rep pairs, blocks of the given pairs and tiles of
+    five rows (their sizes: tiles): the nodes of each tile's rows carry
+    their replicate's shifted net, mapped through Phi^{-1} and the bridge,
+    bit for bit. A block's generator draws one word per coordinate for each
+    of its replicates in turn, before its normals."""
+    g = TimeGrid(horizon=1.0, n_steps=37)
+    monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 5 * 38)
+    monkeypatch.setattr(simulate, "_MIN_REPLICATE_PAIRS", rep)
+    blocks_of(monkeypatch, pairs)
+    cfg = SimConfig(n_paths=64, seed=3, grid=g, n_workers=1)
+    assert (cfg.replicate_pairs, cfg.n_pairs) == (rep, 32)
+    bridge = BrownianBridge(37)
+    seen = []
+    simulate._accumulate_blocks(cfg, 37, lambda W, _b, _r: seen.append(W.copy()) or {})
+    assert [len(W) for W in seen] == tiles
+    W = np.concatenate(seen)
+    points = sobol_points(sobol_directions(16, rep.bit_length() - 1), rep)
+    per_block = cfg.block_pairs // rep
+    xi = np.concatenate([
+        norm_ppf(to_unit(points ^ (stream(3, j // per_block).bit_generator.random_raw(
+            (per_block, 16))[j % per_block] >> np.uint64(12))))
+        for j in range(32 // rep)])
+    # the bridge's product on each tile's rows at once, as in the pass: a
+    # product rounds alike only over the same rows
+    for first, rows in zip(np.cumsum([0] + tiles), tiles):
+        np.testing.assert_array_equal(W[first:first + rows, bridge.nodes[1:]],
+                                      bridge.coarse(xi[first:first + rows]))
 
 
 def pair_stats(a):
