@@ -11,33 +11,29 @@ so their times compare across grids and block sizes; a pass runs each block
 in tiles of at most ``simulate._TILE_ELEMENTS`` elements per buffer, one
 after the other:
 
-* rng           normals for the drawn path of each pair from the pass's
-                own block generator (``simulate._block_rng``), drawn into
-                the reused buffer;
 * coarse points W at the 16 coarse bridge nodes of each pair: the shift
-                words of the block's replicates from its generator, then,
-                as a tile forms them, each row's point of the shared Sobol
-                net, its replicate's digital shift
+                words of the block's replicates from its generator
+                (``simulate._block_rng``), then each row's point of the
+                shared Sobol net, its replicate's digital shift
                 (``rqmc.shifted_points``), Phi^{-1} and the bridge's levels;
-* running sum   the running sum of the normals into W;
-* bridge overlay  the running sum bridged onto the coarse values: the
-                interpolation of their gaps, one product with the hat
-                functions in the normals' buffer, added to W, and the coarse
-                values written at the nodes (``rqmc.BrownianBridge.overlay``);
-                W is now the Brownian path every log-wealth is affine in;
-* X^p           exp(p vol W), which is X^p up to per-node factors, into the
-                normals' buffer, then its reciprocal, the partners' X^p;
-* reductions    the utility functional Y @ weights and the per-node sums of
-                Y, once for each half of the pairs;
+                no other random number is drawn;
+* chords        each path's mean at every node given its coarse values
+                (``rqmc.BrownianBridge.chords``), the array every log-wealth
+                is affine in;
+* X^p           exp(p vol W) of the chords, which is the conditional X^p up
+                to per-node factors, into the scratch buffer, then its
+                reciprocal, the partners';
+* reductions    the utility functional, each row's sum over the nodes, and
+                the per-node sums, once for each half of the pairs;
 * control       the terminal control of J (``simulate._terminal_control``):
-                two exponentials on W's last column, then the sums of C,
+                two exponentials on the last column, then the sums of C,
                 C^2 and J C that the finisher regresses on;
 * wealth cosh   cosh(vol W), each pair's average wealth up to per-node
                 factors, formed only for ``simulate``'s mean wealth;
 * checkpoints   W and -W at the martingale check's five checkpoint columns.
 
 Then come the whole ``simulate`` and ``verify`` block functions on the same
-draws (the perturbation rows read their tails from the shared X^p); a whole
+chords (the perturbation rows read their tails from the shared X^p); a whole
 ``simulate_equilibrium`` pass over --pass-blocks blocks of the library's
 size on one worker thread and on the default count (``[sim] n_workers = 0``: one per CPU the
 process may run on), with the tracemalloc peak of each pass; and the
@@ -72,6 +68,7 @@ from eqmerton.simulate import (
     _bridge,
     _checkpoints,
     _cosh,
+    _dot,
     _fused_block,
     _sums,
     _terminal_control,
@@ -115,36 +112,26 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
 
     buffers = _Buffers()
     W = buffers.get("w", (cfg.n_pairs, n_steps + 1))
-    Z = buffers.get("z", (cfg.n_pairs, n_steps), reserve=W.size)
-    W[:, 0] = 0.0
+    scratch = buffers.get("z", W.shape)
     checkpoints = _checkpoints(g, 5)
-
-    def rng():
-        _block_rng(42, 0).standard_normal(out=Z)
-
     bridge, rep = _bridge(n_steps), cfg.replicate_pairs
     net, rows = sobol_net(bridge.dim, rep.bit_length() - 1), np.arange(cfg.n_pairs)
+    Wc = np.zeros((cfg.n_pairs, bridge.dim + 1))
 
     def coarse_points():
         words = _block_rng(42, 0).bit_generator.random_raw((cfg.n_pairs // rep, bridge.dim))
-        return bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
+        Wc[:, 1:] = bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
 
-    Wc = coarse_points()
-
-    def running_sum():
-        np.cumsum(Z, axis=1, out=W[:, 1:])
-
-    def overlay():
-        bridge.overlay(Wc, W, buffers.get("z", W.shape))
+    def chords():
+        bridge.chords(Wc, W, scratch)
 
     def powers():
-        Y = np.multiply(W, u.p * leg.vol, out=buffers.get("z", W.shape))
+        Y = np.multiply(W, u.p * leg.vol, out=scratch)
         np.exp(Y, out=Y)
         np.reciprocal(Y, out=Y)
 
     def reductions():
-        Y = buffers.get("z", W.shape)
-        return [(Y @ leg.weights, Y.sum(axis=0)) for _ in range(2)]
+        return [(_dot(scratch, leg.weights), scratch.sum(axis=0)) for _ in range(2)]
 
     J = np.ones(cfg.n_pairs)  # the pairs' J; its values do not change the time
 
@@ -153,28 +140,26 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
         return _sums("c", C), J @ C
 
     def wealth():
-        _cosh(W, leg.vol, buffers.get("z", W.shape))
+        _cosh(W, leg.vol, scratch)
 
     def checkpoint_columns():
         Block(W, buffers, leg).all_paths(checkpoints)
 
     row = {}
-    for name, fn in (("rng", rng), ("coarse points", coarse_points),
-                     ("running sum", running_sum), ("bridge overlay", overlay),
+    for name, fn in (("coarse points", coarse_points), ("chords", chords),
                      ("X^p", powers),
                      ("reductions", reductions), ("control", control),
                      ("wealth cosh", wealth), ("checkpoints", checkpoint_columns)):
         row[name] = best_ms(fn, repeats)
 
-    rng()
-    running_sum()
-    overlay()
+    coarse_points()
+    chords()
     nc = solve_no_consumption(m, u, d, g)
     moments = (u.p, 2 * u.p)
     sim_block = _fused_block([simulation_estimator(pol, g, leg, d, moments)], leg,
                              cfg.n_replicates)
     verify_block = _fused_block([
-        value_identity_estimator(sol, u, 0.0, cfg.x0),
+        value_identity_estimator(sol, leg, 0.0),
         martingale_estimator(nc, cfg, m, u, d),
         perturbation_estimator(leg, 0.25, Spike(zeta=pol.stock_fraction + 1.0)),
         perturbation_estimator(leg, 0.1, Spike(zeta=pol.stock_fraction + 0.01)),

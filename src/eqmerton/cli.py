@@ -140,12 +140,13 @@ def cmd_verify(cfg: RunConfig, out: Path, perturb_lambda: float = 0.0,
 def _monte_carlo_sample(v: simulate.Verdict) -> dict:
     """The sample behind a Monte Carlo z: antithetic pairs and standard error,
     and for a controlled check the replicates its standard error is taken
-    over, the control's slope and the plain mean's standard error, whose
-    ratio to ``std_error`` is the run's reduction."""
+    over, the control's slope, the plain mean's standard error, whose ratio
+    to ``std_error`` is the run's reduction, and the exact mean of the
+    functional it samples."""
     sample = {"n_pairs": v.n_pairs, "std_error": v.std_error}
     if v.control_beta is not None:
         sample.update(n_replicates=v.n_replicates, control_beta=v.control_beta,
-                      std_error_uncontrolled=v.std_error_uncontrolled)
+                      std_error_uncontrolled=v.std_error_uncontrolled, j_exact=v.j_exact)
     return sample
 
 
@@ -160,8 +161,7 @@ def _monte_carlo_verdicts(cfg: RunConfig, checks: tuple, nc_curve,
     leg = simulate.equilibrium_leg(pol, sim_cfg, m, u, d)
     plan = []  # (estimator, verdicts of its result)
     if "value_identity" in checks:
-        est = simulate.value_identity_estimator(curve, u, 0.0, sim_cfg.x0,
-                                                1.0 + perturb_lambda)
+        est = simulate.value_identity_estimator(curve, leg, 0.0, 1.0 + perturb_lambda)
         plan.append((est, lambda v: [v]))
     if "martingale" in checks:
         plan.append((simulate.martingale_estimator(nc_curve, sim_cfg, m, u, d), list))
@@ -252,6 +252,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         "j_std_error": batch.j_std_error,
         "j_control_beta": batch.j_control_beta,
         "j_std_error_uncontrolled": batch.j_std_error_uncontrolled,
+        "j_exact": batch.j_exact,
         "n_pairs": batch.n_pairs,
         "n_replicates": batch.n_replicates,
         "terminal_moments": {

@@ -16,8 +16,8 @@ Four pieces, numpy only:
 * ``BrownianBridge``: a path's values at 2^L coarse nodes from 2^L normals,
   the terminal node first and then the midpoints level by level
   (Glasserman, Monte Carlo Methods in Financial Engineering, 2004, sections
-  3.1.2 and 5.5), and the whole path through those values with the fine
-  normals bridged in between.
+  3.1.2 and 5.5), and the law of the path between them given those values:
+  the chord as its mean and the bridge variance.
 """
 
 from __future__ import annotations
@@ -193,92 +193,84 @@ def norm_ppf(u: np.ndarray) -> np.ndarray:
     return x.reshape(shape)
 
 
-# OpenBLAS runs a product of more than 2^18 multiply-adds on its own threads,
-# and called from the pass's worker threads those oversubscribe the CPUs: a
-# tile's product with the hat functions (16 x 2^18 multiply-adds) took
-# 6.8-12 ms that way against 0.3 ms in row chunks on one thread, so the
-# overlay and the coarse values (16 x 16 multiply-adds per row, up to 2048
-# rows in a tile) form their products in row chunks at most this size, each
-# on its caller
-_SERIAL_MULTIPLY_ADDS = 2**18
-
-
-def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a @ b into out, in row chunks of at most ``_SERIAL_MULTIPLY_ADDS``
-    multiply-adds each (one row at least)."""
-    step = max(1, _SERIAL_MULTIPLY_ADDS // b.size)
-    for r in range(0, len(a), step):
-        np.matmul(a[r:r + step], b, out=out[r:r + step])
-    return out
-
-
 class BrownianBridge:
-    """The coarse nodes of a path of n_steps unit-variance steps and the
-    bridge between them.
+    """The coarse nodes of a path of n_steps unit-variance steps, and the law
+    of the path between them given its values there.
 
     The coarse nodes are N = 2^L steps apart by s = n_steps // N, the last
     node at n_steps, with L = min(4, floor(log2 n_steps)): 16 nodes, or all
     of them on a path of fewer than 16 steps, where s = 1. ``coarse`` builds
     W at those nodes from N normals, terminal node first and then the
     midpoints level by level, so the leading coordinates carry the path's
-    large-scale moves. ``path`` fills in the steps between the nodes with the
-    fine normals' bridge on each segment, which is independent of the
-    coarse values."""
+    large-scale moves. Given those values the path is a Brownian bridge on
+    each segment lo < k < hi, independent of the other segments: W_k is
+    normal with the chord of the coarse values as its mean (``chords``) and
+    variance (k - lo)(hi - k) / (hi - lo) (``variance``), and two nodes of
+    one segment j <= k have covariance (j - lo)(hi - k) / (hi - lo)."""
 
     def __init__(self, n_steps: int):
         if n_steps < 1:
             raise ValueError("a path needs at least one step")
         self.n_steps = n_steps
         self.dim = N = 1 << min(4, n_steps.bit_length() - 1)
-        s = n_steps // N
+        self.step = s = n_steps // N
         self.nodes = np.array([j * s for j in range(N)] + [n_steps])
         t = self.nodes.astype(np.float64)
-        # W at the nodes is linear in the normals: build it from the identity.
-        # Row d of M holds coordinate d's weight at each node 1..N; node N
-        # takes coordinate 0, and each level's midpoints the next coordinates
-        M = np.zeros((N, N + 1))
-        M[0, N] = math.sqrt(n_steps)
-        width, d = N, 1
+        # coordinate d sets node mid from its neighbours left and right:
+        # (mid, left, right, weight of left, weight of right, bridge sd)
+        self._levels = []
+        width = N
         while width > 1:
             half = width // 2
             for mid in range(half, N, width):
                 left, right = mid - half, mid + half
                 span = t[right] - t[left]
-                M[:, mid] = (M[:, left] * (t[right] - t[mid])
-                             + M[:, right] * (t[mid] - t[left])) / span
-                M[d, mid] = math.sqrt((t[mid] - t[left]) * (t[right] - t[mid]) / span)
-                d += 1
+                self._levels.append((mid, left, right, (t[right] - t[mid]) / span,
+                                     (t[mid] - t[left]) / span,
+                                     math.sqrt((t[mid] - t[left]) * (t[right] - t[mid]) / span)))
             width = half
-        self._bridge = M[:, 1:]
-        # hats[j - 1] rises from node j - 1 to node j and falls to node j + 1:
-        # the piecewise-linear interpolation of values at nodes 1..N
-        steps = np.arange(n_steps + 1)
-        self._hats = np.stack([np.interp(steps, self.nodes, np.eye(N + 1)[j])
-                               for j in range(1, N + 1)])
+        k = np.arange(n_steps + 1)
+        # node k lies on segment j, nodes[j] <= k < nodes[j + 1]; the last
+        # node closes the last segment
+        self.segment = np.minimum(k // s, N - 1)
+        lo, hi = self.nodes[self.segment], self.nodes[self.segment + 1]
+        self._fraction = (k - lo) / (hi - lo)
+        self.variance = (k - lo) * (hi - k) / (hi - lo)
 
     def coarse(self, xi: np.ndarray) -> np.ndarray:
         """W at nodes 1..N (rows x N) from normals xi (rows x N): W at node N
         is sqrt(n_steps) xi_0, and each midpoint is its neighbours' linear
         interpolation plus the bridge's standard deviation times the next
-        coordinate."""
-        return _matmul_rows(xi, self._bridge, np.empty((len(xi), self.dim)))
+        coordinate, column by column."""
+        W = np.empty((len(xi), self.dim))
+        np.multiply(xi[:, 0], math.sqrt(self.n_steps), out=W[:, -1])
+        for d, (mid, left, right, w_left, w_right, sd) in enumerate(self._levels, 1):
+            col = np.multiply(xi[:, d], sd, out=W[:, mid - 1])
+            if left:
+                col += w_left * W[:, left - 1]
+            col += w_right * W[:, right - 1]
+        return W
 
-    def path(self, Z: np.ndarray, Wc: np.ndarray, W: np.ndarray, scratch: np.ndarray) -> None:
-        """W (rows x (n_steps + 1), W_0 = 0) through the coarse values Wc
-        (rows x N, nodes 1..N) with the normals Z (rows x n_steps) bridged in
-        between: the running sum of Z, then ``overlay``. scratch, of W's
-        shape, may share Z's memory."""
-        W[:, 0] = 0.0
-        np.cumsum(Z, axis=1, out=W[:, 1:])
-        self.overlay(Wc, W, scratch)
-
-    def overlay(self, Wc: np.ndarray, W: np.ndarray, scratch: np.ndarray) -> None:
-        """Bridge the running sum W onto the coarse values Wc: add the
-        piecewise-linear interpolation of Wc - W from the nodes, one product
-        with the hat functions formed in scratch (of W's shape). On each
-        segment W is then the sum's bridge plus the chord of Wc. The sum
-        reaches the coarse values only to rounding, so they are then written
-        at the nodes, which W takes exactly."""
-        nodes = self.nodes[1:]
-        W += _matmul_rows(Wc - W[:, nodes], self._hats, scratch)
-        W[:, nodes] = Wc
+    def chords(self, Wc: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """The mean of W at every node 0..n_steps given its coarse values Wc
+        (rows x (N + 1), nodes 0..N, Wc[:, 0] = 0), into out (rows x
+        (n_steps + 1), C-contiguous): on each segment the chord
+        Wc_lo + (k - lo) / (hi - lo) (Wc_hi - Wc_lo), elementwise, so each
+        row's values do not depend on the other rows; it takes the coarse
+        values at the nodes exactly. scratch, of out's shape, holds Wc_lo at
+        each node meanwhile: the segments before the last, s steps each, are
+        filled as (rows, N - 1, s) views, and the sum runs over the whole,
+        contiguous, rows (numpy copies an output that is also an input unless
+        both are contiguous)."""
+        N, s = self.dim, self.step
+        equal = (N - 1) * s
+        slope = Wc[:, 1:] - Wc[:, :-1]
+        shape = (len(out), N - 1, s)
+        np.copyto(scratch[:, :equal].reshape(shape), Wc[:, :N - 1, None])
+        scratch[:, equal:] = Wc[:, N - 1:N]
+        np.einsum("rj,s->rjs", slope[:, :-1], self._fraction[:s],
+                  out=out[:, :equal].reshape(shape))
+        np.multiply(slope[:, -1:], self._fraction[equal:], out=out[:, equal:])
+        out += scratch
+        out[:, -1] = Wc[:, -1]
+        return out

@@ -6,134 +6,70 @@ on the grid. Each step's drift takes the trapezoid average (c_k + c_{k+1})/2
 of the consumption ratio, the quadrature the integral equation applies to
 p c, and the utility integral is the trapezoid sum over the nodes; so the
 expectation of the discrete utility functional equals lam(t) x^p / p of the
-discrete solution, and the checks below sample no time-discretization bias.
+discrete solution (``PolicyLeg.j_exact`` gives it in closed form), and the
+checks below sample no time-discretization bias.
 
-Randomness is keyed per block: paths are processed in blocks of
-``_BLOCK_PAIRS`` = 2048 antithetic pairs and block b draws from its own generator,
-``SFC64(SeedSequence(seed, spawn_key=(b,)))`` (``_block_rng``), so every path
-is a deterministic function of (seed, its block, its row) regardless of how
-many workers process the blocks. Block partials are combined by pairwise
-summation in block order, making results bit-identical across worker counts.
+The stream. Paths are processed in blocks of ``_BLOCK_PAIRS`` = 2048
+antithetic pairs. Block b's generator, ``SFC64(SeedSequence(seed,
+spawn_key=(b,)))`` (``_block_rng``), draws one 64-bit word per coordinate for
+each of the block's replicates, and nothing else; so every path is a
+deterministic function of (seed, its block, its row) however many workers
+process the blocks, and block partials are combined by pairwise summation in
+block order, making results bit-identical across worker counts. A path is
+drawn at its 16 coarse nodes only (``rqmc.BrownianBridge``): the bridge
+construction, terminal node first, of Phi^{-1}(u) of a point u of a
+randomized Sobol net (Glasserman, Monte Carlo Methods in Financial
+Engineering, 2004, section 5.5). A replicate is ``replicate_pairs`` = 2^k
+consecutive pairs of a block, the points of the one net that every replicate
+shares (``rqmc.sobol_net``), each XOR the replicate's random digital shift
+(``rqmc.shifted_points``; L'Ecuyer and Lemieux 2002). Each point of a shifted
+net is uniform, so each pair is, on its own, an exact antithetic pair; within
+a replicate the points are stratified, and replicates are independent.
 
-Each drawn path is an exact Brownian path built in two scales (randomized
-quasi-Monte Carlo on a Brownian bridge; Glasserman, Monte Carlo Methods in
-Financial Engineering, 2004, section 5.5; L'Ecuyer and Lemieux, "Recent
-advances in randomized quasi-Monte Carlo methods", 2002).
-Its values at 16 coarse nodes (every n // 16 steps and the last; all nodes
-on a leg of fewer than 16 steps, ``rqmc.BrownianBridge``) are the bridge
-construction, terminal node first, of 16 normals Phi^{-1}(u) of a point u of
-a randomized Sobol net, and between the nodes it follows the running sum of
-the block's SFC64 normals less its chord on each segment. A replicate is
-``replicate_pairs`` = 2^k consecutive pairs of a block, the 2^k points of
-the one net of Joe and Kuo's Sobol sequence that every replicate shares
-(``rqmc.sobol_net``), each XOR the replicate's random digital shift
-(``rqmc.shifted_points``): one word per coordinate, which the block's
-generator draws, replicate by replicate, before its normals. 2^k is the
-largest power of two up to ``_REPLICATE_PAIRS`` = 512 that leaves at least
-``_MIN_REPLICATES`` = 32 replicates, but at least ``_MIN_REPLICATE_PAIRS`` =
-32 (below 64 pairs, half the pairs: two replicates); n_paths rounds up to
-whole replicates (``SimSettings.n_pairs``), and a block holds whole
-replicates, so a block size that is not a multiple of 2^k rounds down to one
-(``SimSettings.block_pairs``). Each point of a shifted net is uniform, so
-each pair is, on its own, an exact antithetic pair of Brownian paths; within
-a replicate the points are stratified, one in each of the 2^k intervals of
-every coordinate, so a replicate's mean of a smooth functional varies far
-less than 2^k independent pairs' would, and replicates are independent of
-one another. A random linear matrix scramble on top of the shift (Matousek
-1998) gained nothing here: the relative standard error of E[J] read 3.1e-4
-with it and 2.2e-4 without at 512 paths on 20 steps (T = 1, mean over 4000
-seeds), and 1.15e-5 and 1.18e-5 over 18 runs of the benchmark's simulate
-inputs.
+The fine scale is integrated out (conditional Monte Carlo; Asmussen and
+Glynn, Stochastic Simulation, 2007, chapter V). Given its coarse values Wc a
+path is a Brownian bridge on each segment lo <= k <= hi between two coarse
+nodes: W_k is normal with the chord L_k of Wc as its mean and variance
+v_k = (k - lo)(hi - k) / (hi - lo), two nodes j <= k of one segment have
+covariance (j - lo)(hi - k) / (hi - lo), and nodes of different segments are
+independent. Every per-path quantity below is replaced by its exact
+conditional expectation given Wc, which has the same mean and no more
+variance. Each is a sum of exponentials of W, and
+E[e^{b W_k} | Wc] = e^{b L_k + b^2 v_k / 2}, so the estimators read the
+chords and fold e^{b^2 v_k / 2} into their per-node weights. The partner of
+a path runs on -W, whose chords are -L.
 
-A block is drawn and processed in tiles of consecutive rows, each at most
-``_TILE_ELEMENTS`` float64 elements: each tile continues the block's stream
-where the previous one left off, so the draws are those of the whole block,
-and each tile forms the coarse values of its own rows from their points of
-the net and their replicates' shifts. Every estimator's sums add over rows,
-so a block's sums are its tiles' added in row order; a tile may cut across
-replicates, since a sum by replicate is a length-R array, added like any
-other. The block size fixes only the partition of the stream and the grain
-of the parallel work; a worker thread holds two tile-sized buffers,
+A block is processed in tiles of consecutive rows, each at most
+``_TILE_ELEMENTS`` float64 elements. Each tile forms its rows' coarse values
+from their points of the net and their replicates' shifts, then their
+chords at every node of the leg, elementwise, into a tile-sized buffer.
+Every per-row value (J, its control, a tail sum, a checkpoint term) is
+formed by elementwise operations and per-row sums whose rounding does not
+depend on the other rows, so it is the same bits whatever the tile size;
+only the order in which an estimator's sums over rows are added depends on
+the partition into tiles. A worker thread holds two tile-sized buffers,
 whatever the grid.
 
-Paths come in antithetic pairs (Glasserman 2004, section 4.2): a block of m
-pairs forms m drawn paths W; the partner of each drawn path runs on -W,
-which is never stored. Every log-wealth is affine in W, so the mirrored path
-costs no draws and is strongly anti-correlated with its partner. A pure mean
-(mean wealth, mean value) averages all paths.
+Every policy simulated here holds a constant stock fraction zeta over the
+steps it covers, so its log-wealth at node k is affine in W,
+log X(t_k) = log x0 + drift[k] + sigma sqrt(dt) zeta W_k, and X^p =
+(x0 e^{drift})^p Y with Y = exp(a W), a = p sigma sqrt(dt) zeta: with the
+deterministic factor and e^{a^2 v_k / 2} folded into the per-node weights,
+the utility functional's conditional mean is J = e^{a L} . weights, formed
+once per tile for each half of the pairs (``Block.powers``).
 
 Standard errors. The two readers of the utility functional, ``simulate``'s
-E[J] and the value identity, take theirs over the R replicates: the sample
-variance of the replicate means, with R - 1 degrees of freedom, and the
+E[J] and the value identity, take theirs over the R replicates, and the
 value identity's gate is the Student-t quantile at R - 1 degrees of freedom
-with the two-sided rate of |z| > 3, 0.27 % (``_t_threshold``: 3.26 at 31,
-3.08 at 97). Every other check takes its standard error over the pairs, as
-if they were independent: each pair is still an exact antithetic pair, and
-for these smooth functionals the stratification within a replicate lowers
-the spread of a sum below what independent pairs would give (the gross
-spike's z at 5000 paths on 200 steps spreads about half as much over seeds
-as with independent pairs), so that standard error is valid and
-conservative. It must be: the first-order stationarity null holds only as
-eps -> 0, and a replicate standard error several times smaller would turn
-its O(eps) bias into false failures.
-
-Every policy simulated here holds a constant stock fraction zeta over the
-steps it covers, so with W[:, k] = Z[:, 0] + ... + Z[:, k-1], the running sum
-of a path's normals (negated for the partner), its log-wealth at node k is
-the affine map
-
-    log X(t_k) = log x0 + drift[k] + sigma sqrt(dt) zeta W[:, k].
-
-A tile therefore forms W once, and every check reads its wealth from it.
-The equilibrium leg has X^p = (x0 e^{drift})^p Y with Y = exp(a W),
-a = p sigma sqrt(dt) zeta, on a drawn path and 1 / Y on its partner, so
-with the deterministic factor folded into the per-node weights its utility
-functional is the single product J = Y @ weights, formed once per tile for
-each half of the pairs. Mean wealth, a pure mean, takes one cosh per
-element: the pair average of exp(b W) and exp(-b W) is cosh(b W). The
-martingale and moment checks negate W only at their checkpoints. A
-spiked leg equals the equilibrium leg shifted by a constant log-wealth gap
-after its window of w steps, so its utility loss is a sum over the window
-plus expm1(p gap_w) times the equilibrium tail beyond it, computed without
-stepping a second leg and without cancelling J_eq - J_spiked; each path's
-tail is summed directly from the Y that all checks share. W and the normals
-live in the two tile buffers; once W is formed the normals' buffer is the
-tile's scratch.
-
-The utility functional's two readers, ``simulate``'s E[J] and the value
-identity, subtract a control variate with an exactly known mean (Glasserman
-2004, section 4.1). The control is the pair average of the terminal X^p over
-its exact lognormal mean, less one,
-
-    C = cosh(a W_n) e^{-a^2 n / 2} - 1,    a = p sigma sqrt(dt) zeta,
-
-over the leg's n steps; since W_n ~ N(0, n), E[cosh(a W_n)] = e^{a^2 n / 2}
-and E[C] = 0 exactly. It is formed beside J in ``Block.powers``, from W's
-last column, as the average of the two exponentials e^{+-a W_n - a^2 n / 2}
-less one each (expm1), which overflow only where X^p itself would. The pass
-adds sum C, sum C^2 and sum J C to sum J and sum J^2, and sums J and C by
-replicate; the finisher takes the regression slope beta = cov(J, C) / var(C)
-from the pooled pair sums (beta = 0 when var(C) = 0, as on a leg without
-stock): the estimate is mean(J) - beta mean(C), with its standard error over
-the replicate means of J - beta C. Taking beta from the same pass biases the
-mean by O(1 / n_pairs), which shrinks faster than the standard error. The
-control removes most of what the shifted nets leave: on the benchmark's
-simulate input (1000 steps, 40 replicates of 512 pairs) the replicate
-standard error is about 1.1e-5 of E[J] with the control and 2.6e-5 without
-it, against 7.3e-5 for the controlled mean of independent antithetic pairs.
-
-J is dominated by the bequest and the late nodes, which follow X_T^p
-closely, so the control removes most of J's variance on short horizons and
-less as the horizon grows and the early nodes decorrelate from the terminal
-one: for hyperbolic (1, 1), p = 0.5 and the shipped market, the standard
-error falls 3.8x at T = 1 and 1.3x at T = 5. Only the terminal node is
-used. A quadratic control at every node, sum_k v_k a^2 (W_k^2 - k) / 2,
-removes more variance, but its remainder is a fourth-order Gaussian term
-with a heavy tail: at 500 pairs on 20 steps (3000 seeds) it put |z| above 3
-on 3.8 % of seeds, where the terminal control and the plain mean both read
-0.47 %. The perturbation, martingale and moment estimators stay
-uncontrolled: the first-order stationarity null holds only as eps -> 0, so a
-smaller standard error there would turn its O(eps) bias into false failures.
+with the two-sided rate of |z| > 3, 0.27 % (``_t_threshold``). Both subtract
+the terminal control variate C = cosh(a W_n) e^{-a^2 n / 2} - 1, whose mean
+is exactly 0 (Glasserman 2004, section 4.1; ``_controlled_mean_se``). Every
+other check takes its standard error over the pairs, as if they were
+independent: each pair is an exact antithetic pair, and the stratification
+within a replicate only lowers the spread of a sum, so that standard error
+is conservative. It must be, and those checks stay uncontrolled: the
+first-order stationarity null holds only as eps -> 0, and a standard error
+several times smaller would turn its O(eps) bias into false failures.
 
 Every check is an estimator: a block function from one ``Block`` (a tile) to
 a dict of sums, and a finisher from the sums over all paths to the result.
@@ -286,7 +222,8 @@ class SimBatch:
     is estimated with the terminal control (``j_control_beta`` its slope) and
     its standard error taken over the n_replicates replicates;
     ``j_std_error_uncontrolled`` is that of the plain mean of J on the same
-    paths. The terminal moments' standard errors are over the pairs."""
+    paths, and ``j_exact`` the exact mean of J (``PolicyLeg.j_exact``). The
+    terminal moments' standard errors are over the pairs."""
 
     j_estimate: float
     j_std_error: float
@@ -297,6 +234,7 @@ class SimBatch:
     mean_value_over_h: np.ndarray
     n_pairs: int
     n_replicates: int
+    j_exact: float
 
 
 @dataclass(frozen=True)
@@ -307,8 +245,9 @@ class Verdict:
     check taken with a control variate takes its standard error over
     ``n_replicates`` replicates instead, and its threshold is the Student-t
     quantile at n_replicates - 1 degrees of freedom with the same false-alarm
-    rate; it records the control's slope ``control_beta`` and the plain
-    mean's ``std_error_uncontrolled``. Others leave these three None."""
+    rate; it records the control's slope ``control_beta``, the plain
+    mean's ``std_error_uncontrolled`` and the exact mean ``j_exact`` of the
+    functional it samples. Others leave these four None."""
 
     name: str
     statistic: float
@@ -320,6 +259,7 @@ class Verdict:
     control_beta: Optional[float] = None
     std_error_uncontrolled: Optional[float] = None
     n_replicates: Optional[int] = None
+    j_exact: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -343,9 +283,15 @@ class PerturbationRow:
 
 
 def _block_rng(seed: int, b: int) -> np.random.Generator:
-    """The generator of block b's normals: SFC64 seeded from the seed sequence
-    of (seed, b), so each block's stream is keyed by its index alone."""
+    """The generator of block b's shift words: SFC64 seeded from the seed
+    sequence of (seed, b), so each block's stream is keyed by its index alone."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
+
+
+def _dot(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M @ v row by row, each row's sum rounded alike whatever the other rows
+    (a BLAS product rounds by the shape of the call)."""
+    return np.einsum("ij,j->i", M, v)
 
 
 def _add(a: dict, b: dict) -> dict:
@@ -381,12 +327,11 @@ class _Buffers:
     def __init__(self):
         self._flat = {}
 
-    def get(self, name: str, shape: tuple, reserve: int = 0) -> np.ndarray:
-        """The view, from a buffer of at least max(size, reserve) elements."""
+    def get(self, name: str, shape: tuple) -> np.ndarray:
         size = math.prod(shape)
         flat = self._flat.get(name)
         if flat is None or flat.size < size:
-            flat = self._flat[name] = np.empty(max(size, reserve))
+            flat = self._flat[name] = np.empty(size)
         return flat[:size].reshape(shape)
 
 
@@ -398,20 +343,18 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> 
     ``cfg.replicate_pairs`` (``cfg.block_pairs`` of them but the last), and
     stores only their drawn paths, at most
     ``_TILE_ELEMENTS // (n_sub_steps + 1)`` of them (at least one) at a
-    time. The block's generator ``_block_rng(seed, b)`` first draws the
-    digital shifts of the block's replicates, one word per replicate and
-    coordinate. For each tile of rows in turn, the tile's normals are drawn
-    from it where the previous tile's left off, the rows' coarse values are
-    formed from their points of the shared net (``rqmc.shifted_points``),
-    and W (rows x (n_sub_steps + 1), W[:, 0] = 0) is the Brownian path
-    through them with those normals bridged in between
-    (``BrownianBridge.path``); the partner of row i runs on -W[i].
+    time. The block's generator ``_block_rng(seed, b)`` draws the digital
+    shifts of the block's replicates, one word per replicate and coordinate.
+    For each tile of rows in turn, the rows' coarse values are formed from
+    their points of the shared net (``rqmc.shifted_points``), and W
+    (rows x (n_sub_steps + 1), W[:, 0] = 0) holds their chords, each path's
+    mean at every node given its coarse values
+    (``rqmc.BrownianBridge.chords``); the partner of row i runs on -W[i].
     ``replicate`` holds each row's replicate, numbered over the whole pass.
-    The normals were drawn into buffer "z", which has room for W's shape and
-    which block_fn may overwrite. A block's sums are its tiles' added in row
-    order, and the blocks' are combined pairwise in block order as they
-    arrive. The blocks run on ``cfg.worker_count()`` threads, each with its
-    own two tile-sized buffers.
+    Buffer "z", of W's shape, is free for block_fn. A block's sums are its
+    tiles' added in row order, and the blocks' are combined pairwise in
+    block order as they arrive. The blocks run on ``cfg.worker_count()``
+    threads, each with its own two tile-sized buffers.
     """
     local = threading.local()
     tile_rows = max(1, _TILE_ELEMENTS // (n_sub_steps + 1))
@@ -424,17 +367,14 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> 
             local.buffers = _Buffers()
         buffers = local.buffers
         m_b = min(per_block, cfg.n_pairs - b * per_block)
-        rng = _block_rng(int(cfg.seed), b)
-        words = rng.bit_generator.random_raw((m_b // rep, bridge.dim))
+        words = _block_rng(int(cfg.seed), b).bit_generator.random_raw((m_b // rep, bridge.dim))
         total = None
         for start in range(0, m_b, tile_rows):
-            W = buffers.get("w", (min(tile_rows, m_b - start), n_sub_steps + 1))
-            Z = rng.standard_normal(out=buffers.get("z", (len(W), n_sub_steps),
-                                                    reserve=W.size))
-            rows = np.arange(start, start + len(W))
-            coarse = bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
-            # the product's scratch is Z's buffer, read before it is written
-            bridge.path(Z, coarse, W, buffers.get("z", W.shape))
+            rows = np.arange(start, min(start + tile_rows, m_b))
+            Wc = np.zeros((len(rows), bridge.dim + 1))
+            Wc[:, 1:] = bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
+            W = buffers.get("w", (len(rows), n_sub_steps + 1))
+            bridge.chords(Wc, W, buffers.get("z", W.shape))
             sums = block_fn(W, buffers, (b * per_block + rows) // rep)
             total = sums if total is None else {k: total[k] + v for k, v in sums.items()}
         return total
@@ -634,18 +574,31 @@ class PolicyLeg:
         """scale * v: J = exp(p vol W) @ weights."""
         return self.scale * _utility_weights(self.h_nodes, self.c_nodes, self.dt, self.u.p)
 
+    @cached_property
+    def j_exact(self) -> float:
+        """E[J] exactly: sum_k weights_k e^{a^2 k / 2}, a = p vol, since
+        W_k ~ N(0, k); each term's two factors are joined in the exponent,
+        so that it overflows only where E[X(t_k)^p] itself would."""
+        a, p = self.u.p * self.vol, self.u.p
+        log_mean = p * (math.log(self.x0) + self.drift) + 0.5 * a * a * np.arange(self.n_steps + 1)
+        v = _utility_weights(self.h_nodes, self.c_nodes, self.dt, p)
+        return float(v @ np.exp(log_mean))
+
 
 class Block:
-    """One tile of a block's antithetic pairs, seen through the bridged
-    Brownian paths W of its m drawn paths (m x (steps + 1), W[:, 0] = 0); the
-    partner of row i runs on -W[i], which no buffer holds. ``replicate``
-    holds each row's replicate, of ``n_replicates`` in the pass. ``tails``
-    are the nodes s whose tail sums ``powers`` takes."""
+    """One tile of a block's antithetic pairs, seen through the chords W of
+    its m drawn paths (m x (steps + 1), W[:, 0] = 0): W[i, k] is the mean of
+    path i at node k given its coarse values, and ``variance[k]`` its
+    variance there, the same on every row. The partner of row i runs on
+    -W[i], which no buffer holds. ``replicate`` holds each row's replicate,
+    of ``n_replicates`` in the pass. ``tails`` are the nodes s whose tail
+    sums ``powers`` takes."""
 
     def __init__(self, W: np.ndarray, buffers: _Buffers, leg: Optional[PolicyLeg],
                  tails: tuple = (), replicate: Optional[np.ndarray] = None,
                  n_replicates: int = 1):
         self.W = W
+        self.variance = _bridge(W.shape[1] - 1).variance
         self._buffers = buffers
         self._leg = leg
         self._tails = tails
@@ -665,28 +618,32 @@ class Block:
 
     @cached_property
     def powers(self):
-        """(J, C, Y_sum, tails) of the leg, where Y = exp(p vol W) on a drawn
-        path and exp(-p vol W) = 1 / Y on its partner, so X^p = leg.scale * Y:
-        J is each pair's average utility functional Y @ leg.weights, C each
-        pair's terminal control (``_terminal_control``), Y_sum the per-node
-        sum of Y over the tile's paths, and tails[s] each path's
-        sum_{k >= s} Y_k leg.weights[k], drawn paths then partners (as
-        ``all_paths``), taken directly from Y. Y is formed in the scratch
-        buffer, drawn paths first, which is free again afterwards."""
-        weights, a = self._leg.weights, self._leg.u.p * self._leg.vol
+        """(J, C, Y_sum, tails) of the leg, where Y = E[exp(p vol W)] on a
+        drawn path and E[exp(-p vol W)] on its partner given the coarse
+        values, so E[X^p] = leg.scale * Y: J is each pair's average utility
+        functional Y . leg.weights, C each pair's terminal control
+        (``_terminal_control``), Y_sum the per-node sum of Y over the tile's
+        paths, and tails[s] each path's sum_{k >= s} Y_k leg.weights[k],
+        drawn paths then partners (as ``all_paths``). exp(p vol W) is formed
+        in the scratch buffer, drawn paths first, which is free again
+        afterwards."""
+        a = self._leg.u.p * self._leg.vol
+        # E[e^{a W} | coarse values] over e^{a W} of the chords, per node
+        lift = np.exp(0.5 * a * a * self.variance)
+        weights = self._leg.weights * lift
         C = _terminal_control(self.W[:, -1], a, self._leg.n_steps)
         Y = np.multiply(self.W, a, out=self.scratch(self.W.shape))
         np.exp(Y, out=Y)
-        J, Y_sum = Y @ weights, Y.sum(axis=0)
-        drawn = [Y[:, s:] @ weights[s:] for s in self._tails]
+        J, Y_sum = _dot(Y, weights), Y.sum(axis=0)
+        drawn = [_dot(Y[:, s:], weights[s:]) for s in self._tails]
         np.reciprocal(Y, out=Y)
-        tails = {s: np.concatenate([tail, Y[:, s:] @ weights[s:]])
+        tails = {s: np.concatenate([tail, _dot(Y[:, s:], weights[s:])])
                  for s, tail in zip(self._tails, drawn)}
-        return 0.5 * (J + Y @ weights), C, Y_sum + Y.sum(axis=0), tails
+        return 0.5 * (J + _dot(Y, weights)), C, (Y_sum + Y.sum(axis=0)) * lift, tails
 
     def scratch(self, shape: tuple) -> np.ndarray:
         """A buffer of the given shape, at most W's size, that the block may
-        overwrite (it held the normals, which W has replaced)."""
+        overwrite."""
         return self._buffers.get("z", shape)
 
 
@@ -724,8 +681,8 @@ def run_estimators(cfg: SimConfig, estimators: list, leg: Optional[PolicyLeg] = 
     every block function that has that attribute; ``blk.by_replicate`` sums
     per-pair values by replicate. ``finish(sums, n_pairs)`` turns the sums
     over all blocks into the result, with n_pairs the number of antithetic
-    pairs (``SimConfig.n_pairs``). W spans the leg's steps, or the whole grid
-    without a leg.
+    pairs (``SimConfig.n_pairs``). The chords span the leg's nodes, or the
+    whole grid without a leg.
     """
     if not estimators:
         return []
@@ -741,14 +698,16 @@ def simulation_estimator(pol: EquilibriumPolicy, g: TimeGrid, leg: PolicyLeg,
     nodes = g.nodes[g.n_steps - leg.n_steps:]
     lam_nodes = np.interp(nodes, pol.grid.nodes, pol.curve.values)
     voh_scale = lam_nodes * leg.scale / leg.u.p / d.h(g.horizon - nodes)
-    wealth_scale = leg.x0 * np.exp(leg.drift)
+    # 2 x0 e^{drift} E[cosh(vol W) | coarse values] / cosh(vol W) of the chords
+    var = _bridge(leg.n_steps).variance
+    wealth_scale = 2.0 * leg.x0 * np.exp(leg.drift + 0.5 * leg.vol**2 * var)
     log_x_T = math.log(leg.x0) + leg.drift[-1]
 
     def block(blk):
         J, C, Y_sum, _ = blk.powers
         X_pairs = _cosh(blk.W, leg.vol, blk.scratch(blk.W.shape))
         out = {**_controlled_sums(blk, J, C),
-               "wealth": X_pairs.sum(axis=0) * (2.0 * wealth_scale),
+               "wealth": X_pairs.sum(axis=0) * wealth_scale,
                "voh": Y_sum * voh_scale}
         W_T = blk.all_paths(-1)
         for q in moment_orders:
@@ -767,6 +726,7 @@ def simulation_estimator(pol: EquilibriumPolicy, g: TimeGrid, leg: PolicyLeg,
             mean_value_over_h=s["voh"] / (2 * n),
             n_pairs=n,
             n_replicates=len(s["j_rep"]),
+            j_exact=leg.j_exact,
         )
 
     return block, finish
@@ -788,9 +748,11 @@ def simulate_equilibrium(
     return run_estimators(cfg, [est], leg)[0]
 
 
-def value_identity_estimator(sol: ValueCurve, u: CrraUtility, t: float, x: float,
+def value_identity_estimator(sol: ValueCurve, leg: PolicyLeg, t: float,
                              target_scale: float = 1.0):
-    """The ``verify_value_identity`` verdict; the leg must start at (t, x)."""
+    """The ``verify_value_identity`` verdict on the leg, which starts at t;
+    it records the exact mean of the leg's functional."""
+    u, x = leg.u, leg.x0
     target = target_scale * float(np.interp(t, sol.grid.nodes, sol.values)) * x**u.p / u.p
 
     def block(blk):
@@ -805,7 +767,7 @@ def value_identity_estimator(sol: ValueCurve, u: CrraUtility, t: float, x: float
         return Verdict("value_identity", z, threshold, bool(abs(z) <= threshold),
                        f"J={j:.6g} se={se:.3g} target={target:.6g}", n, float(se),
                        control_beta=beta, std_error_uncontrolled=plain_se,
-                       n_replicates=n_rep)
+                       n_replicates=n_rep, j_exact=leg.j_exact)
 
     return block, finish
 
@@ -836,17 +798,23 @@ def verify_value_identity(
         policy = equilibrium_policy(sol, m, u)
     cfg = replace(cfg, x0=x)
     leg = equilibrium_leg(policy, cfg, m, u, d, t)
-    return run_estimators(cfg, [value_identity_estimator(sol, u, t, x, target_scale)], leg)[0]
+    return run_estimators(cfg, [value_identity_estimator(sol, leg, t, target_scale)], leg)[0]
 
 
-def _no_consumption_log_wealth(cfg: SimConfig, m: MarketParams, zeta: float,
-                               checkpoints: np.ndarray):
-    """Log-wealth at the checkpoints under a constant fraction and no
-    consumption, as a function of a block."""
+def _no_consumption_power(cfg: SimConfig, m: MarketParams, zeta: float,
+                          checkpoints: np.ndarray):
+    """E[X^q | coarse values] at the checkpoints under a constant fraction and
+    no consumption, every path of a block (as ``Block.all_paths``), as a
+    function of the block and q."""
     g = cfg.grid
     base = math.log(cfg.x0) + _log_drift(m, zeta, np.zeros(g.n_steps), g.dt)[checkpoints]
     vol = m.sigma * math.sqrt(g.dt) * zeta
-    return lambda blk: base + vol * blk.all_paths(checkpoints)
+    half_var = 0.5 * vol**2 * _bridge(g.n_steps).variance[checkpoints]
+
+    def power(blk, q):
+        return np.exp(q * (base + vol * blk.all_paths(checkpoints)) + q * q * half_var)
+
+    return power
 
 
 def martingale_estimator(sol: ValueCurve, cfg: SimConfig, m: MarketParams, u: CrraUtility,
@@ -860,13 +828,13 @@ def martingale_estimator(sol: ValueCurve, cfg: SimConfig, m: MarketParams, u: Cr
     k = len(checkpoints)
     scale = (np.interp(g.nodes[checkpoints], sol.grid.nodes, sol.values) / u.p
              / d.h(g.horizon - g.nodes[checkpoints]))
-    log_wealth = {key: _no_consumption_log_wealth(cfg, m, zeta, checkpoints)
-                  for key, zeta in (("eq", stock_fraction(m, u)), ("sub", suboptimal_zeta))}
+    powers = {key: _no_consumption_power(cfg, m, zeta, checkpoints)
+              for key, zeta in (("eq", stock_fraction(m, u)), ("sub", suboptimal_zeta))}
 
     def block(blk):
         out = {}
-        for key, log_x in log_wealth.items():
-            A = _pair_means(scale * np.exp(u.p * log_x(blk)))
+        for key, power in powers.items():
+            A = _pair_means(scale * power(blk, u.p))
             out[key], out[f"{key}_cross"] = A.sum(axis=0), A.T @ A
         return out
 
@@ -923,10 +891,10 @@ def moment_estimator(cfg: SimConfig, m: MarketParams, u: CrraUtility, exponent_q
     """The ``moment_check`` verdicts; W must span the whole grid."""
     g = cfg.grid
     checkpoints = _checkpoints(g, max(n_checkpoints + 1, 2))[1:]
-    log_x = _no_consumption_log_wealth(cfg, m, stock_fraction(m, u), checkpoints)
+    power = _no_consumption_power(cfg, m, stock_fraction(m, u), checkpoints)
 
     def block(blk):
-        return _sums("y", _pair_means(np.exp(exponent_q * log_x(blk))))
+        return _sums("y", _pair_means(power(blk, exponent_q)))
 
     def finish(sums, n):
         out = []
@@ -958,17 +926,25 @@ def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
     """One ``perturbation_test`` row: the spike replaces the given components
     of the leg on its first w steps (eps in whole grid steps, at least one).
 
-    On nodes k <= w the spiked log-wealth is the leg's plus a gap G_k that
-    is affine in W; after the window the gap stays at G_w. With a and a' the
-    equilibrium and spiked weights (``PolicyLeg.weights``), per path
+    On nodes k <= w the spiked log-wealth is the leg's plus a gap
+    G_k = g_k + b W_k, affine in W; after the window the gap stays at G_w.
+    With Y = exp(a W), a = p vol, and v and v' the equilibrium and spiked
+    weights (``PolicyLeg.weights``), per path
 
-        J_eq - J_spiked = sum_{k <= w} Y_k (a_k - a'_k - a'_k expm1(p G_k))
-                          - expm1(p G_w) sum_{k > w} Y_k a_k,
+        J_eq - J_spiked = sum_{k <= w} Y_k (v_k - v'_k - v'_k expm1(p G_k))
+                          - expm1(p G_w) sum_{k > w} Y_k v_k,
 
-    which is exactly 0 for an identical spike. Y is formed on the window,
-    first for the drawn paths, then as its reciprocal for their partners;
-    each path's tail sum comes from ``Block.powers``, which takes it
-    directly, never as J minus the window, which could cancel.
+    which is exactly 0 for an identical spike. Its mean given the coarse
+    values takes, with the chords L and bridge variances s_k,
+    E[Y_k] = e^{a L_k + a^2 s_k / 2} on the window and beyond, and
+    E[Y_k expm1(p G_k)] = E[Y_k] expm1(g_k + b L_k + (a b + b^2 / 2) s_k).
+    The last term's product of two nodes w < k gains e^{a b c_k} for the
+    nodes k of w's segment lo <= w < k < hi, c_k = (w - lo)(hi - k) / (hi - lo)
+    their covariance; nodes of later segments are independent of W_w. So it
+    is expm1(G) T + (1 + expm1(G)) sum_{w < k < hi} E[Y_k] v_k expm1(a b c_k),
+    G = g_w + b L_w + b^2 s_w / 2, with T each path's tail sum from
+    ``Block.powers``, taken directly, never as J minus the window, which
+    could cancel. A partner negates L, a and b alike.
     """
     if eps <= 0:
         raise ParameterError("epsilons must be positive")
@@ -978,27 +954,48 @@ def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
     c_spiked = leg.c_nodes.copy()
     if spike.consumption is not None:
         c_spiked[:w] = spike.consumption
-    # the log-wealth gap, spiked minus equilibrium, is gap_drift + gap_vol W on
-    # nodes 0..w; both legs' drifts take the trapezoid average of c per step
+    # the log-wealth gap times p, spiked minus equilibrium, is gap_drift + b W
+    # on nodes 0..w; both legs' drifts take the trapezoid average of c per step
     gap_step = (m.mu * (zeta - leg.zeta) - _step_means(c_spiked - leg.c_nodes)[:w]
                 - 0.5 * m.sigma**2 * (zeta**2 - leg.zeta**2)) * dt
     gap_drift = p * np.concatenate([[0.0], np.cumsum(gap_step)])
-    gap_vol = p * m.sigma * math.sqrt(dt) * (zeta - leg.zeta)
-    v_spiked = leg.scale * _utility_weights(leg.h_nodes, c_spiked, dt, p)
-    head_eq = (leg.weights - v_spiked)[:w + 1]
+    a, b = p * leg.vol, p * m.sigma * math.sqrt(dt) * (zeta - leg.zeta)
+    bridge = _bridge(leg.n_steps)
+    var = bridge.variance
+    lift = np.exp(0.5 * a * a * var)
+    v_spiked = leg.scale * _utility_weights(leg.h_nodes, c_spiked, dt, p) * lift
+    head_eq = (leg.weights * lift - v_spiked)[:w + 1]
     head_spiked = v_spiked[:w + 1]
+    growth_drift = gap_drift + (a * b + 0.5 * b * b) * var[:w + 1]
+    end_drift = gap_drift[w] + 0.5 * b * b * var[w]
+    j = bridge.segment[w]
+    lo, hi = bridge.nodes[j], bridge.nodes[j + 1]
+    near = np.arange(w + 1, hi)
+    cov = (w - lo) * (hi - near) / (hi - lo)
+    near_weights = (leg.weights * lift)[near] * np.expm1(a * b * cov)
 
-    def loss(W_head, Y_head, tail, sign):
-        growth = np.expm1(gap_drift + (sign * gap_vol) * W_head)
-        return Y_head @ head_eq - (Y_head * growth) @ head_spiked - growth[:, w] * tail
+    def loss(L_head, Y_head, growth, sign, Y_near, tail):
+        # growth: expm1(p G_k) of the window given the coarse values, formed
+        # in place
+        np.multiply(L_head, sign * b, out=growth)
+        growth += growth_drift
+        np.expm1(growth, out=growth)
+        end = np.expm1(end_drift + (sign * b) * L_head[:, w])
+        return (_dot(Y_head, head_eq) - np.einsum("ij,ij,j->i", Y_head, growth, head_spiked)
+                - end * tail - (1.0 + end) * _dot(Y_near, near_weights))
 
     def block(blk):
-        # Y on the drawn paths; a partner's is its reciprocal, exp(-x) = 1 / exp(x)
-        W_head = blk.W[:, :w + 1]
-        Y_head = np.exp(p * leg.vol * W_head)
         tail = blk.powers[3][w + 1]
-        drawn = loss(W_head, Y_head, tail[:len(W_head)], 1.0)
-        partner = loss(W_head, np.reciprocal(Y_head, out=Y_head), tail[len(W_head):], -1.0)
+        # E[Y] on the drawn paths, in the scratch buffer, which ``powers``
+        # has released; a partner's is its reciprocal
+        L_head = blk.W[:, :w + 1]
+        Y_head = np.multiply(L_head, a, out=blk.scratch(L_head.shape))
+        np.exp(Y_head, out=Y_head)
+        Y_near = np.exp(a * blk.W[:, near])
+        growth, m_b = np.empty_like(Y_head), len(L_head)
+        drawn = loss(L_head, Y_head, growth, 1.0, Y_near, tail[:m_b])
+        partner = loss(L_head, np.reciprocal(Y_head, out=Y_head), growth, -1.0,
+                       np.reciprocal(Y_near, out=Y_near), tail[m_b:])
         return _sums("d", 0.5 * (drawn + partner) / eps)
 
     block.tail = w + 1

@@ -1,8 +1,8 @@
 """Test-owned oracles: residuals of the value PDEs, a node-by-node solve of
 the discretized integral equation, a numpy-array RK4 of the mixture system,
-the node loop of the dual PDE residual and the per-value CSV writer, which
-only the test suite evaluates, kept out of the library so that it needs no
-optimizer."""
+the node loop of the dual PDE residual, the per-value CSV writer and whole
+Brownian paths bridged through given coarse values, which only the test
+suite evaluates, kept out of the library so that it needs no optimizer."""
 
 import math
 
@@ -199,3 +199,21 @@ def per_value_csv(columns: dict) -> str:
 
     rows = zip(*map(cells, columns.values()), strict=True)
     return "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"
+
+
+def bridged_paths(nodes, Wc, Z):
+    """Whole Brownian paths (rows x (n + 1), W_0 = 0) through the coarse
+    values Wc (rows x len(nodes), W at nodes, nodes[0] = 0) with the normals
+    Z (rows x n) bridged in between: on each segment a < k <= b the chord of
+    Wc plus the running sum P of Z less its own chord,
+    W_k = Wc_a + (P_k - P_a) - (k - a) / (b - a) (P_b - P_a - (Wc_b - Wc_a)).
+    Given Wc, W is an exact Brownian path: the two-scale stream, a fine path
+    drawn in full for each coarse point."""
+    rows, n = Z.shape
+    P = np.concatenate([np.zeros((rows, 1)), np.cumsum(Z, axis=1)], axis=1)
+    W = np.zeros((rows, n + 1))
+    for j, (a, b) in enumerate(zip(nodes[:-1], nodes[1:])):
+        f = (np.arange(a + 1, b + 1) - a) / (b - a)
+        W[:, a + 1:b + 1] = (Wc[:, [j]] + (P[:, a + 1:b + 1] - P[:, [a]])
+                             - f * (P[:, [b]] - P[:, [a]] - (Wc[:, [j + 1]] - Wc[:, [j]])))
+    return W

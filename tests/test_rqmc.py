@@ -1,6 +1,7 @@
 import statistics
 
 import numpy as np
+from oracles import bridged_paths
 import pytest
 from scipy.stats import qmc
 
@@ -109,24 +110,28 @@ class TestBrownianBridge:
 
     @pytest.mark.parametrize("n_steps", [1, 3, 16, 17, 100, 1000])
     def test_paths_take_the_coarse_values_and_bridge_the_normals(self, n_steps):
+        # the chords are the mean of the two-scale stream's bridged paths given
+        # their coarse values, and the variances their spread about it: each
+        # bridged path is the chord plus the normals' running sum less its
+        # own chord, whose law given the coarse values does not depend on them
         rng = np.random.default_rng(n_steps)
         bridge = BrownianBridge(n_steps)
-        rows = 9
-        Z = rng.standard_normal((rows, n_steps))
-        P = np.concatenate([np.zeros((rows, 1)), np.cumsum(Z, axis=1)], axis=1)
-        Wc = bridge.coarse(rng.standard_normal((rows, bridge.dim)))
-        W = np.full((rows, n_steps + 1), np.nan)
-        # as in a pass, the product's scratch shares the normals' memory
-        buffer = np.full(rows * (n_steps + 1), np.nan)
-        normals = buffer[:Z.size].reshape(Z.shape)
-        normals[:] = Z
-        bridge.path(normals, Wc, W, buffer.reshape(W.shape))
-        assert np.array_equal(W[:, bridge.nodes[1:]], Wc) and np.all(W[:, 0] == 0.0)
-        # each segment: the coarse chord plus the normals' running sum less
-        # its own chord
-        ends = np.concatenate([np.zeros((rows, 1)), Wc], axis=1)
-        for j, (a, b) in enumerate(zip(bridge.nodes[:-1], bridge.nodes[1:])):
-            f = (np.arange(a, b + 1) - a) / (b - a)
-            chord = ends[:, [j]] + f * (ends[:, [j + 1]] - ends[:, [j]])
-            fine = P[:, a:b + 1] - P[:, [a]] - f * (P[:, [b]] - P[:, [a]])
-            np.testing.assert_allclose(W[:, a:b + 1], chord + fine, rtol=0, atol=1e-12)
+        rows, draws = 3, 4000
+        Wc = np.concatenate([np.zeros((rows, 1)),
+                             bridge.coarse(rng.standard_normal((rows, bridge.dim)))], axis=1)
+        chords = np.full((rows, n_steps + 1), np.nan)
+        bridge.chords(Wc, chords, np.full(chords.shape, np.nan))
+        assert np.array_equal(chords[:, bridge.nodes], Wc) and np.all(chords[:, 0] == 0.0)
+        for row in range(rows):
+            W = bridged_paths(bridge.nodes, np.repeat(Wc[[row]], draws, axis=0),
+                              rng.standard_normal((draws, n_steps)))
+            np.testing.assert_allclose(W[:, bridge.nodes], np.repeat(Wc[[row]], draws, axis=0),
+                                       rtol=0, atol=1e-12)
+            # 4000 draws: the sample mean is within 5 of its standard errors
+            # of the chord, and at the coarse nodes within the mean's rounding
+            se = np.sqrt(bridge.variance / draws)
+            assert np.all(np.abs(W.mean(axis=0) - chords[row]) <= 5 * se + 1e-10)
+            # and the sample variance within 5 of its standard errors,
+            # sqrt(2 / draws) relative, of the bridge variance
+            np.testing.assert_allclose(W.var(axis=0), bridge.variance,
+                                       rtol=5 * np.sqrt(2.0 / draws), atol=1e-12)

@@ -40,8 +40,7 @@ def test_mc_block_stages_runs():
     assert header.split()[-2:] == ["256x10", "256x20"]
     stages = {row.rsplit(None, 2)[0].strip(): [float(v) for v in row.split()[-2:]]
               for row in rows}
-    assert set(stages) == {"rng", "coarse points", "running sum", "bridge overlay",
-                           "X^p", "reductions", "control",
+    assert set(stages) == {"coarse points", "chords", "X^p", "reductions", "control",
                            "wealth cosh", "checkpoints", "simulate block", "verify block",
                            "pass 1 worker", "pass default", "pass 1 worker MB",
                            "pass default MB", "peak MB"}

@@ -28,6 +28,7 @@ from eqmerton.simulate import (
     moment_estimator,
     perturbation_estimator,
     perturbation_test,
+    Block,
     run_estimators,
     simulate_equilibrium,
     simulation_estimator,
@@ -35,7 +36,13 @@ from eqmerton.simulate import (
     verify_value_identity,
 )
 from eqmerton.rqmc import BrownianBridge, norm_ppf, sobol_directions, sobol_points, to_unit
-from eqmerton.solver import growth_constant, picard_solve, solve_no_consumption
+from eqmerton.solver import (
+    growth_constant,
+    picard_solve,
+    residual_integral_equation,
+    solve_no_consumption,
+)
+from oracles import bridged_paths
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +274,7 @@ class TestTerminalControl:
         leg = replace(equilibrium_leg(pol, cfg, market, utility, hyp_discount), zeta=0.0)
         sim = simulation_estimator(pol, sim_grid, leg, hyp_discount)
         sums, batch, verdict = run_estimators(
-            cfg, [sums_of(sim), sim, value_identity_estimator(sol, utility, 0.0, cfg.x0)], leg)
+            cfg, [sums_of(sim), sim, value_identity_estimator(sol, leg, 0.0)], leg)
         assert sums["c"] == sums["c_sq"] == 0.0
         # the plain mean, and the standard error of the plain replicate means
         mean = _mean_se(sums, "j", cfg.n_pairs)[0]
@@ -295,7 +302,7 @@ class TestTerminalControl:
         assert (cfg.replicate_pairs, cfg.n_replicates) == (32, 8)
         leg = equilibrium_leg(equilibrium_policy(sol, market, utility), cfg, market, utility,
                               hyp_discount)
-        est = value_identity_estimator(sol, utility, 0.0, 1.0)
+        est = value_identity_estimator(sol, leg, 0.0)
         verdicts = [run_estimators(replace(cfg, seed=seed), [est], leg)[0]
                     for seed in range(3000)]
         threshold = verdicts[0].threshold
@@ -407,12 +414,13 @@ class TestPerturbation:
     def test_zero_std_error_keeps_the_sign_of_d(self, market, utility,
                                                 hyp_discount, sim_grid, hyp_policy):
         # one antithetic pair has se = 0; where this spike raises the pair's
-        # average J (D < 0) the z must read as -inf, not as a detected loss
+        # average J (D < 0) the z must read as -inf, not as a detected loss.
+        # Seeds 0-15 hold pairs of either sign
         _, pol = hyp_policy
         rows = [perturbation_test(pol, sim_cfg(sim_grid, n_paths=1, seed=seed), market,
                                   utility, hyp_discount, t=0.0, epsilons=[0.25],
                                   spike=Spike(zeta=pol.stock_fraction + 1.0))[0]
-                for seed in range(8)]
+                for seed in range(16)]
         assert all(row.std_error == 0.0 for row in rows)
         assert all(row.z == np.copysign(np.inf, row.d_estimate) for row in rows)
         assert {np.sign(row.d_estimate) for row in rows} == {-1.0, 1.0}
@@ -449,6 +457,27 @@ class TestDiscreteFunctional:
         target = np.interp(t0, sim_grid.nodes, sol.values) * cfg.x0**p / p
         assert abs(expected_j / target - 1) <= 1e-9
 
+    @pytest.mark.parametrize("discount", ["hyperbolic", "exponential", "mixture"])
+    @pytest.mark.parametrize("p", [0.5, -2.0])
+    @pytest.mark.parametrize("t0", [0.0, 0.5])
+    def test_exact_mean_is_the_value_within_the_residual(self, market, all_discounts,
+                                                         sim_grid, discount, p, t0):
+        # the identity is exact for the discrete solution, so the recorded
+        # exact mean misses lam(t0) x^p / p by the solve's residual in lam
+        # (sup norm) at most, times x^p / p; twice that, and a few ulp of
+        # the sum's rounding, is the bound
+        u, d = CrraUtility(p=p), all_discounts[discount]
+        sol = picard_solve(market, u, d, sim_grid)
+        cfg = sim_cfg(sim_grid, x0=1.7)
+        leg = equilibrium_leg(equilibrium_policy(sol, market, u), cfg, market, u, d, t0)
+        target = np.interp(t0, sim_grid.nodes, sol.values) * cfg.x0**p / p
+        residual = residual_integral_equation(sol, market, u, d)
+        assert abs(leg.j_exact - target) <= (2 * residual * abs(cfg.x0**p / p)
+                                             + 8 * np.finfo(float).eps * abs(target))
+        batch = simulate_equilibrium(equilibrium_policy(sol, market, u),
+                                     replace(cfg, n_paths=64), market, u, d, start_time=t0)
+        assert batch.j_exact == leg.j_exact
+
 
 class TestOnePass:
     def test_fused_pass_matches_separate_checks(self, market, utility, hyp_discount,
@@ -460,7 +489,7 @@ class TestOnePass:
         spike = Spike(zeta=pol.stock_fraction + 1.0)
         leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
         fused = run_estimators(cfg, [
-            value_identity_estimator(sol, utility, 0.0, cfg.x0),
+            value_identity_estimator(sol, leg, 0.0),
             martingale_estimator(nc, cfg, market, utility, hyp_discount),
             perturbation_estimator(leg, 0.25, spike),
         ], leg)
@@ -474,54 +503,73 @@ class TestOnePass:
 
 
 # ---------------------------------------------------------------------------
-# Test-owned oracle: every leg stepped on its own, as a cumulative sum of its
-# log increments, exponentiated, with J as the trapezoid quadrature of
+# Test-owned oracle: every leg's log-wealth stepped on its own, as a
+# cumulative sum of its log increments, with J as the trapezoid quadrature of
 # h (c X)^p / p plus the bequest. A step's drift takes the trapezoid average
-# of the consumption ratio at its two nodes. Each block's drawn paths are
-# Brownian paths built as documented, spelled out here apart from the
-# library: their values at the coarse nodes come from each replicate's
-# digitally shifted Sobol net (scipy's unrandomized points, shifted point by
-# point)
-# through the standard library's AS241 and the bridge recursion, and in
-# between from the block's SFC64 normals, bridged segment by segment. The
-# partner of each path steps on its negated increments; every sample
-# statistic is taken over the pair averages, per replicate where the library
-# keeps replicate sums. The control of E[J] is each pair's average stepped
-# X_T^p over the leg's lognormal E[X_T^p], less one. The library instead
-# reads every leg off one array of bridged paths, and its control off the
-# last column; the block sums must agree to rounding.
+# of the consumption ratio at its two nodes. Each block's paths are drawn at
+# their coarse nodes as documented, spelled out here apart from the library:
+# each replicate's digitally shifted Sobol net (scipy's unrandomized points,
+# shifted point by point) through the standard library's AS241 and the
+# bridge recursion. Every per-path quantity is then its mean given those
+# coarse values, by Gaussian conditioning in matrix form: given Wc = A Z the
+# increments Z ~ N(0, I) have mean A^T (A A^T)^{-1} Wc and covariance
+# I - A^T (A A^T)^{-1} A, a log-wealth linear in Z is normal with the mean
+# and variance these give, and E[X^q | Wc] = exp(q mean + q^2 var / 2). The
+# partner of each path runs on -Wc. Every sample statistic is taken over
+# the pair averages, per replicate where the library keeps replicate sums.
+# The control of E[J] is each pair's average X_T^p over the leg's lognormal
+# E[X_T^p], less one (W_T is a coarse value). The library instead reads
+# every leg off the chords of the coarse values and the bridge variances;
+# the block sums must agree to rounding.
 
-def oracle_log_growth(Z, m, zeta_steps, c_nodes, dt):
-    """log(X / x0) at every node: the cumulative sum of the log increments."""
+def oracle_conditioning(n_sub):
+    """(K, S): given the coarse values the increments have mean Wc[:, 1:] @ K
+    and covariance S."""
+    A = (np.arange(n_sub) < np.array(oracle_coarse_nodes(n_sub)[1:])[:, None]).astype(float)
+    K = np.linalg.solve(A @ A.T, A)
+    return K, np.eye(n_sub) - A.T @ K
+
+
+def oracle_log_growth(mean_Z, cov_Z, m, zeta_steps, c_nodes, dt):
+    """Mean (rows x nodes) and variance (nodes) of log(X / x0) at every node
+    given the coarse values: the cumulative sum of the log increments, whose
+    normals have mean mean_Z and covariance cov_Z."""
     c_steps = (c_nodes[:-1] + c_nodes[1:]) / 2
     drift = (m.r + m.mu * zeta_steps - c_steps - 0.5 * m.sigma**2 * zeta_steps**2) * dt
-    incr = drift[None, :] + (m.sigma * zeta_steps * np.sqrt(dt))[None, :] * Z
-    return np.concatenate([np.zeros((Z.shape[0], 1)), np.cumsum(incr, axis=1)], axis=1)
+    vol = m.sigma * zeta_steps * np.sqrt(dt)
+    mean = np.cumsum(drift[None, :] + vol[None, :] * mean_Z, axis=1)
+    T = np.tril(np.ones((len(vol) + 1, len(vol))), -1) * vol  # T[k, i] = vol_i, i < k
+    return (np.concatenate([np.zeros((len(mean_Z), 1)), mean], axis=1),
+            ((T @ cov_Z) * T).sum(axis=1))
 
 
-def oracle_wealth(Z, x0, m, zeta_steps, c_nodes, dt):
-    return x0 * np.exp(oracle_log_growth(Z, m, zeta_steps, c_nodes, dt))
+def oracle_power(mean_Z, cov_Z, x0, m, zeta_steps, c_nodes, dt, q):
+    """E[X^q | coarse values] at every node."""
+    mean, var = oracle_log_growth(mean_Z, cov_Z, m, zeta_steps, c_nodes, dt)
+    return x0**q * np.exp(q * mean + 0.5 * q * q * var)
 
 
-def oracle_control(Z, m, zeta_steps, c_nodes, dt, p):
+def oracle_control(mean_Z, cov_Z, m, zeta_steps, c_nodes, dt, p):
     """Each pair's average X_T^p over its lognormal mean, less one: the
     control of J. log(X_T / x0) is normal with mean the steps' drifts and
     variance the sum of (sigma zeta)^2 dt; each path's ratio less one is
     expm1 of its log, so that the control keeps its digits where it is
-    small."""
+    small. W_T is a coarse value, so the path's log X_T is its mean given
+    them."""
     c_steps = (c_nodes[:-1] + c_nodes[1:]) / 2
     drift = np.sum((m.r + m.mu * zeta_steps - c_steps - 0.5 * m.sigma**2 * zeta_steps**2) * dt)
     log_mean = p * drift + 0.5 * p**2 * np.sum(m.sigma**2 * zeta_steps**2 * dt)
-    log_growth = oracle_log_growth(Z, m, zeta_steps, c_nodes, dt)[:, -1]
+    log_growth = oracle_log_growth(mean_Z, cov_Z, m, zeta_steps, c_nodes, dt)[0][:, -1]
     return pair_average(np.expm1(p * log_growth - log_mean))
 
 
-def oracle_j(X, c, h, dt, p):
-    J = h[-1] * X[:, -1] ** p / p
+def oracle_j(Xp, c, h, dt, p):
+    """The utility functional from X^p (or its mean) at every node."""
+    J = h[-1] * Xp[:, -1] / p
     if np.any(c != 0.0):
-        w = np.full(X.shape[1], dt)
+        w = np.full(Xp.shape[1], dt)
         w[0] = w[-1] = dt / 2.0
-        J = (h[None, :] * (c[None, :] * X) ** p / p) @ w + J
+        J = (h[None, :] * c[None, :] ** p * Xp / p) @ w + J
     return J
 
 
@@ -572,43 +620,42 @@ def oracle_bridge_values(xi, nodes):
 
 
 def oracle_paths(cfg, n_sub):
-    """The stream's blocks: each block's drawn Brownian paths (rows x
-    (n_sub + 1)) and the pass-wide replicate of each. Block b holds
-    ``cfg.block_pairs`` pairs, up to the rounded-up n_pairs, in replicates of
-    ``cfg.replicate_pairs``. Its generator
-    SFC64(SeedSequence(seed, spawn_key=(b,))) draws first the shift word of
-    each coordinate of each replicate in turn, then the fine normals,
-    row by row; each segment between coarse nodes a < b is the coarse chord
-    plus the normals' running sum P less its own chord:
-    W_k = Wc_a + (P_k - P_a) - (k - a) / (b - a) (P_b - P_a - (Wc_b - Wc_a))."""
+    """The stream's blocks: each block's drawn paths' values at the coarse
+    nodes 0..N (rows x (N + 1)) and the pass-wide replicate of each. Block b
+    holds ``cfg.block_pairs`` pairs, up to the rounded-up n_pairs, in
+    replicates of ``cfg.replicate_pairs``. Its generator
+    SFC64(SeedSequence(seed, spawn_key=(b,))) draws the shift word of each
+    coordinate of each replicate in turn, and nothing else."""
     per_block, rep = cfg.block_pairs, cfg.replicate_pairs
     nodes = oracle_coarse_nodes(n_sub)
     dim = len(nodes) - 1
     inv_cdf = np.vectorize(statistics.NormalDist().inv_cdf)
     for b in range(-(-cfg.n_pairs // per_block)):
         m_b = min(per_block, cfg.n_pairs - b * per_block)
-        rng = stream(cfg.seed, b)
-        words = rng.bit_generator.random_raw(m_b // rep * dim)
-        P = np.concatenate([np.zeros((m_b, 1)),
-                            np.cumsum(rng.standard_normal((m_b, n_sub)), axis=1)], axis=1)
+        words = stream(cfg.seed, b).bit_generator.random_raw(m_b // rep * dim)
         u = np.concatenate([oracle_uniforms(w, rep, dim)
                             for w in words.reshape(m_b // rep, dim)])
         Wc = np.concatenate([np.zeros((m_b, 1)), oracle_bridge_values(inv_cdf(u), nodes)], axis=1)
-        W = np.empty_like(P)
-        W[:, 0] = 0.0
-        for j, (a, e) in enumerate(zip(nodes[:-1], nodes[1:])):
-            f = (np.arange(a + 1, e + 1) - a) / (e - a)
-            W[:, a + 1:e + 1] = (Wc[:, [j]] + (P[:, a + 1:e + 1] - P[:, [a]])
-                                 - f * (P[:, [e]] - P[:, [a]] - (Wc[:, [j + 1]] - Wc[:, [j]])))
-        yield W, (b * per_block + np.arange(m_b)) // rep
+        yield Wc, (b * per_block + np.arange(m_b)) // rep
 
 
-def oracle_normals(cfg, n_sub):
-    """The stream's blocks of increments, drawn paths then their partners'
-    (the negation), with each pair's replicate."""
-    for W, replicate in oracle_paths(cfg, n_sub):
-        Z = np.diff(W, axis=1)
-        yield np.concatenate([Z, -Z]), replicate
+def oracle_chords(cfg, n_sub):
+    """The stream's blocks of drawn paths' means given their coarse values
+    (rows x (n_sub + 1)), with each path's replicate."""
+    K, _ = oracle_conditioning(n_sub)
+    for Wc, replicate in oracle_paths(cfg, n_sub):
+        mean = np.cumsum(Wc[:, 1:] @ K, axis=1)
+        yield np.concatenate([np.zeros((len(Wc), 1)), mean], axis=1), replicate
+
+
+def oracle_increments(cfg, n_sub):
+    """The stream's blocks of increment means given the coarse values, drawn
+    paths then their partners' (the negation), with each pair's replicate and
+    the increments' covariance given the coarse values."""
+    K, S = oracle_conditioning(n_sub)
+    for Wc, replicate in oracle_paths(cfg, n_sub):
+        mean_Z = Wc[:, 1:] @ K
+        yield np.concatenate([mean_Z, -mean_Z]), S, replicate
 
 
 def pair_average(v):
@@ -617,11 +664,11 @@ def pair_average(v):
 
 
 def oracle_sums(cfg, n_sub, block_fn):
-    """Sums of block_fn(Z, replicate) over the stream's blocks, drawn as the
-    library draws them."""
+    """Sums of block_fn(mean_Z, cov_Z, replicate) over the stream's blocks,
+    drawn as the library draws them."""
     total = {}
-    for Z, replicate in oracle_normals(cfg, n_sub):
-        for key, value in block_fn(Z, replicate).items():
+    for mean_Z, cov_Z, replicate in oracle_increments(cfg, n_sub):
+        for key, value in block_fn(mean_Z, cov_Z, replicate).items():
             total[key] = total.get(key, 0.0) + value
     return total
 
@@ -648,14 +695,16 @@ def oracle_leg_sums(pol, cfg, m, u, d, t0, spike, eps):
     zeta_spk, c_spk = zeta.copy(), c.copy()
     zeta_spk[:w], c_spk[:w] = spike.zeta, spike.consumption
 
-    def block(Z, replicate):
-        X = oracle_wealth(Z, cfg.x0, m, zeta, c, dt)
-        J = oracle_j(X, c, h, dt, p)
-        X_spk = oracle_wealth(Z, cfg.x0, m, zeta_spk, c_spk, dt)
-        D = (J - oracle_j(X_spk, c_spk, h, dt, p)) / eps
-        C = oracle_control(Z, m, zeta, c, dt, p)
+    def block(mean_Z, S, replicate):
+        def power(zeta_steps, c_nodes, q):
+            return oracle_power(mean_Z, S, cfg.x0, m, zeta_steps, c_nodes, dt, q)
+
+        Xp = power(zeta, c, p)
+        J = oracle_j(Xp, c, h, dt, p)
+        D = (J - oracle_j(power(zeta_spk, c_spk, p), c_spk, h, dt, p)) / eps
+        C = oracle_control(mean_Z, S, m, zeta, c, dt, p)
         Jp = pair_average(J)
-        out = {"wealth": X.sum(axis=0), "voh": (voh_scale * X**p / p).sum(axis=0),
+        out = {"wealth": power(zeta, c, 1.0).sum(axis=0), "voh": (voh_scale * Xp / p).sum(axis=0),
                "c": C.sum(), "c_sq": (C**2).sum(), "jc": Jp @ C,
                "j_rep": by_replicate(cfg, replicate, Jp),
                "c_rep": by_replicate(cfg, replicate, C),
@@ -663,7 +712,7 @@ def oracle_leg_sums(pol, cfg, m, u, d, t0, spike, eps):
                "c|abs": np.abs(C).sum(), "jc|abs": np.abs(Jp) @ np.abs(C),
                "j_rep|abs": by_replicate(cfg, replicate, np.abs(Jp)),
                "c_rep|abs": by_replicate(cfg, replicate, np.abs(C))}
-        pairs = {"j": J, "d": D, **{f"m{q}": X[:, -1] ** q for q in (p, 2 * p)}}
+        pairs = {"j": J, "d": D, **{f"m{q}": power(zeta, c, q)[:, -1] for q in (p, 2 * p)}}
         for key, v in pairs.items():
             a = pair_average(v)
             out[key], out[f"{key}_sq"] = a.sum(), (a**2).sum()
@@ -681,14 +730,14 @@ def oracle_grid_sums(nc, cfg, m, u, d):
              / d.h(g.horizon - g.nodes[ck_mart]))
     no_c = np.zeros(g.n_steps + 1)
 
-    def block(Z, replicate):
+    def block(mean_Z, S, replicate):
         out = {}
         for key, zeta in (("eq", stock_fraction(m, u)), ("sub", stock_fraction(m, u) / 2)):
-            X = oracle_wealth(Z, cfg.x0, m, np.full(g.n_steps, zeta), no_c, g.dt)
-            Y = pair_average(scale * X[:, ck_mart] ** p)
+            Xp = oracle_power(mean_Z, S, cfg.x0, m, np.full(g.n_steps, zeta), no_c, g.dt, p)
+            Y = pair_average(scale * Xp[:, ck_mart])
             out[key], out[f"{key}_cross"] = Y.sum(axis=0), Y.T @ Y
             if key == "eq":
-                y = pair_average(X[:, ck_mom] ** p)
+                y = pair_average(Xp[:, ck_mom])
                 out["y"], out["y_sq"] = y.sum(axis=0), (y**2).sum(axis=0)
         return out
 
@@ -740,7 +789,7 @@ class TestAgainstSteppedOracle:
         assert leg.n_steps == (1 if at_end else sim_grid.n_steps)
         estimators = {
             "simulate": simulation_estimator(pol, sim_grid, leg, d, (u.p, 2 * u.p)),
-            "value_identity": value_identity_estimator(sol, u, t0, cfg.x0),
+            "value_identity": value_identity_estimator(sol, leg, t0),
             "perturbation": perturbation_estimator(leg, eps, spike),
         }
         expected = oracle_leg_sums(pol, cfg, market, u, d, t0, spike, eps)
@@ -757,7 +806,7 @@ def assert_leg_sums_match(market, sim_grid, solved, discount, t0):
     leg = equilibrium_leg(pol, cfg, market, u, d, t0)
     estimators = {
         "simulate": simulation_estimator(pol, sim_grid, leg, d, (u.p, 2 * u.p)),
-        "value_identity": value_identity_estimator(sol, u, t0, cfg.x0),
+        "value_identity": value_identity_estimator(sol, leg, t0),
         "perturbation": perturbation_estimator(leg, 0.1, spike),
     }
     expected = oracle_leg_sums(pol, cfg, market, u, d, t0, spike, 0.1)
@@ -877,7 +926,8 @@ def assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, pairs, rep, counts,
     """30 paths in blocks of the given pairs, replicates of at most rep pairs
     and tiles of three rows: counts are the pass's (pairs, replicate pairs),
     tiles the rows of each tile, and the tiles are the rows of the oracle's
-    bridged paths, in order, each with its replicate."""
+    chords, the paths' means given their coarse values, in order, each with
+    its replicate."""
     n_sub = sim_grid.n_steps
     monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * (n_sub + 1) + 2)
     monkeypatch.setattr(simulate, "_MIN_REPLICATE_PAIRS", 1)
@@ -895,7 +945,7 @@ def assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, pairs, rep, counts,
 
     assert simulate._accumulate_blocks(cfg, n_sub, block) == {"rows": cfg.n_pairs}
     assert [len(W) for W in seen] == tiles
-    paths, expected = zip(*oracle_paths(cfg, n_sub))
+    paths, expected = zip(*oracle_chords(cfg, n_sub))
     W = np.concatenate(seen)
     assert np.all(W[:, 0] == 0.0)
     np.testing.assert_allclose(W, np.concatenate(paths), rtol=0, atol=1e-12)
@@ -908,7 +958,7 @@ def assert_coarse_values_are_the_shifted_nets(monkeypatch, rep, pairs, tiles):
     five rows (their sizes: tiles): the nodes of each tile's rows carry
     their replicate's shifted net, mapped through Phi^{-1} and the bridge,
     bit for bit. A block's generator draws one word per coordinate for each
-    of its replicates in turn, before its normals."""
+    of its replicates in turn."""
     g = TimeGrid(horizon=1.0, n_steps=37)
     monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 5 * 38)
     monkeypatch.setattr(simulate, "_MIN_REPLICATE_PAIRS", rep)
@@ -926,11 +976,9 @@ def assert_coarse_values_are_the_shifted_nets(monkeypatch, rep, pairs, tiles):
         norm_ppf(to_unit(points ^ (stream(3, j // per_block).bit_generator.random_raw(
             (per_block, 16))[j % per_block] >> np.uint64(12))))
         for j in range(32 // rep)])
-    # the bridge's product on each tile's rows at once, as in the pass: a
-    # product rounds alike only over the same rows
-    for first, rows in zip(np.cumsum([0] + tiles), tiles):
-        np.testing.assert_array_equal(W[first:first + rows, bridge.nodes[1:]],
-                                      bridge.coarse(xi[first:first + rows]))
+    # the bridge is elementwise, so each row's values are the same bits
+    # whatever rows it is formed with
+    np.testing.assert_array_equal(W[:, bridge.nodes[1:]], bridge.coarse(xi))
 
 
 def pair_stats(a):
@@ -974,7 +1022,8 @@ class TestAntitheticPairs:
         flat, decreasing = martingale_check(nc, cfg, market, utility, hyp_discount)
         moments = moment_check(cfg, market, utility, exponent_q=p, growth_rate=K)
 
-        # brute force: step every path of the stream, then average each pair
+        # brute force: step every path's mean given its coarse values, then
+        # average each pair
         c, h = pol.consumption_at(g.nodes), hyp_discount.h(g.nodes)
         zeta = np.full(g.n_steps, pol.stock_fraction)
         zeta_spk = zeta.copy()
@@ -984,19 +1033,22 @@ class TestAntitheticPairs:
         mart_scale = lam_ck / p / hyp_discount.h(g.horizon - g.nodes[ck_mart])
         per_pair = {key: [] for key in ("j", "c", "d", "m", "eq", "sub", "y")}
         replicates = []
-        for Z, replicate in oracle_normals(cfg, g.n_steps):
+        for mean_Z, S, replicate in oracle_increments(cfg, g.n_steps):
             replicates.append(replicate)
-            X = oracle_wealth(Z, cfg.x0, market, zeta, c, dt)
-            per_pair["c"].append(oracle_control(Z, market, zeta, c, dt, p))
-            J = oracle_j(X, c, h, dt, p)
-            J_spk = oracle_j(oracle_wealth(Z, cfg.x0, market, zeta_spk, c, dt), c, h, dt, p)
-            per_path = {"j": J, "d": (J - J_spk) / 0.25, "m": X[:, -1] ** p}
+
+            def power(zeta_steps, c_nodes):
+                return oracle_power(mean_Z, S, cfg.x0, market, zeta_steps, c_nodes, dt, p)
+
+            Xp = power(zeta, c)
+            per_pair["c"].append(oracle_control(mean_Z, S, market, zeta, c, dt, p))
+            J = oracle_j(Xp, c, h, dt, p)
+            J_spk = oracle_j(power(zeta_spk, c), c, h, dt, p)
+            per_path = {"j": J, "d": (J - J_spk) / 0.25, "m": Xp[:, -1]}
             for key, f in (("eq", frac), ("sub", frac / 2)):
-                X_nc = oracle_wealth(Z, cfg.x0, market, np.full(g.n_steps, f),
-                                     np.zeros(g.n_steps + 1), dt)
-                per_path[key] = mart_scale * X_nc[:, ck_mart] ** p
+                Xp_nc = power(np.full(g.n_steps, f), np.zeros(g.n_steps + 1))
+                per_path[key] = mart_scale * Xp_nc[:, ck_mart]
                 if key == "eq":
-                    per_path["y"] = X_nc[:, ck_mom] ** p
+                    per_path["y"] = Xp_nc[:, ck_mom]
             for key, v in per_path.items():
                 per_pair[key].append(pair_average(v))
         a = {key: np.concatenate(v) for key, v in per_pair.items()}
@@ -1075,3 +1127,128 @@ class TestAntitheticPairs:
         cfg = sim_cfg(sim_grid, n_paths=5000)
         assert (cfg.replicate_pairs, cfg.block_pairs) == (rep, per_block)
         assert cfg.n_blocks == -(-cfg.n_pairs // per_block)
+
+
+class TestConditionalExpectations:
+    """Every per-path value the library forms is the mean, given the path's
+    coarse values, of the same value on whole Brownian paths: the two-scale
+    stream's fine bridges through those values (``oracles.bridged_paths``),
+    averaged over 20 000 of them per coarse point."""
+
+    DRAWS = 20_000
+    # the library's value is within this many standard errors of the mean
+    # over the fine bridges (about 100 comparisons)
+    TOLERANCE = 4.5
+
+    def test_each_value_is_the_mean_over_fine_bridges(self, market, utility, hyp_discount):
+        # 40 steps: 16 coarse nodes 2 steps apart, the last segment 10 steps
+        # (30..40); the spike's window ends at w = 33 inside it, so its tail
+        # nodes 34..39 share w's segment; the moment checkpoints 7, 13, 27
+        # and 33 lie between coarse nodes
+        g = TimeGrid(horizon=1.0, n_steps=40)
+        p, dt = utility.p, g.dt
+        sol = picard_solve(market, utility, hyp_discount, g)
+        pol = equilibrium_policy(sol, market, utility)
+        cfg = SimConfig(n_paths=2, seed=1, grid=g, x0=1.3)
+        leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
+        bridge = BrownianBridge(g.n_steps)
+        w = 33
+        spike = Spike(zeta=pol.stock_fraction + 1.0, consumption=0.3)
+        rng = np.random.default_rng(5)
+        rows = 3
+        Wc = np.concatenate([np.zeros((rows, 1)),
+                             bridge.coarse(rng.standard_normal((rows, bridge.dim)))], axis=1)
+        chords = bridge.chords(Wc, np.empty((rows, g.n_steps + 1)),
+                               np.empty((rows, g.n_steps + 1)))
+        blk = Block(chords, simulate._Buffers(), leg, tails=(w + 1,))
+        J, C, Y_sum, tails = blk.powers
+        sim_sums = simulation_estimator(pol, g, leg, hyp_discount)[0](blk)
+        moment = moment_estimator(cfg, market, utility, p, growth_constant(market, utility),
+                                  n_checkpoints=6)
+        moment_sums = moment[0](blk)
+        d_sums = perturbation_estimator(leg, w * dt, spike)[0](blk)
+
+        # the same values on fine paths, stepped as the oracle steps them
+        c, h = leg.c_nodes, leg.h_nodes
+        zeta = np.full(g.n_steps, leg.zeta)
+        zeta_spk, c_spk = zeta.copy(), c.copy()
+        zeta_spk[:w], c_spk[:w] = spike.zeta, spike.consumption
+        ck = _checkpoints(g, 7)[1:]
+        fine = {key: [] for key in ("j", "y", "wealth", "tail", "m", "d")}
+        for row in range(rows):
+            W = bridged_paths(bridge.nodes, np.repeat(Wc[[row]], self.DRAWS, axis=0),
+                              rng.standard_normal((self.DRAWS, g.n_steps)))
+            Z = np.diff(W, axis=1)
+            per_path = {key: [] for key in fine}
+            for sign in (1.0, -1.0):  # the drawn path, then its partner
+                def wealth(zeta_steps, c_nodes):
+                    # the increments themselves, with no spread about them
+                    no_spread = np.zeros((g.n_steps, g.n_steps))
+                    return cfg.x0 * np.exp(oracle_log_growth(
+                        sign * Z, no_spread, market, zeta_steps, c_nodes, dt)[0])
+
+                X = wealth(zeta, c)
+                Jp = oracle_j(X**p, c, h, dt, p)
+                per_path["j"].append(Jp)
+                per_path["y"].append(np.exp(sign * p * leg.vol * W))
+                per_path["wealth"].append(X)
+                per_path["tail"].append(np.exp(sign * p * leg.vol * W[:, w + 1:])
+                                        @ leg.weights[w + 1:])
+                X_nc = wealth(zeta, np.zeros(g.n_steps + 1))
+                per_path["m"].append(X_nc[:, ck] ** p)
+                per_path["d"].append((Jp - oracle_j(wealth(zeta_spk, c_spk) ** p, c_spk, h,
+                                                    dt, p)) / (w * dt))
+            for key in ("j", "m", "d"):  # pair averages
+                fine[key].append(0.5 * (per_path[key][0] + per_path[key][1]))
+            fine["y"].append(per_path["y"][0] + per_path["y"][1])
+            fine["wealth"].append(per_path["wealth"][0] + per_path["wealth"][1])
+            fine["tail"].append(per_path["tail"])
+
+        def assert_mean(value, samples, what):
+            mean = samples.mean(axis=0)
+            se = samples.std(axis=0) / np.sqrt(len(samples))
+            assert np.all(np.abs(value - mean) <= self.TOLERANCE * se + 1e-12 * np.abs(mean)), \
+                (what, np.max(np.abs(value - mean) / (se + 1e-300)))
+
+        for row in range(rows):
+            assert_mean(J[row], fine["j"][row], "J")
+            assert_mean(tails[w + 1][row], fine["tail"][row][0], "drawn tail")
+            assert_mean(tails[w + 1][rows + row], fine["tail"][row][1], "partner tail")
+        # the per-node and per-checkpoint sums over the tile's rows: their
+        # standard errors add in quadrature over the independent rows
+        for key, value in (("y", Y_sum), ("wealth", sim_sums["wealth"]),
+                           ("m", moment_sums["y"]), ("d", d_sums["d"])):
+            means = sum(f.mean(axis=0) for f in fine[key])
+            se = np.sqrt(sum(f.var(axis=0) / self.DRAWS for f in fine[key]))
+            assert np.all(np.abs(value - means) <= self.TOLERANCE * se + 1e-12 * np.abs(means)), \
+                (key, np.max(np.abs(value - means) / (se + 1e-300)))
+
+
+def test_each_rows_values_are_the_same_bits_whatever_the_tile(market, utility, hyp_discount,
+                                                              sim_grid, hyp_policy,
+                                                              monkeypatch):
+    # J, its control and two tail sums of every row (one tail starting on a
+    # coarse node, one between nodes), gathered in row order from a pass in
+    # tiles of the default size and from one in ragged tiles of three rows
+    _, pol = hyp_policy
+    blocks_of(monkeypatch, 512)
+    cfg = sim_cfg(sim_grid, n_paths=3000, seed=11, n_workers=1)
+    leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
+
+    def block(W, buffers, replicate):
+        J, C, _, tails = Block(W, buffers, leg, (24, 31), replicate, cfg.n_replicates).powers
+        m = len(W)
+        return {"j": [J], "c": [C], **{f"tail{s}": [tails[s][:m]] for s in tails},
+                **{f"partner_tail{s}": [tails[s][m:]] for s in tails}}
+
+    def rows():
+        sums = simulate._accumulate_blocks(cfg, sim_grid.n_steps, block)
+        return {key: np.concatenate(parts) for key, parts in sums.items()}
+
+    whole = rows()
+    monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * (sim_grid.n_steps + 1))
+    ragged = rows()
+    assert set(whole) == {"j", "c", "tail24", "tail31", "partner_tail24", "partner_tail31"}
+    for key in whole:
+        assert len(whole[key]) == cfg.n_pairs
+        np.testing.assert_array_equal(whole[key], ragged[key], err_msg=key)
