@@ -2,14 +2,14 @@
 """Time spent in each stage of one Monte Carlo block, and the memory of a pass.
 
 Runs the stages of one block of the equilibrium simulation (hyperbolic
-discount, T = 1) on buffers that are already allocated, as every block after
+discount, T = 1) on buffers that are already allocated, as every tile after
 a worker's first one sees them, and tabulates the best-of-k time of each. A
 block of --paths paths (by default a pass's block, ``simulate._BLOCK_PAIRS``
 antithetic pairs) is --paths / 2 pairs, of which it stores only the drawn
 paths; each partner runs on -W. The stage rows hold the whole block at once,
-so their times compare across grids and block sizes; a pass runs each block
-in tiles of at most ``simulate._TILE_ELEMENTS`` elements per buffer, one
-after the other:
+so their times compare across grids and block sizes; a pass runs its rows
+in tiles of at most ``simulate._TILE_ELEMENTS`` elements per buffer and
+``simulate._BLOCK_PAIRS`` rows:
 
 * coarse points W at the 16 coarse bridge nodes of each pair: the shift
                 words of the block's replicates from its generator
@@ -28,9 +28,12 @@ after the other:
 * control       the terminal control of J (``simulate._terminal_control``):
                 two exponentials on the last column, then the sums of C,
                 C^2 and J C that the finisher regresses on;
-* wealth cosh   cosh(vol W), each pair's average wealth up to per-node
-                factors, formed only for ``simulate``'s mean wealth;
-* checkpoints   W and -W at the martingale check's five checkpoint columns.
+* wealth cosh   each pair's average E[X | coarse values] at every node
+                (``simulate.PolicyLeg.pair_power``: cosh(vol W) times
+                per-node factors), formed only for ``simulate``'s mean
+                wealth;
+* checkpoints   each pair's average E[X^p | coarse values] at the martingale
+                check's five checkpoints, by the same expression.
 
 Then come the whole ``simulate`` and ``verify`` block functions on the same
 chords (the perturbation rows read their tails from the shared X^p); a whole
@@ -59,15 +62,12 @@ from eqmerton import (
 )
 from eqmerton.rqmc import norm_ppf, shifted_points, sobol_net
 from eqmerton.simulate import (
-    Block,
     SimConfig,
     Spike,
     _BLOCK_PAIRS,
-    _Buffers,
     _block_rng,
     _bridge,
     _checkpoints,
-    _cosh,
     _dot,
     _fused_block,
     _sums,
@@ -110,9 +110,9 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
     cfg = SimConfig(n_paths=n_paths, seed=42, grid=g, x0=1.0)
     leg = equilibrium_leg(pol, cfg, m, u, d)
 
-    buffers = _Buffers()
-    W = buffers.get("w", (cfg.n_pairs, n_steps + 1))
-    scratch = buffers.get("z", W.shape)
+    flat = np.empty(cfg.n_pairs * (n_steps + 1))  # the scratch buffer of a tile
+    W = np.empty((cfg.n_pairs, n_steps + 1))
+    scratch = flat.reshape(W.shape)
     checkpoints = _checkpoints(g, 5)
     bridge, rep = _bridge(n_steps), cfg.replicate_pairs
     net, rows = sobol_net(bridge.dim, rep.bit_length() - 1), np.arange(cfg.n_pairs)
@@ -140,10 +140,10 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
         return _sums("c", C), J @ C
 
     def wealth():
-        _cosh(W, leg.vol, scratch)
+        leg.pair_power(W, 1.0, out=scratch)
 
     def checkpoint_columns():
-        Block(W, buffers, leg).all_paths(checkpoints)
+        leg.pair_power(W, u.p, checkpoints)
 
     row = {}
     for name, fn in (("coarse points", coarse_points), ("chords", chords),
@@ -165,9 +165,9 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
         perturbation_estimator(leg, 0.1, Spike(zeta=pol.stock_fraction + 0.01)),
     ], leg, cfg.n_replicates)
     replicate = np.arange(cfg.n_pairs) // rep
-    # each call builds a fresh Block, as each block of a pass gets its own
-    row["simulate block"] = best_ms(lambda: sim_block(W, buffers, replicate), repeats)
-    row["verify block"] = best_ms(lambda: verify_block(W, buffers, replicate), repeats)
+    # each call builds a fresh Block, as each tile of a pass gets its own
+    row["simulate block"] = best_ms(lambda: sim_block(W, flat, replicate), repeats)
+    row["verify block"] = best_ms(lambda: verify_block(W, flat, replicate), repeats)
     passes = {label: replace(cfg, n_paths=pass_blocks * 2 * _BLOCK_PAIRS, n_workers=workers)
               for label, workers in (("1 worker", 1), ("default", 0))}
     for label, pass_cfg in passes.items():

@@ -9,22 +9,21 @@ expectation of the discrete utility functional equals lam(t) x^p / p of the
 discrete solution (``PolicyLeg.j_exact`` gives it in closed form), and the
 checks below sample no time-discretization bias.
 
-The stream. Paths are processed in blocks of ``_BLOCK_PAIRS`` = 2048
-antithetic pairs. Block b's generator, ``SFC64(SeedSequence(seed,
+The stream. The pass's antithetic pairs are keyed in blocks of
+``_BLOCK_PAIRS`` = 2048. Block b's generator, ``SFC64(SeedSequence(seed,
 spawn_key=(b,)))`` (``_block_rng``), draws one 64-bit word per coordinate for
-each of the block's replicates, and nothing else; so every path is a
-deterministic function of (seed, its block, its row) however many workers
-process the blocks, and block partials are combined by pairwise summation in
-block order, making results bit-identical across worker counts. A path is
-drawn at its 16 coarse nodes only (``rqmc.BrownianBridge``): the bridge
-construction, terminal node first, of Phi^{-1}(u) of a point u of a
-randomized Sobol net (Glasserman, Monte Carlo Methods in Financial
-Engineering, 2004, section 5.5). A replicate is ``replicate_pairs`` = 2^k
-consecutive pairs of a block, the points of the one net that every replicate
-shares (``rqmc.sobol_net``), each XOR the replicate's random digital shift
-(``rqmc.shifted_points``; L'Ecuyer and Lemieux 2002). Each point of a shifted
-net is uniform, so each pair is, on its own, an exact antithetic pair; within
-a replicate the points are stratified, and replicates are independent.
+each of the block's replicates, and nothing else; that is all a block does.
+So every path is a deterministic function of (seed, its row of the pass),
+however many workers process it. A path is drawn at its 16 coarse nodes only
+(``rqmc.BrownianBridge``): the bridge construction, terminal node first, of
+Phi^{-1}(u) of a point u of a randomized Sobol net (Glasserman, Monte Carlo
+Methods in Financial Engineering, 2004, section 5.5). A replicate is
+``replicate_pairs`` = 2^k consecutive pairs of a block, the points of the
+one net that every replicate shares (``rqmc.sobol_net``), each XOR the
+replicate's random digital shift (``rqmc.shifted_points``; L'Ecuyer and
+Lemieux 2002). Each point of a shifted net is uniform, so each pair is, on
+its own, an exact antithetic pair; within a replicate the points are
+stratified, and replicates are independent.
 
 The fine scale is integrated out (conditional Monte Carlo; Asmussen and
 Glynn, Stochastic Simulation, 2007, chapter V). Given its coarse values Wc a
@@ -39,16 +38,18 @@ E[e^{b W_k} | Wc] = e^{b L_k + b^2 v_k / 2}, so the estimators read the
 chords and fold e^{b^2 v_k / 2} into their per-node weights. The partner of
 a path runs on -W, whose chords are -L.
 
-A block is processed in tiles of consecutive rows, each at most
-``_TILE_ELEMENTS`` float64 elements. Each tile forms its rows' coarse values
-from their points of the net and their replicates' shifts, then their
-chords at every node of the leg, elementwise, into a tile-sized buffer.
-Every per-row value (J, its control, a tail sum, a checkpoint term) is
-formed by elementwise operations and per-row sums whose rounding does not
-depend on the other rows, so it is the same bits whatever the tile size;
-only the order in which an estimator's sums over rows are added depends on
-the partition into tiles. A worker thread holds two tile-sized buffers,
-whatever the grid.
+A pass is one ordered map over tiles of consecutive rows, each at most
+``_TILE_ELEMENTS`` float64 elements and ``_BLOCK_PAIRS`` rows; a tile may
+span replicates and blocks. Each tile forms its rows' coarse values from
+their points of the net and their replicates' shifts, then their chords at
+every node of the leg, elementwise, into a tile-sized buffer. Every per-row
+value (J, its control, a tail sum, a checkpoint term) is formed by
+elementwise operations and per-row sums whose rounding does not depend on
+the other rows, so it is the same bits whatever the tile size; only the
+order in which an estimator's sums over rows are added depends on the
+partition into tiles. Tile partials are combined by pairwise summation in
+row order, so results are bit-identical across worker counts. A worker
+thread holds two tile-sized buffers, whatever the grid.
 
 Every policy simulated here holds a constant stock fraction zeta over the
 steps it covers, so its log-wealth at node k is affine in W,
@@ -56,7 +57,11 @@ log X(t_k) = log x0 + drift[k] + sigma sqrt(dt) zeta W_k, and X^p =
 (x0 e^{drift})^p Y with Y = exp(a W), a = p sigma sqrt(dt) zeta: with the
 deterministic factor and e^{a^2 v_k / 2} folded into the per-node weights,
 the utility functional's conditional mean is J = e^{a L} . weights, formed
-once per tile for each half of the pairs (``Block.powers``).
+once per tile for each half of the pairs (``Block.powers``). Each pair's
+average of E[X^q | coarse values] at any nodes is one expression,
+(x0 e^{drift})^q e^{(q vol)^2 v_k / 2} cosh(q vol L_k)
+(``PolicyLeg.pair_power``), which gives mean wealth, the terminal moments
+and the martingale and moment checks' checkpoint terms.
 
 Standard errors. The two readers of the utility functional, ``simulate``'s
 E[J] and the value identity, take theirs over the R replicates, and the
@@ -121,8 +126,8 @@ __all__ = [
 STAT_THRESHOLD = 3.0  # all statistical verdicts use three standard errors
 # the two-sided rate at which a normal z exceeds the threshold, 0.27 %
 _FALSE_ALARM_RATE = math.erfc(STAT_THRESHOLD / math.sqrt(2.0))
-# antithetic pairs in a block: the partition of the random stream and the
-# grain of the parallel work
+# antithetic pairs in a block, the partition of the random stream, and the
+# most rows a tile holds
 _BLOCK_PAIRS = 2048
 # a replicate, one shifted Sobol net of pairs, holds at most this many
 # pairs, and a pass aims for at least _MIN_REPLICATES of them
@@ -134,9 +139,15 @@ _MIN_REPLICATES = 32
 _MIN_REPLICATE_PAIRS = 32
 # the bridge of each leg length, built once
 _bridge = lru_cache(maxsize=16)(BrownianBridge)
-# float64 elements in a tile of a block's rows, 2 MiB per buffer: a pass holds
-# two such buffers per worker thread, whatever the grid
+# float64 elements in a tile of the pass's rows, 2 MiB per buffer: a pass
+# holds two such buffers per worker thread, whatever the grid
 _TILE_ELEMENTS = 2**18
+
+
+def _tile_rows(n_steps: int) -> int:
+    """Rows in a tile of paths of n_steps steps: at most ``_TILE_ELEMENTS``
+    elements and ``_BLOCK_PAIRS`` rows, one at least."""
+    return min(_BLOCK_PAIRS, max(1, _TILE_ELEMENTS // (n_steps + 1)))
 
 
 @dataclass(frozen=True)
@@ -146,9 +157,9 @@ class SimSettings:
 
     n_paths counts paths. They run as antithetic pairs, in replicates of
     ``replicate_pairs`` pairs, and n_paths rounds up to whole replicates
-    (``n_pairs`` pairs in all), which run in blocks of ``block_pairs``.
-    n_workers = 0 runs one worker thread per CPU the process may run on
-    (``worker_count``)."""
+    (``n_pairs`` pairs in all), whose shifts are keyed in blocks of
+    ``block_pairs``. n_workers = 0 runs one worker thread per CPU the
+    process may run on (``SimConfig.worker_count``)."""
 
     n_paths: int = 100_000
     seed: int = 42
@@ -196,17 +207,6 @@ class SimSettings:
     def n_blocks(self) -> int:
         return -(-self.n_pairs // self.block_pairs)
 
-    def worker_count(self) -> int:
-        """Worker threads of a pass: n_workers, or for 0 the number of CPUs
-        this process may run on, and never more than the blocks."""
-        n = self.n_workers
-        if n == 0:
-            try:
-                n = len(os.sched_getaffinity(0))
-            except AttributeError:  # no affinity call on this platform
-                n = os.cpu_count() or 1
-        return min(n, self.n_blocks)
-
 
 @dataclass(frozen=True, kw_only=True)
 class SimConfig(SimSettings):
@@ -214,6 +214,19 @@ class SimConfig(SimSettings):
     keyword-only field)."""
 
     grid: TimeGrid
+
+    def worker_count(self, n_steps: Optional[int] = None) -> int:
+        """Worker threads of a pass over paths of n_steps steps, the whole
+        grid by default: n_workers, or for 0 the number of CPUs this process
+        may run on, and never more than the pass's tiles."""
+        n = self.n_workers
+        if n == 0:
+            try:
+                n = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity call on this platform
+                n = os.cpu_count() or 1
+        n_steps = self.grid.n_steps if n_steps is None else n_steps
+        return min(n, -(-self.n_pairs // _tile_rows(n_steps)))
 
 
 @dataclass(frozen=True)
@@ -299,14 +312,14 @@ def _add(a: dict, b: dict) -> dict:
 
 
 def _combine_in_order(partials) -> dict:
-    """Pairwise tree sum of per-block partials, consumed in block order.
+    """Pairwise tree sum of per-tile partials, consumed in row order.
 
     A binary counter holds at most one partial per level, the sum of 2^level
-    consecutive blocks; a new block merges with each full level below it,
+    consecutive tiles; a new tile merges with each full level below it,
     and at the end the levels fold from the right. That is the tree of
     pairing the whole list level by level, (0, 1), (2, 3), ... with an odd
     one out carried up, so every sum rounds alike, while memory holds
-    O(log n_blocks) partials."""
+    O(log n_tiles) partials."""
     counter = []  # (level, partial), levels strictly decreasing
     for item in partials:
         level = 0
@@ -320,78 +333,51 @@ def _combine_in_order(partials) -> dict:
     return total
 
 
-class _Buffers:
-    """Named float buffers one thread reuses across its blocks; a request
-    returns a C-contiguous view of the buffer's leading elements."""
-
-    def __init__(self):
-        self._flat = {}
-
-    def get(self, name: str, shape: tuple) -> np.ndarray:
-        size = math.prod(shape)
-        flat = self._flat.get(name)
-        if flat is None or flat.size < size:
-            flat = self._flat[name] = np.empty(size)
-        return flat[:size].reshape(shape)
-
-
 def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> dict:
-    """Run block_fn(W, buffers, replicate) over all path blocks, tile by
+    """Run block_fn(W, scratch, replicate) over the pass's rows, tile by
     tile, and combine the sums.
 
-    Block b holds m antithetic pairs, whole replicates of
-    ``cfg.replicate_pairs`` (``cfg.block_pairs`` of them but the last), and
-    stores only their drawn paths, at most
-    ``_TILE_ELEMENTS // (n_sub_steps + 1)`` of them (at least one) at a
-    time. The block's generator ``_block_rng(seed, b)`` draws the digital
-    shifts of the block's replicates, one word per replicate and coordinate.
-    For each tile of rows in turn, the rows' coarse values are formed from
-    their points of the shared net (``rqmc.shifted_points``), and W
-    (rows x (n_sub_steps + 1), W[:, 0] = 0) holds their chords, each path's
-    mean at every node given its coarse values
-    (``rqmc.BrownianBridge.chords``); the partner of row i runs on -W[i].
-    ``replicate`` holds each row's replicate, numbered over the whole pass.
-    Buffer "z", of W's shape, is free for block_fn. A block's sums are its
-    tiles' added in row order, and the blocks' are combined pairwise in
-    block order as they arrive. The blocks run on ``cfg.worker_count()``
-    threads, each with its own two tile-sized buffers.
+    Block b's generator ``_block_rng(seed, b)`` draws the digital shifts of
+    its replicates (``cfg.block_pairs`` pairs, fewer in the last block), one
+    word per replicate and coordinate; every block's are drawn once, in
+    block order, before any tile runs. The pass's ``cfg.n_pairs`` rows then
+    run in tiles of ``_tile_rows(n_sub_steps)`` consecutive rows, which may
+    span replicates and blocks. A tile forms its rows' coarse values from
+    their points of the shared net, each XOR its replicate's shift
+    (``rqmc.shifted_points``), and W (rows x (n_sub_steps + 1),
+    W[:, 0] = 0) holds their chords, each path's mean at every node given
+    its coarse values (``rqmc.BrownianBridge.chords``); the partner of row i
+    runs on -W[i]. ``replicate`` holds each row's replicate, numbered over
+    the whole pass, and ``scratch``, a flat buffer of at least W's size, is
+    free for block_fn. The tiles run on ``cfg.worker_count(n_sub_steps)``
+    threads, each with its own two buffers, and their sums are combined
+    pairwise in row order as they arrive.
     """
-    local = threading.local()
-    tile_rows = max(1, _TILE_ELEMENTS // (n_sub_steps + 1))
     bridge = _bridge(n_sub_steps)
-    rep, per_block = cfg.replicate_pairs, cfg.block_pairs
+    rep, per_block = cfg.replicate_pairs, cfg.block_pairs // cfg.replicate_pairs
+    words = np.concatenate([
+        _block_rng(int(cfg.seed), b).bit_generator.random_raw(
+            (min(per_block, cfg.n_replicates - b * per_block), bridge.dim))
+        for b in range(cfg.n_blocks)])
     net = sobol_net(bridge.dim, rep.bit_length() - 1)
+    tile_rows = _tile_rows(n_sub_steps)
+    size = min(tile_rows, cfg.n_pairs) * (n_sub_steps + 1)
+    local = threading.local()
 
-    def run(b: int) -> dict:
-        if not hasattr(local, "buffers"):
-            local.buffers = _Buffers()
-        buffers = local.buffers
-        m_b = min(per_block, cfg.n_pairs - b * per_block)
-        words = _block_rng(int(cfg.seed), b).bit_generator.random_raw((m_b // rep, bridge.dim))
-        total = None
-        for start in range(0, m_b, tile_rows):
-            rows = np.arange(start, min(start + tile_rows, m_b))
-            Wc = np.zeros((len(rows), bridge.dim + 1))
-            Wc[:, 1:] = bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
-            W = buffers.get("w", (len(rows), n_sub_steps + 1))
-            bridge.chords(Wc, W, buffers.get("z", W.shape))
-            sums = block_fn(W, buffers, (b * per_block + rows) // rep)
-            total = sums if total is None else {k: total[k] + v for k, v in sums.items()}
-        return total
+    def run(start: int) -> dict:
+        rows = np.arange(start, min(start + tile_rows, cfg.n_pairs))
+        Wc = np.zeros((len(rows), bridge.dim + 1))
+        Wc[:, 1:] = bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
+        # the buffers come after the coarse values' temporaries are freed
+        if not hasattr(local, "w"):
+            local.w, local.scratch = np.empty(size), np.empty(size)
+        shape = (len(rows), n_sub_steps + 1)
+        W = local.w[:math.prod(shape)].reshape(shape)
+        bridge.chords(Wc, W, local.scratch[:W.size].reshape(shape))
+        return block_fn(W, local.scratch, rows // rep)
 
-    workers = cfg.worker_count()
-    if workers == 1:
-        return _combine_in_order(map(run, range(cfg.n_blocks)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _combine_in_order(pool.map(run, range(cfg.n_blocks)))
-
-
-def _log_drift(m: MarketParams, zeta: float, c_steps: np.ndarray, dt: float) -> np.ndarray:
-    """Deterministic part of log(X(t_k) / x0) per node, for a constant stock
-    fraction zeta and a consumption ratio per step."""
-    out = np.zeros(len(c_steps) + 1)
-    np.cumsum((m.r + m.mu * zeta - c_steps - 0.5 * m.sigma**2 * zeta**2) * dt, out=out[1:])
-    return out
+    with ThreadPoolExecutor(max_workers=cfg.worker_count(n_sub_steps)) as pool:
+        return _combine_in_order(pool.map(run, range(0, cfg.n_pairs, tile_rows)))
 
 
 def _utility_weights(h: np.ndarray, c: np.ndarray, dt: float, p: float) -> np.ndarray:
@@ -426,22 +412,8 @@ def _z(diff, se) -> float:
     return 0.0 if diff == 0 else math.copysign(math.inf, diff)
 
 
-def _pair_means(v: np.ndarray) -> np.ndarray:
-    """The pair averages (f(W) + f(-W)) / 2 of per-path values v of a block
-    (axis 0), whose rows i and m + i are antithetic partners."""
-    m = len(v) // 2
-    return 0.5 * (v[:m] + v[m:])
-
-
-def _cosh(W: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
-    """cosh(scale W) into out: the pair average of exp(scale W) and
-    exp(-scale W)."""
-    np.multiply(W, scale, out=out)
-    return np.cosh(out, out=out)
-
-
 def _sums(key: str, a) -> dict:
-    """Sum and sum of squares of a block's pair averages a (axis 0)."""
+    """Sum and sum of squares of a tile's pair averages a (axis 0)."""
     return {key: a.sum(axis=0), f"{key}_sq": (a**2).sum(axis=0)}
 
 
@@ -463,9 +435,10 @@ def _terminal_control(W_n: np.ndarray, a: float, n_steps: int) -> np.ndarray:
 
 
 def _controlled_sums(blk: "Block", J: np.ndarray, C: np.ndarray) -> dict:
-    """The sums ``_controlled_mean_se`` takes: those of the pair averages J
-    and of the control C, sum J C, and the sums of J and of C per replicate."""
-    return {**_sums("j", J), **_sums("c", C), "jc": J @ C,
+    """The sums ``_controlled_mean_se`` takes: that of the pair averages J,
+    those of the control C and of its squares, sum J C, and the sums of J
+    and of C per replicate."""
+    return {"j": J.sum(), **_sums("c", C), "jc": J @ C,
             "j_rep": blk.by_replicate(J), "c_rep": blk.by_replicate(C)}
 
 
@@ -486,8 +459,7 @@ def _controlled_mean_se(s: dict, n: int):
     mean(J) - beta mean(C). The standard errors are taken over the
     replicates: those of the replicate means of J - beta C and of J. With
     beta = 0 the two are the same, bit for bit."""
-    j, _ = _mean_se(s, "j", n)
-    c = s["c"] / n
+    j, c = s["j"] / n, s["c"] / n
     var_c = s["c_sq"] / n - c**2
     cov = s["jc"] / n - j * c
     beta = cov / var_c if var_c > 0 else 0.0
@@ -563,7 +535,12 @@ class PolicyLeg:
 
     @cached_property
     def drift(self) -> np.ndarray:
-        return _log_drift(self.m, self.zeta, _step_means(self.c_nodes), self.dt)
+        """Deterministic part of log(X(t_k) / x0) per node."""
+        m, zeta = self.m, self.zeta
+        out = np.zeros(self.n_steps + 1)
+        np.cumsum((m.r + m.mu * zeta - _step_means(self.c_nodes) - 0.5 * m.sigma**2 * zeta**2)
+                  * self.dt, out=out[1:])
+        return out
 
     @cached_property
     def scale(self) -> np.ndarray:
@@ -584,22 +561,48 @@ class PolicyLeg:
         v = _utility_weights(self.h_nodes, self.c_nodes, self.dt, p)
         return float(v @ np.exp(log_mean))
 
+    def pair_power(self, W: np.ndarray, q: float, nodes=slice(None),
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Each pair's average of E[X^q | coarse values] at the given nodes
+        (an index, slice or index array of the columns of the chords W),
+        into out if given. X^q is (x0 e^{drift})^q e^{q vol W} on a drawn
+        path and e^{-q vol W} on its partner; given the coarse values each
+        exponential's mean is that of the chord times e^{(q vol)^2 v / 2}, v
+        the bridge variance, and the pair's average is cosh(q vol W) times
+        both factors."""
+        a = q * self.vol
+        log_factor = (q * (math.log(self.x0) + self.drift[nodes])
+                      + 0.5 * a * a * _bridge(self.n_steps).variance[nodes])
+        out = np.multiply(W[:, nodes], a, out=out)
+        np.cosh(out, out=out)
+        out *= np.exp(log_factor)
+        return out
+
+
+def _holding_leg(cfg: SimConfig, m: MarketParams, u: CrraUtility, zeta: float) -> PolicyLeg:
+    """A constant stock fraction zeta without consumption over the whole
+    grid, as the martingale and moment checks run it; its discount, which
+    they do not read, is 1."""
+    no_c = np.zeros(cfg.grid.n_steps + 1)
+    return PolicyLeg(cfg.x0, m, u, cfg.grid.dt, zeta, no_c, np.ones_like(no_c))
+
 
 class Block:
-    """One tile of a block's antithetic pairs, seen through the chords W of
+    """One tile of the pass's antithetic pairs, seen through the chords W of
     its m drawn paths (m x (steps + 1), W[:, 0] = 0): W[i, k] is the mean of
     path i at node k given its coarse values, and ``variance[k]`` its
     variance there, the same on every row. The partner of row i runs on
-    -W[i], which no buffer holds. ``replicate`` holds each row's replicate,
-    of ``n_replicates`` in the pass. ``tails`` are the nodes s whose tail
-    sums ``powers`` takes."""
+    -W[i], which no buffer holds. ``scratch`` is a flat buffer of at least
+    W's size that the estimators may overwrite. ``replicate`` holds each
+    row's replicate, of ``n_replicates`` in the pass. ``tails`` are the
+    nodes s whose tail sums ``powers`` takes."""
 
-    def __init__(self, W: np.ndarray, buffers: _Buffers, leg: Optional[PolicyLeg],
+    def __init__(self, W: np.ndarray, scratch: np.ndarray, leg: Optional[PolicyLeg],
                  tails: tuple = (), replicate: Optional[np.ndarray] = None,
                  n_replicates: int = 1):
         self.W = W
         self.variance = _bridge(W.shape[1] - 1).variance
-        self._buffers = buffers
+        self._scratch = scratch
         self._leg = leg
         self._tails = tails
         self.replicate = np.zeros(len(W), dtype=np.intp) if replicate is None else replicate
@@ -610,12 +613,6 @@ class Block:
         (length ``n_replicates``)."""
         return np.bincount(self.replicate, weights=v, minlength=self.n_replicates)
 
-    def all_paths(self, cols) -> np.ndarray:
-        """W[:, cols] of every path of the tile: the drawn rows, then their
-        partners', so that rows i and m + i are a pair."""
-        drawn = self.W[:, cols]
-        return np.concatenate([drawn, -drawn])
-
     @cached_property
     def powers(self):
         """(J, C, Y_sum, tails) of the leg, where Y = E[exp(p vol W)] on a
@@ -624,8 +621,8 @@ class Block:
         functional Y . leg.weights, C each pair's terminal control
         (``_terminal_control``), Y_sum the per-node sum of Y over the tile's
         paths, and tails[s] each path's sum_{k >= s} Y_k leg.weights[k],
-        drawn paths then partners (as ``all_paths``). exp(p vol W) is formed
-        in the scratch buffer, drawn paths first, which is free again
+        drawn paths, then their partners in the same order. exp(p vol W) is
+        formed in the scratch buffer, drawn paths first, which is free again
         afterwards."""
         a = self._leg.u.p * self._leg.vol
         # E[e^{a W} | coarse values] over e^{a W} of the chords, per node
@@ -642,9 +639,9 @@ class Block:
         return 0.5 * (J + _dot(Y, weights)), C, (Y_sum + Y.sum(axis=0)) * lift, tails
 
     def scratch(self, shape: tuple) -> np.ndarray:
-        """A buffer of the given shape, at most W's size, that the block may
-        overwrite."""
-        return self._buffers.get("z", shape)
+        """A view of the scratch buffer in the given shape, at most W's
+        size."""
+        return self._scratch[:math.prod(shape)].reshape(shape)
 
 
 def equilibrium_leg(pol: EquilibriumPolicy, cfg: SimConfig, m: MarketParams,
@@ -659,12 +656,12 @@ def equilibrium_leg(pol: EquilibriumPolicy, cfg: SimConfig, m: MarketParams,
 
 
 def _fused_block(estimators: list, leg: Optional[PolicyLeg], n_replicates: int) -> Callable:
-    """block(W, buffers, replicate): every estimator's sums on one ``Block``,
+    """block(W, scratch, replicate): every estimator's sums on one ``Block``,
     keyed by (estimator index, key), with the tails the estimators declare."""
     tails = tuple(sorted({fn.tail for fn, _ in estimators if hasattr(fn, "tail")}))
 
-    def block(W, buffers, replicate):
-        blk = Block(W, buffers, leg, tails, replicate, n_replicates)
+    def block(W, scratch, replicate):
+        blk = Block(W, scratch, leg, tails, replicate, n_replicates)
         return {(i, key): value for i, (block_fn, _) in enumerate(estimators)
                 for key, value in block_fn(blk).items()}
 
@@ -676,13 +673,13 @@ def run_estimators(cfg: SimConfig, estimators: list, leg: Optional[PolicyLeg] = 
 
     An estimator is a pair (block, finish). ``block(blk)`` maps one ``Block``
     to a dict of sums; ``blk.powers`` gives the leg's pair-averaged utility
-    functional, its terminal control and per-node X^p sums, formed once per tile for all
-    estimators, and the per-path tail sums from node ``block.tail`` on of
-    every block function that has that attribute; ``blk.by_replicate`` sums
-    per-pair values by replicate. ``finish(sums, n_pairs)`` turns the sums
-    over all blocks into the result, with n_pairs the number of antithetic
-    pairs (``SimConfig.n_pairs``). The chords span the leg's nodes, or the
-    whole grid without a leg.
+    functional, its terminal control and per-node X^p sums, formed once per
+    tile for all estimators, and the per-path tail sums from node
+    ``block.tail`` on of every block function that has that attribute;
+    ``blk.by_replicate`` sums per-pair values by replicate.
+    ``finish(sums, n_pairs)`` turns the sums over all tiles into the result,
+    with n_pairs the number of antithetic pairs (``SimConfig.n_pairs``). The
+    chords span the leg's nodes, or the whole grid without a leg.
     """
     if not estimators:
         return []
@@ -698,20 +695,15 @@ def simulation_estimator(pol: EquilibriumPolicy, g: TimeGrid, leg: PolicyLeg,
     nodes = g.nodes[g.n_steps - leg.n_steps:]
     lam_nodes = np.interp(nodes, pol.grid.nodes, pol.curve.values)
     voh_scale = lam_nodes * leg.scale / leg.u.p / d.h(g.horizon - nodes)
-    # 2 x0 e^{drift} E[cosh(vol W) | coarse values] / cosh(vol W) of the chords
-    var = _bridge(leg.n_steps).variance
-    wealth_scale = 2.0 * leg.x0 * np.exp(leg.drift + 0.5 * leg.vol**2 * var)
-    log_x_T = math.log(leg.x0) + leg.drift[-1]
 
     def block(blk):
         J, C, Y_sum, _ = blk.powers
-        X_pairs = _cosh(blk.W, leg.vol, blk.scratch(blk.W.shape))
+        X_pairs = leg.pair_power(blk.W, 1.0, out=blk.scratch(blk.W.shape))
         out = {**_controlled_sums(blk, J, C),
-               "wealth": X_pairs.sum(axis=0) * wealth_scale,
+               "wealth": 2.0 * X_pairs.sum(axis=0),
                "voh": Y_sum * voh_scale}
-        W_T = blk.all_paths(-1)
         for q in moment_orders:
-            out.update(_sums(f"m{q}", _pair_means(np.exp(q * (log_x_T + leg.vol * W_T)))))
+            out.update(_sums(f"m{q}", leg.pair_power(blk.W, q, -1)))
         return out
 
     def finish(s, n):
@@ -801,22 +793,6 @@ def verify_value_identity(
     return run_estimators(cfg, [value_identity_estimator(sol, leg, t, target_scale)], leg)[0]
 
 
-def _no_consumption_power(cfg: SimConfig, m: MarketParams, zeta: float,
-                          checkpoints: np.ndarray):
-    """E[X^q | coarse values] at the checkpoints under a constant fraction and
-    no consumption, every path of a block (as ``Block.all_paths``), as a
-    function of the block and q."""
-    g = cfg.grid
-    base = math.log(cfg.x0) + _log_drift(m, zeta, np.zeros(g.n_steps), g.dt)[checkpoints]
-    vol = m.sigma * math.sqrt(g.dt) * zeta
-    half_var = 0.5 * vol**2 * _bridge(g.n_steps).variance[checkpoints]
-
-    def power(blk, q):
-        return np.exp(q * (base + vol * blk.all_paths(checkpoints)) + q * q * half_var)
-
-    return power
-
-
 def martingale_estimator(sol: ValueCurve, cfg: SimConfig, m: MarketParams, u: CrraUtility,
                          d: DiscountSpec, n_checkpoints: int = 5,
                          suboptimal_zeta: Optional[float] = None):
@@ -828,13 +804,13 @@ def martingale_estimator(sol: ValueCurve, cfg: SimConfig, m: MarketParams, u: Cr
     k = len(checkpoints)
     scale = (np.interp(g.nodes[checkpoints], sol.grid.nodes, sol.values) / u.p
              / d.h(g.horizon - g.nodes[checkpoints]))
-    powers = {key: _no_consumption_power(cfg, m, zeta, checkpoints)
-              for key, zeta in (("eq", stock_fraction(m, u)), ("sub", suboptimal_zeta))}
+    legs = {key: _holding_leg(cfg, m, u, zeta)
+            for key, zeta in (("eq", stock_fraction(m, u)), ("sub", suboptimal_zeta))}
 
     def block(blk):
         out = {}
-        for key, power in powers.items():
-            A = _pair_means(scale * power(blk, u.p))
+        for key, leg in legs.items():
+            A = scale * leg.pair_power(blk.W, u.p, checkpoints)
             out[key], out[f"{key}_cross"] = A.sum(axis=0), A.T @ A
         return out
 
@@ -891,10 +867,10 @@ def moment_estimator(cfg: SimConfig, m: MarketParams, u: CrraUtility, exponent_q
     """The ``moment_check`` verdicts; W must span the whole grid."""
     g = cfg.grid
     checkpoints = _checkpoints(g, max(n_checkpoints + 1, 2))[1:]
-    power = _no_consumption_power(cfg, m, stock_fraction(m, u), checkpoints)
+    leg = _holding_leg(cfg, m, u, stock_fraction(m, u))
 
     def block(blk):
-        return _sums("y", _pair_means(power(blk, exponent_q)))
+        return _sums("y", leg.pair_power(blk.W, exponent_q, checkpoints))
 
     def finish(sums, n):
         out = []

@@ -786,7 +786,7 @@ class TestDefaultWorkerCount:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                             raising=False)
         cfg = load_config(write_ini(tmp_path))
-        # 2500 pairs in blocks of 2048: two blocks, so two threads
+        # 2560 pairs in tiles of at most 1304 rows: two tiles, so two threads
         assert cfg.sim.n_workers == 0
         assert SimConfig(grid=cfg.grid, **vars(cfg.sim)).worker_count() == 2
         out, runs = tmp_path / "out", {}

@@ -19,7 +19,6 @@ from eqmerton.simulate import (
     _block_rng,
     _checkpoints,
     _combine_in_order,
-    _mean_se,
     _terminal_control,
     equilibrium_leg,
     martingale_check,
@@ -119,8 +118,9 @@ class TestDeterminism:
         cpus(1)
         assert sim_cfg(sim_grid, n_paths=100_000).worker_count() == 1
         cpus(8)
+        # 6016 pairs: three blocks, five tiles of at most 1304 rows
         three_blocks = sim_cfg(sim_grid, n_paths=12_000)
-        assert three_blocks.n_blocks == 3 and three_blocks.worker_count() == 3
+        assert three_blocks.n_blocks == 3 and three_blocks.worker_count() == 5
         assert sim_cfg(sim_grid, n_paths=100_000).worker_count() == 8
         # without an affinity call the CPU count stands in
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -153,9 +153,10 @@ class TestDeterminism:
         for key in expected:
             np.testing.assert_array_equal(combined[key], expected[key])
 
-    def test_blocks_and_seeds_draw_different_normals(self):
+    def test_blocks_and_seeds_draw_different_words(self):
+        # the raw 64-bit words a block's generator gives the shifts
         def draw(seed, b):
-            return _block_rng(seed, b).standard_normal(64)
+            return _block_rng(seed, b).bit_generator.random_raw(64)
 
         assert not np.array_equal(draw(7, 0), draw(7, 1))
         assert not np.array_equal(draw(7, 0), draw(8, 0))
@@ -277,7 +278,7 @@ class TestTerminalControl:
             cfg, [sums_of(sim), sim, value_identity_estimator(sol, leg, 0.0)], leg)
         assert sums["c"] == sums["c_sq"] == 0.0
         # the plain mean, and the standard error of the plain replicate means
-        mean = _mean_se(sums, "j", cfg.n_pairs)[0]
+        mean = sums["j"] / cfg.n_pairs
         se = simulate._replicate_se(sums["j_rep"] / cfg.replicate_pairs)
         assert batch.j_control_beta == verdict.control_beta == 0.0
         assert (batch.j_estimate, batch.j_std_error, batch.j_std_error_uncontrolled) == \
@@ -705,14 +706,14 @@ def oracle_leg_sums(pol, cfg, m, u, d, t0, spike, eps):
         C = oracle_control(mean_Z, S, m, zeta, c, dt, p)
         Jp = pair_average(J)
         out = {"wealth": power(zeta, c, 1.0).sum(axis=0), "voh": (voh_scale * Xp / p).sum(axis=0),
-               "c": C.sum(), "c_sq": (C**2).sum(), "jc": Jp @ C,
+               "j": Jp.sum(), "c": C.sum(), "c_sq": (C**2).sum(), "jc": Jp @ C,
                "j_rep": by_replicate(cfg, replicate, Jp),
                "c_rep": by_replicate(cfg, replicate, C),
                # the magnitude of the signed sums' terms (see assert_sums_match)
                "c|abs": np.abs(C).sum(), "jc|abs": np.abs(Jp) @ np.abs(C),
                "j_rep|abs": by_replicate(cfg, replicate, np.abs(Jp)),
                "c_rep|abs": by_replicate(cfg, replicate, np.abs(C))}
-        pairs = {"j": J, "d": D, **{f"m{q}": power(zeta, c, q)[:, -1] for q in (p, 2 * p)}}
+        pairs = {"d": D, **{f"m{q}": power(zeta, c, q)[:, -1] for q in (p, 2 * p)}}
         for key, v in pairs.items():
             a = pair_average(v)
             out[key], out[f"{key}_sq"] = a.sum(), (a**2).sum()
@@ -837,33 +838,21 @@ def assert_sums_match(cfg, estimators, leg, expected):
 
 
 class TestTiles:
-    def test_tiled_draws_equal_whole_block_draws(self):
-        # consecutive draws into a tile-sized buffer continue the generator's
-        # stream, so the tiles, the last one ragged, are the whole draw's rows
-        n_sub, rows, tile = 7, 11, 3
-        whole = stream(5, 2).standard_normal((rows, n_sub))
-        rng = stream(5, 2)
-        buffer = np.empty(tile * n_sub)
-        tiles = [rng.standard_normal(out=buffer[:k * n_sub].reshape(k, n_sub)).copy()
-                 for k in (3, 3, 3, 2)]
-        np.testing.assert_array_equal(np.concatenate(tiles), whole)
-
     def test_pass_tiles_are_the_rows_of_whole_block_draws(self, sim_grid, monkeypatch):
         # 15 pairs, one per replicate, in blocks of 7, 7 and 1; a tile holds
         # whole rows only, three
-        assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, 7, 1, (15, 1),
-                                          [3, 3, 1, 3, 3, 1, 1])
+        assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, 7, 1, (15, 1), [3] * 5)
 
     def test_tiles_split_replicates_longer_than_a_tile(self, sim_grid, monkeypatch):
         # 16 pairs in two blocks of 8 and replicates of 4 (rows 0-3, 4-7, ...):
-        # tiles of three rows, whatever the replicates, split the first
-        # replicate of each block and take the second across two tiles
-        assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, 8, 4, (16, 4), [3, 3, 2] * 2)
+        # tiles of three rows, whatever the replicates and blocks, split
+        # every replicate
+        assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, 8, 4, (16, 4), [3] * 5 + [1])
 
     def test_tiles_cut_across_replicates(self, sim_grid, monkeypatch):
         # 16 pairs in two blocks of 8 and replicates of 2: a tile of three rows
         # holds one replicate and half of the next
-        assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, 8, 2, (16, 2), [3, 3, 2] * 2)
+        assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, 8, 2, (16, 2), [3] * 5 + [1])
 
     def test_bridged_paths_take_each_replicates_coarse_values_exactly(self, monkeypatch):
         # 4 replicates of 8 pairs in one block: tiles of five rows split them
@@ -872,11 +861,16 @@ class TestTiles:
     def test_a_tile_spanning_replicates_takes_each_ones_shifted_net(self, monkeypatch):
         # 16 replicates of 2 pairs in two blocks of 16 pairs: a tile of five
         # rows runs through three replicates
-        assert_coarse_values_are_the_shifted_nets(monkeypatch, 2, 16, [5, 5, 5, 1] * 2)
+        assert_coarse_values_are_the_shifted_nets(monkeypatch, 2, 16, [5] * 6 + [2])
 
     def test_a_tile_splitting_a_replicate_takes_its_shifted_net(self, monkeypatch):
         # 2 replicates of 16 pairs in two blocks: tiles of five rows split each
-        assert_coarse_values_are_the_shifted_nets(monkeypatch, 16, 16, [5, 5, 5, 1] * 2)
+        assert_coarse_values_are_the_shifted_nets(monkeypatch, 16, 16, [5] * 6 + [2])
+
+    def test_a_tile_straddling_blocks_takes_each_blocks_shift_words(self, monkeypatch):
+        # 8 replicates of 4 pairs in blocks of 12, 12 and 8 pairs: the tiles of
+        # rows 10-14 and 20-24 each hold rows of two blocks
+        assert_coarse_values_are_the_shifted_nets(monkeypatch, 4, 12, [5] * 6 + [2])
 
     def test_pass_memory_is_a_few_tiles_whatever_the_block_size(
             self, market, utility, hyp_discount, monkeypatch):
@@ -1160,7 +1154,7 @@ class TestConditionalExpectations:
                              bridge.coarse(rng.standard_normal((rows, bridge.dim)))], axis=1)
         chords = bridge.chords(Wc, np.empty((rows, g.n_steps + 1)),
                                np.empty((rows, g.n_steps + 1)))
-        blk = Block(chords, simulate._Buffers(), leg, tails=(w + 1,))
+        blk = Block(chords, np.empty(chords.size), leg, tails=(w + 1,))
         J, C, Y_sum, tails = blk.powers
         sim_sums = simulation_estimator(pol, g, leg, hyp_discount)[0](blk)
         moment = moment_estimator(cfg, market, utility, p, growth_constant(market, utility),
