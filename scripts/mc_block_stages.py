@@ -28,15 +28,29 @@ in tiles of at most ``simulate._TILE_ELEMENTS`` elements per buffer and
 * control       the terminal control of J (``simulate._terminal_control``):
                 two exponentials on the last column, then the sums of C,
                 C^2 and J C that the finisher regresses on;
-* wealth cosh   each pair's average E[X | coarse values] at every node
-                (``simulate.PolicyLeg.pair_power``: cosh(vol W) times
-                per-node factors), formed only for ``simulate``'s mean
-                wealth;
+* wealth cosh   the per-node sums of cosh(vol W) over the pairs
+                (``simulate.Block.pair_sums``), which ``simulate``'s mean
+                wealth scales by per-node factors;
 * checkpoints   each pair's average E[X^p | coarse values] at the martingale
-                check's five checkpoints, by the same expression.
+                check's five checkpoints (``simulate.PolicyLeg.pair_power``).
+
+The next three rows are the path of a leg that sums its segments from their
+Taylor moments (``simulate.SegmentSeries``), timed at every grid, although
+only a leg whose series degree D has D + 1 < s, the segments' length, takes
+it in a pass (``simulate.PolicyLeg.takes_moments``; 1000 steps does, 100
+does not):
+
+* segment coefficients  each segment's midpoint and the powers slope^m,
+                m = 0..D, from the coarse values;
+* row dots      J and the two perturbation tails of ``verify``, each path's
+                sum of the weights against e^{+-a W}, from the segment
+                moments of the weights;
+* column sums   the per-node sums of e^{a W} and e^{-a W} (the X^p sums)
+                and of e^{+-vol W} (mean wealth), from per-segment row sums.
 
 Then come the whole ``simulate`` and ``verify`` block functions on the same
-chords (the perturbation rows read their tails from the shared X^p); a whole
+paths, on the chords or the coarse values as a pass on the leg would take
+them (the perturbation rows read their tails from the shared X^p); a whole
 ``simulate_equilibrium`` pass over --pass-blocks blocks of the library's
 size on one worker thread and on the default count (``[sim] n_workers = 0``: one per CPU the
 process may run on), with the tracemalloc peak of each pass; and the
@@ -62,6 +76,8 @@ from eqmerton import (
 )
 from eqmerton.rqmc import norm_ppf, shifted_points, sobol_net
 from eqmerton.simulate import (
+    Block,
+    SegmentSeries,
     SimConfig,
     Spike,
     _BLOCK_PAIRS,
@@ -140,34 +156,60 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
         return _sums("c", C), J @ C
 
     def wealth():
-        leg.pair_power(W, 1.0, out=scratch)
+        Block(W, flat, leg).pair_sums(leg.vol)
 
     def checkpoint_columns():
-        leg.pair_power(W, u.p, checkpoints)
+        leg.pair_power(W[:, checkpoints], u.p, checkpoints)
 
+    spikes = ((0.25, pol.stock_fraction + 1.0), (0.1, pol.stock_fraction + 0.01))
+    tails = tuple(perturbation_estimator(leg, eps, Spike(zeta))[0].tail for eps, zeta in spikes)
+    series = SegmentSeries(leg, tails)
+    a = u.p * leg.vol
+
+    def segment_coefficients():
+        return series.expand(Wc)
+
+    def row_dots():
+        mid, P = coefficients
+        e = np.exp(a * mid)
+        return [series.row_sums(P, e, 1.0 / e, s) for s in (0, *tails)]
+
+    def column_sums():
+        mid, P = coefficients
+        out = []
+        for b in (a, leg.vol):
+            e = np.exp(b * mid)
+            out.append(series.node_sums(P, e, 1.0 / e, b))
+        return out
+
+    coarse_points()
+    coefficients = segment_coefficients()
     row = {}
     for name, fn in (("coarse points", coarse_points), ("chords", chords),
                      ("X^p", powers),
                      ("reductions", reductions), ("control", control),
-                     ("wealth cosh", wealth), ("checkpoints", checkpoint_columns)):
+                     ("wealth cosh", wealth), ("checkpoints", checkpoint_columns),
+                     ("segment coefficients", segment_coefficients),
+                     ("row dots", row_dots), ("column sums", column_sums)):
         row[name] = best_ms(fn, repeats)
 
     coarse_points()
     chords()
     nc = solve_no_consumption(m, u, d, g)
     moments = (u.p, 2 * u.p)
+    on_moments = leg.takes_moments
     sim_block = _fused_block([simulation_estimator(pol, g, leg, d, moments)], leg,
-                             cfg.n_replicates)
+                             cfg.n_replicates, on_moments)
     verify_block = _fused_block([
         value_identity_estimator(sol, leg, 0.0),
         martingale_estimator(nc, cfg, m, u, d),
-        perturbation_estimator(leg, 0.25, Spike(zeta=pol.stock_fraction + 1.0)),
-        perturbation_estimator(leg, 0.1, Spike(zeta=pol.stock_fraction + 0.01)),
-    ], leg, cfg.n_replicates)
+        *(perturbation_estimator(leg, eps, Spike(zeta=zeta)) for eps, zeta in spikes),
+    ], leg, cfg.n_replicates, on_moments)
     replicate = np.arange(cfg.n_pairs) // rep
+    paths = Wc if on_moments else W
     # each call builds a fresh Block, as each tile of a pass gets its own
-    row["simulate block"] = best_ms(lambda: sim_block(W, flat, replicate), repeats)
-    row["verify block"] = best_ms(lambda: verify_block(W, flat, replicate), repeats)
+    row["simulate block"] = best_ms(lambda: sim_block(paths, flat, replicate), repeats)
+    row["verify block"] = best_ms(lambda: verify_block(paths, flat, replicate), repeats)
     passes = {label: replace(cfg, n_paths=pass_blocks * 2 * _BLOCK_PAIRS, n_workers=workers)
               for label, workers in (("1 worker", 1), ("default", 0))}
     for label, pass_cfg in passes.items():
@@ -193,9 +235,9 @@ def main() -> None:
 
     rows = {n: stages(args.paths, n, args.repeats, args.pass_blocks) for n in args.steps}
     names = list(next(iter(rows.values())))
-    print(f"{'stage (ms)':>16}" + "".join(f"{f'{args.paths}x{n}':>14}" for n in rows))
+    print(f"{'stage (ms)':>20}" + "".join(f"{f'{args.paths}x{n}':>14}" for n in rows))
     for name in names:
-        print(f"{name:>16}" + "".join(f"{rows[n][name]:>14.2f}" for n in rows))
+        print(f"{name:>20}" + "".join(f"{rows[n][name]:>14.2f}" for n in rows))
 
 
 if __name__ == "__main__":

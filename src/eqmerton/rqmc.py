@@ -17,13 +17,14 @@ Four pieces, numpy only:
   the terminal node first and then the midpoints level by level
   (Glasserman, Monte Carlo Methods in Financial Engineering, 2004, sections
   3.1.2 and 5.5), and the law of the path between them given those values:
-  the chord as its mean and the bridge variance.
+  the chord as its mean and the bridge variance; and a bound on each
+  segment's rise, for the normals the stream can draw.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -204,9 +205,13 @@ class BrownianBridge:
     midpoints level by level, so the leading coordinates carry the path's
     large-scale moves. Given those values the path is a Brownian bridge on
     each segment lo < k < hi, independent of the other segments: W_k is
-    normal with the chord of the coarse values as its mean (``chords``) and
-    variance (k - lo)(hi - k) / (hi - lo) (``variance``), and two nodes of
-    one segment j <= k have covariance (j - lo)(hi - k) / (hi - lo)."""
+    normal with the chord of the coarse values as its mean (``chords``, or
+    ``chord_columns`` at given nodes) and variance (k - lo)(hi - k) /
+    (hi - lo) (``variance``), and two nodes of one segment j <= k have
+    covariance (j - lo)(hi - k) / (hi - lo). On each segment the chord is
+    linear in the node's ``offset`` (k - lo) / (hi - lo) - 1/2, with the
+    segment's rise W(hi) - W(lo) as its slope, which ``slope_bound`` bounds
+    for every point the stream can draw."""
 
     def __init__(self, n_steps: int):
         if n_steps < 1:
@@ -235,6 +240,8 @@ class BrownianBridge:
         self.segment = np.minimum(k // s, N - 1)
         lo, hi = self.nodes[self.segment], self.nodes[self.segment + 1]
         self._fraction = (k - lo) / (hi - lo)
+        # node k's place on its segment about the midpoint, in [-1/2, 1/2]
+        self.offset = self._fraction - 0.5
         self.variance = (k - lo) * (hi - k) / (hi - lo)
 
     def coarse(self, xi: np.ndarray) -> np.ndarray:
@@ -250,6 +257,19 @@ class BrownianBridge:
                 col += w_left * W[:, left - 1]
             col += w_right * W[:, right - 1]
         return W
+
+    @cached_property
+    def slope_bound(self) -> np.ndarray:
+        """The largest rise |W(hi) - W(lo)| of each segment (length N) over
+        the normals the stream draws: ``coarse`` is linear, so the rise is
+        A_j . xi for a row A_j of its coefficients, and Phi^{-1} of a point of
+        ``to_unit``, whose coordinates lie in [2^-(BITS+1), 1 - 2^-(BITS+1)],
+        is at most |Phi^{-1}(2^-(BITS+1))| = 8.21 in size: the bound is that
+        times the sum of |A_j|, up to the rounding of ``coarse``."""
+        xi_max = -float(norm_ppf(np.array([2.0 ** -(BITS + 1)]))[0])
+        unit = np.zeros((self.dim, self.dim + 1))
+        unit[:, 1:] = self.coarse(np.eye(self.dim))
+        return xi_max * np.abs(np.diff(unit, axis=1)).sum(axis=0)
 
     def chords(self, Wc: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """The mean of W at every node 0..n_steps given its coarse values Wc
@@ -273,4 +293,17 @@ class BrownianBridge:
         np.multiply(slope[:, -1:], self._fraction[equal:], out=out[:, equal:])
         out += scratch
         out[:, -1] = Wc[:, -1]
+        return out
+
+    def chord_columns(self, Wc: np.ndarray, nodes) -> np.ndarray:
+        """The chords at the given nodes only (an index, slice or index array
+        of 0..n_steps), the same bits as those columns of ``chords``."""
+        k = np.arange(self.n_steps + 1)[nodes]
+        j = self.segment[k]
+        out = np.take(Wc[:, 1:] - Wc[:, :-1], j, axis=1)
+        out *= self._fraction[k]
+        out += np.take(Wc, j, axis=1)
+        if np.ndim(k) == 0:
+            return Wc[:, -1].copy() if k == self.n_steps else out
+        out[:, k == self.n_steps] = Wc[:, -1:]
         return out

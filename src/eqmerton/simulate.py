@@ -38,18 +38,49 @@ E[e^{b W_k} | Wc] = e^{b L_k + b^2 v_k / 2}, so the estimators read the
 chords and fold e^{b^2 v_k / 2} into their per-node weights. The partner of
 a path runs on -W, whose chords are -L.
 
+Segment moments (``SegmentSeries``). On segment j the chord is linear,
+L_k = mid_j + slope_j g_k with g_k = (k - lo) / (hi - lo) - 1/2 in
+[-1/2, 1/2], so e^{b L_k} = e^{b mid_j} sum_m slope_j^m (b g_k)^m / m!, and
+the partner's e^{-b L_k} is the same series with e^{-b mid_j} and the odd
+terms negated (a pair's average takes cosh(b mid_j) on the even terms and
+sinh(b mid_j) on the odd). A row dot over the nodes (J, a tail sum) is then
+a sum over the 16 segments of slope^m times the weights' per-segment
+moments sum_{k in j} w_k (b g_k)^m / m!, built once per pass, and a
+per-node sum over the rows (X^p, mean wealth) is the nodes' (b g_k)^m / m!
+times per-segment sums over the rows of slope^m e^{+-b mid}. The series
+stops after the least degree D with h^{D+1} / (D+1)! e^{2h} < 2^-53,
+h = |b| max|slope| / 2: the remainder of e^x after x^D is at most
+h^{D+1} / (D+1)! e^h for |x| <= h, which relative to e^x >= e^-h is below
+the unit roundoff. D depends on the leg alone, never on a tile's data: the
+coarse normals are Phi^{-1} of points of ``rqmc.to_unit``, at most
+|Phi^{-1}(2^-53)| = 8.21 in size, so every segment's rise is within the
+bridge's ``slope_bound`` (143 at 1000 steps). A leg takes moments
+(``PolicyLeg.takes_moments``) when every exponent, J's a = p vol and
+wealth's vol, has D + 1 < s, the segments' length, so that a segment's
+coefficients are fewer than its chords, and h at most ``_SERIES_H_CAP`` = 4,
+which bounds the rounding growth e^{2h} of a series whose terms may cancel;
+otherwise, and on a pass without a leg, it takes the chords. On the
+benchmark's 1000-step, T = 1 leg (s = 62) D is 17 for J and 22 for wealth,
+and its 100-step verify leg (s = 6) keeps the chords. Nodes read singly
+(the terminal control and moments, the martingale and moment checkpoints)
+and the perturbation's window head take the chords of their own columns
+only (``Block.chords``), the same bits as those columns of the chord matrix.
+
 A pass is one ordered map over tiles of consecutive rows, each at most
-``_TILE_ELEMENTS`` float64 elements and ``_BLOCK_PAIRS`` rows; a tile may
-span replicates and blocks. Each tile forms its rows' coarse values from
-their points of the net and their replicates' shifts, then their chords at
-every node of the leg, elementwise, into a tile-sized buffer. Every per-row
-value (J, its control, a tail sum, a checkpoint term) is formed by
+``_TILE_ELEMENTS`` float64 elements of chords and ``_BLOCK_PAIRS`` rows; a
+tile may span replicates and blocks. Each tile forms its rows' coarse values
+from their points of the net and their replicates' shifts, then, on a leg
+that takes the chords, their chords at every node of the leg, elementwise,
+into a tile-sized buffer; on a leg that takes moments, its segment
+coefficients (rows x 16 x (D + 1), fewer elements than the chords). Every
+per-row value (J, its control, a tail sum, a checkpoint term) is formed by
 elementwise operations and per-row sums whose rounding does not depend on
 the other rows, so it is the same bits whatever the tile size; only the
 order in which an estimator's sums over rows are added depends on the
 partition into tiles. Tile partials are combined by pairwise summation in
 row order, so results are bit-identical across worker counts. A worker
-thread holds two tile-sized buffers, whatever the grid.
+thread holds two tile-sized buffers on the chords, one on moments, whatever
+the grid.
 
 Every policy simulated here holds a constant stock fraction zeta over the
 steps it covers, so its log-wealth at node k is affine in W,
@@ -60,8 +91,10 @@ the utility functional's conditional mean is J = e^{a L} . weights, formed
 once per tile for each half of the pairs (``Block.powers``). Each pair's
 average of E[X^q | coarse values] at any nodes is one expression,
 (x0 e^{drift})^q e^{(q vol)^2 v_k / 2} cosh(q vol L_k)
-(``PolicyLeg.pair_power``), which gives mean wealth, the terminal moments
-and the martingale and moment checks' checkpoint terms.
+(``PolicyLeg.pair_power``), which gives the terminal moments and the
+martingale and moment checks' checkpoint terms; mean wealth scales the
+per-node sums of cosh(vol L) over the rows (``Block.pair_sums``) by the
+per-node factor afterwards.
 
 Standard errors. The two readers of the utility functional, ``simulate``'s
 E[J] and the value identity, take theirs over the R replicates, and the
@@ -109,6 +142,7 @@ __all__ = [
     "PerturbationRow",
     "PolicyLeg",
     "Block",
+    "SegmentSeries",
     "run_estimators",
     "equilibrium_leg",
     "simulation_estimator",
@@ -142,6 +176,11 @@ _bridge = lru_cache(maxsize=16)(BrownianBridge)
 # float64 elements in a tile of the pass's rows, 2 MiB per buffer: a pass
 # holds two such buffers per worker thread, whatever the grid
 _TILE_ELEMENTS = 2**18
+# the largest h = |b| max|slope| / 2 at which a leg sums its segments from
+# their Taylor moments: the terms of the series of e^{b slope g} add up to at
+# most e^h in size where the sum is at least e^-h, so rounding grows by at
+# most e^{2h} = e^8, about 3000
+_SERIES_H_CAP = 4.0
 
 
 def _tile_rows(n_steps: int) -> int:
@@ -333,7 +372,8 @@ def _combine_in_order(partials) -> dict:
     return total
 
 
-def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> dict:
+def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable,
+                       chords: bool = True) -> dict:
     """Run block_fn(W, scratch, replicate) over the pass's rows, tile by
     tile, and combine the sums.
 
@@ -342,15 +382,16 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> 
     word per replicate and coordinate; every block's are drawn once, in
     block order, before any tile runs. The pass's ``cfg.n_pairs`` rows then
     run in tiles of ``_tile_rows(n_sub_steps)`` consecutive rows, which may
-    span replicates and blocks. A tile forms its rows' coarse values from
-    their points of the shared net, each XOR its replicate's shift
-    (``rqmc.shifted_points``), and W (rows x (n_sub_steps + 1),
-    W[:, 0] = 0) holds their chords, each path's mean at every node given
-    its coarse values (``rqmc.BrownianBridge.chords``); the partner of row i
-    runs on -W[i]. ``replicate`` holds each row's replicate, numbered over
-    the whole pass, and ``scratch``, a flat buffer of at least W's size, is
-    free for block_fn. The tiles run on ``cfg.worker_count(n_sub_steps)``
-    threads, each with its own two buffers, and their sums are combined
+    span replicates and blocks. A tile forms its rows' coarse values Wc
+    (rows x (N + 1), Wc[:, 0] = 0) from their points of the shared net, each
+    XOR its replicate's shift (``rqmc.shifted_points``). With ``chords`` W
+    (rows x (n_sub_steps + 1)) holds their chords, each path's mean at every
+    node given its coarse values (``rqmc.BrownianBridge.chords``); without,
+    W is Wc itself. The partner of row i runs on -W[i]. ``replicate`` holds
+    each row's replicate, numbered over the whole pass, and ``scratch``, a
+    flat buffer of at least the chords' size, is free for block_fn. The
+    tiles run on ``cfg.worker_count(n_sub_steps)`` threads, each with its own
+    buffers (two with chords, one without), and their sums are combined
     pairwise in row order as they arrive.
     """
     bridge = _bridge(n_sub_steps)
@@ -366,14 +407,16 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable) -> 
 
     def run(start: int) -> dict:
         rows = np.arange(start, min(start + tile_rows, cfg.n_pairs))
-        Wc = np.zeros((len(rows), bridge.dim + 1))
-        Wc[:, 1:] = bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
+        W = np.zeros((len(rows), bridge.dim + 1))
+        W[:, 1:] = bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
         # the buffers come after the coarse values' temporaries are freed
-        if not hasattr(local, "w"):
-            local.w, local.scratch = np.empty(size), np.empty(size)
-        shape = (len(rows), n_sub_steps + 1)
-        W = local.w[:math.prod(shape)].reshape(shape)
-        bridge.chords(Wc, W, local.scratch[:W.size].reshape(shape))
+        if not hasattr(local, "scratch"):
+            local.scratch = np.empty(size)
+            local.w = np.empty(size) if chords else None
+        if chords:
+            shape = (len(rows), n_sub_steps + 1)
+            W = bridge.chords(W, local.w[:math.prod(shape)].reshape(shape),
+                              local.scratch[:math.prod(shape)].reshape(shape))
         return block_fn(W, local.scratch, rows // rep)
 
     with ThreadPoolExecutor(max_workers=cfg.worker_count(n_sub_steps)) as pool:
@@ -502,6 +545,18 @@ def _verdict(name: str, z: float, passed, details: str, n_pairs: int, se) -> Ver
     return Verdict(name, z, STAT_THRESHOLD, bool(passed), details, n_pairs, float(se))
 
 
+def _series_degree(h: float) -> int:
+    """The least degree D with h^{D+1} / (D + 1)! e^{2h} < 2^-53: the Taylor
+    series of e^x truncated after x^D errs by at most h^{D+1} / (D + 1)! e^h
+    for |x| <= h, which relative to e^x >= e^-h is below the unit roundoff."""
+    if h == 0.0:
+        return 0
+    D = 0
+    while (D + 1) * math.log(h) - math.lgamma(D + 2) + 2.0 * h >= -53.0 * math.log(2.0):
+        D += 1
+    return D
+
+
 def _step_means(c: np.ndarray) -> np.ndarray:
     """Trapezoid average (c_k + c_{k+1}) / 2 of node values over each step."""
     return 0.5 * (c[:-1] + c[1:])
@@ -561,22 +616,44 @@ class PolicyLeg:
         v = _utility_weights(self.h_nodes, self.c_nodes, self.dt, p)
         return float(v @ np.exp(log_mean))
 
-    def pair_power(self, W: np.ndarray, q: float, nodes=slice(None),
-                   out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Each pair's average of E[X^q | coarse values] at the given nodes
-        (an index, slice or index array of the columns of the chords W),
-        into out if given. X^q is (x0 e^{drift})^q e^{q vol W} on a drawn
-        path and e^{-q vol W} on its partner; given the coarse values each
-        exponential's mean is that of the chord times e^{(q vol)^2 v / 2}, v
-        the bridge variance, and the pair's average is cosh(q vol W) times
-        both factors."""
+    def log_factor(self, q: float, nodes=slice(None)) -> np.ndarray:
+        """log of (x0 e^{drift})^q e^{(q vol)^2 v / 2} at the given nodes, v
+        the bridge variance: E[X^q | coarse values] over e^{q vol L} on a
+        drawn path and over e^{-q vol L} on its partner, L the chord."""
         a = q * self.vol
-        log_factor = (q * (math.log(self.x0) + self.drift[nodes])
-                      + 0.5 * a * a * _bridge(self.n_steps).variance[nodes])
-        out = np.multiply(W[:, nodes], a, out=out)
+        return (q * (math.log(self.x0) + self.drift[nodes])
+                + 0.5 * a * a * _bridge(self.n_steps).variance[nodes])
+
+    def pair_power(self, L: np.ndarray, q: float, nodes=slice(None)) -> np.ndarray:
+        """Each pair's average of E[X^q | coarse values] at the given nodes
+        (an index, slice or index array), from the chords L at those nodes
+        (``Block.chords``): X^q is (x0 e^{drift})^q e^{q vol W} on a drawn
+        path and e^{-q vol W} on its partner, and the pair's average of
+        their means is cosh(q vol L) e^{``log_factor``}."""
+        out = np.multiply(L, q * self.vol)
         np.cosh(out, out=out)
-        out *= np.exp(log_factor)
+        out *= np.exp(self.log_factor(q, nodes))
         return out
+
+    @cached_property
+    def series_degrees(self) -> dict:
+        """The degree of ``SegmentSeries`` for each of the leg's exponents b,
+        J's a = p vol and wealth's vol: ``_series_degree`` of
+        h = |b| max slope / 2, the bridge's ``slope_bound`` bounding every
+        segment's rise and |g| <= 1/2 its nodes' offsets."""
+        half_rise = 0.5 * float(_bridge(self.n_steps).slope_bound.max())
+        return {b: _series_degree(abs(b) * half_rise) for b in (self.u.p * self.vol, self.vol)}
+
+    @cached_property
+    def takes_moments(self) -> bool:
+        """Whether a pass on this leg sums its exponentials from segment
+        moments (``SegmentSeries``) rather than the chords at every node:
+        where every exponent's h is at most ``_SERIES_H_CAP`` and its degree
+        D has D + 1 < s, the segments' length, so that a segment's D + 1
+        coefficients are fewer than its s chords."""
+        bridge = _bridge(self.n_steps)
+        h = max(abs(self.u.p), 1.0) * abs(self.vol) * 0.5 * float(bridge.slope_bound.max())
+        return h <= _SERIES_H_CAP and max(self.series_degrees.values()) + 1 < bridge.step
 
 
 def _holding_leg(cfg: SimConfig, m: MarketParams, u: CrraUtility, zeta: float) -> PolicyLeg:
@@ -587,21 +664,90 @@ def _holding_leg(cfg: SimConfig, m: MarketParams, u: CrraUtility, zeta: float) -
     return PolicyLeg(cfg.x0, m, u, cfg.grid.dt, zeta, no_c, np.ones_like(no_c))
 
 
+class SegmentSeries:
+    """A leg's exponentials summed from per-segment Taylor moments, built once
+    per pass.
+
+    Given its coarse values a path's chord is linear on each bridge segment
+    j, L_k = mid_j + slope_j g_k with g_k in [-1/2, 1/2] the node's offset
+    (``rqmc.BrownianBridge.offset``), so for each exponent b of the leg
+    e^{b L_k} = e^{b mid_j} sum_m slope_j^m (b g_k)^m / m!, truncated after
+    the leg's degree D for b (``PolicyLeg.series_degrees``), and the
+    partner's e^{-b L_k} is the same series with e^{-b mid_j} and the odd
+    terms negated. A sum over a path's nodes is then a sum over its
+    segments of slope^m times a per-segment moment of the weights, and a sum
+    over the rows at each node one of the nodes' (b g_k)^m / m! times a
+    per-segment sum over the rows. ``nodes[b]`` holds (b g_k)^m / m! per
+    node and degree; ``moments[s]`` holds, per segment and degree of J's a,
+    sum_{k in j, k >= s} w_k (a g_k)^m / m!, with w the leg's weights times
+    the bridge's lift e^{a^2 v_k / 2}, for s = 0 (J) and each tail s."""
+
+    def __init__(self, leg: PolicyLeg, tails: tuple = ()):
+        self.bridge = bridge = _bridge(leg.n_steps)
+        self.degree = max(leg.series_degrees.values())
+        self.nodes = {}
+        for b, D in leg.series_degrees.items():
+            G = np.ones((D + 1, leg.n_steps + 1))
+            for m in range(1, D + 1):
+                np.multiply(G[m - 1], b * bridge.offset / m, out=G[m])
+            self.nodes[b] = G
+        a = leg.u.p * leg.vol
+        lifted = leg.weights * np.exp(0.5 * a * a * bridge.variance)
+        k = np.arange(leg.n_steps + 1)
+        self.moments = {s: np.add.reduceat(np.where(k >= s, lifted, 0.0) * self.nodes[a],
+                                           bridge.nodes[:-1], axis=1)
+                        for s in (0, *tails)}
+
+    def expand(self, Wc: np.ndarray):
+        """A tile's segment midpoints mid (rows x N) and the powers slope^m,
+        m = 0..degree ((degree + 1) x rows x N), from its coarse values Wc
+        (rows x (N + 1)), elementwise per row."""
+        slope = Wc[:, 1:] - Wc[:, :-1]
+        P = np.empty((self.degree + 1, *slope.shape))
+        P[0] = 1.0
+        for m in range(1, self.degree + 1):
+            np.multiply(P[m - 1], slope, out=P[m])
+        return 0.5 * (Wc[:, :-1] + Wc[:, 1:]), P
+
+    def row_sums(self, P: np.ndarray, e: np.ndarray, inv: np.ndarray, s: int = 0):
+        """Each drawn path's sum_{k >= s} w_k e^{a L_k}, and each partner's
+        with e^{-a L_k}, from the tile's powers P and e = e^{a mid},
+        inv = 1 / e; every row's value is formed from its own row alone."""
+        M = self.moments[s]
+        even = np.einsum("mrj,mj->rj", P[0:len(M):2], M[0::2])
+        odd = np.einsum("mrj,mj->rj", P[1:len(M):2], M[1::2])
+        return np.einsum("rj,rj->r", e, even + odd), np.einsum("rj,rj->r", inv, even - odd)
+
+    def node_sums(self, P: np.ndarray, e: np.ndarray, inv: np.ndarray, b: float) -> np.ndarray:
+        """Per node, the sum over the tile's drawn paths of e^{b L_k} and over
+        their partners of e^{-b L_k}, from P and e = e^{b mid}, inv = 1 / e."""
+        G = self.nodes[b]
+        S = np.empty((len(G), P.shape[2]))
+        S[0::2] = np.einsum("mrj,rj->mj", P[0:len(G):2], e + inv)
+        S[1::2] = np.einsum("mrj,rj->mj", P[1:len(G):2], e - inv)
+        return np.einsum("mk,mk->k", G, S[:, self.bridge.segment])
+
+
 class Block:
-    """One tile of the pass's antithetic pairs, seen through the chords W of
-    its m drawn paths (m x (steps + 1), W[:, 0] = 0): W[i, k] is the mean of
-    path i at node k given its coarse values, and ``variance[k]`` its
-    variance there, the same on every row. The partner of row i runs on
-    -W[i], which no buffer holds. ``scratch`` is a flat buffer of at least
-    W's size that the estimators may overwrite. ``replicate`` holds each
-    row's replicate, of ``n_replicates`` in the pass. ``tails`` are the
-    nodes s whose tail sums ``powers`` takes."""
+    """One tile of the pass's antithetic pairs, m drawn paths, seen through
+    their chords: the chord L[i, k] (L[:, 0] = 0) is the mean of path i at
+    node k given its coarse values, and ``variance[k]`` its variance there,
+    the same on every row. The partner of row i runs on -L[i]. Without a
+    series W holds the chords (m x (steps + 1)); with a ``SegmentSeries`` it
+    holds the coarse values (m x (N + 1)), no chord matrix is formed, and
+    the leg's exponentials come from segment moments. ``chords`` reads the
+    chords at given nodes either way. ``scratch`` is a flat buffer of at
+    least the chords' size that the estimators may overwrite. ``replicate``
+    holds each row's replicate, of ``n_replicates`` in the pass. ``tails``
+    are the nodes s whose tail sums ``powers`` takes."""
 
     def __init__(self, W: np.ndarray, scratch: np.ndarray, leg: Optional[PolicyLeg],
                  tails: tuple = (), replicate: Optional[np.ndarray] = None,
-                 n_replicates: int = 1):
+                 n_replicates: int = 1, series: Optional[SegmentSeries] = None):
         self.W = W
-        self.variance = _bridge(W.shape[1] - 1).variance
+        self.series = series
+        self.bridge = _bridge(W.shape[1] - 1) if series is None else series.bridge
+        self.variance = self.bridge.variance
         self._scratch = scratch
         self._leg = leg
         self._tails = tails
@@ -613,6 +759,29 @@ class Block:
         (length ``n_replicates``)."""
         return np.bincount(self.replicate, weights=v, minlength=self.n_replicates)
 
+    def chords(self, nodes) -> np.ndarray:
+        """The drawn paths' chords at the given nodes (an index, slice or
+        index array)."""
+        if self.series is None:
+            return self.W[:, nodes]
+        return self.bridge.chord_columns(self.W, nodes)
+
+    @cached_property
+    def _segments(self):
+        return self.series.expand(self.W)
+
+    def pair_sums(self, b: float) -> np.ndarray:
+        """Per node, the sum over the tile's drawn paths of e^{b L} and over
+        their partners of e^{-b L}, 2 sum cosh(b L), L the chords; with a
+        series b must be one of the leg's exponents. Without, it is formed in
+        the scratch buffer."""
+        if self.series is None:
+            out = np.multiply(self.W, b, out=self.scratch(self.W.shape))
+            return 2.0 * np.cosh(out, out=out).sum(axis=0)
+        mid, P = self._segments
+        e = np.exp(b * mid)
+        return self.series.node_sums(P, e, np.reciprocal(e), b)
+
     @cached_property
     def powers(self):
         """(J, C, Y_sum, tails) of the leg, where Y = E[exp(p vol W)] on a
@@ -621,14 +790,21 @@ class Block:
         functional Y . leg.weights, C each pair's terminal control
         (``_terminal_control``), Y_sum the per-node sum of Y over the tile's
         paths, and tails[s] each path's sum_{k >= s} Y_k leg.weights[k],
-        drawn paths, then their partners in the same order. exp(p vol W) is
-        formed in the scratch buffer, drawn paths first, which is free again
-        afterwards."""
+        drawn paths, then their partners in the same order. Without a series
+        exp(p vol L) is formed in the scratch buffer, drawn paths first,
+        which is free again afterwards."""
         a = self._leg.u.p * self._leg.vol
         # E[e^{a W} | coarse values] over e^{a W} of the chords, per node
         lift = np.exp(0.5 * a * a * self.variance)
+        C = _terminal_control(self.chords(-1), a, self._leg.n_steps)
+        if self.series is not None:
+            mid, P = self._segments
+            e = np.exp(a * mid)
+            inv = np.reciprocal(e)
+            drawn, partner = self.series.row_sums(P, e, inv)
+            tails = {s: np.concatenate(self.series.row_sums(P, e, inv, s)) for s in self._tails}
+            return 0.5 * (drawn + partner), C, self.series.node_sums(P, e, inv, a) * lift, tails
         weights = self._leg.weights * lift
-        C = _terminal_control(self.W[:, -1], a, self._leg.n_steps)
         Y = np.multiply(self.W, a, out=self.scratch(self.W.shape))
         np.exp(Y, out=Y)
         J, Y_sum = _dot(Y, weights), Y.sum(axis=0)
@@ -639,8 +815,8 @@ class Block:
         return 0.5 * (J + _dot(Y, weights)), C, (Y_sum + Y.sum(axis=0)) * lift, tails
 
     def scratch(self, shape: tuple) -> np.ndarray:
-        """A view of the scratch buffer in the given shape, at most W's
-        size."""
+        """A view of the scratch buffer in the given shape, at most the
+        chords' size."""
         return self._scratch[:math.prod(shape)].reshape(shape)
 
 
@@ -655,13 +831,17 @@ def equilibrium_leg(pol: EquilibriumPolicy, cfg: SimConfig, m: MarketParams,
                      pol.consumption_at(nodes), d.h(nodes - nodes[0]))
 
 
-def _fused_block(estimators: list, leg: Optional[PolicyLeg], n_replicates: int) -> Callable:
+def _fused_block(estimators: list, leg: Optional[PolicyLeg], n_replicates: int,
+                 moments: bool = False) -> Callable:
     """block(W, scratch, replicate): every estimator's sums on one ``Block``,
-    keyed by (estimator index, key), with the tails the estimators declare."""
+    keyed by (estimator index, key), with the tails the estimators declare.
+    With moments W holds the coarse values and the leg's ``SegmentSeries``,
+    built here once, sums its exponentials."""
     tails = tuple(sorted({fn.tail for fn, _ in estimators if hasattr(fn, "tail")}))
+    series = SegmentSeries(leg, tails) if moments else None
 
     def block(W, scratch, replicate):
-        blk = Block(W, scratch, leg, tails, replicate, n_replicates)
+        blk = Block(W, scratch, leg, tails, replicate, n_replicates, series)
         return {(i, key): value for i, (block_fn, _) in enumerate(estimators)
                 for key, value in block_fn(blk).items()}
 
@@ -679,12 +859,16 @@ def run_estimators(cfg: SimConfig, estimators: list, leg: Optional[PolicyLeg] = 
     ``blk.by_replicate`` sums per-pair values by replicate.
     ``finish(sums, n_pairs)`` turns the sums over all tiles into the result,
     with n_pairs the number of antithetic pairs (``SimConfig.n_pairs``). The
-    chords span the leg's nodes, or the whole grid without a leg.
+    paths span the leg's nodes, or the whole grid without a leg. A leg that
+    ``takes_moments`` runs without the chord matrix: its tiles hold the
+    coarse values alone.
     """
     if not estimators:
         return []
     n_sub = cfg.grid.n_steps if leg is None else leg.n_steps
-    sums = _accumulate_blocks(cfg, n_sub, _fused_block(estimators, leg, cfg.n_replicates))
+    moments = leg is not None and leg.takes_moments
+    sums = _accumulate_blocks(cfg, n_sub, _fused_block(estimators, leg, cfg.n_replicates, moments),
+                              not moments)
     return [finish({key: value for (j, key), value in sums.items() if j == i}, cfg.n_pairs)
             for i, (_, finish) in enumerate(estimators)]
 
@@ -695,15 +879,15 @@ def simulation_estimator(pol: EquilibriumPolicy, g: TimeGrid, leg: PolicyLeg,
     nodes = g.nodes[g.n_steps - leg.n_steps:]
     lam_nodes = np.interp(nodes, pol.grid.nodes, pol.curve.values)
     voh_scale = lam_nodes * leg.scale / leg.u.p / d.h(g.horizon - nodes)
+    wealth_factor = np.exp(leg.log_factor(1.0))
 
     def block(blk):
         J, C, Y_sum, _ = blk.powers
-        X_pairs = leg.pair_power(blk.W, 1.0, out=blk.scratch(blk.W.shape))
         out = {**_controlled_sums(blk, J, C),
-               "wealth": 2.0 * X_pairs.sum(axis=0),
+               "wealth": blk.pair_sums(leg.vol) * wealth_factor,
                "voh": Y_sum * voh_scale}
         for q in moment_orders:
-            out.update(_sums(f"m{q}", leg.pair_power(blk.W, q, -1)))
+            out.update(_sums(f"m{q}", leg.pair_power(blk.chords(-1), q, -1)))
         return out
 
     def finish(s, n):
@@ -808,9 +992,9 @@ def martingale_estimator(sol: ValueCurve, cfg: SimConfig, m: MarketParams, u: Cr
             for key, zeta in (("eq", stock_fraction(m, u)), ("sub", suboptimal_zeta))}
 
     def block(blk):
-        out = {}
+        out, L = {}, blk.chords(checkpoints)
         for key, leg in legs.items():
-            A = scale * leg.pair_power(blk.W, u.p, checkpoints)
+            A = scale * leg.pair_power(L, u.p, checkpoints)
             out[key], out[f"{key}_cross"] = A.sum(axis=0), A.T @ A
         return out
 
@@ -870,7 +1054,7 @@ def moment_estimator(cfg: SimConfig, m: MarketParams, u: CrraUtility, exponent_q
     leg = _holding_leg(cfg, m, u, stock_fraction(m, u))
 
     def block(blk):
-        return _sums("y", leg.pair_power(blk.W, exponent_q, checkpoints))
+        return _sums("y", leg.pair_power(blk.chords(checkpoints), exponent_q, checkpoints))
 
     def finish(sums, n):
         out = []
@@ -964,10 +1148,10 @@ def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
         tail = blk.powers[3][w + 1]
         # E[Y] on the drawn paths, in the scratch buffer, which ``powers``
         # has released; a partner's is its reciprocal
-        L_head = blk.W[:, :w + 1]
+        L_head = blk.chords(slice(0, w + 1))
         Y_head = np.multiply(L_head, a, out=blk.scratch(L_head.shape))
         np.exp(Y_head, out=Y_head)
-        Y_near = np.exp(a * blk.W[:, near])
+        Y_near = np.exp(a * blk.chords(near))
         growth, m_b = np.empty_like(Y_head), len(L_head)
         drawn = loss(L_head, Y_head, growth, 1.0, Y_near, tail[:m_b])
         partner = loss(L_head, np.reciprocal(Y_head, out=Y_head), growth, -1.0,

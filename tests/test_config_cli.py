@@ -830,6 +830,33 @@ def test_worker_count_does_not_change_bytes_in_ragged_tiles(tmp_path, monkeypatc
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_worker_count_does_not_change_bytes_on_segment_moments(tmp_path, monkeypatch):
+    # the 1000-step leg sums its segments from their Taylor moments and
+    # never forms the chord matrix; seven rows per tile over ten blocks of
+    # 256 pairs, and the pass's 2560 rows end in a ragged tile of five
+    monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 7 * 1001)
+    monkeypatch.setattr(simulate, "_BLOCK_PAIRS", 301)
+    chords = []
+    bridge_chords = simulate.BrownianBridge.chords
+    monkeypatch.setattr(simulate.BrownianBridge, "chords",
+                        lambda *a: chords.append(1) or bridge_chords(*a))
+    body = BASE_INI.replace("n_steps = 200", "n_steps = 1000")
+    for command in ("simulate", "verify"):
+        outs, codes = [], set()
+        for workers in (1, 2, 8):
+            ini = write_ini(tmp_path, body=body, extra=f"n_workers = {workers}\n",
+                            name=f"{command}{workers}.ini")
+            outs.append(tmp_path / f"{command}{workers}")
+            codes.add(cli.main([command, "--config", ini, "--out", str(outs[-1])]))
+        assert codes == {0}
+        names = sorted(path.name for path in outs[0].glob("*.csv"))
+        assert names
+        for name in names:
+            for other in outs[1:]:
+                assert (outs[0] / name).read_bytes() == (other / name).read_bytes(), name
+    assert chords == []
+
+
 class TestCliSimulate:
     def test_simulate_outputs_and_value_match(self, tmp_path):
         ini = write_ini(tmp_path)

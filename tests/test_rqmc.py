@@ -135,3 +135,35 @@ class TestBrownianBridge:
             # sqrt(2 / draws) relative, of the bridge variance
             np.testing.assert_allclose(W.var(axis=0), bridge.variance,
                                        rtol=5 * np.sqrt(2.0 / draws), atol=1e-12)
+
+    @pytest.mark.parametrize("n_steps", [1, 17, 200, 1000])
+    def test_chord_columns_are_those_columns_of_the_chords(self, n_steps):
+        bridge = BrownianBridge(n_steps)
+        rng = np.random.default_rng(n_steps)
+        Wc = np.concatenate([np.zeros((5, 1)), bridge.coarse(rng.standard_normal((5, bridge.dim)))],
+                            axis=1)
+        W = bridge.chords(Wc, np.empty((5, n_steps + 1)), np.empty((5, n_steps + 1)))
+        for nodes in (-1, 0, n_steps, n_steps // 3, slice(0, n_steps // 3 + 1), slice(None),
+                      np.array([0, bridge.nodes[-2], n_steps]),
+                      np.unique(np.linspace(0, n_steps, 5).round().astype(int))):
+            np.testing.assert_array_equal(bridge.chord_columns(Wc, nodes), W[:, nodes])
+
+    @pytest.mark.parametrize("n_steps", [1, 17, 100, 1000, 2000])
+    def test_slope_bound_is_the_largest_rise_of_the_drawable_normals(self, n_steps):
+        # the normals of to_unit's extreme points are the largest, and each
+        # segment's rise reaches its bound at the normals of that size with
+        # the signs of its coefficients, and never passes it
+        xi_max = -norm_ppf(np.array([2.0**-53]))[0]
+        assert norm_ppf(to_unit(np.array([0, 2**52 - 1], dtype=np.uint64))).tolist() == \
+            [-xi_max, xi_max]
+        assert 8.2 < xi_max < 8.21
+        bridge = BrownianBridge(n_steps)
+        unit = np.zeros((bridge.dim, bridge.dim + 1))
+        unit[:, 1:] = bridge.coarse(np.eye(bridge.dim))
+        A = np.diff(unit, axis=1)
+        rises = np.diff(bridge.coarse(xi_max * np.sign(A.T)), axis=1, prepend=0.0)
+        np.testing.assert_allclose(np.diag(rises), bridge.slope_bound, rtol=1e-13)
+        rng = np.random.default_rng(n_steps)
+        xi = np.clip(rng.standard_normal((2000, bridge.dim)) * 3, -xi_max, xi_max)
+        Wc = np.concatenate([np.zeros((2000, 1)), bridge.coarse(xi)], axis=1)
+        assert np.all(np.abs(np.diff(Wc, axis=1)) <= bridge.slope_bound * (1 + 1e-12))

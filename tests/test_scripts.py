@@ -41,7 +41,8 @@ def test_mc_block_stages_runs():
     stages = {row.rsplit(None, 2)[0].strip(): [float(v) for v in row.split()[-2:]]
               for row in rows}
     assert set(stages) == {"coarse points", "chords", "X^p", "reductions", "control",
-                           "wealth cosh", "checkpoints", "simulate block", "verify block",
+                           "wealth cosh", "checkpoints", "segment coefficients", "row dots",
+                           "column sums", "simulate block", "verify block",
                            "pass 1 worker", "pass default", "pass 1 worker MB",
                            "pass default MB", "peak MB"}
     assert all(v >= 0 for values in stages.values() for v in values)

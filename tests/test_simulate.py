@@ -1,3 +1,4 @@
+import math
 import os
 import statistics
 import sys
@@ -28,6 +29,7 @@ from eqmerton.simulate import (
     perturbation_estimator,
     perturbation_test,
     Block,
+    SegmentSeries,
     run_estimators,
     simulate_equilibrium,
     simulation_estimator,
@@ -1123,38 +1125,196 @@ class TestAntitheticPairs:
         assert cfg.n_blocks == -(-cfg.n_pairs // per_block)
 
 
+# the legs of the series tests: (excess return, p, horizon, steps). Every
+# 1000- and 2000-step leg takes moments; the 200-step legs take chords
+# (D + 1 >= s = 12) and are expanded regardless. The larger exponent's h is
+# near the cap 4 on the T = 50 legs (3.96 at 200 steps, 3.20 at 1000 and,
+# for J at p = -3, 3.93 at 2000)
+SERIES_LEGS = [
+    pytest.param(0.07, 0.5, 1.0, 200, id="T1-200"),
+    pytest.param(0.07, 0.5, 1.0, 1000, id="T1-1000"),
+    pytest.param(0.07, 0.5, 1.0, 2000, id="T1-2000"),
+    pytest.param(0.07, -2.0, 1.0, 1000, id="p-2-T1-1000"),
+    pytest.param(0.02, 0.5, 50.0, 200, id="T50-200"),
+    pytest.param(0.02, 0.5, 50.0, 1000, id="T50-1000"),
+    pytest.param(0.07, -3.0, 50.0, 2000, id="p-3-T50-2000"),
+]
+
+
+def series_leg(excess, p, horizon, n_steps, d):
+    m = MarketParams.from_excess_return(r=0.05, mu=excess, sigma=0.2)
+    u, g = CrraUtility(p=p), TimeGrid(horizon=horizon, n_steps=n_steps)
+    pol = equilibrium_policy(picard_solve(m, u, d, g), m, u)
+    cfg = SimConfig(n_paths=2, seed=1, grid=g)
+    return pol, equilibrium_leg(pol, cfg, m, u, d), g
+
+
+def stated_degree(h):
+    """The least D with h^{D+1} / (D + 1)! e^{2h} < 2^-53, spelled out."""
+    D = 0
+    while h ** (D + 1) / math.factorial(D + 1) * math.exp(2 * h) >= 2.0**-53:
+        D += 1
+    return D
+
+
+def extreme_normals(bridge):
+    """Rows of normals at the stream's largest size |Phi^{-1}(2^-53)|, one
+    pair per segment, whose rise on that segment is +- the bridge's
+    ``slope_bound``: the coefficients of W(hi) - W(lo) in the normals give
+    the signs."""
+    xi_max = -norm_ppf(np.array([2.0**-53]))[0]
+    unit = np.zeros((bridge.dim, bridge.dim + 1))
+    unit[:, 1:] = bridge.coarse(np.eye(bridge.dim))
+    signs = np.sign(np.diff(unit, axis=1)).T
+    return xi_max * np.concatenate([signs, -signs])
+
+
+class TestSegmentSeries:
+    """A leg that sums its segments from their Taylor moments gives the
+    values the chords give, on the same coarse values."""
+
+    @pytest.mark.parametrize("excess, p, horizon, n_steps", SERIES_LEGS)
+    def test_moments_match_chords_on_the_same_coarse_values(self, hyp_discount, excess, p,
+                                                            horizon, n_steps):
+        pol, leg, g = series_leg(excess, p, horizon, n_steps, hyp_discount)
+        bridge = BrownianBridge(n_steps)
+        rng = np.random.default_rng(n_steps)
+        xi = np.concatenate([rng.standard_normal((40, bridge.dim)), extreme_normals(bridge)])
+        Wc = np.concatenate([np.zeros((len(xi), 1)), bridge.coarse(xi)], axis=1)
+        # every rise within the bound, which the extreme rows reach
+        rise = np.abs(np.diff(Wc, axis=1))
+        assert np.all(rise <= bridge.slope_bound * (1 + 1e-12))
+        assert np.allclose(rise.max(axis=0), bridge.slope_bound, rtol=1e-12)
+        W = bridge.chords(Wc, np.empty((len(xi), n_steps + 1)), np.empty((len(xi), n_steps + 1)))
+        # a tail from a coarse node, one from inside a segment, and the
+        # gross spike's, from w + 1
+        w = int(0.3 * n_steps)
+        spike = perturbation_estimator(leg, w * leg.dt, Spike(zeta=pol.stock_fraction + 1.0))
+        tails = (int(bridge.nodes[3]), bridge.nodes[5] + 7, w + 1)
+        series = SegmentSeries(leg, tails)
+        # the stated degree for each exponent, from the larger h of the two
+        half_rise = 0.5 * bridge.slope_bound.max()
+        h = max(abs(b) * half_rise for b in leg.series_degrees)
+        for b, D in leg.series_degrees.items():
+            assert D == stated_degree(abs(b) * half_rise)
+            assert len(series.nodes[b]) == D + 1
+        assert len(series.moments[0]) == leg.series_degrees[p * leg.vol] + 1
+        on_chords = Block(W, np.empty(W.size), leg, tails)
+        on_moments = Block(Wc, np.empty(W.size), leg, tails, series=series)
+        # truncation below 2^-53 of each term, and rounding grown by at most
+        # e^{2h} in the series and a few dozen ulp in the sums
+        bound = 64 * 2.0**-53 * math.exp(2 * h)
+
+        def assert_close(chord_value, moment_value, what):
+            rel = np.max(np.abs(moment_value - chord_value) / np.abs(chord_value))
+            assert rel <= bound, (what, rel / bound)
+
+        (J, C, Y_sum, T), (J_m, C_m, Y_sum_m, T_m) = on_chords.powers, on_moments.powers
+        np.testing.assert_array_equal(C, C_m)
+        assert_close(J, J_m, "J")
+        assert_close(Y_sum, Y_sum_m, "X^p per node")
+        for s in tails:
+            assert_close(T[s], T_m[s], f"tail {s}")
+        assert_close(on_chords.pair_sums(leg.vol), on_moments.pair_sums(leg.vol), "wealth")
+        sums = [simulation_estimator(pol, g, leg, hyp_discount)[0](blk)
+                for blk in (on_chords, on_moments)]
+        for key in ("wealth", "voh"):
+            assert_close(sums[0][key], sums[1][key], key)
+        # D of a gross spike: J less a spiked J, of J's size; the head of the
+        # window takes the same chords both ways
+        D_chords, D_moments = (spike[0](blk)["d"] for blk in (on_chords, on_moments))
+        assert_close(D_chords, D_moments, "perturbation D")
+
+    def test_the_benchmark_legs_pick_their_path(self, mix_discount):
+        # verify-simulate's legs (market mu = 0.07 as the excess return, p =
+        # 0.5, T = 1): verify's 100 steps, s = 6, stay on the chords, and
+        # simulate's 1000 steps, s = 62, take moments, of degrees 17 (J) and
+        # 22 (wealth)
+        m = MarketParams.from_excess_return(r=0.05, mu=0.07, sigma=0.2)
+        u = CrraUtility(p=0.5)
+        legs = {}
+        for n_steps in (100, 1000):
+            g = TimeGrid(horizon=1.0, n_steps=n_steps)
+            pol = equilibrium_policy(picard_solve(m, u, mix_discount, g), m, u)
+            legs[n_steps] = equilibrium_leg(pol, SimConfig(n_paths=2, seed=1, grid=g), m, u,
+                                            mix_discount)
+        assert not legs[100].takes_moments and legs[1000].takes_moments
+        leg = legs[1000]
+        assert leg.series_degrees == {u.p * leg.vol: 17, leg.vol: 22}
+
+    def test_a_leg_past_the_cap_or_with_short_segments_takes_chords(self, hyp_discount):
+        # p = 0.5, T = 50 at the excess return 0.07: h = 11.2 for wealth at
+        # 1000 steps; fewer than 16 steps: segments of one step
+        def takes_moments(*leg):
+            return series_leg(*leg, hyp_discount)[1].takes_moments
+
+        assert not takes_moments(0.07, 0.5, 50.0, 1000)
+        assert not takes_moments(0.07, 0.5, 1.0, 10)
+        assert takes_moments(0.02, 0.5, 50.0, 1000)
+        # p = -3, T = 50: J's h is 3.93 at 2000 steps, 4.21 at 1000
+        assert takes_moments(0.07, -3.0, 50.0, 2000)
+        assert not takes_moments(0.07, -3.0, 50.0, 1000)
+        assert simulate._SERIES_H_CAP == 4.0
+
+    def test_a_pass_on_moments_never_forms_the_chord_matrix(self, market, utility,
+                                                            hyp_discount, monkeypatch):
+        g = TimeGrid(horizon=1.0, n_steps=1000)
+        pol = equilibrium_policy(picard_solve(market, utility, hyp_discount, g), market, utility)
+        calls = []
+        chords = BrownianBridge.chords
+        monkeypatch.setattr(BrownianBridge, "chords",
+                            lambda *a: calls.append(1) or chords(*a))
+        simulate_equilibrium(pol, SimConfig(n_paths=2000, seed=1, grid=g), market, utility,
+                             hyp_discount, moment_orders=(utility.p,))
+        assert calls == []
+
+
 class TestConditionalExpectations:
     """Every per-path value the library forms is the mean, given the path's
     coarse values, of the same value on whole Brownian paths: the two-scale
     stream's fine bridges through those values (``oracles.bridged_paths``),
-    averaged over 20 000 of them per coarse point."""
+    averaged over many of them per coarse point."""
 
-    DRAWS = 20_000
     # the library's value is within this many standard errors of the mean
-    # over the fine bridges (about 100 comparisons)
+    # over the fine bridges (about 100 comparisons on 40 steps, 1000 on 400)
     TOLERANCE = 4.5
 
-    def test_each_value_is_the_mean_over_fine_bridges(self, market, utility, hyp_discount):
+    def test_each_value_is_the_mean_over_fine_bridges(self, utility, hyp_discount):
         # 40 steps: 16 coarse nodes 2 steps apart, the last segment 10 steps
         # (30..40); the spike's window ends at w = 33 inside it, so its tail
         # nodes 34..39 share w's segment; the moment checkpoints 7, 13, 27
-        # and 33 lie between coarse nodes
-        g = TimeGrid(horizon=1.0, n_steps=40)
+        # and 33 lie between coarse nodes. The leg takes chords
+        self.assert_fine_bridge_means(utility, hyp_discount, 40, 33, 0.07, 20_000)
+
+    def test_each_value_is_the_mean_over_fine_bridges_on_segment_moments(self, utility,
+                                                                         hyp_discount):
+        # 400 steps: segments of 25 (the last 375..400), w = 390 inside the
+        # last; at the excess return 0.02 the leg takes moments (D = 15 for
+        # wealth). Fewer draws keep each array at 13 MB
+        self.assert_fine_bridge_means(utility, hyp_discount, 400, 390, 0.02, 4_000)
+
+    def assert_fine_bridge_means(self, utility, hyp_discount, n_steps, w, excess, draws):
+        market = MarketParams.from_excess_return(r=0.05, mu=excess, sigma=0.2)
+        g = TimeGrid(horizon=1.0, n_steps=n_steps)
         p, dt = utility.p, g.dt
         sol = picard_solve(market, utility, hyp_discount, g)
         pol = equilibrium_policy(sol, market, utility)
         cfg = SimConfig(n_paths=2, seed=1, grid=g, x0=1.3)
         leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
         bridge = BrownianBridge(g.n_steps)
-        w = 33
         spike = Spike(zeta=pol.stock_fraction + 1.0, consumption=0.3)
         rng = np.random.default_rng(5)
         rows = 3
         Wc = np.concatenate([np.zeros((rows, 1)),
                              bridge.coarse(rng.standard_normal((rows, bridge.dim)))], axis=1)
-        chords = bridge.chords(Wc, np.empty((rows, g.n_steps + 1)),
-                               np.empty((rows, g.n_steps + 1)))
-        blk = Block(chords, np.empty(chords.size), leg, tails=(w + 1,))
+        scratch = np.empty(rows * (g.n_steps + 1))
+        assert leg.takes_moments == (n_steps == 400)
+        if leg.takes_moments:
+            blk = Block(Wc, scratch, leg, (w + 1,), series=SegmentSeries(leg, (w + 1,)))
+        else:
+            chords = bridge.chords(Wc, np.empty((rows, g.n_steps + 1)),
+                                   np.empty((rows, g.n_steps + 1)))
+            blk = Block(chords, scratch, leg, tails=(w + 1,))
         J, C, Y_sum, tails = blk.powers
         sim_sums = simulation_estimator(pol, g, leg, hyp_discount)[0](blk)
         moment = moment_estimator(cfg, market, utility, p, growth_constant(market, utility),
@@ -1170,8 +1330,8 @@ class TestConditionalExpectations:
         ck = _checkpoints(g, 7)[1:]
         fine = {key: [] for key in ("j", "y", "wealth", "tail", "m", "d")}
         for row in range(rows):
-            W = bridged_paths(bridge.nodes, np.repeat(Wc[[row]], self.DRAWS, axis=0),
-                              rng.standard_normal((self.DRAWS, g.n_steps)))
+            W = bridged_paths(bridge.nodes, np.repeat(Wc[[row]], draws, axis=0),
+                              rng.standard_normal((draws, g.n_steps)))
             Z = np.diff(W, axis=1)
             per_path = {key: [] for key in fine}
             for sign in (1.0, -1.0):  # the drawn path, then its partner
@@ -1213,36 +1373,53 @@ class TestConditionalExpectations:
         for key, value in (("y", Y_sum), ("wealth", sim_sums["wealth"]),
                            ("m", moment_sums["y"]), ("d", d_sums["d"])):
             means = sum(f.mean(axis=0) for f in fine[key])
-            se = np.sqrt(sum(f.var(axis=0) / self.DRAWS for f in fine[key]))
+            se = np.sqrt(sum(f.var(axis=0) / draws for f in fine[key]))
             assert np.all(np.abs(value - means) <= self.TOLERANCE * se + 1e-12 * np.abs(means)), \
                 (key, np.max(np.abs(value - means) / (se + 1e-300)))
 
 
 def test_each_rows_values_are_the_same_bits_whatever_the_tile(market, utility, hyp_discount,
-                                                              sim_grid, hyp_policy,
                                                               monkeypatch):
-    # J, its control and two tail sums of every row (one tail starting on a
-    # coarse node, one between nodes), gathered in row order from a pass in
-    # tiles of the default size and from one in ragged tiles of three rows
-    _, pol = hyp_policy
+    assert_rows_are_tile_free(market, utility, hyp_discount, monkeypatch, 200, (24, 31))
+
+
+def test_each_rows_values_are_the_same_bits_whatever_the_tile_on_segment_moments(
+        market, utility, hyp_discount, monkeypatch):
+    assert_rows_are_tile_free(market, utility, hyp_discount, monkeypatch, 1000, (124, 155))
+
+
+def assert_rows_are_tile_free(market, utility, hyp_discount, monkeypatch, n_steps, tails):
+    """J, its control, two tail sums (one tail starting on a coarse node,
+    one between nodes) and the chords at a few nodes of every row, gathered
+    in row order from a pass in tiles of the default size and from one in
+    ragged tiles of three rows, are the same bits; the 1000-step leg takes
+    moments, the 200-step leg chords."""
+    g = TimeGrid(horizon=1.0, n_steps=n_steps)
+    pol = equilibrium_policy(picard_solve(market, utility, hyp_discount, g), market, utility)
     blocks_of(monkeypatch, 512)
-    cfg = sim_cfg(sim_grid, n_paths=3000, seed=11, n_workers=1)
+    cfg = sim_cfg(g, n_paths=3000, seed=11, n_workers=1)
     leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
+    assert leg.takes_moments == (n_steps == 1000)
+    series = SegmentSeries(leg, tails) if leg.takes_moments else None
+    columns = np.array([7, tails[1], n_steps])
 
     def block(W, buffers, replicate):
-        J, C, _, tails = Block(W, buffers, leg, (24, 31), replicate, cfg.n_replicates).powers
-        m = len(W)
-        return {"j": [J], "c": [C], **{f"tail{s}": [tails[s][:m]] for s in tails},
-                **{f"partner_tail{s}": [tails[s][m:]] for s in tails}}
+        blk = Block(W, buffers, leg, tails, replicate, cfg.n_replicates, series)
+        J, C, _, T = blk.powers
+        m = len(J)
+        return {"j": [J], "c": [C], "chords": [blk.chords(columns)],
+                **{f"tail{s}": [T[s][:m]] for s in T},
+                **{f"partner_tail{s}": [T[s][m:]] for s in T}}
 
     def rows():
-        sums = simulate._accumulate_blocks(cfg, sim_grid.n_steps, block)
+        sums = simulate._accumulate_blocks(cfg, n_steps, block, not leg.takes_moments)
         return {key: np.concatenate(parts) for key, parts in sums.items()}
 
     whole = rows()
-    monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * (sim_grid.n_steps + 1))
+    monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * (n_steps + 1))
     ragged = rows()
-    assert set(whole) == {"j", "c", "tail24", "tail31", "partner_tail24", "partner_tail31"}
+    assert set(whole) == {"j", "c", "chords", *(f"{side}tail{s}" for s in tails
+                                                for side in ("", "partner_"))}
     for key in whole:
         assert len(whole[key]) == cfg.n_pairs
         np.testing.assert_array_equal(whole[key], ragged[key], err_msg=key)
