@@ -8,8 +8,7 @@ block of --paths paths (by default a pass's block, ``simulate._BLOCK_PAIRS``
 antithetic pairs) is --paths / 2 pairs, of which it stores only the drawn
 paths; each partner runs on -W. The stage rows hold the whole block at once,
 so their times compare across grids and block sizes; a pass runs its rows
-in tiles of at most ``simulate._TILE_ELEMENTS`` elements per buffer and
-``simulate._BLOCK_PAIRS`` rows:
+in tiles, whose sizes the table's last three rows give:
 
 * coarse points W at the 16 coarse bridge nodes of each pair: the shift
                 words of the block's replicates from its generator
@@ -53,9 +52,16 @@ paths, on the chords or the coarse values as a pass on the leg would take
 them (the perturbation rows read their tails from the shared X^p); a whole
 ``simulate_equilibrium`` pass over --pass-blocks blocks of the library's
 size on one worker thread and on the default count (``[sim] n_workers = 0``: one per CPU the
-process may run on), with the tracemalloc peak of each pass; and the
+process may run on), with the tracemalloc peak of each pass; the
 tracemalloc peak of one ``simulate_equilibrium`` call of --paths paths,
-buffers included.
+buffers included; and the rows of a pass's tile for each kind of pass
+(``simulate._Tiling``), at most ``simulate._TILE_ELEMENTS`` elements of the
+widest array the tile forms and ``simulate._BLOCK_PAIRS`` rows: one that
+forms the chords, n + 1 per row; one on segment moments, (D + 1) N per row
+(N = 16 coarse segments from 16 steps on) or ``verify``'s widest
+perturbation head, whichever is wider (on every grid, as if the leg took
+moments); and one without a leg, the martingale and moment checks run
+alone, which holds the N + 1 coarse values per row.
 """
 
 import argparse
@@ -81,6 +87,7 @@ from eqmerton.simulate import (
     SimConfig,
     Spike,
     _BLOCK_PAIRS,
+    _Tiling,
     _block_rng,
     _bridge,
     _checkpoints,
@@ -156,7 +163,7 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
         return _sums("c", C), J @ C
 
     def wealth():
-        Block(W, flat, leg).pair_sums(leg.vol)
+        Block(W, flat, bridge, leg).pair_sums(leg.vol)
 
     def checkpoint_columns():
         leg.pair_power(W[:, checkpoints], u.p, checkpoints)
@@ -197,16 +204,15 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
     chords()
     nc = solve_no_consumption(m, u, d, g)
     moments = (u.p, 2 * u.p)
-    on_moments = leg.takes_moments
     sim_block = _fused_block([simulation_estimator(pol, g, leg, d, moments)], leg,
-                             cfg.n_replicates, on_moments)
+                             cfg.n_replicates, n_steps)
     verify_block = _fused_block([
         value_identity_estimator(sol, leg, 0.0),
         martingale_estimator(nc, cfg, m, u, d),
         *(perturbation_estimator(leg, eps, Spike(zeta=zeta)) for eps, zeta in spikes),
-    ], leg, cfg.n_replicates, on_moments)
+    ], leg, cfg.n_replicates, n_steps)
     replicate = np.arange(cfg.n_pairs) // rep
-    paths = Wc if on_moments else W
+    paths = Wc if leg.takes_moments else W
     # each call builds a fresh Block, as each tile of a pass gets its own
     row["simulate block"] = best_ms(lambda: sim_block(paths, flat, replicate), repeats)
     row["verify block"] = best_ms(lambda: verify_block(paths, flat, replicate), repeats)
@@ -220,6 +226,10 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
             pol, pass_cfg, m, u, d, moment_orders=moments))
     row["peak MB"] = traced_peak_mb(lambda: simulate_equilibrium(
         pol, cfg, m, u, d, moment_orders=moments))
+    for kind, tiling in (("chords", _Tiling.chord_matrix(n_steps)),
+                         ("moments", _Tiling.segment_moments(leg, tails)),
+                         ("no leg", _Tiling.coarse_values(n_steps))):
+        row[f"tile rows {kind}"] = tiling.rows
     return row
 
 
@@ -237,7 +247,8 @@ def main() -> None:
     names = list(next(iter(rows.values())))
     print(f"{'stage (ms)':>20}" + "".join(f"{f'{args.paths}x{n}':>14}" for n in rows))
     for name in names:
-        print(f"{name:>20}" + "".join(f"{rows[n][name]:>14.2f}" for n in rows))
+        print(f"{name:>20}" + "".join(f"{rows[n][name]:>14.2f}" if isinstance(rows[n][name], float)
+                                      else f"{rows[n][name]:>14}" for n in rows))
 
 
 if __name__ == "__main__":

@@ -295,15 +295,23 @@ class BrownianBridge:
         out[:, -1] = Wc[:, -1]
         return out
 
-    def chord_columns(self, Wc: np.ndarray, nodes) -> np.ndarray:
+    def chord_columns(self, Wc: np.ndarray, nodes, out: np.ndarray | None = None) -> np.ndarray:
         """The chords at the given nodes only (an index, slice or index array
-        of 0..n_steps), the same bits as those columns of ``chords``."""
+        of 0..n_steps), the same bits as those columns of ``chords``; for an
+        array of nodes into out (rows x nodes) when it is given. Each run of
+        consecutive nodes on one segment is filled in place, so no other
+        array of out's size is formed."""
         k = np.arange(self.n_steps + 1)[nodes]
-        j = self.segment[k]
-        out = np.take(Wc[:, 1:] - Wc[:, :-1], j, axis=1)
-        out *= self._fraction[k]
-        out += np.take(Wc, j, axis=1)
         if np.ndim(k) == 0:
-            return Wc[:, -1].copy() if k == self.n_steps else out
+            return self.chord_columns(Wc, k[None])[:, 0]
+        if out is None:
+            out = np.empty((len(Wc), len(k)))
+        j = self.segment[k]
+        starts = np.flatnonzero(np.diff(j, prepend=-1))
+        for lo, hi in zip(starts, [*starts[1:], len(k)]):
+            seg = j[lo]
+            np.multiply(Wc[:, seg + 1, None] - Wc[:, seg, None], self._fraction[k[lo:hi]],
+                        out=out[:, lo:hi])
+            out[:, lo:hi] += Wc[:, seg, None]
         out[:, k == self.n_steps] = Wc[:, -1:]
         return out

@@ -59,28 +59,35 @@ bridge's ``slope_bound`` (143 at 1000 steps). A leg takes moments
 wealth's vol, has D + 1 < s, the segments' length, so that a segment's
 coefficients are fewer than its chords, and h at most ``_SERIES_H_CAP`` = 4,
 which bounds the rounding growth e^{2h} of a series whose terms may cancel;
-otherwise, and on a pass without a leg, it takes the chords. On the
-benchmark's 1000-step, T = 1 leg (s = 62) D is 17 for J and 22 for wealth,
-and its 100-step verify leg (s = 6) keeps the chords. Nodes read singly
-(the terminal control and moments, the martingale and moment checkpoints)
-and the perturbation's window head take the chords of their own columns
-only (``Block.chords``), the same bits as those columns of the chord matrix.
+otherwise it takes the chords. On the benchmark's 1000-step, T = 1 leg
+(s = 62) D is 17 for J and 22 for wealth, and its 100-step verify leg
+(s = 6) keeps the chords. Nodes read singly (the terminal control and
+moments, the martingale and moment checkpoints) and the perturbation's
+window head take the chords of their own columns only (``Block.chords``),
+the same bits, laid out alike, as those columns of the chord matrix; so a
+pass without a leg, the martingale and moment checks alone, reads its
+checkpoints from the coarse values and forms no chord matrix either.
 
-A pass is one ordered map over tiles of consecutive rows, each at most
-``_TILE_ELEMENTS`` float64 elements of chords and ``_BLOCK_PAIRS`` rows; a
-tile may span replicates and blocks. Each tile forms its rows' coarse values
-from their points of the net and their replicates' shifts, then, on a leg
-that takes the chords, their chords at every node of the leg, elementwise,
-into a tile-sized buffer; on a leg that takes moments, its segment
-coefficients (rows x 16 x (D + 1), fewer elements than the chords). Every
-per-row value (J, its control, a tail sum, a checkpoint term) is formed by
+A pass is one ordered map over tiles of consecutive rows; a tile may span
+replicates and blocks. Each tile forms its rows' coarse values from their
+points of the net and their replicates' shifts, then, on a leg that takes
+the chords, their chords at every node of the leg, elementwise, into a
+tile-sized buffer; on a leg that takes moments, its segment powers
+((D + 1) x rows x 16, fewer elements than the chords). A tile holds at most
+``_BLOCK_PAIRS`` rows and ``_TILE_ELEMENTS`` float64 elements of the widest
+array it forms (``_Tiling``): the chords, n + 1 per row; on moments the
+segment powers, (D + 1) 16 per row, or a perturbation's window head if that
+is wider; without a leg the coarse values, 17 per row. On the benchmark's
+1000-step leg that is 261 rows of chords, or 712 on moments. Every per-row
+value (J, its control, a tail sum, a checkpoint term) is formed by
 elementwise operations and per-row sums whose rounding does not depend on
 the other rows, so it is the same bits whatever the tile size; only the
 order in which an estimator's sums over rows are added depends on the
 partition into tiles. Tile partials are combined by pairwise summation in
 row order, so results are bit-identical across worker counts. A worker
-thread holds two tile-sized buffers on the chords, one on moments, whatever
-the grid.
+thread holds two tile-sized buffers on the chords, the chords and a
+scratch; on moments one scratch as wide as the widest window head, and
+none without a window or without a leg.
 
 Every policy simulated here holds a constant stock fraction zeta over the
 steps it covers, so its log-wealth at node k is affine in W,
@@ -173,20 +180,15 @@ _MIN_REPLICATES = 32
 _MIN_REPLICATE_PAIRS = 32
 # the bridge of each leg length, built once
 _bridge = lru_cache(maxsize=16)(BrownianBridge)
-# float64 elements in a tile of the pass's rows, 2 MiB per buffer: a pass
-# holds two such buffers per worker thread, whatever the grid
+# float64 elements in the widest array a tile of the pass's rows forms,
+# 2 MiB: a pass holds at most two tile-sized buffers per worker thread,
+# whatever the grid
 _TILE_ELEMENTS = 2**18
 # the largest h = |b| max|slope| / 2 at which a leg sums its segments from
 # their Taylor moments: the terms of the series of e^{b slope g} add up to at
 # most e^h in size where the sum is at least e^-h, so rounding grows by at
 # most e^{2h} = e^8, about 3000
 _SERIES_H_CAP = 4.0
-
-
-def _tile_rows(n_steps: int) -> int:
-    """Rows in a tile of paths of n_steps steps: at most ``_TILE_ELEMENTS``
-    elements and ``_BLOCK_PAIRS`` rows, one at least."""
-    return min(_BLOCK_PAIRS, max(1, _TILE_ELEMENTS // (n_steps + 1)))
 
 
 @dataclass(frozen=True)
@@ -254,18 +256,20 @@ class SimConfig(SimSettings):
 
     grid: TimeGrid
 
-    def worker_count(self, n_steps: Optional[int] = None) -> int:
-        """Worker threads of a pass over paths of n_steps steps, the whole
-        grid by default: n_workers, or for 0 the number of CPUs this process
-        may run on, and never more than the pass's tiles."""
+    def worker_count(self, tile_rows: Optional[int] = None) -> int:
+        """Worker threads of a pass in tiles of tile_rows rows, by default
+        those of a pass that forms the chords of the whole grid: n_workers,
+        or for 0 the number of CPUs this process may run on, and never more
+        than the pass's tiles."""
         n = self.n_workers
         if n == 0:
             try:
                 n = len(os.sched_getaffinity(0))
             except AttributeError:  # no affinity call on this platform
                 n = os.cpu_count() or 1
-        n_steps = self.grid.n_steps if n_steps is None else n_steps
-        return min(n, -(-self.n_pairs // _tile_rows(n_steps)))
+        if tile_rows is None:
+            tile_rows = _Tiling.chord_matrix(self.grid.n_steps).rows
+        return min(n, -(-self.n_pairs // tile_rows))
 
 
 @dataclass(frozen=True)
@@ -372,8 +376,58 @@ def _combine_in_order(partials) -> dict:
     return total
 
 
+@dataclass(frozen=True)
+class _Tiling:
+    """The tiles of a pass: whether each forms its rows' chord matrix
+    (``chords``), the per-row element count of the widest array a tile forms
+    (``width``), which sets the rows of a tile, and that of each worker's
+    scratch buffer (``scratch``, 0 for none)."""
+
+    chords: bool
+    width: int
+    scratch: int
+
+    @classmethod
+    def chord_matrix(cls, n_steps: int) -> "_Tiling":
+        """A leg that takes the chords: the chord matrix, n_steps + 1 per
+        row, and a scratch as wide."""
+        return cls(True, n_steps + 1, n_steps + 1)
+
+    @classmethod
+    def segment_moments(cls, leg: "PolicyLeg", tails: tuple) -> "_Tiling":
+        """A leg that takes moments: the powers of ``SegmentSeries.expand``,
+        (D + 1) N per row, or the widest perturbation head, whose tail s
+        covers nodes 0..s - 1, whichever is wider; a scratch as wide as that
+        head, none without a tail."""
+        head = max(tails, default=0)
+        powers = (max(leg.series_degrees.values()) + 1) * _bridge(leg.n_steps).dim
+        return cls(False, max(powers, head), head)
+
+    @classmethod
+    def coarse_values(cls, n_steps: int) -> "_Tiling":
+        """A pass without a leg: the coarse values, N + 1 per row, and no
+        scratch."""
+        return cls(False, _bridge(n_steps).dim + 1, 0)
+
+    @property
+    def rows(self) -> int:
+        """Rows in a tile: at most ``_TILE_ELEMENTS`` elements of its widest
+        array and ``_BLOCK_PAIRS`` rows, one at least."""
+        return min(_BLOCK_PAIRS, max(1, _TILE_ELEMENTS // self.width))
+
+
+def _tiling(n_steps: int, leg: Optional["PolicyLeg"] = None, tails: tuple = ()) -> _Tiling:
+    """The tiles of a pass over paths of n_steps steps, on the leg if one is
+    given, whose estimators declare the tails."""
+    if leg is None:
+        return _Tiling.coarse_values(n_steps)
+    if leg.takes_moments:
+        return _Tiling.segment_moments(leg, tails)
+    return _Tiling.chord_matrix(n_steps)
+
+
 def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable,
-                       chords: bool = True) -> dict:
+                       tiling: Optional[_Tiling] = None) -> dict:
     """Run block_fn(W, scratch, replicate) over the pass's rows, tile by
     tile, and combine the sums.
 
@@ -381,19 +435,22 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable,
     its replicates (``cfg.block_pairs`` pairs, fewer in the last block), one
     word per replicate and coordinate; every block's are drawn once, in
     block order, before any tile runs. The pass's ``cfg.n_pairs`` rows then
-    run in tiles of ``_tile_rows(n_sub_steps)`` consecutive rows, which may
-    span replicates and blocks. A tile forms its rows' coarse values Wc
-    (rows x (N + 1), Wc[:, 0] = 0) from their points of the shared net, each
-    XOR its replicate's shift (``rqmc.shifted_points``). With ``chords`` W
+    run in tiles of ``tiling.rows`` consecutive rows, which may span
+    replicates and blocks (``_tiling``; by default a pass that forms the
+    chords). A tile forms its rows' coarse values Wc (rows x (N + 1),
+    Wc[:, 0] = 0) from their points of the shared net, each XOR its
+    replicate's shift (``rqmc.shifted_points``). With ``tiling.chords`` W
     (rows x (n_sub_steps + 1)) holds their chords, each path's mean at every
     node given its coarse values (``rqmc.BrownianBridge.chords``); without,
     W is Wc itself. The partner of row i runs on -W[i]. ``replicate`` holds
     each row's replicate, numbered over the whole pass, and ``scratch``, a
-    flat buffer of at least the chords' size, is free for block_fn. The
-    tiles run on ``cfg.worker_count(n_sub_steps)`` threads, each with its own
-    buffers (two with chords, one without), and their sums are combined
-    pairwise in row order as they arrive.
+    flat buffer of rows x ``tiling.scratch`` elements, is free for block_fn.
+    The tiles run on ``cfg.worker_count(tiling.rows)`` threads, each with
+    its own buffers (the chords' and the scratch), and their sums are
+    combined pairwise in row order as they arrive.
     """
+    if tiling is None:
+        tiling = _Tiling.chord_matrix(n_sub_steps)
     bridge = _bridge(n_sub_steps)
     rep, per_block = cfg.replicate_pairs, cfg.block_pairs // cfg.replicate_pairs
     words = np.concatenate([
@@ -401,8 +458,8 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable,
             (min(per_block, cfg.n_replicates - b * per_block), bridge.dim))
         for b in range(cfg.n_blocks)])
     net = sobol_net(bridge.dim, rep.bit_length() - 1)
-    tile_rows = _tile_rows(n_sub_steps)
-    size = min(tile_rows, cfg.n_pairs) * (n_sub_steps + 1)
+    tile_rows = tiling.rows
+    most_rows = min(tile_rows, cfg.n_pairs)
     local = threading.local()
 
     def run(start: int) -> dict:
@@ -411,15 +468,15 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable,
         W[:, 1:] = bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
         # the buffers come after the coarse values' temporaries are freed
         if not hasattr(local, "scratch"):
-            local.scratch = np.empty(size)
-            local.w = np.empty(size) if chords else None
-        if chords:
+            local.scratch = np.empty(most_rows * tiling.scratch)
+            local.w = np.empty(most_rows * tiling.width) if tiling.chords else None
+        if tiling.chords:
             shape = (len(rows), n_sub_steps + 1)
             W = bridge.chords(W, local.w[:math.prod(shape)].reshape(shape),
                               local.scratch[:math.prod(shape)].reshape(shape))
         return block_fn(W, local.scratch, rows // rep)
 
-    with ThreadPoolExecutor(max_workers=cfg.worker_count(n_sub_steps)) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.worker_count(tile_rows)) as pool:
         return _combine_in_order(pool.map(run, range(0, cfg.n_pairs, tile_rows)))
 
 
@@ -729,28 +786,34 @@ class SegmentSeries:
 
 
 class Block:
-    """One tile of the pass's antithetic pairs, m drawn paths, seen through
-    their chords: the chord L[i, k] (L[:, 0] = 0) is the mean of path i at
-    node k given its coarse values, and ``variance[k]`` its variance there,
-    the same on every row. The partner of row i runs on -L[i]. Without a
-    series W holds the chords (m x (steps + 1)); with a ``SegmentSeries`` it
-    holds the coarse values (m x (N + 1)), no chord matrix is formed, and
-    the leg's exponentials come from segment moments. ``chords`` reads the
-    chords at given nodes either way. ``scratch`` is a flat buffer of at
-    least the chords' size that the estimators may overwrite. ``replicate``
-    holds each row's replicate, of ``n_replicates`` in the pass. ``tails``
-    are the nodes s whose tail sums ``powers`` takes."""
+    """One tile of the pass's antithetic pairs, m drawn paths of the
+    ``bridge``, seen through their chords: the chord L[i, k] (L[:, 0] = 0) is
+    the mean of path i at node k given its coarse values, and
+    ``variance[k]`` its variance there, the same on every row. The partner
+    of row i runs on -L[i]. W holds either the chords (m x (steps + 1)) or
+    the coarse values (m x (N + 1)), as its width tells (where N = steps the
+    two are the same); on the coarse values no chord matrix is formed, and a
+    leg's exponentials come from segment moments (``series``). ``chords``
+    reads the chords at given nodes either way. ``scratch`` is a flat buffer
+    the estimators may overwrite: on the chords of their size, on the coarse
+    values as wide as the widest tail's head. ``replicate`` holds each row's
+    replicate, of ``n_replicates`` in the pass. ``tails`` are the nodes s
+    whose tail sums ``powers`` takes, and ``power_sums`` whether it takes
+    the per-node X^p sums."""
 
-    def __init__(self, W: np.ndarray, scratch: np.ndarray, leg: Optional[PolicyLeg],
-                 tails: tuple = (), replicate: Optional[np.ndarray] = None,
-                 n_replicates: int = 1, series: Optional[SegmentSeries] = None):
+    def __init__(self, W: np.ndarray, scratch: np.ndarray, bridge: BrownianBridge,
+                 leg: Optional[PolicyLeg] = None, tails: tuple = (),
+                 replicate: Optional[np.ndarray] = None, n_replicates: int = 1,
+                 series: Optional[SegmentSeries] = None, power_sums: bool = False):
         self.W = W
         self.series = series
-        self.bridge = _bridge(W.shape[1] - 1) if series is None else series.bridge
-        self.variance = self.bridge.variance
+        self.bridge = bridge
+        self.on_chords = W.shape[1] == bridge.n_steps + 1
+        self.variance = bridge.variance
         self._scratch = scratch
         self._leg = leg
         self._tails = tails
+        self._power_sums = power_sums
         self.replicate = np.zeros(len(W), dtype=np.intp) if replicate is None else replicate
         self.n_replicates = n_replicates
 
@@ -759,12 +822,16 @@ class Block:
         (length ``n_replicates``)."""
         return np.bincount(self.replicate, weights=v, minlength=self.n_replicates)
 
-    def chords(self, nodes) -> np.ndarray:
+    def chords(self, nodes, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The drawn paths' chords at the given nodes (an index, slice or
-        index array)."""
-        if self.series is None:
-            return self.W[:, nodes]
-        return self.bridge.chord_columns(self.W, nodes)
+        index array), row-major: read from the chord matrix, a view for a
+        slice, out unused; on the coarse values formed
+        (``rqmc.BrownianBridge.chord_columns``), into out when it is given.
+        Either way they are the same bits in the same layout, so sums over
+        their rows round alike."""
+        if self.on_chords:
+            return self.W[:, nodes] if isinstance(nodes, slice) else np.take(self.W, nodes, axis=1)
+        return self.bridge.chord_columns(self.W, nodes, out)
 
     @cached_property
     def _segments(self):
@@ -789,34 +856,40 @@ class Block:
         values, so E[X^p] = leg.scale * Y: J is each pair's average utility
         functional Y . leg.weights, C each pair's terminal control
         (``_terminal_control``), Y_sum the per-node sum of Y over the tile's
-        paths, and tails[s] each path's sum_{k >= s} Y_k leg.weights[k],
-        drawn paths, then their partners in the same order. Without a series
-        exp(p vol L) is formed in the scratch buffer, drawn paths first,
-        which is free again afterwards."""
+        paths (None unless ``power_sums``), and tails[s] each path's
+        sum_{k >= s} Y_k leg.weights[k], drawn paths, then their partners in
+        the same order. Without a series exp(p vol L) is formed in the
+        scratch buffer, drawn paths first, which is free again afterwards."""
         a = self._leg.u.p * self._leg.vol
         # E[e^{a W} | coarse values] over e^{a W} of the chords, per node
         lift = np.exp(0.5 * a * a * self.variance)
         C = _terminal_control(self.chords(-1), a, self._leg.n_steps)
+        Y_sum = None
         if self.series is not None:
             mid, P = self._segments
             e = np.exp(a * mid)
             inv = np.reciprocal(e)
             drawn, partner = self.series.row_sums(P, e, inv)
             tails = {s: np.concatenate(self.series.row_sums(P, e, inv, s)) for s in self._tails}
-            return 0.5 * (drawn + partner), C, self.series.node_sums(P, e, inv, a) * lift, tails
+            if self._power_sums:
+                Y_sum = self.series.node_sums(P, e, inv, a) * lift
+            return 0.5 * (drawn + partner), C, Y_sum, tails
         weights = self._leg.weights * lift
         Y = np.multiply(self.W, a, out=self.scratch(self.W.shape))
         np.exp(Y, out=Y)
-        J, Y_sum = _dot(Y, weights), Y.sum(axis=0)
+        J = _dot(Y, weights)
+        if self._power_sums:
+            Y_sum = Y.sum(axis=0)
         drawn = [_dot(Y[:, s:], weights[s:]) for s in self._tails]
         np.reciprocal(Y, out=Y)
         tails = {s: np.concatenate([tail, _dot(Y[:, s:], weights[s:])])
                  for s, tail in zip(self._tails, drawn)}
-        return 0.5 * (J + _dot(Y, weights)), C, (Y_sum + Y.sum(axis=0)) * lift, tails
+        if self._power_sums:
+            Y_sum = (Y_sum + Y.sum(axis=0)) * lift
+        return 0.5 * (J + _dot(Y, weights)), C, Y_sum, tails
 
     def scratch(self, shape: tuple) -> np.ndarray:
-        """A view of the scratch buffer in the given shape, at most the
-        chords' size."""
+        """A view of the scratch buffer in the given shape, at most its size."""
         return self._scratch[:math.prod(shape)].reshape(shape)
 
 
@@ -831,17 +904,27 @@ def equilibrium_leg(pol: EquilibriumPolicy, cfg: SimConfig, m: MarketParams,
                      pol.consumption_at(nodes), d.h(nodes - nodes[0]))
 
 
+def _declared_tails(estimators: list) -> tuple:
+    """The nodes s from which the estimators' block functions take tail
+    sums (the ``tail`` attribute), in order."""
+    return tuple(sorted({fn.tail for fn, _ in estimators if hasattr(fn, "tail")}))
+
+
 def _fused_block(estimators: list, leg: Optional[PolicyLeg], n_replicates: int,
-                 moments: bool = False) -> Callable:
-    """block(W, scratch, replicate): every estimator's sums on one ``Block``,
-    keyed by (estimator index, key), with the tails the estimators declare.
-    With moments W holds the coarse values and the leg's ``SegmentSeries``,
-    built here once, sums its exponentials."""
-    tails = tuple(sorted({fn.tail for fn, _ in estimators if hasattr(fn, "tail")}))
-    series = SegmentSeries(leg, tails) if moments else None
+                 n_steps: int) -> Callable:
+    """block(W, scratch, replicate): every estimator's sums on one ``Block``
+    of paths of n_steps steps, keyed by (estimator index, key), with the
+    tails the estimators declare, and the per-node X^p sums if one of them
+    declares ``power_sums``. On a leg that takes moments W holds the coarse
+    values and the leg's ``SegmentSeries``, built here once, sums its
+    exponentials."""
+    tails = _declared_tails(estimators)
+    power_sums = any(getattr(fn, "power_sums", False) for fn, _ in estimators)
+    series = SegmentSeries(leg, tails) if leg is not None and leg.takes_moments else None
+    bridge = _bridge(n_steps)
 
     def block(W, scratch, replicate):
-        blk = Block(W, scratch, leg, tails, replicate, n_replicates, series)
+        blk = Block(W, scratch, bridge, leg, tails, replicate, n_replicates, series, power_sums)
         return {(i, key): value for i, (block_fn, _) in enumerate(estimators)
                 for key, value in block_fn(blk).items()}
 
@@ -853,22 +936,25 @@ def run_estimators(cfg: SimConfig, estimators: list, leg: Optional[PolicyLeg] = 
 
     An estimator is a pair (block, finish). ``block(blk)`` maps one ``Block``
     to a dict of sums; ``blk.powers`` gives the leg's pair-averaged utility
-    functional, its terminal control and per-node X^p sums, formed once per
-    tile for all estimators, and the per-path tail sums from node
+    functional and its terminal control, formed once per tile for all
+    estimators, the per-node X^p sums if some block function has a true
+    ``power_sums`` attribute, and the per-path tail sums from node
     ``block.tail`` on of every block function that has that attribute;
     ``blk.by_replicate`` sums per-pair values by replicate.
     ``finish(sums, n_pairs)`` turns the sums over all tiles into the result,
     with n_pairs the number of antithetic pairs (``SimConfig.n_pairs``). The
-    paths span the leg's nodes, or the whole grid without a leg. A leg that
-    ``takes_moments`` runs without the chord matrix: its tiles hold the
-    coarse values alone.
+    paths span the leg's nodes, or the whole grid without a leg. Only a leg
+    that takes the chords forms the chord matrix; a leg that
+    ``takes_moments``, and a pass without a leg, hold the coarse values
+    alone, and each pass's tiles are sized by the widest array it forms
+    (``_tiling``).
     """
     if not estimators:
         return []
     n_sub = cfg.grid.n_steps if leg is None else leg.n_steps
-    moments = leg is not None and leg.takes_moments
-    sums = _accumulate_blocks(cfg, n_sub, _fused_block(estimators, leg, cfg.n_replicates, moments),
-                              not moments)
+    tiling = _tiling(n_sub, leg, _declared_tails(estimators))
+    sums = _accumulate_blocks(cfg, n_sub, _fused_block(estimators, leg, cfg.n_replicates, n_sub),
+                              tiling)
     return [finish({key: value for (j, key), value in sums.items() if j == i}, cfg.n_pairs)
             for i, (_, finish) in enumerate(estimators)]
 
@@ -889,6 +975,8 @@ def simulation_estimator(pol: EquilibriumPolicy, g: TimeGrid, leg: PolicyLeg,
         for q in moment_orders:
             out.update(_sums(f"m{q}", leg.pair_power(blk.chords(-1), q, -1)))
         return out
+
+    block.power_sums = True
 
     def finish(s, n):
         j, j_se, beta, plain_se = _controlled_mean_se(s, n)
@@ -1130,32 +1218,35 @@ def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
     end_drift = gap_drift[w] + 0.5 * b * b * var[w]
     j = bridge.segment[w]
     lo, hi = bridge.nodes[j], bridge.nodes[j + 1]
-    near = np.arange(w + 1, hi)
+    head, near = slice(0, w + 1), np.arange(w + 1, hi)
     cov = (w - lo) * (hi - near) / (hi - lo)
     near_weights = (leg.weights * lift)[near] * np.expm1(a * b * cov)
 
     def loss(L_head, Y_head, growth, sign, Y_near, tail):
         # growth: expm1(p G_k) of the window given the coarse values, formed
-        # in place
+        # in place, over the chords themselves where they were formed into it
+        end = np.expm1(end_drift + (sign * b) * L_head[:, w])
         np.multiply(L_head, sign * b, out=growth)
         growth += growth_drift
         np.expm1(growth, out=growth)
-        end = np.expm1(end_drift + (sign * b) * L_head[:, w])
         return (_dot(Y_head, head_eq) - np.einsum("ij,ij,j->i", Y_head, growth, head_spiked)
                 - end * tail - (1.0 + end) * _dot(Y_near, near_weights))
 
     def block(blk):
         tail = blk.powers[3][w + 1]
-        # E[Y] on the drawn paths, in the scratch buffer, which ``powers``
-        # has released; a partner's is its reciprocal
-        L_head = blk.chords(slice(0, w + 1))
-        Y_head = np.multiply(L_head, a, out=blk.scratch(L_head.shape))
-        np.exp(Y_head, out=Y_head)
+        # the window holds two arrays of its size: E[Y] on the drawn paths, in
+        # the scratch buffer, which ``powers`` has released (a partner's is
+        # its reciprocal), and growth; on the coarse values the head's chords
+        # are formed into growth, once for each half
+        m_b = len(blk.W)
+        growth = np.empty((m_b, w + 1))
+        Y_head = blk.scratch(growth.shape)
+        L_head = blk.chords(head, out=growth)
+        np.exp(np.multiply(L_head, a, out=Y_head), out=Y_head)
         Y_near = np.exp(a * blk.chords(near))
-        growth, m_b = np.empty_like(Y_head), len(L_head)
         drawn = loss(L_head, Y_head, growth, 1.0, Y_near, tail[:m_b])
-        partner = loss(L_head, np.reciprocal(Y_head, out=Y_head), growth, -1.0,
-                       np.reciprocal(Y_near, out=Y_near), tail[m_b:])
+        partner = loss(blk.chords(head, out=growth), np.reciprocal(Y_head, out=Y_head), growth,
+                       -1.0, np.reciprocal(Y_near, out=Y_near), tail[m_b:])
         return _sums("d", 0.5 * (drawn + partner) / eps)
 
     block.tail = w + 1

@@ -832,14 +832,24 @@ def test_worker_count_does_not_change_bytes_in_ragged_tiles(tmp_path, monkeypatc
 
 def test_worker_count_does_not_change_bytes_on_segment_moments(tmp_path, monkeypatch):
     # the 1000-step leg sums its segments from their Taylor moments and
-    # never forms the chord matrix; seven rows per tile over ten blocks of
-    # 256 pairs, and the pass's 2560 rows end in a ragged tile of five
-    monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 7 * 1001)
+    # never forms the chord matrix; its widest array is the segment powers,
+    # (D + 1) x 16 = 23 x 16 per row (D = 22 for wealth), wider than the
+    # heads of verify's two windows (251 and 101 nodes): seven rows per
+    # tile over ten blocks of 256 pairs, and the pass's 2560 rows end in a
+    # ragged tile of five
+    monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 7 * 23 * 16)
     monkeypatch.setattr(simulate, "_BLOCK_PAIRS", 301)
-    chords = []
+    chords, tiles = [], []
     bridge_chords = simulate.BrownianBridge.chords
     monkeypatch.setattr(simulate.BrownianBridge, "chords",
                         lambda *a: chords.append(1) or bridge_chords(*a))
+    accumulate = simulate._accumulate_blocks
+
+    def tiled(cfg, n_steps, block_fn, tiling):
+        return accumulate(cfg, n_steps, lambda W, *a: tiles.append(len(W)) or block_fn(W, *a),
+                          tiling)
+
+    monkeypatch.setattr(simulate, "_accumulate_blocks", tiled)
     body = BASE_INI.replace("n_steps = 200", "n_steps = 1000")
     for command in ("simulate", "verify"):
         outs, codes = [], set()
@@ -855,6 +865,8 @@ def test_worker_count_does_not_change_bytes_on_segment_moments(tmp_path, monkeyp
             for other in outs[1:]:
                 assert (outs[0] / name).read_bytes() == (other / name).read_bytes(), name
     assert chords == []
+    # six passes, each of 365 tiles of seven rows and one of five
+    assert sorted(tiles) == [5] * 6 + [7] * (6 * 365)
 
 
 class TestCliSimulate:

@@ -44,8 +44,12 @@ def test_mc_block_stages_runs():
                            "wealth cosh", "checkpoints", "segment coefficients", "row dots",
                            "column sums", "simulate block", "verify block",
                            "pass 1 worker", "pass default", "pass 1 worker MB",
-                           "pass default MB", "peak MB"}
+                           "pass default MB", "peak MB", "tile rows chords",
+                           "tile rows moments", "tile rows no leg"}
     assert all(v >= 0 for values in stages.values() for v in values)
+    # the chords (11 and 21 per row) and the coarse values (9 and 17) are
+    # narrow enough for tiles of _BLOCK_PAIRS rows
+    assert stages["tile rows no leg"] == stages["tile rows chords"] == [2048, 2048]
 
 
 def test_picard_scaling_runs():

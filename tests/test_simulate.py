@@ -505,6 +505,33 @@ class TestOnePass:
         ]
 
 
+    @pytest.mark.parametrize("n_steps", [200, 1000], ids=["chords", "moments"])
+    def test_only_a_pass_that_reads_the_node_sums_forms_them(self, market, utility,
+                                                             hyp_discount, n_steps):
+        # simulate's estimator declares the per-node X^p sums; the value
+        # identity and the spikes read J, C and the tails alone
+        g = TimeGrid(horizon=1.0, n_steps=n_steps)
+        sol = picard_solve(market, utility, hyp_discount, g)
+        pol = equilibrium_policy(sol, market, utility)
+        cfg = SimConfig(n_paths=256, seed=1, grid=g)
+        leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
+        assert leg.takes_moments == (n_steps == 1000)
+        seen = []
+
+        def probe(blk):
+            seen.append(blk.powers[2])
+            return {}
+
+        readers = {"value identity and spike": (value_identity_estimator(sol, leg, 0.0),
+                                                perturbation_estimator(leg, 0.1, Spike(zeta=0.1))),
+                   "simulate": (simulation_estimator(pol, g, leg, hyp_discount),)}
+        for name, estimators in readers.items():
+            seen.clear()
+            run_estimators(cfg, [(probe, lambda s, n: None), *estimators], leg)
+            shapes = {None if Y_sum is None else Y_sum.shape for Y_sum in seen}
+            assert shapes == ({(n_steps + 1,)} if name == "simulate" else {None}), name
+
+
 # ---------------------------------------------------------------------------
 # Test-owned oracle: every leg's log-wealth stepped on its own, as a
 # cumulative sum of its log increments, with J as the trapezoid quadrature of
@@ -917,6 +944,84 @@ class TestTiles:
             tracemalloc.stop()
         assert peak < 3 * 8 * simulate._TILE_ELEMENTS, peak
 
+    def test_a_moments_pass_with_a_window_over_the_whole_leg_stays_within_a_few_tiles(
+            self, market, utility, hyp_discount):
+        # eps = T: the spike's head spans all 1001 nodes, wider than the
+        # segment powers (23 x 16 per row), so it sets the tiles' rows; the
+        # window holds the scratch and one more array of its size
+        g = TimeGrid(horizon=1.0, n_steps=1000)
+        pol = equilibrium_policy(picard_solve(market, utility, hyp_discount, g),
+                                 market, utility)
+        leg = equilibrium_leg(pol, SimConfig(n_paths=2, seed=1, grid=g), market, utility,
+                              hyp_discount)
+        est = perturbation_estimator(leg, g.horizon, Spike(zeta=pol.stock_fraction + 1.0))
+        tiling = simulate._tiling(1000, leg, (est[0].tail,))
+        assert leg.takes_moments and (tiling.width, tiling.scratch) == (1001, 1001)
+        run_estimators(SimConfig(n_paths=2, seed=1, grid=g), [est], leg)
+        cfg = SimConfig(n_paths=65536, seed=1, grid=g, n_workers=1)
+        tracemalloc.start()
+        try:
+            run_estimators(cfg, [est], leg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * simulate._TILE_ELEMENTS, peak
+
+    def test_each_pass_kind_sizes_its_tiles_by_its_widest_array(self, mix_discount, monkeypatch):
+        # the benchmark's market and legs: the 1000-step leg takes moments, of
+        # degree D = 22 for wealth, and its widest array is the segment
+        # powers, (D + 1) x 16 per row; the 200-step leg forms the chords,
+        # 201 per row; the whole-grid checks alone hold the 17 coarse values
+        m = MarketParams.from_excess_return(r=0.05, mu=0.07, sigma=0.2)
+        u = CrraUtility(p=0.5)
+        seen = []
+        monkeypatch.setattr(simulate, "Block", lambda W, *a: seen.append(W.shape) or Block(W, *a))
+
+        def assert_tiles(cfg, rows, width):
+            # whole tiles of the given rows, then what is left
+            full, left = divmod(cfg.n_pairs, rows)
+            assert seen == [(rows, width)] * full + [(left, width)] * (left > 0), seen
+            seen.clear()
+
+        for n_steps, rows, width in ((1000, simulate._TILE_ELEMENTS // (23 * 16), 17),
+                                     (200, simulate._Tiling.chord_matrix(200).rows, 201)):
+            g = TimeGrid(horizon=1.0, n_steps=n_steps)
+            pol = equilibrium_policy(picard_solve(m, u, mix_discount, g), m, u)
+            cfg = SimConfig(n_paths=6 * rows, seed=1, grid=g, n_workers=1)
+            leg = equilibrium_leg(pol, cfg, m, u, mix_discount)
+            assert leg.takes_moments == (n_steps == 1000)
+            simulate_equilibrium(pol, cfg, m, u, mix_discount)
+            assert_tiles(cfg, rows, width)
+        assert (simulate._TILE_ELEMENTS // (23 * 16), rows) == (712, 1304)
+        nc = solve_no_consumption(m, u, mix_discount, g)
+        for check in (lambda cfg: martingale_check(nc, cfg, m, u, mix_discount),
+                      lambda cfg: moment_check(cfg, m, u, u.p, growth_constant(m, u))):
+            check(cfg)
+            assert_tiles(cfg, simulate._BLOCK_PAIRS, 17)
+
+    def test_workers_never_outnumber_a_moments_pass_s_tiles(self, market, utility, hyp_discount,
+                                                            monkeypatch):
+        # 2048 pairs on the 1000-step leg: eight tiles of the chord matrix, but
+        # three of the segment powers' 712 rows, so three worker threads
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        g = TimeGrid(horizon=1.0, n_steps=1000)
+        pol = equilibrium_policy(picard_solve(market, utility, hyp_discount, g),
+                                 market, utility)
+        cfg = SimConfig(n_paths=4096, seed=1, grid=g)
+        leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
+        rows = simulate._tiling(1000, leg).rows
+        assert (cfg.worker_count(), rows, cfg.worker_count(rows)) == (8, 712, 3)
+        pools = []
+        executor = simulate.ThreadPoolExecutor
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return executor(max_workers=max_workers)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", pool)
+        simulate_equilibrium(pol, cfg, market, utility, hyp_discount)
+        assert pools == [3]
+
 
 def assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, pairs, rep, counts, tiles):
     """30 paths in blocks of the given pairs, replicates of at most rep pairs
@@ -1199,8 +1304,9 @@ class TestSegmentSeries:
             assert D == stated_degree(abs(b) * half_rise)
             assert len(series.nodes[b]) == D + 1
         assert len(series.moments[0]) == leg.series_degrees[p * leg.vol] + 1
-        on_chords = Block(W, np.empty(W.size), leg, tails)
-        on_moments = Block(Wc, np.empty(W.size), leg, tails, series=series)
+        on_chords = Block(W, np.empty(W.size), bridge, leg, tails, power_sums=True)
+        on_moments = Block(Wc, np.empty(W.size), bridge, leg, tails, series=series,
+                           power_sums=True)
         # truncation below 2^-53 of each term, and rounding grown by at most
         # e^{2h} in the series and a few dozen ulp in the sums
         bound = 64 * 2.0**-53 * math.exp(2 * h)
@@ -1269,6 +1375,22 @@ class TestSegmentSeries:
         assert calls == []
 
 
+    def test_a_pass_without_a_leg_never_forms_the_chord_matrix(self, market, utility,
+                                                               hyp_discount, monkeypatch):
+        # the martingale and moment checks alone read a few checkpoints
+        g = TimeGrid(horizon=1.0, n_steps=1000)
+        nc = solve_no_consumption(market, utility, hyp_discount, g)
+        cfg = SimConfig(n_paths=2000, seed=1, grid=g)
+        calls = []
+        chords = BrownianBridge.chords
+        monkeypatch.setattr(BrownianBridge, "chords",
+                            lambda *a: calls.append(1) or chords(*a))
+        flat, falling = martingale_check(nc, cfg, market, utility, hyp_discount)
+        moments = moment_check(cfg, market, utility, utility.p, growth_constant(market, utility))
+        assert calls == []
+        assert flat.passed and falling.passed and all(v.passed for v in moments)
+
+
 class TestConditionalExpectations:
     """Every per-path value the library forms is the mean, given the path's
     coarse values, of the same value on whole Brownian paths: the two-scale
@@ -1310,11 +1432,12 @@ class TestConditionalExpectations:
         scratch = np.empty(rows * (g.n_steps + 1))
         assert leg.takes_moments == (n_steps == 400)
         if leg.takes_moments:
-            blk = Block(Wc, scratch, leg, (w + 1,), series=SegmentSeries(leg, (w + 1,)))
+            blk = Block(Wc, scratch, bridge, leg, (w + 1,), series=SegmentSeries(leg, (w + 1,)),
+                        power_sums=True)
         else:
             chords = bridge.chords(Wc, np.empty((rows, g.n_steps + 1)),
                                    np.empty((rows, g.n_steps + 1)))
-            blk = Block(chords, scratch, leg, tails=(w + 1,))
+            blk = Block(chords, scratch, bridge, leg, tails=(w + 1,), power_sums=True)
         J, C, Y_sum, tails = blk.powers
         sim_sums = simulation_estimator(pol, g, leg, hyp_discount)[0](blk)
         moment = moment_estimator(cfg, market, utility, p, growth_constant(market, utility),
@@ -1401,10 +1524,12 @@ def assert_rows_are_tile_free(market, utility, hyp_discount, monkeypatch, n_step
     leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
     assert leg.takes_moments == (n_steps == 1000)
     series = SegmentSeries(leg, tails) if leg.takes_moments else None
+    bridge = BrownianBridge(n_steps)
+    tiling = simulate._tiling(n_steps, leg, tails)
     columns = np.array([7, tails[1], n_steps])
 
     def block(W, buffers, replicate):
-        blk = Block(W, buffers, leg, tails, replicate, cfg.n_replicates, series)
+        blk = Block(W, buffers, bridge, leg, tails, replicate, cfg.n_replicates, series)
         J, C, _, T = blk.powers
         m = len(J)
         return {"j": [J], "c": [C], "chords": [blk.chords(columns)],
@@ -1412,11 +1537,14 @@ def assert_rows_are_tile_free(market, utility, hyp_discount, monkeypatch, n_step
                 **{f"partner_tail{s}": [T[s][m:]] for s in T}}
 
     def rows():
-        sums = simulate._accumulate_blocks(cfg, n_steps, block, not leg.takes_moments)
+        sums = simulate._accumulate_blocks(cfg, n_steps, block, tiling)
         return {key: np.concatenate(parts) for key, parts in sums.items()}
 
     whole = rows()
-    monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * (n_steps + 1))
+    # three rows of the pass's widest array: the chords, or on moments the
+    # segment powers
+    monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * tiling.width)
+    assert tiling.rows == 3
     ragged = rows()
     assert set(whole) == {"j", "c", "chords", *(f"{side}tail{s}" for s in tails
                                                 for side in ("", "partner_"))}
