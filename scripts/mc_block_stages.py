@@ -41,15 +41,19 @@ does not):
 
 * segment coefficients  each segment's midpoint and the powers slope^m,
                 m = 0..D, from the coarse values;
-* row dots      J and the two perturbation tails of ``verify``, each path's
-                sum of the weights against e^{+-a W}, from the segment
-                moments of the weights;
+* row dots      J and the two perturbation tails and heads of ``verify``,
+                each path's sum of the weights against e^{+-a W}, from the
+                segment moments of the weights;
 * column sums   the per-node sums of e^{a W} and e^{-a W} (the X^p sums)
                 and of e^{+-vol W} (mean wealth), from per-segment row sums.
 
 Then come the whole ``simulate`` and ``verify`` block functions on the same
 paths, on the chords or the coarse values as a pass on the leg would take
-them (the perturbation rows read their tails from the shared X^p); a whole
+them (the perturbation rows read their tails and heads from the shared
+X^p); the perturbation heads alone, ``verify``'s two spikes on a block whose
+X^p sums are already formed: each spike's window chords (read from the
+chord matrix, or formed from the coarse values), one exponential of them
+and its reciprocal, and the per-row sums of its loss; a whole
 ``simulate_equilibrium`` pass over --pass-blocks blocks of the library's
 size on one worker thread and on the default count (``[sim] n_workers = 0``: one per CPU the
 process may run on), with the tracemalloc peak of each pass; the
@@ -163,7 +167,7 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
         return _sums("c", C), J @ C
 
     def wealth():
-        Block(W, flat, bridge, leg).pair_sums(leg.vol)
+        Block(W, flat, bridge, leg, on_chords=True).pair_sums(leg.vol)
 
     def checkpoint_columns():
         leg.pair_power(W[:, checkpoints], u.p, checkpoints)
@@ -179,7 +183,9 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
     def row_dots():
         mid, P = coefficients
         e = np.exp(a * mid)
-        return [series.row_sums(P, e, 1.0 / e, s) for s in (0, *tails)]
+        return [series.row_sums(P, e, 1.0 / e, M)
+                for M in (series.moments[0], *(series.moments[s] for s in tails),
+                          *(series.heads[s] for s in tails))]
 
     def column_sums():
         mid, P = coefficients
@@ -204,18 +210,24 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
     chords()
     nc = solve_no_consumption(m, u, d, g)
     moments = (u.p, 2 * u.p)
+    on_chords = not leg.takes_moments
     sim_block = _fused_block([simulation_estimator(pol, g, leg, d, moments)], leg,
-                             cfg.n_replicates, n_steps)
+                             cfg.n_replicates, n_steps, on_chords)
     verify_block = _fused_block([
         value_identity_estimator(sol, leg, 0.0),
         martingale_estimator(nc, cfg, m, u, d),
         *(perturbation_estimator(leg, eps, Spike(zeta=zeta)) for eps, zeta in spikes),
-    ], leg, cfg.n_replicates, n_steps)
+    ], leg, cfg.n_replicates, n_steps, on_chords)
     replicate = np.arange(cfg.n_pairs) // rep
-    paths = Wc if leg.takes_moments else W
+    paths = W if on_chords else Wc
     # each call builds a fresh Block, as each tile of a pass gets its own
     row["simulate block"] = best_ms(lambda: sim_block(paths, flat, replicate), repeats)
     row["verify block"] = best_ms(lambda: verify_block(paths, flat, replicate), repeats)
+    spike_blocks = [perturbation_estimator(leg, eps, Spike(zeta=zeta))[0] for eps, zeta in spikes]
+    blk = Block(paths, flat, bridge, leg, tails, replicate, cfg.n_replicates,
+                None if on_chords else series, on_chords=on_chords)
+    blk.powers  # the X^p sums, tails and heads, formed once as in a pass
+    row["perturbation heads"] = best_ms(lambda: [fn(blk) for fn in spike_blocks], repeats)
     passes = {label: replace(cfg, n_paths=pass_blocks * 2 * _BLOCK_PAIRS, n_workers=workers)
               for label, workers in (("1 worker", 1), ("default", 0))}
     for label, pass_cfg in passes.items():

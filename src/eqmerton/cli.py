@@ -153,7 +153,9 @@ def _monte_carlo_sample(v: simulate.Verdict) -> dict:
 def _monte_carlo_verdicts(cfg: RunConfig, checks: tuple, nc_curve,
                           perturb_lambda: float) -> list:
     """Verdicts of the requested Monte Carlo checks, which share one pass over
-    the random stream from t = 0 along the equilibrium policy."""
+    the random stream from t = 0 along the equilibrium policy; a pass whose
+    checks read no utility functional (the martingale checks alone) runs
+    without the leg, on the coarse values."""
     m, u, d, g = cfg.market, cfg.utility, cfg.discount, cfg.grid
     curve = _solve_curve(cfg)
     pol = policy.equilibrium_policy(curve, m, u)
@@ -176,7 +178,9 @@ def _monte_carlo_verdicts(cfg: RunConfig, checks: tuple, nc_curve,
             (spike(0.1, 0.01), lambda r: [_spike_verdict(
                 "perturbation_first_order_stationarity", r, abs(r.z) <= STAT_THRESHOLD)]),
         ]
-    results = simulate.run_estimators(sim_cfg, [est for est, _ in plan], leg)
+    reads_leg = {"value_identity", "perturbation"} & set(checks)
+    results = simulate.run_estimators(sim_cfg, [est for est, _ in plan],
+                                      leg if reads_leg else None)
     return [v for (_, verdicts), result in zip(plan, results) for v in verdicts(result)]
 
 

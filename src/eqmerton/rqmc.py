@@ -206,7 +206,8 @@ class BrownianBridge:
     large-scale moves. Given those values the path is a Brownian bridge on
     each segment lo < k < hi, independent of the other segments: W_k is
     normal with the chord of the coarse values as its mean (``chords``, or
-    ``chord_columns`` at given nodes) and variance (k - lo)(hi - k) /
+    ``chord_columns`` at given nodes; at a coarse node, ``column`` of the
+    coarse values itself) and variance (k - lo)(hi - k) /
     (hi - lo) (``variance``), and two nodes of one segment j <= k have
     covariance (j - lo)(hi - k) / (hi - lo). On each segment the chord is
     linear in the node's ``offset`` (k - lo) / (hi - lo) - 1/2, with the
@@ -243,6 +244,10 @@ class BrownianBridge:
         # node k's place on its segment about the midpoint, in [-1/2, 1/2]
         self.offset = self._fraction - 0.5
         self.variance = (k - lo) * (hi - k) / (hi - lo)
+        # the column of the coarse values (nodes 0..N) that holds node k, -1
+        # for a node between them
+        self.column = np.full(n_steps + 1, -1)
+        self.column[self.nodes] = np.arange(N + 1)
 
     def coarse(self, xi: np.ndarray) -> np.ndarray:
         """W at nodes 1..N (rows x N) from normals xi (rows x N): W at node N

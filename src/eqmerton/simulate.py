@@ -64,9 +64,11 @@ otherwise it takes the chords. On the benchmark's 1000-step, T = 1 leg
 (s = 6) keeps the chords. Nodes read singly (the terminal control and
 moments, the martingale and moment checkpoints) and the perturbation's
 window head take the chords of their own columns only (``Block.chords``),
-the same bits, laid out alike, as those columns of the chord matrix; so a
-pass without a leg, the martingale and moment checks alone, reads its
-checkpoints from the coarse values and forms no chord matrix either.
+the same bits, laid out alike, as those columns of the chord matrix; a
+coarse node, such as the terminal one, is read from the coarse values
+themselves. So a pass without a leg, the martingale and moment checks
+alone, reads its checkpoints from the coarse values and forms no chord
+matrix either.
 
 A pass is one ordered map over tiles of consecutive rows; a tile may span
 replicates and blocks. Each tile forms its rows' coarse values from their
@@ -78,14 +80,15 @@ tile-sized buffer; on a leg that takes moments, its segment powers
 array it forms (``_Tiling``): the chords, n + 1 per row; on moments the
 segment powers, (D + 1) 16 per row, or a perturbation's window head if that
 is wider; without a leg the coarse values, 17 per row. On the benchmark's
-1000-step leg that is 261 rows of chords, or 712 on moments. Every per-row
+1000-step leg that is 523 rows of chords, or 1424 on moments. Every per-row
 value (J, its control, a tail sum, a checkpoint term) is formed by
 elementwise operations and per-row sums whose rounding does not depend on
 the other rows, so it is the same bits whatever the tile size; only the
 order in which an estimator's sums over rows are added depends on the
 partition into tiles. Tile partials are combined by pairwise summation in
-row order, so results are bit-identical across worker counts. A worker
-thread holds two tile-sized buffers on the chords, the chords and a
+row order, so results are bit-identical across worker counts; a single
+worker runs the tiles in the calling thread. A worker holds two
+tile-sized buffers (4 MiB each at most) on the chords, the chords and a
 scratch; on moments one scratch as wide as the widest window head, and
 none without a window or without a leg.
 
@@ -95,7 +98,8 @@ log X(t_k) = log x0 + drift[k] + sigma sqrt(dt) zeta W_k, and X^p =
 (x0 e^{drift})^p Y with Y = exp(a W), a = p sigma sqrt(dt) zeta: with the
 deterministic factor and e^{a^2 v_k / 2} folded into the per-node weights,
 the utility functional's conditional mean is J = e^{a L} . weights, formed
-once per tile for each half of the pairs (``Block.powers``). Each pair's
+once per tile for each half of the pairs (``Block.powers``), with the head
+and tail sums of the same products that a spike's loss reads. Each pair's
 average of E[X^q | coarse values] at any nodes is one expression,
 (x0 e^{drift})^q e^{(q vol)^2 v_k / 2} cosh(q vol L_k)
 (``PolicyLeg.pair_power``), which gives the terminal moments and the
@@ -181,9 +185,11 @@ _MIN_REPLICATE_PAIRS = 32
 # the bridge of each leg length, built once
 _bridge = lru_cache(maxsize=16)(BrownianBridge)
 # float64 elements in the widest array a tile of the pass's rows forms,
-# 2 MiB: a pass holds at most two tile-sized buffers per worker thread,
-# whatever the grid
-_TILE_ELEMENTS = 2**18
+# 4 MiB: a pass holds at most two tile-sized buffers per worker thread,
+# whatever the grid. Each tile also pays a fixed cost of about 0.35 ms,
+# which 2^19 pays half as often as 2^18; 2^20 raised the peak RSS of a
+# two-worker verify-and-simulate process by another 4-5 MB
+_TILE_ELEMENTS = 2**19
 # the largest h = |b| max|slope| / 2 at which a leg sums its segments from
 # their Taylor moments: the terms of the series of e^{b slope g} add up to at
 # most e^h in size where the sum is at least e^-h, so rounding grows by at
@@ -446,8 +452,9 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable,
     each row's replicate, numbered over the whole pass, and ``scratch``, a
     flat buffer of rows x ``tiling.scratch`` elements, is free for block_fn.
     The tiles run on ``cfg.worker_count(tiling.rows)`` threads, each with
-    its own buffers (the chords' and the scratch), and their sums are
-    combined pairwise in row order as they arrive.
+    its own buffers (the chords' and the scratch), one worker in the calling
+    thread itself, and their sums are combined pairwise in row order as they
+    arrive.
     """
     if tiling is None:
         tiling = _Tiling.chord_matrix(n_sub_steps)
@@ -476,8 +483,11 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable,
                               local.scratch[:math.prod(shape)].reshape(shape))
         return block_fn(W, local.scratch, rows // rep)
 
-    with ThreadPoolExecutor(max_workers=cfg.worker_count(tile_rows)) as pool:
-        return _combine_in_order(pool.map(run, range(0, cfg.n_pairs, tile_rows)))
+    starts, workers = range(0, cfg.n_pairs, tile_rows), cfg.worker_count(tile_rows)
+    if workers == 1:
+        return _combine_in_order(map(run, starts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return _combine_in_order(pool.map(run, starts))
 
 
 def _utility_weights(h: np.ndarray, c: np.ndarray, dt: float, p: float) -> np.ndarray:
@@ -737,7 +747,8 @@ class SegmentSeries:
     per-segment sum over the rows. ``nodes[b]`` holds (b g_k)^m / m! per
     node and degree; ``moments[s]`` holds, per segment and degree of J's a,
     sum_{k in j, k >= s} w_k (a g_k)^m / m!, with w the leg's weights times
-    the bridge's lift e^{a^2 v_k / 2}, for s = 0 (J) and each tail s."""
+    the bridge's lift e^{a^2 v_k / 2}, for s = 0 (J) and each tail s, and
+    ``heads[s]`` the same sum over k < s, for each tail s."""
 
     def __init__(self, leg: PolicyLeg, tails: tuple = ()):
         self.bridge = bridge = _bridge(leg.n_steps)
@@ -751,9 +762,13 @@ class SegmentSeries:
         a = leg.u.p * leg.vol
         lifted = leg.weights * np.exp(0.5 * a * a * bridge.variance)
         k = np.arange(leg.n_steps + 1)
-        self.moments = {s: np.add.reduceat(np.where(k >= s, lifted, 0.0) * self.nodes[a],
-                                           bridge.nodes[:-1], axis=1)
-                        for s in (0, *tails)}
+
+        def moments(where):
+            return np.add.reduceat(np.where(where, lifted, 0.0) * self.nodes[a],
+                                   bridge.nodes[:-1], axis=1)
+
+        self.moments = {s: moments(k >= s) for s in (0, *tails)}
+        self.heads = {s: moments(k < s) for s in tails}
 
     def expand(self, Wc: np.ndarray):
         """A tile's segment midpoints mid (rows x N) and the powers slope^m,
@@ -766,11 +781,11 @@ class SegmentSeries:
             np.multiply(P[m - 1], slope, out=P[m])
         return 0.5 * (Wc[:, :-1] + Wc[:, 1:]), P
 
-    def row_sums(self, P: np.ndarray, e: np.ndarray, inv: np.ndarray, s: int = 0):
-        """Each drawn path's sum_{k >= s} w_k e^{a L_k}, and each partner's
-        with e^{-a L_k}, from the tile's powers P and e = e^{a mid},
-        inv = 1 / e; every row's value is formed from its own row alone."""
-        M = self.moments[s]
+    def row_sums(self, P: np.ndarray, e: np.ndarray, inv: np.ndarray, M: np.ndarray):
+        """Each drawn path's sum_k w_k e^{a L_k} over the nodes whose moments
+        M holds (``moments`` or ``heads``), and each partner's with
+        e^{-a L_k}, from the tile's powers P and e = e^{a mid}, inv = 1 / e;
+        every row's value is formed from its own row alone."""
         even = np.einsum("mrj,mj->rj", P[0:len(M):2], M[0::2])
         odd = np.einsum("mrj,mj->rj", P[1:len(M):2], M[1::2])
         return np.einsum("rj,rj->r", e, even + odd), np.einsum("rj,rj->r", inv, even - odd)
@@ -790,25 +805,26 @@ class Block:
     ``bridge``, seen through their chords: the chord L[i, k] (L[:, 0] = 0) is
     the mean of path i at node k given its coarse values, and
     ``variance[k]`` its variance there, the same on every row. The partner
-    of row i runs on -L[i]. W holds either the chords (m x (steps + 1)) or
-    the coarse values (m x (N + 1)), as its width tells (where N = steps the
-    two are the same); on the coarse values no chord matrix is formed, and a
+    of row i runs on -L[i]. W holds the chords (m x (steps + 1)) where
+    ``on_chords``, the tiling's flag, is true, and otherwise the coarse
+    values (m x (N + 1)), from which no chord matrix is formed; there a
     leg's exponentials come from segment moments (``series``). ``chords``
     reads the chords at given nodes either way. ``scratch`` is a flat buffer
     the estimators may overwrite: on the chords of their size, on the coarse
     values as wide as the widest tail's head. ``replicate`` holds each row's
     replicate, of ``n_replicates`` in the pass. ``tails`` are the nodes s
-    whose tail sums ``powers`` takes, and ``power_sums`` whether it takes
-    the per-node X^p sums."""
+    whose tail and head sums ``powers`` takes, and ``power_sums`` whether it
+    takes the per-node X^p sums."""
 
     def __init__(self, W: np.ndarray, scratch: np.ndarray, bridge: BrownianBridge,
                  leg: Optional[PolicyLeg] = None, tails: tuple = (),
                  replicate: Optional[np.ndarray] = None, n_replicates: int = 1,
-                 series: Optional[SegmentSeries] = None, power_sums: bool = False):
+                 series: Optional[SegmentSeries] = None, power_sums: bool = False, *,
+                 on_chords: bool):
         self.W = W
         self.series = series
         self.bridge = bridge
-        self.on_chords = W.shape[1] == bridge.n_steps + 1
+        self.on_chords = on_chords
         self.variance = bridge.variance
         self._scratch = scratch
         self._leg = leg
@@ -825,13 +841,18 @@ class Block:
     def chords(self, nodes, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The drawn paths' chords at the given nodes (an index, slice or
         index array), row-major: read from the chord matrix, a view for a
-        slice, out unused; on the coarse values formed
-        (``rqmc.BrownianBridge.chord_columns``), into out when it is given.
-        Either way they are the same bits in the same layout, so sums over
-        their rows round alike."""
+        slice, out unused; on the coarse values read from them
+        where every node is a coarse node (a view for an index), and formed
+        otherwise (``rqmc.BrownianBridge.chord_columns``), into out when it
+        is given. Every way they are the same bits in the same layout, so
+        sums over their rows round alike."""
+        W = self.W
         if self.on_chords:
-            return self.W[:, nodes] if isinstance(nodes, slice) else np.take(self.W, nodes, axis=1)
-        return self.bridge.chord_columns(self.W, nodes, out)
+            return W[:, nodes] if isinstance(nodes, slice) else np.take(W, nodes, axis=1)
+        column = self.bridge.column[nodes]
+        if np.all(column >= 0):  # coarse nodes only
+            return np.take(W, column, axis=1, out=out) if np.ndim(column) else W[:, column]
+        return self.bridge.chord_columns(W, nodes, out)
 
     @cached_property
     def _segments(self):
@@ -851,42 +872,49 @@ class Block:
 
     @cached_property
     def powers(self):
-        """(J, C, Y_sum, tails) of the leg, where Y = E[exp(p vol W)] on a
-        drawn path and E[exp(-p vol W)] on its partner given the coarse
+        """(J, C, Y_sum, tails, heads) of the leg, where Y = E[exp(p vol W)]
+        on a drawn path and E[exp(-p vol W)] on its partner given the coarse
         values, so E[X^p] = leg.scale * Y: J is each pair's average utility
         functional Y . leg.weights, C each pair's terminal control
         (``_terminal_control``), Y_sum the per-node sum of Y over the tile's
-        paths (None unless ``power_sums``), and tails[s] each path's
-        sum_{k >= s} Y_k leg.weights[k], drawn paths, then their partners in
-        the same order. Without a series exp(p vol L) is formed in the
-        scratch buffer, drawn paths first, which is free again afterwards."""
+        paths (None unless ``power_sums``), and tails[s] and heads[s] each
+        path's sum_{k >= s} Y_k leg.weights[k] and sum_{k < s}, drawn paths,
+        then their partners in the same order. A head is summed over its own
+        nodes, never taken as J less the tail, which could cancel. Without a
+        series exp(p vol L) is formed in the scratch buffer, drawn paths
+        first, which is free again afterwards."""
         a = self._leg.u.p * self._leg.vol
         # E[e^{a W} | coarse values] over e^{a W} of the chords, per node
         lift = np.exp(0.5 * a * a * self.variance)
         C = _terminal_control(self.chords(-1), a, self._leg.n_steps)
         Y_sum = None
         if self.series is not None:
+            series = self.series
             mid, P = self._segments
             e = np.exp(a * mid)
             inv = np.reciprocal(e)
-            drawn, partner = self.series.row_sums(P, e, inv)
-            tails = {s: np.concatenate(self.series.row_sums(P, e, inv, s)) for s in self._tails}
+            drawn, partner = series.row_sums(P, e, inv, series.moments[0])
+            tails, heads = ({s: np.concatenate(series.row_sums(P, e, inv, M[s]))
+                             for s in self._tails} for M in (series.moments, series.heads))
             if self._power_sums:
-                Y_sum = self.series.node_sums(P, e, inv, a) * lift
-            return 0.5 * (drawn + partner), C, Y_sum, tails
+                Y_sum = series.node_sums(P, e, inv, a) * lift
+            return 0.5 * (drawn + partner), C, Y_sum, tails, heads
         weights = self._leg.weights * lift
         Y = np.multiply(self.W, a, out=self.scratch(self.W.shape))
         np.exp(Y, out=Y)
-        J = _dot(Y, weights)
-        if self._power_sums:
-            Y_sum = Y.sum(axis=0)
-        drawn = [_dot(Y[:, s:], weights[s:]) for s in self._tails]
-        np.reciprocal(Y, out=Y)
-        tails = {s: np.concatenate([tail, _dot(Y[:, s:], weights[s:])])
-                 for s, tail in zip(self._tails, drawn)}
-        if self._power_sums:
-            Y_sum = (Y_sum + Y.sum(axis=0)) * lift
-        return 0.5 * (J + _dot(Y, weights)), C, Y_sum, tails
+
+        halves = []  # (J, tails, heads) of the drawn paths, then of the partners
+        for half in range(2):
+            if half:
+                np.reciprocal(Y, out=Y)
+            halves.append((_dot(Y, weights), [_dot(Y[:, s:], weights[s:]) for s in self._tails],
+                           [_dot(Y[:, :s], weights[:s]) for s in self._tails]))
+            if self._power_sums:
+                Y_sum = Y.sum(axis=0) if Y_sum is None else (Y_sum + Y.sum(axis=0)) * lift
+        (J, *drawn), (J_partner, *partner) = halves
+        tails, heads = ({s: np.concatenate([d, q]) for s, d, q in zip(self._tails, *sides)}
+                        for sides in zip(drawn, partner))
+        return 0.5 * (J + J_partner), C, Y_sum, tails, heads
 
     def scratch(self, shape: tuple) -> np.ndarray:
         """A view of the scratch buffer in the given shape, at most its size."""
@@ -911,20 +939,21 @@ def _declared_tails(estimators: list) -> tuple:
 
 
 def _fused_block(estimators: list, leg: Optional[PolicyLeg], n_replicates: int,
-                 n_steps: int) -> Callable:
+                 n_steps: int, on_chords: bool) -> Callable:
     """block(W, scratch, replicate): every estimator's sums on one ``Block``
     of paths of n_steps steps, keyed by (estimator index, key), with the
     tails the estimators declare, and the per-node X^p sums if one of them
-    declares ``power_sums``. On a leg that takes moments W holds the coarse
-    values and the leg's ``SegmentSeries``, built here once, sums its
-    exponentials."""
+    declares ``power_sums``. W holds the chords if on_chords, and otherwise
+    the coarse values; on a leg that takes moments the leg's
+    ``SegmentSeries``, built here once, sums its exponentials."""
     tails = _declared_tails(estimators)
     power_sums = any(getattr(fn, "power_sums", False) for fn, _ in estimators)
     series = SegmentSeries(leg, tails) if leg is not None and leg.takes_moments else None
     bridge = _bridge(n_steps)
 
     def block(W, scratch, replicate):
-        blk = Block(W, scratch, bridge, leg, tails, replicate, n_replicates, series, power_sums)
+        blk = Block(W, scratch, bridge, leg, tails, replicate, n_replicates, series, power_sums,
+                    on_chords=on_chords)
         return {(i, key): value for i, (block_fn, _) in enumerate(estimators)
                 for key, value in block_fn(blk).items()}
 
@@ -939,7 +968,8 @@ def run_estimators(cfg: SimConfig, estimators: list, leg: Optional[PolicyLeg] = 
     functional and its terminal control, formed once per tile for all
     estimators, the per-node X^p sums if some block function has a true
     ``power_sums`` attribute, and the per-path tail sums from node
-    ``block.tail`` on of every block function that has that attribute;
+    ``block.tail`` on, and head sums before it, of every block function that
+    has that attribute;
     ``blk.by_replicate`` sums per-pair values by replicate.
     ``finish(sums, n_pairs)`` turns the sums over all tiles into the result,
     with n_pairs the number of antithetic pairs (``SimConfig.n_pairs``). The
@@ -953,8 +983,8 @@ def run_estimators(cfg: SimConfig, estimators: list, leg: Optional[PolicyLeg] = 
         return []
     n_sub = cfg.grid.n_steps if leg is None else leg.n_steps
     tiling = _tiling(n_sub, leg, _declared_tails(estimators))
-    sums = _accumulate_blocks(cfg, n_sub, _fused_block(estimators, leg, cfg.n_replicates, n_sub),
-                              tiling)
+    block = _fused_block(estimators, leg, cfg.n_replicates, n_sub, tiling.chords)
+    sums = _accumulate_blocks(cfg, n_sub, block, tiling)
     return [finish({key: value for (j, key), value in sums.items() if j == i}, cfg.n_pairs)
             for i, (_, finish) in enumerate(estimators)]
 
@@ -968,7 +998,7 @@ def simulation_estimator(pol: EquilibriumPolicy, g: TimeGrid, leg: PolicyLeg,
     wealth_factor = np.exp(leg.log_factor(1.0))
 
     def block(blk):
-        J, C, Y_sum, _ = blk.powers
+        J, C, Y_sum = blk.powers[:3]
         out = {**_controlled_sums(blk, J, C),
                "wealth": blk.pair_sums(leg.vol) * wealth_factor,
                "voh": Y_sum * voh_scale}
@@ -1020,7 +1050,7 @@ def value_identity_estimator(sol: ValueCurve, leg: PolicyLeg, t: float,
     target = target_scale * float(np.interp(t, sol.grid.nodes, sol.values)) * x**u.p / u.p
 
     def block(blk):
-        J, C, _, _ = blk.powers
+        J, C = blk.powers[:2]
         return _controlled_sums(blk, J, C)
 
     def finish(s, n):
@@ -1179,20 +1209,24 @@ def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
     With Y = exp(a W), a = p vol, and v and v' the equilibrium and spiked
     weights (``PolicyLeg.weights``), per path
 
-        J_eq - J_spiked = sum_{k <= w} Y_k (v_k - v'_k - v'_k expm1(p G_k))
+        J_eq - J_spiked = sum_{k <= w} Y_k (v_k - v'_k e^{p G_k})
                           - expm1(p G_w) sum_{k > w} Y_k v_k,
 
-    which is exactly 0 for an identical spike. Its mean given the coarse
-    values takes, with the chords L and bridge variances s_k,
+    which is exactly 0 for an identical spike on the chords. Its mean given
+    the coarse values takes, with the chords L and bridge variances s_k,
     E[Y_k] = e^{a L_k + a^2 s_k / 2} on the window and beyond, and
-    E[Y_k expm1(p G_k)] = E[Y_k] expm1(g_k + b L_k + (a b + b^2 / 2) s_k).
+    v'_k E[Y_k e^{p G_k}] = u_k e^{(a + b) L_k} with the per-node constants
+    u_k = v'_k e^{a^2 s_k / 2 + g_k + (a b + b^2 / 2) s_k}. So the window is
+    H - sum_{k <= w} u_k e^{(a + b) L_k}, H = sum_{k <= w} v_k E[Y_k] each
+    path's head sum from ``Block.powers``, and a spike forms one exponential
+    of its window's chords and that exponential's reciprocal, the partner's.
     The last term's product of two nodes w < k gains e^{a b c_k} for the
     nodes k of w's segment lo <= w < k < hi, c_k = (w - lo)(hi - k) / (hi - lo)
     their covariance; nodes of later segments are independent of W_w. So it
     is expm1(G) T + (1 + expm1(G)) sum_{w < k < hi} E[Y_k] v_k expm1(a b c_k),
     G = g_w + b L_w + b^2 s_w / 2, with T each path's tail sum from
-    ``Block.powers``, taken directly, never as J minus the window, which
-    could cancel. A partner negates L, a and b alike.
+    ``Block.powers``. Both H and T are taken directly, never as J less the
+    other, which could cancel. A partner negates L, a and b alike.
     """
     if eps <= 0:
         raise ParameterError("epsilons must be positive")
@@ -1212,9 +1246,7 @@ def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
     var = bridge.variance
     lift = np.exp(0.5 * a * a * var)
     v_spiked = leg.scale * _utility_weights(leg.h_nodes, c_spiked, dt, p) * lift
-    head_eq = (leg.weights * lift - v_spiked)[:w + 1]
-    head_spiked = v_spiked[:w + 1]
-    growth_drift = gap_drift + (a * b + 0.5 * b * b) * var[:w + 1]
+    u = v_spiked[:w + 1] * np.exp(gap_drift + (a * b + 0.5 * b * b) * var[:w + 1])
     end_drift = gap_drift[w] + 0.5 * b * b * var[w]
     j = bridge.segment[w]
     lo, hi = bridge.nodes[j], bridge.nodes[j + 1]
@@ -1222,31 +1254,26 @@ def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
     cov = (w - lo) * (hi - near) / (hi - lo)
     near_weights = (leg.weights * lift)[near] * np.expm1(a * b * cov)
 
-    def loss(L_head, Y_head, growth, sign, Y_near, tail):
-        # growth: expm1(p G_k) of the window given the coarse values, formed
-        # in place, over the chords themselves where they were formed into it
-        end = np.expm1(end_drift + (sign * b) * L_head[:, w])
-        np.multiply(L_head, sign * b, out=growth)
-        growth += growth_drift
-        np.expm1(growth, out=growth)
-        return (_dot(Y_head, head_eq) - np.einsum("ij,ij,j->i", Y_head, growth, head_spiked)
-                - end * tail - (1.0 + end) * _dot(Y_near, near_weights))
+    def loss(H, E, end_exponent, tail, Y_near):
+        # E: e^{+-(a + b) L} of the window
+        end = np.expm1(end_exponent)
+        return H - _dot(E, u) - end * tail - (1.0 + end) * _dot(Y_near, near_weights)
 
     def block(blk):
-        tail = blk.powers[3][w + 1]
-        # the window holds two arrays of its size: E[Y] on the drawn paths, in
-        # the scratch buffer, which ``powers`` has released (a partner's is
-        # its reciprocal), and growth; on the coarse values the head's chords
-        # are formed into growth, once for each half
+        _, _, _, tails, heads = blk.powers
         m_b = len(blk.W)
-        growth = np.empty((m_b, w + 1))
-        Y_head = blk.scratch(growth.shape)
-        L_head = blk.chords(head, out=growth)
-        np.exp(np.multiply(L_head, a, out=Y_head), out=Y_head)
+        tail, H = tails[w + 1], heads[w + 1]
+        # the window's exponentials, in the scratch buffer, which ``powers``
+        # has released; on the coarse values the head's chords are formed
+        # into it first
+        E = blk.scratch((m_b, w + 1))
+        L = blk.chords(head, out=E)
+        bL = b * L[:, w]
         Y_near = np.exp(a * blk.chords(near))
-        drawn = loss(L_head, Y_head, growth, 1.0, Y_near, tail[:m_b])
-        partner = loss(blk.chords(head, out=growth), np.reciprocal(Y_head, out=Y_head), growth,
-                       -1.0, np.reciprocal(Y_near, out=Y_near), tail[m_b:])
+        np.exp(np.multiply(L, a + b, out=E), out=E)
+        drawn = loss(H[:m_b], E, end_drift + bL, tail[:m_b], Y_near)
+        partner = loss(H[m_b:], np.reciprocal(E, out=E), end_drift - bL, tail[m_b:],
+                       np.reciprocal(Y_near, out=Y_near))
         return _sums("d", 0.5 * (drawn + partner) / eps)
 
     block.tail = w + 1

@@ -1,8 +1,9 @@
 """Test-owned oracles: residuals of the value PDEs, a node-by-node solve of
 the discretized integral equation, a numpy-array RK4 of the mixture system,
-the node loop of the dual PDE residual, the per-value CSV writer and whole
-Brownian paths bridged through given coarse values, which only the test
-suite evaluates, kept out of the library so that it needs no optimizer."""
+the node loop of the dual PDE residual, the per-value CSV writer, whole
+Brownian paths bridged through given coarse values and the spike loss in its
+expm1 form, which only the test suite evaluates, kept out of the library so
+that it needs no optimizer."""
 
 import math
 
@@ -10,6 +11,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
+from eqmerton import simulate
 from eqmerton.policy import stock_fraction
 from eqmerton.solver import StepFailureError, growth_constant
 
@@ -217,3 +219,64 @@ def bridged_paths(nodes, Wc, Z):
         W[:, a + 1:b + 1] = (Wc[:, [j]] + (P[:, a + 1:b + 1] - P[:, [a]])
                              - f * (P[:, [b]] - P[:, [a]] - (Wc[:, [j + 1]] - Wc[:, [j]])))
     return W
+
+
+def expm1_perturbation_estimator(leg, eps: float, spike):
+    """``simulate.perturbation_estimator`` with the window's loss in its expm1
+    form, the reference for the library's exponential sums: per path and
+    half of a pair,
+
+        sum_{k <= w} E[Y_k] (v_k - v'_k - v'_k expm1(p G_k))
+        - expm1(G) T - (1 + expm1(G)) near,
+
+    with E[Y_k] = e^{a L_k} times the lift per node and E[Y_k expm1(p G_k)]
+    = E[Y_k] expm1(g_k + b L_k + (a b + b^2 / 2) s_k), each formed from the
+    window's chords for each half; G, T and near as in the library."""
+    m, p, dt = leg.m, leg.u.p, leg.dt
+    w = min(max(1, int(round(eps / dt))), leg.n_steps)
+    zeta = leg.zeta if spike.zeta is None else spike.zeta
+    c_spiked = leg.c_nodes.copy()
+    if spike.consumption is not None:
+        c_spiked[:w] = spike.consumption
+    gap_step = (m.mu * (zeta - leg.zeta) - simulate._step_means(c_spiked - leg.c_nodes)[:w]
+                - 0.5 * m.sigma**2 * (zeta**2 - leg.zeta**2)) * dt
+    gap_drift = p * np.concatenate([[0.0], np.cumsum(gap_step)])
+    a, b = p * leg.vol, p * m.sigma * math.sqrt(dt) * (zeta - leg.zeta)
+    bridge = simulate._bridge(leg.n_steps)
+    var = bridge.variance
+    lift = np.exp(0.5 * a * a * var)
+    v_spiked = leg.scale * simulate._utility_weights(leg.h_nodes, c_spiked, dt, p) * lift
+    head_eq = (leg.weights * lift - v_spiked)[:w + 1]
+    head_spiked = v_spiked[:w + 1]
+    growth_drift = gap_drift + (a * b + 0.5 * b * b) * var[:w + 1]
+    end_drift = gap_drift[w] + 0.5 * b * b * var[w]
+    j = bridge.segment[w]
+    lo, hi = bridge.nodes[j], bridge.nodes[j + 1]
+    near = np.arange(w + 1, hi)
+    cov = (w - lo) * (hi - near) / (hi - lo)
+    near_weights = (leg.weights * lift)[near] * np.expm1(a * b * cov)
+
+    def loss(L_head, sign, tail, Y_near):
+        Y_head = np.exp(sign * a * L_head)
+        growth = np.expm1(growth_drift + (sign * b) * L_head)
+        end = np.expm1(end_drift + (sign * b) * L_head[:, w])
+        return (Y_head @ head_eq - np.einsum("ij,ij,j->i", Y_head, growth, head_spiked)
+                - end * tail - (1.0 + end) * (Y_near @ near_weights))
+
+    def block(blk):
+        tail = blk.powers[3][w + 1]
+        m_b = len(blk.W)
+        L_head = np.array(blk.chords(slice(0, w + 1)))
+        L_near = np.array(blk.chords(near))
+        drawn = loss(L_head, 1.0, tail[:m_b], np.exp(a * L_near))
+        partner = loss(L_head, -1.0, tail[m_b:], np.exp(-a * L_near))
+        return simulate._sums("d", 0.5 * (drawn + partner) / eps)
+
+    block.tail = w + 1
+
+    def finish(s, n):
+        d, se = simulate._mean_se(s, "d", n)
+        return simulate.PerturbationRow(epsilon=float(eps), d_estimate=float(d),
+                                        std_error=float(se), z=simulate._z(d, se), n_pairs=n)
+
+    return block, finish

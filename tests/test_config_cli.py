@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eqmerton import cli, config, duality, simulate, solver
+from eqmerton import cli, config, duality, rqmc, simulate, solver
 from eqmerton.config import ConfigError, RunConfig, SimSettings, SolverSettings, load_config
 from eqmerton.model import (
     CrraUtility,
@@ -607,6 +607,33 @@ class TestCliVerify:
         assert identity["std_error_uncontrolled"] > 2 * identity["std_error"]
         assert all(set(s) == {"n_pairs", "std_error"} for s in samples.values())
 
+    def test_martingale_checks_alone_run_without_the_leg(self, tmp_path, monkeypatch):
+        # they read no utility functional, so their pass holds the coarse
+        # values and forms no chord matrix; on 100 steps a pass on the leg's
+        # chords runs in tiles of 2048 rows too, and the table is its bytes
+        ini = write_ini(tmp_path, body=BASE_INI.replace("n_steps = 200", "n_steps = 100"))
+        calls, tables = [], {}
+        chords = rqmc.BrownianBridge.chords
+        monkeypatch.setattr(rqmc.BrownianBridge, "chords",
+                            lambda *a: calls.append(1) or chords(*a))
+        argv = ["verify", "--config", ini, "--checks", "martingale", "--out"]
+        assert cli.main(argv + [str(tmp_path / "coarse")]) == 0
+        assert calls == []
+        tables["coarse"] = (tmp_path / "coarse" / "verification.csv").read_bytes()
+        # the same command with its pass run on the equilibrium leg
+        legs = []
+        equilibrium_leg, run_estimators = simulate.equilibrium_leg, simulate.run_estimators
+        monkeypatch.setattr(simulate, "equilibrium_leg",
+                            lambda *a: legs.append(equilibrium_leg(*a)) or legs[-1])
+        monkeypatch.setattr(simulate, "run_estimators",
+                            lambda cfg, estimators, leg=None: run_estimators(cfg, estimators,
+                                                                             legs[-1]))
+        assert cli.main(argv + [str(tmp_path / "leg")]) == 0
+        assert len(calls) == 2 and not legs[-1].takes_moments
+        tables["leg"] = (tmp_path / "leg" / "verification.csv").read_bytes()
+        assert tables["coarse"] == tables["leg"]
+        assert tables["coarse"].count(b"\n") == 3
+
     def test_perturbed_lambda_fails_verification(self, tmp_path):
         ini = write_ini(tmp_path)
         out = tmp_path / "out"
@@ -786,7 +813,7 @@ class TestDefaultWorkerCount:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                             raising=False)
         cfg = load_config(write_ini(tmp_path))
-        # 2560 pairs in tiles of at most 1304 rows: two tiles, so two threads
+        # 2560 pairs in tiles of at most 2048 rows: two tiles, so two threads
         assert cfg.sim.n_workers == 0
         assert SimConfig(grid=cfg.grid, **vars(cfg.sim)).worker_count() == 2
         out, runs = tmp_path / "out", {}

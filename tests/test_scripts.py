@@ -42,7 +42,7 @@ def test_mc_block_stages_runs():
               for row in rows}
     assert set(stages) == {"coarse points", "chords", "X^p", "reductions", "control",
                            "wealth cosh", "checkpoints", "segment coefficients", "row dots",
-                           "column sums", "simulate block", "verify block",
+                           "column sums", "simulate block", "verify block", "perturbation heads",
                            "pass 1 worker", "pass default", "pass 1 worker MB",
                            "pass default MB", "peak MB", "tile rows chords",
                            "tile rows moments", "tile rows no leg"}

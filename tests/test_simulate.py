@@ -2,6 +2,7 @@ import math
 import os
 import statistics
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,8 @@ from scipy.stats import qmc
 from dataclasses import replace
 
 from eqmerton import simulate
-from eqmerton.model import CrraUtility, MarketParams, ParameterError, TimeGrid
+from eqmerton.model import (CrraUtility, HyperbolicDiscount, MarketParams, ParameterError,
+                            TimeGrid)
 from eqmerton.policy import EquilibriumPolicy, equilibrium_policy, stock_fraction
 from eqmerton.simulate import (
     STAT_THRESHOLD,
@@ -43,7 +45,7 @@ from eqmerton.solver import (
     residual_integral_equation,
     solve_no_consumption,
 )
-from oracles import bridged_paths
+from oracles import bridged_paths, expm1_perturbation_estimator
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +82,31 @@ class TestDeterminism:
         assert one.j_estimate == four.j_estimate
         assert one.j_std_error == four.j_std_error
         np.testing.assert_array_equal(one.mean_wealth, four.mean_wealth)
+
+    def test_one_worker_runs_in_the_calling_thread(self, market, utility, hyp_discount,
+                                                   sim_grid, hyp_policy, monkeypatch):
+        # n_workers = 1 starts no thread, and its results are the bits of a
+        # pool of two
+        _, pol = hyp_policy
+        blocks_of(monkeypatch, 512)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+
+        def run(workers):
+            return simulate_equilibrium(
+                pol, sim_cfg(sim_grid, n_paths=10_001, seed=3, n_workers=workers), market,
+                utility, hyp_discount, moment_orders=(utility.p,))
+
+        one = run(1)
+        assert started == []
+        two = run(2)
+        assert len(started) == 2
+        for field in ("j_estimate", "j_std_error", "j_control_beta", "mean_wealth",
+                      "mean_value_over_h"):
+            np.testing.assert_array_equal(getattr(one, field), getattr(two, field))
+        assert one.terminal_moments == two.terminal_moments
 
     def test_workers_never_share_block_buffers(self, market, utility, hyp_discount,
                                                sim_grid, hyp_policy, monkeypatch):
@@ -120,9 +147,9 @@ class TestDeterminism:
         cpus(1)
         assert sim_cfg(sim_grid, n_paths=100_000).worker_count() == 1
         cpus(8)
-        # 6016 pairs: three blocks, five tiles of at most 1304 rows
+        # 6016 pairs: three blocks, three tiles of at most 2048 rows
         three_blocks = sim_cfg(sim_grid, n_paths=12_000)
-        assert three_blocks.n_blocks == 3 and three_blocks.worker_count() == 5
+        assert three_blocks.n_blocks == 3 and three_blocks.worker_count() == 3
         assert sim_cfg(sim_grid, n_paths=100_000).worker_count() == 8
         # without an affinity call the CPU count stands in
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -427,6 +454,36 @@ class TestPerturbation:
         assert all(row.std_error == 0.0 for row in rows)
         assert all(row.z == np.copysign(np.inf, row.d_estimate) for row in rows)
         assert {np.sign(row.d_estimate) for row in rows} == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("k, gamma, horizon, n_steps, n_paths", [
+        # verify-simulate's pass-0 verify input at benchmark seed 1
+        pytest.param(0.9489377380637841, 0.9167417969060843, 1.0, 100, 100_000,
+                     id="verify-simulate-pass0"),
+        pytest.param(20.0, 3.0, 50.0, 1000, 20_000, id="hyp-20-3-T50"),
+    ])
+    def test_window_as_exponential_sums_matches_the_expm1_form(self, market, utility, k,
+                                                                gamma, horizon, n_steps,
+                                                                n_paths):
+        # verify's gross and first-order spikes, each once as the library
+        # sums the window and once in the expm1 form (``oracles``), on common
+        # random numbers in one pass: D moves by at most 1e-6 standard
+        # errors. Both legs take the chords; about 0.7 s for both cases
+        d = HyperbolicDiscount(k=k, gamma=gamma)
+        g = TimeGrid(horizon=horizon, n_steps=n_steps)
+        pol = equilibrium_policy(picard_solve(market, utility, d, g), market, utility)
+        cfg = SimConfig(n_paths=n_paths, seed=42, grid=g)
+        leg = equilibrium_leg(pol, cfg, market, utility, d)
+        assert not leg.takes_moments
+        spikes = [(0.25 * horizon, Spike(zeta=pol.stock_fraction + 1.0)),
+                  (0.1 * horizon, Spike(zeta=pol.stock_fraction + 0.01))]
+        rows = run_estimators(cfg, [estimator(leg, eps, spike)
+                                    for estimator in (perturbation_estimator,
+                                                      expm1_perturbation_estimator)
+                                    for eps, spike in spikes], leg)
+        for row, reference in zip(rows[:2], rows[2:]):
+            assert row.std_error > 0
+            assert abs(row.d_estimate - reference.d_estimate) <= 1e-6 * reference.std_error, \
+                (row, reference)
 
     def test_epsilon_ladder_matches_single_widths(self, market, utility, hyp_discount,
                                                   sim_grid, hyp_policy, monkeypatch):
@@ -948,7 +1005,7 @@ class TestTiles:
             self, market, utility, hyp_discount):
         # eps = T: the spike's head spans all 1001 nodes, wider than the
         # segment powers (23 x 16 per row), so it sets the tiles' rows; the
-        # window holds the scratch and one more array of its size
+        # window's chords and then their exponentials are formed in the scratch
         g = TimeGrid(horizon=1.0, n_steps=1000)
         pol = equilibrium_policy(picard_solve(market, utility, hyp_discount, g),
                                  market, utility)
@@ -971,11 +1028,13 @@ class TestTiles:
         # the benchmark's market and legs: the 1000-step leg takes moments, of
         # degree D = 22 for wealth, and its widest array is the segment
         # powers, (D + 1) x 16 per row; the 200-step leg forms the chords,
-        # 201 per row; the whole-grid checks alone hold the 17 coarse values
+        # 201 per row, in tiles of _BLOCK_PAIRS rows at 2^19 elements; the
+        # whole-grid checks alone hold the 17 coarse values
         m = MarketParams.from_excess_return(r=0.05, mu=0.07, sigma=0.2)
         u = CrraUtility(p=0.5)
         seen = []
-        monkeypatch.setattr(simulate, "Block", lambda W, *a: seen.append(W.shape) or Block(W, *a))
+        monkeypatch.setattr(simulate, "Block",
+                            lambda W, *a, **kw: seen.append(W.shape) or Block(W, *a, **kw))
 
         def assert_tiles(cfg, rows, width):
             # whole tiles of the given rows, then what is left
@@ -992,7 +1051,7 @@ class TestTiles:
             assert leg.takes_moments == (n_steps == 1000)
             simulate_equilibrium(pol, cfg, m, u, mix_discount)
             assert_tiles(cfg, rows, width)
-        assert (simulate._TILE_ELEMENTS // (23 * 16), rows) == (712, 1304)
+        assert (simulate._TILE_ELEMENTS // (23 * 16), rows) == (1424, 2048)
         nc = solve_no_consumption(m, u, mix_discount, g)
         for check in (lambda cfg: martingale_check(nc, cfg, m, u, mix_discount),
                       lambda cfg: moment_check(cfg, m, u, u.p, growth_constant(m, u))):
@@ -1001,16 +1060,16 @@ class TestTiles:
 
     def test_workers_never_outnumber_a_moments_pass_s_tiles(self, market, utility, hyp_discount,
                                                             monkeypatch):
-        # 2048 pairs on the 1000-step leg: eight tiles of the chord matrix, but
-        # three of the segment powers' 712 rows, so three worker threads
+        # 4096 pairs on the 1000-step leg: eight tiles of the chord matrix, but
+        # three of the segment powers' 1424 rows, so three worker threads
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         g = TimeGrid(horizon=1.0, n_steps=1000)
         pol = equilibrium_policy(picard_solve(market, utility, hyp_discount, g),
                                  market, utility)
-        cfg = SimConfig(n_paths=4096, seed=1, grid=g)
+        cfg = SimConfig(n_paths=8192, seed=1, grid=g)
         leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
         rows = simulate._tiling(1000, leg).rows
-        assert (cfg.worker_count(), rows, cfg.worker_count(rows)) == (8, 712, 3)
+        assert (cfg.worker_count(), rows, cfg.worker_count(rows)) == (8, 1424, 3)
         pools = []
         executor = simulate.ThreadPoolExecutor
 
@@ -1304,9 +1363,10 @@ class TestSegmentSeries:
             assert D == stated_degree(abs(b) * half_rise)
             assert len(series.nodes[b]) == D + 1
         assert len(series.moments[0]) == leg.series_degrees[p * leg.vol] + 1
-        on_chords = Block(W, np.empty(W.size), bridge, leg, tails, power_sums=True)
+        on_chords = Block(W, np.empty(W.size), bridge, leg, tails, power_sums=True,
+                          on_chords=True)
         on_moments = Block(Wc, np.empty(W.size), bridge, leg, tails, series=series,
-                           power_sums=True)
+                           power_sums=True, on_chords=False)
         # truncation below 2^-53 of each term, and rounding grown by at most
         # e^{2h} in the series and a few dozen ulp in the sums
         bound = 64 * 2.0**-53 * math.exp(2 * h)
@@ -1315,12 +1375,13 @@ class TestSegmentSeries:
             rel = np.max(np.abs(moment_value - chord_value) / np.abs(chord_value))
             assert rel <= bound, (what, rel / bound)
 
-        (J, C, Y_sum, T), (J_m, C_m, Y_sum_m, T_m) = on_chords.powers, on_moments.powers
+        (J, C, Y_sum, T, H), (J_m, C_m, Y_sum_m, T_m, H_m) = on_chords.powers, on_moments.powers
         np.testing.assert_array_equal(C, C_m)
         assert_close(J, J_m, "J")
         assert_close(Y_sum, Y_sum_m, "X^p per node")
         for s in tails:
             assert_close(T[s], T_m[s], f"tail {s}")
+            assert_close(H[s], H_m[s], f"head {s}")
         assert_close(on_chords.pair_sums(leg.vol), on_moments.pair_sums(leg.vol), "wealth")
         sums = [simulation_estimator(pol, g, leg, hyp_discount)[0](blk)
                 for blk in (on_chords, on_moments)]
@@ -1433,12 +1494,14 @@ class TestConditionalExpectations:
         assert leg.takes_moments == (n_steps == 400)
         if leg.takes_moments:
             blk = Block(Wc, scratch, bridge, leg, (w + 1,), series=SegmentSeries(leg, (w + 1,)),
+                        on_chords=False,
                         power_sums=True)
         else:
             chords = bridge.chords(Wc, np.empty((rows, g.n_steps + 1)),
                                    np.empty((rows, g.n_steps + 1)))
-            blk = Block(chords, scratch, bridge, leg, tails=(w + 1,), power_sums=True)
-        J, C, Y_sum, tails = blk.powers
+            blk = Block(chords, scratch, bridge, leg, tails=(w + 1,), power_sums=True,
+                        on_chords=True)
+        J, C, Y_sum, tails, heads = blk.powers
         sim_sums = simulation_estimator(pol, g, leg, hyp_discount)[0](blk)
         moment = moment_estimator(cfg, market, utility, p, growth_constant(market, utility),
                                   n_checkpoints=6)
@@ -1512,11 +1575,13 @@ def test_each_rows_values_are_the_same_bits_whatever_the_tile_on_segment_moments
 
 
 def assert_rows_are_tile_free(market, utility, hyp_discount, monkeypatch, n_steps, tails):
-    """J, its control, two tail sums (one tail starting on a coarse node,
-    one between nodes) and the chords at a few nodes of every row, gathered
-    in row order from a pass in tiles of the default size and from one in
-    ragged tiles of three rows, are the same bits; the 1000-step leg takes
-    moments, the 200-step leg chords."""
+    """J, its control, two tail and head sums (one tail starting on a
+    coarse node, one between nodes), the per-row loss of a spike ending
+    before each tail, and the chords at a few nodes of every row (between
+    coarse nodes, on them, and the terminal node alone), gathered in row
+    order from a pass in tiles of the default size and from one in ragged
+    tiles of three rows, are the same bits; the 1000-step leg takes moments,
+    the 200-step leg chords."""
     g = TimeGrid(horizon=1.0, n_steps=n_steps)
     pol = equilibrium_policy(picard_solve(market, utility, hyp_discount, g), market, utility)
     blocks_of(monkeypatch, 512)
@@ -1526,15 +1591,27 @@ def assert_rows_are_tile_free(market, utility, hyp_discount, monkeypatch, n_step
     series = SegmentSeries(leg, tails) if leg.takes_moments else None
     bridge = BrownianBridge(n_steps)
     tiling = simulate._tiling(n_steps, leg, tails)
-    columns = np.array([7, tails[1], n_steps])
+    columns = {"chords": np.array([7, tails[1], n_steps]),
+               "coarse": np.array([tails[0], n_steps]), "terminal": -1}
+    spikes = [perturbation_estimator(leg, (s - 1) * g.dt, spike)[0] for s, spike in zip(
+        tails, (Spike(zeta=pol.stock_fraction + 1.0),
+                Spike(zeta=pol.stock_fraction + 0.01, consumption=0.3)))]
+    assert [fn.tail for fn in spikes] == list(tails)
+    # each spike's per-row loss, gathered in place of its sums over the rows
+    monkeypatch.setattr(simulate, "_sums", lambda key, a: {key: [a]})
 
     def block(W, buffers, replicate):
-        blk = Block(W, buffers, bridge, leg, tails, replicate, cfg.n_replicates, series)
-        J, C, _, T = blk.powers
+        blk = Block(W, buffers, bridge, leg, tails, replicate, cfg.n_replicates, series,
+                    on_chords=tiling.chords)
+        J, C, _, T, H = blk.powers
         m = len(J)
-        return {"j": [J], "c": [C], "chords": [blk.chords(columns)],
-                **{f"tail{s}": [T[s][:m]] for s in T},
-                **{f"partner_tail{s}": [T[s][m:]] for s in T}}
+        return {"j": [J], "c": [C],
+                **{key: [blk.chords(nodes)] for key, nodes in columns.items()},
+                **{f"{kind}{s}": [sums[s][:m]] for kind, sums in (("tail", T), ("head", H))
+                   for s in tails},
+                **{f"partner_{kind}{s}": [sums[s][m:]]
+                   for kind, sums in (("tail", T), ("head", H)) for s in tails},
+                **{f"loss{s}": fn(blk)["d"] for s, fn in zip(tails, spikes)}}
 
     def rows():
         sums = simulate._accumulate_blocks(cfg, n_steps, block, tiling)
@@ -1546,8 +1623,10 @@ def assert_rows_are_tile_free(market, utility, hyp_discount, monkeypatch, n_step
     monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * tiling.width)
     assert tiling.rows == 3
     ragged = rows()
-    assert set(whole) == {"j", "c", "chords", *(f"{side}tail{s}" for s in tails
-                                                for side in ("", "partner_"))}
+    assert set(whole) == {"j", "c", *columns, *(f"{side}{kind}{s}" for s in tails
+                                                for kind in ("tail", "head")
+                                                for side in ("", "partner_")),
+                          *(f"loss{s}" for s in tails)}
     for key in whole:
         assert len(whole[key]) == cfg.n_pairs
         np.testing.assert_array_equal(whole[key], ragged[key], err_msg=key)
