@@ -59,7 +59,7 @@ size on one worker thread and on the default count (``[sim] n_workers = 0``: one
 process may run on), with the tracemalloc peak of each pass; the
 tracemalloc peak of one ``simulate_equilibrium`` call of --paths paths,
 buffers included; and the rows of a pass's tile for each kind of pass
-(``simulate._Tiling``), at most ``simulate._TILE_ELEMENTS`` elements of the
+(``simulate._Pass``), at most ``simulate._TILE_ELEMENTS`` elements of the
 widest array the tile forms and ``simulate._BLOCK_PAIRS`` rows: one that
 forms the chords, n + 1 per row; one on segment moments, (D + 1) N per row
 (N = 16 coarse segments from 16 steps on) or ``verify``'s widest
@@ -91,12 +91,13 @@ from eqmerton.simulate import (
     SimConfig,
     Spike,
     _BLOCK_PAIRS,
-    _Tiling,
+    _Pass,
     _block_rng,
     _bridge,
     _checkpoints,
     _dot,
     _fused_block,
+    _plan,
     _sums,
     _terminal_control,
     equilibrium_leg,
@@ -166,8 +167,11 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
         C = _terminal_control(W[:, -1], u.p * leg.vol, n_steps)
         return _sums("c", C), J @ C
 
+    replicate = np.arange(cfg.n_pairs) // rep
+    on_chords = _Pass(bridge, leg, (), False, cfg.n_replicates, None, chords=True)
+
     def wealth():
-        Block(W, flat, bridge, leg, on_chords=True).pair_sums(leg.vol)
+        Block(W, flat, on_chords, replicate).pair_sums(leg.vol)
 
     def checkpoint_columns():
         leg.pair_power(W[:, checkpoints], u.p, checkpoints)
@@ -210,22 +214,21 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
     chords()
     nc = solve_no_consumption(m, u, d, g)
     moments = (u.p, 2 * u.p)
-    on_chords = not leg.takes_moments
-    sim_block = _fused_block([simulation_estimator(pol, g, leg, d, moments)], leg,
-                             cfg.n_replicates, n_steps, on_chords)
-    verify_block = _fused_block([
+    sim = [simulation_estimator(pol, g, leg, d, moments)]
+    verify = [
         value_identity_estimator(sol, leg, 0.0),
         martingale_estimator(nc, cfg, m, u, d),
         *(perturbation_estimator(leg, eps, Spike(zeta=zeta)) for eps, zeta in spikes),
-    ], leg, cfg.n_replicates, n_steps, on_chords)
-    replicate = np.arange(cfg.n_pairs) // rep
-    paths = W if on_chords else Wc
+    ]
+    sim_block = _fused_block(sim, _plan(n_steps, leg, sim, cfg.n_replicates))
+    verify_plan = _plan(n_steps, leg, verify, cfg.n_replicates)
+    verify_block = _fused_block(verify, verify_plan)
+    paths = W if verify_plan.chords else Wc
     # each call builds a fresh Block, as each tile of a pass gets its own
     row["simulate block"] = best_ms(lambda: sim_block(paths, flat, replicate), repeats)
     row["verify block"] = best_ms(lambda: verify_block(paths, flat, replicate), repeats)
     spike_blocks = [perturbation_estimator(leg, eps, Spike(zeta=zeta))[0] for eps, zeta in spikes]
-    blk = Block(paths, flat, bridge, leg, tails, replicate, cfg.n_replicates,
-                None if on_chords else series, on_chords=on_chords)
+    blk = Block(paths, flat, verify_plan, replicate)
     blk.powers  # the X^p sums, tails and heads, formed once as in a pass
     row["perturbation heads"] = best_ms(lambda: [fn(blk) for fn in spike_blocks], repeats)
     passes = {label: replace(cfg, n_paths=pass_blocks * 2 * _BLOCK_PAIRS, n_workers=workers)
@@ -238,10 +241,11 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
             pol, pass_cfg, m, u, d, moment_orders=moments))
     row["peak MB"] = traced_peak_mb(lambda: simulate_equilibrium(
         pol, cfg, m, u, d, moment_orders=moments))
-    for kind, tiling in (("chords", _Tiling.chord_matrix(n_steps)),
-                         ("moments", _Tiling.segment_moments(leg, tails)),
-                         ("no leg", _Tiling.coarse_values(n_steps))):
-        row[f"tile rows {kind}"] = tiling.rows
+    for kind, plan in (("chords", on_chords),
+                       ("moments", _Pass(bridge, leg, tails, False, cfg.n_replicates, series,
+                                         chords=False)),
+                       ("no leg", _plan(n_steps, None, [], cfg.n_replicates))):
+        row[f"tile rows {kind}"] = plan.rows
     return row
 
 

@@ -72,25 +72,22 @@ matrix either.
 
 A pass is one ordered map over tiles of consecutive rows; a tile may span
 replicates and blocks. Each tile forms its rows' coarse values from their
-points of the net and their replicates' shifts, then, on a leg that takes
-the chords, their chords at every node of the leg, elementwise, into a
-tile-sized buffer; on a leg that takes moments, its segment powers
-((D + 1) x rows x 16, fewer elements than the chords). A tile holds at most
-``_BLOCK_PAIRS`` rows and ``_TILE_ELEMENTS`` float64 elements of the widest
-array it forms (``_Tiling``): the chords, n + 1 per row; on moments the
-segment powers, (D + 1) 16 per row, or a perturbation's window head if that
-is wider; without a leg the coarse values, 17 per row. On the benchmark's
-1000-step leg that is 523 rows of chords, or 1424 on moments. Every per-row
-value (J, its control, a tail sum, a checkpoint term) is formed by
-elementwise operations and per-row sums whose rounding does not depend on
-the other rows, so it is the same bits whatever the tile size; only the
-order in which an estimator's sums over rows are added depends on the
-partition into tiles. Tile partials are combined by pairwise summation in
-row order, so results are bit-identical across worker counts; a single
-worker runs the tiles in the calling thread. A worker holds two
-tile-sized buffers (4 MiB each at most) on the chords, the chords and a
-scratch; on moments one scratch as wide as the widest window head, and
-none without a window or without a leg.
+points of the net and their replicates' shifts, then, on a leg that takes the
+chords, their chords at every node of the leg, elementwise, into a tile-sized
+buffer; on a leg that takes moments, its segment powers ((D + 1) x rows x 16,
+fewer elements than the chords). A tile holds at most ``_BLOCK_PAIRS`` rows
+and ``_TILE_ELEMENTS`` float64 elements of the widest array it forms
+(``_Pass.width``): on the benchmark's 1000-step leg that is 523 rows of
+chords, or 1424 on moments. Every per-row value (J, its control, a tail sum,
+a checkpoint term) is formed by elementwise operations and per-row sums whose
+rounding does not depend on the other rows, so it is the same bits whatever
+the tile size; only the order in which an estimator's sums over rows are
+added depends on the partition into tiles. Tile partials are combined by
+pairwise summation in row order, so results are bit-identical across worker
+counts; a single worker runs the tiles in the calling thread. A worker holds
+two tile-sized buffers (4 MiB each at most) on the chords, the chords and a
+scratch; on moments one scratch as wide as the widest window head, and none
+without a window or without a leg.
 
 Every policy simulated here holds a constant stock fraction zeta over the
 steps it covers, so its log-wealth at node k is affine in W,
@@ -262,10 +259,9 @@ class SimConfig(SimSettings):
 
     grid: TimeGrid
 
-    def worker_count(self, tile_rows: Optional[int] = None) -> int:
-        """Worker threads of a pass in tiles of tile_rows rows, by default
-        those of a pass that forms the chords of the whole grid: n_workers,
-        or for 0 the number of CPUs this process may run on, and never more
+    def worker_count(self, tile_rows: int) -> int:
+        """Worker threads of a pass in tiles of tile_rows rows: n_workers, or
+        for 0 the number of CPUs this process may run on, and never more
         than the pass's tiles."""
         n = self.n_workers
         if n == 0:
@@ -273,8 +269,6 @@ class SimConfig(SimSettings):
                 n = len(os.sched_getaffinity(0))
             except AttributeError:  # no affinity call on this platform
                 n = os.cpu_count() or 1
-        if tile_rows is None:
-            tile_rows = _Tiling.chord_matrix(self.grid.n_steps).rows
         return min(n, -(-self.n_pairs // tile_rows))
 
 
@@ -382,58 +376,7 @@ def _combine_in_order(partials) -> dict:
     return total
 
 
-@dataclass(frozen=True)
-class _Tiling:
-    """The tiles of a pass: whether each forms its rows' chord matrix
-    (``chords``), the per-row element count of the widest array a tile forms
-    (``width``), which sets the rows of a tile, and that of each worker's
-    scratch buffer (``scratch``, 0 for none)."""
-
-    chords: bool
-    width: int
-    scratch: int
-
-    @classmethod
-    def chord_matrix(cls, n_steps: int) -> "_Tiling":
-        """A leg that takes the chords: the chord matrix, n_steps + 1 per
-        row, and a scratch as wide."""
-        return cls(True, n_steps + 1, n_steps + 1)
-
-    @classmethod
-    def segment_moments(cls, leg: "PolicyLeg", tails: tuple) -> "_Tiling":
-        """A leg that takes moments: the powers of ``SegmentSeries.expand``,
-        (D + 1) N per row, or the widest perturbation head, whose tail s
-        covers nodes 0..s - 1, whichever is wider; a scratch as wide as that
-        head, none without a tail."""
-        head = max(tails, default=0)
-        powers = (max(leg.series_degrees.values()) + 1) * _bridge(leg.n_steps).dim
-        return cls(False, max(powers, head), head)
-
-    @classmethod
-    def coarse_values(cls, n_steps: int) -> "_Tiling":
-        """A pass without a leg: the coarse values, N + 1 per row, and no
-        scratch."""
-        return cls(False, _bridge(n_steps).dim + 1, 0)
-
-    @property
-    def rows(self) -> int:
-        """Rows in a tile: at most ``_TILE_ELEMENTS`` elements of its widest
-        array and ``_BLOCK_PAIRS`` rows, one at least."""
-        return min(_BLOCK_PAIRS, max(1, _TILE_ELEMENTS // self.width))
-
-
-def _tiling(n_steps: int, leg: Optional["PolicyLeg"] = None, tails: tuple = ()) -> _Tiling:
-    """The tiles of a pass over paths of n_steps steps, on the leg if one is
-    given, whose estimators declare the tails."""
-    if leg is None:
-        return _Tiling.coarse_values(n_steps)
-    if leg.takes_moments:
-        return _Tiling.segment_moments(leg, tails)
-    return _Tiling.chord_matrix(n_steps)
-
-
-def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable,
-                       tiling: Optional[_Tiling] = None) -> dict:
+def _accumulate_blocks(cfg: SimConfig, plan: _Pass, block_fn: Callable) -> dict:
     """Run block_fn(W, scratch, replicate) over the pass's rows, tile by
     tile, and combine the sums.
 
@@ -441,31 +384,28 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable,
     its replicates (``cfg.block_pairs`` pairs, fewer in the last block), one
     word per replicate and coordinate; every block's are drawn once, in
     block order, before any tile runs. The pass's ``cfg.n_pairs`` rows then
-    run in tiles of ``tiling.rows`` consecutive rows, which may span
-    replicates and blocks (``_tiling``; by default a pass that forms the
-    chords). A tile forms its rows' coarse values Wc (rows x (N + 1),
-    Wc[:, 0] = 0) from their points of the shared net, each XOR its
-    replicate's shift (``rqmc.shifted_points``). With ``tiling.chords`` W
-    (rows x (n_sub_steps + 1)) holds their chords, each path's mean at every
-    node given its coarse values (``rqmc.BrownianBridge.chords``); without,
-    W is Wc itself. The partner of row i runs on -W[i]. ``replicate`` holds
-    each row's replicate, numbered over the whole pass, and ``scratch``, a
-    flat buffer of rows x ``tiling.scratch`` elements, is free for block_fn.
-    The tiles run on ``cfg.worker_count(tiling.rows)`` threads, each with
-    its own buffers (the chords' and the scratch), one worker in the calling
-    thread itself, and their sums are combined pairwise in row order as they
-    arrive.
+    run in tiles of ``plan.rows`` consecutive rows, which may span
+    replicates and blocks. A tile forms its rows' coarse values Wc
+    (rows x (N + 1), Wc[:, 0] = 0) from their points of the shared net, each
+    XOR its replicate's shift (``rqmc.shifted_points``). With ``plan.chords``
+    W (rows x (n + 1), n the steps of ``plan.bridge``) holds their chords,
+    each path's mean at every node given its coarse values
+    (``rqmc.BrownianBridge.chords``); without, W is Wc itself. The partner
+    of row i runs on -W[i]. ``replicate`` holds each row's replicate,
+    numbered over the whole pass, and ``scratch``, a flat buffer of
+    rows x ``plan.scratch`` elements, is free for block_fn. The tiles run on
+    ``cfg.worker_count(plan.rows)`` threads, each with its own buffers (the
+    chords' and the scratch), one worker in the calling thread itself, and
+    their sums are combined pairwise in row order as they arrive.
     """
-    if tiling is None:
-        tiling = _Tiling.chord_matrix(n_sub_steps)
-    bridge = _bridge(n_sub_steps)
+    bridge = plan.bridge
     rep, per_block = cfg.replicate_pairs, cfg.block_pairs // cfg.replicate_pairs
     words = np.concatenate([
         _block_rng(int(cfg.seed), b).bit_generator.random_raw(
             (min(per_block, cfg.n_replicates - b * per_block), bridge.dim))
         for b in range(cfg.n_blocks)])
     net = sobol_net(bridge.dim, rep.bit_length() - 1)
-    tile_rows = tiling.rows
+    tile_rows = plan.rows
     most_rows = min(tile_rows, cfg.n_pairs)
     local = threading.local()
 
@@ -475,10 +415,10 @@ def _accumulate_blocks(cfg: SimConfig, n_sub_steps: int, block_fn: Callable,
         W[:, 1:] = bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
         # the buffers come after the coarse values' temporaries are freed
         if not hasattr(local, "scratch"):
-            local.scratch = np.empty(most_rows * tiling.scratch)
-            local.w = np.empty(most_rows * tiling.width) if tiling.chords else None
-        if tiling.chords:
-            shape = (len(rows), n_sub_steps + 1)
+            local.scratch = np.empty(most_rows * plan.scratch)
+            local.w = np.empty(most_rows * plan.width) if plan.chords else None
+        if plan.chords:
+            shape = (len(rows), bridge.n_steps + 1)
             W = bridge.chords(W, local.w[:math.prod(shape)].reshape(shape),
                               local.scratch[:math.prod(shape)].reshape(shape))
         return block_fn(W, local.scratch, rows // rep)
@@ -800,43 +740,89 @@ class SegmentSeries:
         return np.einsum("mk,mk->k", G, S[:, self.bridge.segment])
 
 
+@dataclass(frozen=True)
+class _Pass:
+    """The layout of one pass over the stream, decided once (``_plan``).
+
+    The paths follow ``bridge``, and run ``leg``, or no leg for the
+    whole-grid checks alone; ``tails`` are the nodes s whose tail and head
+    sums ``Block.powers`` takes, ``power_sums`` whether it takes the per-node
+    X^p sums, and the pass has ``n_replicates`` replicates. A tile forms its
+    rows' chord matrix where ``chords``, and otherwise holds their coarse
+    values alone, from which the leg's ``series``, if any, sums its
+    exponentials."""
+
+    bridge: BrownianBridge
+    leg: Optional[PolicyLeg]
+    tails: tuple
+    power_sums: bool
+    n_replicates: int
+    series: Optional[SegmentSeries]
+    chords: bool
+
+    @property
+    def scratch(self) -> int:
+        """Elements per row of each worker's scratch buffer: as many as the
+        chords on the chords, and otherwise as the widest perturbation head,
+        whose tail s covers nodes 0..s - 1; none without a tail."""
+        return self.bridge.n_steps + 1 if self.chords else max(self.tails, default=0)
+
+    @property
+    def width(self) -> int:
+        """Elements per row of the widest array a tile forms: the chords,
+        n + 1; on moments the powers of ``SegmentSeries.expand``, (D + 1) N,
+        or the scratch, whichever is wider; without a leg the N + 1 coarse
+        values."""
+        if self.chords:
+            return self.bridge.n_steps + 1
+        if self.series is not None:
+            return max((self.series.degree + 1) * self.bridge.dim, self.scratch)
+        return self.bridge.dim + 1
+
+    @property
+    def rows(self) -> int:
+        """Rows in a tile: at most ``_TILE_ELEMENTS`` elements of its widest
+        array and ``_BLOCK_PAIRS`` rows, one at least."""
+        return min(_BLOCK_PAIRS, max(1, _TILE_ELEMENTS // self.width))
+
+
+def _plan(n_steps: int, leg: Optional[PolicyLeg], estimators: list, n_replicates: int) -> _Pass:
+    """The pass of the estimators over paths of n_steps steps, on the leg if
+    one is given: the tails their block functions declare (the ``tail``
+    attribute), in order, the per-node X^p sums if one declares
+    ``power_sums``, and on a leg that takes moments its ``SegmentSeries``,
+    built here once, and otherwise the chords."""
+    tails = tuple(sorted({fn.tail for fn, _ in estimators if hasattr(fn, "tail")}))
+    power_sums = any(getattr(fn, "power_sums", False) for fn, _ in estimators)
+    moments = leg is not None and leg.takes_moments
+    return _Pass(_bridge(n_steps), leg, tails, power_sums, n_replicates,
+                 SegmentSeries(leg, tails) if moments else None,
+                 chords=leg is not None and not moments)
+
+
 class Block:
-    """One tile of the pass's antithetic pairs, m drawn paths of the
-    ``bridge``, seen through their chords: the chord L[i, k] (L[:, 0] = 0) is
-    the mean of path i at node k given its coarse values, and
+    """One tile of the pass's antithetic pairs, m drawn paths of the plan's
+    bridge, seen through their chords: the chord L[i, k] (L[:, 0] = 0) is
+    the mean of path i at node k given its coarse values, and the bridge's
     ``variance[k]`` its variance there, the same on every row. The partner
     of row i runs on -L[i]. W holds the chords (m x (steps + 1)) where
-    ``on_chords``, the tiling's flag, is true, and otherwise the coarse
-    values (m x (N + 1)), from which no chord matrix is formed; there a
-    leg's exponentials come from segment moments (``series``). ``chords``
-    reads the chords at given nodes either way. ``scratch`` is a flat buffer
-    the estimators may overwrite: on the chords of their size, on the coarse
-    values as wide as the widest tail's head. ``replicate`` holds each row's
-    replicate, of ``n_replicates`` in the pass. ``tails`` are the nodes s
-    whose tail and head sums ``powers`` takes, and ``power_sums`` whether it
-    takes the per-node X^p sums."""
+    ``plan.chords``, and otherwise the coarse values (m x (N + 1)), from
+    which no chord matrix is formed; there a leg's exponentials come from
+    segment moments (``plan.series``). ``chords`` reads the chords at given
+    nodes either way. ``scratch`` is a flat buffer the estimators may
+    overwrite, of ``plan.scratch`` elements per row. ``replicate`` holds
+    each row's replicate, of ``plan.n_replicates`` in the pass."""
 
-    def __init__(self, W: np.ndarray, scratch: np.ndarray, bridge: BrownianBridge,
-                 leg: Optional[PolicyLeg] = None, tails: tuple = (),
-                 replicate: Optional[np.ndarray] = None, n_replicates: int = 1,
-                 series: Optional[SegmentSeries] = None, power_sums: bool = False, *,
-                 on_chords: bool):
+    def __init__(self, W: np.ndarray, scratch: np.ndarray, plan: _Pass, replicate: np.ndarray):
         self.W = W
-        self.series = series
-        self.bridge = bridge
-        self.on_chords = on_chords
-        self.variance = bridge.variance
+        self.plan = plan
         self._scratch = scratch
-        self._leg = leg
-        self._tails = tails
-        self._power_sums = power_sums
-        self.replicate = np.zeros(len(W), dtype=np.intp) if replicate is None else replicate
-        self.n_replicates = n_replicates
+        self.replicate = replicate
 
     def by_replicate(self, v: np.ndarray) -> np.ndarray:
         """The sums of the per-pair values v over each replicate's rows
-        (length ``n_replicates``)."""
-        return np.bincount(self.replicate, weights=v, minlength=self.n_replicates)
+        (length ``plan.n_replicates``)."""
+        return np.bincount(self.replicate, weights=v, minlength=self.plan.n_replicates)
 
     def chords(self, nodes, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The drawn paths' chords at the given nodes (an index, slice or
@@ -846,29 +832,29 @@ class Block:
         otherwise (``rqmc.BrownianBridge.chord_columns``), into out when it
         is given. Every way they are the same bits in the same layout, so
         sums over their rows round alike."""
-        W = self.W
-        if self.on_chords:
+        W, bridge = self.W, self.plan.bridge
+        if self.plan.chords:
             return W[:, nodes] if isinstance(nodes, slice) else np.take(W, nodes, axis=1)
-        column = self.bridge.column[nodes]
+        column = bridge.column[nodes]
         if np.all(column >= 0):  # coarse nodes only
             return np.take(W, column, axis=1, out=out) if np.ndim(column) else W[:, column]
-        return self.bridge.chord_columns(W, nodes, out)
+        return bridge.chord_columns(W, nodes, out)
 
     @cached_property
     def _segments(self):
-        return self.series.expand(self.W)
+        return self.plan.series.expand(self.W)
 
     def pair_sums(self, b: float) -> np.ndarray:
         """Per node, the sum over the tile's drawn paths of e^{b L} and over
         their partners of e^{-b L}, 2 sum cosh(b L), L the chords; with a
         series b must be one of the leg's exponents. Without, it is formed in
         the scratch buffer."""
-        if self.series is None:
+        if self.plan.series is None:
             out = np.multiply(self.W, b, out=self.scratch(self.W.shape))
             return 2.0 * np.cosh(out, out=out).sum(axis=0)
         mid, P = self._segments
         e = np.exp(b * mid)
-        return self.series.node_sums(P, e, np.reciprocal(e), b)
+        return self.plan.series.node_sums(P, e, np.reciprocal(e), b)
 
     @cached_property
     def powers(self):
@@ -877,44 +863,47 @@ class Block:
         values, so E[X^p] = leg.scale * Y: J is each pair's average utility
         functional Y . leg.weights, C each pair's terminal control
         (``_terminal_control``), Y_sum the per-node sum of Y over the tile's
-        paths (None unless ``power_sums``), and tails[s] and heads[s] each
-        path's sum_{k >= s} Y_k leg.weights[k] and sum_{k < s}, drawn paths,
-        then their partners in the same order. A head is summed over its own
-        nodes, never taken as J less the tail, which could cancel. Without a
-        series exp(p vol L) is formed in the scratch buffer, drawn paths
-        first, which is free again afterwards."""
-        a = self._leg.u.p * self._leg.vol
+        paths (None unless ``plan.power_sums``), and tails[s] and heads[s]
+        each path's sum_{k >= s} Y_k leg.weights[k] and sum_{k < s}, drawn
+        paths, then their partners in the same order. A head is summed over
+        its own nodes, never taken as J less the tail, which could cancel.
+        Without a series exp(p vol L) is formed in the scratch buffer, drawn
+        paths first, which is free again afterwards."""
+        plan, leg = self.plan, self.plan.leg
+        a = leg.u.p * leg.vol
         # E[e^{a W} | coarse values] over e^{a W} of the chords, per node
-        lift = np.exp(0.5 * a * a * self.variance)
-        C = _terminal_control(self.chords(-1), a, self._leg.n_steps)
+        lift = np.exp(0.5 * a * a * plan.bridge.variance)
+        C = _terminal_control(self.chords(-1), a, leg.n_steps)
         Y_sum = None
-        if self.series is not None:
-            series = self.series
+        # the tail sums from each s (J's from 0) and the head sums before
+        # each tail, as (drawn paths, partners)
+        if plan.series is None:
+            weights = leg.weights * lift
+            Y = np.multiply(self.W, a, out=self.scratch(self.W.shape))
+            np.exp(Y, out=Y)
+            tails, heads = {s: [] for s in (0, *plan.tails)}, {s: [] for s in plan.tails}
+            for half in range(2):
+                if half:
+                    np.reciprocal(Y, out=Y)
+                for s in tails:
+                    tails[s].append(_dot(Y[:, s:], weights[s:]))
+                for s in heads:
+                    heads[s].append(_dot(Y[:, :s], weights[:s]))
+                if plan.power_sums:
+                    Y_sum = Y.sum(axis=0) if Y_sum is None else (Y_sum + Y.sum(axis=0)) * lift
+        else:
+            series = plan.series
             mid, P = self._segments
             e = np.exp(a * mid)
             inv = np.reciprocal(e)
-            drawn, partner = series.row_sums(P, e, inv, series.moments[0])
-            tails, heads = ({s: np.concatenate(series.row_sums(P, e, inv, M[s]))
-                             for s in self._tails} for M in (series.moments, series.heads))
-            if self._power_sums:
+            tails, heads = ({s: series.row_sums(P, e, inv, M[s]) for s in M}
+                            for M in (series.moments, series.heads))
+            if plan.power_sums:
                 Y_sum = series.node_sums(P, e, inv, a) * lift
-            return 0.5 * (drawn + partner), C, Y_sum, tails, heads
-        weights = self._leg.weights * lift
-        Y = np.multiply(self.W, a, out=self.scratch(self.W.shape))
-        np.exp(Y, out=Y)
-
-        halves = []  # (J, tails, heads) of the drawn paths, then of the partners
-        for half in range(2):
-            if half:
-                np.reciprocal(Y, out=Y)
-            halves.append((_dot(Y, weights), [_dot(Y[:, s:], weights[s:]) for s in self._tails],
-                           [_dot(Y[:, :s], weights[:s]) for s in self._tails]))
-            if self._power_sums:
-                Y_sum = Y.sum(axis=0) if Y_sum is None else (Y_sum + Y.sum(axis=0)) * lift
-        (J, *drawn), (J_partner, *partner) = halves
-        tails, heads = ({s: np.concatenate([d, q]) for s, d, q in zip(self._tails, *sides)}
-                        for sides in zip(drawn, partner))
-        return 0.5 * (J + J_partner), C, Y_sum, tails, heads
+        J = tails.pop(0)
+        tails, heads = ({s: np.concatenate(halves) for s, halves in sums.items()}
+                        for sums in (tails, heads))
+        return 0.5 * (J[0] + J[1]), C, Y_sum, tails, heads
 
     def scratch(self, shape: tuple) -> np.ndarray:
         """A view of the scratch buffer in the given shape, at most its size."""
@@ -932,28 +921,12 @@ def equilibrium_leg(pol: EquilibriumPolicy, cfg: SimConfig, m: MarketParams,
                      pol.consumption_at(nodes), d.h(nodes - nodes[0]))
 
 
-def _declared_tails(estimators: list) -> tuple:
-    """The nodes s from which the estimators' block functions take tail
-    sums (the ``tail`` attribute), in order."""
-    return tuple(sorted({fn.tail for fn, _ in estimators if hasattr(fn, "tail")}))
-
-
-def _fused_block(estimators: list, leg: Optional[PolicyLeg], n_replicates: int,
-                 n_steps: int, on_chords: bool) -> Callable:
+def _fused_block(estimators: list, plan: _Pass) -> Callable:
     """block(W, scratch, replicate): every estimator's sums on one ``Block``
-    of paths of n_steps steps, keyed by (estimator index, key), with the
-    tails the estimators declare, and the per-node X^p sums if one of them
-    declares ``power_sums``. W holds the chords if on_chords, and otherwise
-    the coarse values; on a leg that takes moments the leg's
-    ``SegmentSeries``, built here once, sums its exponentials."""
-    tails = _declared_tails(estimators)
-    power_sums = any(getattr(fn, "power_sums", False) for fn, _ in estimators)
-    series = SegmentSeries(leg, tails) if leg is not None and leg.takes_moments else None
-    bridge = _bridge(n_steps)
+    of the plan's pass, keyed by (estimator index, key)."""
 
     def block(W, scratch, replicate):
-        blk = Block(W, scratch, bridge, leg, tails, replicate, n_replicates, series, power_sums,
-                    on_chords=on_chords)
+        blk = Block(W, scratch, plan, replicate)
         return {(i, key): value for i, (block_fn, _) in enumerate(estimators)
                 for key, value in block_fn(blk).items()}
 
@@ -973,18 +946,14 @@ def run_estimators(cfg: SimConfig, estimators: list, leg: Optional[PolicyLeg] = 
     ``blk.by_replicate`` sums per-pair values by replicate.
     ``finish(sums, n_pairs)`` turns the sums over all tiles into the result,
     with n_pairs the number of antithetic pairs (``SimConfig.n_pairs``). The
-    paths span the leg's nodes, or the whole grid without a leg. Only a leg
-    that takes the chords forms the chord matrix; a leg that
-    ``takes_moments``, and a pass without a leg, hold the coarse values
-    alone, and each pass's tiles are sized by the widest array it forms
-    (``_tiling``).
+    paths span the leg's nodes, or the whole grid without a leg; ``_plan``
+    lays out the pass's tiles.
     """
     if not estimators:
         return []
     n_sub = cfg.grid.n_steps if leg is None else leg.n_steps
-    tiling = _tiling(n_sub, leg, _declared_tails(estimators))
-    block = _fused_block(estimators, leg, cfg.n_replicates, n_sub, tiling.chords)
-    sums = _accumulate_blocks(cfg, n_sub, block, tiling)
+    plan = _plan(n_sub, leg, estimators, cfg.n_replicates)
+    sums = _accumulate_blocks(cfg, plan, _fused_block(estimators, plan))
     return [finish({key: value for (j, key), value in sums.items() if j == i}, cfg.n_pairs)
             for i, (_, finish) in enumerate(estimators)]
 

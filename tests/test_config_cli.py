@@ -815,7 +815,7 @@ class TestDefaultWorkerCount:
         cfg = load_config(write_ini(tmp_path))
         # 2560 pairs in tiles of at most 2048 rows: two tiles, so two threads
         assert cfg.sim.n_workers == 0
-        assert SimConfig(grid=cfg.grid, **vars(cfg.sim)).worker_count() == 2
+        assert SimConfig(grid=cfg.grid, **vars(cfg.sim)).worker_count(simulate._BLOCK_PAIRS) == 2
         out, runs = tmp_path / "out", {}
         for label, extra in (("default", ""), ("one", "n_workers = 1\n")):
             ini = write_ini(tmp_path, extra=extra, name=f"{label}.ini")
@@ -872,9 +872,8 @@ def test_worker_count_does_not_change_bytes_on_segment_moments(tmp_path, monkeyp
                         lambda *a: chords.append(1) or bridge_chords(*a))
     accumulate = simulate._accumulate_blocks
 
-    def tiled(cfg, n_steps, block_fn, tiling):
-        return accumulate(cfg, n_steps, lambda W, *a: tiles.append(len(W)) or block_fn(W, *a),
-                          tiling)
+    def tiled(cfg, plan, block_fn):
+        return accumulate(cfg, plan, lambda W, *a: tiles.append(len(W)) or block_fn(W, *a))
 
     monkeypatch.setattr(simulate, "_accumulate_blocks", tiled)
     body = BASE_INI.replace("n_steps = 200", "n_steps = 1000")

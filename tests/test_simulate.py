@@ -144,24 +144,26 @@ class TestDeterminism:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                                 raising=False)
 
+        rows = simulate._BLOCK_PAIRS  # the most rows a tile holds
         cpus(1)
-        assert sim_cfg(sim_grid, n_paths=100_000).worker_count() == 1
+        assert sim_cfg(sim_grid, n_paths=100_000).worker_count(rows) == 1
         cpus(8)
         # 6016 pairs: three blocks, three tiles of at most 2048 rows
         three_blocks = sim_cfg(sim_grid, n_paths=12_000)
-        assert three_blocks.n_blocks == 3 and three_blocks.worker_count() == 3
-        assert sim_cfg(sim_grid, n_paths=100_000).worker_count() == 8
+        assert three_blocks.n_blocks == 3 and three_blocks.worker_count(rows) == 3
+        assert sim_cfg(sim_grid, n_paths=100_000).worker_count(rows) == 8
         # without an affinity call the CPU count stands in
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert sim_cfg(sim_grid, n_paths=100_000).worker_count() == 5
+        assert sim_cfg(sim_grid, n_paths=100_000).worker_count(rows) == 5
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert sim_cfg(sim_grid, n_paths=100_000).worker_count() == 1
+        assert sim_cfg(sim_grid, n_paths=100_000).worker_count(rows) == 1
 
     def test_explicit_worker_count_is_kept(self, sim_grid, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert sim_cfg(sim_grid, n_paths=100_000, n_workers=3).worker_count() == 3
-        assert sim_cfg(sim_grid, n_paths=100, n_workers=3).worker_count() == 1
+        rows = simulate._BLOCK_PAIRS
+        assert sim_cfg(sim_grid, n_paths=100_000, n_workers=3).worker_count(rows) == 3
+        assert sim_cfg(sim_grid, n_paths=100, n_workers=3).worker_count(rows) == 1
 
     def test_pairwise_combine_matches_direct_sum(self):
         rng = np.random.default_rng(0)
@@ -1012,8 +1014,8 @@ class TestTiles:
         leg = equilibrium_leg(pol, SimConfig(n_paths=2, seed=1, grid=g), market, utility,
                               hyp_discount)
         est = perturbation_estimator(leg, g.horizon, Spike(zeta=pol.stock_fraction + 1.0))
-        tiling = simulate._tiling(1000, leg, (est[0].tail,))
-        assert leg.takes_moments and (tiling.width, tiling.scratch) == (1001, 1001)
+        plan = simulate._plan(1000, leg, [est], 1)
+        assert leg.takes_moments and (plan.width, plan.scratch) == (1001, 1001)
         run_estimators(SimConfig(n_paths=2, seed=1, grid=g), [est], leg)
         cfg = SimConfig(n_paths=65536, seed=1, grid=g, n_workers=1)
         tracemalloc.start()
@@ -1043,12 +1045,13 @@ class TestTiles:
             seen.clear()
 
         for n_steps, rows, width in ((1000, simulate._TILE_ELEMENTS // (23 * 16), 17),
-                                     (200, simulate._Tiling.chord_matrix(200).rows, 201)):
+                                     (200, simulate._BLOCK_PAIRS, 201)):
             g = TimeGrid(horizon=1.0, n_steps=n_steps)
             pol = equilibrium_policy(picard_solve(m, u, mix_discount, g), m, u)
             cfg = SimConfig(n_paths=6 * rows, seed=1, grid=g, n_workers=1)
             leg = equilibrium_leg(pol, cfg, m, u, mix_discount)
             assert leg.takes_moments == (n_steps == 1000)
+            assert simulate._plan(n_steps, leg, [], cfg.n_replicates).rows == rows
             simulate_equilibrium(pol, cfg, m, u, mix_discount)
             assert_tiles(cfg, rows, width)
         assert (simulate._TILE_ELEMENTS // (23 * 16), rows) == (1424, 2048)
@@ -1068,8 +1071,10 @@ class TestTiles:
                                  market, utility)
         cfg = SimConfig(n_paths=8192, seed=1, grid=g)
         leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
-        rows = simulate._tiling(1000, leg).rows
-        assert (cfg.worker_count(), rows, cfg.worker_count(rows)) == (8, 1424, 3)
+        chords = simulate._Pass(simulate._bridge(1000), leg, (), False, cfg.n_replicates, None,
+                                chords=True)
+        rows = simulate._plan(1000, leg, [], cfg.n_replicates).rows
+        assert (cfg.worker_count(chords.rows), rows, cfg.worker_count(rows)) == (8, 1424, 3)
         pools = []
         executor = simulate.ThreadPoolExecutor
 
@@ -1080,6 +1085,13 @@ class TestTiles:
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", pool)
         simulate_equilibrium(pol, cfg, market, utility, hyp_discount)
         assert pools == [3]
+
+
+def chord_pass(cfg, n_steps):
+    """A pass whose tiles form the chords at every node of n_steps steps,
+    with no leg."""
+    return simulate._Pass(simulate._bridge(n_steps), None, (), False, cfg.n_replicates, None,
+                          chords=True)
 
 
 def assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, pairs, rep, counts, tiles):
@@ -1103,7 +1115,7 @@ def assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, pairs, rep, counts,
         replicates.append(replicate)
         return {"rows": len(W)}
 
-    assert simulate._accumulate_blocks(cfg, n_sub, block) == {"rows": cfg.n_pairs}
+    assert simulate._accumulate_blocks(cfg, chord_pass(cfg, n_sub), block) == {"rows": cfg.n_pairs}
     assert [len(W) for W in seen] == tiles
     paths, expected = zip(*oracle_chords(cfg, n_sub))
     W = np.concatenate(seen)
@@ -1127,7 +1139,8 @@ def assert_coarse_values_are_the_shifted_nets(monkeypatch, rep, pairs, tiles):
     assert (cfg.replicate_pairs, cfg.n_pairs) == (rep, 32)
     bridge = BrownianBridge(37)
     seen = []
-    simulate._accumulate_blocks(cfg, 37, lambda W, _b, _r: seen.append(W.copy()) or {})
+    simulate._accumulate_blocks(cfg, chord_pass(cfg, 37),
+                                lambda W, _b, _r: seen.append(W.copy()) or {})
     assert [len(W) for W in seen] == tiles
     W = np.concatenate(seen)
     points = sobol_points(sobol_directions(16, rep.bit_length() - 1), rep)
@@ -1363,10 +1376,12 @@ class TestSegmentSeries:
             assert D == stated_degree(abs(b) * half_rise)
             assert len(series.nodes[b]) == D + 1
         assert len(series.moments[0]) == leg.series_degrees[p * leg.vol] + 1
-        on_chords = Block(W, np.empty(W.size), bridge, leg, tails, power_sums=True,
-                          on_chords=True)
-        on_moments = Block(Wc, np.empty(W.size), bridge, leg, tails, series=series,
-                           power_sums=True, on_chords=False)
+        replicate = np.zeros(len(W), dtype=np.intp)
+        on_chords = Block(W, np.empty(W.size),
+                          simulate._Pass(bridge, leg, tails, True, 1, None, chords=True), replicate)
+        on_moments = Block(Wc, np.empty(W.size),
+                           simulate._Pass(bridge, leg, tails, True, 1, series, chords=False),
+                           replicate)
         # truncation below 2^-53 of each term, and rounding grown by at most
         # e^{2h} in the series and a few dozen ulp in the sums
         bound = 64 * 2.0**-53 * math.exp(2 * h)
@@ -1399,15 +1414,34 @@ class TestSegmentSeries:
         # 22 (wealth)
         m = MarketParams.from_excess_return(r=0.05, mu=0.07, sigma=0.2)
         u = CrraUtility(p=0.5)
-        legs = {}
+        d = mix_discount
+        legs, sols, cfgs = {}, {}, {}
         for n_steps in (100, 1000):
             g = TimeGrid(horizon=1.0, n_steps=n_steps)
-            pol = equilibrium_policy(picard_solve(m, u, mix_discount, g), m, u)
-            legs[n_steps] = equilibrium_leg(pol, SimConfig(n_paths=2, seed=1, grid=g), m, u,
-                                            mix_discount)
+            sols[n_steps] = sol = picard_solve(m, u, d, g)
+            cfgs[n_steps] = cfg = SimConfig(n_paths=100_000, seed=42, grid=g)
+            legs[n_steps] = equilibrium_leg(equilibrium_policy(sol, m, u), cfg, m, u, d)
         assert not legs[100].takes_moments and legs[1000].takes_moments
         leg = legs[1000]
         assert leg.series_degrees == {u.p * leg.vol: 17, leg.vol: 22}
+        # the plan of each benchmark pass: verify's every check on the
+        # chords, with a scratch as wide; simulate's on moments, the (22 + 1)
+        # x 16 segment powers per row, with no window and so no scratch; and
+        # verify --checks martingale without a leg, on the 17 coarse values
+        cfg, nc = cfgs[100], solve_no_consumption(m, u, d, cfgs[100].grid)
+        zeta = equilibrium_policy(sols[100], m, u).stock_fraction
+        martingale = martingale_estimator(nc, cfg, m, u, d)
+        verify = [value_identity_estimator(sols[100], legs[100], 0.0), martingale,
+                  *(perturbation_estimator(legs[100], width, Spike(zeta=zeta + shift))
+                    for width, shift in ((0.25, 1.0), (0.1, 0.01)))]
+        sim = simulation_estimator(equilibrium_policy(sols[1000], m, u), cfgs[1000].grid, leg, d)
+        plans = {"verify": simulate._plan(100, legs[100], verify, cfg.n_replicates),
+                 "simulate": simulate._plan(1000, leg, [sim], cfg.n_replicates),
+                 "martingale": simulate._plan(100, None, [martingale], cfg.n_replicates)}
+        assert {name: (plan.chords, plan.series is not None, plan.rows, plan.scratch)
+                for name, plan in plans.items()} == {"verify": (True, False, 2048, 101),
+                                                     "simulate": (False, True, 1424, 0),
+                                                     "martingale": (False, False, 2048, 0)}
 
     def test_a_leg_past_the_cap_or_with_short_segments_takes_chords(self, hyp_discount):
         # p = 0.5, T = 50 at the excess return 0.07: h = 11.2 for wealth at
@@ -1492,15 +1526,11 @@ class TestConditionalExpectations:
                              bridge.coarse(rng.standard_normal((rows, bridge.dim)))], axis=1)
         scratch = np.empty(rows * (g.n_steps + 1))
         assert leg.takes_moments == (n_steps == 400)
-        if leg.takes_moments:
-            blk = Block(Wc, scratch, bridge, leg, (w + 1,), series=SegmentSeries(leg, (w + 1,)),
-                        on_chords=False,
-                        power_sums=True)
-        else:
-            chords = bridge.chords(Wc, np.empty((rows, g.n_steps + 1)),
-                                   np.empty((rows, g.n_steps + 1)))
-            blk = Block(chords, scratch, bridge, leg, tails=(w + 1,), power_sums=True,
-                        on_chords=True)
+        series = SegmentSeries(leg, (w + 1,)) if leg.takes_moments else None
+        plan = simulate._Pass(bridge, leg, (w + 1,), True, 1, series, chords=series is None)
+        paths = Wc if series is not None else bridge.chords(
+            Wc, np.empty((rows, g.n_steps + 1)), np.empty((rows, g.n_steps + 1)))
+        blk = Block(paths, scratch, plan, np.zeros(rows, dtype=np.intp))
         J, C, Y_sum, tails, heads = blk.powers
         sim_sums = simulation_estimator(pol, g, leg, hyp_discount)[0](blk)
         moment = moment_estimator(cfg, market, utility, p, growth_constant(market, utility),
@@ -1588,21 +1618,20 @@ def assert_rows_are_tile_free(market, utility, hyp_discount, monkeypatch, n_step
     cfg = sim_cfg(g, n_paths=3000, seed=11, n_workers=1)
     leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
     assert leg.takes_moments == (n_steps == 1000)
-    series = SegmentSeries(leg, tails) if leg.takes_moments else None
-    bridge = BrownianBridge(n_steps)
-    tiling = simulate._tiling(n_steps, leg, tails)
     columns = {"chords": np.array([7, tails[1], n_steps]),
                "coarse": np.array([tails[0], n_steps]), "terminal": -1}
-    spikes = [perturbation_estimator(leg, (s - 1) * g.dt, spike)[0] for s, spike in zip(
+    estimators = [perturbation_estimator(leg, (s - 1) * g.dt, spike) for s, spike in zip(
         tails, (Spike(zeta=pol.stock_fraction + 1.0),
                 Spike(zeta=pol.stock_fraction + 0.01, consumption=0.3)))]
+    spikes = [fn for fn, _ in estimators]
     assert [fn.tail for fn in spikes] == list(tails)
+    plan = simulate._plan(n_steps, leg, estimators, cfg.n_replicates)
+    assert (plan.tails, plan.chords) == (tails, not leg.takes_moments)
     # each spike's per-row loss, gathered in place of its sums over the rows
     monkeypatch.setattr(simulate, "_sums", lambda key, a: {key: [a]})
 
     def block(W, buffers, replicate):
-        blk = Block(W, buffers, bridge, leg, tails, replicate, cfg.n_replicates, series,
-                    on_chords=tiling.chords)
+        blk = Block(W, buffers, plan, replicate)
         J, C, _, T, H = blk.powers
         m = len(J)
         return {"j": [J], "c": [C],
@@ -1614,14 +1643,14 @@ def assert_rows_are_tile_free(market, utility, hyp_discount, monkeypatch, n_step
                 **{f"loss{s}": fn(blk)["d"] for s, fn in zip(tails, spikes)}}
 
     def rows():
-        sums = simulate._accumulate_blocks(cfg, n_steps, block, tiling)
+        sums = simulate._accumulate_blocks(cfg, plan, block)
         return {key: np.concatenate(parts) for key, parts in sums.items()}
 
     whole = rows()
     # three rows of the pass's widest array: the chords, or on moments the
     # segment powers
-    monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * tiling.width)
-    assert tiling.rows == 3
+    monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * plan.width)
+    assert plan.rows == 3
     ragged = rows()
     assert set(whole) == {"j", "c", *columns, *(f"{side}{kind}{s}" for s in tails
                                                 for kind in ("tail", "head")
