@@ -6,9 +6,11 @@ discount, T = 1) on buffers that are already allocated, as every tile after
 a worker's first one sees them, and tabulates the best-of-k time of each. A
 block of --paths paths (by default a pass's block, ``simulate._BLOCK_PAIRS``
 antithetic pairs) is --paths / 2 pairs, of which it stores only the drawn
-paths; each partner runs on -W. The stage rows hold the whole block at once,
-so their times compare across grids and block sizes; a pass runs its rows
-in tiles, whose sizes the table's last three rows give:
+paths; each partner runs on -W. Every array is node-major, as in a pass: a
+row per node, segment or degree, and the block's paths along the
+contiguous last axis. The stage rows hold the whole block at once, so
+their times compare across grids and block sizes; a pass runs its rows in
+tiles, whose sizes the table's last three rows give:
 
 * coarse points W at the 16 coarse bridge nodes of each pair: the shift
                 words of the block's replicates from its generator
@@ -95,8 +97,8 @@ from eqmerton.simulate import (
     _block_rng,
     _bridge,
     _checkpoints,
-    _dot,
     _fused_block,
+    _per_row,
     _plan,
     _sums,
     _terminal_control,
@@ -139,19 +141,19 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
     leg = equilibrium_leg(pol, cfg, m, u, d)
 
     flat = np.empty(cfg.n_pairs * (n_steps + 1))  # the scratch buffer of a tile
-    W = np.empty((cfg.n_pairs, n_steps + 1))
+    W = np.empty((n_steps + 1, cfg.n_pairs))
     scratch = flat.reshape(W.shape)
     checkpoints = _checkpoints(g, 5)
     bridge, rep = _bridge(n_steps), cfg.replicate_pairs
     net, rows = sobol_net(bridge.dim, rep.bit_length() - 1), np.arange(cfg.n_pairs)
-    Wc = np.zeros((cfg.n_pairs, bridge.dim + 1))
+    Wc = np.zeros((bridge.dim + 1, cfg.n_pairs))
 
     def coarse_points():
         words = _block_rng(42, 0).bit_generator.random_raw((cfg.n_pairs // rep, bridge.dim))
-        Wc[:, 1:] = bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
+        Wc[1:] = bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
 
     def chords():
-        bridge.chords(Wc, W, scratch)
+        bridge.chords(Wc, W)
 
     def powers():
         Y = np.multiply(W, u.p * leg.vol, out=scratch)
@@ -159,12 +161,13 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
         np.reciprocal(Y, out=Y)
 
     def reductions():
-        return [(_dot(scratch, leg.weights), scratch.sum(axis=0)) for _ in range(2)]
+        return [(_per_row("kr,k->r", scratch, leg.lifted_weights), scratch.sum(axis=1))
+                for _ in range(2)]
 
     J = np.ones(cfg.n_pairs)  # the pairs' J; its values do not change the time
 
     def control():
-        C = _terminal_control(W[:, -1], u.p * leg.vol, n_steps)
+        C = _terminal_control(W[-1], u.p * leg.vol, n_steps)
         return _sums("c", C), J @ C
 
     replicate = np.arange(cfg.n_pairs) // rep
@@ -173,8 +176,10 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
     def wealth():
         Block(W, flat, on_chords, replicate).pair_sums(leg.vol)
 
-    def checkpoint_columns():
-        leg.pair_power(W[:, checkpoints], u.p, checkpoints)
+    factor = leg.power_factor(u.p, checkpoints)
+
+    def checkpoint_rows():
+        leg.pair_power(W[checkpoints], u.p, factor)
 
     spikes = ((0.25, pol.stock_fraction + 1.0), (0.1, pol.stock_fraction + 0.01))
     tails = tuple(perturbation_estimator(leg, eps, Spike(zeta))[0].tail for eps, zeta in spikes)
@@ -205,7 +210,7 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
     for name, fn in (("coarse points", coarse_points), ("chords", chords),
                      ("X^p", powers),
                      ("reductions", reductions), ("control", control),
-                     ("wealth cosh", wealth), ("checkpoints", checkpoint_columns),
+                     ("wealth cosh", wealth), ("checkpoints", checkpoint_rows),
                      ("segment coefficients", segment_coefficients),
                      ("row dots", row_dots), ("column sums", column_sums)):
         row[name] = best_ms(fn, repeats)

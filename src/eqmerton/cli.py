@@ -113,9 +113,9 @@ def cmd_verify(cfg: RunConfig, out: Path, perturb_lambda: float = 0.0,
         raise ConfigError(f"unknown check(s) {sorted(unknown)}; "
                           f"choose from {list(ALL_CHECKS)}")
     nc_curve = solver.solve_no_consumption(m, u, d, g)
-    rows = []
+    rows, layout = [], None
     if set(checks) - {"duality"}:
-        rows = _monte_carlo_verdicts(cfg, checks, nc_curve, perturb_lambda)
+        rows, layout = _monte_carlo_verdicts(cfg, checks, nc_curve, perturb_lambda)
     if "duality" in checks:
         rows.extend(_duality_verdicts(nc_curve, u, m, d, g))
 
@@ -128,6 +128,7 @@ def cmd_verify(cfg: RunConfig, out: Path, perturb_lambda: float = 0.0,
         "all_passed": all(v.passed for v in rows),
         "monte_carlo": {v.name: _monte_carlo_sample(v) for v in rows
                         if v.n_pairs is not None},
+        "monte_carlo_pass": layout,
     }))
     if not all(v.passed for v in rows):
         for v in rows:
@@ -151,11 +152,11 @@ def _monte_carlo_sample(v: simulate.Verdict) -> dict:
 
 
 def _monte_carlo_verdicts(cfg: RunConfig, checks: tuple, nc_curve,
-                          perturb_lambda: float) -> list:
+                          perturb_lambda: float) -> tuple[list, dict]:
     """Verdicts of the requested Monte Carlo checks, which share one pass over
-    the random stream from t = 0 along the equilibrium policy; a pass whose
-    checks read no utility functional (the martingale checks alone) runs
-    without the leg, on the coarse values."""
+    the random stream from t = 0 along the equilibrium policy, and that
+    pass's layout; a pass whose checks read no utility functional (the
+    martingale checks alone) runs without the leg, on the coarse values."""
     m, u, d, g = cfg.market, cfg.utility, cfg.discount, cfg.grid
     curve = _solve_curve(cfg)
     pol = policy.equilibrium_policy(curve, m, u)
@@ -179,9 +180,9 @@ def _monte_carlo_verdicts(cfg: RunConfig, checks: tuple, nc_curve,
                 "perturbation_first_order_stationarity", r, abs(r.z) <= STAT_THRESHOLD)]),
         ]
     reads_leg = {"value_identity", "perturbation"} & set(checks)
-    results = simulate.run_estimators(sim_cfg, [est for est, _ in plan],
-                                      leg if reads_leg else None)
-    return [v for (_, verdicts), result in zip(plan, results) for v in verdicts(result)]
+    results, layout = simulate.run_pass(sim_cfg, [est for est, _ in plan],
+                                        leg if reads_leg else None)
+    return [v for (_, verdicts), result in zip(plan, results) for v in verdicts(result)], layout
 
 
 def _spike_verdict(name: str, row, passed) -> simulate.Verdict:
@@ -259,6 +260,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
         "j_exact": batch.j_exact,
         "n_pairs": batch.n_pairs,
         "n_replicates": batch.n_replicates,
+        "monte_carlo_pass": batch.layout,
         "terminal_moments": {
             str(q): {"mean": mq, "std_error": sq}
             for q, (mq, sq) in batch.terminal_moments.items()

@@ -19,6 +19,10 @@ Four pieces, numpy only:
   3.1.2 and 5.5), and the law of the path between them given those values:
   the chord as its mean and the bridge variance; and a bound on each
   segment's rise, for the normals the stream can draw.
+
+The points, normals, coarse values and chords of many paths are
+coordinate- or node-major arrays, a row per coordinate or node and a column
+per path, so every operation runs along contiguous rows of paths.
 """
 
 from __future__ import annotations
@@ -97,24 +101,24 @@ def sobol_points(V: np.ndarray, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def sobol_net(dim: int, m: int) -> np.ndarray:
-    """The unrandomized net of 2^m points in dim coordinates (2^m x dim),
-    built once and read-only."""
-    X = sobol_points(sobol_directions(dim, m), 1 << m)
+    """The unrandomized net of 2^m points in dim coordinates, coordinate-major
+    (dim x 2^m: a row per coordinate), built once and read-only."""
+    X = np.ascontiguousarray(sobol_points(sobol_directions(dim, m), 1 << m).T)
     X.flags.writeable = False
     return X
 
 
 def shifted_points(net: np.ndarray, words: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Points ``rows`` of the net's randomized replicates, as floats in
-    (0, 1) (rows x dim): point i is point i % 2^m of net (2^m x dim) XOR the
-    digital shift of replicate i // 2^m, the top BITS bits of that
-    replicate's random 64-bit words (words: replicates x dim, one per
-    coordinate; L'Ecuyer and Lemieux 2002). The shift permutes the 2^m equal
-    intervals of each coordinate, so a replicate keeps one point in each,
-    and it makes each point uniform."""
-    rep = len(net)
-    X = net[rows % rep]
-    X ^= words[rows // rep] >> _SHIFT
+    (0, 1), coordinate-major (dim x rows): point i is point i % 2^m of net
+    (dim x 2^m) XOR the digital shift of replicate i // 2^m, the top BITS
+    bits of that replicate's random 64-bit words (words: replicates x dim,
+    one per coordinate; L'Ecuyer and Lemieux 2002). The shift permutes the
+    2^m equal intervals of each coordinate, so a replicate keeps one point
+    in each, and it makes each point uniform."""
+    rep = net.shape[1]
+    X = net[:, rows % rep]
+    X ^= words.T[:, rows // rep] >> _SHIFT
     return to_unit(X)
 
 
@@ -206,13 +210,14 @@ class BrownianBridge:
     large-scale moves. Given those values the path is a Brownian bridge on
     each segment lo < k < hi, independent of the other segments: W_k is
     normal with the chord of the coarse values as its mean (``chords``, or
-    ``chord_columns`` at given nodes; at a coarse node, ``column`` of the
-    coarse values itself) and variance (k - lo)(hi - k) /
-    (hi - lo) (``variance``), and two nodes of one segment j <= k have
-    covariance (j - lo)(hi - k) / (hi - lo). On each segment the chord is
-    linear in the node's ``offset`` (k - lo) / (hi - lo) - 1/2, with the
-    segment's rise W(hi) - W(lo) as its slope, which ``slope_bound`` bounds
-    for every point the stream can draw."""
+    ``chord_columns`` at given nodes; at a coarse node, the coarse value
+    itself, row ``coarse_index`` of the coarse values) and variance
+    (k - lo)(hi - k) / (hi - lo) (``variance``), and two nodes of one
+    segment j <= k have covariance (j - lo)(hi - k) / (hi - lo). On each
+    segment the chord is linear in the node's ``offset``
+    (k - lo) / (hi - lo) - 1/2, with the segment's rise W(hi) - W(lo) as its
+    slope, which ``slope_bound`` bounds for every point the stream can
+    draw."""
 
     def __init__(self, n_steps: int):
         if n_steps < 1:
@@ -244,23 +249,23 @@ class BrownianBridge:
         # node k's place on its segment about the midpoint, in [-1/2, 1/2]
         self.offset = self._fraction - 0.5
         self.variance = (k - lo) * (hi - k) / (hi - lo)
-        # the column of the coarse values (nodes 0..N) that holds node k, -1
+        # the row of the coarse values (nodes 0..N) that holds node k, -1
         # for a node between them
-        self.column = np.full(n_steps + 1, -1)
-        self.column[self.nodes] = np.arange(N + 1)
+        self.coarse_index = np.full(n_steps + 1, -1)
+        self.coarse_index[self.nodes] = np.arange(N + 1)
 
     def coarse(self, xi: np.ndarray) -> np.ndarray:
-        """W at nodes 1..N (rows x N) from normals xi (rows x N): W at node N
-        is sqrt(n_steps) xi_0, and each midpoint is its neighbours' linear
+        """W at nodes 1..N (N x paths) from normals xi (N x paths): W at node
+        N is sqrt(n_steps) xi_0, and each midpoint is its neighbours' linear
         interpolation plus the bridge's standard deviation times the next
-        coordinate, column by column."""
-        W = np.empty((len(xi), self.dim))
-        np.multiply(xi[:, 0], math.sqrt(self.n_steps), out=W[:, -1])
+        coordinate, row by row."""
+        W = np.empty((self.dim, xi.shape[1]))
+        np.multiply(xi[0], math.sqrt(self.n_steps), out=W[-1])
         for d, (mid, left, right, w_left, w_right, sd) in enumerate(self._levels, 1):
-            col = np.multiply(xi[:, d], sd, out=W[:, mid - 1])
+            row = np.multiply(xi[d], sd, out=W[mid - 1])
             if left:
-                col += w_left * W[:, left - 1]
-            col += w_right * W[:, right - 1]
+                row += w_left * W[left - 1]
+            row += w_right * W[right - 1]
         return W
 
     @cached_property
@@ -273,50 +278,44 @@ class BrownianBridge:
         times the sum of |A_j|, up to the rounding of ``coarse``."""
         xi_max = -float(norm_ppf(np.array([2.0 ** -(BITS + 1)]))[0])
         unit = np.zeros((self.dim, self.dim + 1))
-        unit[:, 1:] = self.coarse(np.eye(self.dim))
+        unit[:, 1:] = self.coarse(np.eye(self.dim)).T
         return xi_max * np.abs(np.diff(unit, axis=1)).sum(axis=0)
 
-    def chords(self, Wc: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    def chords(self, Wc: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The mean of W at every node 0..n_steps given its coarse values Wc
-        (rows x (N + 1), nodes 0..N, Wc[:, 0] = 0), into out (rows x
-        (n_steps + 1), C-contiguous): on each segment the chord
+        ((N + 1) x paths, nodes 0..N, Wc[0] = 0), into out ((n_steps + 1) x
+        paths): on each segment the chord
         Wc_lo + (k - lo) / (hi - lo) (Wc_hi - Wc_lo), elementwise, so each
-        row's values do not depend on the other rows; it takes the coarse
-        values at the nodes exactly. scratch, of out's shape, holds Wc_lo at
-        each node meanwhile: the segments before the last, s steps each, are
-        filled as (rows, N - 1, s) views, and the sum runs over the whole,
-        contiguous, rows (numpy copies an output that is also an input unless
-        both are contiguous)."""
+        path's values do not depend on the other paths; it takes the coarse
+        values at the nodes exactly. The segments before the last, s steps
+        each, are filled at once as an (N - 1, s, paths) view."""
         N, s = self.dim, self.step
         equal = (N - 1) * s
-        slope = Wc[:, 1:] - Wc[:, :-1]
-        shape = (len(out), N - 1, s)
-        np.copyto(scratch[:, :equal].reshape(shape), Wc[:, :N - 1, None])
-        scratch[:, equal:] = Wc[:, N - 1:N]
-        np.einsum("rj,s->rjs", slope[:, :-1], self._fraction[:s],
-                  out=out[:, :equal].reshape(shape))
-        np.multiply(slope[:, -1:], self._fraction[equal:], out=out[:, equal:])
-        out += scratch
-        out[:, -1] = Wc[:, -1]
+        slope = Wc[1:] - Wc[:-1]
+        head = out[:equal].reshape(N - 1, s, Wc.shape[1])
+        np.multiply(slope[:-1, None], self._fraction[:s, None], out=head)
+        head += Wc[:N - 1, None]
+        np.multiply(slope[-1], self._fraction[equal:, None], out=out[equal:])
+        out[equal:] += Wc[N - 1]
+        out[-1] = Wc[-1]
         return out
 
     def chord_columns(self, Wc: np.ndarray, nodes, out: np.ndarray | None = None) -> np.ndarray:
         """The chords at the given nodes only (an index, slice or index array
-        of 0..n_steps), the same bits as those columns of ``chords``; for an
-        array of nodes into out (rows x nodes) when it is given. Each run of
+        of 0..n_steps), the same bits as those rows of ``chords``; for an
+        array of nodes into out (nodes x paths) when it is given. Each run of
         consecutive nodes on one segment is filled in place, so no other
         array of out's size is formed."""
         k = np.arange(self.n_steps + 1)[nodes]
         if np.ndim(k) == 0:
-            return self.chord_columns(Wc, k[None])[:, 0]
+            return self.chord_columns(Wc, k[None])[0]
         if out is None:
-            out = np.empty((len(Wc), len(k)))
+            out = np.empty((len(k), Wc.shape[1]))
         j = self.segment[k]
         starts = np.flatnonzero(np.diff(j, prepend=-1))
         for lo, hi in zip(starts, [*starts[1:], len(k)]):
             seg = j[lo]
-            np.multiply(Wc[:, seg + 1, None] - Wc[:, seg, None], self._fraction[k[lo:hi]],
-                        out=out[:, lo:hi])
-            out[:, lo:hi] += Wc[:, seg, None]
-        out[:, k == self.n_steps] = Wc[:, -1:]
+            np.multiply(Wc[seg + 1] - Wc[seg], self._fraction[k[lo:hi], None], out=out[lo:hi])
+            out[lo:hi] += Wc[seg]
+        out[k == self.n_steps] = Wc[-1]
         return out

@@ -43,8 +43,8 @@ L_k = mid_j + slope_j g_k with g_k = (k - lo) / (hi - lo) - 1/2 in
 [-1/2, 1/2], so e^{b L_k} = e^{b mid_j} sum_m slope_j^m (b g_k)^m / m!, and
 the partner's e^{-b L_k} is the same series with e^{-b mid_j} and the odd
 terms negated (a pair's average takes cosh(b mid_j) on the even terms and
-sinh(b mid_j) on the odd). A row dot over the nodes (J, a tail sum) is then
-a sum over the 16 segments of slope^m times the weights' per-segment
+sinh(b mid_j) on the odd). A path's sum over the nodes (J, a tail sum) is
+then a sum over the 16 segments of slope^m times the weights' per-segment
 moments sum_{k in j} w_k (b g_k)^m / m!, built once per pass, and a
 per-node sum over the rows (X^p, mean wealth) is the nodes' (b g_k)^m / m!
 times per-segment sums over the rows of slope^m e^{+-b mid}. The series
@@ -63,31 +63,37 @@ otherwise it takes the chords. On the benchmark's 1000-step, T = 1 leg
 (s = 62) D is 17 for J and 22 for wealth, and its 100-step verify leg
 (s = 6) keeps the chords. Nodes read singly (the terminal control and
 moments, the martingale and moment checkpoints) and the perturbation's
-window head take the chords of their own columns only (``Block.chords``),
-the same bits, laid out alike, as those columns of the chord matrix; a
+window head take the chords of their own nodes only (``Block.chords``),
+the same bits, laid out alike, as those rows of the chord matrix; a
 coarse node, such as the terminal one, is read from the coarse values
 themselves. So a pass without a leg, the martingale and moment checks
 alone, reads its checkpoints from the coarse values and forms no chord
 matrix either.
 
-A pass is one ordered map over tiles of consecutive rows; a tile may span
-replicates and blocks. Each tile forms its rows' coarse values from their
-points of the net and their replicates' shifts, then, on a leg that takes the
-chords, their chords at every node of the leg, elementwise, into a tile-sized
-buffer; on a leg that takes moments, its segment powers ((D + 1) x rows x 16,
-fewer elements than the chords). A tile holds at most ``_BLOCK_PAIRS`` rows
-and ``_TILE_ELEMENTS`` float64 elements of the widest array it forms
-(``_Pass.width``): on the benchmark's 1000-step leg that is 523 rows of
-chords, or 1424 on moments. Every per-row value (J, its control, a tail sum,
-a checkpoint term) is formed by elementwise operations and per-row sums whose
-rounding does not depend on the other rows, so it is the same bits whatever
-the tile size; only the order in which an estimator's sums over rows are
-added depends on the partition into tiles. Tile partials are combined by
-pairwise summation in row order, so results are bit-identical across worker
-counts; a single worker runs the tiles in the calling thread. A worker holds
-two tile-sized buffers (4 MiB each at most) on the chords, the chords and a
-scratch; on moments one scratch as wide as the widest window head, and none
-without a window or without a leg.
+A pass is one ordered map over tiles of consecutive rows, a row being a
+pair's drawn path; a tile may span replicates and blocks. Every array a
+tile forms is node-major: its leading axes run over nodes, segments or
+degrees, and its last, contiguous, axis over the tile's rows, so each
+operation on a node runs along up to ``_BLOCK_PAIRS`` rows at once. Each
+tile forms its rows' coarse values ((N + 1) x rows) from their points of
+the net and their replicates' shifts, then, on a leg that takes the chords,
+their chords at every node of the leg ((n + 1) x rows), elementwise, into a
+tile-sized buffer; on a leg that takes moments, its segment powers
+((D + 1) x 16 x rows, fewer elements than the chords). A tile holds at most
+``_BLOCK_PAIRS`` rows and ``_TILE_ELEMENTS`` float64 elements of the widest
+array it forms (``_Pass.width``): on the benchmark's 1000-step leg that is
+523 rows of chords, or 1424 on moments. Every per-row value (J, its
+control, a tail sum, a checkpoint term) is formed by elementwise operations
+and sums over the leading axes, which numpy adds in sequence for each row
+whatever the tile's width, so it is the same bits whatever the tile size;
+a tile of one row, whose single column numpy would sum pairwise, is summed
+as two (``_per_row``). Only the order in which an estimator's sums over
+rows are added depends on the partition into tiles. Tile partials are
+combined by pairwise summation in row order, so results are bit-identical
+across worker counts; a single worker runs the tiles in the calling
+thread. A worker holds two tile-sized buffers (4 MiB each at most) on the
+chords, the chords and a scratch; on moments one scratch as wide as the
+widest window head, and none without a window or without a leg.
 
 Every policy simulated here holds a constant stock fraction zeta over the
 steps it covers, so its log-wealth at node k is affine in W,
@@ -152,6 +158,7 @@ __all__ = [
     "Block",
     "SegmentSeries",
     "run_estimators",
+    "run_pass",
     "equilibrium_leg",
     "simulation_estimator",
     "value_identity_estimator",
@@ -279,7 +286,8 @@ class SimBatch:
     its standard error taken over the n_replicates replicates;
     ``j_std_error_uncontrolled`` is that of the plain mean of J on the same
     paths, and ``j_exact`` the exact mean of J (``PolicyLeg.j_exact``). The
-    terminal moments' standard errors are over the pairs."""
+    terminal moments' standard errors are over the pairs. ``layout`` is the
+    layout of the pass that simulated it (``run_pass``)."""
 
     j_estimate: float
     j_std_error: float
@@ -291,6 +299,7 @@ class SimBatch:
     n_pairs: int
     n_replicates: int
     j_exact: float
+    layout: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -344,10 +353,19 @@ def _block_rng(seed: int, b: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
 
 
-def _dot(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M @ v row by row, each row's sum rounded alike whatever the other rows
-    (a BLAS product rounds by the shape of the call)."""
-    return np.einsum("ij,j->i", M, v)
+def _per_row(subscripts: str, *operands) -> np.ndarray:
+    """``np.einsum`` of a tile's node-major operands, summed over their
+    leading axes for each row (the last axis, ``r`` in subscripts) alone.
+    numpy adds a row's terms in sequence whatever the tile's width, except
+    for a tile of one row, whose single column it sums pairwise: that tile is
+    summed as two equal rows and the first kept, so a row's value is the
+    same bits in every tile (a BLAS product would round by the shape of the
+    call)."""
+    if operands[0].shape[-1] > 1:
+        return np.einsum(subscripts, *operands)
+    inputs = subscripts.split("->")[0].split(",")
+    return np.einsum(subscripts, *(np.repeat(x, 2, axis=-1) if sub.endswith("r") else x
+                                   for sub, x in zip(inputs, operands)))[..., :1]
 
 
 def _add(a: dict, b: dict) -> dict:
@@ -386,12 +404,12 @@ def _accumulate_blocks(cfg: SimConfig, plan: _Pass, block_fn: Callable) -> dict:
     block order, before any tile runs. The pass's ``cfg.n_pairs`` rows then
     run in tiles of ``plan.rows`` consecutive rows, which may span
     replicates and blocks. A tile forms its rows' coarse values Wc
-    (rows x (N + 1), Wc[:, 0] = 0) from their points of the shared net, each
+    ((N + 1) x rows, Wc[0] = 0) from their points of the shared net, each
     XOR its replicate's shift (``rqmc.shifted_points``). With ``plan.chords``
-    W (rows x (n + 1), n the steps of ``plan.bridge``) holds their chords,
+    W ((n + 1) x rows, n the steps of ``plan.bridge``) holds their chords,
     each path's mean at every node given its coarse values
     (``rqmc.BrownianBridge.chords``); without, W is Wc itself. The partner
-    of row i runs on -W[i]. ``replicate`` holds each row's replicate,
+    of row i runs on -W[:, i]. ``replicate`` holds each row's replicate,
     numbered over the whole pass, and ``scratch``, a flat buffer of
     rows x ``plan.scratch`` elements, is free for block_fn. The tiles run on
     ``cfg.worker_count(plan.rows)`` threads, each with its own buffers (the
@@ -411,16 +429,15 @@ def _accumulate_blocks(cfg: SimConfig, plan: _Pass, block_fn: Callable) -> dict:
 
     def run(start: int) -> dict:
         rows = np.arange(start, min(start + tile_rows, cfg.n_pairs))
-        W = np.zeros((len(rows), bridge.dim + 1))
-        W[:, 1:] = bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
+        W = np.zeros((bridge.dim + 1, len(rows)))
+        W[1:] = bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
         # the buffers come after the coarse values' temporaries are freed
         if not hasattr(local, "scratch"):
             local.scratch = np.empty(most_rows * plan.scratch)
             local.w = np.empty(most_rows * plan.width) if plan.chords else None
         if plan.chords:
-            shape = (len(rows), bridge.n_steps + 1)
-            W = bridge.chords(W, local.w[:math.prod(shape)].reshape(shape),
-                              local.scratch[:math.prod(shape)].reshape(shape))
+            shape = (bridge.n_steps + 1, len(rows))
+            W = bridge.chords(W, local.w[:math.prod(shape)].reshape(shape))
         return block_fn(W, local.scratch, rows // rep)
 
     starts, workers = range(0, cfg.n_pairs, tile_rows), cfg.worker_count(tile_rows)
@@ -463,8 +480,9 @@ def _z(diff, se) -> float:
 
 
 def _sums(key: str, a) -> dict:
-    """Sum and sum of squares of a tile's pair averages a (axis 0)."""
-    return {key: a.sum(axis=0), f"{key}_sq": (a**2).sum(axis=0)}
+    """Sum and sum of squares of a tile's pair averages a over its rows (the
+    last axis)."""
+    return {key: a.sum(axis=-1), f"{key}_sq": (a**2).sum(axis=-1)}
 
 
 def _mean_se(sums: dict, key: str, n: int):
@@ -575,8 +593,8 @@ class PolicyLeg:
     nodes: a constant stock fraction, and the consumption ratio and discount
     h(s - t) per node.
 
-    Its log-wealth at node k is log x0 + drift[k] + vol W[:, k], so
-    X(t_k)^p = scale[k] exp(p vol W[:, k]) with scale = (x0 e^{drift})^p.
+    Its log-wealth at node k is log x0 + drift[k] + vol W_k, so
+    X(t_k)^p = scale[k] exp(p vol W_k) with scale = (x0 e^{drift})^p.
     """
 
     x0: float
@@ -614,6 +632,18 @@ class PolicyLeg:
         return self.scale * _utility_weights(self.h_nodes, self.c_nodes, self.dt, self.u.p)
 
     @cached_property
+    def lift(self) -> np.ndarray:
+        """e^{a^2 v_k / 2} per node, a = p vol and v the bridge variance:
+        E[e^{a W_k} | coarse values] over e^{a L_k}, L the chord."""
+        a = self.u.p * self.vol
+        return np.exp(0.5 * a * a * _bridge(self.n_steps).variance)
+
+    @cached_property
+    def lifted_weights(self) -> np.ndarray:
+        """weights * lift: J's conditional mean is e^{a L} . lifted_weights."""
+        return self.weights * self.lift
+
+    @cached_property
     def j_exact(self) -> float:
         """E[J] exactly: sum_k weights_k e^{a^2 k / 2}, a = p vol, since
         W_k ~ N(0, k); each term's two factors are joined in the exponent,
@@ -631,15 +661,21 @@ class PolicyLeg:
         return (q * (math.log(self.x0) + self.drift[nodes])
                 + 0.5 * a * a * _bridge(self.n_steps).variance[nodes])
 
-    def pair_power(self, L: np.ndarray, q: float, nodes=slice(None)) -> np.ndarray:
-        """Each pair's average of E[X^q | coarse values] at the given nodes
-        (an index, slice or index array), from the chords L at those nodes
-        (``Block.chords``): X^q is (x0 e^{drift})^q e^{q vol W} on a drawn
-        path and e^{-q vol W} on its partner, and the pair's average of
+    def power_factor(self, q: float, nodes=slice(None)) -> np.ndarray:
+        """e^{``log_factor``} at the given nodes (an index, slice or index
+        array), one per node along the rows of node-major chords: built once
+        per pass for ``pair_power``."""
+        return np.exp(self.log_factor(q, nodes))[..., None]
+
+    def pair_power(self, L: np.ndarray, q: float, factor: np.ndarray) -> np.ndarray:
+        """Each pair's average of E[X^q | coarse values] at some nodes, from
+        the chords L at those nodes (``Block.chords``) and their
+        ``power_factor`` for q: X^q is (x0 e^{drift})^q e^{q vol W} on a
+        drawn path and e^{-q vol W} on its partner, and the pair's average of
         their means is cosh(q vol L) e^{``log_factor``}."""
         out = np.multiply(L, q * self.vol)
         np.cosh(out, out=out)
-        out *= np.exp(self.log_factor(q, nodes))
+        out *= factor
         return out
 
     @cached_property
@@ -700,43 +736,42 @@ class SegmentSeries:
                 np.multiply(G[m - 1], b * bridge.offset / m, out=G[m])
             self.nodes[b] = G
         a = leg.u.p * leg.vol
-        lifted = leg.weights * np.exp(0.5 * a * a * bridge.variance)
         k = np.arange(leg.n_steps + 1)
 
         def moments(where):
-            return np.add.reduceat(np.where(where, lifted, 0.0) * self.nodes[a],
+            return np.add.reduceat(np.where(where, leg.lifted_weights, 0.0) * self.nodes[a],
                                    bridge.nodes[:-1], axis=1)
 
         self.moments = {s: moments(k >= s) for s in (0, *tails)}
         self.heads = {s: moments(k < s) for s in tails}
 
     def expand(self, Wc: np.ndarray):
-        """A tile's segment midpoints mid (rows x N) and the powers slope^m,
-        m = 0..degree ((degree + 1) x rows x N), from its coarse values Wc
-        (rows x (N + 1)), elementwise per row."""
-        slope = Wc[:, 1:] - Wc[:, :-1]
+        """A tile's segment midpoints mid (N x rows) and the powers slope^m,
+        m = 0..degree ((degree + 1) x N x rows), from its coarse values Wc
+        ((N + 1) x rows), elementwise per row."""
+        slope = Wc[1:] - Wc[:-1]
         P = np.empty((self.degree + 1, *slope.shape))
         P[0] = 1.0
         for m in range(1, self.degree + 1):
             np.multiply(P[m - 1], slope, out=P[m])
-        return 0.5 * (Wc[:, :-1] + Wc[:, 1:]), P
+        return 0.5 * (Wc[:-1] + Wc[1:]), P
 
     def row_sums(self, P: np.ndarray, e: np.ndarray, inv: np.ndarray, M: np.ndarray):
         """Each drawn path's sum_k w_k e^{a L_k} over the nodes whose moments
         M holds (``moments`` or ``heads``), and each partner's with
         e^{-a L_k}, from the tile's powers P and e = e^{a mid}, inv = 1 / e;
-        every row's value is formed from its own row alone."""
-        even = np.einsum("mrj,mj->rj", P[0:len(M):2], M[0::2])
-        odd = np.einsum("mrj,mj->rj", P[1:len(M):2], M[1::2])
-        return np.einsum("rj,rj->r", e, even + odd), np.einsum("rj,rj->r", inv, even - odd)
+        every row's value is formed from its own row alone (``_per_row``)."""
+        even = _per_row("mjr,mj->jr", P[0:len(M):2], M[0::2])
+        odd = _per_row("mjr,mj->jr", P[1:len(M):2], M[1::2])
+        return _per_row("jr,jr->r", e, even + odd), _per_row("jr,jr->r", inv, even - odd)
 
     def node_sums(self, P: np.ndarray, e: np.ndarray, inv: np.ndarray, b: float) -> np.ndarray:
         """Per node, the sum over the tile's drawn paths of e^{b L_k} and over
         their partners of e^{-b L_k}, from P and e = e^{b mid}, inv = 1 / e."""
         G = self.nodes[b]
-        S = np.empty((len(G), P.shape[2]))
-        S[0::2] = np.einsum("mrj,rj->mj", P[0:len(G):2], e + inv)
-        S[1::2] = np.einsum("mrj,rj->mj", P[1:len(G):2], e - inv)
+        S = np.empty((len(G), P.shape[1]))
+        S[0::2] = np.einsum("mjr,jr->mj", P[0:len(G):2], e + inv)
+        S[1::2] = np.einsum("mjr,jr->mj", P[1:len(G):2], e - inv)
         return np.einsum("mk,mk->k", G, S[:, self.bridge.segment])
 
 
@@ -785,6 +820,23 @@ class _Pass:
         array and ``_BLOCK_PAIRS`` rows, one at least."""
         return min(_BLOCK_PAIRS, max(1, _TILE_ELEMENTS // self.width))
 
+    def layout(self, n_pairs: int) -> dict:
+        """The pass's layout over n_pairs rows, as a run records it: what a
+        tile holds (``chords``, ``segment_moments`` or ``coarse_values``), its
+        rows and the number of tiles, and on a leg the degrees of its series
+        (``PolicyLeg.series_degrees``) for J's exponent p vol and for
+        wealth's vol, which decide whether it takes moments."""
+        leg = self.leg
+        return {
+            "layout": ("chords" if self.chords else
+                       "coarse_values" if self.series is None else "segment_moments"),
+            "tile_rows": self.rows,
+            "n_tiles": -(-n_pairs // self.rows),
+            "series_degrees": None if leg is None else {
+                key: leg.series_degrees[b]
+                for key, b in (("utility", leg.u.p * leg.vol), ("wealth", leg.vol))},
+        }
+
 
 def _plan(n_steps: int, leg: Optional[PolicyLeg], estimators: list, n_replicates: int) -> _Pass:
     """The pass of the estimators over paths of n_steps steps, on the leg if
@@ -802,16 +854,17 @@ def _plan(n_steps: int, leg: Optional[PolicyLeg], estimators: list, n_replicates
 
 class Block:
     """One tile of the pass's antithetic pairs, m drawn paths of the plan's
-    bridge, seen through their chords: the chord L[i, k] (L[:, 0] = 0) is
-    the mean of path i at node k given its coarse values, and the bridge's
-    ``variance[k]`` its variance there, the same on every row. The partner
-    of row i runs on -L[i]. W holds the chords (m x (steps + 1)) where
-    ``plan.chords``, and otherwise the coarse values (m x (N + 1)), from
-    which no chord matrix is formed; there a leg's exponentials come from
-    segment moments (``plan.series``). ``chords`` reads the chords at given
-    nodes either way. ``scratch`` is a flat buffer the estimators may
-    overwrite, of ``plan.scratch`` elements per row. ``replicate`` holds
-    each row's replicate, of ``plan.n_replicates`` in the pass."""
+    bridge, seen through their chords, node-major: the chord L[k, i]
+    (L[0] = 0) is the mean of row i's path at node k given its coarse
+    values, and the bridge's ``variance[k]`` its variance there, the same on
+    every row. The partner of row i runs on -L[:, i]. W holds the chords
+    ((steps + 1) x m) where ``plan.chords``, and otherwise the coarse values
+    ((N + 1) x m), from which no chord matrix is formed; there a leg's
+    exponentials come from segment moments (``plan.series``). ``chords``
+    reads the chords at given nodes either way. ``scratch`` is a flat buffer
+    the estimators may overwrite, of ``plan.scratch`` elements per row.
+    ``replicate`` holds each row's replicate, of ``plan.n_replicates`` in
+    the pass."""
 
     def __init__(self, W: np.ndarray, scratch: np.ndarray, plan: _Pass, replicate: np.ndarray):
         self.W = W
@@ -826,18 +879,18 @@ class Block:
 
     def chords(self, nodes, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The drawn paths' chords at the given nodes (an index, slice or
-        index array), row-major: read from the chord matrix, a view for a
-        slice, out unused; on the coarse values read from them
+        index array), node-major: read from the chord matrix, a view for an
+        index or a slice, out unused; on the coarse values read from them
         where every node is a coarse node (a view for an index), and formed
         otherwise (``rqmc.BrownianBridge.chord_columns``), into out when it
         is given. Every way they are the same bits in the same layout, so
-        sums over their rows round alike."""
+        sums over their nodes round alike."""
         W, bridge = self.W, self.plan.bridge
         if self.plan.chords:
-            return W[:, nodes] if isinstance(nodes, slice) else np.take(W, nodes, axis=1)
-        column = bridge.column[nodes]
-        if np.all(column >= 0):  # coarse nodes only
-            return np.take(W, column, axis=1, out=out) if np.ndim(column) else W[:, column]
+            return W[nodes]
+        index = bridge.coarse_index[nodes]
+        if np.all(index >= 0):  # coarse nodes only
+            return np.take(W, index, axis=0, out=out) if np.ndim(index) else W[index]
         return bridge.chord_columns(W, nodes, out)
 
     @cached_property
@@ -851,7 +904,7 @@ class Block:
         the scratch buffer."""
         if self.plan.series is None:
             out = np.multiply(self.W, b, out=self.scratch(self.W.shape))
-            return 2.0 * np.cosh(out, out=out).sum(axis=0)
+            return 2.0 * np.cosh(out, out=out).sum(axis=1)
         mid, P = self._segments
         e = np.exp(b * mid)
         return self.plan.series.node_sums(P, e, np.reciprocal(e), b)
@@ -871,14 +924,12 @@ class Block:
         paths first, which is free again afterwards."""
         plan, leg = self.plan, self.plan.leg
         a = leg.u.p * leg.vol
-        # E[e^{a W} | coarse values] over e^{a W} of the chords, per node
-        lift = np.exp(0.5 * a * a * plan.bridge.variance)
         C = _terminal_control(self.chords(-1), a, leg.n_steps)
         Y_sum = None
         # the tail sums from each s (J's from 0) and the head sums before
         # each tail, as (drawn paths, partners)
         if plan.series is None:
-            weights = leg.weights * lift
+            weights = leg.lifted_weights
             Y = np.multiply(self.W, a, out=self.scratch(self.W.shape))
             np.exp(Y, out=Y)
             tails, heads = {s: [] for s in (0, *plan.tails)}, {s: [] for s in plan.tails}
@@ -886,11 +937,12 @@ class Block:
                 if half:
                     np.reciprocal(Y, out=Y)
                 for s in tails:
-                    tails[s].append(_dot(Y[:, s:], weights[s:]))
+                    tails[s].append(_per_row("kr,k->r", Y[s:], weights[s:]))
                 for s in heads:
-                    heads[s].append(_dot(Y[:, :s], weights[:s]))
+                    heads[s].append(_per_row("kr,k->r", Y[:s], weights[:s]))
                 if plan.power_sums:
-                    Y_sum = Y.sum(axis=0) if Y_sum is None else (Y_sum + Y.sum(axis=0)) * lift
+                    Y_sum = (Y.sum(axis=1) if Y_sum is None
+                             else (Y_sum + Y.sum(axis=1)) * leg.lift)
         else:
             series = plan.series
             mid, P = self._segments
@@ -899,7 +951,7 @@ class Block:
             tails, heads = ({s: series.row_sums(P, e, inv, M[s]) for s in M}
                             for M in (series.moments, series.heads))
             if plan.power_sums:
-                Y_sum = series.node_sums(P, e, inv, a) * lift
+                Y_sum = series.node_sums(P, e, inv, a) * leg.lift
         J = tails.pop(0)
         tails, heads = ({s: np.concatenate(halves) for s, halves in sums.items()}
                         for sums in (tails, heads))
@@ -934,7 +986,15 @@ def _fused_block(estimators: list, plan: _Pass) -> Callable:
 
 
 def run_estimators(cfg: SimConfig, estimators: list, leg: Optional[PolicyLeg] = None) -> list:
-    """Results of the estimators, in order, from one pass over the random stream.
+    """Results of the estimators, in order, from one pass over the random
+    stream: ``run_pass`` without the pass's layout."""
+    return run_pass(cfg, estimators, leg)[0]
+
+
+def run_pass(cfg: SimConfig, estimators: list,
+             leg: Optional[PolicyLeg] = None) -> tuple[list, dict]:
+    """Results of the estimators, in order, from one pass over the random
+    stream, and the pass's layout (``_Pass.layout``), which a run records.
 
     An estimator is a pair (block, finish). ``block(blk)`` maps one ``Block``
     to a dict of sums; ``blk.powers`` gives the leg's pair-averaged utility
@@ -950,12 +1010,12 @@ def run_estimators(cfg: SimConfig, estimators: list, leg: Optional[PolicyLeg] = 
     lays out the pass's tiles.
     """
     if not estimators:
-        return []
+        return [], {}
     n_sub = cfg.grid.n_steps if leg is None else leg.n_steps
     plan = _plan(n_sub, leg, estimators, cfg.n_replicates)
     sums = _accumulate_blocks(cfg, plan, _fused_block(estimators, plan))
-    return [finish({key: value for (j, key), value in sums.items() if j == i}, cfg.n_pairs)
-            for i, (_, finish) in enumerate(estimators)]
+    return ([finish({key: value for (j, key), value in sums.items() if j == i}, cfg.n_pairs)
+             for i, (_, finish) in enumerate(estimators)], plan.layout(cfg.n_pairs))
 
 
 def simulation_estimator(pol: EquilibriumPolicy, g: TimeGrid, leg: PolicyLeg,
@@ -965,14 +1025,15 @@ def simulation_estimator(pol: EquilibriumPolicy, g: TimeGrid, leg: PolicyLeg,
     lam_nodes = np.interp(nodes, pol.grid.nodes, pol.curve.values)
     voh_scale = lam_nodes * leg.scale / leg.u.p / d.h(g.horizon - nodes)
     wealth_factor = np.exp(leg.log_factor(1.0))
+    terminal_factors = {q: leg.power_factor(q, -1) for q in moment_orders}
 
     def block(blk):
         J, C, Y_sum = blk.powers[:3]
         out = {**_controlled_sums(blk, J, C),
                "wealth": blk.pair_sums(leg.vol) * wealth_factor,
                "voh": Y_sum * voh_scale}
-        for q in moment_orders:
-            out.update(_sums(f"m{q}", leg.pair_power(blk.chords(-1), q, -1)))
+        for q, factor in terminal_factors.items():
+            out.update(_sums(f"m{q}", leg.pair_power(blk.chords(-1), q, factor)))
         return out
 
     block.power_sums = True
@@ -1008,7 +1069,8 @@ def simulate_equilibrium(
     the expected-utility functional together with per-node summaries."""
     leg = equilibrium_leg(pol, cfg, m, u, d, start_time)
     est = simulation_estimator(pol, cfg.grid, leg, d, moment_orders)
-    return run_estimators(cfg, [est], leg)[0]
+    [batch], layout = run_pass(cfg, [est], leg)
+    return replace(batch, layout=layout)
 
 
 def value_identity_estimator(sol: ValueCurve, leg: PolicyLeg, t: float,
@@ -1074,15 +1136,16 @@ def martingale_estimator(sol: ValueCurve, cfg: SimConfig, m: MarketParams, u: Cr
     checkpoints = _checkpoints(g, max(n_checkpoints, 1))
     k = len(checkpoints)
     scale = (np.interp(g.nodes[checkpoints], sol.grid.nodes, sol.values) / u.p
-             / d.h(g.horizon - g.nodes[checkpoints]))
+             / d.h(g.horizon - g.nodes[checkpoints]))[:, None]
     legs = {key: _holding_leg(cfg, m, u, zeta)
             for key, zeta in (("eq", stock_fraction(m, u)), ("sub", suboptimal_zeta))}
+    factors = {key: leg.power_factor(u.p, checkpoints) for key, leg in legs.items()}
 
     def block(blk):
         out, L = {}, blk.chords(checkpoints)
         for key, leg in legs.items():
-            A = scale * leg.pair_power(L, u.p, checkpoints)
-            out[key], out[f"{key}_cross"] = A.sum(axis=0), A.T @ A
+            A = scale * leg.pair_power(L, u.p, factors[key])
+            out[key], out[f"{key}_cross"] = A.sum(axis=1), A @ A.T
         return out
 
     def pair_z(s, key, n, i, j):
@@ -1139,9 +1202,10 @@ def moment_estimator(cfg: SimConfig, m: MarketParams, u: CrraUtility, exponent_q
     g = cfg.grid
     checkpoints = _checkpoints(g, max(n_checkpoints + 1, 2))[1:]
     leg = _holding_leg(cfg, m, u, stock_fraction(m, u))
+    factor = leg.power_factor(exponent_q, checkpoints)
 
     def block(blk):
-        return _sums("y", leg.pair_power(blk.chords(checkpoints), exponent_q, checkpoints))
+        return _sums("y", leg.pair_power(blk.chords(checkpoints), exponent_q, factor))
 
     def finish(sums, n):
         out = []
@@ -1213,31 +1277,31 @@ def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
     a, b = p * leg.vol, p * m.sigma * math.sqrt(dt) * (zeta - leg.zeta)
     bridge = _bridge(leg.n_steps)
     var = bridge.variance
-    lift = np.exp(0.5 * a * a * var)
-    v_spiked = leg.scale * _utility_weights(leg.h_nodes, c_spiked, dt, p) * lift
+    v_spiked = leg.scale * _utility_weights(leg.h_nodes, c_spiked, dt, p) * leg.lift
     u = v_spiked[:w + 1] * np.exp(gap_drift + (a * b + 0.5 * b * b) * var[:w + 1])
     end_drift = gap_drift[w] + 0.5 * b * b * var[w]
     j = bridge.segment[w]
     lo, hi = bridge.nodes[j], bridge.nodes[j + 1]
     head, near = slice(0, w + 1), np.arange(w + 1, hi)
     cov = (w - lo) * (hi - near) / (hi - lo)
-    near_weights = (leg.weights * lift)[near] * np.expm1(a * b * cov)
+    near_weights = leg.lifted_weights[near] * np.expm1(a * b * cov)
 
     def loss(H, E, end_exponent, tail, Y_near):
         # E: e^{+-(a + b) L} of the window
         end = np.expm1(end_exponent)
-        return H - _dot(E, u) - end * tail - (1.0 + end) * _dot(Y_near, near_weights)
+        return (H - _per_row("kr,k->r", E, u) - end * tail
+                - (1.0 + end) * _per_row("kr,k->r", Y_near, near_weights))
 
     def block(blk):
         _, _, _, tails, heads = blk.powers
-        m_b = len(blk.W)
+        m_b = blk.W.shape[1]
         tail, H = tails[w + 1], heads[w + 1]
         # the window's exponentials, in the scratch buffer, which ``powers``
         # has released; on the coarse values the head's chords are formed
         # into it first
-        E = blk.scratch((m_b, w + 1))
+        E = blk.scratch((w + 1, m_b))
         L = blk.chords(head, out=E)
-        bL = b * L[:, w]
+        bL = b * L[w]
         Y_near = np.exp(a * blk.chords(near))
         np.exp(np.multiply(L, a + b, out=E), out=E)
         drawn = loss(H[:m_b], E, end_drift + bL, tail[:m_b], Y_near)

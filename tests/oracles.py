@@ -1,9 +1,9 @@
 """Test-owned oracles: residuals of the value PDEs, a node-by-node solve of
 the discretized integral equation, a numpy-array RK4 of the mixture system,
 the node loop of the dual PDE residual, the per-value CSV writer, whole
-Brownian paths bridged through given coarse values and the spike loss in its
-expm1 form, which only the test suite evaluates, kept out of the library so
-that it needs no optimizer."""
+Brownian paths bridged through given coarse values, the path-major coarse
+values and chords and the spike loss in its expm1 form, which only the test
+suite evaluates, kept out of the library so that it needs no optimizer."""
 
 import math
 
@@ -221,6 +221,34 @@ def bridged_paths(nodes, Wc, Z):
     return W
 
 
+def path_major_coarse(bridge, xi):
+    """W at the bridge's nodes 1..N of paths laid out a row per path (rows x
+    N) from their normals xi (rows x N), column by column in the
+    library's order of operations: the reference for the bits of its
+    node-major ``BrownianBridge.coarse``."""
+    W = np.empty(xi.shape)
+    np.multiply(xi[:, 0], math.sqrt(bridge.n_steps), out=W[:, -1])
+    for d, (mid, left, right, w_left, w_right, sd) in enumerate(bridge._levels, 1):
+        col = np.multiply(xi[:, d], sd, out=W[:, mid - 1])
+        if left:
+            col += w_left * W[:, left - 1]
+        col += w_right * W[:, right - 1]
+    return W
+
+
+def path_major_chords(bridge, Wc):
+    """The chords of paths laid out a row per path (rows x (n + 1)) from their
+    coarse values Wc (rows x (N + 1)), Wc_lo + (k - lo) / (hi - lo)
+    (Wc_hi - Wc_lo) node by node: the reference for the bits of the
+    library's node-major ``BrownianBridge.chords``."""
+    W = np.empty((len(Wc), bridge.n_steps + 1))
+    for k in range(bridge.n_steps + 1):
+        j = bridge.segment[k]
+        W[:, k] = (Wc[:, j + 1] - Wc[:, j]) * bridge._fraction[k] + Wc[:, j]
+    W[:, -1] = Wc[:, -1]
+    return W
+
+
 def expm1_perturbation_estimator(leg, eps: float, spike):
     """``simulate.perturbation_estimator`` with the window's loss in its expm1
     form, the reference for the library's exponential sums: per path and
@@ -265,9 +293,10 @@ def expm1_perturbation_estimator(leg, eps: float, spike):
 
     def block(blk):
         tail = blk.powers[3][w + 1]
-        m_b = len(blk.W)
-        L_head = np.array(blk.chords(slice(0, w + 1)))
-        L_near = np.array(blk.chords(near))
+        m_b = blk.W.shape[1]
+        # the chords a row per path
+        L_head = np.array(blk.chords(slice(0, w + 1)).T)
+        L_near = np.array(blk.chords(near).T)
         drawn = loss(L_head, 1.0, tail[:m_b], np.exp(a * L_near))
         partner = loss(L_head, -1.0, tail[m_b:], np.exp(-a * L_near))
         return simulate._sums("d", 0.5 * (drawn + partner) / eps)

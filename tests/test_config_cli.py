@@ -622,12 +622,11 @@ class TestCliVerify:
         tables["coarse"] = (tmp_path / "coarse" / "verification.csv").read_bytes()
         # the same command with its pass run on the equilibrium leg
         legs = []
-        equilibrium_leg, run_estimators = simulate.equilibrium_leg, simulate.run_estimators
+        equilibrium_leg, run_pass = simulate.equilibrium_leg, simulate.run_pass
         monkeypatch.setattr(simulate, "equilibrium_leg",
                             lambda *a: legs.append(equilibrium_leg(*a)) or legs[-1])
-        monkeypatch.setattr(simulate, "run_estimators",
-                            lambda cfg, estimators, leg=None: run_estimators(cfg, estimators,
-                                                                             legs[-1]))
+        monkeypatch.setattr(simulate, "run_pass",
+                            lambda cfg, estimators, leg=None: run_pass(cfg, estimators, legs[-1]))
         assert cli.main(argv + [str(tmp_path / "leg")]) == 0
         assert len(calls) == 2 and not legs[-1].takes_moments
         tables["leg"] = (tmp_path / "leg" / "verification.csv").read_bytes()
@@ -838,51 +837,44 @@ class TestDefaultWorkerCount:
 
 def test_worker_count_does_not_change_bytes_in_ragged_tiles(tmp_path, monkeypatch):
     # three rows per tile on the 200-step grid; 2500 pairs round up to 40
-    # replicates of 64, and a block of 301 pairs to four of them: ten blocks
-    # of 256 pairs, whose replicates the tiles split, each ending in a ragged
-    # tile of one row
+    # replicates of 64 (2432 to 38), and a block of 301 pairs to four of
+    # them: blocks of 256 pairs, whose replicates the tiles split, and the
+    # pass ends in a ragged tile of one row (of two)
     monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * 201)
     monkeypatch.setattr(simulate, "_BLOCK_PAIRS", 301)
-    for command in ("simulate", "verify"):
-        outs, codes = [], set()
-        for workers in (1, 8):
-            ini = write_ini(tmp_path, extra=f"n_workers = {workers}\n",
-                            name=f"{command}{workers}.ini")
-            outs.append(tmp_path / f"{command}{workers}")
-            codes.add(cli.main([command, "--config", ini, "--out", str(outs[-1])]))
-        assert codes == {0}
-        names = sorted(path.name for path in outs[0].glob("*.csv"))
-        assert names
-        for name in names:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    tiles = record_tiles(monkeypatch)
+    for n_paths, pairs, last in ((5000, 2560, 1), (4864, 2432, 2)):
+        body = BASE_INI.replace("n_paths = 5000", f"n_paths = {n_paths}")
+        assert_worker_count_keeps_bytes(tmp_path / f"paths{n_paths}", body, (1, 8))
+        # four passes, each of whole tiles of three rows and a last one
+        assert [sorted(run) for run in tiles] == [[last] + [3] * (pairs // 3)] * 4
+        tiles.clear()
 
 
-def test_worker_count_does_not_change_bytes_on_segment_moments(tmp_path, monkeypatch):
-    # the 1000-step leg sums its segments from their Taylor moments and
-    # never forms the chord matrix; its widest array is the segment powers,
-    # (D + 1) x 16 = 23 x 16 per row (D = 22 for wealth), wider than the
-    # heads of verify's two windows (251 and 101 nodes): seven rows per
-    # tile over ten blocks of 256 pairs, and the pass's 2560 rows end in a
-    # ragged tile of five
-    monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 7 * 23 * 16)
-    monkeypatch.setattr(simulate, "_BLOCK_PAIRS", 301)
-    chords, tiles = [], []
-    bridge_chords = simulate.BrownianBridge.chords
-    monkeypatch.setattr(simulate.BrownianBridge, "chords",
-                        lambda *a: chords.append(1) or bridge_chords(*a))
+def record_tiles(monkeypatch) -> list:
+    """The rows of each tile of every pass, a list per pass in the order the
+    tiles ran."""
+    tiles = []
     accumulate = simulate._accumulate_blocks
 
     def tiled(cfg, plan, block_fn):
-        return accumulate(cfg, plan, lambda W, *a: tiles.append(len(W)) or block_fn(W, *a))
+        tiles.append([])
+        return accumulate(cfg, plan,
+                          lambda W, *a: tiles[-1].append(W.shape[1]) or block_fn(W, *a))
 
     monkeypatch.setattr(simulate, "_accumulate_blocks", tiled)
-    body = BASE_INI.replace("n_steps = 200", "n_steps = 1000")
+    return tiles
+
+
+def assert_worker_count_keeps_bytes(out, body, worker_counts):
+    """simulate and verify on the config body exit 0 and write the same CSV
+    bytes at each worker count."""
     for command in ("simulate", "verify"):
         outs, codes = [], set()
-        for workers in (1, 2, 8):
-            ini = write_ini(tmp_path, body=body, extra=f"n_workers = {workers}\n",
-                            name=f"{command}{workers}.ini")
-            outs.append(tmp_path / f"{command}{workers}")
+        for workers in worker_counts:
+            ini = write_ini(out.parent, body=body, extra=f"n_workers = {workers}\n",
+                            name=f"{out.name}{command}{workers}.ini")
+            outs.append(out / f"{command}{workers}")
             codes.add(cli.main([command, "--config", ini, "--out", str(outs[-1])]))
         assert codes == {0}
         names = sorted(path.name for path in outs[0].glob("*.csv"))
@@ -890,9 +882,55 @@ def test_worker_count_does_not_change_bytes_on_segment_moments(tmp_path, monkeyp
         for name in names:
             for other in outs[1:]:
                 assert (outs[0] / name).read_bytes() == (other / name).read_bytes(), name
+
+
+def test_worker_count_does_not_change_bytes_on_segment_moments(tmp_path, monkeypatch):
+    # the 1000-step leg sums its segments from their Taylor moments and
+    # never forms the chord matrix; its widest array is the segment powers,
+    # (D + 1) x 16 = 23 x 16 per row (D = 22 for wealth), wider than the
+    # heads of verify's two windows (251 and 101 nodes): seven rows per
+    # tile over blocks of 256 pairs, and the pass's 2304 rows (2368) end in
+    # a ragged tile of one (of two)
+    monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 7 * 23 * 16)
+    monkeypatch.setattr(simulate, "_BLOCK_PAIRS", 301)
+    chords = []
+    bridge_chords = simulate.BrownianBridge.chords
+    monkeypatch.setattr(simulate.BrownianBridge, "chords",
+                        lambda *a: chords.append(1) or bridge_chords(*a))
+    tiles = record_tiles(monkeypatch)
+    for n_paths, pairs, last in ((4608, 2304, 1), (4736, 2368, 2)):
+        body = (BASE_INI.replace("n_steps = 200", "n_steps = 1000")
+                .replace("n_paths = 5000", f"n_paths = {n_paths}"))
+        assert_worker_count_keeps_bytes(tmp_path / f"paths{n_paths}", body, (1, 2, 8))
+        # six passes, each of whole tiles of seven rows and a last one
+        assert [sorted(run) for run in tiles] == [[last] + [7] * (pairs // 7)] * 6
+        tiles.clear()
     assert chords == []
-    # six passes, each of 365 tiles of seven rows and one of five
-    assert sorted(tiles) == [5] * 6 + [7] * (6 * 365)
+
+
+def test_manifests_record_each_pass_s_layout(tmp_path):
+    # 5000 paths round up to 2560 pairs: verify's 200-step leg forms the
+    # chords in tiles of 2048 rows, its 1000-step leg and simulate's take
+    # segment moments in tiles of 1424, and the martingale checks alone hold
+    # the coarse values; the series degrees are the leg's, used or not
+    body = BASE_INI.replace("n_steps = 200", "n_steps = 1000")
+    runs = {"chords": (["verify"], BASE_INI),
+            "coarse": (["verify", "--checks", "martingale"], BASE_INI),
+            "verify moments": (["verify"], body), "simulate moments": (["simulate"], body),
+            "none": (["verify", "--checks", "duality"], BASE_INI)}
+    layouts = {}
+    for name, (argv, text) in runs.items():
+        out = tmp_path / name.replace(" ", "_")
+        assert cli.main([*argv, "--config", write_ini(tmp_path, body=text), "--out", str(out)]) == 0
+        layouts[name] = json.loads((out / "manifest.json").read_text())["monte_carlo_pass"]
+    moments = {"layout": "segment_moments", "tile_rows": 1424, "n_tiles": 2,
+               "series_degrees": {"utility": 17, "wealth": 22}}
+    assert layouts == {
+        "chords": {"layout": "chords", "tile_rows": 2048, "n_tiles": 2,
+                   "series_degrees": {"utility": 18, "wealth": 24}},
+        "coarse": {"layout": "coarse_values", "tile_rows": 2048, "n_tiles": 2,
+                   "series_degrees": None},
+        "verify moments": moments, "simulate moments": moments, "none": None}
 
 
 class TestCliSimulate:

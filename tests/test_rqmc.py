@@ -38,21 +38,23 @@ class TestSobol:
 
     @pytest.mark.parametrize("m", [0, 1, 5, 9])
     def test_every_scrambled_net_puts_one_point_in_each_interval(self, m):
-        # 20 replicates, each the net XOR its own digital shift
+        # 20 replicates, each the net XOR its own digital shift; a row per
+        # coordinate
         net = sobol_net(16, m)
         words = random_words(m, (20, 16))
         for r in range(20):
             u = shifted_points(net, words, np.arange(r * 2**m, (r + 1) * 2**m))
-            assert np.all((u > 0) & (u < 1))
-            cells = np.sort(np.floor(u * 2**m).astype(int), axis=0)
-            np.testing.assert_array_equal(cells, np.arange(2**m)[:, None].repeat(16, 1))
+            assert u.shape == (16, 2**m) and np.all((u > 0) & (u < 1))
+            cells = np.sort(np.floor(u * 2**m).astype(int), axis=1)
+            np.testing.assert_array_equal(cells, np.arange(2**m)[None, :].repeat(16, 0))
 
     def test_shifted_points_are_the_net_xor_each_replicates_word(self):
         # rows 3..20 of replicates of 8 points: row i is point i % 8 XOR the
         # top BITS bits of replicate i // 8's word for that coordinate
         net, words, rows = sobol_net(5, 3), random_words(1, (3, 5)), np.arange(3, 21)
         points = sobol_points(sobol_directions(5, 3), 8)
-        for i, u in zip(rows, shifted_points(net, words, rows)):
+        np.testing.assert_array_equal(net, points.T)
+        for i, u in zip(rows, shifted_points(net, words, rows).T):
             shift = [int(w) >> (64 - BITS) for w in words[i // 8]]
             expected = [(int(x) ^ e) for x, e in zip(points[i % 8], shift)]
             np.testing.assert_array_equal(u, (np.array(expected, dtype=float) + 0.5) * 2.0**-BITS)
@@ -62,7 +64,7 @@ class TestSobol:
         # the first point of an unrandomized net is 0; over many shifts its
         # first coordinate spreads evenly over (0, 1)
         first = shifted_points(sobol_net(1, 3), random_words(0, (4000, 1)),
-                               np.arange(0, 8 * 4000, 8))[:, 0]
+                               np.arange(0, 8 * 4000, 8))[0]
         counts = np.histogram(first, bins=10, range=(0, 1))[0]
         assert counts.min() > 330 and counts.max() < 470, counts
 
@@ -98,15 +100,16 @@ class TestBrownianBridge:
                                               (100, 16), (1000, 16)])
     def test_coarse_values_have_the_law_of_w_at_the_nodes(self, n_steps, dim):
         # W at nodes 1..N is linear in iid normals, so its law is fixed by
-        # the covariance B^T B, which must be min(t_i, t_j)
+        # the covariance B B^T (B: nodes x normals), which must be
+        # min(t_i, t_j)
         bridge = BrownianBridge(n_steps)
         assert bridge.dim == dim and bridge.nodes[-1] == n_steps
         assert np.all(np.diff(bridge.nodes) >= 1)
         B = bridge.coarse(np.eye(dim))
         t = bridge.nodes[1:]
-        np.testing.assert_allclose(B.T @ B, np.minimum.outer(t, t), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(B @ B.T, np.minimum.outer(t, t), rtol=1e-13, atol=1e-13)
         # the terminal node takes the first coordinate alone
-        np.testing.assert_array_equal(B[:, -1], np.sqrt(n_steps) * np.eye(dim)[0])
+        np.testing.assert_array_equal(B[-1], np.sqrt(n_steps) * np.eye(dim)[0])
 
     @pytest.mark.parametrize("n_steps", [1, 3, 16, 17, 100, 1000])
     def test_paths_take_the_coarse_values_and_bridge_the_normals(self, n_steps):
@@ -117,20 +120,20 @@ class TestBrownianBridge:
         rng = np.random.default_rng(n_steps)
         bridge = BrownianBridge(n_steps)
         rows, draws = 3, 4000
-        Wc = np.concatenate([np.zeros((rows, 1)),
-                             bridge.coarse(rng.standard_normal((rows, bridge.dim)))], axis=1)
-        chords = np.full((rows, n_steps + 1), np.nan)
-        bridge.chords(Wc, chords, np.full(chords.shape, np.nan))
-        assert np.array_equal(chords[:, bridge.nodes], Wc) and np.all(chords[:, 0] == 0.0)
+        Wc = np.concatenate([np.zeros((1, rows)),
+                             bridge.coarse(rng.standard_normal((bridge.dim, rows)))])
+        chords = np.full((n_steps + 1, rows), np.nan)
+        bridge.chords(Wc, chords)
+        assert np.array_equal(chords[bridge.nodes], Wc) and np.all(chords[0] == 0.0)
         for row in range(rows):
-            W = bridged_paths(bridge.nodes, np.repeat(Wc[[row]], draws, axis=0),
-                              rng.standard_normal((draws, n_steps)))
-            np.testing.assert_allclose(W[:, bridge.nodes], np.repeat(Wc[[row]], draws, axis=0),
-                                       rtol=0, atol=1e-12)
+            # the oracle's paths are row-major, a row per path
+            coarse = np.repeat(Wc[:, row][None], draws, axis=0)
+            W = bridged_paths(bridge.nodes, coarse, rng.standard_normal((draws, n_steps)))
+            np.testing.assert_allclose(W[:, bridge.nodes], coarse, rtol=0, atol=1e-12)
             # 4000 draws: the sample mean is within 5 of its standard errors
             # of the chord, and at the coarse nodes within the mean's rounding
             se = np.sqrt(bridge.variance / draws)
-            assert np.all(np.abs(W.mean(axis=0) - chords[row]) <= 5 * se + 1e-10)
+            assert np.all(np.abs(W.mean(axis=0) - chords[:, row]) <= 5 * se + 1e-10)
             # and the sample variance within 5 of its standard errors,
             # sqrt(2 / draws) relative, of the bridge variance
             np.testing.assert_allclose(W.var(axis=0), bridge.variance,
@@ -140,13 +143,12 @@ class TestBrownianBridge:
     def test_chord_columns_are_those_columns_of_the_chords(self, n_steps):
         bridge = BrownianBridge(n_steps)
         rng = np.random.default_rng(n_steps)
-        Wc = np.concatenate([np.zeros((5, 1)), bridge.coarse(rng.standard_normal((5, bridge.dim)))],
-                            axis=1)
-        W = bridge.chords(Wc, np.empty((5, n_steps + 1)), np.empty((5, n_steps + 1)))
+        Wc = np.concatenate([np.zeros((1, 5)), bridge.coarse(rng.standard_normal((bridge.dim, 5)))])
+        W = bridge.chords(Wc, np.empty((n_steps + 1, 5)))
         for nodes in (-1, 0, n_steps, n_steps // 3, slice(0, n_steps // 3 + 1), slice(None),
                       np.array([0, bridge.nodes[-2], n_steps]),
                       np.unique(np.linspace(0, n_steps, 5).round().astype(int))):
-            np.testing.assert_array_equal(bridge.chord_columns(Wc, nodes), W[:, nodes])
+            np.testing.assert_array_equal(bridge.chord_columns(Wc, nodes), W[nodes])
 
     @pytest.mark.parametrize("n_steps", [1, 17, 100, 1000, 2000])
     def test_slope_bound_is_the_largest_rise_of_the_drawable_normals(self, n_steps):
@@ -158,12 +160,11 @@ class TestBrownianBridge:
             [-xi_max, xi_max]
         assert 8.2 < xi_max < 8.21
         bridge = BrownianBridge(n_steps)
-        unit = np.zeros((bridge.dim, bridge.dim + 1))
-        unit[:, 1:] = bridge.coarse(np.eye(bridge.dim))
-        A = np.diff(unit, axis=1)
-        rises = np.diff(bridge.coarse(xi_max * np.sign(A.T)), axis=1, prepend=0.0)
+        # A: each segment's rise (a column per segment) in the normals
+        A = np.diff(bridge.coarse(np.eye(bridge.dim)), axis=0, prepend=0.0).T
+        rises = np.diff(bridge.coarse(xi_max * np.sign(A)), axis=0, prepend=0.0)
         np.testing.assert_allclose(np.diag(rises), bridge.slope_bound, rtol=1e-13)
         rng = np.random.default_rng(n_steps)
-        xi = np.clip(rng.standard_normal((2000, bridge.dim)) * 3, -xi_max, xi_max)
-        Wc = np.concatenate([np.zeros((2000, 1)), bridge.coarse(xi)], axis=1)
-        assert np.all(np.abs(np.diff(Wc, axis=1)) <= bridge.slope_bound * (1 + 1e-12))
+        xi = np.clip(rng.standard_normal((bridge.dim, 2000)) * 3, -xi_max, xi_max)
+        Wc = np.concatenate([np.zeros((1, 2000)), bridge.coarse(xi)])
+        assert np.all(np.abs(np.diff(Wc, axis=0)) <= bridge.slope_bound[:, None] * (1 + 1e-12))

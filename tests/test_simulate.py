@@ -45,7 +45,12 @@ from eqmerton.solver import (
     residual_integral_equation,
     solve_no_consumption,
 )
-from oracles import bridged_paths, expm1_perturbation_estimator
+from oracles import (
+    bridged_paths,
+    expm1_perturbation_estimator,
+    path_major_chords,
+    path_major_coarse,
+)
 
 
 @pytest.fixture(scope="module")
@@ -1039,9 +1044,9 @@ class TestTiles:
                             lambda W, *a, **kw: seen.append(W.shape) or Block(W, *a, **kw))
 
         def assert_tiles(cfg, rows, width):
-            # whole tiles of the given rows, then what is left
+            # whole tiles of the given rows, then what is left, node-major
             full, left = divmod(cfg.n_pairs, rows)
-            assert seen == [(rows, width)] * full + [(left, width)] * (left > 0), seen
+            assert seen == [(width, rows)] * full + [(width, left)] * (left > 0), seen
             seen.clear()
 
         for n_steps, rows, width in ((1000, simulate._TILE_ELEMENTS // (23 * 16), 17),
@@ -1111,9 +1116,9 @@ def assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, pairs, rep, counts,
     seen, replicates = [], []
 
     def block(W, _buffers, replicate):
-        seen.append(W.copy())
+        seen.append(W.T.copy())  # a row per path
         replicates.append(replicate)
-        return {"rows": len(W)}
+        return {"rows": W.shape[1]}
 
     assert simulate._accumulate_blocks(cfg, chord_pass(cfg, n_sub), block) == {"rows": cfg.n_pairs}
     assert [len(W) for W in seen] == tiles
@@ -1129,8 +1134,10 @@ def assert_coarse_values_are_the_shifted_nets(monkeypatch, rep, pairs, tiles):
     7), in replicates of rep pairs, blocks of the given pairs and tiles of
     five rows (their sizes: tiles): the nodes of each tile's rows carry
     their replicate's shifted net, mapped through Phi^{-1} and the bridge,
-    bit for bit. A block's generator draws one word per coordinate for each
-    of its replicates in turn."""
+    and every node their chords, bit for bit the path-major arithmetic
+    (``oracles.path_major_coarse`` and ``path_major_chords``). A block's
+    generator draws one word per coordinate for each of its replicates in
+    turn."""
     g = TimeGrid(horizon=1.0, n_steps=37)
     monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 5 * 38)
     monkeypatch.setattr(simulate, "_MIN_REPLICATE_PAIRS", rep)
@@ -1140,7 +1147,7 @@ def assert_coarse_values_are_the_shifted_nets(monkeypatch, rep, pairs, tiles):
     bridge = BrownianBridge(37)
     seen = []
     simulate._accumulate_blocks(cfg, chord_pass(cfg, 37),
-                                lambda W, _b, _r: seen.append(W.copy()) or {})
+                                lambda W, _b, _r: seen.append(W.T.copy()) or {})
     assert [len(W) for W in seen] == tiles
     W = np.concatenate(seen)
     points = sobol_points(sobol_directions(16, rep.bit_length() - 1), rep)
@@ -1150,8 +1157,10 @@ def assert_coarse_values_are_the_shifted_nets(monkeypatch, rep, pairs, tiles):
             (per_block, 16))[j % per_block] >> np.uint64(12))))
         for j in range(32 // rep)])
     # the bridge is elementwise, so each row's values are the same bits
-    # whatever rows it is formed with
-    np.testing.assert_array_equal(W[:, bridge.nodes[1:]], bridge.coarse(xi))
+    # whatever rows it is formed with, and in either layout
+    Wc = np.concatenate([np.zeros((32, 1)), path_major_coarse(bridge, xi)], axis=1)
+    np.testing.assert_array_equal(W[:, bridge.nodes], Wc)
+    np.testing.assert_array_equal(W, path_major_chords(bridge, Wc))
 
 
 def pair_stats(a):
@@ -1335,15 +1344,13 @@ def stated_degree(h):
 
 
 def extreme_normals(bridge):
-    """Rows of normals at the stream's largest size |Phi^{-1}(2^-53)|, one
-    pair per segment, whose rise on that segment is +- the bridge's
-    ``slope_bound``: the coefficients of W(hi) - W(lo) in the normals give
-    the signs."""
+    """Normals at the stream's largest size |Phi^{-1}(2^-53)| (N x paths),
+    a pair of paths per segment, whose rise on that segment is +- the
+    bridge's ``slope_bound``: the coefficients of W(hi) - W(lo) in the
+    normals give the signs."""
     xi_max = -norm_ppf(np.array([2.0**-53]))[0]
-    unit = np.zeros((bridge.dim, bridge.dim + 1))
-    unit[:, 1:] = bridge.coarse(np.eye(bridge.dim))
-    signs = np.sign(np.diff(unit, axis=1)).T
-    return xi_max * np.concatenate([signs, -signs])
+    signs = np.sign(np.diff(bridge.coarse(np.eye(bridge.dim)), axis=0, prepend=0.0)).T
+    return xi_max * np.concatenate([signs, -signs], axis=1)
 
 
 class TestSegmentSeries:
@@ -1356,13 +1363,15 @@ class TestSegmentSeries:
         pol, leg, g = series_leg(excess, p, horizon, n_steps, hyp_discount)
         bridge = BrownianBridge(n_steps)
         rng = np.random.default_rng(n_steps)
-        xi = np.concatenate([rng.standard_normal((40, bridge.dim)), extreme_normals(bridge)])
-        Wc = np.concatenate([np.zeros((len(xi), 1)), bridge.coarse(xi)], axis=1)
+        xi = np.concatenate([rng.standard_normal((bridge.dim, 40)), extreme_normals(bridge)],
+                            axis=1)
+        rows = xi.shape[1]
+        Wc = np.concatenate([np.zeros((1, rows)), bridge.coarse(xi)])
         # every rise within the bound, which the extreme rows reach
-        rise = np.abs(np.diff(Wc, axis=1))
-        assert np.all(rise <= bridge.slope_bound * (1 + 1e-12))
-        assert np.allclose(rise.max(axis=0), bridge.slope_bound, rtol=1e-12)
-        W = bridge.chords(Wc, np.empty((len(xi), n_steps + 1)), np.empty((len(xi), n_steps + 1)))
+        rise = np.abs(np.diff(Wc, axis=0))
+        assert np.all(rise <= bridge.slope_bound[:, None] * (1 + 1e-12))
+        assert np.allclose(rise.max(axis=1), bridge.slope_bound, rtol=1e-12)
+        W = bridge.chords(Wc, np.empty((n_steps + 1, rows)))
         # a tail from a coarse node, one from inside a segment, and the
         # gross spike's, from w + 1
         w = int(0.3 * n_steps)
@@ -1376,7 +1385,7 @@ class TestSegmentSeries:
             assert D == stated_degree(abs(b) * half_rise)
             assert len(series.nodes[b]) == D + 1
         assert len(series.moments[0]) == leg.series_degrees[p * leg.vol] + 1
-        replicate = np.zeros(len(W), dtype=np.intp)
+        replicate = np.zeros(rows, dtype=np.intp)
         on_chords = Block(W, np.empty(W.size),
                           simulate._Pass(bridge, leg, tails, True, 1, None, chords=True), replicate)
         on_moments = Block(Wc, np.empty(W.size),
@@ -1522,14 +1531,13 @@ class TestConditionalExpectations:
         spike = Spike(zeta=pol.stock_fraction + 1.0, consumption=0.3)
         rng = np.random.default_rng(5)
         rows = 3
-        Wc = np.concatenate([np.zeros((rows, 1)),
-                             bridge.coarse(rng.standard_normal((rows, bridge.dim)))], axis=1)
+        Wc = np.concatenate([np.zeros((1, rows)),
+                             bridge.coarse(rng.standard_normal((bridge.dim, rows)))])
         scratch = np.empty(rows * (g.n_steps + 1))
         assert leg.takes_moments == (n_steps == 400)
         series = SegmentSeries(leg, (w + 1,)) if leg.takes_moments else None
         plan = simulate._Pass(bridge, leg, (w + 1,), True, 1, series, chords=series is None)
-        paths = Wc if series is not None else bridge.chords(
-            Wc, np.empty((rows, g.n_steps + 1)), np.empty((rows, g.n_steps + 1)))
+        paths = Wc if series is not None else bridge.chords(Wc, np.empty((g.n_steps + 1, rows)))
         blk = Block(paths, scratch, plan, np.zeros(rows, dtype=np.intp))
         J, C, Y_sum, tails, heads = blk.powers
         sim_sums = simulation_estimator(pol, g, leg, hyp_discount)[0](blk)
@@ -1546,7 +1554,7 @@ class TestConditionalExpectations:
         ck = _checkpoints(g, 7)[1:]
         fine = {key: [] for key in ("j", "y", "wealth", "tail", "m", "d")}
         for row in range(rows):
-            W = bridged_paths(bridge.nodes, np.repeat(Wc[[row]], draws, axis=0),
+            W = bridged_paths(bridge.nodes, np.repeat(Wc[:, row][None], draws, axis=0),
                               rng.standard_normal((draws, g.n_steps)))
             Z = np.diff(W, axis=1)
             per_path = {key: [] for key in fine}
@@ -1609,13 +1617,16 @@ def assert_rows_are_tile_free(market, utility, hyp_discount, monkeypatch, n_step
     coarse node, one between nodes), the per-row loss of a spike ending
     before each tail, and the chords at a few nodes of every row (between
     coarse nodes, on them, and the terminal node alone), gathered in row
-    order from a pass in tiles of the default size and from one in ragged
-    tiles of three rows, are the same bits; the 1000-step leg takes moments,
-    the 200-step leg chords."""
+    order from a pass in tiles of the default size and from passes in
+    ragged tiles of three and of five rows, whose last tiles hold one row
+    and two, are the same bits; the 1000-step leg takes moments, the
+    200-step leg chords. numpy sums a node-major array of one column
+    pairwise, and of two or more in sequence."""
     g = TimeGrid(horizon=1.0, n_steps=n_steps)
     pol = equilibrium_policy(picard_solve(market, utility, hyp_discount, g), market, utility)
     blocks_of(monkeypatch, 512)
-    cfg = sim_cfg(g, n_paths=3000, seed=11, n_workers=1)
+    cfg = sim_cfg(g, n_paths=3584, seed=11, n_workers=1)
+    assert cfg.n_pairs == 1792
     leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
     assert leg.takes_moments == (n_steps == 1000)
     columns = {"chords": np.array([7, tails[1], n_steps]),
@@ -1635,7 +1646,8 @@ def assert_rows_are_tile_free(market, utility, hyp_discount, monkeypatch, n_step
         J, C, _, T, H = blk.powers
         m = len(J)
         return {"j": [J], "c": [C],
-                **{key: [blk.chords(nodes)] for key, nodes in columns.items()},
+                # copies: a view of the chords lives only as long as its tile
+                **{key: [np.array(blk.chords(nodes).T)] for key, nodes in columns.items()},
                 **{f"{kind}{s}": [sums[s][:m]] for kind, sums in (("tail", T), ("head", H))
                    for s in tails},
                 **{f"partner_{kind}{s}": [sums[s][m:]]
@@ -1647,15 +1659,17 @@ def assert_rows_are_tile_free(market, utility, hyp_discount, monkeypatch, n_step
         return {key: np.concatenate(parts) for key, parts in sums.items()}
 
     whole = rows()
-    # three rows of the pass's widest array: the chords, or on moments the
-    # segment powers
-    monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 3 * plan.width)
-    assert plan.rows == 3
-    ragged = rows()
     assert set(whole) == {"j", "c", *columns, *(f"{side}{kind}{s}" for s in tails
                                                 for kind in ("tail", "head")
                                                 for side in ("", "partner_")),
                           *(f"loss{s}" for s in tails)}
-    for key in whole:
-        assert len(whole[key]) == cfg.n_pairs
-        np.testing.assert_array_equal(whole[key], ragged[key], err_msg=key)
+    # tiles of three and of five rows of the pass's widest array (the
+    # chords, or on moments the segment powers), the last of one and two
+    for tile_rows, last in ((3, 1), (5, 2)):
+        monkeypatch.setattr(simulate, "_TILE_ELEMENTS", tile_rows * plan.width)
+        assert plan.rows == tile_rows and cfg.n_pairs % tile_rows == last
+        ragged = rows()
+        for key in whole:
+            assert len(whole[key]) == cfg.n_pairs
+            np.testing.assert_array_equal(whole[key], ragged[key],
+                                          err_msg=f"{key}, tiles of {tile_rows}")
