@@ -24,14 +24,15 @@ tiles, whose sizes the table's last three rows give:
 * X^p           exp(p vol W) of the chords, which is the conditional X^p up
                 to per-node factors, into the scratch buffer, then its
                 reciprocal, the partners';
-* reductions    the utility functional, each row's sum over the nodes, and
-                the per-node sums, once for each half of the pairs;
+* reductions    the utility functional, each row's sum over the nodes, once
+                for each half of the pairs;
 * control       the terminal control of J (``simulate._terminal_control``):
                 two exponentials on the last column, then the sums of C,
                 C^2 and J C that the finisher regresses on;
 * wealth cosh   the per-node sums of cosh(vol W) over the pairs
                 (``simulate.Block.pair_sums``), which ``simulate``'s mean
-                wealth scales by per-node factors;
+                wealth scales by per-node factors, as its mean value over
+                the discount scales those of cosh(p vol W);
 * checkpoints   each pair's average E[X^p | coarse values] at the martingale
                 check's five checkpoints (``simulate.PolicyLeg.pair_power``).
 
@@ -47,13 +48,15 @@ does not):
                 each path's sum of the weights against e^{+-a W}, from the
                 segment moments of the weights;
 * column sums   the per-node sums of e^{a W} and e^{-a W} (the X^p sums)
-                and of e^{+-vol W} (mean wealth), from per-segment row sums.
+                and of e^{+-vol W} (mean wealth), from per-segment row sums
+                (``simulate.Block.pair_sums``).
 
 Then come the whole ``simulate`` and ``verify`` block functions on the same
 paths, on the chords or the coarse values as a pass on the leg would take
 them (the perturbation rows read their tails and heads from the shared
 X^p); the perturbation heads alone, ``verify``'s two spikes on a block whose
-X^p sums are already formed: each spike's window chords (read from the
+``simulate.Block.powers`` (J, its control, the tails and the heads) are
+already formed: each spike's window chords (read from the
 chord matrix, or formed from the coarse values), one exponential of them
 and its reciprocal, and the per-row sums of its loss; a whole
 ``simulate_equilibrium`` pass over --pass-blocks blocks of the library's
@@ -161,8 +164,7 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
         np.reciprocal(Y, out=Y)
 
     def reductions():
-        return [(_per_row("kr,k->r", scratch, leg.lifted_weights), scratch.sum(axis=1))
-                for _ in range(2)]
+        return [_per_row("kr,k->r", scratch, leg.lifted_weights) for _ in range(2)]
 
     J = np.ones(cfg.n_pairs)  # the pairs' J; its values do not change the time
 
@@ -171,7 +173,8 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
         return _sums("c", C), J @ C
 
     replicate = np.arange(cfg.n_pairs) // rep
-    on_chords = _Pass(bridge, leg, (), False, cfg.n_replicates, None, chords=True)
+    on_chords = _Pass(bridge=bridge, leg=leg, tails=(), n_replicates=cfg.n_replicates,
+                      series=None, chords=True)
 
     def wealth():
         Block(W, flat, on_chords, replicate).pair_sums(leg.vol)
@@ -234,7 +237,7 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
     row["verify block"] = best_ms(lambda: verify_block(paths, flat, replicate), repeats)
     spike_blocks = [perturbation_estimator(leg, eps, Spike(zeta=zeta))[0] for eps, zeta in spikes]
     blk = Block(paths, flat, verify_plan, replicate)
-    blk.powers  # the X^p sums, tails and heads, formed once as in a pass
+    blk.powers  # J, its control, the tails and the heads, formed once as in a pass
     row["perturbation heads"] = best_ms(lambda: [fn(blk) for fn in spike_blocks], repeats)
     passes = {label: replace(cfg, n_paths=pass_blocks * 2 * _BLOCK_PAIRS, n_workers=workers)
               for label, workers in (("1 worker", 1), ("default", 0))}
@@ -247,7 +250,8 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
     row["peak MB"] = traced_peak_mb(lambda: simulate_equilibrium(
         pol, cfg, m, u, d, moment_orders=moments))
     for kind, plan in (("chords", on_chords),
-                       ("moments", _Pass(bridge, leg, tails, False, cfg.n_replicates, series,
+                       ("moments", _Pass(bridge=bridge, leg=leg, tails=tails,
+                                         n_replicates=cfg.n_replicates, series=series,
                                          chords=False)),
                        ("no leg", _plan(n_steps, None, [], cfg.n_replicates))):
         row[f"tile rows {kind}"] = plan.rows

@@ -155,13 +155,16 @@ def _monte_carlo_verdicts(cfg: RunConfig, checks: tuple, nc_curve,
                           perturb_lambda: float) -> tuple[list, dict]:
     """Verdicts of the requested Monte Carlo checks, which share one pass over
     the random stream from t = 0 along the equilibrium policy, and that
-    pass's layout; a pass whose checks read no utility functional (the
-    martingale checks alone) runs without the leg, on the coarse values."""
+    pass's layout. Only the checks that read the utility functional solve
+    lam and run on its leg; the martingale checks alone read the
+    bequest-only curve and run without a leg, on the coarse values."""
     m, u, d, g = cfg.market, cfg.utility, cfg.discount, cfg.grid
-    curve = _solve_curve(cfg)
-    pol = policy.equilibrium_policy(curve, m, u)
     sim_cfg = SimConfig(grid=g, **asdict(cfg.sim))
-    leg = simulate.equilibrium_leg(pol, sim_cfg, m, u, d)
+    leg = None
+    if {"value_identity", "perturbation"} & set(checks):
+        curve = _solve_curve(cfg)
+        pol = policy.equilibrium_policy(curve, m, u)
+        leg = simulate.equilibrium_leg(pol, sim_cfg, m, u, d)
     plan = []  # (estimator, verdicts of its result)
     if "value_identity" in checks:
         est = simulate.value_identity_estimator(curve, leg, 0.0, 1.0 + perturb_lambda)
@@ -179,16 +182,14 @@ def _monte_carlo_verdicts(cfg: RunConfig, checks: tuple, nc_curve,
             (spike(0.1, 0.01), lambda r: [_spike_verdict(
                 "perturbation_first_order_stationarity", r, abs(r.z) <= STAT_THRESHOLD)]),
         ]
-    reads_leg = {"value_identity", "perturbation"} & set(checks)
-    results, layout = simulate.run_pass(sim_cfg, [est for est, _ in plan],
-                                        leg if reads_leg else None)
+    results, layout = simulate.run_pass(sim_cfg, [est for est, _ in plan], leg)
     return [v for (_, verdicts), result in zip(plan, results) for v in verdicts(result)], layout
 
 
 def _spike_verdict(name: str, row, passed) -> simulate.Verdict:
-    return simulate.Verdict(name, row.z, STAT_THRESHOLD, bool(passed),
-                            f"D={row.d_estimate:.4g} se={row.std_error:.3g}",
-                            row.n_pairs, row.std_error)
+    return simulate._verdict(name, row.z, passed,
+                             f"D={row.d_estimate:.4g} se={row.std_error:.3g}",
+                             row.n_pairs, row.std_error)
 
 
 def _duality_verdicts(nc_curve, u, m, d, g) -> list:

@@ -97,18 +97,21 @@ widest window head, and none without a window or without a leg.
 
 Every policy simulated here holds a constant stock fraction zeta over the
 steps it covers, so its log-wealth at node k is affine in W,
-log X(t_k) = log x0 + drift[k] + sigma sqrt(dt) zeta W_k, and X^p =
-(x0 e^{drift})^p Y with Y = exp(a W), a = p sigma sqrt(dt) zeta: with the
-deterministic factor and e^{a^2 v_k / 2} folded into the per-node weights,
-the utility functional's conditional mean is J = e^{a L} . weights, formed
-once per tile for each half of the pairs (``Block.powers``), with the head
-and tail sums of the same products that a spike's loss reads. Each pair's
-average of E[X^q | coarse values] at any nodes is one expression,
-(x0 e^{drift})^q e^{(q vol)^2 v_k / 2} cosh(q vol L_k)
-(``PolicyLeg.pair_power``), which gives the terminal moments and the
-martingale and moment checks' checkpoint terms; mean wealth scales the
-per-node sums of cosh(vol L) over the rows (``Block.pair_sums``) by the
-per-node factor afterwards.
+log X(t_k) = log x0 + drift[k] + vol W_k, vol = sigma sqrt(dt) zeta, and
+E[X^q | coarse values] is e^{q vol L_k} on a drawn path and e^{-q vol L_k}
+on its partner times one per-node factor,
+(x0 e^{drift})^q e^{(q vol)^2 v_k / 2} (``PolicyLeg.log_factor``). Every
+quantity of X^p or of wealth reads that factor. With it and the utility
+weights folded into ``PolicyLeg.lifted_weights``, the utility functional's
+conditional mean is J = e^{a L} . lifted_weights, a = p vol, formed once
+per tile for each half of the pairs (``Block.powers``), with the head and
+tail sums of the same products that a spike's loss reads, each a (drawn,
+partner) pair. Each pair's average at any nodes, cosh(q vol L_k) times the
+factor (``PolicyLeg.pair_power``), gives the terminal moments and the
+martingale and moment checks' checkpoint terms. The per-node sums of
+cosh(b L) over the rows (``Block.pair_sums``), times the factor
+afterwards, give mean wealth (b = vol) and the mean of the value over the
+discount (b = a).
 
 Standard errors. The two readers of the utility functional, ``simulate``'s
 E[J] and the value identity, take theirs over the R replicates, and the
@@ -116,12 +119,15 @@ value identity's gate is the Student-t quantile at R - 1 degrees of freedom
 with the two-sided rate of |z| > 3, 0.27 % (``_t_threshold``). Both subtract
 the terminal control variate C = cosh(a W_n) e^{-a^2 n / 2} - 1, whose mean
 is exactly 0 (Glasserman 2004, section 4.1; ``_controlled_mean_se``). Every
-other check takes its standard error over the pairs, as if they were
-independent: each pair is an exact antithetic pair, and the stratification
-within a replicate only lowers the spread of a sum, so that standard error
-is conservative. It must be, and those checks stay uncontrolled: the
-first-order stationarity null holds only as eps -> 0, and a standard error
-several times smaller would turn its O(eps) bias into false failures.
+other check takes its standard error over the pairs (``_sums``,
+``_mean_se``), as if they were independent: each pair is an exact
+antithetic pair, and the stratification within a replicate only lowers the
+spread of a sum, so that standard error is conservative. It must be, and
+those checks stay uncontrolled: the first-order stationarity null holds
+only as eps -> 0, and a standard error several times smaller would turn its
+O(eps) bias into false failures. A martingale check compares two
+checkpoints through each pair's difference of them, a per-pair value like
+any other, never through covariance sums, whose terms cancel.
 
 Every check is an estimator: a block function from one ``Block`` (a tile) to
 a dict of sums, and a finisher from the sums over all paths to the result.
@@ -594,7 +600,7 @@ class PolicyLeg:
     h(s - t) per node.
 
     Its log-wealth at node k is log x0 + drift[k] + vol W_k, so
-    X(t_k)^p = scale[k] exp(p vol W_k) with scale = (x0 e^{drift})^p.
+    X(t_k)^q = (x0 e^{drift[k]})^q exp(q vol W_k).
     """
 
     x0: float
@@ -623,31 +629,19 @@ class PolicyLeg:
         return out
 
     @cached_property
-    def scale(self) -> np.ndarray:
-        return np.exp(self.u.p * (math.log(self.x0) + self.drift))
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """scale * v: J = exp(p vol W) @ weights."""
-        return self.scale * _utility_weights(self.h_nodes, self.c_nodes, self.dt, self.u.p)
-
-    @cached_property
-    def lift(self) -> np.ndarray:
-        """e^{a^2 v_k / 2} per node, a = p vol and v the bridge variance:
-        E[e^{a W_k} | coarse values] over e^{a L_k}, L the chord."""
-        a = self.u.p * self.vol
-        return np.exp(0.5 * a * a * _bridge(self.n_steps).variance)
-
-    @cached_property
     def lifted_weights(self) -> np.ndarray:
-        """weights * lift: J's conditional mean is e^{a L} . lifted_weights."""
-        return self.weights * self.lift
+        """The utility weights v times e^{``log_factor``(p)}: J's conditional
+        mean given the coarse values is e^{a L} . lifted_weights, a = p vol
+        and L the chords."""
+        return np.exp(self.log_factor(self.u.p)) * _utility_weights(
+            self.h_nodes, self.c_nodes, self.dt, self.u.p)
 
     @cached_property
     def j_exact(self) -> float:
-        """E[J] exactly: sum_k weights_k e^{a^2 k / 2}, a = p vol, since
-        W_k ~ N(0, k); each term's two factors are joined in the exponent,
-        so that it overflows only where E[X(t_k)^p] itself would."""
+        """E[J] exactly: sum_k v_k (x0 e^{drift[k]})^p e^{a^2 k / 2}, v the
+        utility weights and a = p vol, since W_k ~ N(0, k); each term's
+        factors but v are joined in the exponent, so that it overflows only
+        where E[X(t_k)^p] itself would."""
         a, p = self.u.p * self.vol, self.u.p
         log_mean = p * (math.log(self.x0) + self.drift) + 0.5 * a * a * np.arange(self.n_steps + 1)
         v = _utility_weights(self.h_nodes, self.c_nodes, self.dt, p)
@@ -722,8 +716,8 @@ class SegmentSeries:
     over the rows at each node one of the nodes' (b g_k)^m / m! times a
     per-segment sum over the rows. ``nodes[b]`` holds (b g_k)^m / m! per
     node and degree; ``moments[s]`` holds, per segment and degree of J's a,
-    sum_{k in j, k >= s} w_k (a g_k)^m / m!, with w the leg's weights times
-    the bridge's lift e^{a^2 v_k / 2}, for s = 0 (J) and each tail s, and
+    sum_{k in j, k >= s} w_k (a g_k)^m / m!, with w the leg's
+    ``lifted_weights``, for s = 0 (J) and each tail s, and
     ``heads[s]`` the same sum over k < s, for each tail s."""
 
     def __init__(self, leg: PolicyLeg, tails: tuple = ()):
@@ -781,16 +775,14 @@ class _Pass:
 
     The paths follow ``bridge``, and run ``leg``, or no leg for the
     whole-grid checks alone; ``tails`` are the nodes s whose tail and head
-    sums ``Block.powers`` takes, ``power_sums`` whether it takes the per-node
-    X^p sums, and the pass has ``n_replicates`` replicates. A tile forms its
-    rows' chord matrix where ``chords``, and otherwise holds their coarse
-    values alone, from which the leg's ``series``, if any, sums its
-    exponentials."""
+    sums ``Block.powers`` takes, and the pass has ``n_replicates``
+    replicates. A tile forms its rows' chord matrix where ``chords``, and
+    otherwise holds their coarse values alone, from which the leg's
+    ``series``, if any, sums its exponentials."""
 
     bridge: BrownianBridge
     leg: Optional[PolicyLeg]
     tails: tuple
-    power_sums: bool
     n_replicates: int
     series: Optional[SegmentSeries]
     chords: bool
@@ -841,13 +833,11 @@ class _Pass:
 def _plan(n_steps: int, leg: Optional[PolicyLeg], estimators: list, n_replicates: int) -> _Pass:
     """The pass of the estimators over paths of n_steps steps, on the leg if
     one is given: the tails their block functions declare (the ``tail``
-    attribute), in order, the per-node X^p sums if one declares
-    ``power_sums``, and on a leg that takes moments its ``SegmentSeries``,
-    built here once, and otherwise the chords."""
+    attribute), in order, and on a leg that takes moments its
+    ``SegmentSeries``, built here once, and otherwise the chords."""
     tails = tuple(sorted({fn.tail for fn, _ in estimators if hasattr(fn, "tail")}))
-    power_sums = any(getattr(fn, "power_sums", False) for fn, _ in estimators)
     moments = leg is not None and leg.takes_moments
-    return _Pass(_bridge(n_steps), leg, tails, power_sums, n_replicates,
+    return _Pass(_bridge(n_steps), leg, tails, n_replicates,
                  SegmentSeries(leg, tails) if moments else None,
                  chords=leg is not None and not moments)
 
@@ -911,21 +901,18 @@ class Block:
 
     @cached_property
     def powers(self):
-        """(J, C, Y_sum, tails, heads) of the leg, where Y = E[exp(p vol W)]
-        on a drawn path and E[exp(-p vol W)] on its partner given the coarse
-        values, so E[X^p] = leg.scale * Y: J is each pair's average utility
-        functional Y . leg.weights, C each pair's terminal control
-        (``_terminal_control``), Y_sum the per-node sum of Y over the tile's
-        paths (None unless ``plan.power_sums``), and tails[s] and heads[s]
-        each path's sum_{k >= s} Y_k leg.weights[k] and sum_{k < s}, drawn
-        paths, then their partners in the same order. A head is summed over
-        its own nodes, never taken as J less the tail, which could cancel.
-        Without a series exp(p vol L) is formed in the scratch buffer, drawn
-        paths first, which is free again afterwards."""
+        """(J, C, tails, heads) of the leg, with a = p vol and w its
+        ``lifted_weights``: J is each pair's average utility functional given
+        the coarse values, e^{a L} . w on a drawn path and e^{-a L} . w on
+        its partner, C each pair's terminal control (``_terminal_control``),
+        and tails[s] and heads[s] the (drawn, partner) pair of each path's
+        sums of the same products over k >= s and over k < s. A head is
+        summed over its own nodes, never taken as J less the tail, which
+        could cancel. Without a series e^{a L} is formed in the scratch
+        buffer, drawn paths first, which is free again afterwards."""
         plan, leg = self.plan, self.plan.leg
         a = leg.u.p * leg.vol
         C = _terminal_control(self.chords(-1), a, leg.n_steps)
-        Y_sum = None
         # the tail sums from each s (J's from 0) and the head sums before
         # each tail, as (drawn paths, partners)
         if plan.series is None:
@@ -940,9 +927,6 @@ class Block:
                     tails[s].append(_per_row("kr,k->r", Y[s:], weights[s:]))
                 for s in heads:
                     heads[s].append(_per_row("kr,k->r", Y[:s], weights[:s]))
-                if plan.power_sums:
-                    Y_sum = (Y.sum(axis=1) if Y_sum is None
-                             else (Y_sum + Y.sum(axis=1)) * leg.lift)
         else:
             series = plan.series
             mid, P = self._segments
@@ -950,12 +934,8 @@ class Block:
             inv = np.reciprocal(e)
             tails, heads = ({s: series.row_sums(P, e, inv, M[s]) for s in M}
                             for M in (series.moments, series.heads))
-            if plan.power_sums:
-                Y_sum = series.node_sums(P, e, inv, a) * leg.lift
         J = tails.pop(0)
-        tails, heads = ({s: np.concatenate(halves) for s, halves in sums.items()}
-                        for sums in (tails, heads))
-        return 0.5 * (J[0] + J[1]), C, Y_sum, tails, heads
+        return 0.5 * (J[0] + J[1]), C, tails, heads
 
     def scratch(self, shape: tuple) -> np.ndarray:
         """A view of the scratch buffer in the given shape, at most its size."""
@@ -999,10 +979,9 @@ def run_pass(cfg: SimConfig, estimators: list,
     An estimator is a pair (block, finish). ``block(blk)`` maps one ``Block``
     to a dict of sums; ``blk.powers`` gives the leg's pair-averaged utility
     functional and its terminal control, formed once per tile for all
-    estimators, the per-node X^p sums if some block function has a true
-    ``power_sums`` attribute, and the per-path tail sums from node
-    ``block.tail`` on, and head sums before it, of every block function that
-    has that attribute;
+    estimators, and the per-path tail sums from node ``block.tail`` on, and
+    head sums before it, of every block function that has that attribute;
+    ``blk.pair_sums`` gives per-node sums over the tile's paths and
     ``blk.by_replicate`` sums per-pair values by replicate.
     ``finish(sums, n_pairs)`` turns the sums over all tiles into the result,
     with n_pairs the number of antithetic pairs (``SimConfig.n_pairs``). The
@@ -1023,20 +1002,18 @@ def simulation_estimator(pol: EquilibriumPolicy, g: TimeGrid, leg: PolicyLeg,
     """The ``simulate_equilibrium`` summary of the leg's paths on grid g."""
     nodes = g.nodes[g.n_steps - leg.n_steps:]
     lam_nodes = np.interp(nodes, pol.grid.nodes, pol.curve.values)
-    voh_scale = lam_nodes * leg.scale / leg.u.p / d.h(g.horizon - nodes)
+    voh_factor = lam_nodes * np.exp(leg.log_factor(leg.u.p)) / leg.u.p / d.h(g.horizon - nodes)
     wealth_factor = np.exp(leg.log_factor(1.0))
     terminal_factors = {q: leg.power_factor(q, -1) for q in moment_orders}
 
     def block(blk):
-        J, C, Y_sum = blk.powers[:3]
+        J, C = blk.powers[:2]
         out = {**_controlled_sums(blk, J, C),
                "wealth": blk.pair_sums(leg.vol) * wealth_factor,
-               "voh": Y_sum * voh_scale}
+               "voh": blk.pair_sums(leg.u.p * leg.vol) * voh_factor}
         for q, factor in terminal_factors.items():
             out.update(_sums(f"m{q}", leg.pair_power(blk.chords(-1), q, factor)))
         return out
-
-    block.power_sums = True
 
     def finish(s, n):
         j, j_se, beta, plain_se = _controlled_mean_se(s, n)
@@ -1140,29 +1117,28 @@ def martingale_estimator(sol: ValueCurve, cfg: SimConfig, m: MarketParams, u: Cr
     legs = {key: _holding_leg(cfg, m, u, zeta)
             for key, zeta in (("eq", stock_fraction(m, u)), ("sub", suboptimal_zeta))}
     factors = {key: leg.power_factor(u.p, checkpoints) for key, leg in legs.items()}
+    # the compared checkpoints (i, j): every pair under the equilibrium
+    # fraction, consecutive ones under the suboptimal fraction
+    compared = {"eq": np.triu_indices(k, 1), "sub": (np.arange(k - 1), np.arange(1, k))}
 
     def block(blk):
         out, L = {}, blk.chords(checkpoints)
         for key, leg in legs.items():
             A = scale * leg.pair_power(L, u.p, factors[key])
-            out[key], out[f"{key}_cross"] = A.sum(axis=1), A @ A.T
+            i, j = compared[key]
+            out.update(_sums(key, A[i] - A[j]))
         return out
 
-    def pair_z(s, key, n, i, j):
-        """(z, se) of mean[i] - mean[j], with the standard error of the paired
-        difference."""
-        mean = s[key] / n
-        cov = s[f"{key}_cross"] / n - np.outer(mean, mean)
-        se = np.sqrt(max(cov[i, i] + cov[j, j] - 2 * cov[i, j], 0.0) / n)
-        return _z(mean[i] - mean[j], se), se
+    def pair_z(s, key, n):
+        """(z, se) of each compared pair's mean difference mean[i] - mean[j]."""
+        return [(_z(diff, se), se) for diff, se in zip(*_mean_se(s, key, n))]
 
     def finish(s, n):
         # a single checkpoint passes both vacuously
-        flat = [pair_z(s, "eq", n, i, j) for i in range(k) for j in range(i + 1, k)]
-        worst, worst_se = max(((abs(z), se) for z, se in flat), default=(0.0, 0.0))
+        worst, worst_se = max(((abs(z), se) for z, se in pair_z(s, "eq", n)),
+                              default=(0.0, 0.0))
         # a consecutive drop is positive when the means decrease
-        weakest, weakest_se = min((pair_z(s, "sub", n, i, i + 1) for i in range(k - 1)),
-                                  default=(math.inf, 0.0))
+        weakest, weakest_se = min(pair_z(s, "sub", n), default=(math.inf, 0.0))
         return (
             _verdict("martingale_flat", worst, worst <= STAT_THRESHOLD,
                      f"max pairwise |z| over {k} checkpoints", n, worst_se),
@@ -1240,7 +1216,7 @@ def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
     On nodes k <= w the spiked log-wealth is the leg's plus a gap
     G_k = g_k + b W_k, affine in W; after the window the gap stays at G_w.
     With Y = exp(a W), a = p vol, and v and v' the equilibrium and spiked
-    weights (``PolicyLeg.weights``), per path
+    utility weights, each times (x0 e^{drift})^p, per path
 
         J_eq - J_spiked = sum_{k <= w} Y_k (v_k - v'_k e^{p G_k})
                           - expm1(p G_w) sum_{k > w} Y_k v_k,
@@ -1277,7 +1253,7 @@ def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
     a, b = p * leg.vol, p * m.sigma * math.sqrt(dt) * (zeta - leg.zeta)
     bridge = _bridge(leg.n_steps)
     var = bridge.variance
-    v_spiked = leg.scale * _utility_weights(leg.h_nodes, c_spiked, dt, p) * leg.lift
+    v_spiked = np.exp(leg.log_factor(p)) * _utility_weights(leg.h_nodes, c_spiked, dt, p)
     u = v_spiked[:w + 1] * np.exp(gap_drift + (a * b + 0.5 * b * b) * var[:w + 1])
     end_drift = gap_drift[w] + 0.5 * b * b * var[w]
     j = bridge.segment[w]
@@ -1293,19 +1269,18 @@ def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
                 - (1.0 + end) * _per_row("kr,k->r", Y_near, near_weights))
 
     def block(blk):
-        _, _, _, tails, heads = blk.powers
-        m_b = blk.W.shape[1]
+        _, _, tails, heads = blk.powers
         tail, H = tails[w + 1], heads[w + 1]
         # the window's exponentials, in the scratch buffer, which ``powers``
         # has released; on the coarse values the head's chords are formed
         # into it first
-        E = blk.scratch((w + 1, m_b))
+        E = blk.scratch((w + 1, blk.W.shape[1]))
         L = blk.chords(head, out=E)
         bL = b * L[w]
         Y_near = np.exp(a * blk.chords(near))
         np.exp(np.multiply(L, a + b, out=E), out=E)
-        drawn = loss(H[:m_b], E, end_drift + bL, tail[:m_b], Y_near)
-        partner = loss(H[m_b:], np.reciprocal(E, out=E), end_drift - bL, tail[m_b:],
+        drawn = loss(H[0], E, end_drift + bL, tail[0], Y_near)
+        partner = loss(H[1], np.reciprocal(E, out=E), end_drift - bL, tail[1],
                        np.reciprocal(Y_near, out=Y_near))
         return _sums("d", 0.5 * (drawn + partner) / eps)
 

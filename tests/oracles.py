@@ -2,8 +2,9 @@
 the discretized integral equation, a numpy-array RK4 of the mixture system,
 the node loop of the dual PDE residual, the per-value CSV writer, whole
 Brownian paths bridged through given coarse values, the path-major coarse
-values and chords and the spike loss in its expm1 form, which only the test
-suite evaluates, kept out of the library so that it needs no optimizer."""
+values and chords, a leg's utility weights and the spike loss in its expm1
+form, which only the test suite evaluates, kept out of the library so that
+it needs no optimizer."""
 
 import math
 
@@ -249,6 +250,22 @@ def path_major_chords(bridge, Wc):
     return W
 
 
+def leg_weights(leg, c_nodes=None) -> np.ndarray:
+    """v with J = sum_k v_k exp(p vol W_k) on the leg's paths: the trapezoid
+    weights of h(s - t) U(c X) over the nodes and the bequest's h(T - t) / p
+    at the last, each times (x0 e^{drift[k]})^p; c_nodes replaces the leg's
+    consumption ratios in the weights, not in the drift."""
+    p, dt = leg.u.p, leg.dt
+    c = leg.c_nodes if c_nodes is None else c_nodes
+    v = np.zeros(len(c))
+    if np.any(c != 0.0):
+        trapezoid = np.full(len(c), dt)
+        trapezoid[0] = trapezoid[-1] = dt / 2.0
+        v = leg.h_nodes * c**p * trapezoid / p
+    v[-1] += leg.h_nodes[-1] / p
+    return v * (leg.x0 * np.exp(leg.drift)) ** p
+
+
 def expm1_perturbation_estimator(leg, eps: float, spike):
     """``simulate.perturbation_estimator`` with the window's loss in its expm1
     form, the reference for the library's exponential sums: per path and
@@ -273,8 +290,8 @@ def expm1_perturbation_estimator(leg, eps: float, spike):
     bridge = simulate._bridge(leg.n_steps)
     var = bridge.variance
     lift = np.exp(0.5 * a * a * var)
-    v_spiked = leg.scale * simulate._utility_weights(leg.h_nodes, c_spiked, dt, p) * lift
-    head_eq = (leg.weights * lift - v_spiked)[:w + 1]
+    v_spiked = leg_weights(leg, c_spiked) * lift
+    head_eq = (leg_weights(leg) * lift - v_spiked)[:w + 1]
     head_spiked = v_spiked[:w + 1]
     growth_drift = gap_drift + (a * b + 0.5 * b * b) * var[:w + 1]
     end_drift = gap_drift[w] + 0.5 * b * b * var[w]
@@ -282,7 +299,7 @@ def expm1_perturbation_estimator(leg, eps: float, spike):
     lo, hi = bridge.nodes[j], bridge.nodes[j + 1]
     near = np.arange(w + 1, hi)
     cov = (w - lo) * (hi - near) / (hi - lo)
-    near_weights = (leg.weights * lift)[near] * np.expm1(a * b * cov)
+    near_weights = (leg_weights(leg) * lift)[near] * np.expm1(a * b * cov)
 
     def loss(L_head, sign, tail, Y_near):
         Y_head = np.exp(sign * a * L_head)
@@ -292,13 +309,12 @@ def expm1_perturbation_estimator(leg, eps: float, spike):
                 - end * tail - (1.0 + end) * (Y_near @ near_weights))
 
     def block(blk):
-        tail = blk.powers[3][w + 1]
-        m_b = blk.W.shape[1]
+        tail = blk.powers[2][w + 1]
         # the chords a row per path
         L_head = np.array(blk.chords(slice(0, w + 1)).T)
         L_near = np.array(blk.chords(near).T)
-        drawn = loss(L_head, 1.0, tail[:m_b], np.exp(a * L_near))
-        partner = loss(L_head, -1.0, tail[m_b:], np.exp(-a * L_near))
+        drawn = loss(L_head, 1.0, tail[0], np.exp(a * L_near))
+        partner = loss(L_head, -1.0, tail[1], np.exp(-a * L_near))
         return simulate._sums("d", 0.5 * (drawn + partner) / eps)
 
     block.tail = w + 1

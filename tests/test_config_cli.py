@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eqmerton import cli, config, duality, rqmc, simulate, solver
+from eqmerton import cli, config, duality, policy, rqmc, simulate, solver
 from eqmerton.config import ConfigError, RunConfig, SimSettings, SolverSettings, load_config
 from eqmerton.model import (
     CrraUtility,
@@ -621,14 +622,15 @@ class TestCliVerify:
         assert calls == []
         tables["coarse"] = (tmp_path / "coarse" / "verification.csv").read_bytes()
         # the same command with its pass run on the equilibrium leg
-        legs = []
-        equilibrium_leg, run_pass = simulate.equilibrium_leg, simulate.run_pass
-        monkeypatch.setattr(simulate, "equilibrium_leg",
-                            lambda *a: legs.append(equilibrium_leg(*a)) or legs[-1])
+        cfg = load_config(ini)
+        pol = policy.equilibrium_policy(cli._solve_curve(cfg), cfg.market, cfg.utility)
+        leg = simulate.equilibrium_leg(pol, SimConfig(grid=cfg.grid, **asdict(cfg.sim)),
+                                       cfg.market, cfg.utility, cfg.discount)
+        run_pass = simulate.run_pass
         monkeypatch.setattr(simulate, "run_pass",
-                            lambda cfg, estimators, leg=None: run_pass(cfg, estimators, legs[-1]))
+                            lambda cfg, estimators, leg_=None: run_pass(cfg, estimators, leg))
         assert cli.main(argv + [str(tmp_path / "leg")]) == 0
-        assert len(calls) == 2 and not legs[-1].takes_moments
+        assert len(calls) == 2 and not leg.takes_moments
         tables["leg"] = (tmp_path / "leg" / "verification.csv").read_bytes()
         assert tables["coarse"] == tables["leg"]
         assert tables["coarse"].count(b"\n") == 3
@@ -661,6 +663,17 @@ class TestCliVerify:
         fail_picard(monkeypatch)
         assert_solver_failure(
             capsys, ["verify", "--config", write_ini(tmp_path), "--out", str(tmp_path / "o")])
+
+    def test_martingale_checks_need_no_equilibrium_solve(self, tmp_path, monkeypatch):
+        # they read only the bequest-only curve, so a failing lam solve is
+        # not their cause to report
+        fail_picard(monkeypatch)
+        out = tmp_path / "o"
+        assert cli.main(["verify", "--config", write_ini(tmp_path), "--out", str(out),
+                         "--checks", "martingale"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["all_passed"] is True
+        assert set(manifest["monte_carlo"]) == {"martingale_flat", "submartingale_decreasing"}
 
     def test_duality_alone_needs_no_equilibrium_solve(self, tmp_path, monkeypatch):
         # the duality checks read only the bequest-only curve

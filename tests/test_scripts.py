@@ -52,6 +52,20 @@ def test_mc_block_stages_runs():
     assert stages["tile rows no leg"] == stages["tile rows chords"] == [2048, 2048]
 
 
+def test_compare_outputs_reads_a_checkout_against_itself_as_identical(tmp_path):
+    ini = tmp_path / "small.ini"
+    ini.write_text((ROOT / "configs" / "hyperbolic.ini").read_text()
+                   .replace("n_steps = 1000", "n_steps = 100")
+                   .replace("n_paths = 100000", "n_paths = 2000"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"), str(ROOT), str(ROOT),
+         "--ini", str(ini)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "identical\n"
+
+
 def test_picard_scaling_runs():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "picard_scaling.py"),

@@ -48,6 +48,7 @@ from eqmerton.solver import (
 from oracles import (
     bridged_paths,
     expm1_perturbation_estimator,
+    leg_weights,
     path_major_chords,
     path_major_coarse,
 )
@@ -520,7 +521,7 @@ class TestDiscreteFunctional:
         cfg = sim_cfg(sim_grid, x0=1.7)
         leg = equilibrium_leg(equilibrium_policy(sol, market, u), cfg, market, u, d, t0)
         k = np.arange(leg.n_steps + 1)
-        expected_j = leg.weights @ np.exp((p * leg.vol) ** 2 * k / 2)
+        expected_j = leg_weights(leg) @ np.exp((p * leg.vol) ** 2 * k / 2)
         target = np.interp(t0, sim_grid.nodes, sol.values) * cfg.x0**p / p
         assert abs(expected_j / target - 1) <= 1e-9
 
@@ -568,12 +569,41 @@ class TestOnePass:
                               epsilons=[0.25], spike=spike)[0],
         ]
 
+    @pytest.mark.parametrize("n_steps", [200, 1000], ids=["chords", "moments"])
+    def test_estimator_order_changes_no_result(self, market, utility, hyp_discount, n_steps):
+        # the estimators of a tile share its ``Block.powers`` and its scratch
+        # buffer, which powers, the spikes' windows and the per-node sums
+        # each overwrite: run first or last, each reads the same bits. Two
+        # tiles of the pass on either leg
+        g = TimeGrid(horizon=1.0, n_steps=n_steps)
+        sol = picard_solve(market, utility, hyp_discount, g)
+        pol = equilibrium_policy(sol, market, utility)
+        nc = solve_no_consumption(market, utility, hyp_discount, g)
+        cfg = SimConfig(n_paths=5000, seed=3, grid=g, n_workers=1)
+        leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
+        assert leg.takes_moments == (n_steps == 1000)
+        estimators = [
+            simulation_estimator(pol, g, leg, hyp_discount, (utility.p, 2 * utility.p)),
+            value_identity_estimator(sol, leg, 0.0),
+            perturbation_estimator(leg, 0.25, Spike(zeta=pol.stock_fraction + 1.0)),
+            perturbation_estimator(leg, 0.1, Spike(zeta=pol.stock_fraction + 0.01)),
+            martingale_estimator(nc, cfg, market, utility, hyp_discount),
+        ]
+        forward, layout = simulate.run_pass(cfg, estimators, leg)
+        assert layout["n_tiles"] == 2
+        backward = run_estimators(cfg, estimators[::-1], leg)[::-1]
+        (batch, *rest), (batch_b, *rest_b) = forward, backward
+        assert rest == rest_b
+        for key, value in vars(batch).items():
+            np.testing.assert_array_equal(value, vars(batch_b)[key], err_msg=key)
 
     @pytest.mark.parametrize("n_steps", [200, 1000], ids=["chords", "moments"])
     def test_only_a_pass_that_reads_the_node_sums_forms_them(self, market, utility,
-                                                             hyp_discount, n_steps):
-        # simulate's estimator declares the per-node X^p sums; the value
-        # identity and the spikes read J, C and the tails alone
+                                                             hyp_discount, n_steps,
+                                                             monkeypatch):
+        # simulate's estimator takes the per-node sums of wealth and of X^p
+        # (``Block.pair_sums``); the value identity and the spikes read J, C
+        # and the tails alone
         g = TimeGrid(horizon=1.0, n_steps=n_steps)
         sol = picard_solve(market, utility, hyp_discount, g)
         pol = equilibrium_policy(sol, market, utility)
@@ -581,19 +611,17 @@ class TestOnePass:
         leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
         assert leg.takes_moments == (n_steps == 1000)
         seen = []
-
-        def probe(blk):
-            seen.append(blk.powers[2])
-            return {}
-
+        pair_sums = Block.pair_sums
+        monkeypatch.setattr(Block, "pair_sums",
+                            lambda blk, b: seen.append(b) or pair_sums(blk, b))
         readers = {"value identity and spike": (value_identity_estimator(sol, leg, 0.0),
                                                 perturbation_estimator(leg, 0.1, Spike(zeta=0.1))),
                    "simulate": (simulation_estimator(pol, g, leg, hyp_discount),)}
         for name, estimators in readers.items():
             seen.clear()
-            run_estimators(cfg, [(probe, lambda s, n: None), *estimators], leg)
-            shapes = {None if Y_sum is None else Y_sum.shape for Y_sum in seen}
-            assert shapes == ({(n_steps + 1,)} if name == "simulate" else {None}), name
+            run_estimators(cfg, list(estimators), leg)
+            assert set(seen) == ({leg.vol, utility.p * leg.vol} if name == "simulate"
+                                 else set()), name
 
 
 # ---------------------------------------------------------------------------
@@ -823,13 +851,21 @@ def oracle_grid_sums(nc, cfg, m, u, d):
     scale = (np.interp(g.nodes[ck_mart], nc.grid.nodes, nc.values) / p
              / d.h(g.horizon - g.nodes[ck_mart]))
     no_c = np.zeros(g.n_steps + 1)
+    # the compared checkpoints: every pair (i < j) under eq, consecutive under sub
+    k = len(ck_mart)
+    compared = {"eq": [(i, j) for i in range(k) for j in range(i + 1, k)],
+                "sub": [(i, i + 1) for i in range(k - 1)]}
 
     def block(mean_Z, S, replicate):
         out = {}
         for key, zeta in (("eq", stock_fraction(m, u)), ("sub", stock_fraction(m, u) / 2)):
             Xp = oracle_power(mean_Z, S, cfg.x0, m, np.full(g.n_steps, zeta), no_c, g.dt, p)
             Y = pair_average(scale * Xp[:, ck_mart])
-            out[key], out[f"{key}_cross"] = Y.sum(axis=0), Y.T @ Y
+            i, j = np.array(compared[key]).T
+            diff = Y[:, i] - Y[:, j]
+            out[key], out[f"{key}_sq"] = diff.sum(axis=0), (diff**2).sum(axis=0)
+            # the differences' sums cancel: their bound is their terms' size
+            out[f"{key}|abs"] = (np.abs(Y[:, i]) + np.abs(Y[:, j])).sum(axis=0)
             if key == "eq":
                 y = pair_average(Xp[:, ck_mom])
                 out["y"], out["y_sq"] = y.sum(axis=0), (y**2).sum(axis=0)
@@ -1076,8 +1112,8 @@ class TestTiles:
                                  market, utility)
         cfg = SimConfig(n_paths=8192, seed=1, grid=g)
         leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
-        chords = simulate._Pass(simulate._bridge(1000), leg, (), False, cfg.n_replicates, None,
-                                chords=True)
+        chords = simulate._Pass(bridge=simulate._bridge(1000), leg=leg, tails=(),
+                                n_replicates=cfg.n_replicates, series=None, chords=True)
         rows = simulate._plan(1000, leg, [], cfg.n_replicates).rows
         assert (cfg.worker_count(chords.rows), rows, cfg.worker_count(rows)) == (8, 1424, 3)
         pools = []
@@ -1095,8 +1131,8 @@ class TestTiles:
 def chord_pass(cfg, n_steps):
     """A pass whose tiles form the chords at every node of n_steps steps,
     with no leg."""
-    return simulate._Pass(simulate._bridge(n_steps), None, (), False, cfg.n_replicates, None,
-                          chords=True)
+    return simulate._Pass(bridge=simulate._bridge(n_steps), leg=None, tails=(),
+                          n_replicates=cfg.n_replicates, series=None, chords=True)
 
 
 def assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, pairs, rep, counts, tiles):
@@ -1387,10 +1423,11 @@ class TestSegmentSeries:
         assert len(series.moments[0]) == leg.series_degrees[p * leg.vol] + 1
         replicate = np.zeros(rows, dtype=np.intp)
         on_chords = Block(W, np.empty(W.size),
-                          simulate._Pass(bridge, leg, tails, True, 1, None, chords=True), replicate)
+                          simulate._Pass(bridge=bridge, leg=leg, tails=tails, n_replicates=1,
+                                         series=None, chords=True), replicate)
         on_moments = Block(Wc, np.empty(W.size),
-                           simulate._Pass(bridge, leg, tails, True, 1, series, chords=False),
-                           replicate)
+                           simulate._Pass(bridge=bridge, leg=leg, tails=tails, n_replicates=1,
+                                          series=series, chords=False), replicate)
         # truncation below 2^-53 of each term, and rounding grown by at most
         # e^{2h} in the series and a few dozen ulp in the sums
         bound = 64 * 2.0**-53 * math.exp(2 * h)
@@ -1399,14 +1436,15 @@ class TestSegmentSeries:
             rel = np.max(np.abs(moment_value - chord_value) / np.abs(chord_value))
             assert rel <= bound, (what, rel / bound)
 
-        (J, C, Y_sum, T, H), (J_m, C_m, Y_sum_m, T_m, H_m) = on_chords.powers, on_moments.powers
+        (J, C, T, H), (J_m, C_m, T_m, H_m) = on_chords.powers, on_moments.powers
         np.testing.assert_array_equal(C, C_m)
         assert_close(J, J_m, "J")
-        assert_close(Y_sum, Y_sum_m, "X^p per node")
         for s in tails:
-            assert_close(T[s], T_m[s], f"tail {s}")
-            assert_close(H[s], H_m[s], f"head {s}")
-        assert_close(on_chords.pair_sums(leg.vol), on_moments.pair_sums(leg.vol), "wealth")
+            for half in range(2):
+                assert_close(T[s][half], T_m[s][half], f"tail {s}")
+                assert_close(H[s][half], H_m[s][half], f"head {s}")
+        for b, what in ((p * leg.vol, "X^p per node"), (leg.vol, "wealth")):
+            assert_close(on_chords.pair_sums(b), on_moments.pair_sums(b), what)
         sums = [simulation_estimator(pol, g, leg, hyp_discount)[0](blk)
                 for blk in (on_chords, on_moments)]
         for key in ("wealth", "voh"):
@@ -1536,10 +1574,15 @@ class TestConditionalExpectations:
         scratch = np.empty(rows * (g.n_steps + 1))
         assert leg.takes_moments == (n_steps == 400)
         series = SegmentSeries(leg, (w + 1,)) if leg.takes_moments else None
-        plan = simulate._Pass(bridge, leg, (w + 1,), True, 1, series, chords=series is None)
+        plan = simulate._Pass(bridge=bridge, leg=leg, tails=(w + 1,), n_replicates=1,
+                              series=series, chords=series is None)
         paths = Wc if series is not None else bridge.chords(Wc, np.empty((g.n_steps + 1, rows)))
         blk = Block(paths, scratch, plan, np.zeros(rows, dtype=np.intp))
-        J, C, Y_sum, tails, heads = blk.powers
+        J, C, tails, heads = blk.powers
+        # the per-node sums of E[exp(+-p vol W) | coarse values] over the
+        # tile's paths: the chords' exponentials times e^{(p vol)^2 v_k / 2}
+        a = p * leg.vol
+        y_node_sums = blk.pair_sums(a) * np.exp(0.5 * a * a * bridge.variance)
         sim_sums = simulation_estimator(pol, g, leg, hyp_discount)[0](blk)
         moment = moment_estimator(cfg, market, utility, p, growth_constant(market, utility),
                                   n_checkpoints=6)
@@ -1571,7 +1614,7 @@ class TestConditionalExpectations:
                 per_path["y"].append(np.exp(sign * p * leg.vol * W))
                 per_path["wealth"].append(X)
                 per_path["tail"].append(np.exp(sign * p * leg.vol * W[:, w + 1:])
-                                        @ leg.weights[w + 1:])
+                                        @ leg_weights(leg)[w + 1:])
                 X_nc = wealth(zeta, np.zeros(g.n_steps + 1))
                 per_path["m"].append(X_nc[:, ck] ** p)
                 per_path["d"].append((Jp - oracle_j(wealth(zeta_spk, c_spk) ** p, c_spk, h,
@@ -1590,11 +1633,11 @@ class TestConditionalExpectations:
 
         for row in range(rows):
             assert_mean(J[row], fine["j"][row], "J")
-            assert_mean(tails[w + 1][row], fine["tail"][row][0], "drawn tail")
-            assert_mean(tails[w + 1][rows + row], fine["tail"][row][1], "partner tail")
+            assert_mean(tails[w + 1][0][row], fine["tail"][row][0], "drawn tail")
+            assert_mean(tails[w + 1][1][row], fine["tail"][row][1], "partner tail")
         # the per-node and per-checkpoint sums over the tile's rows: their
         # standard errors add in quadrature over the independent rows
-        for key, value in (("y", Y_sum), ("wealth", sim_sums["wealth"]),
+        for key, value in (("y", y_node_sums), ("wealth", sim_sums["wealth"]),
                            ("m", moment_sums["y"]), ("d", d_sums["d"])):
             means = sum(f.mean(axis=0) for f in fine[key])
             se = np.sqrt(sum(f.var(axis=0) / draws for f in fine[key]))
@@ -1643,14 +1686,13 @@ def assert_rows_are_tile_free(market, utility, hyp_discount, monkeypatch, n_step
 
     def block(W, buffers, replicate):
         blk = Block(W, buffers, plan, replicate)
-        J, C, _, T, H = blk.powers
-        m = len(J)
+        J, C, T, H = blk.powers
         return {"j": [J], "c": [C],
                 # copies: a view of the chords lives only as long as its tile
                 **{key: [np.array(blk.chords(nodes).T)] for key, nodes in columns.items()},
-                **{f"{kind}{s}": [sums[s][:m]] for kind, sums in (("tail", T), ("head", H))
+                **{f"{kind}{s}": [sums[s][0]] for kind, sums in (("tail", T), ("head", H))
                    for s in tails},
-                **{f"partner_{kind}{s}": [sums[s][m:]]
+                **{f"partner_{kind}{s}": [sums[s][1]]
                    for kind, sums in (("tail", T), ("head", H)) for s in tails},
                 **{f"loss{s}": fn(blk)["d"] for s, fn in zip(tails, spikes)}}
 
