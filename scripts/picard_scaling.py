@@ -2,9 +2,11 @@
 """Picard solve cost against grid size.
 
 Solves the hyperbolic-discount problem on grids of increasing size and
-tabulates the sweeps and wall time of one full solve and its tracemalloc peak. The
-blocked-FFT kernel sum makes a sweep O(n log n) in time and O(n) in memory,
-so the time should grow slightly faster than n and the peak about like n.
+tabulates the sweeps and wall time of one full solve, that time per sweep
+(the bounds and the final derivative included) and the solve's tracemalloc
+peak. The blocked-FFT kernel sum makes a sweep O(n log n) in time and O(n) in
+memory, so the time per sweep should grow slightly faster than n and the peak
+about like n.
 """
 
 import argparse
@@ -24,7 +26,8 @@ def main() -> None:
     u = CrraUtility(p=0.5)
     d = HyperbolicDiscount(k=1.0, gamma=1.0)
 
-    print(f"{'n':>8} {'sweeps':>6} {'time s':>9} {'peak MB':>9} {'lam(0)':>14}")
+    print(f"{'n':>8} {'sweeps':>6} {'time s':>9} {'ms/sweep':>9} {'peak MB':>9} "
+          f"{'lam(0)':>14}")
     for n in args.sizes:
         g = TimeGrid(horizon=args.horizon, n_steps=n)
         start = time.perf_counter()
@@ -37,8 +40,8 @@ def main() -> None:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        print(f"{n:>8} {sol.sweeps:>6} {elapsed:>9.3f} {peak / 1e6:>9.2f} "
-              f"{sol.values[0]:>14.10f}")
+        print(f"{n:>8} {sol.sweeps:>6} {elapsed:>9.3f} {1e3 * elapsed / sol.sweeps:>9.3f} "
+              f"{peak / 1e6:>9.2f} {sol.values[0]:>14.10f}")
 
 
 if __name__ == "__main__":

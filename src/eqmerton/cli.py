@@ -82,9 +82,11 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     write_csv(out / "lambda.csv", {
         "t": curve.grid.nodes, "lambda": curve.values, "lambda_prime": curve.derivative,
         "consumption_rate": curve.consumption_rate(cfg.utility)})
-    res_ie = solver.residual_integral_equation(curve, cfg.market, cfg.utility, cfg.discount)
-    # the Picard curve's derivative is the differential-form right-hand side
-    # of its values; the other routes' derivatives come from their own ODEs
+    # the Picard curve carries the integral-equation image of its values, and
+    # its derivative is their differential-form right-hand side; the other
+    # routes' derivatives come from their own ODEs
+    res_ie = solver.residual_integral_equation(curve, cfg.market, cfg.utility, cfg.discount,
+                                               rhs=curve.image)
     res_df = solver.residual_differential_form(
         curve, cfg.market, cfg.utility, cfg.discount,
         rhs=curve.derivative if cfg.solver.method == "picard" else None)

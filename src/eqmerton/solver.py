@@ -12,7 +12,11 @@ Three routes are provided:
   evaluated with blocked FFTs (the fast Volterra convolution of Hairer,
   Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985). Blocks are rescaled
   by the log-size of the summand, so terms spanning hundreds of orders of
-  magnitude keep full relative accuracy.
+  magnitude keep full relative accuracy. A solve forms its kernel plan once:
+  the nodes, h and -h' at every lag, h(T-t), K and the kernels' block
+  spectra for each window and block length it meets. A sweep forms only its
+  summand's logs, block length, scaled blocks and their spectrum, which every
+  kernel summed against that summand shares.
 * ``mixture_ode_solve`` -- backward RK4 on the component ODE system available
   when the discount function is a finite exponential mixture.
 
@@ -94,7 +98,9 @@ class ValueCurve:
     ``derivative`` is lam'(t) reconstructed from the differential form of the
     defining equation (analytic where a closed form exists). ``components``
     holds the per-rate component curves when produced by the mixture route,
-    ``sweeps`` the number of integral-equation sweeps of the Picard route.
+    ``sweeps`` the number of integral-equation sweeps of the Picard route and
+    ``image`` the integral equation's right-hand side of ``values``, which
+    that route forms with the derivative from the same kernel sum.
     """
 
     grid: TimeGrid
@@ -103,6 +109,7 @@ class ValueCurve:
     provenance: str
     components: Optional[np.ndarray] = None
     sweeps: Optional[int] = None
+    image: Optional[np.ndarray] = None
 
     def __post_init__(self):
         n = self.grid.n_steps + 1
@@ -165,8 +172,11 @@ _FFT_BATCH = 1 << 16
 
 
 def _block_length(F: np.ndarray) -> int:
-    """Longest block length (by bisection) over whose aligned blocks F moves by
-    at most _BLOCK_SPREAD; length 1 always qualifies."""
+    """Longest block length over whose aligned blocks F moves by at most
+    _BLOCK_SPREAD; length 1 always qualifies. All of F when its whole spread
+    qualifies, else by bisection."""
+    if np.max(F) - np.min(F) <= _BLOCK_SPREAD:
+        return len(F)
     lo, hi = 1, len(F)
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -179,82 +189,141 @@ def _block_length(F: np.ndarray) -> int:
     return lo
 
 
-def _kernel_sum(kernel: np.ndarray, log_f: np.ndarray, C: np.ndarray, dt: float) -> np.ndarray:
-    """S_i = sum_{j>=i} w_ij kernel[j-i] f_j e^{C_i - C_j} at every node of a
-    uniform grid, with the trapezoid weights w_ij over [t_i, T] (so S_n = 0).
-
-    ``kernel`` holds the Toeplitz kernel at the lags 0, dt, ..., T and
-    ``log_f`` is log f. The sum is a correlation, evaluated with ``numpy.fft``.
-    One FFT over e^{C_i} e^{-C_j} would mix terms of wildly different sizes,
-    and the large ones would swamp the small ones. So the grid is cut into
-    blocks of one length L, derived from the data, inside which the summand's
-    log-size F_j = log f_j - C_j moves by at most _BLOCK_SPREAD. Block J enters
-    the FFTs as e^{F_j - m_J}, m_J = max F over J, and each block pair (I, J)
-    carries the scalar e^{m_J} back, applied with e^{C_i} per output node.
-    The pairs at one block offset J - I share a kernel window, so they form
-    one batched FFT product. Cost: O(B n log L) time and O(n) memory for
-    B = (n+1)/L blocks, B ~ (spread of F) / _BLOCK_SPREAD.
-    """
-    n1 = len(C)
-    F = log_f - C
-    if not np.all(np.isfinite(F)):
-        return np.full(n1, np.nan)  # an overflow upstream; callers' checks fail on it
-    L = _block_length(F)
-    B = -(-n1 // L)
-    pad = B * L - n1
-    Fb = np.pad(F, (0, pad), constant_values=-np.inf).reshape(B, L)
-    m = Fb.max(axis=1)
-    x = np.exp(Fb - m[:, None]) * dt
-    x.flat[n1 - 1] *= 0.5  # trapezoid end weight at t_n
-    # offset d, window entry s holds the lag (d-1) L + 1 + s; lag 0 (the
-    # diagonal) and lags past T are zero here
-    kpad = np.zeros((B + 1) * L)
-    kpad[L:L + n1 - 1] = kernel[1:]
-    windows = kpad[(np.arange(B) * L)[:, None] + np.arange(2 * L - 1)[None, :]]
-    nfft = 1 << (2 * L - 2).bit_length()
-    xf = np.fft.rfft(x[:, ::-1], nfft)
-    kf = np.fft.rfft(windows, nfft)
-    Cb = np.pad(C, (0, pad)).reshape(B, L)
-    out = np.zeros((B, L))
-    step = max(1, _FFT_BATCH // (nfft * B))  # block offsets per batched call
-    for d0 in range(0, B, step):
-        offsets = np.arange(d0, min(d0 + step, B))
-        sizes = B - offsets
-        D = np.repeat(offsets, sizes)
-        I = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        J = I + D
-        z = np.fft.irfft(xf[J] * kf[D], nfft)[:, L - 1:2 * L - 1][:, ::-1]
-        np.add.at(out, I, np.exp(Cb[I] + m[J, None]) * z)
-    S = out.ravel()[:n1]
-    S += 0.5 * dt * kernel[0] * np.exp(log_f)  # diagonal, w_ii = dt/2
-    S[-1] = 0.0
-    return S
+def _blocks(v: np.ndarray, fill: float, B: int, L: int) -> np.ndarray:
+    """v as B rows of L, its tail padded with fill."""
+    out = np.full(B * L, fill)
+    out[:len(v)] = v
+    return out.reshape(B, L)
 
 
-def _summand_logs(values, m, u, g, start=0):
-    """log lam^q and the exponent C(t) - K t of the integral equation's summand
-    from t_start on, with C(t) = int_{t_start}^t p lam^(1/(p-1)) (trapezoid).
+class _KernelPlan:
+    """What one solve forms once for all its kernel sums: the nodes, the
+    Toeplitz kernels h and -h' at the lags 0, dt, ..., T, h(T-t),
+    h'(T-t)/h(T-t), K, and the kernels' block spectra.
 
-    Folding e^{K (t_j - t_i)} into the exponent leaves h (or -h') as the
-    Toeplitz kernel, so the growth e^{K tau} is rescaled with the summand
-    instead of entering the FFTs unscaled."""
-    lam, p = values[start:], u.p
-    pc = p * lam ** (1.0 / (p - 1.0))
-    C = np.concatenate(([0.0], np.cumsum(0.5 * (pc[1:] + pc[:-1]) * g.dt)))
-    return p / (p - 1.0) * np.log(lam), C - growth_constant(m, u) * g.nodes[start:]
+    A spectrum depends on the kernel, the length n1 of the window of nodes
+    summed over, and the block length L. A solve meets its window lengths in
+    turn, and a window's block length settles after a few sweeps, so each
+    kernel keeps only its latest spectrum."""
+
+    def __init__(self, m: MarketParams, u: CrraUtility, d: DiscountSpec, g: TimeGrid):
+        self.p, self.K, self.dt = u.p, growth_constant(m, u), g.dt
+        self.nodes = g.nodes
+        tau = g.horizon - self.nodes
+        self.h_T = d.h(tau)
+        self.rate_T = d.h_prime(tau) / self.h_T
+        self.kernels = {"h": d.h(self.nodes), "-h'": -d.h_prime(self.nodes)}
+        self._spectra = {}  # kernel name -> (n1, L, spectrum)
+
+    def spectra(self, name: str, n1: int, L: int) -> np.ndarray:
+        """rfft of kernel ``name``'s window at each block offset d = 0..B-1 of
+        a sum over n1 nodes in blocks of L: window entry s holds the lag
+        (d-1) L + 1 + s; lag 0 (the diagonal) and lags past the window are
+        zero there."""
+        cached = self._spectra.get(name)
+        if cached is None or cached[:2] != (n1, L):
+            B = -(-n1 // L)
+            kpad = np.zeros((B + 1) * L)
+            kpad[L:L + n1 - 1] = self.kernels[name][1:n1]
+            windows = kpad[(np.arange(B) * L)[:, None] + np.arange(2 * L - 1)[None, :]]
+            cached = n1, L, np.fft.rfft(windows, 1 << (2 * L - 2).bit_length())
+            self._spectra[name] = cached
+        return cached[2]
 
 
-def _integral_equation_rhs(values, m, u, d, g, start=0):
+class _Summand:
+    """The integral equation's summand lam(s)^q e^{-C(s)} from t_start on,
+    transformed once for every kernel summed against it.
+
+    ``f`` is lam^q and ``C`` the exponent C(t) - K t, with
+    C(t) = int_{t_start}^t p lam^(1/(p-1)) (trapezoid). Folding e^{K (t_j - t_i)}
+    into the exponent leaves h (or -h') as the Toeplitz kernel, so the growth
+    e^{K tau} is rescaled with the summand instead of entering the FFTs
+    unscaled. Each kernel's sum is formed once and kept."""
+
+    def __init__(self, plan: _KernelPlan, values: np.ndarray, start: int = 0):
+        lam, p, dt = values[start:], plan.p, plan.dt
+        pc = p * lam ** (1.0 / (p - 1.0))
+        C = np.concatenate(([0.0], np.cumsum(0.5 * (pc[1:] + pc[:-1]) * dt)))
+        self.plan, self.start = plan, start
+        log_f = p / (p - 1.0) * np.log(lam)
+        self.C = C - plan.K * plan.nodes[start:]
+        self._sums = {}
+        n1 = len(lam)
+        F = log_f - self.C
+        self.finite = bool(np.all(np.isfinite(F)))
+        if not self.finite:
+            return  # an overflow upstream; callers' checks fail on the nan sums
+        self.L = L = _block_length(F)
+        self.B = B = -(-n1 // L)
+        Fb = _blocks(F, -np.inf, B, L)
+        self.m = Fb.max(axis=1)
+        x = np.exp(Fb - self.m[:, None]) * dt
+        x.flat[n1 - 1] *= 0.5  # trapezoid end weight at t_n
+        self.nfft = 1 << (2 * L - 2).bit_length()
+        self.xf = np.fft.rfft(x[:, ::-1], self.nfft)
+        self.Cb = _blocks(self.C, 0.0, B, L)
+        self.f = np.exp(log_f)
+
+    def kernel_sum(self, name: str) -> np.ndarray:
+        """S_i = sum_{j>=i} w_ij k[j-i] f_j e^{C_i - C_j} at every node from
+        t_start on, for the plan's kernel k = ``name`` and the trapezoid
+        weights w_ij over [t_i, T] (so the last S is 0).
+
+        The sum is a correlation, evaluated with ``numpy.fft``. One FFT over
+        e^{C_i} e^{-C_j} would mix terms of wildly different sizes, and the
+        large ones would swamp the small ones. So the grid is cut into blocks
+        of one length L, derived from the data, inside which the summand's
+        log-size F_j = log f_j - C_j moves by at most _BLOCK_SPREAD. Block J
+        enters the FFTs as e^{F_j - m_J}, m_J = max F over J, and each block
+        pair (I, J) carries the scalar e^{m_J} back, applied with e^{C_i} per
+        output node. The pairs at one block offset J - I share a kernel
+        window, so they form one batched FFT product, added into the output
+        rows offset by offset. Cost: O(B n log L) time and O(n) memory for
+        B = (n+1)/L blocks, B ~ (spread of F) / _BLOCK_SPREAD.
+
+        The summand's blocks and their spectrum are formed with the summand
+        and the kernel windows' spectra by the plan, so a sum forms only the
+        block products and their inverse transforms."""
+        if name in self._sums:
+            return self._sums[name]
+        n1 = len(self.C)
+        if not self.finite:
+            return np.full(n1, np.nan)
+        L, B, nfft, m, Cb = self.L, self.B, self.nfft, self.m, self.Cb
+        kf = self.plan.spectra(name, n1, L)
+        out = np.zeros((B, L))
+        step = max(1, _FFT_BATCH // (nfft * B))  # block offsets per batched call
+        for d0 in range(0, B, step):
+            # the pairs (I, I + d) at the offsets d of this batch, stacked
+            offsets = range(d0, min(d0 + step, B))
+            pairs = np.concatenate([self.xf[d:] * kf[d] for d in offsets])
+            z = np.fft.irfft(pairs, nfft)[:, L - 1:2 * L - 1][:, ::-1]
+            row = 0
+            for d in offsets:
+                out[:B - d] += np.exp(Cb[:B - d] + m[d:, None]) * z[row:row + B - d]
+                row += B - d
+        S = out.ravel()[:n1]
+        S += 0.5 * self.plan.dt * self.plan.kernels[name][0] * self.f  # diagonal, w_ii = dt/2
+        S[-1] = 0.0
+        self._sums[name] = S
+        return S
+
+    def image(self) -> np.ndarray:
+        """The fixed-point map's right-hand side from t_start on (see
+        ``_integral_equation_rhs``)."""
+        C = self.C
+        return self.kernel_sum("h") + self.plan.h_T[self.start:] * np.exp(C - C[-1])
+
+
+def _integral_equation_rhs(values, plan, start=0):
     """Right-hand side of the fixed-point map at the grid nodes from t_start on:
 
         int_t^T h(s-t) e^{K (s-t)} lam(s)^q e^{-int_t^s p c} ds
         + h(T-t) e^{K (T-t)} e^{-int_t^T p c},
 
     with the integral on the trapezoid rule; it reads lam from t_start on only."""
-    log_f, C = _summand_logs(values, m, u, g, start)
-    t = g.nodes
-    return (_kernel_sum(d.h(t[:len(t) - start]), log_f, C, g.dt)
-            + d.h(g.horizon - t[start:]) * np.exp(C - C[-1]))
+    return _Summand(plan, values, start).image()
 
 
 def solve_no_consumption(
@@ -308,6 +377,7 @@ def picard_solve(
     if tol <= 0:
         raise ParameterError("need tol > 0")
     bounds = a_priori_bounds(m, u, d, g)
+    plan = _KernelPlan(m, u, d, g)
     p = u.p
     half_step = 0.5 * bounds.A * g.dt / (1.0 - p)
     with np.errstate(divide="ignore"):  # a vacuous lower side is 0
@@ -322,7 +392,7 @@ def picard_solve(
             while True:
                 sweeps += 1
                 lam[a:b] = np.exp(x)
-                image = _integral_equation_rhs(lam, m, u, d, g, a)[:b - a]
+                image = _integral_equation_rhs(lam, plan, a)[:b - a]
                 r = np.log(image) - x
                 delta = float(np.max(np.abs(r)))  # nan or inf off the float range
                 if not tol < delta < math.inf:
@@ -346,9 +416,10 @@ def picard_solve(
         else:
             raise NonConvergenceError(sweeps, None, f"node {a} alone: its image left "
                                       "the float range")
-    deriv = differential_form_rhs(lam, m, u, d, g)
+    final = _Summand(plan, lam)
+    deriv = differential_form_rhs(lam, m, u, d, g, final)
     return ValueCurve(grid=g, values=lam, derivative=deriv, provenance="picard",
-                      sweeps=sweeps)
+                      sweeps=sweeps, image=final.image())
 
 
 def _rk4_mixture(betas: np.ndarray, rates: list, p: float, t: list) -> np.ndarray:
@@ -544,15 +615,22 @@ def a_priori_bounds(
 
 
 def residual_integral_equation(
-    sol: ValueCurve, m: MarketParams, u: CrraUtility, d: DiscountSpec
+    sol: ValueCurve, m: MarketParams, u: CrraUtility, d: DiscountSpec,
+    rhs: Optional[np.ndarray] = None,
 ) -> float:
-    """Sup-norm gap between lam and the integral-equation right-hand side."""
-    rhs = _integral_equation_rhs(sol.values, m, u, d, sol.grid)
+    """Sup-norm gap between lam and the integral-equation right-hand side.
+
+    rhs is that right-hand side on sol's nodes when the caller already holds
+    it: a curve from ``picard_solve`` with these m, u and d carries it as its
+    image. Without it, it is computed here."""
+    if rhs is None:
+        rhs = _integral_equation_rhs(sol.values, _KernelPlan(m, u, d, sol.grid))
     return float(np.max(np.abs(rhs - sol.values)))
 
 
 def differential_form_rhs(
-    values: np.ndarray, m: MarketParams, u: CrraUtility, d: DiscountSpec, g: TimeGrid
+    values: np.ndarray, m: MarketParams, u: CrraUtility, d: DiscountSpec, g: TimeGrid,
+    summand: Optional[_Summand] = None,
 ) -> np.ndarray:
     """lam'(t) implied by the differential form of the integral equation:
 
@@ -561,18 +639,16 @@ def differential_form_rhs(
                  lam(s)^(p/(p-1)) exp(-int_t^s p lam^(1/(p-1))) ds.
 
     The kernel -h'(s-t) + h(s-t) h'(T-t)/h(T-t) vanishes identically for
-    exponential discounting, leaving the autonomous local ODE.
+    exponential discounting, leaving the autonomous local ODE. The kernels
+    -h' and h are summed against one transform of the summand: ``summand``
+    when the caller's solve already formed it for values with these m, u, d
+    and g, which then keeps both sums.
     """
-    K = growth_constant(m, u)
-    p = u.p
-    tau = g.horizon - g.nodes
-    rate_T = d.h_prime(tau) / d.h(tau)
-    local = -(rate_T + K) * values + (p - 1.0) * values ** (p / (p - 1.0))
-    log_f, C = _summand_logs(values, m, u, g)
-    integral = _kernel_sum(-d.h_prime(g.nodes), log_f, C, g.dt) + rate_T * _kernel_sum(
-        d.h(g.nodes), log_f, C, g.dt
-    )
-    return local + integral
+    if summand is None:
+        summand = _Summand(_KernelPlan(m, u, d, g), values)
+    plan, p = summand.plan, u.p
+    local = -(plan.rate_T + plan.K) * values + (p - 1.0) * values ** (p / (p - 1.0))
+    return local + (summand.kernel_sum("-h'") + plan.rate_T * summand.kernel_sum("h"))
 
 
 def residual_differential_form(

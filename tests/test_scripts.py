@@ -74,7 +74,7 @@ def test_picard_scaling_runs():
     )
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.strip().split("\n")
-    assert header.split() == ["n", "sweeps", "time", "s", "peak", "MB", "lam(0)"]
+    assert header.split() == ["n", "sweeps", "time", "s", "ms/sweep", "peak", "MB", "lam(0)"]
     assert [int(row.split()[0]) for row in rows] == [100, 200]
     assert all(int(row.split()[1]) >= 1 for row in rows)
 

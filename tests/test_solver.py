@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from eqmerton.model import (
@@ -23,6 +25,10 @@ from eqmerton.solver import (
     NonConvergenceError,
     StepFailureError,
     ValueCurve,
+    _BLOCK_SPREAD,
+    _KernelPlan,
+    _Summand,
+    _block_length,
     _integral_equation_rhs,
     _rk4_mixture,
     a_priori_bounds,
@@ -99,6 +105,23 @@ def theta_curve(u, g, a=0.1):
     return (np.exp(-a * tau) - np.expm1(-a * tau) / a) ** (1.0 - u.p)
 
 
+def wide_bequest_case(m, d):
+    """Bequest-only coefficient at p = 0.95, T = 20: lam^q spans about
+    1e-175..1 while C stays flat."""
+    u = CrraUtility(p=0.95)
+    g = TimeGrid(horizon=20.0, n_steps=400)
+    tau = g.horizon - g.nodes
+    return u, g, d.h(tau) * np.exp(growth_constant(m, u) * tau)
+
+
+def steep_theta_case(m, d):
+    """theta grows like e^{tau}: lam^q falls by about e^100 over [0, T] while
+    C - K t moves by less than 10."""
+    u = CrraUtility(p=-2.0)
+    g = TimeGrid(horizon=50.0, n_steps=400)
+    return u, g, theta_curve(u, g, a=-1.0)
+
+
 FAST_MIXTURE = ExponentialMixtureDiscount(betas=(0.5, 0.5), rhos=(0.05, 5.0))
 ORACLE_CASES = [
     (label, p, horizon)
@@ -110,7 +133,7 @@ ORACLE_CASES = [
 
 def assert_matches_oracle(values, m, u, d, g, rel=1e-13):
     rhs, dfr, scale = dense_rhs_oracle(values, m, u, d, g)
-    got_rhs = _integral_equation_rhs(values, m, u, d, g)
+    got_rhs = _integral_equation_rhs(values, _KernelPlan(m, u, d, g))
     got_dfr = differential_form_rhs(values, m, u, d, g)
     assert np.max(np.abs(got_rhs - rhs) / np.abs(rhs)) <= rel
     assert np.max(np.abs(got_dfr - dfr) / scale) <= rel
@@ -125,20 +148,29 @@ class TestKernelSumAgainstDenseOracle:
         assert_matches_oracle(theta_curve(u, g), market, u, d, g)
 
     def test_bequest_curve_with_wide_summand(self, market, hyp_discount):
-        # bequest-only coefficient at p = 0.95, T = 20: lam^q spans about
-        # 1e-175..1 while C stays flat
-        u = CrraUtility(p=0.95)
-        g = TimeGrid(horizon=20.0, n_steps=400)
-        tau = g.horizon - g.nodes
-        lam = hyp_discount.h(tau) * np.exp(growth_constant(market, u) * tau)
+        u, g, lam = wide_bequest_case(market, hyp_discount)
         assert_matches_oracle(lam, market, u, hyp_discount, g)
 
     def test_steep_summand_with_flat_exponent(self, market, hyp_discount):
-        # theta grows like e^{tau}: lam^q falls by about e^100 over [0, T]
-        # while C - K t moves by less than 10
-        u = CrraUtility(p=-2.0)
-        g = TimeGrid(horizon=50.0, n_steps=400)
-        assert_matches_oracle(theta_curve(u, g, a=-1.0), market, u, hyp_discount, g)
+        u, g, lam = steep_theta_case(market, hyp_discount)
+        assert_matches_oracle(lam, market, u, hyp_discount, g)
+
+    @pytest.mark.parametrize("case", [wide_bequest_case, steep_theta_case])
+    def test_fft_batches_never_change_the_bits(self, market, hyp_discount, monkeypatch,
+                                               case):
+        # a 64-point batch gives every block offset its own FFT call
+        u, g, lam = case(market, hyp_discount)
+
+        def sums():
+            return (_integral_equation_rhs(lam, _KernelPlan(market, u, hyp_discount, g)),
+                    differential_form_rhs(lam, market, u, hyp_discount, g))
+
+        assert _Summand(_KernelPlan(market, u, hyp_discount, g), lam).B > 1
+        whole = sums()
+        monkeypatch.setattr(solver_module, "_FFT_BATCH", 64)
+        assert_matches_oracle(lam, market, u, hyp_discount, g)
+        for got, want in zip(sums(), whole):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("label", ["hyperbolic", "fast_mixture"])
     def test_long_horizon_solution(self, market, utility, all_discounts, label):
@@ -148,6 +180,47 @@ class TestKernelSumAgainstDenseOracle:
         g = TimeGrid(horizon=50.0, n_steps=400)
         lam = picard_solve(market, utility, d, g).values
         assert_matches_oracle(lam, market, utility, d, g)
+
+
+def bisection_block_length(F):
+    """The longest block length over whose aligned blocks F moves by at most
+    _BLOCK_SPREAD, by bisection alone."""
+    lo, hi = 1, len(F)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if max_block_spread(F, mid) <= _BLOCK_SPREAD:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def max_block_spread(F, L):
+    return max(np.ptp(F[i:i + L]) for i in range(0, len(F), L))
+
+
+class TestBlockLength:
+    def check(self, F):
+        F = np.asarray(F, dtype=float)
+        L = _block_length(F)
+        if np.ptp(F) <= _BLOCK_SPREAD:
+            assert L == len(F)
+        else:
+            assert L == bisection_block_length(F)
+            assert max_block_spread(F, L) <= _BLOCK_SPREAD
+
+    @pytest.mark.parametrize("F", [
+        [0.0], [0.0, _BLOCK_SPREAD], [1.0, 1.0 - _BLOCK_SPREAD, 0.5],
+        [0.0, np.nextafter(_BLOCK_SPREAD, 3.0)], [0.0, 1.0, 2.5, 3.0, 0.0],
+        np.linspace(0.0, 100.0, 1001),
+    ], ids=["single", "spread-at-bound", "spread-at-bound-interior", "just-over",
+            "bump", "ramp"])
+    def test_listed(self, F):
+        self.check(F)
+
+    @given(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=64))
+    def test_one_block_exactly_when_the_bisection_would_give_one(self, F):
+        self.check(F)
 
 
 class TestGrowthConstant:
