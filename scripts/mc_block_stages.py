@@ -19,8 +19,9 @@ tiles, whose sizes the table's last three rows give:
                 (``rqmc.shifted_points``), Phi^{-1} and the bridge's levels;
                 no other random number is drawn;
 * chords        each path's mean at every node given its coarse values
-                (``rqmc.BrownianBridge.chords``), the array every log-wealth
-                is affine in;
+                (``rqmc.BrownianBridge.chords``, into the block's buffer as
+                a pass's tile fills its own), the array every log-wealth is
+                affine in;
 * X^p           exp(p vol W) of the chords, which is the conditional X^p up
                 to per-node factors, into the scratch buffer, then its
                 reciprocal, the partners';
@@ -156,7 +157,7 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
         Wc[1:] = bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
 
     def chords():
-        bridge.chords(Wc, W)
+        bridge.chords(Wc, out=W)
 
     def powers():
         Y = np.multiply(W, u.p * leg.vol, out=scratch)

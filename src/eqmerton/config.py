@@ -85,13 +85,9 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {
-            "market": {"r": self.market.r, "alpha": self.market.alpha,
-                       "sigma": self.market.sigma},
-            "utility": {"p": self.utility.p},
-            "grid": {"horizon": self.grid.horizon, "n_steps": self.grid.n_steps},
+            **{key: vars(getattr(self, key)).copy()
+               for key in ("market", "utility", "grid", "solver", "sim")},
             "discount": _discount_to_dict(self.discount) if self.discount else None,
-            "solver": vars(self.solver).copy(),
-            "sim": vars(self.sim).copy(),
             "output_dir": self.output_dir,
             "compare_discounts": {
                 label: _discount_to_dict(d) for label, d in self.compare_discounts.items()

@@ -17,8 +17,9 @@ Four pieces, numpy only:
   the terminal node first and then the midpoints level by level
   (Glasserman, Monte Carlo Methods in Financial Engineering, 2004, sections
   3.1.2 and 5.5), and the law of the path between them given those values:
-  the chord as its mean and the bridge variance; and a bound on each
-  segment's rise, for the normals the stream can draw.
+  the chord as its mean, formed by one routine at every node or at given
+  ones, and the bridge variance; and a bound on each segment's rise, for
+  the normals the stream can draw.
 
 The points, normals, coarse values and chords of many paths are
 coordinate- or node-major arrays, a row per coordinate or node and a column
@@ -209,15 +210,14 @@ class BrownianBridge:
     midpoints level by level, so the leading coordinates carry the path's
     large-scale moves. Given those values the path is a Brownian bridge on
     each segment lo < k < hi, independent of the other segments: W_k is
-    normal with the chord of the coarse values as its mean (``chords``, or
-    ``chord_columns`` at given nodes; at a coarse node, the coarse value
-    itself, row ``coarse_index`` of the coarse values) and variance
-    (k - lo)(hi - k) / (hi - lo) (``variance``), and two nodes of one
-    segment j <= k have covariance (j - lo)(hi - k) / (hi - lo). On each
-    segment the chord is linear in the node's ``offset``
-    (k - lo) / (hi - lo) - 1/2, with the segment's rise W(hi) - W(lo) as its
-    slope, which ``slope_bound`` bounds for every point the stream can
-    draw."""
+    normal with the chord of the coarse values as its mean (``chords``, the
+    one routine that forms it, at every node or at given ones; at a coarse
+    node, the coarse value itself) and variance (k - lo)(hi - k) / (hi - lo)
+    (``variance``), and two nodes of one segment j <= k have covariance
+    (j - lo)(hi - k) / (hi - lo). On each segment the chord is linear in the
+    node's ``offset`` (k - lo) / (hi - lo) - 1/2, with the segment's rise
+    W(hi) - W(lo) as its slope, which ``slope_bound`` bounds for every point
+    the stream can draw."""
 
     def __init__(self, n_steps: int):
         if n_steps < 1:
@@ -249,10 +249,6 @@ class BrownianBridge:
         # node k's place on its segment about the midpoint, in [-1/2, 1/2]
         self.offset = self._fraction - 0.5
         self.variance = (k - lo) * (hi - k) / (hi - lo)
-        # the row of the coarse values (nodes 0..N) that holds node k, -1
-        # for a node between them
-        self.coarse_index = np.full(n_steps + 1, -1)
-        self.coarse_index[self.nodes] = np.arange(N + 1)
 
     def coarse(self, xi: np.ndarray) -> np.ndarray:
         """W at nodes 1..N (N x paths) from normals xi (N x paths): W at node
@@ -281,41 +277,31 @@ class BrownianBridge:
         unit[:, 1:] = self.coarse(np.eye(self.dim)).T
         return xi_max * np.abs(np.diff(unit, axis=1)).sum(axis=0)
 
-    def chords(self, Wc: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The mean of W at every node 0..n_steps given its coarse values Wc
-        ((N + 1) x paths, nodes 0..N, Wc[0] = 0), into out ((n_steps + 1) x
-        paths): on each segment the chord
+    def chords(self, Wc: np.ndarray, nodes=slice(None), out: np.ndarray | None = None
+               ) -> np.ndarray:
+        """The mean of W at the given nodes (an index, slice or index array of
+        0..n_steps, every node by default) given its coarse values Wc
+        ((N + 1) x paths, nodes 0..N, Wc[0] = 0), into out (nodes x paths, or
+        paths for one node) when it is given: on each segment the chord
         Wc_lo + (k - lo) / (hi - lo) (Wc_hi - Wc_lo), elementwise, so each
-        path's values do not depend on the other paths; it takes the coarse
-        values at the nodes exactly. The segments before the last, s steps
-        each, are filled at once as an (N - 1, s, paths) view."""
-        N, s = self.dim, self.step
-        equal = (N - 1) * s
-        slope = Wc[1:] - Wc[:-1]
-        head = out[:equal].reshape(N - 1, s, Wc.shape[1])
-        np.multiply(slope[:-1, None], self._fraction[:s, None], out=head)
-        head += Wc[:N - 1, None]
-        np.multiply(slope[-1], self._fraction[equal:, None], out=out[equal:])
-        out[equal:] += Wc[N - 1]
-        out[-1] = Wc[-1]
-        return out
-
-    def chord_columns(self, Wc: np.ndarray, nodes, out: np.ndarray | None = None) -> np.ndarray:
-        """The chords at the given nodes only (an index, slice or index array
-        of 0..n_steps), the same bits as those rows of ``chords``; for an
-        array of nodes into out (nodes x paths) when it is given. Each run of
-        consecutive nodes on one segment is filled in place, so no other
-        array of out's size is formed."""
+        path's values do not depend on the other paths, and a node's value
+        does not depend on the other nodes read; it takes the coarse values
+        at the nodes exactly. Each run of consecutive nodes on one segment is
+        filled in place, so no other array of out's size is formed. The
+        terminal node read alone, without out, is Wc[-1] itself, a view."""
         k = np.arange(self.n_steps + 1)[nodes]
         if np.ndim(k) == 0:
-            return self.chord_columns(Wc, k[None])[0]
+            if out is None:
+                return Wc[-1] if k == self.n_steps else self.chords(Wc, k[None])[0]
+            self.chords(Wc, k[None], out[None])
+            return out
         if out is None:
             out = np.empty((len(k), Wc.shape[1]))
+        slope, fraction = Wc[1:] - Wc[:-1], self._fraction[k, None]
         j = self.segment[k]
-        starts = np.flatnonzero(np.diff(j, prepend=-1))
-        for lo, hi in zip(starts, [*starts[1:], len(k)]):
-            seg = j[lo]
-            np.multiply(Wc[seg + 1] - Wc[seg], self._fraction[k[lo:hi], None], out=out[lo:hi])
-            out[lo:hi] += Wc[seg]
+        starts = np.flatnonzero(np.diff(j, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(k)]):
+            np.multiply(slope[j[lo]], fraction[lo:hi], out=out[lo:hi])
+            out[lo:hi] += Wc[j[lo]]
         out[k == self.n_steps] = Wc[-1]
         return out

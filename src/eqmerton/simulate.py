@@ -64,10 +64,10 @@ otherwise it takes the chords. On the benchmark's 1000-step, T = 1 leg
 (s = 6) keeps the chords. Nodes read singly (the terminal control and
 moments, the martingale and moment checkpoints) and the perturbation's
 window head take the chords of their own nodes only (``Block.chords``),
-the same bits, laid out alike, as those rows of the chord matrix; a
-coarse node, such as the terminal one, is read from the coarse values
-themselves. So a pass without a leg, the martingale and moment checks
-alone, reads its checkpoints from the coarse values and forms no chord
+formed by the bridge's one chord routine, the same bits, laid out alike,
+as those rows of the chord matrix; the terminal node alone is its coarse
+value itself. So a pass without a leg, the martingale and moment checks
+alone, reads its checkpoints through the same routine and forms no chord
 matrix either.
 
 A pass is one ordered map over tiles of consecutive rows, a row being a
@@ -131,9 +131,10 @@ any other, never through covariance sums, whose terms cancel.
 
 Every check is an estimator: a block function from one ``Block`` (a tile) to
 a dict of sums, and a finisher from the sums over all paths to the result.
-``run_estimators`` feeds any list of estimators from one pass over the
-stream, so the checks share common random numbers and repeat no work. Each
-public check below is that runner applied to one estimator.
+``run_pass`` feeds any list of estimators from one pass over the stream, so
+the checks share common random numbers and repeat no work. Each public check
+below is that runner applied to one estimator, or to one per perturbation
+size.
 """
 
 from __future__ import annotations
@@ -163,7 +164,6 @@ __all__ = [
     "PolicyLeg",
     "Block",
     "SegmentSeries",
-    "run_estimators",
     "run_pass",
     "equilibrium_leg",
     "simulation_estimator",
@@ -443,7 +443,7 @@ def _accumulate_blocks(cfg: SimConfig, plan: _Pass, block_fn: Callable) -> dict:
             local.w = np.empty(most_rows * plan.width) if plan.chords else None
         if plan.chords:
             shape = (bridge.n_steps + 1, len(rows))
-            W = bridge.chords(W, local.w[:math.prod(shape)].reshape(shape))
+            W = bridge.chords(W, out=local.w[:math.prod(shape)].reshape(shape))
         return block_fn(W, local.scratch, rows // rep)
 
     starts, workers = range(0, cfg.n_pairs, tile_rows), cfg.worker_count(tile_rows)
@@ -870,18 +870,11 @@ class Block:
     def chords(self, nodes, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The drawn paths' chords at the given nodes (an index, slice or
         index array), node-major: read from the chord matrix, a view for an
-        index or a slice, out unused; on the coarse values read from them
-        where every node is a coarse node (a view for an index), and formed
-        otherwise (``rqmc.BrownianBridge.chord_columns``), into out when it
-        is given. Every way they are the same bits in the same layout, so
-        sums over their nodes round alike."""
-        W, bridge = self.W, self.plan.bridge
-        if self.plan.chords:
-            return W[nodes]
-        index = bridge.coarse_index[nodes]
-        if np.all(index >= 0):  # coarse nodes only
-            return np.take(W, index, axis=0, out=out) if np.ndim(index) else W[index]
-        return bridge.chord_columns(W, nodes, out)
+        index or a slice, out unused; on the coarse values formed from them
+        (``rqmc.BrownianBridge.chords``), into out when it is given. Both
+        ways they are the same bits in the same layout, so sums over their
+        nodes round alike."""
+        return self.W[nodes] if self.plan.chords else self.plan.bridge.chords(self.W, nodes, out)
 
     @cached_property
     def _segments(self):
@@ -963,12 +956,6 @@ def _fused_block(estimators: list, plan: _Pass) -> Callable:
                 for key, value in block_fn(blk).items()}
 
     return block
-
-
-def run_estimators(cfg: SimConfig, estimators: list, leg: Optional[PolicyLeg] = None) -> list:
-    """Results of the estimators, in order, from one pass over the random
-    stream: ``run_pass`` without the pass's layout."""
-    return run_pass(cfg, estimators, leg)[0]
 
 
 def run_pass(cfg: SimConfig, estimators: list,
@@ -1100,7 +1087,7 @@ def verify_value_identity(
         policy = equilibrium_policy(sol, m, u)
     cfg = replace(cfg, x0=x)
     leg = equilibrium_leg(policy, cfg, m, u, d, t)
-    return run_estimators(cfg, [value_identity_estimator(sol, leg, t, target_scale)], leg)[0]
+    return run_pass(cfg, [value_identity_estimator(sol, leg, t, target_scale)], leg)[0][0]
 
 
 def martingale_estimator(sol: ValueCurve, cfg: SimConfig, m: MarketParams, u: CrraUtility,
@@ -1169,7 +1156,7 @@ def martingale_check(
     so its z would only measure rounding.
     """
     est = martingale_estimator(sol, cfg, m, u, d, n_checkpoints, suboptimal_zeta)
-    return run_estimators(cfg, [est])[0]
+    return run_pass(cfg, [est])[0][0]
 
 
 def moment_estimator(cfg: SimConfig, m: MarketParams, u: CrraUtility, exponent_q: float,
@@ -1206,7 +1193,7 @@ def moment_check(
     """Compare sample E[X(s)^q] under the no-consumption equilibrium fraction
     with x0^q e^{growth_rate * s} at evenly spaced checkpoints."""
     est = moment_estimator(cfg, m, u, exponent_q, growth_rate, n_checkpoints)
-    return run_estimators(cfg, [est])[0]
+    return run_pass(cfg, [est])[0][0]
 
 
 def perturbation_estimator(leg: PolicyLeg, eps: float, spike: Spike):
@@ -1313,5 +1300,4 @@ def perturbation_test(
     first-order stationarity in the fraction alone is probed.
     """
     leg = equilibrium_leg(pol, cfg, m, u, d, t)
-    return run_estimators(cfg, [perturbation_estimator(leg, eps, spike)
-                                for eps in epsilons], leg)
+    return run_pass(cfg, [perturbation_estimator(leg, eps, spike) for eps in epsilons], leg)[0]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from eqmerton import (
@@ -8,6 +9,7 @@ from eqmerton import (
     MarketParams,
     TimeGrid,
 )
+from eqmerton.rqmc import BrownianBridge
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +54,20 @@ def all_discounts(exp_discount, mix_discount, hyp_discount):
         "mixture": mix_discount,
         "hyperbolic": hyp_discount,
     }
+
+
+@pytest.fixture
+def chord_matrices(monkeypatch):
+    """A list that gains an entry each time ``BrownianBridge.chords`` forms
+    the chords at every node, a chord matrix; reads at given nodes, which
+    every pass may make, are not counted."""
+    calls = []
+    chords = BrownianBridge.chords
+
+    def spy(bridge, Wc, nodes=slice(None), out=None):
+        if np.size(np.arange(bridge.n_steps + 1)[nodes]) == bridge.n_steps + 1:
+            calls.append(bridge.n_steps)
+        return chords(bridge, Wc, nodes, out)
+
+    monkeypatch.setattr(BrownianBridge, "chords", spy)
+    return calls

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eqmerton import cli, config, duality, policy, rqmc, simulate, solver
+from eqmerton import cli, config, duality, policy, simulate, solver
 from eqmerton.config import ConfigError, RunConfig, SimSettings, SolverSettings, load_config
 from eqmerton.model import (
     CrraUtility,
@@ -608,18 +608,17 @@ class TestCliVerify:
         assert identity["std_error_uncontrolled"] > 2 * identity["std_error"]
         assert all(set(s) == {"n_pairs", "std_error"} for s in samples.values())
 
-    def test_martingale_checks_alone_run_without_the_leg(self, tmp_path, monkeypatch):
+    def test_martingale_checks_alone_run_without_the_leg(self, tmp_path, monkeypatch,
+                                                         chord_matrices):
         # they read no utility functional, so their pass holds the coarse
-        # values and forms no chord matrix; on 100 steps a pass on the leg's
-        # chords runs in tiles of 2048 rows too, and the table is its bytes
+        # values and forms no chord matrix, only the chords at its
+        # checkpoints; on 100 steps a pass on the leg's chords runs in tiles
+        # of 2048 rows too, and the table is its bytes
         ini = write_ini(tmp_path, body=BASE_INI.replace("n_steps = 200", "n_steps = 100"))
-        calls, tables = [], {}
-        chords = rqmc.BrownianBridge.chords
-        monkeypatch.setattr(rqmc.BrownianBridge, "chords",
-                            lambda *a: calls.append(1) or chords(*a))
+        tables = {}
         argv = ["verify", "--config", ini, "--checks", "martingale", "--out"]
         assert cli.main(argv + [str(tmp_path / "coarse")]) == 0
-        assert calls == []
+        assert chord_matrices == []
         tables["coarse"] = (tmp_path / "coarse" / "verification.csv").read_bytes()
         # the same command with its pass run on the equilibrium leg
         cfg = load_config(ini)
@@ -630,7 +629,7 @@ class TestCliVerify:
         monkeypatch.setattr(simulate, "run_pass",
                             lambda cfg, estimators, leg_=None: run_pass(cfg, estimators, leg))
         assert cli.main(argv + [str(tmp_path / "leg")]) == 0
-        assert len(calls) == 2 and not leg.takes_moments
+        assert len(chord_matrices) == 2 and not leg.takes_moments
         tables["leg"] = (tmp_path / "leg" / "verification.csv").read_bytes()
         assert tables["coarse"] == tables["leg"]
         assert tables["coarse"].count(b"\n") == 3
@@ -897,7 +896,8 @@ def assert_worker_count_keeps_bytes(out, body, worker_counts):
                 assert (outs[0] / name).read_bytes() == (other / name).read_bytes(), name
 
 
-def test_worker_count_does_not_change_bytes_on_segment_moments(tmp_path, monkeypatch):
+def test_worker_count_does_not_change_bytes_on_segment_moments(tmp_path, monkeypatch,
+                                                               chord_matrices):
     # the 1000-step leg sums its segments from their Taylor moments and
     # never forms the chord matrix; its widest array is the segment powers,
     # (D + 1) x 16 = 23 x 16 per row (D = 22 for wealth), wider than the
@@ -906,10 +906,6 @@ def test_worker_count_does_not_change_bytes_on_segment_moments(tmp_path, monkeyp
     # a ragged tile of one (of two)
     monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 7 * 23 * 16)
     monkeypatch.setattr(simulate, "_BLOCK_PAIRS", 301)
-    chords = []
-    bridge_chords = simulate.BrownianBridge.chords
-    monkeypatch.setattr(simulate.BrownianBridge, "chords",
-                        lambda *a: chords.append(1) or bridge_chords(*a))
     tiles = record_tiles(monkeypatch)
     for n_paths, pairs, last in ((4608, 2304, 1), (4736, 2368, 2)):
         body = (BASE_INI.replace("n_steps = 200", "n_steps = 1000")
@@ -918,7 +914,7 @@ def test_worker_count_does_not_change_bytes_on_segment_moments(tmp_path, monkeyp
         # six passes, each of whole tiles of seven rows and a last one
         assert [sorted(run) for run in tiles] == [[last] + [7] * (pairs // 7)] * 6
         tiles.clear()
-    assert chords == []
+    assert chord_matrices == []
 
 
 def test_manifests_record_each_pass_s_layout(tmp_path):

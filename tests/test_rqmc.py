@@ -123,7 +123,7 @@ class TestBrownianBridge:
         Wc = np.concatenate([np.zeros((1, rows)),
                              bridge.coarse(rng.standard_normal((bridge.dim, rows)))])
         chords = np.full((n_steps + 1, rows), np.nan)
-        bridge.chords(Wc, chords)
+        bridge.chords(Wc, out=chords)
         assert np.array_equal(chords[bridge.nodes], Wc) and np.all(chords[0] == 0.0)
         for row in range(rows):
             # the oracle's paths are row-major, a row per path
@@ -139,16 +139,29 @@ class TestBrownianBridge:
             np.testing.assert_allclose(W.var(axis=0), bridge.variance,
                                        rtol=5 * np.sqrt(2.0 / draws), atol=1e-12)
 
-    @pytest.mark.parametrize("n_steps", [1, 17, 200, 1000])
+    @pytest.mark.parametrize("n_steps", [1, 15, 16, 17, 37, 100, 200, 1000])
     def test_chord_columns_are_those_columns_of_the_chords(self, n_steps):
+        # the chords at given nodes are those rows of the chords at every
+        # node, bit for bit, with or without out: the terminal node (a view
+        # of its coarse values without out), a coarse node, a node inside a
+        # segment, a slice and index arrays, the segments' runs split anyhow
         bridge = BrownianBridge(n_steps)
         rng = np.random.default_rng(n_steps)
         Wc = np.concatenate([np.zeros((1, 5)), bridge.coarse(rng.standard_normal((bridge.dim, 5)))])
-        W = bridge.chords(Wc, np.empty((n_steps + 1, 5)))
-        for nodes in (-1, 0, n_steps, n_steps // 3, slice(0, n_steps // 3 + 1), slice(None),
-                      np.array([0, bridge.nodes[-2], n_steps]),
+        W = bridge.chords(Wc)
+        assert W.shape == (n_steps + 1, 5) and np.array_equal(W[bridge.nodes], Wc)
+        terminal = bridge.chords(Wc, -1)
+        assert terminal.base is Wc and np.array_equal(terminal, Wc[-1])
+        inside = min(bridge.nodes[1] + bridge.step // 2, n_steps)
+        for nodes in (-1, n_steps, 0, int(bridge.nodes[1]), inside, n_steps // 3,
+                      slice(0, n_steps // 3 + 1), slice(1, None, 2), slice(None),
+                      np.array([0, bridge.nodes[-2], n_steps]), np.array([n_steps, inside, 0]),
                       np.unique(np.linspace(0, n_steps, 5).round().astype(int))):
-            np.testing.assert_array_equal(bridge.chord_columns(Wc, nodes), W[nodes])
+            expected = W[nodes]
+            np.testing.assert_array_equal(bridge.chords(Wc, nodes), expected)
+            out = np.full(expected.shape, np.nan)
+            assert bridge.chords(Wc, nodes, out) is out
+            np.testing.assert_array_equal(out, expected)
 
     @pytest.mark.parametrize("n_steps", [1, 17, 100, 1000, 2000])
     def test_slope_bound_is_the_largest_rise_of_the_drawable_normals(self, n_steps):

@@ -32,7 +32,7 @@ from eqmerton.simulate import (
     perturbation_test,
     Block,
     SegmentSeries,
-    run_estimators,
+    run_pass,
     simulate_equilibrium,
     simulation_estimator,
     value_identity_estimator,
@@ -311,8 +311,8 @@ class TestTerminalControl:
         cfg = sim_cfg(sim_grid, n_paths=3001, seed=5)
         leg = replace(equilibrium_leg(pol, cfg, market, utility, hyp_discount), zeta=0.0)
         sim = simulation_estimator(pol, sim_grid, leg, hyp_discount)
-        sums, batch, verdict = run_estimators(
-            cfg, [sums_of(sim), sim, value_identity_estimator(sol, leg, 0.0)], leg)
+        sums, batch, verdict = run_pass(
+            cfg, [sums_of(sim), sim, value_identity_estimator(sol, leg, 0.0)], leg)[0]
         assert sums["c"] == sums["c_sq"] == 0.0
         # the plain mean, and the standard error of the plain replicate means
         mean = sums["j"] / cfg.n_pairs
@@ -341,7 +341,7 @@ class TestTerminalControl:
         leg = equilibrium_leg(equilibrium_policy(sol, market, utility), cfg, market, utility,
                               hyp_discount)
         est = value_identity_estimator(sol, leg, 0.0)
-        verdicts = [run_estimators(replace(cfg, seed=seed), [est], leg)[0]
+        verdicts = [run_pass(replace(cfg, seed=seed), [est], leg)[0][0]
                     for seed in range(3000)]
         threshold = verdicts[0].threshold
         assert threshold == pytest.approx(4.52997, abs=1e-5)
@@ -484,10 +484,10 @@ class TestPerturbation:
         assert not leg.takes_moments
         spikes = [(0.25 * horizon, Spike(zeta=pol.stock_fraction + 1.0)),
                   (0.1 * horizon, Spike(zeta=pol.stock_fraction + 0.01))]
-        rows = run_estimators(cfg, [estimator(leg, eps, spike)
-                                    for estimator in (perturbation_estimator,
-                                                      expm1_perturbation_estimator)
-                                    for eps, spike in spikes], leg)
+        rows = run_pass(cfg, [estimator(leg, eps, spike)
+                              for estimator in (perturbation_estimator,
+                                                expm1_perturbation_estimator)
+                              for eps, spike in spikes], leg)[0]
         for row, reference in zip(rows[:2], rows[2:]):
             assert row.std_error > 0
             assert abs(row.d_estimate - reference.d_estimate) <= 1e-6 * reference.std_error, \
@@ -556,11 +556,11 @@ class TestOnePass:
         nc = solve_no_consumption(market, utility, hyp_discount, sim_grid)
         spike = Spike(zeta=pol.stock_fraction + 1.0)
         leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
-        fused = run_estimators(cfg, [
+        fused = run_pass(cfg, [
             value_identity_estimator(sol, leg, 0.0),
             martingale_estimator(nc, cfg, market, utility, hyp_discount),
             perturbation_estimator(leg, 0.25, spike),
-        ], leg)
+        ], leg)[0]
         assert fused == [
             verify_value_identity(sol, cfg, market, utility, hyp_discount, t=0.0,
                                   x=cfg.x0, policy=pol),
@@ -589,9 +589,9 @@ class TestOnePass:
             perturbation_estimator(leg, 0.1, Spike(zeta=pol.stock_fraction + 0.01)),
             martingale_estimator(nc, cfg, market, utility, hyp_discount),
         ]
-        forward, layout = simulate.run_pass(cfg, estimators, leg)
+        forward, layout = run_pass(cfg, estimators, leg)
         assert layout["n_tiles"] == 2
-        backward = run_estimators(cfg, estimators[::-1], leg)[::-1]
+        backward = run_pass(cfg, estimators[::-1], leg)[0][::-1]
         (batch, *rest), (batch_b, *rest_b) = forward, backward
         assert rest == rest_b
         for key, value in vars(batch).items():
@@ -619,7 +619,7 @@ class TestOnePass:
                    "simulate": (simulation_estimator(pol, g, leg, hyp_discount),)}
         for name, estimators in readers.items():
             seen.clear()
-            run_estimators(cfg, list(estimators), leg)
+            run_pass(cfg, list(estimators), leg)
             assert set(seen) == ({leg.vol, utility.p * leg.vol} if name == "simulate"
                                  else set()), name
 
@@ -955,7 +955,7 @@ def assert_sums_match(cfg, estimators, leg, expected):
     signed sums of the control can cancel far below it (a randomized net
     integrates a replicate's C almost exactly, and J C averages beta var(C)).
     Elsewhere the terms have one sign and this is the plain relative 1e-12."""
-    results = run_estimators(cfg, [sums_of(e) for e in estimators.values()], leg)
+    results = run_pass(cfg, [sums_of(e) for e in estimators.values()], leg)[0]
     checked = set()
     for name, sums in zip(estimators, results):
         for key, value in sums.items():
@@ -1057,11 +1057,11 @@ class TestTiles:
         est = perturbation_estimator(leg, g.horizon, Spike(zeta=pol.stock_fraction + 1.0))
         plan = simulate._plan(1000, leg, [est], 1)
         assert leg.takes_moments and (plan.width, plan.scratch) == (1001, 1001)
-        run_estimators(SimConfig(n_paths=2, seed=1, grid=g), [est], leg)
+        run_pass(SimConfig(n_paths=2, seed=1, grid=g), [est], leg)
         cfg = SimConfig(n_paths=65536, seed=1, grid=g, n_workers=1)
         tracemalloc.start()
         try:
-            run_estimators(cfg, [est], leg)
+            run_pass(cfg, [est], leg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1407,7 +1407,7 @@ class TestSegmentSeries:
         rise = np.abs(np.diff(Wc, axis=0))
         assert np.all(rise <= bridge.slope_bound[:, None] * (1 + 1e-12))
         assert np.allclose(rise.max(axis=1), bridge.slope_bound, rtol=1e-12)
-        W = bridge.chords(Wc, np.empty((n_steps + 1, rows)))
+        W = bridge.chords(Wc)
         # a tail from a coarse node, one from inside a segment, and the
         # gross spike's, from w + 1
         w = int(0.3 * n_steps)
@@ -1505,31 +1505,23 @@ class TestSegmentSeries:
         assert simulate._SERIES_H_CAP == 4.0
 
     def test_a_pass_on_moments_never_forms_the_chord_matrix(self, market, utility,
-                                                            hyp_discount, monkeypatch):
+                                                            hyp_discount, chord_matrices):
         g = TimeGrid(horizon=1.0, n_steps=1000)
         pol = equilibrium_policy(picard_solve(market, utility, hyp_discount, g), market, utility)
-        calls = []
-        chords = BrownianBridge.chords
-        monkeypatch.setattr(BrownianBridge, "chords",
-                            lambda *a: calls.append(1) or chords(*a))
         simulate_equilibrium(pol, SimConfig(n_paths=2000, seed=1, grid=g), market, utility,
                              hyp_discount, moment_orders=(utility.p,))
-        assert calls == []
+        assert chord_matrices == []
 
 
     def test_a_pass_without_a_leg_never_forms_the_chord_matrix(self, market, utility,
-                                                               hyp_discount, monkeypatch):
+                                                               hyp_discount, chord_matrices):
         # the martingale and moment checks alone read a few checkpoints
         g = TimeGrid(horizon=1.0, n_steps=1000)
         nc = solve_no_consumption(market, utility, hyp_discount, g)
         cfg = SimConfig(n_paths=2000, seed=1, grid=g)
-        calls = []
-        chords = BrownianBridge.chords
-        monkeypatch.setattr(BrownianBridge, "chords",
-                            lambda *a: calls.append(1) or chords(*a))
         flat, falling = martingale_check(nc, cfg, market, utility, hyp_discount)
         moments = moment_check(cfg, market, utility, utility.p, growth_constant(market, utility))
-        assert calls == []
+        assert chord_matrices == []
         assert flat.passed and falling.passed and all(v.passed for v in moments)
 
 
@@ -1576,7 +1568,7 @@ class TestConditionalExpectations:
         series = SegmentSeries(leg, (w + 1,)) if leg.takes_moments else None
         plan = simulate._Pass(bridge=bridge, leg=leg, tails=(w + 1,), n_replicates=1,
                               series=series, chords=series is None)
-        paths = Wc if series is not None else bridge.chords(Wc, np.empty((g.n_steps + 1, rows)))
+        paths = Wc if series is not None else bridge.chords(Wc)
         blk = Block(paths, scratch, plan, np.zeros(rows, dtype=np.intp))
         J, C, tails, heads = blk.powers
         # the per-node sums of E[exp(+-p vol W) | coarse values] over the
