@@ -3,7 +3,7 @@
 
 Runs the stages of one block of the equilibrium simulation (hyperbolic
 discount, T = 1) on buffers that are already allocated, as every tile after
-a worker's first one sees them, and tabulates the best-of-k time of each. A
+a pass's first one sees them, and tabulates the best-of-k time of each. A
 block of --paths paths (by default a pass's block, ``simulate._BLOCK_PAIRS``
 antithetic pairs) is --paths / 2 pairs, of which it stores only the drawn
 paths; each partner runs on -W. Every array is node-major, as in a pass: a
@@ -61,8 +61,7 @@ already formed: each spike's window chords (read from the
 chord matrix, or formed from the coarse values), one exponential of them
 and its reciprocal, and the per-row sums of its loss; a whole
 ``simulate_equilibrium`` pass over --pass-blocks blocks of the library's
-size on one worker thread and on the default count (``[sim] n_workers = 0``: one per CPU the
-process may run on), with the tracemalloc peak of each pass; the
+size, in the calling thread as every pass runs, with its tracemalloc peak; the
 tracemalloc peak of one ``simulate_equilibrium`` call of --paths paths,
 buffers included; and the rows of a pass's tile for each kind of pass
 (``simulate._Pass``), at most ``simulate._TILE_ELEMENTS`` elements of the
@@ -154,7 +153,7 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
 
     def coarse_points():
         words = _block_rng(42, 0).bit_generator.random_raw((cfg.n_pairs // rep, bridge.dim))
-        Wc[1:] = bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
+        bridge.coarse(norm_ppf(shifted_points(net, words, rows)), Wc)
 
     def chords():
         bridge.chords(Wc, out=W)
@@ -240,14 +239,11 @@ def stages(n_paths: int, n_steps: int, repeats: int, pass_blocks: int) -> dict:
     blk = Block(paths, flat, verify_plan, replicate)
     blk.powers  # J, its control, the tails and the heads, formed once as in a pass
     row["perturbation heads"] = best_ms(lambda: [fn(blk) for fn in spike_blocks], repeats)
-    passes = {label: replace(cfg, n_paths=pass_blocks * 2 * _BLOCK_PAIRS, n_workers=workers)
-              for label, workers in (("1 worker", 1), ("default", 0))}
-    for label, pass_cfg in passes.items():
-        row[f"pass {label}"] = best_ms(lambda: simulate_equilibrium(
-            pol, pass_cfg, m, u, d, moment_orders=moments), repeats)
-    for label, pass_cfg in passes.items():
-        row[f"pass {label} MB"] = traced_peak_mb(lambda: simulate_equilibrium(
-            pol, pass_cfg, m, u, d, moment_orders=moments))
+    pass_cfg = replace(cfg, n_paths=pass_blocks * 2 * _BLOCK_PAIRS)
+    row["pass"] = best_ms(lambda: simulate_equilibrium(
+        pol, pass_cfg, m, u, d, moment_orders=moments), repeats)
+    row["pass MB"] = traced_peak_mb(lambda: simulate_equilibrium(
+        pol, pass_cfg, m, u, d, moment_orders=moments))
     row["peak MB"] = traced_peak_mb(lambda: simulate_equilibrium(
         pol, cfg, m, u, d, moment_orders=moments))
     for kind, plan in (("chords", on_chords),

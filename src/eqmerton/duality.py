@@ -40,8 +40,10 @@ __all__ = [
 # _MAX_WIDEN steps
 _LOG_LO, _LOG_HI = np.log(1e-6), np.log(1e6)
 _LOG_WIDEN, _MAX_WIDEN = np.log(1e6), 40
-_N_GRID = 20000  # nodes of the bracketing grid
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# nodes of each grid over a bracket; a bracketed maximiser's next bracket is
+# its best node's two neighbours, 1/32 of the last, down to _LOG_TOL wide in
+# at most _MAX_ZOOM grids (a bracket can stall a few ulps wide)
+_NODES, _LOG_TOL, _MAX_ZOOM = 65, 1e-14, 16
 
 
 class DualityCheckError(Exception):
@@ -80,46 +82,39 @@ def _log_argmax(f, k: int = 1) -> np.ndarray:
     side by side: f(s, rows) returns the values of functions ``rows`` at the
     points s (one row of points per function).
 
-    For each function a uniform grid in s grows past whichever end holds its
-    best node until that node is interior (the maximiser's scale is not known
-    in advance), and past both ends while f is -inf on the whole grid. The
-    grids are evaluated one function at a time, which keeps each in cache
-    (a k x 20000 array measured slower). Golden section then refines all k
-    brackets at once, between each best node's neighbours, each function
-    stopping when its own bracket is below 1e-14."""
-    a, b = np.empty(k), np.empty(k)
-    for row in range(k):
-        lo, hi = _LOG_LO, _LOG_HI
-        for _ in range(_MAX_WIDEN):
-            s = np.linspace(lo, hi, _N_GRID)
-            values = f(s[None, :], [row])[0]
-            i = int(np.argmax(values))
-            if values[i] == -np.inf:
-                lo, hi = lo - _LOG_WIDEN, hi + _LOG_WIDEN
-            elif i == 0:
-                lo -= _LOG_WIDEN
-            elif i == _N_GRID - 1:
-                hi += _LOG_WIDEN
-            else:
-                break
-        a[row], b[row] = s[max(i - 1, 0)], s[min(i + 1, _N_GRID - 1)]
+    Each function's bracket is searched on a grid of ``_NODES`` nodes at a
+    time. Until its best node is interior the bracket grows past whichever
+    end holds that node (the maximiser's scale is not known in advance), and
+    past both ends while f is -inf on the whole grid, at most ``_MAX_WIDEN``
+    times; from then on it shrinks to the best node's neighbours, until it
+    is below ``_LOG_TOL``. The result is the last bracket's midpoint."""
+    lo, hi = np.full(k, _LOG_LO), np.full(k, _LOG_HI)
+    widened = np.zeros(k, dtype=int)  # -1 once the maximiser is bracketed
     rows = np.arange(k)
-    active = np.ones(k, dtype=bool)
-    for _ in range(200):
-        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-        left = f(c[:, None], rows)[:, 0] > f(d[:, None], rows)[:, 0]
-        b = np.where(active & left, d, b)
-        a = np.where(active & ~left, c, a)
-        active &= ~(b - a < 1e-14)
-        if not active.any():
+    for _ in range(_MAX_WIDEN + _MAX_ZOOM):
+        if not rows.size:
             break
-    return 0.5 * (a + b)
+        s = np.linspace(lo[rows], hi[rows], _NODES, axis=1)
+        values = f(s, rows)
+        at, i = np.arange(len(rows)), np.argmax(values, axis=1)
+        best = values[at, i]
+        scan = (widened[rows] >= 0) & (widened[rows] < _MAX_WIDEN)
+        grow_lo = scan & ((best == -np.inf) | (i == 0))
+        grow_hi = scan & ((best == -np.inf) | (i == _NODES - 1))
+        grow = grow_lo | grow_hi
+        lo[rows] -= np.where(grow_lo, _LOG_WIDEN, 0.0)
+        hi[rows] += np.where(grow_hi, _LOG_WIDEN, 0.0)
+        widened[rows] = np.where(grow, widened[rows] + 1, -1)
+        lo[rows] = np.where(grow, lo[rows], s[at, np.maximum(i - 1, 0)])
+        hi[rows] = np.where(grow, hi[rows], s[at, np.minimum(i + 1, _NODES - 1)])
+        rows = rows[grow | (hi[rows] - lo[rows] >= _LOG_TOL)]
+    return 0.5 * (lo + hi)
 
 
 def grid_legendre_sup(lam, u: CrraUtility, y):
     """Independent oracle: maximize lam x^p / p - x y over log-spaced wealth
-    with golden-section refinement (see _log_argmax), for each pair of lam
-    and y at once; a float for scalar arguments."""
+    grids, each within the last's best nodes (see _log_argmax), for each pair
+    of lam and y at once; a float for scalar arguments."""
     lam, y = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(y, dtype=float))
     lam_rows, y_rows = lam.reshape(-1, 1), y.reshape(-1, 1)
 
@@ -214,8 +209,9 @@ def primal_dual_roundtrip(
     # inf there only marks a worse node
     with np.errstate(over="ignore"):
         s_star = _log_argmax(lambda logy, rows: -f(logy, rows), len(points))
-    # golden section leaves s* ~1e-8 off, which the slope and curvature checks
-    # amplify by |1/(p-1)|; Newton steps on tilde_v_y(e^s) + x = 0 remove it
+    # the search leaves s* ~1e-8 off, f being flat to rounding there, which the
+    # slope and curvature checks amplify by |1/(p-1)|; Newton steps on
+    # tilde_v_y(e^s) + x = 0 remove it
     for _ in range(3):
         y = np.exp(s_star)
         s_star = s_star - (dv.dy(idx, y) + x) / (y * dv.dyy(idx, y))

@@ -250,19 +250,21 @@ class BrownianBridge:
         self.offset = self._fraction - 0.5
         self.variance = (k - lo) * (hi - k) / (hi - lo)
 
-    def coarse(self, xi: np.ndarray) -> np.ndarray:
-        """W at nodes 1..N (N x paths) from normals xi (N x paths): W at node
-        N is sqrt(n_steps) xi_0, and each midpoint is its neighbours' linear
-        interpolation plus the bridge's standard deviation times the next
-        coordinate, row by row."""
-        W = np.empty((self.dim, xi.shape[1]))
-        np.multiply(xi[0], math.sqrt(self.n_steps), out=W[-1])
+    def coarse(self, xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """W at nodes 0..N ((N + 1) x paths) from normals xi (N x paths), into
+        out when it is given, whose row 0, node 0's, the caller holds at 0:
+        W at node N is sqrt(n_steps) xi_0, and each midpoint is its
+        neighbours' linear interpolation plus the bridge's standard deviation
+        times the next coordinate, row by row."""
+        if out is None:
+            out = np.zeros((self.dim + 1, xi.shape[1]))
+        np.multiply(xi[0], math.sqrt(self.n_steps), out=out[-1])
         for d, (mid, left, right, w_left, w_right, sd) in enumerate(self._levels, 1):
-            row = np.multiply(xi[d], sd, out=W[mid - 1])
+            row = np.multiply(xi[d], sd, out=out[mid])
             if left:
-                row += w_left * W[left - 1]
-            row += w_right * W[right - 1]
-        return W
+                row += w_left * out[left]
+            row += w_right * out[right]
+        return out
 
     @cached_property
     def slope_bound(self) -> np.ndarray:
@@ -273,8 +275,7 @@ class BrownianBridge:
         is at most |Phi^{-1}(2^-(BITS+1))| = 8.21 in size: the bound is that
         times the sum of |A_j|, up to the rounding of ``coarse``."""
         xi_max = -float(norm_ppf(np.array([2.0 ** -(BITS + 1)]))[0])
-        unit = np.zeros((self.dim, self.dim + 1))
-        unit[:, 1:] = self.coarse(np.eye(self.dim)).T
+        unit = self.coarse(np.eye(self.dim)).T.copy()
         return xi_max * np.abs(np.diff(unit, axis=1)).sum(axis=0)
 
     def chords(self, Wc: np.ndarray, nodes=slice(None), out: np.ndarray | None = None

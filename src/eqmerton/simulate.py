@@ -14,7 +14,7 @@ The stream. The pass's antithetic pairs are keyed in blocks of
 spawn_key=(b,)))`` (``_block_rng``), draws one 64-bit word per coordinate for
 each of the block's replicates, and nothing else; that is all a block does.
 So every path is a deterministic function of (seed, its row of the pass),
-however many workers process it. A path is drawn at its 16 coarse nodes only
+however the pass is tiled. A path is drawn at its 16 coarse nodes only
 (``rqmc.BrownianBridge``): the bridge construction, terminal node first, of
 Phi^{-1}(u) of a point u of a randomized Sobol net (Glasserman, Monte Carlo
 Methods in Financial Engineering, 2004, section 5.5). A replicate is
@@ -88,12 +88,12 @@ and sums over the leading axes, which numpy adds in sequence for each row
 whatever the tile's width, so it is the same bits whatever the tile size;
 a tile of one row, whose single column numpy would sum pairwise, is summed
 as two (``_per_row``). Only the order in which an estimator's sums over
-rows are added depends on the partition into tiles. Tile partials are
-combined by pairwise summation in row order, so results are bit-identical
-across worker counts; a single worker runs the tiles in the calling
-thread. A worker holds two tile-sized buffers (4 MiB each at most) on the
-chords, the chords and a scratch; on moments one scratch as wide as the
-widest window head, and none without a window or without a leg.
+rows are added depends on the partition into tiles. The tiles run in order
+in the calling thread, and their partials are combined by pairwise
+summation in row order. A pass holds two tile-sized buffers (4 MiB each at
+most) on the chords, the chords and a scratch; on moments one scratch as
+wide as the widest window head, and none without a window or without a
+leg; beside them the tile's coarse values.
 
 Every policy simulated here holds a constant stock fraction zeta over the
 steps it covers, so its log-wealth at node k is affine in W,
@@ -140,9 +140,6 @@ size.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
@@ -195,10 +192,10 @@ _MIN_REPLICATE_PAIRS = 32
 # the bridge of each leg length, built once
 _bridge = lru_cache(maxsize=16)(BrownianBridge)
 # float64 elements in the widest array a tile of the pass's rows forms,
-# 4 MiB: a pass holds at most two tile-sized buffers per worker thread,
-# whatever the grid. Each tile also pays a fixed cost of about 0.35 ms,
-# which 2^19 pays half as often as 2^18; 2^20 raised the peak RSS of a
-# two-worker verify-and-simulate process by another 4-5 MB
+# 4 MiB: a pass holds at most two tile-sized buffers, whatever the grid.
+# Each tile also pays a fixed cost of about 0.35 ms, which 2^19 pays half as
+# often as 2^18; 2^20 raised the peak RSS of a verify-and-simulate process
+# on two worker threads by another 4-5 MB
 _TILE_ELEMENTS = 2**19
 # the largest h = |b| max|slope| / 2 at which a leg sums its segments from
 # their Taylor moments: the terms of the series of e^{b slope g} add up to at
@@ -209,27 +206,23 @@ _SERIES_H_CAP = 4.0
 
 @dataclass(frozen=True)
 class SimSettings:
-    """Ensemble size, RNG seed, initial wealth and worker threads: the
-    config's [sim] section, with its defaults.
+    """Ensemble size, RNG seed and initial wealth: the config's [sim]
+    section, with its defaults.
 
     n_paths counts paths. They run as antithetic pairs, in replicates of
     ``replicate_pairs`` pairs, and n_paths rounds up to whole replicates
     (``n_pairs`` pairs in all), whose shifts are keyed in blocks of
-    ``block_pairs``. n_workers = 0 runs one worker thread per CPU the
-    process may run on (``SimConfig.worker_count``)."""
+    ``block_pairs``. A pass runs in the calling thread."""
 
     n_paths: int = 100_000
     seed: int = 42
     x0: float = 1.0
-    n_workers: int = 0
 
     def __post_init__(self):
         if self.n_paths < 1:
             raise ParameterError(f"n_paths must be >= 1, got {self.n_paths}")
         if not (self.x0 > 0):
             raise ParameterError(f"initial wealth must be > 0, got {self.x0}")
-        if self.n_workers < 0:
-            raise ParameterError(f"n_workers must be >= 0, got {self.n_workers}")
         if not (0 <= int(self.seed) < 2**64):
             raise ParameterError("seed must fit in 64 bits")
 
@@ -271,18 +264,6 @@ class SimConfig(SimSettings):
     keyword-only field)."""
 
     grid: TimeGrid
-
-    def worker_count(self, tile_rows: int) -> int:
-        """Worker threads of a pass in tiles of tile_rows rows: n_workers, or
-        for 0 the number of CPUs this process may run on, and never more
-        than the pass's tiles."""
-        n = self.n_workers
-        if n == 0:
-            try:
-                n = len(os.sched_getaffinity(0))
-            except AttributeError:  # no affinity call on this platform
-                n = os.cpu_count() or 1
-        return min(n, -(-self.n_pairs // tile_rows))
 
 
 @dataclass(frozen=True)
@@ -402,13 +383,13 @@ def _combine_in_order(partials) -> dict:
 
 def _accumulate_blocks(cfg: SimConfig, plan: _Pass, block_fn: Callable) -> dict:
     """Run block_fn(W, scratch, replicate) over the pass's rows, tile by
-    tile, and combine the sums.
+    tile in the calling thread, and combine the sums.
 
     Block b's generator ``_block_rng(seed, b)`` draws the digital shifts of
     its replicates (``cfg.block_pairs`` pairs, fewer in the last block), one
     word per replicate and coordinate; every block's are drawn once, in
     block order, before any tile runs. The pass's ``cfg.n_pairs`` rows then
-    run in tiles of ``plan.rows`` consecutive rows, which may span
+    run in order in tiles of ``plan.rows`` consecutive rows, which may span
     replicates and blocks. A tile forms its rows' coarse values Wc
     ((N + 1) x rows, Wc[0] = 0) from their points of the shared net, each
     XOR its replicate's shift (``rqmc.shifted_points``). With ``plan.chords``
@@ -417,10 +398,9 @@ def _accumulate_blocks(cfg: SimConfig, plan: _Pass, block_fn: Callable) -> dict:
     (``rqmc.BrownianBridge.chords``); without, W is Wc itself. The partner
     of row i runs on -W[:, i]. ``replicate`` holds each row's replicate,
     numbered over the whole pass, and ``scratch``, a flat buffer of
-    rows x ``plan.scratch`` elements, is free for block_fn. The tiles run on
-    ``cfg.worker_count(plan.rows)`` threads, each with its own buffers (the
-    chords' and the scratch), one worker in the calling thread itself, and
-    their sums are combined pairwise in row order as they arrive.
+    rows x ``plan.scratch`` elements, is free for block_fn. The chords'
+    buffer and the scratch are allocated once per pass and reused by every
+    tile, and the tiles' sums are combined pairwise in row order.
     """
     bridge = plan.bridge
     rep, per_block = cfg.replicate_pairs, cfg.block_pairs // cfg.replicate_pairs
@@ -431,26 +411,20 @@ def _accumulate_blocks(cfg: SimConfig, plan: _Pass, block_fn: Callable) -> dict:
     net = sobol_net(bridge.dim, rep.bit_length() - 1)
     tile_rows = plan.rows
     most_rows = min(tile_rows, cfg.n_pairs)
-    local = threading.local()
+    # row 0 of the coarse values, node 0's, stays 0 in every tile
+    coarse = np.zeros((bridge.dim + 1, most_rows))
+    scratch = np.empty(most_rows * plan.scratch)
+    chords = np.empty(most_rows * plan.width) if plan.chords else None
 
     def run(start: int) -> dict:
         rows = np.arange(start, min(start + tile_rows, cfg.n_pairs))
-        W = np.zeros((bridge.dim + 1, len(rows)))
-        W[1:] = bridge.coarse(norm_ppf(shifted_points(net, words, rows)))
-        # the buffers come after the coarse values' temporaries are freed
-        if not hasattr(local, "scratch"):
-            local.scratch = np.empty(most_rows * plan.scratch)
-            local.w = np.empty(most_rows * plan.width) if plan.chords else None
+        W = bridge.coarse(norm_ppf(shifted_points(net, words, rows)), coarse[:, :len(rows)])
         if plan.chords:
             shape = (bridge.n_steps + 1, len(rows))
-            W = bridge.chords(W, out=local.w[:math.prod(shape)].reshape(shape))
-        return block_fn(W, local.scratch, rows // rep)
+            W = bridge.chords(W, out=chords[:math.prod(shape)].reshape(shape))
+        return block_fn(W, scratch, rows // rep)
 
-    starts, workers = range(0, cfg.n_pairs, tile_rows), cfg.worker_count(tile_rows)
-    if workers == 1:
-        return _combine_in_order(map(run, starts))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _combine_in_order(pool.map(run, starts))
+    return _combine_in_order(map(run, range(0, cfg.n_pairs, tile_rows)))
 
 
 def _utility_weights(h: np.ndarray, c: np.ndarray, dt: float, p: float) -> np.ndarray:
@@ -789,7 +763,7 @@ class _Pass:
 
     @property
     def scratch(self) -> int:
-        """Elements per row of each worker's scratch buffer: as many as the
+        """Elements per row of the pass's scratch buffer: as many as the
         chords on the chords, and otherwise as the widest perturbation head,
         whose tail s covers nodes 0..s - 1; none without a tail."""
         return self.bridge.n_steps + 1 if self.chords else max(self.tails, default=0)

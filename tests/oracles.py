@@ -223,17 +223,28 @@ def bridged_paths(nodes, Wc, Z):
 
 
 def path_major_coarse(bridge, xi):
-    """W at the bridge's nodes 1..N of paths laid out a row per path (rows x
-    N) from their normals xi (rows x N), column by column in the
-    library's order of operations: the reference for the bits of its
+    """W at the bridge's nodes 0..N of paths laid out a row per path
+    (rows x (N + 1)) from their normals xi (rows x N), column by column: node
+    N takes sqrt(n_steps) xi_0; then, widest interval first, each interval's
+    midpoint takes the next coordinate times the bridge's standard deviation
+    there, plus its left neighbour's weight times W there, plus its right
+    neighbour's, in that order. The reference for the bits of the library's
     node-major ``BrownianBridge.coarse``."""
-    W = np.empty(xi.shape)
-    np.multiply(xi[:, 0], math.sqrt(bridge.n_steps), out=W[:, -1])
-    for d, (mid, left, right, w_left, w_right, sd) in enumerate(bridge._levels, 1):
-        col = np.multiply(xi[:, d], sd, out=W[:, mid - 1])
-        if left:
-            col += w_left * W[:, left - 1]
-        col += w_right * W[:, right - 1]
+    t = bridge.nodes.astype(np.float64)
+    N = len(t) - 1
+    W = np.zeros((len(xi), N + 1))
+    W[:, N] = xi[:, 0] * math.sqrt(bridge.n_steps)
+    d, width = 1, N
+    while width > 1:
+        half = width // 2
+        for mid in range(half, N, width):
+            left, right = mid - half, mid + half
+            span = t[right] - t[left]
+            sd = math.sqrt((t[mid] - t[left]) * (t[right] - t[mid]) / span)
+            W[:, mid] = (xi[:, d] * sd + (t[right] - t[mid]) / span * W[:, left]
+                         + (t[mid] - t[left]) / span * W[:, right])
+            d += 1
+        width = half
     return W
 
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -263,7 +264,7 @@ def configs(draw):
                             tol=draw(_num(1e-14, 1e-2)))
     kinds = METHOD_KINDS[solver.method]
     sim = SimSettings(n_paths=draw(st.integers(1, 10**6)), seed=draw(st.integers(0, 2**31)),
-                      x0=draw(_num(0.1, 10.0)), n_workers=draw(st.integers(0, 8)))
+                      x0=draw(_num(0.1, 10.0)))
     out_dir = draw(st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_/.-]{0,15}", fullmatch=True))
     labels = draw(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True),
                            max_size=3, unique=True))
@@ -693,16 +694,6 @@ class TestCliVerify:
         cli.main(argv + (["--checks", checks] if checks else []))
         assert len(calls) == passes
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
-        outs = []
-        for workers in (1, 4):
-            ini = write_ini(tmp_path, extra=f"n_workers = {workers}\n",
-                            name=f"w{workers}.ini")
-            outs.append(tmp_path / f"w{workers}")
-            cli.main(["verify", "--config", ini, "--out", str(outs[-1])])
-        first, second = ((out / "verification.csv").read_bytes() for out in outs)
-        assert first == second and first.count(b"\n") == 8
-
     def test_duality_oracle_finds_a_far_maximiser(self, tmp_path):
         # lam ~ 1e-4 puts the maximiser of lam x^p / p - x y below 1e-6
         body = BASE_INI.replace("n_steps = 200", "n_steps = 10").replace(
@@ -813,41 +804,51 @@ class TestCliCompare:
         assert all(ln.startswith("solo,") for ln in lines)
 
 
-class TestDefaultWorkerCount:
-    """[sim] n_workers = 0, the default, runs one worker thread per CPU the
-    process may run on; the outputs are those of a single worker."""
+class TestSingleThread:
+    """A Monte Carlo pass runs in the calling thread, and the retired
+    [sim] n_workers key is rejected like any unknown key."""
 
-    @pytest.mark.parametrize("command, table", [("simulate", "simulation.csv"),
-                                                ("verify", "verification.csv")])
-    def test_outputs_are_the_bytes_of_one_worker(self, tmp_path, monkeypatch,
-                                                 command, table):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                            raising=False)
-        cfg = load_config(write_ini(tmp_path))
-        # 2560 pairs in tiles of at most 2048 rows: two tiles, so two threads
-        assert cfg.sim.n_workers == 0
-        assert SimConfig(grid=cfg.grid, **vars(cfg.sim)).worker_count(simulate._BLOCK_PAIRS) == 2
-        out, runs = tmp_path / "out", {}
-        for label, extra in (("default", ""), ("one", "n_workers = 1\n")):
-            ini = write_ini(tmp_path, extra=extra, name=f"{label}.ini")
-            code = cli.main([command, "--config", ini, "--out", str(out)])
-            runs[label] = (code, (out / table).read_bytes(),
-                           (out / "manifest.json").read_text())
-        (code, table_bytes, manifest), one = runs["default"], runs["one"]
-        assert (code, table_bytes) == one[:2]
-        # the manifest records the configured count, not the resolved one
-        assert '"n_workers": 0' in manifest
-        assert manifest.replace('"n_workers": 0', '"n_workers": 1') == one[2]
+    @pytest.mark.parametrize("command, table, lines", [("simulate", "simulation.csv", 202),
+                                                       ("verify", "verification.csv", 8)],
+                             ids=["simulate", "verify"])
+    def test_a_default_run_starts_no_thread(self, tmp_path, monkeypatch, command, table,
+                                            lines):
+        # 2560 pairs in tiles of at most 2048 rows: two tiles, on a process
+        # that may run on two CPUs and on one; the bytes are the same
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        runs = []
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            out = tmp_path / f"cpus{len(cpus)}"
+            assert cli.main([command, "--config", write_ini(tmp_path), "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["monte_carlo_pass"]["n_tiles"] == 2 and started == []
+            assert set(manifest["config"]["sim"]) == {"n_paths", "seed", "x0"}
+            runs.append((out / table).read_bytes())
+        assert runs[0] == runs[1] and runs[0].count(b"\n") == lines
 
-    def test_negative_count_is_config_error(self, tmp_path, capsys):
-        ini = write_ini(tmp_path, extra="n_workers = -1\n")
-        with pytest.raises(ConfigError, match="n_workers must be >= 0"):
+    def test_n_workers_is_config_error(self, tmp_path, capsys):
+        ini = write_ini(tmp_path, extra="n_workers = 1\n")
+        named = r"unknown key\(s\) \['n_workers'\] in section \[sim\]"
+        with pytest.raises(ConfigError, match=named):
             load_config(ini)
         assert cli.main(["solve", "--config", ini, "--out", str(tmp_path / "o")]) == 2
         assert "n_workers" in capsys.readouterr().err
+        # a manifest that still records it is refused alike
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", write_ini(tmp_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["sim"]["n_workers"] = 0
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(manifest))
+        assert cli.main(["simulate", "--config", str(old), "--out", str(tmp_path / "p")]) == 2
+        assert "n_workers" in capsys.readouterr().err
 
 
-def test_worker_count_does_not_change_bytes_in_ragged_tiles(tmp_path, monkeypatch):
+def test_ragged_tiles_pass_every_check(tmp_path, monkeypatch):
     # three rows per tile on the 200-step grid; 2500 pairs round up to 40
     # replicates of 64 (2432 to 38), and a block of 301 pairs to four of
     # them: blocks of 256 pairs, whose replicates the tiles split, and the
@@ -857,9 +858,9 @@ def test_worker_count_does_not_change_bytes_in_ragged_tiles(tmp_path, monkeypatc
     tiles = record_tiles(monkeypatch)
     for n_paths, pairs, last in ((5000, 2560, 1), (4864, 2432, 2)):
         body = BASE_INI.replace("n_paths = 5000", f"n_paths = {n_paths}")
-        assert_worker_count_keeps_bytes(tmp_path / f"paths{n_paths}", body, (1, 8))
-        # four passes, each of whole tiles of three rows and a last one
-        assert [sorted(run) for run in tiles] == [[last] + [3] * (pairs // 3)] * 4
+        assert_commands_pass(tmp_path / f"paths{n_paths}", body)
+        # two passes, each of whole tiles of three rows and a last one
+        assert [sorted(run) for run in tiles] == [[last] + [3] * (pairs // 3)] * 2
         tiles.clear()
 
 
@@ -878,26 +879,17 @@ def record_tiles(monkeypatch) -> list:
     return tiles
 
 
-def assert_worker_count_keeps_bytes(out, body, worker_counts):
-    """simulate and verify on the config body exit 0 and write the same CSV
-    bytes at each worker count."""
+def assert_commands_pass(out, body):
+    """simulate and verify on the config body exit 0, every check passing
+    (the gross spike among them), and write their CSVs."""
     for command in ("simulate", "verify"):
-        outs, codes = [], set()
-        for workers in worker_counts:
-            ini = write_ini(out.parent, body=body, extra=f"n_workers = {workers}\n",
-                            name=f"{out.name}{command}{workers}.ini")
-            outs.append(out / f"{command}{workers}")
-            codes.add(cli.main([command, "--config", ini, "--out", str(outs[-1])]))
-        assert codes == {0}
-        names = sorted(path.name for path in outs[0].glob("*.csv"))
-        assert names
-        for name in names:
-            for other in outs[1:]:
-                assert (outs[0] / name).read_bytes() == (other / name).read_bytes(), name
+        ini = write_ini(out.parent, body=body, name=f"{out.name}{command}.ini")
+        assert cli.main([command, "--config", ini, "--out", str(out / command)]) == 0
+        assert sorted((out / command).glob("*.csv"))
 
 
-def test_worker_count_does_not_change_bytes_on_segment_moments(tmp_path, monkeypatch,
-                                                               chord_matrices):
+def test_ragged_tiles_on_segment_moments_pass_every_check(tmp_path, monkeypatch,
+                                                         chord_matrices):
     # the 1000-step leg sums its segments from their Taylor moments and
     # never forms the chord matrix; its widest array is the segment powers,
     # (D + 1) x 16 = 23 x 16 per row (D = 22 for wealth), wider than the
@@ -910,9 +902,9 @@ def test_worker_count_does_not_change_bytes_on_segment_moments(tmp_path, monkeyp
     for n_paths, pairs, last in ((4608, 2304, 1), (4736, 2368, 2)):
         body = (BASE_INI.replace("n_steps = 200", "n_steps = 1000")
                 .replace("n_paths = 5000", f"n_paths = {n_paths}"))
-        assert_worker_count_keeps_bytes(tmp_path / f"paths{n_paths}", body, (1, 2, 8))
-        # six passes, each of whole tiles of seven rows and a last one
-        assert [sorted(run) for run in tiles] == [[last] + [7] * (pairs // 7)] * 6
+        assert_commands_pass(tmp_path / f"paths{n_paths}", body)
+        # two passes, each of whole tiles of seven rows and a last one
+        assert [sorted(run) for run in tiles] == [[last] + [7] * (pairs // 7)] * 2
         tiles.clear()
     assert chord_matrices == []
 
@@ -957,16 +949,6 @@ class TestCliSimulate:
         assert body[0] == "t,mean_wealth,mean_value_over_h"
         assert len(body) == 202  # header + 201 nodes
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
-        ini1 = write_ini(tmp_path, extra="\n")
-        ini4 = write_ini(tmp_path, extra="\n", name="run4.ini")
-        with open(ini4, "a") as fh:
-            fh.write("n_workers = 4\n")
-        out1, out4 = tmp_path / "w1", tmp_path / "w4"
-        cli.main(["simulate", "--config", ini1, "--out", str(out1)])
-        cli.main(["simulate", "--config", ini4, "--out", str(out4)])
-        assert (out1 / "simulation.csv").read_bytes() == \
-            (out4 / "simulation.csv").read_bytes()
 
     def test_seed_override_changes_estimate(self, tmp_path):
         ini = write_ini(tmp_path)

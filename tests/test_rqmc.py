@@ -1,7 +1,7 @@
 import statistics
 
 import numpy as np
-from oracles import bridged_paths
+from oracles import bridged_paths, path_major_chords, path_major_coarse
 import pytest
 from scipy.stats import qmc
 
@@ -105,11 +105,28 @@ class TestBrownianBridge:
         bridge = BrownianBridge(n_steps)
         assert bridge.dim == dim and bridge.nodes[-1] == n_steps
         assert np.all(np.diff(bridge.nodes) >= 1)
-        B = bridge.coarse(np.eye(dim))
+        B = bridge.coarse(np.eye(dim))[1:]
         t = bridge.nodes[1:]
         np.testing.assert_allclose(B @ B.T, np.minimum.outer(t, t), rtol=1e-13, atol=1e-13)
         # the terminal node takes the first coordinate alone
         np.testing.assert_array_equal(B[-1], np.sqrt(n_steps) * np.eye(dim)[0])
+
+    @pytest.mark.parametrize("n_steps", [1, 15, 16, 17, 37, 100, 200, 1000])
+    def test_coarse_is_the_level_recurrence(self, n_steps):
+        # the bits of the bridge's level recurrence written out node by node,
+        # into out's columns with its row 0 left at 0, or into a new array;
+        # the chords built from them are the node-by-node chords too
+        bridge = BrownianBridge(n_steps)
+        xi = np.random.default_rng(n_steps).standard_normal((bridge.dim, 7))
+        expected = path_major_coarse(bridge, xi.T).T
+        np.testing.assert_array_equal(bridge.coarse(xi), expected)
+        out = np.full((bridge.dim + 1, 9), np.nan)
+        out[0] = 0.0
+        assert bridge.coarse(xi, out[:, :7]).base is out
+        np.testing.assert_array_equal(out[:, :7], expected)
+        assert np.isnan(out[1:, 7:]).all() and np.all(out[0] == 0.0)
+        np.testing.assert_array_equal(bridge.chords(out[:, :7]),
+                                      path_major_chords(bridge, expected.T).T)
 
     @pytest.mark.parametrize("n_steps", [1, 3, 16, 17, 100, 1000])
     def test_paths_take_the_coarse_values_and_bridge_the_normals(self, n_steps):
@@ -120,8 +137,7 @@ class TestBrownianBridge:
         rng = np.random.default_rng(n_steps)
         bridge = BrownianBridge(n_steps)
         rows, draws = 3, 4000
-        Wc = np.concatenate([np.zeros((1, rows)),
-                             bridge.coarse(rng.standard_normal((bridge.dim, rows)))])
+        Wc = bridge.coarse(rng.standard_normal((bridge.dim, rows)))
         chords = np.full((n_steps + 1, rows), np.nan)
         bridge.chords(Wc, out=chords)
         assert np.array_equal(chords[bridge.nodes], Wc) and np.all(chords[0] == 0.0)
@@ -147,7 +163,7 @@ class TestBrownianBridge:
         # segment, a slice and index arrays, the segments' runs split anyhow
         bridge = BrownianBridge(n_steps)
         rng = np.random.default_rng(n_steps)
-        Wc = np.concatenate([np.zeros((1, 5)), bridge.coarse(rng.standard_normal((bridge.dim, 5)))])
+        Wc = bridge.coarse(rng.standard_normal((bridge.dim, 5)))
         W = bridge.chords(Wc)
         assert W.shape == (n_steps + 1, 5) and np.array_equal(W[bridge.nodes], Wc)
         terminal = bridge.chords(Wc, -1)
@@ -174,10 +190,10 @@ class TestBrownianBridge:
         assert 8.2 < xi_max < 8.21
         bridge = BrownianBridge(n_steps)
         # A: each segment's rise (a column per segment) in the normals
-        A = np.diff(bridge.coarse(np.eye(bridge.dim)), axis=0, prepend=0.0).T
-        rises = np.diff(bridge.coarse(xi_max * np.sign(A)), axis=0, prepend=0.0)
+        A = np.diff(bridge.coarse(np.eye(bridge.dim)), axis=0).T
+        rises = np.diff(bridge.coarse(xi_max * np.sign(A)), axis=0)
         np.testing.assert_allclose(np.diag(rises), bridge.slope_bound, rtol=1e-13)
         rng = np.random.default_rng(n_steps)
         xi = np.clip(rng.standard_normal((bridge.dim, 2000)) * 3, -xi_max, xi_max)
-        Wc = np.concatenate([np.zeros((1, 2000)), bridge.coarse(xi)])
+        Wc = bridge.coarse(xi)
         assert np.all(np.abs(np.diff(Wc, axis=0)) <= bridge.slope_bound[:, None] * (1 + 1e-12))

@@ -43,8 +43,7 @@ def test_mc_block_stages_runs():
     assert set(stages) == {"coarse points", "chords", "X^p", "reductions", "control",
                            "wealth cosh", "checkpoints", "segment coefficients", "row dots",
                            "column sums", "simulate block", "verify block", "perturbation heads",
-                           "pass 1 worker", "pass default", "pass 1 worker MB",
-                           "pass default MB", "peak MB", "tile rows chords",
+                           "pass", "pass MB", "peak MB", "tile rows chords",
                            "tile rows moments", "tile rows no leg"}
     assert all(v >= 0 for values in stages.values() for v in values)
     # the chords (11 and 21 per row) and the coarse values (9 and 17) are

@@ -1,7 +1,6 @@
 import math
 import os
 import statistics
-import sys
 import threading
 import tracemalloc
 
@@ -75,65 +74,33 @@ def blocks_of(monkeypatch, pairs):
 
 
 class TestDeterminism:
-    def test_bit_identical_across_worker_counts(self, market, utility, hyp_discount,
-                                                sim_grid, hyp_policy, monkeypatch):
-        _, pol = hyp_policy
-        # n_paths deliberately not a multiple of the block size
-        blocks_of(monkeypatch, 512)
-        kw = dict(n_paths=10_001, seed=3)
-        one = simulate_equilibrium(pol, sim_cfg(sim_grid, n_workers=1, **kw),
-                                   market, utility, hyp_discount)
-        four = simulate_equilibrium(pol, sim_cfg(sim_grid, n_workers=4, **kw),
-                                    market, utility, hyp_discount)
-        assert one.j_estimate == four.j_estimate
-        assert one.j_std_error == four.j_std_error
-        np.testing.assert_array_equal(one.mean_wealth, four.mean_wealth)
-
-    def test_one_worker_runs_in_the_calling_thread(self, market, utility, hyp_discount,
-                                                   sim_grid, hyp_policy, monkeypatch):
-        # n_workers = 1 starts no thread, and its results are the bits of a
-        # pool of two
+    def test_a_pass_runs_in_the_calling_thread(self, market, utility, hyp_discount,
+                                              sim_grid, hyp_policy, monkeypatch):
+        # however many CPUs the process may run on, a pass of many tiles
+        # starts no thread
         _, pol = hyp_policy
         blocks_of(monkeypatch, 512)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         started = []
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: started.append(thread) or start(thread))
+        cfg = sim_cfg(sim_grid, n_paths=10_001, seed=3)
+        batch = simulate_equilibrium(pol, cfg, market, utility, hyp_discount,
+                                     moment_orders=(utility.p,))
+        assert batch.layout["n_tiles"] == 10 and started == []
 
-        def run(workers):
-            return simulate_equilibrium(
-                pol, sim_cfg(sim_grid, n_paths=10_001, seed=3, n_workers=workers), market,
-                utility, hyp_discount, moment_orders=(utility.p,))
-
-        one = run(1)
-        assert started == []
-        two = run(2)
-        assert len(started) == 2
-        for field in ("j_estimate", "j_std_error", "j_control_beta", "mean_wealth",
-                      "mean_value_over_h"):
-            np.testing.assert_array_equal(getattr(one, field), getattr(two, field))
-        assert one.terminal_moments == two.terminal_moments
-
-    def test_workers_never_share_block_buffers(self, market, utility, hyp_discount,
-                                               sim_grid, hyp_policy, monkeypatch):
-        # each worker thread writes its blocks into its own reused buffers; with
-        # more workers than cores and a short switch interval, a buffer shared
-        # between threads would be overwritten mid-block and change the sums
-        _, pol = hyp_policy
-        blocks_of(monkeypatch, 128)
-        kw = dict(n_paths=6000, seed=9)
-        one = simulate_equilibrium(pol, sim_cfg(sim_grid, n_workers=1, **kw),
-                                   market, utility, hyp_discount)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            many = simulate_equilibrium(pol, sim_cfg(sim_grid, n_workers=8, **kw),
-                                        market, utility, hyp_discount)
-        finally:
-            sys.setswitchinterval(interval)
-        assert (one.j_estimate, one.j_std_error) == (many.j_estimate, many.j_std_error)
-        np.testing.assert_array_equal(one.mean_wealth, many.mean_wealth)
-        np.testing.assert_array_equal(one.mean_value_over_h, many.mean_value_over_h)
+    def test_tiles_of_a_pass_share_its_buffers(self, sim_grid):
+        # the chords' buffer and the scratch are allocated once per pass: every
+        # tile's chords are a view of the first tile's buffer, and every tile
+        # gets the same scratch
+        cfg = sim_cfg(sim_grid, n_paths=10_000, seed=9)
+        plan = chord_pass(cfg, sim_grid.n_steps)
+        seen = []
+        simulate._accumulate_blocks(cfg, plan, lambda W, scratch, _r: seen.append((W, scratch)) or {})
+        (W0, scratch0), *rest = seen
+        assert len(seen) == 3 and W0.shape == (sim_grid.n_steps + 1, plan.rows)
+        assert all(np.shares_memory(W, W0) and scratch is scratch0 for W, scratch in rest)
 
     def test_bit_identical_across_runs(self, market, utility, hyp_discount,
                                        sim_grid, hyp_policy):
@@ -144,32 +111,6 @@ class TestDeterminism:
                                  market, utility, hyp_discount)
         assert a.j_estimate == b.j_estimate
         np.testing.assert_array_equal(a.mean_value_over_h, b.mean_value_over_h)
-
-    def test_default_worker_count_follows_the_cpus(self, sim_grid, monkeypatch):
-        def cpus(n):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                                raising=False)
-
-        rows = simulate._BLOCK_PAIRS  # the most rows a tile holds
-        cpus(1)
-        assert sim_cfg(sim_grid, n_paths=100_000).worker_count(rows) == 1
-        cpus(8)
-        # 6016 pairs: three blocks, three tiles of at most 2048 rows
-        three_blocks = sim_cfg(sim_grid, n_paths=12_000)
-        assert three_blocks.n_blocks == 3 and three_blocks.worker_count(rows) == 3
-        assert sim_cfg(sim_grid, n_paths=100_000).worker_count(rows) == 8
-        # without an affinity call the CPU count stands in
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert sim_cfg(sim_grid, n_paths=100_000).worker_count(rows) == 5
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert sim_cfg(sim_grid, n_paths=100_000).worker_count(rows) == 1
-
-    def test_explicit_worker_count_is_kept(self, sim_grid, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        rows = simulate._BLOCK_PAIRS
-        assert sim_cfg(sim_grid, n_paths=100_000, n_workers=3).worker_count(rows) == 3
-        assert sim_cfg(sim_grid, n_paths=100, n_workers=3).worker_count(rows) == 1
 
     def test_pairwise_combine_matches_direct_sum(self):
         rng = np.random.default_rng(0)
@@ -245,10 +186,6 @@ class TestWealthDynamics:
             SimConfig(n_paths=0, seed=1, grid=sim_grid, x0=1.0)
         with pytest.raises(ParameterError):
             SimConfig(n_paths=10, seed=1, grid=sim_grid, x0=0.0)
-        with pytest.raises(ParameterError):
-            SimConfig(n_paths=10, seed=1, grid=sim_grid, x0=1.0, n_workers=-1)
-        # 0 workers stands for one per available CPU
-        assert SimConfig(n_paths=10, seed=1, grid=sim_grid, x0=1.0, n_workers=0).n_workers == 0
 
 
 class TestValueIdentity:
@@ -336,7 +273,7 @@ class TestTerminalControl:
         # seeds' spread of the estimate
         g = TimeGrid(horizon=1.0, n_steps=20)
         sol = picard_solve(market, utility, hyp_discount, g)
-        cfg = SimConfig(n_paths=512, seed=0, grid=g, n_workers=1)
+        cfg = SimConfig(n_paths=512, seed=0, grid=g)
         assert (cfg.replicate_pairs, cfg.n_replicates) == (32, 8)
         leg = equilibrium_leg(equilibrium_policy(sol, market, utility), cfg, market, utility,
                               hyp_discount)
@@ -579,7 +516,7 @@ class TestOnePass:
         sol = picard_solve(market, utility, hyp_discount, g)
         pol = equilibrium_policy(sol, market, utility)
         nc = solve_no_consumption(market, utility, hyp_discount, g)
-        cfg = SimConfig(n_paths=5000, seed=3, grid=g, n_workers=1)
+        cfg = SimConfig(n_paths=5000, seed=3, grid=g)
         leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
         assert leg.takes_moments == (n_steps == 1000)
         estimators = [
@@ -1010,7 +947,7 @@ class TestTiles:
         simulate_equilibrium(pol, SimConfig(n_paths=2, seed=1, grid=g), market, utility,
                              hyp_discount, moment_orders=(utility.p,))
         peaks = {}
-        cfg = SimConfig(n_paths=65536, seed=1, grid=g, n_workers=1)
+        cfg = SimConfig(n_paths=65536, seed=1, grid=g)
         for pairs in (2048, 32768):
             blocks_of(monkeypatch, pairs)
             tracemalloc.start()
@@ -1034,7 +971,7 @@ class TestTiles:
         simulate_equilibrium(pol, SimConfig(n_paths=2, seed=1, grid=g), market, utility,
                              hyp_discount)
         blocks_of(monkeypatch, 64)
-        cfg = SimConfig(n_paths=65536, seed=1, grid=g, n_workers=1)
+        cfg = SimConfig(n_paths=65536, seed=1, grid=g)
         assert cfg.n_blocks == 512
         tracemalloc.start()
         try:
@@ -1058,7 +995,7 @@ class TestTiles:
         plan = simulate._plan(1000, leg, [est], 1)
         assert leg.takes_moments and (plan.width, plan.scratch) == (1001, 1001)
         run_pass(SimConfig(n_paths=2, seed=1, grid=g), [est], leg)
-        cfg = SimConfig(n_paths=65536, seed=1, grid=g, n_workers=1)
+        cfg = SimConfig(n_paths=65536, seed=1, grid=g)
         tracemalloc.start()
         try:
             run_pass(cfg, [est], leg)
@@ -1089,7 +1026,7 @@ class TestTiles:
                                      (200, simulate._BLOCK_PAIRS, 201)):
             g = TimeGrid(horizon=1.0, n_steps=n_steps)
             pol = equilibrium_policy(picard_solve(m, u, mix_discount, g), m, u)
-            cfg = SimConfig(n_paths=6 * rows, seed=1, grid=g, n_workers=1)
+            cfg = SimConfig(n_paths=6 * rows, seed=1, grid=g)
             leg = equilibrium_leg(pol, cfg, m, u, mix_discount)
             assert leg.takes_moments == (n_steps == 1000)
             assert simulate._plan(n_steps, leg, [], cfg.n_replicates).rows == rows
@@ -1101,31 +1038,6 @@ class TestTiles:
                       lambda cfg: moment_check(cfg, m, u, u.p, growth_constant(m, u))):
             check(cfg)
             assert_tiles(cfg, simulate._BLOCK_PAIRS, 17)
-
-    def test_workers_never_outnumber_a_moments_pass_s_tiles(self, market, utility, hyp_discount,
-                                                            monkeypatch):
-        # 4096 pairs on the 1000-step leg: eight tiles of the chord matrix, but
-        # three of the segment powers' 1424 rows, so three worker threads
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        g = TimeGrid(horizon=1.0, n_steps=1000)
-        pol = equilibrium_policy(picard_solve(market, utility, hyp_discount, g),
-                                 market, utility)
-        cfg = SimConfig(n_paths=8192, seed=1, grid=g)
-        leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
-        chords = simulate._Pass(bridge=simulate._bridge(1000), leg=leg, tails=(),
-                                n_replicates=cfg.n_replicates, series=None, chords=True)
-        rows = simulate._plan(1000, leg, [], cfg.n_replicates).rows
-        assert (cfg.worker_count(chords.rows), rows, cfg.worker_count(rows)) == (8, 1424, 3)
-        pools = []
-        executor = simulate.ThreadPoolExecutor
-
-        def pool(max_workers):
-            pools.append(max_workers)
-            return executor(max_workers=max_workers)
-
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", pool)
-        simulate_equilibrium(pol, cfg, market, utility, hyp_discount)
-        assert pools == [3]
 
 
 def chord_pass(cfg, n_steps):
@@ -1147,7 +1059,7 @@ def assert_tiles_are_whole_block_rows(sim_grid, monkeypatch, pairs, rep, counts,
     monkeypatch.setattr(simulate, "_MIN_REPLICATES", 1)
     monkeypatch.setattr(simulate, "_REPLICATE_PAIRS", rep)
     blocks_of(monkeypatch, pairs)
-    cfg = sim_cfg(sim_grid, n_paths=30, seed=4, n_workers=1)
+    cfg = sim_cfg(sim_grid, n_paths=30, seed=4)
     assert (cfg.n_pairs, cfg.replicate_pairs) == counts
     seen, replicates = [], []
 
@@ -1178,7 +1090,7 @@ def assert_coarse_values_are_the_shifted_nets(monkeypatch, rep, pairs, tiles):
     monkeypatch.setattr(simulate, "_TILE_ELEMENTS", 5 * 38)
     monkeypatch.setattr(simulate, "_MIN_REPLICATE_PAIRS", rep)
     blocks_of(monkeypatch, pairs)
-    cfg = SimConfig(n_paths=64, seed=3, grid=g, n_workers=1)
+    cfg = SimConfig(n_paths=64, seed=3, grid=g)
     assert (cfg.replicate_pairs, cfg.n_pairs) == (rep, 32)
     bridge = BrownianBridge(37)
     seen = []
@@ -1194,7 +1106,7 @@ def assert_coarse_values_are_the_shifted_nets(monkeypatch, rep, pairs, tiles):
         for j in range(32 // rep)])
     # the bridge is elementwise, so each row's values are the same bits
     # whatever rows it is formed with, and in either layout
-    Wc = np.concatenate([np.zeros((32, 1)), path_major_coarse(bridge, xi)], axis=1)
+    Wc = path_major_coarse(bridge, xi)
     np.testing.assert_array_equal(W[:, bridge.nodes], Wc)
     np.testing.assert_array_equal(W, path_major_chords(bridge, Wc))
 
@@ -1385,7 +1297,7 @@ def extreme_normals(bridge):
     bridge's ``slope_bound``: the coefficients of W(hi) - W(lo) in the
     normals give the signs."""
     xi_max = -norm_ppf(np.array([2.0**-53]))[0]
-    signs = np.sign(np.diff(bridge.coarse(np.eye(bridge.dim)), axis=0, prepend=0.0)).T
+    signs = np.sign(np.diff(bridge.coarse(np.eye(bridge.dim)), axis=0)).T
     return xi_max * np.concatenate([signs, -signs], axis=1)
 
 
@@ -1402,7 +1314,7 @@ class TestSegmentSeries:
         xi = np.concatenate([rng.standard_normal((bridge.dim, 40)), extreme_normals(bridge)],
                             axis=1)
         rows = xi.shape[1]
-        Wc = np.concatenate([np.zeros((1, rows)), bridge.coarse(xi)])
+        Wc = bridge.coarse(xi)
         # every rise within the bound, which the extreme rows reach
         rise = np.abs(np.diff(Wc, axis=0))
         assert np.all(rise <= bridge.slope_bound[:, None] * (1 + 1e-12))
@@ -1561,8 +1473,7 @@ class TestConditionalExpectations:
         spike = Spike(zeta=pol.stock_fraction + 1.0, consumption=0.3)
         rng = np.random.default_rng(5)
         rows = 3
-        Wc = np.concatenate([np.zeros((1, rows)),
-                             bridge.coarse(rng.standard_normal((bridge.dim, rows)))])
+        Wc = bridge.coarse(rng.standard_normal((bridge.dim, rows)))
         scratch = np.empty(rows * (g.n_steps + 1))
         assert leg.takes_moments == (n_steps == 400)
         series = SegmentSeries(leg, (w + 1,)) if leg.takes_moments else None
@@ -1660,7 +1571,7 @@ def assert_rows_are_tile_free(market, utility, hyp_discount, monkeypatch, n_step
     g = TimeGrid(horizon=1.0, n_steps=n_steps)
     pol = equilibrium_policy(picard_solve(market, utility, hyp_discount, g), market, utility)
     blocks_of(monkeypatch, 512)
-    cfg = sim_cfg(g, n_paths=3584, seed=11, n_workers=1)
+    cfg = sim_cfg(g, n_paths=3584, seed=11)
     assert cfg.n_pairs == 1792
     leg = equilibrium_leg(pol, cfg, market, utility, hyp_discount)
     assert leg.takes_moments == (n_steps == 1000)
