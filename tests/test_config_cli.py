@@ -694,6 +694,13 @@ class TestCliVerify:
         cli.main(argv + (["--checks", checks] if checks else []))
         assert len(calls) == passes
 
+    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        # the CPUs the process may run on, which once set the worker count,
+        # leave the table alone
+        first, second = (run_on_cpus(tmp_path, monkeypatch, "verify", "verification.csv",
+                                     cpus) for cpus in ({0}, {0, 1, 2, 3}))
+        assert first == second and first.count(b"\n") == 8
+
     def test_duality_oracle_finds_a_far_maximiser(self, tmp_path):
         # lam ~ 1e-4 puts the maximiser of lam x^p / p - x y below 1e-6
         body = BASE_INI.replace("n_steps = 200", "n_steps = 10").replace(
@@ -804,31 +811,39 @@ class TestCliCompare:
         assert all(ln.startswith("solo,") for ln in lines)
 
 
-class TestSingleThread:
-    """A Monte Carlo pass runs in the calling thread, and the retired
-    [sim] n_workers key is rejected like any unknown key."""
+class TestDefaultWorkerCount:
+    """A Monte Carlo pass runs in the calling thread: a default run starts no
+    thread, and its outputs are the bytes of the same run on one worker
+    thread."""
 
-    @pytest.mark.parametrize("command, table, lines", [("simulate", "simulation.csv", 202),
-                                                       ("verify", "verification.csv", 8)],
-                             ids=["simulate", "verify"])
-    def test_a_default_run_starts_no_thread(self, tmp_path, monkeypatch, command, table,
-                                            lines):
-        # 2560 pairs in tiles of at most 2048 rows: two tiles, on a process
-        # that may run on two CPUs and on one; the bytes are the same
+    @pytest.mark.parametrize("command, table", [("simulate", "simulation.csv"),
+                                                ("verify", "verification.csv")])
+    def test_outputs_are_the_bytes_of_one_worker(self, tmp_path, monkeypatch,
+                                                 command, table):
         started = []
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: started.append(thread) or start(thread))
-        runs = []
-        for cpus in ({0, 1}, {0}):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-            out = tmp_path / f"cpus{len(cpus)}"
-            assert cli.main([command, "--config", write_ini(tmp_path), "--out", str(out)]) == 0
-            manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["monte_carlo_pass"]["n_tiles"] == 2 and started == []
-            assert set(manifest["config"]["sim"]) == {"n_paths", "seed", "x0"}
-            runs.append((out / table).read_bytes())
-        assert runs[0] == runs[1] and runs[0].count(b"\n") == lines
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        argv = [command, "--config", write_ini(tmp_path), "--out"]
+        # 2560 pairs in tiles of at most 2048 rows on two CPUs: two tiles, and
+        # no thread
+        assert cli.main(argv + [str(tmp_path / "default")]) == 0
+        manifest = json.loads((tmp_path / "default" / "manifest.json").read_text())
+        assert manifest["monte_carlo_pass"]["n_tiles"] == 2 and started == []
+        assert set(manifest["config"]["sim"]) == {"n_paths", "seed", "x0"}
+        codes = []
+        worker = threading.Thread(
+            target=lambda: codes.append(cli.main(argv + [str(tmp_path / "one")])))
+        worker.start()
+        worker.join()
+        assert codes == [0] and started == [worker]
+        assert (tmp_path / "default" / table).read_bytes() == \
+            (tmp_path / "one" / table).read_bytes()
+
+
+class TestSingleThread:
+    """The retired [sim] n_workers key is rejected like any unknown key."""
 
     def test_n_workers_is_config_error(self, tmp_path, capsys):
         ini = write_ini(tmp_path, extra="n_workers = 1\n")
@@ -846,6 +861,15 @@ class TestSingleThread:
         old.write_text(json.dumps(manifest))
         assert cli.main(["simulate", "--config", str(old), "--out", str(tmp_path / "p")]) == 2
         assert "n_workers" in capsys.readouterr().err
+
+
+def run_on_cpus(tmp_path, monkeypatch, command, table, cpus) -> bytes:
+    """Run the command on the base config in a process that may run on the
+    given CPUs; return the bytes of its table."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    out = tmp_path / f"{command}{len(cpus)}"
+    assert cli.main([command, "--config", write_ini(tmp_path), "--out", str(out)]) == 0
+    return (out / table).read_bytes()
 
 
 def test_ragged_tiles_pass_every_check(tmp_path, monkeypatch):
@@ -949,6 +973,11 @@ class TestCliSimulate:
         assert body[0] == "t,mean_wealth,mean_value_over_h"
         assert len(body) == 202  # header + 201 nodes
 
+
+    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        first, second = (run_on_cpus(tmp_path, monkeypatch, "simulate", "simulation.csv",
+                                     cpus) for cpus in ({0}, {0, 1, 2, 3}))
+        assert first == second and first.count(b"\n") == 202
 
     def test_seed_override_changes_estimate(self, tmp_path):
         ini = write_ini(tmp_path)
